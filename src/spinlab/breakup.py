@@ -29,7 +29,7 @@ class BreakupContext:
         self.system = system
         self.lat = lat
         self.f = f
-        dom, _, _ = patterns.dominant_patterns(system)
+        dom = patterns.structure(system).dominant
         if p0 not in dom:
             raise errors.BoundaryNotInPattern(
                 "reference pattern is not dominant")
@@ -383,14 +383,10 @@ def is_non_dominant(system: SpinSystem, ctx_or_mask, v=None) -> bool:
         mask = ctx_or_mask.neighborhood_value_mask(v)
     else:
         mask = ctx_or_mask
-    dom, _, _ = patterns.dominant_patterns(system)
-    r = patterns.r_closure(system, mask)
-    for p in dom:
-        if r == patterns.r_closure(system, p.a):
-            return False
-        if r == patterns.r_closure(system, p.b):
-            return False
-    return True
+    # R maps each side of a maximal pattern to the other side, so the
+    # closures of the dominant sides are the dominant sides themselves
+    return patterns.r_closure(system, mask) not in \
+        patterns.structure(system).dominant_sides
 
 
 def _omega_matching(system, lat, f, omega, v):
@@ -443,8 +439,7 @@ def is_unbalanced(system: SpinSystem, lat, f, v, eps, eps_bar) -> bool:
         return False
     d2 = lat.degree
     r_mask = patterns.r_closure(system, mask)
-    dom, _, _ = patterns.dominant_patterns(system)
-    dom_sides = {p.a for p in dom} | {p.b for p in dom}
+    dom_sides = patterns.structure(system).dominant_sides
     counts = {}
     for u in lat.neighbors[v]:
         counts[f[u]] = counts.get(f[u], 0) + 1
@@ -483,7 +478,7 @@ def unique_pattern(system: SpinSystem, lat, omega, v, eps, eps_bar) -> bool:
     """Some value set explains every configuration at v: each g in omega
     either matches it, is unbalanced at v, or has all its out-edges at v
     restricted."""
-    for target in patterns.r_sets(system):
+    for target in patterns.structure(system).r_sets:
         ok = True
         for g in omega:
             if patterns.r_closure(

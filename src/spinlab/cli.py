@@ -7,7 +7,6 @@ from __future__ import annotations
 import hashlib
 import json
 import math
-import os
 import sys
 import time
 
@@ -28,7 +27,6 @@ def _meta(subcommand, system_path=None, seed=None, t0=None):
         "version": __version__,
         "subcommand": subcommand,
         "rng": gibbs.RNG_ID,
-        "threads": os.environ.get("SPINLAB_THREADS"),
         "seed": seed,
         "wall_time_s": round(time.time() - t0, 3) if t0 else None,
     }
@@ -101,6 +99,33 @@ def _parse_psi(system, d, text) -> kbipartite.PsiSpec:
         coords += [system.full_mask()] * (2 * d - len(coords))
         return kbipartite.PsiSpec(kind="product", coords=coords)
     raise errors.SchemaError(f"unknown psi spec kind {kind!r}")
+
+
+def _parse_sweep(text):
+    """d=LO:HI[:geometric[:NPOINTS]] -> sorted distinct integer d values,
+    geometrically spaced from LO to HI; a single point is LO."""
+    parts = text.split("=", 1)[-1].split(":")
+    if not 2 <= len(parts) <= 4:
+        raise errors.SchemaError(f"malformed sweep {text!r}")
+    if len(parts) > 2 and parts[2] != "geometric":
+        raise errors.SchemaError("only geometric sweeps supported")
+    try:
+        lo, hi = float(parts[0]), float(parts[1])
+        npts = int(parts[3]) if len(parts) > 3 else 25
+    except ValueError:
+        raise errors.SchemaError(f"malformed sweep {text!r}") from None
+    if not (math.isfinite(lo) and math.isfinite(hi)):
+        raise errors.SchemaError("sweep bounds must be finite")
+    if lo <= 0:
+        raise errors.SchemaError("sweep needs LO > 0")
+    if hi < lo:
+        raise errors.SchemaError("sweep needs HI >= LO")
+    if npts < 1:
+        raise errors.SchemaError("sweep needs NPOINTS >= 1")
+    if npts == 1:
+        return [int(round(lo))]
+    return sorted({int(round(lo * (hi / lo) ** (i / (npts - 1))))
+                   for i in range(npts)})
 
 
 def _load_config(lat, system, path):
@@ -198,16 +223,8 @@ def cmd_check(system_path, d, condition, c_big, c_small, s, sweep, out):
     t0 = time.time()
     system = load_system(system_path)
     if sweep:
-        body = sweep.split("=", 1)[-1]
-        parts = body.split(":")
-        lo, hi = float(parts[0]), float(parts[1])
-        if len(parts) > 2 and parts[2] != "geometric":
-            raise errors.SchemaError("only geometric sweeps supported")
-        npts = int(parts[3]) if len(parts) > 3 else 25
-        ds = sorted({int(round(lo * (hi / lo) ** (i / (npts - 1))))
-                     for i in range(npts)})
         lines = ["d,pass,min_margin"]
-        for dv in ds:
+        for dv in _parse_sweep(sweep):
             rep = parameters.check_condition(system, dv, condition,
                                              C=c_big, c=c_small, s=s)
             margin = min((iq.margin for iq in rep.inequalities

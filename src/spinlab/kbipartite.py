@@ -102,10 +102,9 @@ class _ClassContext:
         self.rJ = patterns.r_closure(system, J)
         if bin(J).count("1") > MAX_SUBSET_SIDE:
             raise errors.GroundSetTooLarge(f"side has {bin(J).count('1')} states")
-        dom, _, _ = patterns.dominant_patterns(system)
-        dom_sides = {p.a for p in dom} | {p.b for p in dom}
         # strict subsets of J that are dominant sides
-        self.dom_subsets = [a for a in dom_sides if a != J and a & ~J == 0]
+        self.dom_subsets = [a for a in patterns.structure(system).dominant_sides
+                            if a != J and a & ~J == 0]
         # proper subsets of J not value-set-equivalent to J
         self.inequiv_subsets = [
             I for I in _submasks(J) if I != J
@@ -315,7 +314,9 @@ def lambda_restricted_power(system: SpinSystem, A_mask: int, n: int):
     """Total activity weight of functions [n] -> A whose image is not inside
     any maximal-pattern side strictly contained in A.  Inclusion-exclusion
     over the inclusion-maximal such sides."""
-    sides = {p.a for p in patterns.maximal_patterns(system)}
+    # the sides of the maximal patterns are the r_sets; in float mode the
+    # inclusion-exclusion sum below runs in this set's iteration order
+    sides = set(patterns.structure(system).r_sets)
     family = [b for b in sides if b != A_mask and b & ~A_mask == 0]
     # only inclusion-maximal members matter for the union of down-sets
     family = [b for b in family
@@ -414,11 +415,8 @@ def verify_main_condition(system: SpinSystem, d: int, alpha: float,
     if system.max_interaction != 1:
         raise errors.NotNormalized(
             "interactions must be normalized to maximum 1")
-    dom, omega, _ = patterns.dominant_patterns(system)
-    maximal = patterns.maximal_patterns(system)
-    dom_set = set(dom)
-    sides = sorted(_sides_of(dom))
-    omega_2d = float(omega) ** (2 * d)
+    st = patterns.structure(system)
+    omega_2d = float(st.omega_dom) ** (2 * d)
     rng = random.Random(seed)
     results = []
 
@@ -439,10 +437,9 @@ def verify_main_condition(system: SpinSystem, d: int, alpha: float,
             "alpha_budget": alpha_tight,
         })
 
-    all_rsets = patterns.r_sets(system)
-    for J in sides:
+    for J in sorted(st.dominant_sides):
         ctx = _ClassContext(system, d, J, eps, eps_bar)
-        strict = [a for a in all_rsets if a != J and a & ~J == 0 and a != 0]
+        strict = [a for a in st.r_sets if a != J and a & ~J == 0 and a != 0]
         # (1) product subsets of the balanced class
         families = []
         for k in range(0, max_restricted + 1):
@@ -486,8 +483,8 @@ def verify_main_condition(system: SpinSystem, d: int, alpha: float,
 
     # (5) non-dominant sides, summed
     nd_sides = set()
-    for p in maximal:
-        if p not in dom_set:
+    for p in st.maximal:
+        if p not in st.dominant:
             nd_sides.add(p.a)
             nd_sides.add(p.b)
     total = system.zero()
@@ -501,14 +498,6 @@ def verify_main_condition(system: SpinSystem, d: int, alpha: float,
         "inequalities": results,
         "pass": all(r["holds"] for r in results),
     }
-
-
-def _sides_of(pats):
-    out = set()
-    for p in pats:
-        out.add(p.a)
-        out.add(p.b)
-    return out
 
 
 def _label(system, mask):

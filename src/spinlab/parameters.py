@@ -35,50 +35,13 @@ def neg_log(x):
 
 def interaction_ratio(system):
     """Second largest over largest pair interaction (0 if all are equal)."""
-    vals = {v for row in system.interactions for v in row}
-    top = max(vals)
-    below = [v for v in vals if v < top]
-    if not below:
-        return system.zero()
-    return max(below) / top
-
-
-def _sides(pats):
-    """Distinct sides (either coordinate) of a pattern list, as bitmasks."""
-    out = set()
-    for p in pats:
-        out.add(p.a)
-        out.add(p.b)
-    return out
+    return patterns.structure(system).rho_int
 
 
 def pattern_ratios(system):
     """(omega_dom, rho_bulk, rho_bdry, rho_act), exact in rational mode."""
-    maximal = patterns.maximal_patterns(system)
-    dom, omega, _ = patterns.dominant_patterns(system)
-    dom_set = set(dom)
-    zero = system.zero()
-
-    non_dom = [p for p in maximal if p not in dom_set]
-    rho_bulk = zero
-    for p in non_dom:
-        rho_bulk = max(rho_bulk, patterns.weight(system, p) / omega)
-
-    r_sides = {p.a for p in maximal}  # sides of maximal patterns
-    rho_bdry = zero
-    for a in _sides(dom):
-        la = system.lambda_mask(a)
-        for ap in r_sides:
-            if ap != a and ap & ~a == 0:  # strict subset
-                rho_bdry = max(rho_bdry, system.lambda_mask(ap) / la)
-
-    lam_s = system.lambda_mask(system.full_mask())
-    rho_act = system.one()
-    for a in r_sides:
-        if a != 0:
-            rho_act = max(rho_act, lam_s / system.lambda_mask(a))
-
-    return omega, rho_bulk, rho_bdry, rho_act
+    st = patterns.structure(system)
+    return st.omega_dom, st.rho_pat_bulk, st.rho_pat_bdry, st.rho_act
 
 
 # ---------------------------------------------------------------------------
@@ -134,83 +97,88 @@ def alpha0_of(system):
 
 def rho_hat_bulk_of(system, d, s):
     """Bulk ratio adjusted for a soft-interaction window of length s."""
-    maximal = patterns.maximal_patterns(system)
-    dom, omega, _ = patterns.dominant_patterns(system)
-    dom_set = set(dom)
-    rho_int = float(interaction_ratio(system))
-    lam_s = float(system.lambda_mask(system.full_mask()))
+    st = patterns.structure(system)
+    omega = float(st.omega_dom)
+    rho_int = float(st.rho_int)
+    lam_s = float(st.lam_s)
     n = system.n
     best = 0.0
-    for p in maximal:
-        if p in dom_set or p.a == 0 or p.b == 0:
-            continue
-        la = float(system.lambda_mask(p.a))
-        lb = float(system.lambda_mask(p.b))
-        val = (la * lb / float(omega)
+    for la, lb in st.bulk_pairs:
+        val = (la * lb / omega
                * (1.0 + rho_int ** s * lam_s / la)
                * (2 * d * lam_s / lb) ** ((s - 1) * n / (2 * d)))
         best = max(best, val)
     return best
 
 
+def _penalty(st, d):
+    """The d-dependent entropy penalty subtracted from alpha1 and alpha2."""
+    return (1.0 + (1.0 / 3.0 if st.rho_int != 0 else 0.0)) / (2 * d) \
+        * math.log(len(st.maximal))
+
+
+def _alpha2(system, d, s, pen):
+    """(rho_hat_bulk, alpha2) at window length s, given _penalty(st, d)."""
+    st = patterns.structure(system)
+    rho_hat_bulk = rho_hat_bulk_of(system, d, s)
+    return rho_hat_bulk, neg_log(max(
+        rho_hat_bulk,
+        1.0 - (1.0 - float(st.rho_pat_bdry)) * (1.0 - math.sqrt(float(st.rho_int)))
+    )) - pen
+
+
 def rho_bulk_star_of(system, d):
     """Bulk ratio with image-restricted weight counts (homomorphism only)."""
     from . import kbipartite
-    if interaction_ratio(system) != 0:
+    st = patterns.structure(system)
+    if st.rho_int != 0:
         raise errors.Alt3OnWeightedSystem(
             "rho_bulk_star is defined for homomorphism systems only")
-    maximal = patterns.maximal_patterns(system)
-    dom, omega, _ = patterns.dominant_patterns(system)
-    dom_set = set(dom)
+    dom_set = set(st.dominant)
     total = Fraction(0) if system.mode == "rational" else 0.0
-    for p in maximal:
+    for p in st.maximal:
         if p in dom_set:
             continue
         total += (kbipartite.lambda_restricted_power(system, p.a, 2 * d)
                   * system.lambda_mask(p.b) ** (2 * d))
     if total == 0:
         return 0.0
-    return float(total) ** (1.0 / (2 * d)) / float(omega)
+    try:
+        root = float(total) ** (1.0 / (2 * d))
+    except OverflowError:  # a Fraction beyond the float range
+        root = math.exp((math.log(total.numerator)
+                         - math.log(total.denominator)) / (2 * d))
+    return root / float(st.omega_dom)
 
 
 def compute_parameters(system, d=None, s=None) -> ParameterReport:
-    omega, rho_bulk, rho_bdry, rho_act = pattern_ratios(system)
-    rho_int = interaction_ratio(system)
-    maximal = patterns.maximal_patterns(system)
-    dom, _, _ = patterns.dominant_patterns(system)
-    fq = patterns.frak_q(system)
-    n_small, n_large = patterns.small_large_side_counts(system)
-    lam_s = system.lambda_mask(system.full_mask())
+    st = patterns.structure(system)
+    rho_int, rho_bdry = st.rho_int, st.rho_pat_bdry
     rep = ParameterReport(
         rho_int=rho_int,
-        rho_pat_bulk=rho_bulk,
+        rho_pat_bulk=st.rho_pat_bulk,
         rho_pat_bdry=rho_bdry,
-        rho_act=rho_act,
-        omega_dom=omega,
-        alpha0=neg_log(_alpha_arg(rho_bulk, rho_bdry, rho_int)),
-        frak_q=fq,
-        n_maximal=len(maximal),
-        n_dominant=len(dom),
-        n_small_side=n_small,
-        n_large_side=n_large,
-        rho_hat_act=lam_s * lam_s / omega,
+        rho_act=st.rho_act,
+        omega_dom=st.omega_dom,
+        alpha0=neg_log(_alpha_arg(st.rho_pat_bulk, rho_bdry, rho_int)),
+        frak_q=patterns.frak_q(system),
+        n_maximal=len(st.maximal),
+        n_dominant=len(st.dominant),
+        n_small_side=st.n_small_side,
+        n_large_side=st.n_large_side,
+        rho_hat_act=st.rho_hat_act,
     )
     if d is not None:
         if d < 2:
             raise errors.ParamOutOfRange("d must be >= 2")
         rep.d = d
-        pen = (1.0 + (1.0 / 3.0 if rho_int != 0 else 0.0)) / (2 * d) \
-            * math.log(len(maximal))
+        pen = _penalty(st, d)
         rep.alpha1 = rep.alpha0 - pen
         rep.alpha_tilde_simple = rep.alpha0 * min(
             1.0, rep.alpha0 / (system.n + math.log(d))) if rep.alpha0 < INF else INF
         if s is not None:
             rep.s = s
-            rep.rho_hat_bulk = rho_hat_bulk_of(system, d, s)
-            rep.alpha2 = neg_log(max(
-                rep.rho_hat_bulk,
-                1.0 - (1.0 - float(rho_bdry)) * (1.0 - math.sqrt(float(rho_int)))
-            )) - pen
+            rep.rho_hat_bulk, rep.alpha2 = _alpha2(system, d, s, pen)
         if rho_int == 0:
             rep.rho_bulk_star = rho_bulk_star_of(system, d)
             rep.alpha3 = neg_log(max(rep.rho_bulk_star, float(rho_bdry)))
@@ -218,8 +186,9 @@ def compute_parameters(system, d=None, s=None) -> ParameterReport:
 
 
 def alpha2_of(system, d, s):
-    rep = compute_parameters(system, d=d, s=s)
-    return rep.alpha2
+    if d < 2:
+        raise errors.ParamOutOfRange("d must be >= 2")
+    return _alpha2(system, d, s, _penalty(patterns.structure(system), d))[1]
 
 
 # ---------------------------------------------------------------------------
@@ -311,11 +280,12 @@ def check_condition(system, d, which, C=1.0, c=1.0, s=None) -> ConditionReport:
         s_cap = math.ceil(2 * d / n)
         candidates = [s] if s is not None else list(
             range(max(1, math.ceil(s_lo)), max(1, math.ceil(s_lo)) + min(s_cap, 10 ** 4)))
+        pen = _penalty(patterns.structure(system), d)
         best = None
         for cand in candidates:
             if cand > s_cap and best is not None:
                 break
-            a2 = alpha2_of(system, d, cand)
+            _, a2 = _alpha2(system, d, cand, pen)
             window_hi = min(s_cap,
                             1.0 + a2 * d / (2.0 * n * math.log(2 * d * rho_hat_act))
                             if a2 > 0 and 2 * d * rho_hat_act > 1 else 1.0)

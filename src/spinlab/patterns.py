@@ -19,6 +19,9 @@ from . import errors
 from .system import SpinSystem
 
 FRAK_Q_MAX_STATES = 24  # safety valve; the closure method needs far less
+# float mode: maximal patterns within this relative weight of the maximum
+# count as dominant (and are reported as a near tie)
+DOMINANT_REL_TOL = 1e-12
 
 
 @dataclass(frozen=True)
@@ -51,12 +54,49 @@ def is_pattern(system: SpinSystem, a: int, b: int) -> bool:
     return b & ~r_closure(system, a) == 0
 
 
-def r_sets(system: SpinSystem) -> list:
-    """All fixed points of R o R, as the intersection closure of the
-    neighborhoods together with the full set."""
-    gens = {system.neighbor_mask(i) for i in range(system.n)}
-    closed = {system.full_mask()}
-    frontier = list(closed)
+# ---------------------------------------------------------------------------
+# the pattern structure of a system, computed once
+
+@dataclass(frozen=True)
+class PatternStructure:
+    """Everything derived from a system that depends only on its pattern
+    structure, in immutable containers; the ratios are exact in rational
+    mode.  Built once per system by structure()."""
+    r_sets: tuple              # fixed points of R o R, sorted
+    maximal: tuple             # (A, R(A)) for A in r_sets
+    dominant: tuple            # maximal patterns of maximal weight
+    omega_dom: object
+    near_tie: bool
+    dominant_sides: frozenset  # both sides of every dominant pattern
+    n_small_side: int          # dominant patterns with |A| <= |B|
+    n_large_side: int          # dominant patterns with |A| >= |B|
+    frak_q: Optional[float]    # None above FRAK_Q_MAX_STATES
+    rho_int: object
+    rho_pat_bulk: object
+    rho_pat_bdry: object
+    rho_act: object
+    rho_hat_act: object        # lam(S)^2 / omega_dom
+    lam_s: object              # lam(S)
+    # float (lam(A), lam(B)) of the non-dominant maximal patterns with both
+    # sides nonempty, in maximal-pattern order
+    bulk_pairs: tuple
+
+
+def structure(system: SpinSystem) -> PatternStructure:
+    """The system's pattern structure, memoised on the system."""
+    if system._pattern_structure is None:
+        system._pattern_structure = _build_structure(system)
+    return system._pattern_structure
+
+
+def _popcount(mask):
+    return bin(mask).count("1")
+
+
+def _intersection_closure(top, gens):
+    """The closure of {top} under intersection with each generator."""
+    closed = {top}
+    frontier = [top]
     while frontier:
         cur = frontier.pop()
         for g in gens:
@@ -64,32 +104,90 @@ def r_sets(system: SpinSystem) -> list:
             if x not in closed:
                 closed.add(x)
                 frontier.append(x)
-    return sorted(closed)
+    return closed
+
+
+def _build_structure(system: SpinSystem) -> PatternStructure:
+    full = system.full_mask()
+    rs = tuple(sorted(_intersection_closure(
+        full, {system.neighbor_mask(i) for i in range(system.n)})))
+    maximal = tuple(Pattern(a, r_closure(system, a)) for a in rs)
+
+    weights = [weight(system, p) for p in maximal]
+    omega = max(weights)
+    dom = tuple(p for p, w in zip(maximal, weights)
+                if w == omega or (system.mode == "float" and omega > 0
+                                  and abs(w - omega) <= DOMINANT_REL_TOL * omega))
+    near_tie = len(dom) > sum(1 for w in weights if w == omega)
+    dom_set = set(dom)
+    dom_sides = frozenset(s for p in dom for s in (p.a, p.b))
+
+    zero = system.zero()
+    vals = {v for row in system.interactions for v in row}
+    top = max(vals)
+    below = [v for v in vals if v < top]
+    rho_int = max(below) / top if below else zero
+
+    rho_bulk = zero
+    for p in maximal:
+        if p not in dom_set:
+            rho_bulk = max(rho_bulk, weight(system, p) / omega)
+    # the sides of the maximal patterns are the r_sets
+    rho_bdry = zero
+    for a in dom_sides:
+        la = system.lambda_mask(a)
+        for ap in rs:
+            if ap != a and ap & ~a == 0:  # strict subset
+                rho_bdry = max(rho_bdry, system.lambda_mask(ap) / la)
+    lam_s = system.lambda_mask(full)
+    rho_act = system.one()
+    for a in rs:
+        if a != 0:
+            rho_act = max(rho_act, lam_s / system.lambda_mask(a))
+
+    return PatternStructure(
+        r_sets=rs,
+        maximal=maximal,
+        dominant=dom,
+        omega_dom=omega,
+        near_tie=near_tie,
+        dominant_sides=dom_sides,
+        n_small_side=sum(1 for p in dom if _popcount(p.a) <= _popcount(p.b)),
+        n_large_side=sum(1 for p in dom if _popcount(p.a) >= _popcount(p.b)),
+        frak_q=(_frak_q(system, dom) if system.n <= FRAK_Q_MAX_STATES
+                else None),
+        rho_int=rho_int,
+        rho_pat_bulk=rho_bulk,
+        rho_pat_bdry=rho_bdry,
+        rho_act=rho_act,
+        rho_hat_act=lam_s * lam_s / omega,
+        lam_s=lam_s,
+        bulk_pairs=tuple((float(system.lambda_mask(p.a)),
+                          float(system.lambda_mask(p.b)))
+                         for p in maximal
+                         if p not in dom_set and p.a != 0 and p.b != 0),
+    )
+
+
+def r_sets(system: SpinSystem) -> list:
+    """All fixed points of R o R, as the intersection closure of the
+    neighborhoods together with the full set."""
+    return list(structure(system).r_sets)
 
 
 def maximal_patterns(system: SpinSystem) -> list:
     """All patterns (A, R(A)) with A ranging over the fixed-point sets."""
-    return [Pattern(a, r_closure(system, a)) for a in r_sets(system)]
+    return list(structure(system).maximal)
 
 
-def dominant_patterns(system: SpinSystem, rel_tol=1e-12):
+def dominant_patterns(system: SpinSystem):
     """Maximal-weight patterns and their common weight.
 
-    In float mode near-ties within rel_tol of the maximum are included and
-    reported via the returned tie flag.
+    In float mode near-ties within DOMINANT_REL_TOL of the maximum are
+    included and reported via the returned tie flag.
     """
-    pats = maximal_patterns(system)
-    weights = [weight(system, p) for p in pats]
-    wmax = max(weights)
-    if system.mode == "rational":
-        dom = [p for p, w in zip(pats, weights) if w == wmax]
-        near_tie = False
-    else:
-        dom = [p for p, w in zip(pats, weights)
-               if w == wmax or (wmax > 0 and abs(w - wmax) <= rel_tol * wmax)]
-        strict = [p for p, w in zip(pats, weights) if w == wmax]
-        near_tie = len(dom) > len(strict)
-    return dom, wmax, near_tie
+    st = structure(system)
+    return list(st.dominant), st.omega_dom, st.near_tie
 
 
 def find_equivalence(system: SpinSystem, p: Pattern, q: Pattern,
@@ -211,40 +309,27 @@ def equivalence_classes(system: SpinSystem, patterns: list) -> list:
 
 def frak_q(system: SpinSystem) -> float:
     """log2 of the number of distinct answers to "which dominant patterns
-    have their small side containing I", over all subsets I.
-
-    The answer for I is the intersection of the answers for the singletons in
-    I, so the distinct answers form the intersection closure of the singleton
-    answers together with the answer for the empty set.
-    """
+    have their small side containing I", over all subsets I."""
     if system.n > FRAK_Q_MAX_STATES:
         raise errors.SpinSpaceTooLarge(str(system.n))
-    dom, _, _ = dominant_patterns(system)
-    small = [p for p in dom
-             if bin(p.a).count("1") <= bin(p.b).count("1")]
-    full = frozenset(range(len(small)))
-    singleton = []
-    for i in range(system.n):
-        singleton.append(frozenset(
-            k for k, p in enumerate(small) if p.a >> i & 1))
-    closed = {full}
-    frontier = [full]
-    while frontier:
-        cur = frontier.pop()
-        for g in singleton:
-            x = cur & g
-            if x not in closed:
-                closed.add(x)
-                frontier.append(x)
-    return math.log2(len(closed))
+    return structure(system).frak_q
+
+
+def _frak_q(system: SpinSystem, dom) -> float:
+    """The answer for I is the intersection of the answers for the
+    singletons in I, so the distinct answers form the intersection closure
+    of the singleton answers together with the answer for the empty set."""
+    small = [p for p in dom if _popcount(p.a) <= _popcount(p.b)]
+    singleton = [frozenset(k for k, p in enumerate(small) if p.a >> i & 1)
+                 for i in range(system.n)]
+    return math.log2(len(_intersection_closure(
+        frozenset(range(len(small))), singleton)))
 
 
 def small_large_side_counts(system: SpinSystem):
     """Counts of dominant patterns with |A| <= |B| and with |A| >= |B|."""
-    dom, _, _ = dominant_patterns(system)
-    small = sum(1 for p in dom if bin(p.a).count("1") <= bin(p.b).count("1"))
-    large = sum(1 for p in dom if bin(p.a).count("1") >= bin(p.b).count("1"))
-    return small, large
+    st = structure(system)
+    return st.n_small_side, st.n_large_side
 
 
 @dataclass

@@ -78,6 +78,9 @@ class SpinSystem:
     mode: str  # "rational" | "float"
 
     _neighbor_masks: Optional[tuple] = field(default=None, repr=False, compare=False)
+    # patterns.PatternStructure, built on first use by patterns.structure()
+    _pattern_structure: Optional[object] = field(default=None, repr=False,
+                                                 compare=False)
 
     @property
     def n(self):

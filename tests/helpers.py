@@ -6,6 +6,7 @@ definition, and the generators build host graphs and systems from scratch.
 """
 
 import itertools
+import math
 import random
 from fractions import Fraction
 
@@ -110,3 +111,43 @@ def ordered_config(lat, even_state=0, odd_states=(1, 2)):
         else:
             f[v] = odd_states[c % len(odd_states)]
     return f
+
+
+def alt2_reference(system, d, C=1.0, c=1.0):
+    """check_condition(system, d, "alt2") evaluated literally: one full
+    compute_parameters(system, d, s) report per candidate window length s,
+    with the same window rules."""
+    from spinlab import parameters as pm
+    rep = pm.compute_parameters(system, d=d)
+    n = system.n
+    logd = math.log(d)
+    thr = C * (rep.frak_q + logd) * math.sqrt(logd) / d ** 0.25
+    rho_int = float(rep.rho_int)
+    rho_hat_act = float(rep.rho_hat_act)
+    s_lo = 0.0 if rho_int == 0 else \
+        2.0 * math.log(d * rho_hat_act) / pm.neg_log(rho_int)
+    s_cap = math.ceil(2 * d / n)
+    first = max(1, math.ceil(s_lo))
+    best = None
+    for cand in range(first, first + min(s_cap, 10 ** 4)):
+        if cand > s_cap and best is not None:
+            break
+        a2 = pm.compute_parameters(system, d=d, s=cand).alpha2
+        window_hi = min(s_cap,
+                        1.0 + a2 * d / (2.0 * n * math.log(2 * d * rho_hat_act))
+                        if a2 > 0 and 2 * d * rho_hat_act > 1 else 1.0)
+        window = [
+            pm._ge("s_window_low", cand, s_lo),
+            pm.Inequality("s_window_high", cand, window_hi,
+                          holds=cand <= window_hi),
+            pm._ge("alpha2", a2, thr),
+        ]
+        if all(iq.holds for iq in window):
+            best = (cand, window)
+            break
+        if best is None:
+            best = (cand, window)
+    s_used, ineqs = best
+    return pm.ConditionReport(condition="alt2", d=d, C=C, c=c, s=s_used,
+                              inequalities=ineqs,
+                              passes=all(iq.holds for iq in ineqs))

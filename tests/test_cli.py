@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import pytest
 
-from spinlab import catalog, cli
+from spinlab import catalog, cli, patterns
 from spinlab import lattice as lm
 from spinlab.system import load_system, make_system
 
@@ -91,6 +91,62 @@ def test_check_sweep_csv(tmp_path, hc_path):
     assert len(passes) == 13
     assert passes == sorted(passes)  # verdict flips at most once, upward
     assert passes[-1] == 1
+
+
+@pytest.mark.parametrize("spec,code,rows", [
+    ("d=100:1e6:geometric:1", 0, [100]),
+    ("d=100:100:geometric:3", 0, [100]),
+    ("d=0:10", 2, None),
+    ("d=-5:10", 2, None),
+    ("d=100:10", 2, None),
+    ("d=10:100:geometric:0", 2, None),
+    ("d=abc:100", 2, None),
+    ("d=10:xyz", 2, None),
+    ("d=10", 2, None),
+    ("d=10:100:geometric:2.5", 2, None),
+    ("d=10:100:linear:3", 2, None),
+    ("d=10:100:geometric:3:4", 2, None),
+    ("d=nan:100", 2, None),
+    ("d=10:inf", 2, None),
+])
+def test_check_sweep_spec(tmp_path, hc_path, capsys, spec, code, rows):
+    out = tmp_path / "sweep.csv"
+    assert cli.main(["check", "--system", hc_path, "--sweep", spec,
+                     "--out", str(out)]) == code
+    if code == 0:
+        lines = out.read_text().strip().splitlines()
+        assert [int(line.split(",")[0]) for line in lines[1:]] == rows
+    else:
+        assert json.loads(capsys.readouterr().err)["error"] == "SchemaError"
+
+
+# min_margin at d=100, below the d where rho_bulk_star_of leaves the float
+# range; pinned so that its large-d fallback cannot move these values
+WR2_D100 = {"simple": "0.06269457284459981", "alt1": "0.129586876620485",
+            "alt2": "0.129586876620485", "alt3": "0.13036007086265247"}
+
+
+@pytest.mark.parametrize("condition", sorted(WR2_D100))
+def test_check_sweep_widom_rowlinson_large_d(tmp_path, sysfile, condition):
+    path = sysfile("wr2.json", catalog.build("widom_rowlinson", lam=2))
+    out = tmp_path / "sweep.csv"
+    assert cli.main(["check", "--system", path, "--condition", condition,
+                     "--sweep", "d=10:1e5:geometric:5", "--out", str(out)]) == 0
+    rows = [line.split(",") for line in out.read_text().strip().splitlines()]
+    assert [r[0] for r in rows[1:]] == ["10", "100", "1000", "10000", "100000"]
+    assert rows[2][2] == WR2_D100[condition]
+
+
+def test_alt2_sweep_builds_structure_once(tmp_path, af3_soft_path,
+                                          monkeypatch):
+    built = []
+    build = patterns._build_structure
+    monkeypatch.setattr(patterns, "_build_structure",
+                        lambda system: built.append(system) or build(system))
+    assert cli.main(["check", "--system", af3_soft_path, "--condition",
+                     "alt2", "--sweep", "d=10:1e6:geometric:4",
+                     "--out", str(tmp_path / "sweep.csv")]) == 0
+    assert len(built) == 1
 
 
 def test_check_output_is_deterministic(tmp_path, hc_path):

@@ -5,6 +5,8 @@ import pytest
 
 from spinlab import catalog, errors, parameters
 
+from helpers import alt2_reference
+
 AF3 = catalog.build("af_potts", q=3)
 HC = catalog.build("hard_core", lam=1)
 
@@ -120,3 +122,20 @@ def test_section_defaults_and_closed_form_bounds():
     result = parameters.check_closed_form_bounds(soft, 100)
     assert isinstance(result["pass"], bool)
     assert result["gamma"] > 0
+
+
+@pytest.mark.parametrize("model", [
+    ("af_potts", {"q": 3, "beta": 1}),
+    ("af_potts", {"q": 3}),
+    ("hard_core", {"lam": 2}),
+])
+@pytest.mark.parametrize("d", [10, 100, 1000])
+def test_alt2_matches_per_candidate_reference(model, d):
+    system = catalog.build(model[0], **model[1])
+    rep = parameters.check_condition(system, d, "alt2")
+    ref = alt2_reference(system, d)
+    assert rep.to_dict() == ref.to_dict()
+    assert rep.s == ref.s
+    s = rep.s
+    assert parameters.alpha2_of(system, d, s) == \
+        parameters.compute_parameters(system, d=d, s=s).alpha2

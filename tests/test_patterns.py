@@ -1,3 +1,4 @@
+import dataclasses
 import math
 from fractions import Fraction
 
@@ -61,6 +62,25 @@ def test_af3_structure():
     assert sorted(len(c) for c in direct) == [3, 3]
     assert len(patterns.equivalence_classes(AF3, dom)) == 1
     assert patterns.small_large_side_counts(AF3) == (3, 3)
+
+
+def test_structure_is_memoised_and_immutable():
+    system = catalog.build("af_potts", q=3)
+    st = patterns.structure(system)
+    assert patterns.structure(system) is st
+    assert system == AF3  # the cache takes no part in equality
+    for name in ("r_sets", "maximal", "dominant", "bulk_pairs"):
+        assert isinstance(getattr(st, name), tuple)
+    assert isinstance(st.dominant_sides, frozenset)
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        st.omega_dom = 3
+    # the public readers hand out copies
+    patterns.maximal_patterns(system).clear()
+    patterns.dominant_patterns(system)[0].clear()
+    patterns.r_sets(system).clear()
+    assert len(st.maximal) == len(patterns.maximal_patterns(system)) == 8
+    assert len(patterns.dominant_patterns(system)[0]) == 6
+    assert len(patterns.r_sets(system)) == 8
 
 
 def test_frak_q_values():
