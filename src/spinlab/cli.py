@@ -128,6 +128,15 @@ def _parse_sweep(text):
                    for i in range(npts)})
 
 
+def _parse_site(lat, text):
+    """"r,c" -> index of an interior site of the lattice."""
+    try:
+        coord = tuple(int(x) for x in text.split(","))
+    except ValueError:
+        raise errors.SchemaError(f"malformed site {text!r}") from None
+    return gibbs.interior_site(lat, coord)
+
+
 def _load_config(lat, system, path):
     with open(path) as fh:
         raw = json.load(fh)
@@ -297,15 +306,13 @@ def cmd_exact(system_path, lattice_spec, pattern_text, site, out):
     system = load_system(system_path)
     lat = lat_mod.parse_lattice(lattice_spec)
     pat = _parse_pattern(system, pattern_text)
-    bc = gibbs.PatternBoundary(pat)
-    coord = tuple(int(x) for x in site.split(","))
-    marg = gibbs.exact_measure(system, lat, bc, coord)
+    law = gibbs.site_law(system, lat, gibbs.PatternBoundary(pat),
+                         _parse_site(lat, site))
     payload = {
         "site": site,
-        "marginal": {k: emit_number(v) for k, v in marg.items()},
-        "prob_not_in_pattern": emit_number(
-            gibbs.prob_not_in_pattern(system, lat, bc, coord)),
-        "Z": emit_number(gibbs.z_pattern_box(system, lat, bc)),
+        "marginal": {k: emit_number(v) for k, v in law.marginal.items()},
+        "prob_not_in_pattern": emit_number(law.prob_not_in_pattern),
+        "Z": emit_number(law.z),
         "meta": _meta("exact", system_path, t0=t0),
     }
     _emit(payload, out)
@@ -328,8 +335,8 @@ def cmd_mcmc(system_path, lattice_spec, pattern_text, site, sweeps, seed,
     system = load_system(system_path)
     lat = lat_mod.parse_lattice(lattice_spec)
     pat = _parse_pattern(system, pattern_text)
-    coord = tuple(int(x) for x in site.split(","))
-    res = gibbs.run_mcmc(system, lat, gibbs.PatternBoundary(pat), coord,
+    res = gibbs.run_mcmc(system, lat, gibbs.PatternBoundary(pat),
+                         _parse_site(lat, site),
                          n_sweeps=int(float(sweeps)), seed=seed, force=force)
     payload = {
         "site": site, "n_sweeps": res.n_sweeps, "burn_in": res.burn_in,

@@ -5,12 +5,19 @@ interior of a box, and each internal-boundary vertex is restricted to the
 even or odd side of a dominant pattern according to its parity.
 
 Three evaluators:
-  * exact_measure / z_pattern_box - exact marginals and partition functions
-    via a row-raster frontier DP;
+  * site_law / exact_measure / prob_not_in_pattern / z_pattern_box - exact
+    marginals and partition functions via a row-raster frontier DP; the
+    per-value partition functions of one site come from one sweep that
+    shares the rows before the site and runs one suffix per value;
   * z_torus / log_z_per_site_torus - exact free-boundary partition function
-    of a torus via a sparse column transfer matrix (big rationals);
+    of a torus via a sparse column transfer matrix, columns along the
+    shorter side;
   * run_mcmc - heat-bath Glauber dynamics, deterministic raster scan,
     seeded PCG64 randomness, batch-means error bars.
+
+The exact evaluators run on SpinSystem.scaled() weights: Python ints in
+rational mode, divided once at the end by la^|V| li^|E|, and the system's
+floats in float mode.
 """
 
 from __future__ import annotations
@@ -38,21 +45,32 @@ RNG_ID = "numpy-pcg64"
 class PatternBoundary:
     pattern: Pattern
 
-    def region(self, lat) -> frozenset:
-        """Internal boundary of the box interior."""
-        return frozenset(
-            v for v in lat.interior
-            if len(lat.neighbors[v]) < lat.degree
+    def on_boundary(self, lat, v) -> bool:
+        """Whether v is on the internal boundary of the box interior."""
+        return v in lat.interior and (
+            len(lat.neighbors[v]) < lat.degree
             or any(u in lat.halo for u in lat.neighbors[v]))
 
+    def region(self, lat) -> frozenset:
+        """Internal boundary of the box interior."""
+        return frozenset(v for v in lat.interior if self.on_boundary(lat, v))
+
     def allowed_mask(self, lat, system, v) -> int:
-        if v in self.region(lat):
-            return self.pattern.a if lat.parity(v) == 0 else self.pattern.b
+        if self.on_boundary(lat, v):
+            return self.side_mask(lat, v)
         return system.full_mask()
 
     def side_mask(self, lat, v) -> int:
         """The pattern side a vertex of this parity belongs to."""
         return self.pattern.a if lat.parity(v) == 0 else self.pattern.b
+
+
+def interior_site(lat, site) -> int:
+    """Index of an interior site given by its index or its coordinates."""
+    v = lat.index.get(site) if isinstance(site, tuple) else site
+    if v not in lat.interior:
+        raise errors.SchemaError(f"site {site} is not an interior site")
+    return v
 
 
 def sample_halo_extension(system: SpinSystem, lat, pattern: Pattern,
@@ -89,95 +107,133 @@ def _check_box_2d(lat):
 
 
 def _allowed_masks(system, lat, boundary: PatternBoundary):
-    region = boundary.region(lat)
-    full = system.full_mask()
-    out = {}
-    for v in lat.interior:
-        if v in region:
-            out[v] = boundary.pattern.a if lat.parity(v) == 0 \
-                else boundary.pattern.b
-        else:
-            out[v] = full
-    return out
+    return {v: boundary.allowed_mask(lat, system, v) for v in lat.interior}
 
 
-def _dp_z(system, lat, allowed, fix):
-    """Raster DP over interior rows; frontier keyed by the last w values."""
+def _box_sweep(system, lat, boundary: PatternBoundary, site=None) -> list:
+    """Raster DP over the interior rows of a 2D box.  The frontier holds the
+    last w values packed in base |S|, the oldest (the site above the next
+    one) most significant.
+
+    Without a site, returns [Z].  With a site (an interior site's index),
+    returns Z_s, the partition function with the site's value fixed to s,
+    for every state s: the sites before it are summed once and one suffix
+    runs per value."""
     _check_box_2d(lat)
     h, w = lat.dims
-    if system.n ** w > MAX_FRONTIER:
-        raise errors.StateSpaceTooLarge(f"{system.n}^{w} frontier states")
-    grid = [[lat.index[(r, c)] for c in range(w)] for r in range(h)]
-    acts = system.activities
-    inter = system.interactions
-    zero = system.zero()
+    n = system.n
+    if n ** w > MAX_FRONTIER:
+        raise errors.StateSpaceTooLarge(f"{n}^{w} frontier states")
+    sc = system.scaled()
+    acts, inter = sc.acts, sc.inter
+    # the allowed mask of each raster position
+    masks = [boundary.allowed_mask(lat, system, lat.index[(r, c)])
+             for r in range(h) for c in range(w)]
+    top = n ** (w - 1)
+    tables = {}
 
-    frontier = {(): system.one()}
-    for r in range(h):
-        for c in range(w):
-            v = grid[r][c]
-            mask = allowed[v]
-            forced = fix.get(v)
-            if forced is not None:
-                mask &= 1 << forced
-            choices = system.mask_states(mask)
-            new = {}
-            for key, wgt in frontier.items():
-                left = key[-1] if c > 0 else None
-                up = key[0] if len(key) == w else None
-                for s in choices:
-                    sw = acts[s]
-                    if left is not None:
-                        sw = sw * inter[s][left]
-                    if up is not None:
-                        sw = sw * inter[s][up]
-                    if sw == zero:
-                        continue
-                    nk = key[1:] + (s,) if len(key) == w else key + (s,)
-                    if nk in new:
-                        new[nk] += wgt * sw
-                    else:
-                        new[nk] = wgt * sw
-            frontier = new
-            if not frontier:
-                return zero
-    total = zero
-    for wgt in frontier.values():
-        total += wgt
-    return total
+    def table(mask):
+        """[left][up] -> the (value, weight) pairs with nonzero weight; a
+        neighbour value n stands for a missing neighbour."""
+        if mask not in tables:
+            states = system.mask_states(mask)
+            tables[mask] = [[_choices(acts, inter, states, left, up, n)
+                             for up in range(n + 1)]
+                            for left in range(n + 1)]
+        return tables[mask]
+
+    def step(frontier, p, mask):
+        r, c = divmod(p, w)
+        tbl = table(mask)
+        new = {}
+        get = new.get
+        for key, wgt in frontier.items():
+            if r:
+                up, rest = divmod(key, top)
+            else:
+                up, rest = n, key
+            base = rest * n
+            for s, x in tbl[key % n if c else n][up]:
+                k = base + s
+                new[k] = get(k, 0) + wgt * x
+        return new
+
+    def run(frontier, lo, hi):
+        for p in range(lo, hi):
+            frontier = step(frontier, p, masks[p])
+        return frontier
+
+    end = h * w
+    if site is None:
+        zs = [sum(run({0: 1}, 0, end).values())]
+    else:
+        r, c = lat.coords[site]
+        p = r * w + c
+        prefix = run({0: 1}, 0, p)
+        zs = []
+        for s in range(n):
+            fixed = step(prefix, p, masks[p] & 1 << s)
+            zs.append(sum(run(fixed, p + 1, end).values()))
+    n_edges = h * (w - 1) + (h - 1) * w
+    return [sc.unscale(z, end, n_edges) for z in zs]
+
+
+def _choices(acts, inter, states, left, up, n):
+    out = []
+    for s in states:
+        x = acts[s]
+        if left != n:
+            x = x * inter[s][left]
+        if up != n:
+            x = x * inter[s][up]
+        if x:
+            out.append((s, x))
+    return out
 
 
 def z_pattern_box(system: SpinSystem, lat, boundary: PatternBoundary):
     """Partition function over interior configurations obeying the pattern
     boundary constraint."""
-    return _dp_z(system, lat, _allowed_masks(system, lat, boundary), {})
+    return _box_sweep(system, lat, boundary)[0]
+
+
+@dataclass
+class SiteLaw:
+    """Exact law of one interior site's value under a pattern boundary."""
+    marginal: dict               # state label -> probability
+    prob_not_in_pattern: object  # mass outside the site's pattern side
+    z: object                    # partition function, the sum of the Z_s
+
+
+def site_law(system: SpinSystem, lat, boundary: PatternBoundary,
+             site) -> SiteLaw:
+    """Marginal, off-pattern probability and partition function of one site,
+    all from one shared-prefix sweep."""
+    site = interior_site(lat, site)
+    zs = _box_sweep(system, lat, boundary, site)
+    total = sum(zs)
+    if total == 0:
+        raise errors.EmptySupport("boundary admits no configuration")
+    if system.mode == "rational":
+        marg = [z / total for z in zs]
+    else:
+        marg = [float(z) / float(total) for z in zs]
+    side = boundary.side_mask(lat, site)
+    inside = sum(marg[s] for s in system.mask_states(side))
+    return SiteLaw({system.states[s]: marg[s] for s in range(system.n)},
+                   1 - inside, total)
 
 
 def exact_measure(system: SpinSystem, lat, boundary: PatternBoundary,
                   site) -> dict:
     """Exact single-site marginal.  Returns {state label: probability}."""
-    if isinstance(site, tuple):
-        site = lat.index[site]
-    allowed = _allowed_masks(system, lat, boundary)
-    zs = [_dp_z(system, lat, allowed, {site: s}) for s in range(system.n)]
-    total = sum(zs)
-    if total == 0:
-        raise errors.EmptySupport("boundary admits no configuration")
-    if system.mode == "rational":
-        return {system.states[s]: zs[s] / total for s in range(system.n)}
-    return {system.states[s]: float(zs[s]) / float(total)
-            for s in range(system.n)}
+    return site_law(system, lat, boundary, site).marginal
 
 
 def prob_not_in_pattern(system: SpinSystem, lat, boundary: PatternBoundary,
                         site):
     """Probability that a site's value falls outside its parity's side."""
-    if isinstance(site, tuple):
-        site = lat.index[site]
-    marg = exact_measure(system, lat, boundary, site)
-    side = boundary.side_mask(lat, site)
-    inside = sum(marg[system.states[s]] for s in system.mask_states(side))
-    return 1 - inside
+    return site_law(system, lat, boundary, site).prob_not_in_pattern
 
 
 # ---------------------------------------------------------------------------
@@ -185,8 +241,9 @@ def prob_not_in_pattern(system: SpinSystem, lat, boundary: PatternBoundary,
 
 def z_torus(system: SpinSystem, dims):
     """Exact free-boundary partition function on a discrete torus.  2D tori
-    go through a sparse column transfer matrix; small tori of any dimension
-    fall back to direct enumeration."""
+    go through a sparse column transfer matrix whose columns run along the
+    shorter side (Z is the same with the axes swapped); small tori of any
+    dimension fall back to direct enumeration."""
     dims = tuple(dims)
     n_sites = 1
     for x in dims:
@@ -194,7 +251,7 @@ def z_torus(system: SpinSystem, dims):
     if len(dims) == 2 and all(x >= 3 for x in dims):
         # with a side of length < 3 the wrap edge coincides with a nearest-
         # neighbor edge, so the transfer decomposition would double-count it
-        return _z_torus_transfer(system, dims[0], dims[1])
+        return _z_torus_transfer(system, min(dims), max(dims))
     if system.n ** n_sites > 10 ** 7:
         raise errors.StateSpaceTooLarge(f"{system.n}^{n_sites}")
     return _z_enumerate_torus(system, dims)
@@ -220,68 +277,89 @@ def _z_enumerate_torus(system, dims):
     return total
 
 
+def _torus_columns(acts, inter, n1):
+    """(column, weight) for the columns of height n1 with nonzero weight
+    (activities times the n1 vertical interactions, wrap included), in
+    lexicographic order; a zero prefix is not extended."""
+    n = len(acts)
+    col = [0] * n1
+
+    def extend(i, wgt):
+        last = i == n1 - 1
+        for s in range(n):
+            x = wgt * inter[col[i - 1]][s] * acts[s] if i else acts[s]
+            if last:
+                x = x * inter[s][col[0]]
+            if not x:
+                continue
+            col[i] = s
+            if last:
+                yield tuple(col), x
+            else:
+                yield from extend(i + 1, x)
+
+    return extend(0, 1)
+
+
 def _z_torus_transfer(system, n1, n2):
     """Columns of height n1 (vertical wrap); n2 columns with horizontal wrap.
-    Z = trace(M^{n2}) with M[i][j] = w(col_i) * t(col_i, col_j)."""
-    n = system.n
-    acts = system.activities
-    inter = system.interactions
-    zero = system.zero()
-
-    cols = []
-    weights = []
-    for col in itertools.product(range(n), repeat=n1):
-        wgt = system.one()
-        for i in range(n1):
-            wgt *= acts[col[i]]
-            wgt *= inter[col[i]][col[(i + 1) % n1]]
-            if wgt == zero:
-                break
-        if wgt != zero:
-            cols.append(col)
-            weights.append(wgt)
+    Z = trace(M^{n2}) with M[i][j] = w(col_i) * t(col_i, col_j), on the
+    integer scale in rational mode."""
+    sc = system.scaled()
+    inter = sc.inter
+    cols = list(itertools.islice(_torus_columns(sc.acts, inter, n1),
+                                 MAX_COLUMNS + 1))
     if len(cols) > MAX_COLUMNS:
-        raise errors.StateSpaceTooLarge(f"{len(cols)} transfer states")
-    m = len(cols)
+        raise errors.StateSpaceTooLarge(
+            f"more than {MAX_COLUMNS} transfer states")
+    index = {col: j for j, (col, _) in enumerate(cols)}
+    positive = [[t for t in range(system.n) if inter[s][t]]
+                for s in range(system.n)]
     rows = []
-    for i in range(m):
+    for ci, wgt in cols:
         row = {}
-        for j in range(m):
-            t = weights[i]
-            ci, cj = cols[i], cols[j]
+        # only columns that are positive against ci in every row can follow
+        for cj in itertools.product(*(positive[s] for s in ci)):
+            j = index.get(cj)
+            if j is None:
+                continue
+            t = wgt
             for k in range(n1):
-                t *= inter[ci[k]][cj[k]]
-                if t == zero:
-                    break
-            if t != zero:
+                t = t * inter[ci[k]][cj[k]]
+            if t:
                 row[j] = t
         rows.append(row)
+    return sc.unscale(_trace_power(rows, n2), n1 * n2, 2 * n1 * n2)
 
-    def matmul(a, b):
-        out = []
-        for i in range(m):
-            acc = {}
-            for k, av in a[i].items():
-                for j, bv in b[k].items():
-                    if j in acc:
-                        acc[j] += av * bv
-                    else:
-                        acc[j] = av * bv
-            out.append(acc)
-        return out
 
-    result = None
-    base = rows
-    e = n2
-    while e:
-        if e & 1:
-            result = base if result is None else matmul(result, base)
-        e >>= 1
-        if e:
-            base = matmul(base, base)
-    total = zero
-    for i in range(m):
-        total += result[i].get(i, zero)
+def _matmul(a, b):
+    out = []
+    for row in a:
+        acc = {}
+        get = acc.get
+        for k, av in row.items():
+            for j, bv in b[k].items():
+                acc[j] = get(j, 0) + av * bv
+        out.append(acc)
+    return out
+
+
+def _trace_power(rows, e):
+    """trace(M^e), e >= 2, for M stored as one {column: entry} dict per row:
+    P = M^(e//2) by repeated squaring, then trace(P Q) with Q = P or P M,
+    summed without forming the last product."""
+    p, base, k = None, rows, e // 2
+    while k:
+        if k & 1:
+            p = base if p is None else _matmul(p, base)
+        k >>= 1
+        if k:
+            base = _matmul(base, base)
+    q = p if e % 2 == 0 else _matmul(p, rows)
+    total = 0
+    for i, row in enumerate(p):
+        for j, pv in row.items():
+            total += pv * q[j].get(i, 0)
     return total
 
 
@@ -456,8 +534,7 @@ def run_mcmc(system: SpinSystem, lat, boundary: PatternBoundary, site,
         raise errors.IrreducibilityUnknown(
             "hard constraints present and no universally compatible state; "
             "pass force=True to sample anyway")
-    if isinstance(site, tuple):
-        site = lat.index[site]
+    site = interior_site(lat, site)
     if burn_in is None:
         burn_in = max(1, n_sweeps // 10) if n_sweeps else 0
     n = system.n

@@ -8,7 +8,10 @@ constrained to I,
 The fast evaluator groups assignments by their multiplicity vector xi over a
 small ground set; class membership (value-set equivalence, near-constant
 assignments) depends only on xi, and the number of assignments with content
-xi is a multinomial (or a small DP for per-coordinate product constraints).
+xi is a multinomial (for per-coordinate product constraints, a sum over
+groups of coordinates with equal masks of products of multinomials).  In
+rational mode the sum runs on SpinSystem.scaled() integer weights and is
+divided once by la^{4d} li^{4d^2}.
 """
 
 from __future__ import annotations
@@ -16,6 +19,7 @@ from __future__ import annotations
 import itertools
 import math
 import random
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
@@ -183,29 +187,46 @@ def _multinomial(n, counts):
     return out
 
 
-def _product_count(coords, xi, n_states):
+def _product_count(coords, xi):
     """Number of assignments with content xi where coordinate j takes a value
-    allowed by the bitmask coords[j]."""
-    items = sorted(xi.items())
-    states = [s for s, _ in items]
+    allowed by the bitmask coords[j].  Coordinates with the same mask are
+    interchangeable, so each group of them takes a sub-content y of what is
+    left, in multinomial(size, y) ways; the last group takes the rest."""
+    if sum(xi.values()) != len(coords):
+        return 0
+    groups = sorted(Counter(coords).items())
+    states = sorted(xi)
     memo = {}
 
-    def rec(j, remaining):
-        if j == len(coords):
-            return 1 if all(c == 0 for c in remaining) else 0
-        key = (j, remaining)
-        if key in memo:
-            return memo[key]
-        total = 0
-        for k, s in enumerate(states):
-            if remaining[k] > 0 and coords[j] >> s & 1:
-                nxt = list(remaining)
-                nxt[k] -= 1
-                total += rec(j + 1, tuple(nxt))
-        memo[key] = total
-        return total
+    def rec(k, remaining):
+        mask, size = groups[k]
+        if k == len(groups) - 1:
+            if any(c and not mask >> s & 1 for s, c in zip(states, remaining)):
+                return 0
+            return _multinomial(size, remaining)
+        key = (k, remaining)
+        if key not in memo:
+            memo[key] = sum(
+                _multinomial(size, y)
+                * rec(k + 1, tuple(c - u for c, u in zip(remaining, y)))
+                for y in _sub_contents(remaining, states, mask, size))
+        return memo[key]
 
-    return rec(0, tuple(c for _, c in items))
+    if not groups:
+        return 1
+    return rec(0, tuple(xi[s] for s in states))
+
+
+def _sub_contents(remaining, states, mask, size, i=0):
+    """Count vectors y <= remaining, zero outside mask, summing to size."""
+    if i == len(states):
+        if size == 0:
+            yield ()
+        return
+    top = min(remaining[i], size) if mask >> states[i] & 1 else 0
+    for u in range(top + 1):
+        for tail in _sub_contents(remaining, states, mask, size - u, i + 1):
+            yield (u,) + tail
 
 
 def _spec_context(system, d, spec):
@@ -233,7 +254,7 @@ def _spec_ground_mask(system, spec, ctx):
 def _xi_count(system, d, spec, ctx, xi):
     """Number of assignments in the spec with content xi."""
     if spec.kind == "product":
-        return _product_count(spec.coords, xi, system.n)
+        return _product_count(spec.coords, xi)
     if spec.kind == "class":
         if not ctx.member(xi, spec.cls):
             return 0
@@ -245,7 +266,7 @@ def _xi_count(system, d, spec, ctx, xi):
     if spec.kind == "class_intersect_product":
         if not ctx.member(xi, spec.cls):
             return 0
-        return _product_count(spec.coords, xi, system.n)
+        return _product_count(spec.coords, xi)
     raise errors.SchemaError(f"unknown spec kind {spec.kind!r}")
 
 
@@ -261,22 +282,25 @@ def z_compositions(system: SpinSystem, d: int, spec: PsiSpec, I_mask: int):
     if len(g_states) > MAX_GROUND:
         raise errors.GroundSetTooLarge(str(len(g_states)))
     I_states = system.mask_states(I_mask)
-    total = system.zero()
+    sc = system.scaled()
+    acts, inter = sc.acts, sc.inter
+    total = 0
     for xi in _compositions(2 * d, g_states):
         cnt = _xi_count(system, d, spec, ctx, xi)
         if cnt == 0:
             continue
-        z0 = system.one()
+        z0 = 1
         for s, c in xi.items():
-            z0 *= system.activities[s] ** c
-        z1 = system.zero()
+            z0 *= acts[s] ** c
+        z1 = 0
         for i in I_states:
-            t = system.activities[i]
+            t = acts[i]
             for s, c in xi.items():
-                t *= system.interactions[i][s] ** c
+                t *= inter[i][s] ** c
             z1 += t
         total += cnt * z0 * z1 ** (2 * d)
-    return total
+    # K_{2d,2d} has 4d vertices and 4d^2 edges
+    return sc.unscale(total, 4 * d, 4 * d * d)
 
 
 def expand_spec(system: SpinSystem, d: int, spec: PsiSpec, limit=10 ** 6):
@@ -378,7 +402,7 @@ def _realized_coordinate_sets(system, d, coords, ctx, cls):
             for xi in _compositions(2 * d, system.mask_states(ground)):
                 if not ctx.member(xi, cls):
                     continue
-                if _product_count(probe, xi, system.n) > 0:
+                if _product_count(probe, xi) > 0:
                     found = True
                     break
             if found:

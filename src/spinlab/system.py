@@ -13,6 +13,7 @@ Arithmetic mode is uniform per system: "rational" (exact Fractions) or
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Optional, Sequence
@@ -135,6 +136,20 @@ class SpinSystem:
     def mask_states(self, mask):
         return [i for i in range(self.n) if mask >> i & 1]
 
+    def scaled(self) -> "ScaledWeights":
+        """The weights on a common integer scale (rational mode), or as they
+        are (float mode); see ScaledWeights."""
+        if self.mode != "rational":
+            return ScaledWeights(self.activities, self.interactions)
+        la = math.lcm(*(a.denominator for a in self.activities))
+        li = math.lcm(*(v.denominator for row in self.interactions
+                        for v in row))
+        return ScaledWeights(
+            tuple(int(a * la) for a in self.activities),
+            tuple(tuple(int(v * li) for v in row)
+                  for row in self.interactions),
+            la, li, exact=True)
+
     def to_dict(self):
         return {
             "states": list(self.states),
@@ -145,6 +160,27 @@ class SpinSystem:
 
     def to_json(self):
         return json.dumps(self.to_dict(), indent=2)
+
+
+@dataclass(frozen=True)
+class ScaledWeights:
+    """Weights for exact sums.  In rational mode acts[i] = la * lam[i] and
+    inter[i][j] = li * lam[i][j] are Python ints, la and li being the lcm of
+    the activity and of the interaction denominators, so a weight sum over a
+    graph runs on ints and is divided once at the end; in float mode the
+    weights are the system's own and la = li = 1."""
+    acts: tuple
+    inter: tuple
+    la: int = 1
+    li: int = 1
+    exact: bool = False
+
+    def unscale(self, total, n_vertices: int, n_edges: int):
+        """A weight sum over a graph with n_vertices and n_edges, computed
+        with these weights, in the system's arithmetic."""
+        if self.exact:
+            return Fraction(total, self.la ** n_vertices * self.li ** n_edges)
+        return float(total)
 
 
 @dataclass

@@ -10,8 +10,20 @@ import math
 import random
 from fractions import Fraction
 
-from spinlab import lattice as lm
+from spinlab import catalog
 from spinlab.system import WeightedGraph, config_weight, make_system
+
+
+# systems whose weights are not all integers (activity or interaction
+# denominators above 1), by test id
+FRACTIONAL = {
+    "hc-3/7": catalog.build("hard_core", lam="3/7"),
+    "afi-2/3": catalog.build("af_ising_field", lam="2/3"),
+    "wr-5/3": catalog.build("widom_rowlinson", lam="5/3"),
+    "mixed": make_system(["0", "1", "2"], ["1", "3/2", "2/5"],
+                         [["1", "1/2", "2/3"], ["1/2", "0", "1"],
+                          ["2/3", "1", "1/3"]]),
+}
 
 
 def graph_z(system, graph):
@@ -23,13 +35,18 @@ def graph_z(system, graph):
 
 
 def torus_graph(dims) -> WeightedGraph:
-    """Simple-graph view of a discrete torus (wrap edges deduplicated)."""
-    lat = lm.make_torus(dims)
+    """Simple-graph view of a discrete torus (wrap edges deduplicated); odd
+    sides are allowed, unlike on lattice tori."""
+    coords = list(itertools.product(*[range(n) for n in dims]))
+    index = {c: i for i, c in enumerate(coords)}
     edges = set()
-    for v in range(lat.n):
-        for u in lat.neighbors[v]:
+    for c in coords:
+        for axis, n in enumerate(dims):
+            nb = list(c)
+            nb[axis] = (nb[axis] + 1) % n
+            u, v = index[c], index[tuple(nb)]
             edges.add((min(u, v), max(u, v)))
-    return WeightedGraph(lat.n, sorted(edges))
+    return WeightedGraph(len(coords), sorted(edges))
 
 
 def prism(graph: WeightedGraph) -> WeightedGraph:
@@ -151,3 +168,29 @@ def alt2_reference(system, d, C=1.0, c=1.0):
     return pm.ConditionReport(condition="alt2", d=d, C=C, c=c, s=s_used,
                               inequalities=ineqs,
                               passes=all(iq.holds for iq in ineqs))
+
+
+def product_count_reference(coords, xi):
+    """Number of assignments with content xi where coordinate j takes a value
+    allowed by the bitmask coords[j], by a DP over the coordinates one at a
+    time."""
+    items = sorted(xi.items())
+    states = [s for s, _ in items]
+    memo = {}
+
+    def rec(j, remaining):
+        if j == len(coords):
+            return 1 if all(c == 0 for c in remaining) else 0
+        key = (j, remaining)
+        if key in memo:
+            return memo[key]
+        total = 0
+        for k, s in enumerate(states):
+            if remaining[k] > 0 and coords[j] >> s & 1:
+                nxt = list(remaining)
+                nxt[k] -= 1
+                total += rec(j + 1, tuple(nxt))
+        memo[key] = total
+        return total
+
+    return rec(0, tuple(c for _, c in items))

@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import pytest
 
-from spinlab import catalog, cli, patterns
+from spinlab import catalog, cli, gibbs, patterns
 from spinlab import lattice as lm
 from spinlab.system import load_system, make_system
 
@@ -185,6 +185,60 @@ def test_exact_marginal(tmp_path, af3_path):
     assert total == 1
     assert Fraction(str(payload["Z"])) > 0
     assert set(payload["marginal"]) == {"1", "2", "3"}
+
+
+@pytest.mark.parametrize("model,lattice,site", [
+    ("af3", "box:3x3+halo", "1,1"),
+    ("af3", "box:4x5+halo", "0,0"),   # first raster position
+    ("af3", "box:4x5+halo", "3,4"),   # last raster position
+    ("af3_soft", "box:4x5+halo", "0,0"),
+    ("af3_soft", "box:4x5+halo", "3,4"),
+    ("af3_soft", "box:5x4+halo", "2,1"),
+    ("hc", "box:3x4+halo", "1,2"),
+])
+def test_exact_payload_is_consistent(tmp_path, af3_path, af3_soft_path,
+                                     hc_path, model, lattice, site):
+    path = {"af3": af3_path, "af3_soft": af3_soft_path, "hc": hc_path}[model]
+    system = load_system(path)
+    pattern = "A=1;B=2,3" if model != "hc" else "A=0;B=0,1"
+    out = tmp_path / "exact.json"
+    assert cli.main(["exact", "--system", path, "--lattice", lattice,
+                     "--pattern", pattern, "--site", site,
+                     "--out", str(out)]) == 0
+    payload = _read(out)
+    lat = lm.parse_lattice(lattice)
+    bc = gibbs.PatternBoundary(cli._parse_pattern(system, pattern))
+    v = lat.index[tuple(int(x) for x in site.split(","))]
+    side = [system.states[s]
+            for s in system.mask_states(bc.side_mask(lat, v))]
+    z_box = gibbs.z_pattern_box(system, lat, bc)
+    if system.mode == "rational":
+        num = lambda x: Fraction(str(x))
+        assert num(payload["Z"]) == z_box
+        assert num(payload["prob_not_in_pattern"]) \
+            == 1 - sum(num(payload["marginal"][s]) for s in side)
+    else:
+        assert payload["Z"] == pytest.approx(z_box, rel=1e-12)
+        assert payload["prob_not_in_pattern"] == pytest.approx(
+            1 - sum(payload["marginal"][s] for s in side), abs=1e-15)
+
+
+def test_exact_empty_support(tmp_path, sysfile, capsys):
+    path = sysfile("af2.json", catalog.build("af_potts", q=2))
+    assert cli.main(["exact", "--system", path, "--lattice", "box:2x2+halo",
+                     "--pattern", "A=1;B=1", "--site", "0,0"]) == 2
+    assert json.loads(capsys.readouterr().err)["error"] == "EmptySupport"
+
+
+@pytest.mark.parametrize("command", ["exact", "mcmc"])
+@pytest.mark.parametrize("site", ["9,9", "1", "a,b", "-1,0", "1,1,1", ""])
+def test_bad_site_is_a_schema_error(af3_soft_path, capsys, command, site):
+    argv = [command, "--system", af3_soft_path, "--lattice", "box:3x3+halo",
+            "--pattern", "A=1;B=2,3", "--site", site]
+    if command == "mcmc":
+        argv += ["--sweeps", "10"]
+    assert cli.main(argv) == 2
+    assert json.loads(capsys.readouterr().err)["error"] == "SchemaError"
 
 
 def test_mcmc_smoke(tmp_path, af3_soft_path):

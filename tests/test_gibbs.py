@@ -5,12 +5,12 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from spinlab import catalog, errors, gibbs
+from spinlab import catalog, errors, gibbs, patterns
 from spinlab import lattice as lm
 from spinlab.patterns import Pattern
 from spinlab.system import make_system
 
-from helpers import graph_z, torus_graph
+from helpers import FRACTIONAL, graph_z, torus_graph
 
 AF3 = catalog.build("af_potts", q=3)
 HC = catalog.build("hard_core", lam=1)
@@ -123,6 +123,26 @@ def test_dp_guards():
                             gibbs.PatternBoundary(P0_AF3))
 
 
+@pytest.mark.parametrize("system", FRACTIONAL.values(),
+                         ids=list(FRACTIONAL))
+def test_box_kernel_with_fractional_weights(system):
+    lat = lm.make_box((3, 4))
+    bc = gibbs.PatternBoundary(min(patterns.structure(system).dominant,
+                                   key=lambda p: (p.a, p.b)))
+    # first, last and an inner interior position of the raster
+    for site in ((0, 0), (2, 3), (1, 2)):
+        v = lat.index[site]
+        total, marg = _enumerate_box(system, lat, bc, v)
+        assert gibbs.z_pattern_box(system, lat, bc) == total
+        law = gibbs.site_law(system, lat, bc, site)
+        assert law.z == total
+        assert law.marginal == {system.states[s]: marg[s] / total
+                                for s in range(system.n)}
+        side = system.mask_states(bc.side_mask(lat, v))
+        assert law.prob_not_in_pattern \
+            == 1 - sum(marg[s] for s in side) / total
+
+
 # ---------------------------------------------------------------------------
 # torus partition functions
 
@@ -132,6 +152,57 @@ def test_z_torus_transfer_matches_enumeration():
         brute = gibbs._z_enumerate_torus(system, (4, 4))
         assert transfer == brute
         assert graph_z(system, torus_graph((4, 4))) == brute
+
+
+@pytest.mark.parametrize("system", FRACTIONAL.values(),
+                         ids=list(FRACTIONAL))
+def test_z_torus_with_fractional_weights(system):
+    for dims in ((3, 3), (3, 4), (4, 3)):
+        if system.n ** (dims[0] * dims[1]) > 10 ** 5:
+            continue
+        assert gibbs.z_torus(system, dims) == graph_z(system,
+                                                      torus_graph(dims))
+
+
+def test_z_torus_fractional_matches_enumeration():
+    system = FRACTIONAL["hc-3/7"]
+    assert gibbs.z_torus(system, (4, 4)) \
+        == gibbs._z_enumerate_torus(system, (4, 4))
+
+
+def _count_columns(monkeypatch):
+    seen = []
+    columns = gibbs._torus_columns
+
+    def counted(*args):
+        for item in columns(*args):
+            seen.append(item)
+            yield item
+    monkeypatch.setattr(gibbs, "_torus_columns", counted)
+    return seen
+
+
+def test_z_torus_columns_run_along_the_shorter_side(monkeypatch):
+    system = catalog.build("af_potts", q=3, beta=1)
+    seen = _count_columns(monkeypatch)
+    gibbs.z_torus(system, (12, 4))
+    assert len(seen) == 81 and all(len(col) == 4 for col, _ in seen)
+    # af_potts beta=inf, 6x4: the proper 3-colourings of a 4-cycle, against
+    # the 66 of a 6-cycle with the axes the other way round
+    seen.clear()
+    z = gibbs.z_torus(AF3, (6, 4))
+    assert len(seen) == 18
+    seen.clear()
+    assert gibbs._z_torus_transfer(AF3, 6, 4) == z == 98466
+    assert len(seen) == 66
+
+
+def test_z_torus_column_guard_stops_early(monkeypatch):
+    system = catalog.build("af_potts", q=3, beta=1)
+    seen = _count_columns(monkeypatch)
+    with pytest.raises(errors.StateSpaceTooLarge):
+        gibbs.z_torus(system, (12, 12))
+    assert len(seen) == gibbs.MAX_COLUMNS + 1  # of 3^12 = 531,441
 
 
 def test_z_torus_small_side_enumeration():

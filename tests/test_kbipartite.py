@@ -1,11 +1,15 @@
 import math
+from collections import Counter
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, strategies as st
 
 from spinlab import catalog, errors
 from spinlab import kbipartite as kb
 from spinlab import parameters
+
+from helpers import FRACTIONAL, product_count_reference
 
 HC = catalog.build("hard_core", lam=1)
 AF3 = catalog.build("af_potts", q=3)
@@ -113,3 +117,45 @@ def test_verify_main_condition():
                      "highly_energetic", "non_dominant"}
     assert all(set(r) >= {"name", "J", "lhs", "rhs", "holds",
                           "alpha_budget"} for r in rep["inequalities"])
+
+
+@st.composite
+def _masks_and_content(draw):
+    n = draw(st.integers(1, 4))
+    coords = draw(st.lists(st.integers(1, (1 << n) - 1), max_size=8))
+    # the content of an arbitrary assignment of the right length, so the
+    # count is mostly nonzero; sometimes one count is off by one
+    values = draw(st.lists(st.integers(0, n - 1), min_size=len(coords),
+                           max_size=len(coords)))
+    xi = dict(Counter(values))
+    if xi and draw(st.booleans()):
+        s = draw(st.sampled_from(sorted(xi)))
+        xi[s] += draw(st.sampled_from([-1, 1]))
+    return coords, xi
+
+
+@given(_masks_and_content())
+def test_grouped_product_count_matches_reference(case):
+    coords, xi = case
+    assert kb._product_count(coords, xi) == product_count_reference(coords,
+                                                                    xi)
+
+
+@pytest.mark.parametrize("system", FRACTIONAL.values(),
+                         ids=list(FRACTIONAL))
+def test_compositions_with_fractional_weights(system):
+    full = system.full_mask()
+    for d in (1, 2):
+        complete = kb.PsiSpec(kind="product", coords=[full] * (2 * d))
+        specs = [complete,
+                 kb.PsiSpec(kind="product",
+                            coords=[full, 1] * d)]  # every other coord fixed
+        specs += [kb.class_spec(J, cls, 0.125, 0.125)
+                  for J in sorted(kb.patterns.structure(system).dominant_sides)
+                  for cls in ("full", "balanced")]
+        for spec in specs:
+            for i_mask in (full, full & ~1):
+                fast = kb.z_compositions(system, d, spec, i_mask)
+                slow = kb.z_bruteforce(system, d,
+                                       kb.expand_spec(system, d, spec), i_mask)
+                assert fast == slow and type(fast) is Fraction
