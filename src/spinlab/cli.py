@@ -21,12 +21,13 @@ from .system import (bipartite_cover, config_weight, emit_number, load_system,
                      product, project_from_doubled, reweight)
 
 
-def _meta(subcommand, system_path=None, seed=None, t0=None):
+def _meta(subcommand, system_path=None, seed=None, t0=None,
+          rng=gibbs.RNG_ID):
     meta = {
         "tool": "spinlab",
         "version": __version__,
         "subcommand": subcommand,
-        "rng": gibbs.RNG_ID,
+        "rng": rng,
         "seed": seed,
         "wall_time_s": round(time.time() - t0, 3) if t0 else None,
     }
@@ -137,19 +138,31 @@ def _parse_site(lat, text):
     return gibbs.interior_site(lat, coord)
 
 
+def _lattice_site(lat, text):
+    """"x,y" -> index of a lattice site, halo included."""
+    try:
+        coord = tuple(int(x) for x in text.split(","))
+    except ValueError:
+        raise errors.SchemaError(f"malformed site {text!r}") from None
+    if coord not in lat.index:
+        raise errors.SchemaError(f"site {text} not on the lattice")
+    return lat.index[coord]
+
+
 def _load_config(lat, system, path):
-    with open(path) as fh:
-        raw = json.load(fh)
-    values = raw.get("values")
+    try:
+        with open(path) as fh:
+            raw = json.load(fh)
+    except ValueError as e:
+        raise errors.SchemaError(f"config file is not JSON: {e}") from None
+    values = raw.get("values") if isinstance(raw, dict) else None
     if not isinstance(values, dict):
         raise errors.SchemaError('config file needs {"values": {...}}')
     f = [None] * lat.n
     for key, label in values.items():
-        coord = tuple(int(x) for x in key.split(","))
-        if coord not in lat.index:
-            raise errors.SchemaError(f"site {key} not on the lattice")
+        v = _lattice_site(lat, key)
         try:
-            f[lat.index[coord]] = system.states.index(label)
+            f[v] = system.states.index(label)
         except ValueError:
             raise errors.SchemaError(f"unknown state {label!r}")
     missing = [i for i, v in enumerate(f) if v is None]
@@ -344,7 +357,8 @@ def cmd_mcmc(system_path, lattice_spec, pattern_text, site, sweeps, seed,
         "final_config": {",".join(map(str, lat.coords[v])):
                          system.states[res.config[v]]
                          for v in sorted(lat.interior)},
-        "meta": _meta("mcmc", system_path, seed=seed, t0=t0),
+        "meta": _meta("mcmc", system_path, seed=seed, t0=t0,
+                      rng=res.rng_id),
     }
     _emit(payload, out)
 
@@ -364,8 +378,7 @@ def cmd_breakup(system_path, lattice_spec, config_path, pattern_text,
     lat = lat_mod.parse_lattice(lattice_spec)
     pat = _parse_pattern(system, pattern_text)
     f = _load_config(lat, system, config_path)
-    V = frozenset(lat.index[tuple(int(x) for x in part.split(","))]
-                  for part in seen_from.split(";"))
+    V = frozenset(_lattice_site(lat, part) for part in seen_from.split(";"))
     atlas = breakup_mod.construct_breakup(system, lat, f, pat, V)
     report = breakup_mod.verify_breakup(system, lat, f, pat, atlas, V)
     payload = {
@@ -404,15 +417,16 @@ def cmd_breakup_scan(system_path, lattice_spec, pattern_text, sweeps,
     system = load_system(system_path)
     lat = lat_mod.parse_lattice(lattice_spec)
     pat = _parse_pattern(system, pattern_text)
-    bc = gibbs.PatternBoundary(pat)
     center = frozenset({lat.index[tuple(x // 2 for x in lat.dims)]})
     lines = ["sample,seed,L,M,N"]
-    for k in range(samples):
+    configs = []
+    if samples > 0:
+        configs = gibbs.run_mcmc(system, lat, gibbs.PatternBoundary(pat),
+                                 min(lat.interior),
+                                 n_sweeps=int(float(sweeps)), seed=seed,
+                                 force=force, chains=samples).configs
+    for k, f in enumerate(configs):
         sk = seed + k
-        res = gibbs.run_mcmc(system, lat, bc, sorted(lat.interior)[0],
-                             n_sweeps=int(float(sweeps)), seed=sk,
-                             force=force)
-        f = list(res.config)
         rng = np.random.Generator(np.random.PCG64(10 ** 6 + sk))
         halo = gibbs.sample_halo_extension(system, lat, pat, rng)
         for v, s in halo.items():

@@ -90,6 +90,10 @@ class NotNormalized(ValidationError):
 
 # --- lattice ---
 
+class UnsupportedLattice(ValidationError):
+    """The evaluator does not run on this kind or dimension of lattice."""
+
+
 class WrappingSet(ValidationError):
     pass
 

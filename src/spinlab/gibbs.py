@@ -12,8 +12,13 @@ Three evaluators:
   * z_torus / log_z_per_site_torus - exact free-boundary partition function
     of a torus via a sparse column transfer matrix, columns along the
     shorter side;
-  * run_mcmc - heat-bath Glauber dynamics, deterministic raster scan,
-    seeded PCG64 randomness, batch-means error bars.
+  * run_mcmc - heat-bath Glauber dynamics on K chains from one seeded
+    PCG64 stream, with two kernels over the same cumulative tables: a
+    raster scan of one site at a time, and a numpy checkerboard kernel that
+    updates the even and then the odd sublattice of all chains at once
+    (given one sublattice, the sites of the other are conditionally
+    independent).  chains x |interior| picks the kernel; error bars are
+    batch means, or the spread of the chain means for K > 1.
 
 The exact evaluators run on SpinSystem.scaled() weights: Python ints in
 rational mode, divided once at the end by la^|V| li^|E|, and the system's
@@ -22,6 +27,7 @@ floats in float mode.
 
 from __future__ import annotations
 
+import bisect
 import itertools
 import math
 from dataclasses import dataclass, field
@@ -36,6 +42,14 @@ MAX_FRONTIER = 2 * 10 ** 6
 MAX_COLUMNS = 5000
 
 RNG_ID = "numpy-pcg64"
+CHECKERBOARD_RNG_ID = "numpy-pcg64-checkerboard"
+# chains x |interior| from which the checkerboard kernel runs: the measured
+# crossover (af_potts q=3 beta=1, 2 vCPUs, numpy 2.4).  Checkerboard over
+# raster speed: 0.3 at 36 updates per sweep (one 6x6 chain), 0.6-1.2 at
+# 100-196, 1.2-1.9 at 216-288.  The raster kernel does 2-3 M updates/s at
+# any size, the checkerboard kernel 8.5 M/s on 40 6x6 chains and 10.5 M/s
+# on one 64x64 chain.
+CHECKERBOARD_MIN_UPDATES = 200
 
 
 # ---------------------------------------------------------------------------
@@ -103,7 +117,8 @@ def sample_halo_extension(system: SpinSystem, lat, pattern: Pattern,
 
 def _check_box_2d(lat):
     if lat.kind != "box" or lat.d != 2:
-        raise errors.TooLarge("exact evaluation implemented for 2D boxes")
+        raise errors.UnsupportedLattice(
+            "exact evaluation implemented for 2D boxes")
 
 
 def _allowed_masks(system, lat, boundary: PatternBoundary):
@@ -399,7 +414,13 @@ class MCMCResult:
     se: dict                # state label -> batch-means standard error
     n_batches: int
     trace_counts: dict      # state label -> total count after burn-in
-    config: list = field(default_factory=list)  # final interior values
+    chains: int = 1
+    configs: list = field(default_factory=list)  # final values per chain
+
+    @property
+    def config(self) -> list:
+        """The first chain's final values (halo sites hold |S|)."""
+        return self.configs[0]
 
 
 def conditional_weights(system: SpinSystem, allowed_mask: int,
@@ -443,93 +464,145 @@ def initial_pattern_config(system: SpinSystem, lat,
 def _build_tables(system, d, class_masks):
     """Cumulative conditional laws per site class, indexed by the packed
     values of the 2d neighbor slots in base |S|+1; the extra value is a
-    free slot (missing neighbor)."""
+    free slot (missing neighbor).  The weight of s is activity times the
+    interactions with the slots, multiplied from the least significant
+    slot up, and zeroed outside the class mask."""
     n = system.n
     base = n + 1
     n_keys = base ** (2 * d)
     if n_keys * n * len(class_masks) > 2 * 10 ** 7:
         raise errors.StateSpaceTooLarge(f"{n_keys} neighbor keys")
     acts = np.array([float(a) for a in system.activities])
-    inter = np.ones((n, base))
-    for s in range(n):
-        for t in range(n):
-            inter[s, t] = float(system.interactions[s][t])
-    tables = np.zeros((len(class_masks), n_keys, n))
-    for ci, mask in enumerate(class_masks):
-        sel = np.array([1.0 if mask >> s & 1 else 0.0 for s in range(n)])
-        for key in range(n_keys):
-            k = key
-            wgt = acts * sel
-            for _ in range(2 * d):
-                wgt = wgt * inter[:, k % base]
-                k //= base
-            tables[ci, key] = np.cumsum(wgt)
-    return tables
+    inter_t = np.ones((base, n))  # [slot value, s]; row n is a free slot
+    inter_t[:n] = [[float(x) for x in row] for row in system.interactions]
+    keys = np.arange(n_keys)
+    wgt = np.broadcast_to(acts, (n_keys, n))
+    for _ in range(2 * d):
+        wgt = wgt * inter_t[keys % base]
+        keys = keys // base
+    sel = np.array([[mask >> s & 1 for s in range(n)] for mask in class_masks],
+                   dtype=bool)
+    return np.cumsum(np.where(sel[:, None, :], wgt, 0.0), axis=-1)
 
 
-_NUMBA_KERNEL = None
+class _Chains:
+    """The fixed inputs of heat-bath chains on a box interior: each interior
+    site's class (its allowed mask) and neighbor slots, the cumulative
+    tables and the pattern tiling every chain starts from.  A neighbor slot
+    holds an interior neighbor or `lat.n`, a free slot whose value is
+    always |S|."""
 
+    def __init__(self, system, lat, boundary):
+        n = system.n
+        self.n, self.base = n, n + 1
+        self.order = sorted(lat.interior)
+        allowed = _allowed_masks(system, lat, boundary)
+        class_masks = sorted(set(allowed.values()))
+        self.cls = [class_masks.index(allowed[v]) for v in self.order]
+        self.slots = []
+        for v in self.order:
+            nb = [u for u in lat.neighbors[v] if u in lat.interior]
+            self.slots.append(nb + [lat.n] * (lat.degree - len(nb)))
+        self.parity = [lat.parity(v) for v in self.order]
+        self.tables = _build_tables(system, lat.d, class_masks)
+        init = initial_pattern_config(system, lat, boundary)
+        self.init = [init[v] if v in lat.interior else n
+                     for v in range(lat.n)] + [n]
 
-def _get_kernel():
-    global _NUMBA_KERNEL
-    if _NUMBA_KERNEL is not None:
-        return _NUMBA_KERNEL
-    try:
-        import numba
-    except ImportError:  # pragma: no cover
-        _NUMBA_KERNEL = False
-        return False
+    def raster(self, rng, site, n_sweeps, chains):
+        """Heat-bath updates in raster order, one chain after the other,
+        each drawing one uniform per update from rng.  The state is the
+        first s with cum[s] >= u * cum[-1].  Returns the recorded site's
+        values [chain][sweep] and the final configurations."""
+        n, deg = self.n, len(self.slots[0])
+        # per class, the rows nested slot by slot, first slot outermost
+        nested = [t.reshape((self.base,) * deg + (n,)).tolist()
+                  for t in self.tables]
+        plan = [(v, nested[c], tuple(nb))
+                for v, c, nb in zip(self.order, self.cls, self.slots)]
+        m = len(plan)
+        pick = bisect.bisect_left
+        chunk = max(1, 4096 // m)  # sweeps per block of uniforms
+        traces, configs = [], []
+        for _ in range(chains):
+            cfg = list(self.init)
+            trace = []
+            for lo in range(0, n_sweeps, chunk):
+                cur = min(chunk, n_sweeps - lo)
+                uniforms = iter(rng.random(cur * m).tolist())
+                for _ in range(cur):
+                    for (v, row, nb), u in zip(plan, uniforms):
+                        for x in nb:
+                            row = row[cfg[x]]
+                        cfg[v] = pick(row, u * row[-1])
+                    trace.append(cfg[site])
+            traces.append(trace)
+            configs.append(cfg[:-1])
+        return np.array(traces, dtype=np.int64).reshape(chains, n_sweeps), \
+            configs
 
-    @numba.njit(cache=True)
-    def kernel(config, order, nbrs, cls, tables, n, base, uniforms, trace,
-               site):
-        n_sweeps = trace.shape[0]
-        m = order.shape[0]
-        deg = nbrs.shape[1]
-        idx = 0
+    def checkerboard(self, rng, site, n_sweeps, chains):
+        """Heat-bath half-sweeps: all even interior sites of every chain at
+        once, then all odd ones.  Given the other sublattice, the sites of
+        one sublattice are conditionally independent, so this is a valid
+        heat-bath sweep.  Each half-sweep draws rng.random((sites, chains))
+        and picks the state as the raster kernel does."""
+        n, base = self.n, self.base
+        n_keys = self.tables.shape[1]
+        flat = self.tables.reshape(-1, n)
+        cfg = np.repeat(np.array(self.init, dtype=np.int64)[:, None],
+                        chains, axis=1)  # [site][chain]
+        halves = []
+        for p in (0, 1):
+            idx = [i for i, q in enumerate(self.parity) if q == p]
+            if not idx:
+                continue
+            sites = np.array([self.order[i] for i in idx])
+            slots = np.array([self.slots[i] for i in idx]).T
+            offset = np.array([self.cls[i] * n_keys for i in idx])[:, None]
+            halves.append((sites, slots, offset))
+        # the first slot is the most significant digit of the key
+        powers = [base ** j for j in range(len(self.slots[0]) - 1, -1, -1)]
+        trace = np.zeros((chains, n_sweeps), dtype=np.int64)
         for sweep in range(n_sweeps):
-            for t in range(m):
-                v = order[t]
-                key = 0
-                for j in range(deg):
-                    key = key * base + config[nbrs[v, j]]
-                row = tables[cls[v], key]
-                u01 = uniforms[idx] * row[n - 1]
-                idx += 1
-                s = 0
-                while row[s] < u01:
-                    s += 1
-                config[v] = s
-            trace[sweep] = config[site]
-        return idx
-
-    _NUMBA_KERNEL = kernel
-    return kernel
-
-
-def _sweep_python(config, order, nbrs, cls, tables, n, base, uniforms):
-    idx = 0
-    for v in order:
-        key = 0
-        for u in nbrs[v]:
-            key = key * base + config[u]
-        row = tables[cls[v]][key]
-        u01 = uniforms[idx] * row[n - 1]
-        idx += 1
-        s = 0
-        while row[s] < u01:
-            s += 1
-        config[v] = s
+            for sites, slots, offset in halves:
+                key = offset
+                for sl, w in zip(slots, powers):
+                    key = key + cfg[sl] * w
+                rows = flat[key]
+                u = rng.random(key.shape) * rows[..., -1]
+                cfg[sites] = (rows < u[..., None]).sum(-1)
+            trace[:, sweep] = cfg[site]
+        return trace, [c[:-1] for c in cfg.T.tolist()]
 
 
 def run_mcmc(system: SpinSystem, lat, boundary: PatternBoundary, site,
              n_sweeps: int = 10 ** 6, seed: int = 0,
              burn_in: int = None, n_batches: int = 40,
-             force: bool = False) -> MCMCResult:
+             force: bool = False, chains: int = 1) -> MCMCResult:
     """Heat-bath dynamics on the interior of a box under a pattern boundary
-    constraint, recording the value at one site after every sweep."""
+    constraint, from the pattern tiling, recording the value at one site
+    after every sweep of every chain.
+
+    Stream contract.  The kernel is chosen by chains x |interior|.  Below
+    CHECKERBOARD_MIN_UPDATES (200, the crossover measured on 2 vCPUs: one
+    6x6 chain stays on the raster kernel, 40 6x6 chains or one 16x16 chain
+    take the checkerboard kernel) the raster kernel runs, with rng_id
+    RNG_ID; at or above it the checkerboard kernel, with rng_id
+    CHECKERBOARD_RNG_ID.  Either way every chain draws from one
+    PCG64(seed): the raster kernel runs the chains one after the other, the
+    checkerboard kernel interleaves them.  A single raster chain consumes
+    the stream exactly as it always has.  breakup-scan runs all its samples
+    as the chains of one call; its CSV `seed` column still seeds each
+    sample's halo.
+
+    With one chain the standard errors are batch means over n_batches
+    batches of the kept sweeps; with several, the batches are the chains'
+    own means."""
     if lat.kind != "box":
-        raise errors.TooLarge("sampler runs on boxes")
+        raise errors.UnsupportedLattice("sampler runs on boxes")
+    if chains < 1:
+        raise errors.SchemaError("chains must be at least 1")
     if not _safe_state_exists(system) and not force:
         raise errors.IrreducibilityUnknown(
             "hard constraints present and no universally compatible state; "
@@ -538,70 +611,32 @@ def run_mcmc(system: SpinSystem, lat, boundary: PatternBoundary, site,
     if burn_in is None:
         burn_in = max(1, n_sweeps // 10) if n_sweeps else 0
     n = system.n
-    base = n + 1
-    order = np.array(sorted(lat.interior), dtype=np.int64)
-    m = len(order)
-    deg = lat.degree
-    dummy = lat.n  # virtual free neighbor slot
-    allowed = _allowed_masks(system, lat, boundary)
-    class_masks = sorted({allowed[v] for v in lat.interior})
-    cls = np.zeros(lat.n, dtype=np.int64)
-    nbrs = np.full((lat.n, deg), dummy, dtype=np.int64)
-    interior = set(lat.interior)
-    for v in lat.interior:
-        cls[v] = class_masks.index(allowed[v])
-        j = 0
-        for u in lat.neighbors[v]:
-            if u in interior:
-                nbrs[v, j] = u
-                j += 1
-    tables = _build_tables(system, lat.d, class_masks)
+    sampler = _Chains(system, lat, boundary)
     rng = np.random.Generator(np.random.PCG64(seed))
-    config = np.full(lat.n + 1, n, dtype=np.int64)
-    init = initial_pattern_config(system, lat, boundary)
-    for v in lat.interior:
-        config[v] = init[v]
-    trace = np.zeros(n_sweeps, dtype=np.int64)
-
-    kernel = _get_kernel()
-    if n_sweeps and kernel:
-        chunk = 50000
-        done = 0
-        while done < n_sweeps:
-            cur = min(chunk, n_sweeps - done)
-            uniforms = rng.random(cur * m)
-            kernel(config, order, nbrs, cls, tables, n, base, uniforms,
-                   trace[done:done + cur], site)
-            done += cur
-    elif n_sweeps:  # pragma: no cover - exercised only without numba
-        tbl = [t.tolist() for t in tables]
-        nbrs_l = nbrs.tolist()
-        cfg = config.tolist()
-        order_l = order.tolist()
-        cls_l = cls.tolist()
-        for sweep in range(n_sweeps):
-            uniforms = rng.random(m).tolist()
-            _sweep_python(cfg, order_l, nbrs_l, cls_l, tbl, n, base, uniforms)
-            trace[sweep] = cfg[site]
-        config = np.array(cfg)
+    if chains * len(lat.interior) >= CHECKERBOARD_MIN_UPDATES:
+        rng_id = CHECKERBOARD_RNG_ID
+        trace, configs = sampler.checkerboard(rng, site, n_sweeps, chains)
+    else:
+        rng_id = RNG_ID
+        trace, configs = sampler.raster(rng, site, n_sweeps, chains)
 
     marginal, se, counts = {}, {}, {}
     n_kept = n_sweeps - burn_in
+    nb = 0
     if n_kept > 0:
-        kept = trace[burn_in:]
-        batch = max(1, n_kept // n_batches)
-        nb = n_kept // batch
+        kept = trace[:, burn_in:]
+        batch = max(1, n_kept // n_batches) if chains == 1 else n_kept
+        nb = chains * (n_kept // batch)
         for s in range(n):
             label = system.states[s]
             ind = (kept == s).astype(np.float64)
             counts[label] = int(ind.sum())
-            marginal[label] = float(ind.mean())
-            means = ind[:batch * nb].reshape(nb, batch).mean(axis=1)
+            marginal[label] = float(ind.ravel().mean())
+            means = ind[:, :n_kept // batch * batch].reshape(nb, batch) \
+                .mean(axis=1)
             se[label] = float(means.std(ddof=1) / math.sqrt(nb)) \
                 if nb > 1 else float("nan")
-    else:
-        nb = 0
     return MCMCResult(site=int(site), n_sweeps=n_sweeps, burn_in=burn_in,
-                      seed=seed, rng_id=RNG_ID, marginal=marginal, se=se,
-                      n_batches=nb, trace_counts=counts,
-                      config=[int(config[v]) for v in range(lat.n)])
+                      seed=seed, rng_id=rng_id, marginal=marginal, se=se,
+                      n_batches=nb, trace_counts=counts, chains=chains,
+                      configs=configs)

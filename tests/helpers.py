@@ -10,6 +10,8 @@ import math
 import random
 from fractions import Fraction
 
+import numpy as np
+
 from spinlab import catalog
 from spinlab.system import WeightedGraph, config_weight, make_system
 
@@ -194,3 +196,29 @@ def product_count_reference(coords, xi):
         return total
 
     return rec(0, tuple(c for _, c in items))
+
+
+def build_tables_reference(system, d, class_masks):
+    """Cumulative heat-bath laws, one neighbor key at a time: for each class
+    and each key (2d slot values in base |S|+1, value |S| a free slot),
+    activity times the slot interactions from the least significant slot
+    up, zeroed outside the class mask, then summed cumulatively."""
+    n = system.n
+    base = n + 1
+    n_keys = base ** (2 * d)
+    acts = np.array([float(a) for a in system.activities])
+    inter = np.ones((n, base))
+    for s in range(n):
+        for t in range(n):
+            inter[s, t] = float(system.interactions[s][t])
+    tables = np.zeros((len(class_masks), n_keys, n))
+    for ci, mask in enumerate(class_masks):
+        sel = np.array([1.0 if mask >> s & 1 else 0.0 for s in range(n)])
+        for key in range(n_keys):
+            k = key
+            wgt = acts * sel
+            for _ in range(2 * d):
+                wgt = wgt * inter[:, k % base]
+                k //= base
+            tables[ci, key] = np.cumsum(wgt)
+    return tables

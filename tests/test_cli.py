@@ -284,6 +284,55 @@ def test_breakup_config_must_cover_all_sites(tmp_path, af3_path):
                      "--pattern", "A=1;B=2,3", "--seen-from", "3,3"]) == 2
 
 
+@pytest.mark.parametrize("seen_from, config", [
+    ("9,9", None), ("a,b", None), ("1,1;", None),
+    ("1,1", {"values": {"x,y": "1"}}),
+    ("1,1", {"values": {"9,9": "1"}}),
+    ("1,1", {"values": {"0,0": "7"}}),
+    ("1,1", ["not", "an", "object"]),
+    ("1,1", "{not json"),
+])
+def test_breakup_bad_input_is_a_schema_error(tmp_path, af3_path, capsys,
+                                             seen_from, config):
+    if config is None:
+        lat = lm.make_box((4, 4))
+        f = ordered_config(lat)
+        config = {"values": {",".join(map(str, lat.coords[v])): str(f[v] + 1)
+                             for v in range(lat.n)}}
+    cfg = tmp_path / "config.json"
+    cfg.write_text(config if isinstance(config, str) else json.dumps(config))
+    assert cli.main(["breakup", "--system", af3_path,
+                     "--lattice", "box:4x4+halo", "--config", str(cfg),
+                     "--pattern", "A=1;B=2,3",
+                     "--seen-from", seen_from]) == 2
+    assert json.loads(capsys.readouterr().err)["error"] == "SchemaError"
+
+
+@pytest.mark.parametrize("argv", [
+    ["exact", "--lattice", "torus:4x4", "--site", "1,1"],
+    ["exact", "--lattice", "box:3x3x3+halo", "--site", "1,1,1"],
+    ["mcmc", "--lattice", "torus:4x4", "--site", "1,1", "--sweeps", "10"],
+])
+def test_unsupported_lattice_is_a_validation_error(af3_soft_path, capsys,
+                                                   argv):
+    assert cli.main(argv + ["--system", af3_soft_path,
+                            "--pattern", "A=1;B=2,3"]) == 2
+    assert json.loads(capsys.readouterr().err)["error"] \
+        == "UnsupportedLattice"
+
+
+@pytest.mark.parametrize("side, rng_id", [
+    (4, gibbs.RNG_ID), (16, gibbs.CHECKERBOARD_RNG_ID)])
+def test_mcmc_meta_reports_the_kernel_that_ran(tmp_path, af3_soft_path,
+                                               side, rng_id):
+    out = tmp_path / "mcmc.json"
+    assert cli.main(["mcmc", "--system", af3_soft_path,
+                     "--lattice", f"box:{side}x{side}+halo",
+                     "--pattern", "A=1;B=2,3", "--site", "2,2",
+                     "--sweeps", "20", "--out", str(out)]) == 0
+    assert _read(out)["meta"]["rng"] == rng_id
+
+
 def test_breakup_scan_csv(tmp_path, af3_soft_path):
     out = tmp_path / "scan.csv"
     assert cli.main(["breakup-scan", "--system", af3_soft_path,
@@ -295,8 +344,33 @@ def test_breakup_scan_csv(tmp_path, af3_soft_path):
     assert len(lines) == 3
     for k, line in enumerate(lines[1:]):
         fields = line.split(",")
-        assert int(fields[0]) == k
+        assert int(fields[0]) == k and int(fields[1]) == k
         assert all(int(x) >= 0 for x in fields[2:])
+
+
+def test_breakup_scan_runs_its_samples_as_chains_of_one_run(
+        tmp_path, af3_soft_path, monkeypatch):
+    calls = []
+    run_mcmc = gibbs.run_mcmc
+
+    def spy(*args, **kwargs):
+        res = run_mcmc(*args, **kwargs)
+        calls.append((kwargs["seed"], res.chains, res.rng_id))
+        return res
+    monkeypatch.setattr(gibbs, "run_mcmc", spy)
+    argv = ["breakup-scan", "--system", af3_soft_path,
+            "--lattice", "box:6x6+halo", "--pattern", "A=1;B=2,3",
+            "--sweeps", "50", "--seed", "7"]
+    assert cli.main(argv + ["--samples", "8",
+                            "--out", str(tmp_path / "a.csv")]) == 0
+    assert calls == [(7, 8, gibbs.CHECKERBOARD_RNG_ID)]
+    lines = (tmp_path / "a.csv").read_text().strip().splitlines()
+    assert [line.split(",")[:2] for line in lines[1:]] \
+        == [[str(k), str(7 + k)] for k in range(8)]
+    assert cli.main(argv + ["--samples", "0",
+                            "--out", str(tmp_path / "b.csv")]) == 0
+    assert (tmp_path / "b.csv").read_text() == "sample,seed,L,M,N\n"
+    assert len(calls) == 1
 
 
 def test_transform_project(tmp_path, hc_path):

@@ -10,7 +10,8 @@ from spinlab import lattice as lm
 from spinlab.patterns import Pattern
 from spinlab.system import make_system
 
-from helpers import FRACTIONAL, graph_z, torus_graph
+from helpers import (FRACTIONAL, build_tables_reference, graph_z,
+                     torus_graph)
 
 AF3 = catalog.build("af_potts", q=3)
 HC = catalog.build("hard_core", lam=1)
@@ -115,9 +116,9 @@ def test_exact_measure_empty_support():
 
 
 def test_dp_guards():
-    with pytest.raises(errors.TooLarge):
-        gibbs.z_pattern_box(AF3, lm.make_torus((4, 4)),
-                            gibbs.PatternBoundary(P0_AF3))
+    for lat in (lm.make_torus((4, 4)), lm.make_box((3, 3, 3))):
+        with pytest.raises(errors.UnsupportedLattice):
+            gibbs.z_pattern_box(AF3, lat, gibbs.PatternBoundary(P0_AF3))
     with pytest.raises(errors.StateSpaceTooLarge):
         gibbs.z_pattern_box(AF3, lm.make_box((1, 14)),
                             gibbs.PatternBoundary(P0_AF3))
@@ -249,7 +250,7 @@ def test_initial_pattern_config():
 
 def test_mcmc_guards():
     bc = gibbs.PatternBoundary(P0_AF3)
-    with pytest.raises(errors.TooLarge):
+    with pytest.raises(errors.UnsupportedLattice):
         gibbs.run_mcmc(AF3, lm.make_torus((4, 4)), bc, 0, n_sweeps=10)
     # hard constraints without a universally compatible state
     with pytest.raises(errors.IrreducibilityUnknown):
@@ -277,13 +278,73 @@ def test_mcmc_bookkeeping_and_determinism():
     assert res3.config != res1.config
 
 
-def test_python_fallback_matches_kernel(monkeypatch):
+def test_raster_golden_trace():
+    """One raster chain's stream, pinned before the loop was rewritten."""
     system = catalog.build("af_potts", q=3, beta=1)
     lat = lm.make_box((4, 4))
     bc = gibbs.PatternBoundary(P0_AF3)
-    fast = gibbs.run_mcmc(system, lat, bc, (2, 2), n_sweeps=200, seed=5)
-    monkeypatch.setattr(gibbs, "_NUMBA_KERNEL", False)
-    slow = gibbs.run_mcmc(system, lat, bc, (2, 2), n_sweeps=200, seed=5)
-    assert fast.marginal == slow.marginal
-    assert fast.trace_counts == slow.trace_counts
-    assert fast.config == slow.config
+    res = gibbs.run_mcmc(system, lat, bc, (2, 2), n_sweeps=200, seed=5)
+    assert res.rng_id == gibbs.RNG_ID
+    assert res.trace_counts == {"1": 116, "2": 39, "3": 25}
+    assert res.config == [0, 1, 0, 1, 1, 0, 2, 0, 0, 1, 0, 1, 2, 0, 1, 0] \
+        + [3] * 16  # halo sites hold |S|
+
+
+@pytest.mark.parametrize("system", [catalog.build("af_potts", q=3, beta=1),
+                                    catalog.build("hard_core", lam=2)],
+                         ids=["af_potts", "hard_core"])
+@pytest.mark.parametrize("d", [2, 3])
+def test_build_tables_matches_reference(system, d):
+    masks = sorted({system.full_mask(), 0b001, 0b010, system.full_mask() - 1})
+    assert np.array_equal(gibbs._build_tables(system, d, masks),
+                          build_tables_reference(system, d, masks))
+
+
+def test_kernel_choice_follows_chains_times_sites():
+    system = catalog.build("af_potts", q=3, beta=1)
+    lat = lm.make_box((6, 6))
+    bc = gibbs.PatternBoundary(P0_AF3)
+    below = (gibbs.CHECKERBOARD_MIN_UPDATES - 1) // len(lat.interior)
+    for chains, rng_id in ((below, gibbs.RNG_ID),
+                           (below + 1, gibbs.CHECKERBOARD_RNG_ID)):
+        res = gibbs.run_mcmc(system, lat, bc, (3, 3), n_sweeps=5,
+                             chains=chains)
+        assert res.rng_id == rng_id and res.chains == chains
+        assert len(res.configs) == chains
+        assert sum(res.trace_counts.values()) == 4 * chains
+    with pytest.raises(errors.SchemaError):
+        gibbs.run_mcmc(system, lat, bc, (3, 3), n_sweeps=5, chains=0)
+
+
+def test_checkerboard_matches_exact_marginal():
+    system = catalog.build("af_potts", q=3, beta=1)
+    lat = lm.make_box((6, 6))
+    bc = gibbs.PatternBoundary(P0_AF3)
+    res = gibbs.run_mcmc(system, lat, bc, (3, 3), n_sweeps=4000, seed=3,
+                         chains=64)
+    assert res.rng_id == gibbs.CHECKERBOARD_RNG_ID and res.n_batches == 64
+    assert sum(res.trace_counts.values()) == 64 * 3600
+    dev = abs(res.marginal["1"] - 0.5416622264791822)
+    assert dev <= 4 * res.se["1"], (dev, res.se["1"])
+    # every chain stays inside the boundary constraint
+    for cfg in res.configs:
+        for v in lat.interior:
+            assert bc.allowed_mask(lat, system, v) >> cfg[v] & 1
+
+
+@pytest.mark.parametrize("chains", [1, 16])
+def test_mcmc_runs_in_three_dimensions(chains):
+    """A 3x3x3 box: one chain (27 sites) takes the raster kernel, 16 chains
+    the checkerboard kernel."""
+    system = catalog.build("af_potts", q=3, beta=1)
+    lat = lm.make_box((3, 3, 3))
+    bc = gibbs.PatternBoundary(P0_AF3)
+    res = gibbs.run_mcmc(system, lat, bc, (1, 1, 1), n_sweeps=50, seed=2,
+                         chains=chains)
+    assert res.rng_id == (gibbs.RNG_ID if chains == 1
+                          else gibbs.CHECKERBOARD_RNG_ID)
+    assert abs(sum(res.marginal.values()) - 1.0) < 1e-12
+    for cfg in res.configs:
+        assert all(0 <= cfg[v] < 3 for v in lat.interior)
+        for v in bc.region(lat):
+            assert bc.side_mask(lat, v) >> cfg[v] & 1
