@@ -79,14 +79,6 @@ class BreakupContext:
                 return False
         return self.virtual_in(v, mask)
 
-    def neighborhood_value_mask(self, v) -> int:
-        out = 0
-        for u in self.lat.neighbors[v]:
-            out |= 1 << self.f[u]
-        if self.missing_degree(v):
-            out |= self._virtual_mask(1 - self.lat.parity(v))
-        return out
-
 
 # ---------------------------------------------------------------------------
 # regions
@@ -98,10 +90,26 @@ class Regions:
     t_p: dict = field(default_factory=dict)
     z_p: dict = field(default_factory=dict)
     zp_p: dict = field(default_factory=dict)   # defect cores, expanded
-    z_none: frozenset = frozenset()
-    z_overlap: frozenset = frozenset()
-    z_defect: frozenset = frozenset()
     z_star: frozenset = frozenset()
+
+
+def _partition(lat, charts: dict, defects: dict):
+    """(none, overlap, defect): the sites in no chart, the sites in two
+    charts, and the union of the charts' defect sets."""
+    none = lat.all_sites().difference(*charts.values())
+    overlap = set()
+    for x, y in itertools.combinations(charts.values(), 2):
+        overlap |= x & y
+    return none, overlap, frozenset().union(*defects.values())
+
+
+def _star(lat, charts: dict, defects: dict) -> frozenset:
+    """The partition's three parts plus the closed boundary of every
+    chart."""
+    none, overlap, defect = _partition(lat, charts, defects)
+    return none.union(overlap, defect,
+                      *(lat_mod.closed_boundary(lat, x)
+                        for x in charts.values()))
 
 
 def compute_regions(system: SpinSystem, lat, f, p0: Pattern) -> Regions:
@@ -117,22 +125,7 @@ def compute_regions(system: SpinSystem, lat, f, p0: Pattern) -> Regions:
         reg.t_p[p] = t_p
         reg.z_p[p] = lat_mod.plus_(lat, t_p)
         reg.zp_p[p] = lat_mod.plus_(lat, t_p - s_p)
-    z_none = set(allv)
-    for p in ctx.pats:
-        z_none -= reg.z_p[p]
-    overlap = set()
-    for p, q in itertools.combinations(ctx.pats, 2):
-        overlap |= reg.z_p[p] & reg.z_p[q]
-    defect = set()
-    for p in ctx.pats:
-        defect |= reg.zp_p[p]
-    star = set(z_none) | overlap | defect
-    for p in ctx.pats:
-        star |= lat_mod.closed_boundary(lat, reg.z_p[p])
-    reg.z_none = frozenset(z_none)
-    reg.z_overlap = frozenset(overlap)
-    reg.z_defect = frozenset(defect)
-    reg.z_star = frozenset(star)
+    reg.z_star = _star(lat, reg.z_p, reg.zp_p)
     return reg
 
 
@@ -154,21 +147,7 @@ class Atlas:
     b: frozenset       # localized defect region
 
     def x_star(self):
-        lat = self.ctx.lat
-        allv = lat.all_sites()
-        none = set(allv)
-        for p in self.ctx.pats:
-            none -= self.x_p[p]
-        overlap = set()
-        for p, q in itertools.combinations(self.ctx.pats, 2):
-            overlap |= self.x_p[p] & self.x_p[q]
-        defect = set()
-        for p in self.ctx.pats:
-            defect |= self.xp_p[p]
-        star = none | overlap | defect
-        for p in self.ctx.pats:
-            star |= lat_mod.closed_boundary(lat, self.x_p[p])
-        return frozenset(star)
+        return _star(self.ctx.lat, self.x_p, self.xp_p)
 
     def stats(self) -> dict:
         """L = chart edge-boundary size, M = overlap/defect volume,
@@ -178,16 +157,7 @@ class Atlas:
         for p in self.ctx.pats:
             for (u, v) in lat_mod.directed_edge_boundary(lat, self.x_p[p]):
                 edges.add((min(u, v), max(u, v)))
-        allv = lat.all_sites()
-        none = set(allv)
-        for p in self.ctx.pats:
-            none -= self.x_p[p]
-        overlap = set()
-        for p, q in itertools.combinations(self.ctx.pats, 2):
-            overlap |= self.x_p[p] & self.x_p[q]
-        defect = set()
-        for p in self.ctx.pats:
-            defect |= self.xp_p[p]
+        none, overlap, defect = _partition(lat, self.x_p, self.xp_p)
         return {"L": len(edges), "M": len(overlap | defect), "N": len(none)}
 
 
@@ -261,9 +231,9 @@ def verify_breakup(system: SpinSystem, lat, f, p0: Pattern, atlas: Atlas,
         # charts expand from their interior-side parity; their inner
         # boundary sits on the boundary-side parity
         base = 1 if ctx.aligned[p] else 0
-        if not _is_regular(lat, atlas.x_p[p], base):
+        if not lat_mod.is_regular(lat, atlas.x_p[p], base):
             bad.append(("x", p))
-        if not _is_regular(lat, atlas.xp_p[p], base):
+        if not lat_mod.is_regular(lat, atlas.xp_p[p], base):
             bad.append(("x'", p))
     put("charts_regular", not bad, bad[:5])
 
@@ -276,9 +246,7 @@ def verify_breakup(system: SpinSystem, lat, f, p0: Pattern, atlas: Atlas,
         for p in ctx.pats:
             if not ctx.p_even(p, v):
                 lhs = v in atlas.x_p[p]
-                rhs = all(ctx.in_p_pattern(p, u)
-                          for u in lat.neighbors[v]) \
-                    and ctx.virtual_in(v, ctx.bdry[p])
+                rhs = ctx.neighborhood_in(v, ctx.bdry[p])
                 if lhs != rhs:
                     bad_odd.append((v, p))
             else:
@@ -308,9 +276,7 @@ def verify_breakup(system: SpinSystem, lat, f, p0: Pattern, atlas: Atlas,
                     bad.append((v, p))
     put("chart_interior_values", not bad, bad[:5])
 
-    none = set(lat.all_sites())
-    for p in ctx.pats:
-        none -= atlas.x_p[p]
+    none, _, _ = _partition(lat, atlas.x_p, atlas.xp_p)
     bad = []
     for v in none:
         for p in ctx.pats:
@@ -354,35 +320,12 @@ def verify_breakup(system: SpinSystem, lat, f, p0: Pattern, atlas: Atlas,
     return report
 
 
-def _is_regular(lat, U, base_parity) -> bool:
-    """U is the expansion of its base-parity part and the complement is the
-    expansion of its opposite-parity part (ambient exterior included)."""
-    U = frozenset(U)
-    core = frozenset(v for v in U if lat.parity(v) == base_parity)
-    if U != lat_mod.plus_(lat, core):
-        return False
-    comp = lat.all_sites() - U
-    for v in comp:
-        if lat.parity(v) != base_parity:
-            continue
-        nb = lat.neighbors[v]
-        if len(nb) < lat.degree:
-            continue
-        if not any(w in comp and lat.parity(w) != base_parity for w in nb):
-            return False
-    return True
-
-
 # ---------------------------------------------------------------------------
 # per-vertex diagnostics
 
-def is_non_dominant(system: SpinSystem, ctx_or_mask, v=None) -> bool:
-    """The neighborhood value set is not value-set-equivalent to any side of
-    a dominant pattern."""
-    if isinstance(ctx_or_mask, BreakupContext):
-        mask = ctx_or_mask.neighborhood_value_mask(v)
-    else:
-        mask = ctx_or_mask
+def is_non_dominant(system: SpinSystem, mask) -> bool:
+    """The neighborhood value set (a state bitmask) is not value-set-
+    equivalent to any side of a dominant pattern."""
     # R maps each side of a maximal pattern to the other side, so the
     # closures of the dominant sides are the dominant sides themselves
     return patterns.r_closure(system, mask) not in \

@@ -39,16 +39,30 @@ class CatalogEntry:
         return expected_parameters(self.name, **self.params)
 
 
-def _boltzmann(beta):
-    """exp(-beta) with beta=inf giving exact 0 (rational mode stays exact)."""
+def _boltzmann(beta, energy=1):
+    """exp(-beta * energy) and the arithmetic mode, with beta=inf giving an
+    exact 0 (rational mode stays exact)."""
     if beta is None:
         raise errors.ParamOutOfRange("beta is required")
     if beta == INF or beta == "inf":
         return Fraction(0), "rational"
-    beta = float(beta)
-    if beta < 0:
+    try:
+        beta = float(beta)
+    except (TypeError, ValueError):
+        raise errors.ParamOutOfRange(
+            f"beta must be a number or inf, got {beta!r}") from None
+    if not beta >= 0:  # NaN fails too
         raise errors.ParamOutOfRange("beta must be >= 0")
-    return math.exp(-beta), "float"
+    return math.exp(-energy * beta), "float"
+
+
+def _int(x, name):
+    """An integer model parameter."""
+    try:
+        return int(x)
+    except (TypeError, ValueError, OverflowError):
+        raise errors.ParamOutOfRange(
+            f"{name} must be an integer, got {x!r}") from None
 
 
 def _as_rational(x, name):
@@ -73,7 +87,7 @@ def build(name, **params) -> SpinSystem:
 
 
 def _build_af_potts(q=None, beta=INF):
-    q = int(q)
+    q = _int(q, "q")
     if q < 2:
         raise errors.ParamOutOfRange("af_potts requires q >= 2")
     w, mode = _boltzmann(beta)
@@ -85,7 +99,7 @@ def _build_af_potts(q=None, beta=INF):
 
 
 def _build_af_potts_field(q=None, beta=INF, lam=None):
-    q = int(q)
+    q = _int(q, "q")
     if q < 2:
         raise errors.ParamOutOfRange("af_potts_field requires q >= 2")
     lam = _pos(lam, "lam")
@@ -94,23 +108,14 @@ def _build_af_potts_field(q=None, beta=INF, lam=None):
     acts = [lam if i == 0 else Fraction(1) for i in range(q)]
     one = Fraction(1)
     inter = [[one if i != j else w for j in range(q)] for i in range(q)]
-    if mode == "float":
-        acts = [float(a) for a in acts]
-        inter = [[float(v) for v in row] for row in inter]
     return make_system(states, acts, inter, mode=mode)
 
 
 def _build_af_ising_field(beta=INF, lam=None):
     lam = _pos(lam, "lam")
-    if beta == INF or beta == "inf":
-        w, mode = Fraction(0), "rational"
-    else:
-        w, mode = math.exp(-4.0 * float(beta)), "float"
+    w, mode = _boltzmann(beta, energy=4)
     acts = [Fraction(1), lam]
     inter = [[Fraction(1), Fraction(1)], [Fraction(1), w]]
-    if mode == "float":
-        acts = [float(a) for a in acts]
-        inter = [[float(v) for v in row] for row in inter]
     return make_system(["0", "1"], acts, inter, mode=mode)
 
 
@@ -139,8 +144,8 @@ def _build_widom_rowlinson(lam=None):
 
 
 def _build_clock(q=None, m=None, beta=INF):
-    q = int(q)
-    m = int(m)
+    q = _int(q, "q")
+    m = _int(m, "m")
     if not (1 <= m and 4 * m < q):
         raise errors.ParamOutOfRange("clock requires 1 <= m < q/4")
     w, mode = _boltzmann(beta)
@@ -163,7 +168,7 @@ def _build_beach(lam=None):
 
 
 def _build_multi_wr(q=None, lam=None):
-    q = int(q)
+    q = _int(q, "q")
     if q < 1:
         raise errors.ParamOutOfRange("multi_wr requires q >= 1")
     lam = _pos(lam, "lam")
@@ -174,7 +179,7 @@ def _build_multi_wr(q=None, lam=None):
 
 
 def _build_anti_wr(q=None, lam=None):
-    q = int(q)
+    q = _int(q, "q")
     if q < 2:
         raise errors.ParamOutOfRange("anti_wr requires q >= 2")
     lam = _pos(lam, "lam")
@@ -185,7 +190,7 @@ def _build_anti_wr(q=None, lam=None):
 
 
 def _build_multi_beach(q=None, lam=None):
-    q = int(q)
+    q = _int(q, "q")
     if q < 1:
         raise errors.ParamOutOfRange("multi_beach requires q >= 1")
     lam = _pos(lam, "lam")
@@ -198,7 +203,7 @@ def _build_multi_beach(q=None, lam=None):
 
 
 def _build_multi_occupancy_hc_v1(q=None, lam=None):
-    q = int(q)
+    q = _int(q, "q")
     if q < 1:
         raise errors.ParamOutOfRange("multi_occupancy_hc requires q >= 1")
     lam = _pos(lam, "lam")
@@ -208,7 +213,7 @@ def _build_multi_occupancy_hc_v1(q=None, lam=None):
 
 
 def _build_multi_occupancy_hc_v2(q=None, lam=None):
-    q = int(q)
+    q = _int(q, "q")
     if q < 1:
         raise errors.ParamOutOfRange("multi_occupancy_hc requires q >= 1")
     lam = _pos(lam, "lam")

@@ -21,8 +21,9 @@ from .system import (bipartite_cover, config_weight, emit_number, load_system,
                      product, project_from_doubled, reweight)
 
 
-def _meta(subcommand, system_path=None, seed=None, t0=None,
-          rng=gibbs.RNG_ID):
+def _meta(subcommand, system_path=None, seed=None, t0=None, rng=None):
+    """Run metadata; rng names the generator the command drew from, None
+    when it drew nothing."""
     meta = {
         "tool": "spinlab",
         "version": __version__,
@@ -37,13 +38,17 @@ def _meta(subcommand, system_path=None, seed=None, t0=None,
     return meta
 
 
-def _emit(payload, out):
-    text = json.dumps(payload, indent=2, sort_keys=True, default=str) + "\n"
+def _write(text, out):
     if out:
         with open(out, "w") as fh:
             fh.write(text)
     else:
         sys.stdout.write(text)
+
+
+def _emit(payload, out):
+    _write(json.dumps(payload, indent=2, sort_keys=True, default=str) + "\n",
+           out)
 
 
 def _parse_states(system, text):
@@ -63,7 +68,7 @@ def _parse_states(system, text):
 
 def _parse_pattern(system, text) -> Pattern:
     """"A=1;B=2,3" with state labels."""
-    parts = dict(p.split("=", 1) for p in text.split(";") if p)
+    parts = dict(p.partition("=")[::2] for p in text.split(";") if p)
     if set(parts) != {"A", "B"}:
         raise errors.SchemaError("pattern must be given as A=...;B=...")
     return Pattern(_parse_states(system, parts["A"]),
@@ -83,16 +88,16 @@ def _parse_psi(system, d, text) -> kbipartite.PsiSpec:
             raise errors.SchemaError("class spec needs J=<labels>")
         J = _parse_states(system, fields[0][2:])
         cls = fields[1] if len(fields) > 1 else "full"
-        eps = eps_bar = None
+        opts = {"eps": None, "epsbar": None}
         for extra in fields[2:]:
             k, _, v = extra.partition("=")
-            if k == "eps":
-                eps = float(v)
-            elif k == "epsbar":
-                eps_bar = float(v)
-            else:
+            if k not in opts:
                 raise errors.SchemaError(f"unknown class option {k!r}")
-        return kbipartite.class_spec(J, cls, eps, eps_bar)
+            try:
+                opts[k] = float(v)
+            except ValueError:
+                raise errors.SchemaError(f"malformed {k} {v!r}") from None
+        return kbipartite.class_spec(J, cls, opts["eps"], opts["epsbar"])
     if kind == "product":
         coords = [_parse_states(system, grp) for grp in rest.split("|")]
         if len(coords) > 2 * d:
@@ -129,21 +134,34 @@ def _parse_sweep(text):
                    for i in range(npts)})
 
 
-def _parse_site(lat, text):
-    """"r,c" -> index of an interior site of the lattice."""
+def _parse_count(text, name):
+    """A non-negative whole number, also written as a float such as 1e5."""
     try:
-        coord = tuple(int(x) for x in text.split(","))
+        x = float(text)
+    except ValueError:
+        x = math.nan
+    if not (math.isfinite(x) and x >= 0 and x == int(x)):
+        raise errors.SchemaError(
+            f"{name} must be a non-negative whole number, got {text!r}")
+    return int(x)
+
+
+def _parse_coord(text):
+    """"x,y" -> coordinate tuple."""
+    try:
+        return tuple(int(x) for x in text.split(","))
     except ValueError:
         raise errors.SchemaError(f"malformed site {text!r}") from None
-    return gibbs.interior_site(lat, coord)
+
+
+def _parse_site(lat, text):
+    """"r,c" -> index of an interior site of the lattice."""
+    return gibbs.interior_site(lat, _parse_coord(text))
 
 
 def _lattice_site(lat, text):
     """"x,y" -> index of a lattice site, halo included."""
-    try:
-        coord = tuple(int(x) for x in text.split(","))
-    except ValueError:
-        raise errors.SchemaError(f"malformed site {text!r}") from None
+    coord = _parse_coord(text)
     if coord not in lat.index:
         raise errors.SchemaError(f"site {text} not on the lattice")
     return lat.index[coord]
@@ -153,6 +171,8 @@ def _load_config(lat, system, path):
     try:
         with open(path) as fh:
             raw = json.load(fh)
+    except OSError as e:
+        raise errors.SchemaError(f"cannot read {path}: {e.strerror}") from None
     except ValueError as e:
         raise errors.SchemaError(f"config file is not JSON: {e}") from None
     values = raw.get("values") if isinstance(raw, dict) else None
@@ -193,19 +213,9 @@ def cli():
 def cmd_catalog(name, q, lam, lam_e, lam_o, beta, m, out):
     """Emit a built-in model as a system JSON file."""
     t0 = time.time()
-    params = {}
-    if q is not None:
-        params["q"] = q
-    if lam is not None:
-        params["lam"] = lam
-    if lam_e is not None:
-        params["lam_e"] = lam_e
-    if lam_o is not None:
-        params["lam_o"] = lam_o
-    if beta is not None:
-        params["beta"] = math.inf if beta == "inf" else beta
-    if m is not None:
-        params["m"] = m
+    given = {"q": q, "lam": lam, "lam_e": lam_e, "lam_o": lam_o,
+             "beta": beta, "m": m}
+    params = {k: v for k, v in given.items() if v is not None}
     system = catalog_mod.build(name, **params)
     payload = system.to_dict()
     payload["meta"] = _meta("catalog", seed=None, t0=t0)
@@ -252,12 +262,7 @@ def cmd_check(system_path, d, condition, c_big, c_small, s, sweep, out):
             margin = min((iq.margin for iq in rep.inequalities
                           if not iq.vacuous), default=math.inf)
             lines.append(f"{dv},{int(rep.passes)},{margin}")
-        text = "\n".join(lines) + "\n"
-        if out:
-            with open(out, "w") as fh:
-                fh.write(text)
-        else:
-            sys.stdout.write(text)
+        _write("\n".join(lines) + "\n", out)
         return
     if d is None:
         raise errors.SchemaError("--d required without --sweep")
@@ -303,7 +308,8 @@ def cmd_verify_cond(system_path, d, alpha, gamma, eps, epsbar, seed, out):
     system = kbipartite.normalize_interactions(system)
     rep = kbipartite.verify_main_condition(system, d, alpha, gamma, eps,
                                            epsbar, seed=seed)
-    rep["meta"] = _meta("verify-cond", system_path, seed=seed, t0=t0)
+    rep["meta"] = _meta("verify-cond", system_path, seed=seed, t0=t0,
+                        rng=kbipartite.RNG_ID)
     _emit(rep, out)
 
 
@@ -350,7 +356,8 @@ def cmd_mcmc(system_path, lattice_spec, pattern_text, site, sweeps, seed,
     pat = _parse_pattern(system, pattern_text)
     res = gibbs.run_mcmc(system, lat, gibbs.PatternBoundary(pat),
                          _parse_site(lat, site),
-                         n_sweeps=int(float(sweeps)), seed=seed, force=force)
+                         n_sweeps=_parse_count(sweeps, "--sweeps"), seed=seed,
+                         force=force)
     payload = {
         "site": site, "n_sweeps": res.n_sweeps, "burn_in": res.burn_in,
         "marginal": res.marginal, "se": res.se, "n_batches": res.n_batches,
@@ -383,7 +390,7 @@ def cmd_breakup(system_path, lattice_spec, config_path, pattern_text,
     report = breakup_mod.verify_breakup(system, lat, f, pat, atlas, V)
     payload = {
         "charts": {
-            f"A={_labels(system, p.a)};B={_labels(system, p.b)}": {
+            f"A={system.labels(p.a)};B={system.labels(p.b)}": {
                 "X": _coords_of(lat, atlas.x_p[p]),
                 "X_defect": _coords_of(lat, atlas.xp_p[p]),
             } for p in atlas.ctx.pats},
@@ -397,16 +404,12 @@ def cmd_breakup(system_path, lattice_spec, config_path, pattern_text,
     _emit(payload, out)
 
 
-def _labels(system, mask):
-    return ",".join(system.states[i] for i in system.mask_states(mask))
-
-
 @cli.command("breakup-scan")
 @click.option("--system", "system_path", required=True)
 @click.option("--lattice", "lattice_spec", required=True)
 @click.option("--pattern", "pattern_text", required=True)
 @click.option("--sweeps", default="1e4")
-@click.option("--samples", type=int, default=10)
+@click.option("--samples", default="10")
 @click.option("--seed", type=int, default=0)
 @click.option("--force", is_flag=True, default=False)
 @click.option("--out", default=None)
@@ -417,14 +420,16 @@ def cmd_breakup_scan(system_path, lattice_spec, pattern_text, sweeps,
     system = load_system(system_path)
     lat = lat_mod.parse_lattice(lattice_spec)
     pat = _parse_pattern(system, pattern_text)
+    n_sweeps = _parse_count(sweeps, "--sweeps")
+    samples = _parse_count(samples, "--samples")
     center = frozenset({lat.index[tuple(x // 2 for x in lat.dims)]})
     lines = ["sample,seed,L,M,N"]
     configs = []
     if samples > 0:
         configs = gibbs.run_mcmc(system, lat, gibbs.PatternBoundary(pat),
-                                 min(lat.interior),
-                                 n_sweeps=int(float(sweeps)), seed=seed,
-                                 force=force, chains=samples).configs
+                                 min(lat.interior), n_sweeps=n_sweeps,
+                                 seed=seed, force=force,
+                                 chains=samples).configs
     for k, f in enumerate(configs):
         sk = seed + k
         rng = np.random.Generator(np.random.PCG64(10 ** 6 + sk))
@@ -434,12 +439,7 @@ def cmd_breakup_scan(system_path, lattice_spec, pattern_text, sweeps,
         atlas = breakup_mod.construct_breakup(system, lat, f, pat, center)
         st = atlas.stats()
         lines.append(f"{k},{sk},{st['L']},{st['M']},{st['N']}")
-    text = "\n".join(lines) + "\n"
-    if out:
-        with open(out, "w") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
+    _write("\n".join(lines) + "\n", out)
 
 
 @cli.command("transform")
@@ -458,7 +458,11 @@ def cmd_transform(system_path, op, multipliers, d, system2, out):
     if op == "reweight":
         if multipliers is None or d is None:
             raise errors.SchemaError("reweight needs --multipliers and --d")
-        ms = [float(x) for x in multipliers.split(",")]
+        try:
+            ms = [float(x) for x in multipliers.split(",")]
+        except ValueError:
+            raise errors.SchemaError(
+                f"malformed --multipliers {multipliers!r}") from None
         result = reweight(system, ms, d)
     elif op == "product":
         if system2 is None:

@@ -121,10 +121,6 @@ def _check_box_2d(lat):
             "exact evaluation implemented for 2D boxes")
 
 
-def _allowed_masks(system, lat, boundary: PatternBoundary):
-    return {v: boundary.allowed_mask(lat, system, v) for v in lat.interior}
-
-
 def _box_sweep(system, lat, boundary: PatternBoundary, site=None) -> list:
     """Raster DP over the interior rows of a 2D box.  The frontier holds the
     last w values packed in base |S|, the oldest (the site above the next
@@ -496,7 +492,8 @@ class _Chains:
         n = system.n
         self.n, self.base = n, n + 1
         self.order = sorted(lat.interior)
-        allowed = _allowed_masks(system, lat, boundary)
+        allowed = {v: boundary.allowed_mask(lat, system, v)
+                   for v in lat.interior}
         class_masks = sorted(set(allowed.values()))
         self.cls = [class_masks.index(allowed[v]) for v in self.order]
         self.slots = []
@@ -603,6 +600,8 @@ def run_mcmc(system: SpinSystem, lat, boundary: PatternBoundary, site,
         raise errors.UnsupportedLattice("sampler runs on boxes")
     if chains < 1:
         raise errors.SchemaError("chains must be at least 1")
+    if n_sweeps < 0:
+        raise errors.SchemaError("n_sweeps must be at least 0")
     if not _safe_state_exists(system) and not force:
         raise errors.IrreducibilityUnknown(
             "hard constraints present and no universally compatible state; "

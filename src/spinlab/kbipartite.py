@@ -16,8 +16,10 @@ divided once by la^{4d} li^{4d^2}.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
+import operator
 import random
 from collections import Counter
 from dataclasses import dataclass
@@ -30,6 +32,9 @@ from .system import SpinSystem, make_system
 MAX_GROUND = 20
 MAX_D = 64
 MAX_SUBSET_SIDE = 16
+# verify_main_condition draws its random product forms from
+# random.Random(seed)
+RNG_ID = "python-random"
 
 
 # ---------------------------------------------------------------------------
@@ -94,15 +99,29 @@ def _z_explicit(system, d, psis, I_mask):
 # ---------------------------------------------------------------------------
 # content-level class predicates
 
+# the thresholds each class reads
+_THRESHOLDS = {"full": (), "near_dominant": ("eps",),
+               "near_subset": ("eps_bar",), "balanced": ("eps", "eps_bar")}
+
+
 class _ClassContext:
     """Precomputed data for content-level membership tests over a side J."""
 
-    def __init__(self, system, d, J, eps, eps_bar):
+    def __init__(self, system, d, J, eps, eps_bar, cls="full", cls2=None):
         self.system = system
         self.d = d
         self.J = J
         self.eps = eps
         self.eps_bar = eps_bar
+        self.cls = cls
+        self.cls2 = cls2
+        for c in filter(None, (cls, cls2)):
+            need = _THRESHOLDS.get(c)
+            if need is None:
+                raise errors.SchemaError(f"unknown class {c!r}")
+            if any(getattr(self, t) is None for t in need):
+                raise errors.SchemaError(
+                    f"class {c!r} needs {' and '.join(need)}")
         self.rJ = patterns.r_closure(system, J)
         if bin(J).count("1") > MAX_SUBSET_SIDE:
             raise errors.GroundSetTooLarge(f"side has {bin(J).count('1')} states")
@@ -146,6 +165,11 @@ class _ClassContext:
         if cls == "balanced":
             return not (self.in_near_dominant(xi) or self.in_near_subset(xi))
         raise errors.SchemaError(f"unknown class {cls!r}")
+
+    def admits(self, xi):
+        """xi is in the class cls and, when cls2 is set, not in cls2."""
+        return self.member(xi, self.cls) and not (
+            self.cls2 is not None and self.member(xi, self.cls2))
 
 
 def _submasks(mask):
@@ -230,54 +254,37 @@ def _sub_contents(remaining, states, mask, size, i=0):
 
 
 def _spec_context(system, d, spec):
-    if spec.kind in ("class", "class_minus", "class_intersect_product"):
-        return _ClassContext(system, d, spec.J, spec.eps, spec.eps_bar)
-    if spec.kind != "product":
+    """The spec's class constraint, or None for a plain product."""
+    if spec.kind == "product":
+        return None
+    if spec.kind not in ("class", "class_minus", "class_intersect_product"):
         raise errors.SchemaError(f"unknown spec kind {spec.kind!r}")
-    return None
+    return _ClassContext(system, d, spec.J, spec.eps, spec.eps_bar, spec.cls,
+                         spec.cls2 if spec.kind == "class_minus" else None)
 
 
-def _spec_ground_mask(system, spec, ctx):
-    if spec.kind == "product":
-        g = 0
-        for m in spec.coords:
-            g |= m
-        return g
-    if spec.kind == "class_intersect_product":
-        g = 0
-        for m in spec.coords:
-            g |= m
-        return g
-    return ctx.ground_mask()
-
-
-def _xi_count(system, d, spec, ctx, xi):
+def _xi_count(d, spec, ctx, xi):
     """Number of assignments in the spec with content xi."""
-    if spec.kind == "product":
-        return _product_count(spec.coords, xi)
-    if spec.kind == "class":
-        if not ctx.member(xi, spec.cls):
-            return 0
-        return _multinomial(2 * d, xi.values())
-    if spec.kind == "class_minus":
-        if ctx.member(xi, spec.cls) and not ctx.member(xi, spec.cls2):
-            return _multinomial(2 * d, xi.values())
+    if ctx is not None and not ctx.admits(xi):
         return 0
-    if spec.kind == "class_intersect_product":
-        if not ctx.member(xi, spec.cls):
-            return 0
+    if spec.coords is not None:
         return _product_count(spec.coords, xi)
-    raise errors.SchemaError(f"unknown spec kind {spec.kind!r}")
+    return _multinomial(2 * d, xi.values())
 
 
 def z_compositions(system: SpinSystem, d: int, spec: PsiSpec, I_mask: int):
     """Evaluate Z(Psi, I) by summing over multiplicity vectors."""
+    if d < 1:
+        raise errors.ParamOutOfRange("d must be >= 1")
     if d > MAX_D:
         raise errors.TooLarge(f"d={d}")
-    if spec.kind == "explicit":
+    if spec.psis is not None:
         return _z_explicit(system, d, spec.psis, I_mask)
     ctx = _spec_context(system, d, spec)
-    ground = _spec_ground_mask(system, spec, ctx)
+    if spec.coords is not None:
+        ground = functools.reduce(operator.or_, spec.coords, 0)
+    else:
+        ground = ctx.ground_mask()
     g_states = system.mask_states(ground)
     if len(g_states) > MAX_GROUND:
         raise errors.GroundSetTooLarge(str(len(g_states)))
@@ -286,7 +293,7 @@ def z_compositions(system: SpinSystem, d: int, spec: PsiSpec, I_mask: int):
     acts, inter = sc.acts, sc.inter
     total = 0
     for xi in _compositions(2 * d, g_states):
-        cnt = _xi_count(system, d, spec, ctx, xi)
+        cnt = _xi_count(d, spec, ctx, xi)
         if cnt == 0:
             continue
         z0 = 1
@@ -305,30 +312,15 @@ def z_compositions(system: SpinSystem, d: int, spec: PsiSpec, I_mask: int):
 
 def expand_spec(system: SpinSystem, d: int, spec: PsiSpec, limit=10 ** 6):
     """Explicit list of assignments described by a spec (test oracle use)."""
-    if spec.kind == "explicit":
+    if spec.psis is not None:
         return list(spec.psis)
     if system.n ** (2 * d) > limit:
         raise errors.TooLarge("explicit expansion too large")
     ctx = _spec_context(system, d, spec)
-    out = []
-    for psi in itertools.product(range(system.n), repeat=2 * d):
-        xi = {}
-        for v in psi:
-            xi[v] = xi.get(v, 0) + 1
-        if spec.kind == "product":
-            if all(spec.coords[j] >> psi[j] & 1 for j in range(2 * d)):
-                out.append(psi)
-        elif spec.kind == "class":
-            if ctx.member(xi, spec.cls):
-                out.append(psi)
-        elif spec.kind == "class_minus":
-            if ctx.member(xi, spec.cls) and not ctx.member(xi, spec.cls2):
-                out.append(psi)
-        elif spec.kind == "class_intersect_product":
-            if ctx.member(xi, spec.cls) and \
-                    all(spec.coords[j] >> psi[j] & 1 for j in range(2 * d)):
-                out.append(psi)
-    return out
+    return [psi for psi in itertools.product(range(system.n), repeat=2 * d)
+            if (spec.coords is None
+                or all(m >> v & 1 for m, v in zip(spec.coords, psi)))
+            and (ctx is None or ctx.admits(Counter(psi)))]
 
 
 # ---------------------------------------------------------------------------
@@ -396,9 +388,7 @@ def _realized_coordinate_sets(system, d, coords, ctx, cls):
             probe = list(coords)
             probe[j] = 1 << v
             found = False
-            ground = 0
-            for m in probe:
-                ground |= m
+            ground = functools.reduce(operator.or_, probe, 0)
             for xi in _compositions(2 * d, system.mask_states(ground)):
                 if not ctx.member(xi, cls):
                     continue
@@ -453,7 +443,7 @@ def verify_main_condition(system: SpinSystem, d: int, alpha: float,
             alpha_tight = (2 * gamma * d - math.log(lhs_f / omega_2d))
         results.append({
             "name": name,
-            "J": _label(system, J) if J is not None else None,
+            "J": system.labels(J) if J is not None else None,
             "k": k,
             "lhs": lhs_f,
             "rhs": rhs,
@@ -522,7 +512,3 @@ def verify_main_condition(system: SpinSystem, d: int, alpha: float,
         "inequalities": results,
         "pass": all(r["holds"] for r in results),
     }
-
-
-def _label(system, mask):
-    return ",".join(system.states[i] for i in system.mask_states(mask))

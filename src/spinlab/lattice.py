@@ -42,12 +42,6 @@ class Lattice:
     def parity(self, v) -> int:
         return sum(self.coords[v]) % 2
 
-    def even_sites(self):
-        return frozenset(v for v in range(self.n) if self.parity(v) == 0)
-
-    def odd_sites(self):
-        return frozenset(v for v in range(self.n) if self.parity(v) == 1)
-
     def all_sites(self):
         return frozenset(range(self.n))
 
@@ -217,21 +211,22 @@ def is_odd_set(lat: Lattice, U) -> bool:
     return all(lat.parity(v) == 1 for v in inner_boundary(lat, U))
 
 
-def is_regular_odd(lat: Lattice, U) -> bool:
-    """U is the expansion of its even part, and likewise for the complement
-    and its odd part (ambient exterior counts toward the complement)."""
+def is_regular(lat: Lattice, U, base_parity: int = 0) -> bool:
+    """U is the expansion of its base-parity part, and likewise for the
+    complement and its opposite-parity part (ambient exterior counts toward
+    the complement)."""
     U = frozenset(U)
-    even_part = frozenset(v for v in U if lat.parity(v) == 0)
-    if U != plus_(lat, even_part):
+    core = frozenset(v for v in U if lat.parity(v) == base_parity)
+    if U != plus_(lat, core):
         return False
     comp = lat.all_sites() - U
     for v in comp:
-        if lat.parity(v) == 1:
+        if lat.parity(v) != base_parity:
             continue
         nb = lat.neighbors[v]
         if len(nb) < lat.degree:
-            continue  # has an odd exterior neighbor in the ambient lattice
-        if not any(w in comp and lat.parity(w) == 1 for w in nb):
+            continue  # has an exterior neighbor in the ambient lattice
+        if not any(w in comp and lat.parity(w) != base_parity for w in nb):
             return False
     return True
 
@@ -308,35 +303,19 @@ def co_connected_closure(lat: Lattice, U, v) -> frozenset:
     U = frozenset(U)
     if v in U:
         return lat.all_sites()
-    comp = lat.all_sites() - U
+    ext = -1
     seen = {v}
     stack = [v]
-    use_inf = lat.kind == "box"
-    inf_reached = False
     while stack:
         u = stack.pop()
-        if use_inf and u in lat.halo:
-            inf_reached = True
-        for w in lat.neighbors[u]:
-            if w in comp and w not in seen:
+        near = lat.halo if u == ext else lat.neighbors[u]
+        if u in lat.halo:
+            near = (*near, ext)
+        for w in near:
+            if w not in U and w not in seen:
                 seen.add(w)
                 stack.append(w)
-    if use_inf and inf_reached:
-        # through the exterior, every blocked-off halo piece is reachable
-        grow = [h for h in lat.halo if h in comp and h not in seen]
-        while grow:
-            h = grow.pop()
-            if h in seen:
-                continue
-            seen.add(h)
-            stack = [h]
-            while stack:
-                u = stack.pop()
-                for w in lat.neighbors[u]:
-                    if w in comp and w not in seen:
-                        seen.add(w)
-                        stack.append(w)
-    return lat.all_sites() - frozenset(seen)
+    return lat.all_sites() - seen
 
 
 def separating_components(lat: Lattice, B, V) -> frozenset:

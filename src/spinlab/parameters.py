@@ -90,9 +90,8 @@ def _alpha_arg(rho_bulk, rho_bdry, rho_int):
 
 
 def alpha0_of(system):
-    _, rho_bulk, rho_bdry, _ = pattern_ratios(system)
-    rho_int = interaction_ratio(system)
-    return neg_log(_alpha_arg(rho_bulk, rho_bdry, rho_int))
+    st = patterns.structure(system)
+    return neg_log(_alpha_arg(st.rho_pat_bulk, st.rho_pat_bdry, st.rho_int))
 
 
 def rho_hat_bulk_of(system, d, s):
@@ -121,10 +120,8 @@ def _alpha2(system, d, s, pen):
     """(rho_hat_bulk, alpha2) at window length s, given _penalty(st, d)."""
     st = patterns.structure(system)
     rho_hat_bulk = rho_hat_bulk_of(system, d, s)
-    return rho_hat_bulk, neg_log(max(
-        rho_hat_bulk,
-        1.0 - (1.0 - float(st.rho_pat_bdry)) * (1.0 - math.sqrt(float(st.rho_int)))
-    )) - pen
+    return rho_hat_bulk, neg_log(
+        _alpha_arg(rho_hat_bulk, st.rho_pat_bdry, st.rho_int)) - pen
 
 
 def rho_bulk_star_of(system, d):
@@ -160,7 +157,7 @@ def compute_parameters(system, d=None, s=None) -> ParameterReport:
         rho_pat_bdry=rho_bdry,
         rho_act=st.rho_act,
         omega_dom=st.omega_dom,
-        alpha0=neg_log(_alpha_arg(st.rho_pat_bulk, rho_bdry, rho_int)),
+        alpha0=alpha0_of(system),
         frak_q=patterns.frak_q(system),
         n_maximal=len(st.maximal),
         n_dominant=len(st.dominant),
@@ -249,6 +246,7 @@ def check_condition(system, d, which, C=1.0, c=1.0, s=None) -> ConditionReport:
     rho_int = float(rep.rho_int)
     rho_act = float(rep.rho_act)
     logd = math.log(d)
+    thr = C * (fq + logd) * math.sqrt(logd) / d ** 0.25
     ineqs = []
     s_used = None
 
@@ -259,7 +257,6 @@ def check_condition(system, d, which, C=1.0, c=1.0, s=None) -> ConditionReport:
         ineqs.append(_ge("interaction", neg_log(rho_int), rhs2,
                          vacuous=(rho_int == 0)))
     elif which == "alt1":
-        thr = C * (fq + logd) * math.sqrt(logd) / d ** 0.25
         ineqs.append(_ge("alpha1", rep.alpha1, thr))
         if rho_int == 0:
             ineqs.append(_ge("interaction", INF, 0.0, vacuous=True))
@@ -271,7 +268,6 @@ def check_condition(system, d, which, C=1.0, c=1.0, s=None) -> ConditionReport:
                 term = INF
             ineqs.append(_ge("interaction", lhs, min(1.0, term)))
     elif which == "alt2":
-        thr = C * (fq + logd) * math.sqrt(logd) / d ** 0.25
         rho_hat_act = float(rep.rho_hat_act)
         if rho_int == 0:
             s_lo = 0.0
@@ -304,7 +300,6 @@ def check_condition(system, d, which, C=1.0, c=1.0, s=None) -> ConditionReport:
         if rho_int != 0:
             raise errors.Alt3OnWeightedSystem(
                 "alt3 applies to homomorphism systems only")
-        thr = C * (fq + logd) * math.sqrt(logd) / d ** 0.25
         ineqs.append(_ge("alpha3", rep.alpha3, thr))
     else:
         raise errors.ParamOutOfRange(f"unknown condition {which!r}")

@@ -282,24 +282,13 @@ def all_dominant_equivalent(system: SpinSystem) -> bool:
                for q in dom[1:])
 
 
-def direct_equivalence_classes(system: SpinSystem, patterns: list) -> list:
-    """Partition a pattern list into direct-equivalence classes."""
+def equivalence_classes(system: SpinSystem, patterns: list,
+                        direct: bool = False) -> list:
+    """Partition a pattern list into (direct-)equivalence classes."""
     classes = []
     for p in patterns:
         for cls in classes:
-            if find_equivalence(system, cls[0], p, direct=True) is not None:
-                cls.append(p)
-                break
-        else:
-            classes.append([p])
-    return classes
-
-
-def equivalence_classes(system: SpinSystem, patterns: list) -> list:
-    classes = []
-    for p in patterns:
-        for cls in classes:
-            if find_equivalence(system, cls[0], p, direct=False) is not None:
+            if find_equivalence(system, cls[0], p, direct) is not None:
                 cls.append(p)
                 break
         else:
@@ -373,7 +362,7 @@ def analyze(system: SpinSystem) -> PatternCatalog:
         dominant=dom,
         omega_dom=wmax,
         equivalence_classes=equivalence_classes(system, dom),
-        direct_classes=direct_equivalence_classes(system, dom),
+        direct_classes=equivalence_classes(system, dom, direct=True),
         frak_q=frak_q(system),
         all_dominant_equivalent=all_dominant_equivalent(system),
         near_tie=near_tie,

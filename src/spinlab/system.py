@@ -136,6 +136,10 @@ class SpinSystem:
     def mask_states(self, mask):
         return [i for i in range(self.n) if mask >> i & 1]
 
+    def labels(self, mask) -> str:
+        """The labels of the states in a bitmask, comma-separated."""
+        return ",".join(self.states[i] for i in self.mask_states(mask))
+
     def scaled(self) -> "ScaledWeights":
         """The weights on a common integer scale (rational mode), or as they
         are (float mode); see ScaledWeights."""
@@ -257,11 +261,13 @@ def validate_system(raw: dict) -> SpinSystem:
 
 
 def load_system(path) -> SpinSystem:
-    with open(path) as fh:
-        try:
+    try:
+        with open(path) as fh:
             raw = json.load(fh)
-        except json.JSONDecodeError as e:
-            raise errors.SchemaError(f"invalid JSON in {path}: {e}") from e
+    except OSError as e:
+        raise errors.SchemaError(f"cannot read {path}: {e.strerror}") from e
+    except ValueError as e:
+        raise errors.SchemaError(f"invalid JSON in {path}: {e}") from e
     return validate_system(raw)
 
 

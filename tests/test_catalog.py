@@ -1,9 +1,10 @@
+import json
 import math
 from fractions import Fraction
 
 import pytest
 
-from spinlab import catalog, errors, parameters
+from spinlab import catalog, cli, errors, parameters
 
 INF = math.inf
 
@@ -25,6 +26,17 @@ def test_model_name_validation():
         catalog.build("af_potts", q=3, beta=-1)
     with pytest.raises(errors.ParamOutOfRange):
         catalog.build("af_potts_field", q=3)  # lam required
+
+
+@pytest.mark.parametrize("argv", [
+    ["af_potts", "--q", "3", "--beta", "abc"],
+    ["af_potts", "--q", "3", "--beta", "nan"],
+    ["af_potts"],
+    ["af_ising_field", "--lam", "2", "--beta", "-1"],
+])
+def test_bad_catalog_parameter_is_out_of_range(capsys, argv):
+    assert cli.main(["catalog", *argv]) == 2
+    assert json.loads(capsys.readouterr().err)["error"] == "ParamOutOfRange"
 
 
 def test_zero_temperature_is_exact():

@@ -72,6 +72,55 @@ def test_invalid_system_file(tmp_path):
     assert cli.main(["analyze", "--system", str(bad)]) == 2
 
 
+@pytest.mark.parametrize("argv", [
+    ["analyze", "--system", "{missing}"],
+    ["analyze", "--system", "{tmp}"],
+    ["transform", "--system", "{af3}", "--op", "product",
+     "--system2", "{missing}"],
+    ["transform", "--system", "{af3}", "--op", "reweight",
+     "--multipliers", "a,b", "--d", "2"],
+    ["breakup", "--system", "{af3}", "--lattice", "box:4x4+halo",
+     "--config", "{missing}", "--pattern", "A=1;B=2,3",
+     "--seen-from", "1,1"],
+])
+def test_unreadable_input_is_a_schema_error(tmp_path, af3_path, capsys,
+                                            argv):
+    names = {"missing": str(tmp_path / "missing.json"), "tmp": str(tmp_path),
+             "af3": af3_path}
+    assert cli.main([a.format(**names) for a in argv]) == 2
+    assert json.loads(capsys.readouterr().err)["error"] == "SchemaError"
+
+
+@pytest.mark.parametrize("argv", [
+    ["zfun", "--d", "-1", "--psi", "complete"],
+    ["zfun", "--d", "0", "--psi", "complete"],
+    ["verify-cond", "--d", "-1", "--alpha", "0.2", "--eps", "0.125",
+     "--epsbar", "0.125"],
+])
+def test_dimension_below_one_is_out_of_range(af3_path, capsys, argv):
+    assert cli.main([argv[0], "--system", af3_path, *argv[1:]]) == 2
+    assert json.loads(capsys.readouterr().err)["error"] == "ParamOutOfRange"
+
+
+@pytest.mark.parametrize("command, argv, rng", [
+    ("catalog", ["af_potts", "--q", "3"], None),
+    ("analyze", ["--system", "{af3}"], None),
+    ("check", ["--system", "{af3}", "--d", "4"], None),
+    ("zfun", ["--system", "{af3}", "--d", "2", "--psi", "complete"], None),
+    ("verify-cond", ["--system", "{af3}", "--d", "2", "--alpha", "0.2",
+                     "--eps", "0.125", "--epsbar", "0.125"], "python-random"),
+    ("exact", ["--system", "{af3}", "--lattice", "box:3x3+halo",
+               "--pattern", "A=1;B=2,3", "--site", "1,1"], None),
+    ("transform", ["--system", "{af3}", "--op", "project"], None),
+])
+def test_meta_rng_names_the_generator_drawn_from(tmp_path, af3_path,
+                                                  command, argv, rng):
+    out = tmp_path / "out.json"
+    argv = [a.format(af3=af3_path) for a in argv]
+    assert cli.main([command, *argv, "--out", str(out)]) == 0
+    assert _read(out)["meta"]["rng"] == rng
+
+
 def test_check_single_dimension(tmp_path, hc_path):
     out = tmp_path / "check.json"
     assert cli.main(["check", "--system", hc_path,
@@ -174,6 +223,23 @@ def test_zfun_resource_guard(tmp_path, hc_path, capsys):
     assert "error" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("psi", [
+    "class:J=1:balanced", "class:J=1:near_subset:eps=0.1",
+    "class:J=1:full:eps=x", "class:J=1:other", "class:J=1:full:foo=1"])
+def test_bad_psi_is_a_schema_error(af3_path, capsys, psi):
+    assert cli.main(["zfun", "--system", af3_path, "--d", "2",
+                     "--psi", psi]) == 2
+    assert json.loads(capsys.readouterr().err)["error"] == "SchemaError"
+
+
+@pytest.mark.parametrize("pattern", ["A1;B2", "A=1", "A=1;B=9"])
+def test_bad_pattern_is_a_schema_error(af3_path, capsys, pattern):
+    assert cli.main(["exact", "--system", af3_path, "--lattice",
+                     "box:3x3+halo", "--pattern", pattern,
+                     "--site", "1,1"]) == 2
+    assert json.loads(capsys.readouterr().err)["error"] == "SchemaError"
+
+
 def test_exact_marginal(tmp_path, af3_path):
     out = tmp_path / "exact.json"
     assert cli.main(["exact", "--system", af3_path,
@@ -237,6 +303,21 @@ def test_bad_site_is_a_schema_error(af3_soft_path, capsys, command, site):
             "--pattern", "A=1;B=2,3", "--site", site]
     if command == "mcmc":
         argv += ["--sweeps", "10"]
+    assert cli.main(argv) == 2
+    assert json.loads(capsys.readouterr().err)["error"] == "SchemaError"
+
+
+@pytest.mark.parametrize("command, option, value", [
+    ("mcmc", "--sweeps", "abc"), ("mcmc", "--sweeps", "-5"),
+    ("mcmc", "--sweeps", "2.5"), ("mcmc", "--sweeps", "inf"),
+    ("breakup-scan", "--sweeps", "x"), ("breakup-scan", "--samples", "-1"),
+    ("breakup-scan", "--samples", "1.5")])
+def test_bad_count_is_a_schema_error(af3_soft_path, capsys, command, option,
+                                     value):
+    argv = [command, "--system", af3_soft_path, "--lattice", "box:3x3+halo",
+            "--pattern", "A=1;B=2,3", option, value]
+    if command == "mcmc":
+        argv += ["--site", "1,1"]
     assert cli.main(argv) == 2
     assert json.loads(capsys.readouterr().err)["error"] == "SchemaError"
 

@@ -1,0 +1,142 @@
+"""Grammar fuzz of the CLI arguments: every input ends in exit 0, or in exit
+2 (validation) or 3 (resource guard) with a JSON error on stderr, never in
+a traceback.  Lattice sides stay at most 4 and sweeps at most 100, so each
+example runs in milliseconds."""
+
+import contextlib
+import io
+import json
+
+import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
+
+from spinlab import catalog, cli
+
+LABELS = ["1", "2", "3"]
+
+_int_text = st.sampled_from(["-1", "0", "1", "2", "3", "4", "5", "a", "",
+                             "1.5", " 2"])
+_dims = st.lists(st.integers(0, 4), min_size=1, max_size=3)
+lattices = st.one_of(
+    st.builds(lambda kind, dims, halo: f"{kind}:{'x'.join(map(str, dims))}"
+              + ("+halo" if halo else ""),
+              st.sampled_from(["box", "torus", "ball"]), _dims, st.booleans()),
+    st.sampled_from(["", "box", "box:", "box:4x", "box:axb", ":4x4",
+                     "box:4x4+halo+halo", "box:-2x3+halo"]))
+_side = st.one_of(
+    st.lists(st.sampled_from(LABELS), max_size=3).map(",".join),
+    st.sampled_from(["all", "", "9", "1,,2", "x"]))
+patterns = st.one_of(
+    st.builds(lambda a, b: f"A={a};B={b}", _side, _side),
+    st.sampled_from(["", "A=1", "B=2;A=1", "A=1;B=2;C=3", "A1;B2", ";;",
+                     "A=1;A=2"]))
+psis = st.one_of(
+    st.just("complete"),
+    st.builds(lambda j, cls, extra: f"class:J={j}:{cls}{extra}", _side,
+              st.sampled_from(["full", "balanced", "near_dominant",
+                               "near_subset", "other", ""]),
+              st.sampled_from(["", ":eps=0.1", ":epsbar=0.2:eps=0.3",
+                               ":eps=x", ":foo=1", ":eps"])),
+    st.builds(lambda groups: "product:" + "|".join(groups),
+              st.lists(_side, max_size=5)),
+    st.sampled_from(["", "class", "class:", "product", "explicit:1",
+                     "class:1:full"]))
+_bound = st.sampled_from(["0", "1", "2", "3.5", "-3", "20", "1e2", "abc",
+                          "nan", "inf", ""])
+sweeps_spec = st.one_of(
+    st.builds(lambda lo, hi, rest: f"d={lo}:{hi}{rest}", _bound, _bound,
+              st.sampled_from(["", ":geometric", ":geometric:1",
+                               ":geometric:5", ":geometric:0",
+                               ":geometric:x", ":linear", ":geometric:3:9"])),
+    st.sampled_from(["", "d=", "d=2", "2:10", "d=2:10:geometric:-4"]))
+sites = st.one_of(
+    st.lists(_int_text, min_size=0, max_size=4).map(",".join),
+    st.sampled_from(["", ",", "1;1", "(1,1)"]))
+seen_from = st.lists(sites, min_size=1, max_size=3).map(";".join)
+counts = st.sampled_from(["0", "1", "5", "100", "1e2", "1e1", "-5", "abc",
+                          "2.5", "inf", "nan", "", "-0"])
+
+
+def _configs(dims):
+    """Config files for a 2D box, valid or not."""
+    n0, n1 = dims
+
+    def full(fill):
+        return {f"{r},{c}": fill(r, c)
+                for r in range(-1, n0 + 1) for c in range(-1, n1 + 1)
+                if (0 <= r < n0) or (0 <= c < n1)}
+    ordered = full(lambda r, c: "1" if (r + c) % 2 == 0 else "2")
+    return st.one_of(
+        st.just(json.dumps({"values": ordered})),
+        st.builds(lambda key, label: json.dumps(
+            {"values": {**ordered, key: label}}),
+            sites, st.sampled_from(LABELS + ["9", ""])),
+        st.builds(lambda drop: json.dumps({"values": {
+            k: v for i, (k, v) in enumerate(ordered.items()) if i != drop}}),
+            st.integers(0, len(ordered) - 1)),
+        st.sampled_from(["", "{", "[]", "3", '{"values": 3}',
+                         '{"values": {"0,0": 1}}', "null"]))
+
+
+@pytest.fixture(scope="module")
+def systems(tmp_path_factory):
+    root = tmp_path_factory.mktemp("fuzz")
+    out = []
+    for name, params in (("af3.json", {"q": 3}),
+                         ("af3b1.json", {"q": 3, "beta": 1})):
+        path = root / name
+        path.write_text(catalog.build("af_potts", **params).to_json())
+        out.append(str(path))
+    return root, out
+
+
+def _run(argv):
+    err = io.StringIO()
+    with contextlib.redirect_stdout(io.StringIO()), \
+            contextlib.redirect_stderr(err):
+        code = cli.main(argv)
+    assert code in (0, 2, 3), (argv, code)
+    if code:
+        detail = json.loads(err.getvalue().strip().splitlines()[-1])
+        assert set(detail) == {"error", "detail"}, (argv, detail)
+
+
+@st.composite
+def invocations(draw, system_paths, root):
+    system = ["--system", draw(st.sampled_from(system_paths))]
+    command = draw(st.sampled_from(["exact", "mcmc", "breakup-scan", "zfun",
+                                    "check", "breakup"]))
+    if command == "zfun":
+        return [command, *system, "--d", str(draw(st.integers(1, 3))),
+                f"--psi={draw(psis)}"]
+    if command == "check":
+        return [command, *system, f"--sweep={draw(sweeps_spec)}"]
+    box = [f"--pattern={draw(patterns)}"]
+    if command == "breakup":
+        dims = (draw(st.integers(1, 4)), draw(st.integers(1, 4)))
+        config = root / "config.json"
+        config.write_text(draw(_configs(dims)))
+        lattice = draw(st.one_of(
+            st.just(f"box:{dims[0]}x{dims[1]}+halo"), lattices))
+        return [command, *system, f"--lattice={lattice}", *box,
+                "--config", str(config), f"--seen-from={draw(seen_from)}"]
+    argv = [command, *system, f"--lattice={draw(lattices)}", *box]
+    if command == "exact":
+        return argv + [f"--site={draw(sites)}"]
+    argv += [f"--sweeps={draw(counts)}", "--force"]
+    if command == "mcmc":
+        return argv + [f"--site={draw(sites)}"]
+    return argv + ["--samples", draw(st.sampled_from(["0", "1", "2", "-1",
+                                                      "x"]))]
+
+
+def test_cli_grammar_fuzz(systems):
+    root, paths = systems
+
+    @settings(max_examples=300, deadline=None, derandomize=True,
+              suppress_health_check=[HealthCheck.too_slow])
+    @given(invocations(paths, root))
+    def check(argv):
+        _run(argv)
+
+    check()

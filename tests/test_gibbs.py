@@ -258,6 +258,9 @@ def test_mcmc_guards():
     res = gibbs.run_mcmc(AF3, lm.make_box((4, 4)), bc, (1, 1), n_sweeps=10,
                          force=True)
     assert res.n_sweeps == 10
+    with pytest.raises(errors.SchemaError):
+        gibbs.run_mcmc(AF3, lm.make_box((4, 4)), bc, (1, 1), n_sweeps=-1,
+                       force=True)
     big = catalog.build("af_potts", q=30)
     with pytest.raises(errors.StateSpaceTooLarge):
         gibbs._build_tables(big, 2, [big.full_mask()])

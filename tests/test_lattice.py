@@ -67,13 +67,13 @@ def test_plus_shape_is_tight_odd_set():
     center = lat.index[(2, 2)]
     u_set = lm.plus_(lat, {center})
     assert lm.is_odd_set(lat, u_set)
-    assert lm.is_regular_odd(lat, u_set)
+    assert lm.is_regular(lat, u_set)
     assert lm.edge_boundary_size(lat, u_set) == 12  # equality case
     lhs, rhs = lm.odd_set_identity(lat, u_set)
     assert lhs == rhs == 3
     # a single odd site is not the expansion of its even part
     odd_site = lat.index[(2, 1)]
-    assert not lm.is_regular_odd(lat, {odd_site})
+    assert not lm.is_regular(lat, {odd_site})
 
 
 def test_n_t_degree_bound():
@@ -135,6 +135,15 @@ def test_co_connected_closure():
         == lat.all_sites() - {center}
     assert lm.co_connected_closure(lat, ring, next(iter(ring))) \
         == lat.all_sites()
+    # a wall across the box: the two sides meet through the exterior
+    wall = frozenset(v for v, c in enumerate(lat.coords) if c[1] == 2)
+    assert lm.co_connected_closure(lat, wall, far) == wall
+    # a torus has no exterior, so two walls cut it in two
+    torus = lm.make_torus((4, 4))
+    walls = frozenset(v for v, c in enumerate(torus.coords) if c[1] in (0, 2))
+    strip = frozenset(v for v, c in enumerate(torus.coords) if c[1] == 1)
+    assert lm.co_connected_closure(torus, walls, torus.index[(3, 1)]) \
+        == torus.all_sites() - strip
 
 
 def test_separating_components():

@@ -58,7 +58,7 @@ def test_af3_structure():
     assert omega == 2 and len(dom) == 6 and not near_tie
     assert Pattern(0b001, 0b110) in dom and Pattern(0b110, 0b001) in dom
     assert patterns.all_dominant_equivalent(AF3)
-    direct = patterns.direct_equivalence_classes(AF3, dom)
+    direct = patterns.equivalence_classes(AF3, dom, direct=True)
     assert sorted(len(c) for c in direct) == [3, 3]
     assert len(patterns.equivalence_classes(AF3, dom)) == 1
     assert patterns.small_large_side_counts(AF3) == (3, 3)
@@ -111,7 +111,7 @@ def test_activity_asymmetry_blocks_direct_equivalence():
     dom, omega, _ = patterns.dominant_patterns(system)
     assert omega == 4
     assert set(dom) == {Pattern(0b001, 0b110), Pattern(0b110, 0b001)}
-    direct = patterns.direct_equivalence_classes(system, dom)
+    direct = patterns.equivalence_classes(system, dom, direct=True)
     assert sorted(len(c) for c in direct) == [1, 1]
     assert patterns.all_dominant_equivalent(system)  # swap still works
 
