@@ -16,6 +16,8 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass, field
 
+import numpy as np
+
 from . import errors, lattice as lat_mod, patterns
 from .patterns import Pattern
 from .system import SpinSystem
@@ -24,11 +26,30 @@ from .system import SpinSystem
 # ---------------------------------------------------------------------------
 # context
 
+def _alignment(system: SpinSystem, p0: Pattern) -> dict:
+    """Dominant pattern -> is it direct-equivalent to p0; memoised on the
+    system, since a scan builds one context per sample."""
+    if p0 not in system._alignments:
+        aligned = {}
+        for p in patterns.structure(system).dominant:
+            aligned[p] = patterns.find_equivalence(
+                system, p0, p, direct=True) is not None
+            if not aligned[p] and patterns.find_equivalence(
+                    system, p0, p, direct=False) is None:
+                raise errors.DominantPatternsNotEquivalent(
+                    "a dominant pattern is not equivalent to the reference")
+        system._alignments[p0] = aligned
+    return system._alignments[p0]
+
+
 class BreakupContext:
+    """The reference pattern, the dominant patterns and their sides, and
+    whole-array views of the configuration.  Site masks (see lattice) that
+    depend on the pattern are stacked, one row per pattern of ``pats``."""
+
     def __init__(self, system: SpinSystem, lat, f, p0: Pattern):
         self.system = system
         self.lat = lat
-        self.f = f
         dom = patterns.structure(system).dominant
         if p0 not in dom:
             raise errors.BoundaryNotInPattern(
@@ -38,46 +59,41 @@ class BreakupContext:
                 "reference pattern must have its smaller side first")
         self.p0 = p0
         self.pats = list(dom)
-        self.aligned = {}
-        for p in self.pats:
-            self.aligned[p] = patterns.find_equivalence(
-                system, p0, p, direct=True) is not None
-            if not self.aligned[p] and patterns.find_equivalence(
-                    system, p0, p, direct=False) is None:
-                raise errors.DominantPatternsNotEquivalent(
-                    "a dominant pattern is not equivalent to the reference")
+        self.aligned = _alignment(system, p0)
         # bdry on even vertices for aligned patterns, on odd otherwise
         self.bdry = {p: (p.a if self.aligned[p] else p.b) for p in self.pats}
         self.int_ = {p: (p.b if self.aligned[p] else p.a) for p in self.pats}
+        # the sentinel slot gets the value system.n, on no side, and the
+        # parity 2, neither even nor odd
+        self.state = np.append(np.asarray(f, dtype=np.intp), system.n)
+        self.par = np.append(lat.par, 2)
+        # sites that carry the boundary side of each pattern
+        self.even = self.par == np.array(
+            [[0 if self.aligned[p] else 1] for p in self.pats])
 
-    def p_even(self, p: Pattern, v) -> bool:
-        """v carries the boundary side of p."""
-        return (self.lat.parity(v) == 0) == self.aligned[p]
+    def values_m(self, side: dict) -> np.ndarray:
+        """Sites whose value is on the given side of each pattern."""
+        return np.array([[side[p] >> s & 1 for s in range(self.system.n + 1)]
+                         for p in self.pats], dtype=bool)[:, self.state]
 
-    def _virtual_mask(self, parity):
-        return self.p0.a if parity == 0 else self.p0.b
+    def pattern_m(self) -> np.ndarray:
+        """Sites whose value is on their side of each pattern."""
+        return np.where(self.even, self.values_m(self.bdry),
+                        self.values_m(self.int_))
 
-    def missing_degree(self, v):
-        return self.lat.degree - len(self.lat.neighbors[v])
-
-    def in_p_pattern(self, p: Pattern, v) -> bool:
-        side = self.bdry[p] if self.p_even(p, v) else self.int_[p]
-        return side >> self.f[v] & 1 == 1
-
-    def virtual_in(self, v, mask) -> bool:
-        """Do the unstored neighbors of v (if any) certainly take values in
-        mask?  Unstored neighbors have the opposite parity of v."""
-        if self.missing_degree(v) == 0:
-            return True
-        vm = self._virtual_mask(1 - self.lat.parity(v))
-        return vm & ~mask == 0
-
-    def neighborhood_in(self, v, mask) -> bool:
-        """All ambient neighbors of v have values in mask."""
-        for u in self.lat.neighbors[v]:
-            if not mask >> self.f[u] & 1:
-                return False
-        return self.virtual_in(v, mask)
+    def nbhd_in_m(self, side: dict) -> np.ndarray:
+        """Sites all of whose ambient neighbors have values on the given
+        side of each pattern.  An unstored neighbor, of the opposite
+        parity, counts only when every value the reference pattern allows
+        it is on that side."""
+        lat = self.lat
+        ok = self.values_m(side)
+        ok[:, -1] = True
+        virtual = np.array([[self.p0.b & ~side[p] == 0,
+                             self.p0.a & ~side[p] == 0, False]
+                            for p in self.pats])[:, self.par]
+        full = (lat.adj < lat.n).all(axis=0)
+        return ok[:, lat.adj].all(axis=1) & (full | virtual)
 
 
 # ---------------------------------------------------------------------------
@@ -85,55 +101,38 @@ class BreakupContext:
 
 @dataclass
 class Regions:
+    """The raw regions, as stacked site masks in the order of ctx.pats."""
     ctx: BreakupContext
-    s_p: dict = field(default_factory=dict)
-    t_p: dict = field(default_factory=dict)
-    z_p: dict = field(default_factory=dict)
-    zp_p: dict = field(default_factory=dict)   # defect cores, expanded
-    z_star: frozenset = frozenset()
+    s_p: np.ndarray
+    t_p: np.ndarray
+    z_p: np.ndarray
+    zp_p: np.ndarray   # defect cores, expanded
+    z_star: np.ndarray
 
 
-def _partition(lat, charts: dict, defects: dict):
-    """(none, overlap, defect): the sites in no chart, the sites in two
-    charts, and the union of the charts' defect sets."""
-    none = lat.all_sites().difference(*charts.values())
-    overlap = set()
-    for x, y in itertools.combinations(charts.values(), 2):
-        overlap |= x & y
-    return none, overlap, frozenset().union(*defects.values())
+def _partition(charts, defects):
+    """(none, overlap, defect) masks: the sites in no chart, the sites in
+    two charts, and the union of the charts' defect sets."""
+    count = charts.sum(axis=0)
+    return lat_mod.not_m(count > 0), count > 1, defects.any(axis=0)
 
 
-def _star(lat, charts: dict, defects: dict) -> frozenset:
+def _star(lat, charts, defects):
     """The partition's three parts plus the closed boundary of every
     chart."""
-    none, overlap, defect = _partition(lat, charts, defects)
-    return none.union(overlap, defect,
-                      *(lat_mod.closed_boundary(lat, x)
-                        for x in charts.values()))
+    none, overlap, defect = _partition(charts, defects)
+    return none | overlap | defect \
+        | lat_mod.closed_boundary_m(lat, charts).any(axis=0)
 
 
 def compute_regions(system: SpinSystem, lat, f, p0: Pattern) -> Regions:
     ctx = BreakupContext(system, lat, f, p0)
-    reg = Regions(ctx=ctx)
-    allv = lat.all_sites()
-    for p in ctx.pats:
-        s_p = frozenset(v for v in allv if ctx.in_p_pattern(p, v))
-        t_p = frozenset(v for v in allv
-                        if not ctx.p_even(p, v)
-                        and ctx.neighborhood_in(v, ctx.bdry[p]))
-        reg.s_p[p] = s_p
-        reg.t_p[p] = t_p
-        reg.z_p[p] = lat_mod.plus_(lat, t_p)
-        reg.zp_p[p] = lat_mod.plus_(lat, t_p - s_p)
-    reg.z_star = _star(lat, reg.z_p, reg.zp_p)
-    return reg
-
-
-def localized_defect(lat, reg: Regions, V) -> frozenset:
-    """Components of the 5-expanded defect set that reach the exterior or
-    cut a vertex of V off from it."""
-    return lat_mod.separating_components(
-        lat, lat_mod.plus_r(lat, reg.z_star, 5), V)
+    s_p = ctx.pattern_m()
+    t_p = ~ctx.even & ctx.nbhd_in_m(ctx.bdry)
+    z_p = lat_mod.plus_m(lat, t_p)
+    zp_p = lat_mod.plus_m(lat, t_p & ~s_p)
+    return Regions(ctx=ctx, s_p=s_p, t_p=t_p, z_p=z_p, zp_p=zp_p,
+                   z_star=_star(lat, z_p, zp_p))
 
 
 # ---------------------------------------------------------------------------
@@ -146,19 +145,26 @@ class Atlas:
     xp_p: dict
     b: frozenset       # localized defect region
 
+    def masks(self):
+        """The charts and the defect sets as stacked site masks."""
+        return tuple(np.array([lat_mod.mask(self.ctx.lat, sets[p])
+                               for p in self.ctx.pats])
+                     for sets in (self.x_p, self.xp_p))
+
     def x_star(self):
-        return _star(self.ctx.lat, self.x_p, self.xp_p)
+        return lat_mod.sites(_star(self.ctx.lat, *self.masks()))
 
     def stats(self) -> dict:
         """L = chart edge-boundary size, M = overlap/defect volume,
-        N = uncharted volume; recomputed from the stored charts."""
+        N = uncharted volume; recomputed from the stored charts.  Each
+        stored edge is counted once, as the +1 step from its lower end."""
         lat = self.ctx.lat
-        edges = set()
-        for p in self.ctx.pats:
-            for (u, v) in lat_mod.directed_edge_boundary(lat, self.x_p[p]):
-                edges.add((min(u, v), max(u, v)))
-        none, overlap, defect = _partition(lat, self.x_p, self.xp_p)
-        return {"L": len(edges), "M": len(overlap | defect), "N": len(none)}
+        x, xp = self.masks()
+        up = lat.adj[1::2]
+        cut = (x[:, None, :] != x[:, up]) & (up < lat.n)
+        none, overlap, defect = _partition(x, xp)
+        return {"L": int(cut.any(axis=0).sum()),
+                "M": int((overlap | defect).sum()), "N": int(none.sum())}
 
 
 def construct_breakup(system: SpinSystem, lat, f, p0: Pattern,
@@ -166,38 +172,31 @@ def construct_breakup(system: SpinSystem, lat, f, p0: Pattern,
     """Build an atlas from a configuration: take the raw regions, localize
     the defect set to the components relevant to V, and flood each clean
     component with the unique pattern surrounding it."""
-    if V is None:
-        V = lat.interior
     reg = compute_regions(system, lat, f, p0)
     ctx = reg.ctx
-    b = localized_defect(lat, reg, V)
-    x_p = {p: set(reg.z_p[p] & b) for p in ctx.pats}
-    comps = lat_mod.components(lat, lat.all_sites() - b)
-    for comp in comps:
-        ring = lat_mod.plus_r(lat, comp, 5) - comp
-        cands = [p for p in ctx.pats
-                 if ring <= reg.z_p[p] and not ring & reg.z_star]
-        if comp & lat.halo:
-            if ctx.p0 not in cands:
+    V = lat_mod.mask(lat, lat.interior if V is None else V)
+    b = lat_mod.separating_m(lat, lat_mod.plus_r_m(lat, reg.z_star, 5), V)
+    x = reg.z_p & b
+    for comp in lat_mod.components_m(lat, lat_mod.not_m(b)):
+        ring = lat_mod.plus_r_m(lat, comp, 5) & ~comp
+        cands = [] if (ring & reg.z_star).any() else \
+            np.flatnonzero(~(ring & ~reg.z_p).any(axis=1)).tolist()
+        if (comp & lat_mod.halo_m(lat)).any():
+            if ctx.pats.index(ctx.p0) not in cands:
                 raise errors.BoundaryNotInPattern(
                     "exterior component not surrounded by the reference "
                     "pattern")
-            pa = ctx.p0
+            x[ctx.pats.index(ctx.p0)] |= comp
         elif len(cands) == 1:
-            pa = cands[0]
+            x[cands[0]] |= comp
         else:
             raise errors.ValidationError(
                 f"component has {len(cands)} surrounding patterns")
-        x_p[pa] |= comp
-    xp_p = {}
-    for p in ctx.pats:
-        core = reg.t_p[p] - reg.s_p[p]
-        widened = lat_mod.plus_(lat, core) \
-            | lat_mod.n_t(lat, lat_mod.plus_(lat, core), lat.degree)
-        xp_p[p] = frozenset(widened & b)
-    return Atlas(ctx=ctx,
-                 x_p={p: frozenset(s) for p, s in x_p.items()},
-                 xp_p=xp_p, b=b)
+    grown = lat_mod.plus_m(lat, reg.t_p & ~reg.s_p)
+    xp = (grown | lat_mod.n_t_m(lat, grown, lat.degree)) & b
+    return Atlas(ctx=ctx, x_p=dict(zip(ctx.pats, map(lat_mod.sites, x))),
+                 xp_p=dict(zip(ctx.pats, map(lat_mod.sites, xp))),
+                 b=lat_mod.sites(b))
 
 
 # ---------------------------------------------------------------------------
@@ -207,113 +206,75 @@ def verify_breakup(system: SpinSystem, lat, f, p0: Pattern, atlas: Atlas,
                    V=None) -> dict:
     """Check the defining and derived properties of an atlas against the
     configuration.  Returns a report with per-property status and failure
-    witnesses."""
-    if V is None:
-        V = lat.interior
-    ctx = atlas.ctx
+    witnesses: the first five in site order (then neighbor slot, pattern
+    and kind), or for the last property the first three sites of the
+    first three components."""
+    ctx = BreakupContext(system, lat, f, p0)
+    pats = ctx.pats
+    x, xp = atlas.masks()
+    V = lat_mod.mask(lat, lat.interior if V is None else V)
     report = {}
 
     def put(name, ok, witness=None):
         report[name] = {"holds": ok, "witness": witness}
 
+    def put_sites(name, bad, *labels):
+        """bad: patterns by sites, then one axis per further label; each
+        witness is a site, its pattern and its further labels."""
+        hits = np.argwhere(np.swapaxes(bad, 0, 1))[:5].tolist()
+        put(name, not hits, [(h[0], *(lab[i] for lab, i in
+                                      zip((pats, *labels), h[1:])))
+                             for h in hits])
+
     # exterior belongs to the reference chart
-    bad = [v for v in lat.halo if v not in atlas.x_p[ctx.p0]]
-    put("exterior_in_reference_chart", not bad, bad[:5])
+    bad = np.flatnonzero(lat_mod.halo_m(lat)
+                         & ~x[pats.index(ctx.p0)])[:5].tolist()
+    put("exterior_in_reference_chart", not bad, bad)
 
     # charts are nested and regular
-    bad = []
-    for p in ctx.pats:
-        if not atlas.xp_p[p] <= atlas.x_p[p]:
-            bad.append(p)
-    put("defect_inside_chart", not bad)
-    bad = []
-    for p in ctx.pats:
-        # charts expand from their interior-side parity; their inner
-        # boundary sits on the boundary-side parity
-        base = 1 if ctx.aligned[p] else 0
-        if not lat_mod.is_regular(lat, atlas.x_p[p], base):
-            bad.append(("x", p))
-        if not lat_mod.is_regular(lat, atlas.xp_p[p], base):
-            bad.append(("x'", p))
+    put("defect_inside_chart", not (xp & ~x).any())
+    # charts expand from their interior-side parity; their inner boundary
+    # sits on the boundary-side parity
+    bad = [(name, p) for k, p in enumerate(pats)
+           for name, m in (("x", x[k]), ("x'", xp[k]))
+           if not lat_mod.is_regular_m(lat, m, 1 if ctx.aligned[p] else 0)]
     put("charts_regular", not bad, bad[:5])
 
-    x_star = atlas.x_star()
-    x5 = lat_mod.plus_r(lat, x_star, 5)
+    x5 = lat_mod.plus_r_m(lat, _star(lat, x, xp), 5)
+    even, odd = ctx.even, lat_mod.not_m(ctx.even)
+    val_b = ctx.values_m(ctx.bdry)
+    nb_b = ctx.nbhd_in_m(ctx.bdry)
 
     # membership near the defect set determined by the local configuration
-    bad_odd, bad_even = [], []
-    for v in x5:
-        for p in ctx.pats:
-            if not ctx.p_even(p, v):
-                lhs = v in atlas.x_p[p]
-                rhs = ctx.neighborhood_in(v, ctx.bdry[p])
-                if lhs != rhs:
-                    bad_odd.append((v, p))
-            else:
-                lhs = v in atlas.xp_p[p]
-                rhs = any(u in atlas.x_p[p] and not ctx.in_p_pattern(p, u)
-                          for u in lat.neighbors[v])
-                if lhs != rhs:
-                    bad_even.append((v, p))
-    put("interior_side_membership", not bad_odd, bad_odd[:5])
-    put("boundary_side_membership", not bad_even, bad_even[:5])
+    put_sites("interior_side_membership", x5 & odd & (x != nb_b))
+    put_sites("boundary_side_membership", x5 & even & (
+        xp != lat_mod.nbhd_m(lat, x & ~ctx.pattern_m())))
 
     # derived consequences
-    bad = []
-    for v in x5:
-        for p in ctx.pats:
-            if ctx.p_even(p, v) and v in atlas.x_p[p]:
-                if not ctx.bdry[p] >> ctx.f[v] & 1:
-                    bad.append((v, p))
-    put("chart_boundary_values", not bad, bad[:5])
+    put_sites("chart_boundary_values", x5 & even & x & ~val_b)
+    put_sites("chart_interior_values",
+              x5 & odd & x & ~xp & ~ctx.values_m(ctx.int_))
+    put_sites("uncharted_not_locally_ordered",
+              _partition(x, xp)[0] & odd & nb_b)
 
-    bad = []
-    for v in x5:
-        for p in ctx.pats:
-            if not ctx.p_even(p, v) and v in atlas.x_p[p] \
-                    and v not in atlas.xp_p[p]:
-                if not ctx.int_[p] >> ctx.f[v] & 1:
-                    bad.append((v, p))
-    put("chart_interior_values", not bad, bad[:5])
+    # stored edges (u, v) leaving a chart, by pattern, slot and u
+    leaves = x[:, None, :] & ~x[:, lat.adj] & (lat.adj < lat.n)
+    bad = np.stack([leaves & (even & ~val_b)[:, None, :],
+                    leaves & (odd & nb_b)[:, lat.adj]], axis=-1)
+    hits = np.argwhere(bad.transpose(2, 1, 0, 3))[:5].tolist()
+    put("chart_edge_boundary", not hits,
+        [(u, int(lat.adj[j, u]), pats[k], ("side", "nbhd")[t])
+         for u, j, k, t in hits])
 
-    none, _, _ = _partition(lat, atlas.x_p, atlas.xp_p)
-    bad = []
-    for v in none:
-        for p in ctx.pats:
-            if not ctx.p_even(p, v) and ctx.neighborhood_in(v, ctx.bdry[p]):
-                bad.append((v, p))
-    put("uncharted_not_locally_ordered", not bad, bad[:5])
-
-    bad = []
-    for p in ctx.pats:
-        for (u, v) in lat_mod.directed_edge_boundary(lat, atlas.x_p[p]):
-            if not ctx.bdry[p] >> ctx.f[u] & 1 and ctx.p_even(p, u):
-                bad.append((u, v, p, "side"))
-            if not ctx.p_even(p, v) \
-                    and ctx.neighborhood_in(v, ctx.bdry[p]):
-                bad.append((u, v, p, "nbhd"))
-    put("chart_edge_boundary", not bad, bad[:5])
-
-    bad = []
-    for p in ctx.pats:
-        for u in atlas.xp_p[p]:
-            if not ctx.p_even(p, u):
-                continue
-            if not ctx.bdry[p] >> ctx.f[u] & 1:
-                bad.append((u, p, "value"))
-            if ctx.neighborhood_in(u, ctx.int_[p]):
-                bad.append((u, p, "nbhd"))
-    put("defect_core_values", not bad, bad[:5])
+    put_sites("defect_core_values", np.stack(
+        [xp & even & ~val_b, xp & even & ctx.nbhd_in_m(ctx.int_)],
+        axis=-1), ("value", "nbhd"))
 
     # the defect set is seen from V
-    bad = []
-    for comp in lat_mod.components(lat, x5):
-        if comp & lat.halo:
-            continue
-        if not any(not lat_mod.connected_to_infinity(lat, comp, v)
-                   for v in V):
-            bad.append(sorted(comp)[:3])
-    put("defect_seen_from_viewpoints", not bad, bad[:3])
+    blind = x5 & ~lat_mod.separating_m(lat, x5, V)
+    bad = [np.flatnonzero(c)[:3].tolist()
+           for c in lat_mod.components_m(lat, blind)[:3]]
+    put("defect_seen_from_viewpoints", not bad, bad)
 
     report["pass"] = all(r["holds"] for k, r in report.items()
                          if isinstance(r, dict))

@@ -167,7 +167,12 @@ def _lattice_site(lat, text):
     return lat.index[coord]
 
 
-def _load_config(lat, system, path):
+def _site_names(lat):
+    """The "x,y" name of every site, in site order."""
+    return [",".join(map(str, c)) for c in lat.coords]
+
+
+def _load_config(lat, system, path, names):
     try:
         with open(path) as fh:
             raw = json.load(fh)
@@ -179,8 +184,11 @@ def _load_config(lat, system, path):
     if not isinstance(values, dict):
         raise errors.SchemaError('config file needs {"values": {...}}')
     f = [None] * lat.n
+    where = dict(zip(names, range(lat.n)))
     for key, label in values.items():
-        v = _lattice_site(lat, key)
+        v = where.get(key)
+        if v is None:
+            v = _lattice_site(lat, key)
         try:
             f[v] = system.states.index(label)
         except ValueError:
@@ -192,8 +200,8 @@ def _load_config(lat, system, path):
     return f
 
 
-def _coords_of(lat, vset):
-    return sorted(",".join(str(x) for x in lat.coords[v]) for v in vset)
+def _coords_of(names, vset):
+    return sorted(names[v] for v in vset)
 
 
 @click.group()
@@ -384,17 +392,18 @@ def cmd_breakup(system_path, lattice_spec, config_path, pattern_text,
     system = load_system(system_path)
     lat = lat_mod.parse_lattice(lattice_spec)
     pat = _parse_pattern(system, pattern_text)
-    f = _load_config(lat, system, config_path)
+    names = _site_names(lat)
+    f = _load_config(lat, system, config_path, names)
     V = frozenset(_lattice_site(lat, part) for part in seen_from.split(";"))
     atlas = breakup_mod.construct_breakup(system, lat, f, pat, V)
     report = breakup_mod.verify_breakup(system, lat, f, pat, atlas, V)
     payload = {
         "charts": {
             f"A={system.labels(p.a)};B={system.labels(p.b)}": {
-                "X": _coords_of(lat, atlas.x_p[p]),
-                "X_defect": _coords_of(lat, atlas.xp_p[p]),
+                "X": _coords_of(names, atlas.x_p[p]),
+                "X_defect": _coords_of(names, atlas.xp_p[p]),
             } for p in atlas.ctx.pats},
-        "X_star": _coords_of(lat, atlas.x_star()),
+        "X_star": _coords_of(names, atlas.x_star()),
         "stats": atlas.stats(),
         "verify": {k: (v if not isinstance(v, dict)
                        else {"holds": v["holds"]})
@@ -480,22 +489,26 @@ def cmd_transform(system_path, op, multipliers, d, system2, out):
     _emit(payload, out)
 
 
+def _refuse(name, detail):
+    click.echo(json.dumps({"error": name, "detail": detail}), err=True)
+
+
 def main(argv=None):
     try:
         cli.main(args=argv, standalone_mode=False)
         return 0
     except click.ClickException as e:
-        e.show()
+        # usage errors caught by click itself: no or an unknown subcommand,
+        # an unknown option, a missing required option, a mistyped value
+        _refuse("SchemaError", e.format_message())
         return 2
     except click.exceptions.Abort:
         return 2
     except errors.ResourceGuard as e:
-        click.echo(json.dumps({"error": type(e).__name__, "detail": str(e)}),
-                   err=True)
+        _refuse(type(e).__name__, str(e))
         return 3
     except errors.SpinLabError as e:
-        click.echo(json.dumps({"error": type(e).__name__, "detail": str(e)}),
-                   err=True)
+        _refuse(type(e).__name__, str(e))
         return 2
 
 

@@ -7,12 +7,19 @@ region are treated as present in the ambient lattice: boundary and degree
 computations account for them, and a virtual "infinity" vertex adjacent to
 every halo site stands in for the unbounded exterior component.  Tori have
 no exterior; operations that mention infinity raise on them.
+
+Set operations work on site masks: boolean arrays of length n + 1 whose
+last slot, the sentinel that ``nbr`` holds for a missing ambient neighbor,
+is always False.  The ``*_m`` functions take and return masks; the
+functions of the same name without the suffix take any iterable of sites,
+return frozensets, and convert at the boundary.
 """
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass, field
+
+import numpy as np
 
 from . import errors
 
@@ -26,6 +33,13 @@ class Lattice:
     neighbors: list = field(default_factory=list)
     interior: frozenset = frozenset()
     halo: frozenset = frozenset()
+    # (n, 2d) neighbor table, axis by axis, -1 step before +1; the sentinel
+    # n marks an ambient neighbor that is not stored
+    nbr: np.ndarray = field(default=None, compare=False, repr=False)
+    # the same table by neighbor slot, (2d, n + 1), with a column of
+    # sentinels for the sentinel itself; nbr is a view of it
+    adj: np.ndarray = field(default=None, compare=False, repr=False)
+    par: np.ndarray = field(default=None, compare=False, repr=False)
 
     @property
     def d(self):
@@ -40,7 +54,7 @@ class Lattice:
         return 2 * self.d
 
     def parity(self, v) -> int:
-        return sum(self.coords[v]) % 2
+        return int(self.par[v])
 
     def all_sites(self):
         return frozenset(range(self.n))
@@ -54,37 +68,63 @@ class Lattice:
 
 
 def make_box(dims) -> Lattice:
-    lat = Lattice(kind="box", dims=tuple(dims))
-    interior = list(itertools.product(*[range(n) for n in dims]))
-    halo = []
-    for c in interior:
-        for axis in range(len(dims)):
-            for delta in (-1, 1):
-                h = list(c)
-                h[axis] += delta
-                h = tuple(h)
-                if not _in_range(h, dims) and h not in lat.index:
-                    lat.index[h] = -1  # placeholder, dedupe
-                    halo.append(h)
-    lat.index.clear()
-    lat.coords = interior + halo
-    lat.index = {c: i for i, c in enumerate(lat.coords)}
-    lat.interior = frozenset(range(len(interior)))
-    lat.halo = frozenset(range(len(interior), len(lat.coords)))
-    lat.neighbors = _build_neighbors(lat)
-    return lat
+    """Interior sites in lexicographic order, then each halo site in the
+    order of its interior neighbor, axis and step."""
+    dims = tuple(dims)
+    d = len(dims)
+    inner = np.indices(dims).reshape(d, -1).T
+    rank = np.arange(len(inner))
+    halo, keys = [], []
+    for axis in range(d):
+        for k, (delta, edge) in enumerate(((-1, 0), (1, dims[axis] - 1))):
+            sel = inner[:, axis] == edge
+            h = inner[sel]
+            h[:, axis] += delta
+            halo.append(h)
+            keys.append(rank[sel] * 2 * d + 2 * axis + k)
+    halo = np.concatenate(halo)[np.argsort(np.concatenate(keys))]
+    lat = Lattice(kind="box", dims=dims,
+                  interior=frozenset(range(len(inner))),
+                  halo=frozenset(range(len(inner), len(inner) + len(halo))))
+    return _tables(lat, np.concatenate([inner, halo]))
 
 
 def make_torus(dims) -> Lattice:
     if any(n < 2 or n % 2 for n in dims):
         raise errors.ParamOutOfRange(
             "torus sides must be even (parity must 2-color the graph)")
-    lat = Lattice(kind="torus", dims=tuple(dims))
-    lat.coords = list(itertools.product(*[range(n) for n in dims]))
-    lat.index = {c: i for i, c in enumerate(lat.coords)}
-    lat.interior = frozenset(range(len(lat.coords)))
-    lat.halo = frozenset()
-    lat.neighbors = _build_neighbors(lat)
+    dims = tuple(dims)
+    coords = np.indices(dims).reshape(len(dims), -1).T
+    lat = Lattice(kind="torus", dims=dims,
+                  interior=frozenset(range(len(coords))))
+    return _tables(lat, coords)
+
+
+def _tables(lat, coords):
+    """Site order is the row order of coords.  Neighbors are looked up on a
+    grid of site indices, padded by two on a box so that every stored
+    site's steps stay on it."""
+    n, d = coords.shape
+    dims = np.array(lat.dims)
+    torus = lat.kind == "torus"
+    pos = coords if torus else coords + 2
+    grid = np.full(dims if torus else dims + 4, n, dtype=np.intp)
+    grid[tuple(pos.T)] = np.arange(n)
+    lat.adj = np.full((2 * d, n + 1), n, dtype=np.intp)
+    for axis in range(d):
+        for k, delta in enumerate((-1, 1)):
+            step = pos.copy()
+            step[:, axis] += delta
+            if torus:
+                step[:, axis] %= dims[axis]
+            lat.adj[2 * axis + k, :n] = grid[tuple(step.T)]
+    lat.nbr = lat.adj[:, :n].T
+    lat.par = (coords.sum(axis=1) % 2).astype(np.int8)
+    lat.coords = list(map(tuple, coords.tolist()))
+    lat.index = dict(zip(lat.coords, range(n)))
+    full = (lat.nbr < n).all(axis=1).tolist()
+    lat.neighbors = [tuple(row) if ok else tuple(w for w in row if w != n)
+                     for row, ok in zip(lat.nbr.tolist(), full)]
     return lat
 
 
@@ -112,135 +152,129 @@ def parse_lattice(spec: str) -> Lattice:
     raise errors.SchemaError(f"unknown lattice kind {kind!r}")
 
 
-def _in_range(c, dims):
-    return all(0 <= x < n for x, n in zip(c, dims))
+# ---------------------------------------------------------------------------
+# site masks; the *_m operations also take a stack of masks, one per row
+
+def mask(lat: Lattice, U) -> np.ndarray:
+    m = np.zeros(lat.n + 1, dtype=bool)
+    m[np.fromiter(U, dtype=np.intp)] = True
+    return m
 
 
-def _build_neighbors(lat):
-    nbrs = []
-    for c in lat.coords:
-        cur = []
-        for axis in range(lat.d):
-            for delta in (-1, 1):
-                h = list(c)
-                if lat.kind == "torus":
-                    h[axis] = (h[axis] + delta) % lat.dims[axis]
-                else:
-                    h[axis] += delta
-                h = tuple(h)
-                j = lat.index.get(h)
-                if j is not None:
-                    cur.append(j)
-        nbrs.append(tuple(cur))
-    return nbrs
+def sites(m) -> frozenset:
+    return frozenset(np.flatnonzero(m).tolist())
+
+
+def not_m(m) -> np.ndarray:
+    out = ~m
+    out[..., -1] = False
+    return out
+
+
+def halo_m(lat: Lattice) -> np.ndarray:
+    m = np.zeros(lat.n + 1, dtype=bool)
+    m[len(lat.interior):lat.n] = True
+    return m
 
 
 # ---------------------------------------------------------------------------
 # set operations (all over stored vertices; missing ambient neighbors of halo
 # sites count as outside every stored set)
 
-def nbhd(lat: Lattice, U) -> frozenset:
-    out = set()
-    for v in U:
-        out.update(lat.neighbors[v])
-    return frozenset(out)
+def nbhd_m(lat: Lattice, m) -> np.ndarray:
+    return m[..., lat.adj].any(axis=-2)
 
 
-def outer_boundary(lat: Lattice, U) -> frozenset:
-    U = frozenset(U)
-    return nbhd(lat, U) - U
+def outer_m(lat: Lattice, m) -> np.ndarray:
+    return nbhd_m(lat, m) & ~m
 
 
-def inner_boundary(lat: Lattice, U) -> frozenset:
-    """Vertices of U with an ambient neighbor outside U."""
-    U = frozenset(U)
-    out = set()
-    for v in U:
-        nb = lat.neighbors[v]
-        if len(nb) < lat.degree or any(w not in U for w in nb):
-            out.add(v)
-    return frozenset(out)
+def inner_m(lat: Lattice, m) -> np.ndarray:
+    """Sites of m with an ambient neighbor outside m."""
+    return m & ~m[..., lat.adj].all(axis=-2)
 
 
-def closed_boundary(lat: Lattice, U) -> frozenset:
-    return inner_boundary(lat, U) | outer_boundary(lat, U)
+def closed_boundary_m(lat: Lattice, m) -> np.ndarray:
+    return inner_m(lat, m) | outer_m(lat, m)
 
 
-def plus_(lat: Lattice, U) -> frozenset:
-    U = frozenset(U)
-    return U | nbhd(lat, U)
+def plus_m(lat: Lattice, m) -> np.ndarray:
+    return m | nbhd_m(lat, m)
 
 
-def plus_r(lat: Lattice, U, r: int) -> frozenset:
-    U = frozenset(U)
+def plus_r_m(lat: Lattice, m, r: int) -> np.ndarray:
     for _ in range(r):
-        U = plus_(lat, U)
-    return U
+        m = plus_m(lat, m)
+    return m
 
 
-def n_t(lat: Lattice, U, t: int) -> frozenset:
-    """Stored vertices with at least t neighbors in U."""
-    U = frozenset(U)
-    return frozenset(v for v in range(lat.n)
-                     if sum(1 for w in lat.neighbors[v] if w in U) >= t)
+def n_t_m(lat: Lattice, m, t: int) -> np.ndarray:
+    """Stored vertices with at least t neighbors in m."""
+    out = m[..., lat.adj].sum(axis=-2) >= t
+    out[..., -1] = False
+    return out
+
+
+def is_regular_m(lat: Lattice, m, base_parity: int = 0) -> bool:
+    """m is the expansion of its base-parity part, and likewise for the
+    complement and its opposite-parity part (ambient exterior counts toward
+    the complement)."""
+    base = np.append(lat.par == base_parity, False)
+    if not np.array_equal(m, plus_m(lat, m & base)):
+        return False
+    comp = not_m(m)
+    full = (lat.adj < lat.n).all(axis=0)
+    lonely = comp & base & full & ~nbhd_m(lat, comp & ~base)
+    return not lonely.any()
+
+
+def _on_sites(op):
+    """The frozenset-facing form of a mask operation: any iterable of sites
+    in, a frozenset out."""
+    def on_sites(lat: Lattice, U, *args) -> frozenset:
+        return sites(op(lat, mask(lat, U), *args))
+    on_sites.__doc__ = op.__doc__
+    return on_sites
+
+
+nbhd = _on_sites(nbhd_m)
+outer_boundary = _on_sites(outer_m)
+inner_boundary = _on_sites(inner_m)
+closed_boundary = _on_sites(closed_boundary_m)
+plus_ = _on_sites(plus_m)
+plus_r = _on_sites(plus_r_m)
+n_t = _on_sites(n_t_m)
+
+
+def is_regular(lat: Lattice, U, base_parity: int = 0) -> bool:
+    return is_regular_m(lat, mask(lat, U), base_parity)
 
 
 def edge_boundary_size(lat: Lattice, U) -> int:
     """Number of ambient edges leaving U (halo deficits included)."""
-    U = frozenset(U)
-    total = 0
-    for v in U:
-        nb = lat.neighbors[v]
-        total += lat.degree - len(nb)
-        total += sum(1 for w in nb if w not in U)
-    return total
+    m = mask(lat, U)
+    return int((~m[lat.adj[:, m]]).sum())
 
 
 def directed_edge_boundary(lat: Lattice, U):
-    """Stored pairs (u, v) with u in U, v adjacent and outside U."""
-    U = frozenset(U)
-    out = []
-    for u in U:
-        for v in lat.neighbors[u]:
-            if v not in U:
-                out.append((u, v))
-    return out
+    """Stored pairs (u, v) with u in U, v adjacent and outside U, in the
+    order of u and then of the neighbor slot."""
+    m = mask(lat, U)
+    u, j = np.nonzero((m & ~m[lat.adj] & (lat.adj < lat.n)).T)
+    return list(zip(u.tolist(), lat.adj[j, u].tolist()))
 
 
 def is_odd_set(lat: Lattice, U) -> bool:
-    return all(lat.parity(v) == 1 for v in inner_boundary(lat, U))
-
-
-def is_regular(lat: Lattice, U, base_parity: int = 0) -> bool:
-    """U is the expansion of its base-parity part, and likewise for the
-    complement and its opposite-parity part (ambient exterior counts toward
-    the complement)."""
-    U = frozenset(U)
-    core = frozenset(v for v in U if lat.parity(v) == base_parity)
-    if U != plus_(lat, core):
-        return False
-    comp = lat.all_sites() - U
-    for v in comp:
-        if lat.parity(v) != base_parity:
-            continue
-        nb = lat.neighbors[v]
-        if len(nb) < lat.degree:
-            continue  # has an exterior neighbor in the ambient lattice
-        if not any(w in comp and lat.parity(w) != base_parity for w in nb):
-            return False
-    return True
+    inner = inner_m(lat, mask(lat, U))[:-1]
+    return not (inner & (lat.par == 0)).any()
 
 
 def odd_set_identity(lat: Lattice, U):
     """Returns (|edge boundary| / 2d, |Odd cap U| - |Even cap U|)."""
     U = frozenset(U)
-    if lat.kind == "torus":
-        for comp in components(lat, U):
-            vs = list(comp)
-            dmax = max((lat.dist(a, b) for a in vs for b in vs), default=0)
-            if dmax >= min(lat.dims):
-                raise errors.WrappingSet(
-                    "identity only checked for non-wrapping sets")
+    if lat.kind == "torus" and any(_diameter(lat, comp) >= min(lat.dims)
+                                   for comp in components(lat, U)):
+        raise errors.WrappingSet("identity only checked for non-wrapping sets")
     lhs = edge_boundary_size(lat, U) / lat.degree
     rhs = sum(1 for v in U if lat.parity(v) == 1) \
         - sum(1 for v in U if lat.parity(v) == 0)
@@ -250,24 +284,41 @@ def odd_set_identity(lat: Lattice, U):
 # ---------------------------------------------------------------------------
 # connectivity
 
+def labels_m(lat: Lattice, m, r: int = 1) -> np.ndarray:
+    """Component labels of m, adjacency = graph distance at most r: each
+    site of m gets the smallest site of its component, every other slot
+    the sentinel n.  FastSV (Zhang, Azad and Hu, 2020): every parent is
+    hooked onto the smallest grandparent within r of one of its children,
+    every site onto the smallest grandparent within r of it, and paths
+    are halved, until the grandparents stop changing."""
+    n = lat.n
+    idx = np.flatnonzero(m)
+    parent = np.where(m, np.arange(n + 1), n)
+    grand = parent.copy()
+    while True:
+        low = grand
+        for _ in range(r):
+            low = np.minimum(low, low[lat.adj].min(axis=0))
+        low = low[idx]
+        np.minimum.at(parent, parent[idx], low)
+        parent[idx] = np.minimum(parent[idx], low)
+        parent = np.minimum(parent, grand)
+        nxt = parent[parent]
+        if np.array_equal(nxt, grand):
+            return parent
+        grand = nxt
+
+
+def components_m(lat: Lattice, m, r: int = 1) -> list:
+    """Component masks of m, in the order of their smallest sites."""
+    lab = labels_m(lat, m, r)
+    return [lab == c for c in np.unique(lab[m])]
+
+
 def components(lat: Lattice, U, r: int = 1) -> list:
-    """Connected components of U, adjacency = graph distance at most r."""
-    U = set(U)
-    out = []
-    while U:
-        start = U.pop()
-        comp = {start}
-        stack = [start]
-        while stack:
-            v = stack.pop()
-            near = plus_r(lat, {v}, r) if r > 1 else lat.neighbors[v]
-            for w in near:
-                if w in U:
-                    U.remove(w)
-                    comp.add(w)
-                    stack.append(w)
-        out.append(frozenset(comp))
-    return out
+    """Connected components of U, adjacency = graph distance at most r, in
+    the order of their smallest sites."""
+    return [sites(c) for c in components_m(lat, mask(lat, U), r)]
 
 
 def _require_infinity(lat):
@@ -276,78 +327,63 @@ def _require_infinity(lat):
             "operation needs an unbounded exterior")
 
 
+def exterior_m(lat: Lattice, free) -> np.ndarray:
+    """Sites of free joined to the exterior through sites of free; halo
+    sites are adjacent to the exterior."""
+    lab = labels_m(lat, free)
+    hit = np.zeros(lat.n + 1, dtype=bool)
+    hit[lab[free & halo_m(lat)]] = True
+    hit[-1] = False
+    return hit[lab]
+
+
 def connected_to_infinity(lat: Lattice, blocked, v) -> bool:
     """Is v joined to the exterior through stored vertices avoiding blocked?
     Halo vertices are adjacent to the exterior."""
     _require_infinity(lat)
-    blocked = frozenset(blocked)
-    if v in blocked:
-        return False
-    seen = {v}
-    stack = [v]
-    while stack:
-        u = stack.pop()
-        if u in lat.halo:
-            return True
-        for w in lat.neighbors[u]:
-            if w not in seen and w not in blocked:
-                seen.add(w)
-                stack.append(w)
-    return False
+    return bool(exterior_m(lat, not_m(mask(lat, blocked)))[v])
 
 
 def co_connected_closure(lat: Lattice, U, v) -> frozenset:
     """Complement of the connected component of the complement of U that
     contains v; all stored vertices if v is in U.  The exterior is one
     vertex adjacent to every halo site."""
-    U = frozenset(U)
-    if v in U:
+    free = not_m(mask(lat, U))
+    if not free[v]:
         return lat.all_sites()
-    ext = -1
-    seen = {v}
-    stack = [v]
-    while stack:
-        u = stack.pop()
-        near = lat.halo if u == ext else lat.neighbors[u]
-        if u in lat.halo:
-            near = (*near, ext)
-        for w in near:
-            if w not in U and w not in seen:
-                seen.add(w)
-                stack.append(w)
-    return lat.all_sites() - seen
+    lab = labels_m(lat, free)
+    outside = lab[free & halo_m(lat)]
+    return sites(not_m(np.isin(lab, outside if lab[v] in outside
+                               else lab[v])))
+
+
+def separating_m(lat: Lattice, B, V) -> np.ndarray:
+    """Union of the components of B that either touch the exterior or cut
+    some site of V off from it: one flood from the exterior around each
+    component that does not touch it."""
+    _require_infinity(lat)
+    halo = halo_m(lat)
+    keep = np.zeros(lat.n + 1, dtype=bool)
+    for comp in components_m(lat, B):
+        if (comp & halo).any() \
+                or not exterior_m(lat, not_m(comp))[V].all():
+            keep |= comp
+    return keep
 
 
 def separating_components(lat: Lattice, B, V) -> frozenset:
     """Union of the components of B that either touch the exterior or cut
     some vertex of V off from it."""
-    _require_infinity(lat)
-    B = frozenset(B)
-    V = frozenset(V)
-    keep = set()
-    for comp in components(lat, B):
-        if comp & lat.halo:
-            keep.update(comp)
-            continue
-        for v in V:
-            if not connected_to_infinity(lat, comp, v):
-                keep.update(comp)
-                break
-    return frozenset(keep)
+    return sites(separating_m(lat, mask(lat, B), mask(lat, V)))
+
+
+def _diameter(lat: Lattice, comp) -> int:
+    return max((lat.dist(a, b) for a in comp for b in comp), default=0)
 
 
 def diam_star(lat: Lattice, U) -> int:
     """Sum of component diameters plus twice the component count."""
-    comps = components(lat, U)
-    total = 2 * len(comps)
-    for comp in comps:
-        vs = list(comp)
-        dmax = 0
-        for i in range(len(vs)):
-            for j in range(i + 1, len(vs)):
-                dmax = max(dmax, lat.dist(vs[i], vs[j]))
-        total += dmax
-    return total
+    return sum(2 + _diameter(lat, comp) for comp in components(lat, U))
 
 
 def random_odd_set(lat: Lattice, rng, density=0.3) -> frozenset:

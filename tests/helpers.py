@@ -222,3 +222,264 @@ def build_tables_reference(system, d, class_masks):
                 k //= base
             tables[ci, key] = np.cumsum(wgt)
     return tables
+
+
+# ---------------------------------------------------------------------------
+# lattices and breakups, as the loops and frozenset operations built them
+# before the neighbor table and the site masks
+
+def lattice_reference(kind, dims):
+    """coords, index, neighbors, interior, halo and parities of a box (with
+    its halo) or a torus, from one loop over the sites each."""
+    interior = list(itertools.product(*[range(n) for n in dims]))
+    halo = []
+    if kind == "box":
+        seen = set()
+        for c in interior:
+            for axis in range(len(dims)):
+                for delta in (-1, 1):
+                    h = list(c)
+                    h[axis] += delta
+                    h = tuple(h)
+                    if not all(0 <= x < n for x, n in zip(h, dims)) \
+                            and h not in seen:
+                        seen.add(h)
+                        halo.append(h)
+    coords = interior + halo
+    index = {c: i for i, c in enumerate(coords)}
+    neighbors = []
+    for c in coords:
+        cur = []
+        for axis in range(len(dims)):
+            for delta in (-1, 1):
+                h = list(c)
+                if kind == "torus":
+                    h[axis] = (h[axis] + delta) % dims[axis]
+                else:
+                    h[axis] += delta
+                j = index.get(tuple(h))
+                if j is not None:
+                    cur.append(j)
+        neighbors.append(tuple(cur))
+    return {"coords": coords, "index": index, "neighbors": neighbors,
+            "interior": frozenset(range(len(interior))),
+            "halo": frozenset(range(len(interior), len(coords))),
+            "parity": [sum(c) % 2 for c in coords]}
+
+
+def ref_plus(lat, U):
+    out = set(U)
+    for v in U:
+        out.update(lat.neighbors[v])
+    return frozenset(out)
+
+
+def ref_plus_r(lat, U, r):
+    U = frozenset(U)
+    for _ in range(r):
+        U = ref_plus(lat, U)
+    return U
+
+
+def ref_closed_boundary(lat, U):
+    U = frozenset(U)
+    inner = {v for v in U if len(lat.neighbors[v]) < lat.degree
+             or any(w not in U for w in lat.neighbors[v])}
+    return frozenset(inner) | (ref_plus(lat, U) - U)
+
+
+def ref_n_t(lat, U, t):
+    return frozenset(v for v in range(lat.n)
+                     if sum(1 for w in lat.neighbors[v] if w in U) >= t)
+
+
+def ref_is_regular(lat, U, base_parity=0):
+    U = frozenset(U)
+    core = frozenset(v for v in U if lat.parity(v) == base_parity)
+    if U != ref_plus(lat, core):
+        return False
+    comp = lat.all_sites() - U
+    for v in comp:
+        nb = lat.neighbors[v]
+        if lat.parity(v) != base_parity or len(nb) < lat.degree:
+            continue
+        if not any(w in comp and lat.parity(w) != base_parity for w in nb):
+            return False
+    return True
+
+
+def ref_components(lat, U):
+    U = set(U)
+    out = []
+    while U:
+        start = min(U)
+        U.remove(start)
+        comp, stack = {start}, [start]
+        while stack:
+            for w in lat.neighbors[stack.pop()]:
+                if w in U:
+                    U.remove(w)
+                    comp.add(w)
+                    stack.append(w)
+        out.append(frozenset(comp))
+    return out
+
+
+def ref_connected_to_infinity(lat, blocked, v):
+    if v in blocked:
+        return False
+    seen, stack = {v}, [v]
+    while stack:
+        u = stack.pop()
+        if u in lat.halo:
+            return True
+        for w in lat.neighbors[u]:
+            if w not in seen and w not in blocked:
+                seen.add(w)
+                stack.append(w)
+    return False
+
+
+def ref_separating_components(lat, B, V):
+    keep = set()
+    for comp in ref_components(lat, B):
+        if comp & lat.halo or any(
+                not ref_connected_to_infinity(lat, comp, v) for v in V):
+            keep |= comp
+    return frozenset(keep)
+
+
+class RefBreakup:
+    """The breakup of a configuration: context, regions, atlas, L/M/N and
+    the verification report, one site and one pattern at a time."""
+
+    def __init__(self, system, lat, f, p0):
+        from spinlab import patterns
+        self.system, self.lat, self.f, self.p0 = system, lat, f, p0
+        self.pats = list(patterns.structure(system).dominant)
+        self.aligned = {p: patterns.find_equivalence(
+            system, p0, p, direct=True) is not None for p in self.pats}
+        self.bdry = {p: (p.a if self.aligned[p] else p.b) for p in self.pats}
+        self.int_ = {p: (p.b if self.aligned[p] else p.a) for p in self.pats}
+
+    def p_even(self, p, v):
+        return (self.lat.parity(v) == 0) == self.aligned[p]
+
+    def in_p_pattern(self, p, v):
+        side = self.bdry[p] if self.p_even(p, v) else self.int_[p]
+        return side >> self.f[v] & 1 == 1
+
+    def neighborhood_in(self, v, mask):
+        lat = self.lat
+        if any(not mask >> self.f[u] & 1 for u in lat.neighbors[v]):
+            return False
+        if len(lat.neighbors[v]) == lat.degree:
+            return True
+        virtual = self.p0.a if lat.parity(v) == 1 else self.p0.b
+        return virtual & ~mask == 0
+
+    def partition(self, charts, defects):
+        none = self.lat.all_sites().difference(*charts.values())
+        overlap = set()
+        for x, y in itertools.combinations(charts.values(), 2):
+            overlap |= x & y
+        return none, overlap, frozenset().union(*defects.values())
+
+    def star(self, charts, defects):
+        none, overlap, defect = self.partition(charts, defects)
+        return none.union(overlap, defect, *(
+            ref_closed_boundary(self.lat, x) for x in charts.values()))
+
+    def construct(self, V=None):
+        """(x_p, xp_p, b); raises as construct_breakup does."""
+        from spinlab import errors
+        lat = self.lat
+        V = lat.interior if V is None else V
+        s_p, t_p, z_p = {}, {}, {}
+        zp_p = {}
+        for p in self.pats:
+            s_p[p] = frozenset(v for v in range(lat.n)
+                               if self.in_p_pattern(p, v))
+            t_p[p] = frozenset(v for v in range(lat.n)
+                               if not self.p_even(p, v)
+                               and self.neighborhood_in(v, self.bdry[p]))
+            z_p[p] = ref_plus(lat, t_p[p])
+            zp_p[p] = ref_plus(lat, t_p[p] - s_p[p])
+        z_star = self.star(z_p, zp_p)
+        b = ref_separating_components(lat, ref_plus_r(lat, z_star, 5), V)
+        x_p = {p: set(z_p[p] & b) for p in self.pats}
+        for comp in ref_components(lat, lat.all_sites() - b):
+            ring = ref_plus_r(lat, comp, 5) - comp
+            cands = [p for p in self.pats
+                     if ring <= z_p[p] and not ring & z_star]
+            if comp & lat.halo:
+                if self.p0 not in cands:
+                    raise errors.BoundaryNotInPattern("exterior")
+                x_p[self.p0] |= comp
+            elif len(cands) == 1:
+                x_p[cands[0]] |= comp
+            else:
+                raise errors.ValidationError(f"{len(cands)} patterns")
+        xp_p = {}
+        for p in self.pats:
+            grown = ref_plus(lat, t_p[p] - s_p[p])
+            xp_p[p] = frozenset((grown | ref_n_t(lat, grown, lat.degree))
+                                & b)
+        return {p: frozenset(s) for p, s in x_p.items()}, xp_p, b
+
+    def stats(self, x_p, xp_p):
+        edges = set()
+        for p in self.pats:
+            for u in x_p[p]:
+                for v in self.lat.neighbors[u]:
+                    if v not in x_p[p]:
+                        edges.add((min(u, v), max(u, v)))
+        none, overlap, defect = self.partition(x_p, xp_p)
+        return {"L": len(edges), "M": len(overlap | defect), "N": len(none)}
+
+    def verify_holds(self, x_p, xp_p, V=None):
+        """Property -> holds, for every property verify_breakup checks."""
+        lat, pats = self.lat, self.pats
+        V = lat.interior if V is None else V
+        out = {"exterior_in_reference_chart": lat.halo <= x_p[self.p0],
+               "defect_inside_chart": all(xp_p[p] <= x_p[p] for p in pats),
+               "charts_regular": all(
+                   ref_is_regular(lat, s[p], 1 if self.aligned[p] else 0)
+                   for p in pats for s in (x_p, xp_p))}
+        x5 = ref_plus_r(lat, self.star(x_p, xp_p), 5)
+        nb_b = {p: {v: self.neighborhood_in(v, self.bdry[p])
+                    for v in range(lat.n)} for p in pats}
+        odd_ok = even_ok = bval = ival = True
+        for v in x5:
+            for p in pats:
+                if not self.p_even(p, v):
+                    odd_ok &= (v in x_p[p]) == nb_b[p][v]
+                    if v in x_p[p] and v not in xp_p[p]:
+                        ival &= bool(self.int_[p] >> self.f[v] & 1)
+                else:
+                    even_ok &= (v in xp_p[p]) == any(
+                        u in x_p[p] and not self.in_p_pattern(p, u)
+                        for u in lat.neighbors[v])
+                    if v in x_p[p]:
+                        bval &= bool(self.bdry[p] >> self.f[v] & 1)
+        out.update(interior_side_membership=odd_ok,
+                   boundary_side_membership=even_ok,
+                   chart_boundary_values=bval, chart_interior_values=ival)
+        none = self.partition(x_p, xp_p)[0]
+        out["uncharted_not_locally_ordered"] = not any(
+            not self.p_even(p, v) and nb_b[p][v] for v in none for p in pats)
+        out["chart_edge_boundary"] = not any(
+            (self.p_even(p, u) and not self.bdry[p] >> self.f[u] & 1)
+            or (not self.p_even(p, v) and nb_b[p][v])
+            for p in pats for u in x_p[p] for v in lat.neighbors[u]
+            if v not in x_p[p])
+        out["defect_core_values"] = not any(
+            self.p_even(p, u) and (not self.bdry[p] >> self.f[u] & 1
+                                   or self.neighborhood_in(u, self.int_[p]))
+            for p in pats for u in xp_p[p])
+        out["defect_seen_from_viewpoints"] = all(
+            comp & lat.halo or any(
+                not ref_connected_to_infinity(lat, comp, v) for v in V)
+            for comp in ref_components(lat, x5))
+        out["pass"] = all(out.values())
+        return out

@@ -1,3 +1,5 @@
+import random
+
 import pytest
 
 from spinlab import breakup as bk
@@ -5,7 +7,7 @@ from spinlab import catalog, errors, patterns
 from spinlab import lattice as lm
 from spinlab.patterns import Pattern
 
-from helpers import ordered_config
+from helpers import RefBreakup, ordered_config
 
 AF3 = catalog.build("af_potts", q=3)
 AF4 = catalog.build("af_potts", q=4)
@@ -79,6 +81,17 @@ def test_verify_detects_corrupted_atlas():
     assert not report["exterior_in_reference_chart"]["holds"]
 
 
+def test_verify_reads_the_configuration_it_is_given():
+    lat = lm.make_box((12, 12))
+    f = ordered_config(lat)
+    atlas = bk.construct_breakup(AF3, lat, f, P0)
+    g = list(f)
+    g[lat.index[(6, 6)]] = 1
+    report = bk.verify_breakup(AF3, lat, g, P0, atlas)
+    assert not report["pass"]
+    assert bk.verify_breakup(AF3, lat, f, P0, atlas)["pass"]
+
+
 def test_defect_localization_depends_on_viewpoints():
     lat = lm.make_box((28, 28))
     f = ordered_config(lat)
@@ -98,6 +111,120 @@ def test_defect_localization_depends_on_viewpoints():
     assert flip in atlas.b
     report = bk.verify_breakup(AF3, lat, f, P0, atlas, V=near)
     assert report["pass"]
+
+
+# ---------------------------------------------------------------------------
+# agreement with the site-by-site construction and verification
+
+HC = catalog.build("hard_core", lam=1)
+
+
+def _defect_config(lat, rng, density, margin, even=(0,), odd=(1, 2),
+                   states=3):
+    """Pattern tiling (even sites in `even`, odd sites in `odd`) with
+    uniformly random values at a fraction of the sites at least `margin`
+    sites away from the box edge, in the way the benchmark's stored
+    configurations are made."""
+    f = []
+    for v, c in enumerate(lat.coords):
+        s = rng.choice(even if lat.parity(v) == 0 else odd)
+        inner = min(min(x, n - 1 - x) for x, n in zip(c, lat.dims)) >= margin
+        if inner and rng.random() < density:
+            s = rng.randrange(states)
+        f.append(s)
+    return f
+
+
+def _flip(lat, f, site, value=1):
+    f = list(f)
+    f[lat.index[site]] = value
+    return f
+
+
+def _cases():
+    rng = random.Random(7)
+    out = []
+    for side in (24, 48):
+        lat = lm.make_box((side, side))
+        for _ in range(2):
+            out.append((AF3, lat, _defect_config(lat, rng, 0.03, 8), P0,
+                        {lat.index[(side // 2, side // 2)]}))
+    lat = lm.make_box((32, 32))
+    out.append((AF3, lat, _defect_config(lat, rng, 0.02, 13), P0,
+                {lat.index[(16, 16)]}))
+    lat = lm.make_box((28, 28))
+    flip = _flip(lat, ordered_config(lat), (14, 14))
+    for V in (None, {lat.index[(14, 15)]}, {lat.index[(2, 2)]}):
+        out.append((AF3, lat, flip, P0, V))
+    lat = lm.make_box((12, 12))
+    flip = _flip(lat, ordered_config(lat), (6, 6))
+    for V in (None, {lat.index[(6, 6)]}, {lat.index[(0, 0)]}):
+        out.append((AF3, lat, flip, P0, V))
+    out.append((AF3, lat, _flip(lat, ordered_config(lat), (0, 0)), P0,
+                {lat.index[(0, 0)]}))
+    out.append((AF3, lat, _defect_config(lat, rng, 0.3, 2), P0, None))
+    box3 = lm.make_box((6, 6, 6))
+    out.append((AF3, box3, _defect_config(box3, rng, 0.05, 2), P0,
+                {box3.index[(3, 3, 3)]}))
+    out.append((AF4, lat, _defect_config(lat, rng, 0.1, 3, (0, 1), (2, 3),
+                                         4), Pattern(0b0011, 0b1100), None))
+    out.append((HC, lat, _defect_config(lat, rng, 0.1, 2, (0,), (0, 1), 2),
+                Pattern(0b01, 0b11), {lat.index[(6, 6)]}))
+    return out
+
+
+def _corrupted(atlas, lat):
+    """(x_p, xp_p) pairs, each with one fault: a halo site dropped from the
+    reference chart, a defect site outside its chart, a chart site
+    flipped."""
+    x_p, xp_p = atlas.x_p, atlas.xp_p
+    p0 = atlas.ctx.p0
+    some = next(p for p in atlas.ctx.pats if x_p[p])
+    v = min(x_p[some])
+    out = [({**x_p, p0: x_p[p0] - {min(lat.halo)}}, xp_p),
+           ({**x_p, some: x_p[some] - {v}}, {**xp_p, some: xp_p[some] | {v}}),
+           ({**x_p, some: x_p[some] ^ {max(lat.interior) // 2}}, xp_p)]
+    return out
+
+
+def _holds(report):
+    return {k: (v if isinstance(v, bool) else v["holds"])
+            for k, v in report.items()}
+
+
+@pytest.mark.parametrize("case", range(len(_cases())))
+def test_breakup_matches_site_by_site_reference(case):
+    system, lat, f, p0, V = _cases()[case]
+    ref = RefBreakup(system, lat, f, p0)
+    x_p, xp_p, b = ref.construct(V)
+    atlas = bk.construct_breakup(system, lat, f, p0, V)
+    assert atlas.b == b
+    assert atlas.x_p == x_p and atlas.xp_p == xp_p
+    assert atlas.x_star() == ref.star(x_p, xp_p)
+    assert atlas.stats() == ref.stats(x_p, xp_p)
+    assert _holds(bk.verify_breakup(system, lat, f, p0, atlas, V)) \
+        == ref.verify_holds(x_p, xp_p, V)
+    for bad_x, bad_xp in _corrupted(atlas, lat):
+        broken = bk.Atlas(ctx=atlas.ctx, x_p=bad_x, xp_p=bad_xp, b=atlas.b)
+        holds = _holds(bk.verify_breakup(system, lat, f, p0, broken, V))
+        assert holds == ref.verify_holds(bad_x, bad_xp, V)
+        assert not holds["pass"]
+        assert broken.x_star() == ref.star(bad_x, bad_xp)
+        assert broken.stats() == ref.stats(bad_x, bad_xp)
+
+
+def test_verify_witnesses_come_in_site_order():
+    lat = lm.make_box((12, 12))
+    f = ordered_config(lat)
+    atlas = bk.construct_breakup(AF3, lat, f, P0)
+    dropped = sorted(lat.halo)[-7:]
+    broken = bk.Atlas(ctx=atlas.ctx,
+                      x_p={**atlas.x_p, P0: atlas.x_p[P0] - set(dropped)},
+                      xp_p=atlas.xp_p, b=atlas.b)
+    report = bk.verify_breakup(AF3, lat, f, P0, broken)
+    assert report["exterior_in_reference_chart"]["witness"] == dropped[:5]
+    witness = report["chart_edge_boundary"]["witness"]
+    assert witness and [w[0] for w in witness] == sorted(w[0] for w in witness)
 
 
 # ---------------------------------------------------------------------------

@@ -322,6 +322,30 @@ def test_bad_count_is_a_schema_error(af3_soft_path, capsys, command, option,
     assert json.loads(capsys.readouterr().err)["error"] == "SchemaError"
 
 
+@pytest.mark.parametrize("argv, detail", [
+    (["zfun", "--system", "{af3}", "--d", "abc", "--psi", "complete"],
+     "Invalid value for '--d'"),
+    (["zfun", "--d", "2", "--psi", "complete"], "Missing option '--system'"),
+    (["mcmc", "--system", "{af3}", "--lattice", "box:3x3+halo", "--pattern",
+      "A=1;B=2,3", "--site", "1,1", "--seed", "1.5"], "'--seed'"),
+    (["nosuch"], "No such command 'nosuch'"),
+    (["zfun", "--bogus"], "No such option '--bogus'"),
+    ([], "Commands:")])
+def test_click_usage_error_is_a_schema_error(af3_soft_path, capsys, argv,
+                                             detail):
+    assert cli.main([a.format(af3=af3_soft_path) for a in argv]) == 2
+    out, err = capsys.readouterr()
+    assert not out
+    error = json.loads(err)
+    assert error["error"] == "SchemaError" and detail in error["detail"]
+
+
+def test_help_is_unchanged(capsys):
+    assert cli.main(["zfun", "--help"]) == 0
+    out, err = capsys.readouterr()
+    assert out.startswith("Usage:") and "--psi" in out and not err
+
+
 def test_mcmc_smoke(tmp_path, af3_soft_path):
     out = tmp_path / "mcmc.json"
     assert cli.main(["mcmc", "--system", af3_soft_path,

@@ -101,33 +101,48 @@ def _run(argv):
         assert set(detail) == {"error", "detail"}, (argv, detail)
 
 
+# values for options click parses as integers, well-typed or not
+ints = st.one_of(st.integers(-2, 3).map(str),
+                 st.sampled_from(["abc", "", "2.5", "1e1", " 2", "0x3"]))
+
+
 @st.composite
 def invocations(draw, system_paths, root):
-    system = ["--system", draw(st.sampled_from(system_paths))]
+    """A subcommand and its options, each option one "--name=value" token
+    (or a bare flag); sometimes one option is dropped, which leaves a
+    required option missing as often as not."""
     command = draw(st.sampled_from(["exact", "mcmc", "breakup-scan", "zfun",
-                                    "check", "breakup"]))
+                                    "check", "breakup", "nosuch"]))
+    opts = [f"--system={draw(st.sampled_from(system_paths))}"]
     if command == "zfun":
-        return [command, *system, "--d", str(draw(st.integers(1, 3))),
-                f"--psi={draw(psis)}"]
-    if command == "check":
-        return [command, *system, f"--sweep={draw(sweeps_spec)}"]
-    box = [f"--pattern={draw(patterns)}"]
-    if command == "breakup":
+        d = draw(st.one_of(st.integers(1, 3).map(str), ints))
+        opts += [f"--d={d}", f"--psi={draw(psis)}"]
+    elif command == "check":
+        opts.append(f"--sweep={draw(sweeps_spec)}")
+    elif command == "breakup":
         dims = (draw(st.integers(1, 4)), draw(st.integers(1, 4)))
         config = root / "config.json"
         config.write_text(draw(_configs(dims)))
         lattice = draw(st.one_of(
             st.just(f"box:{dims[0]}x{dims[1]}+halo"), lattices))
-        return [command, *system, f"--lattice={lattice}", *box,
-                "--config", str(config), f"--seen-from={draw(seen_from)}"]
-    argv = [command, *system, f"--lattice={draw(lattices)}", *box]
-    if command == "exact":
-        return argv + [f"--site={draw(sites)}"]
-    argv += [f"--sweeps={draw(counts)}", "--force"]
-    if command == "mcmc":
-        return argv + [f"--site={draw(sites)}"]
-    return argv + ["--samples", draw(st.sampled_from(["0", "1", "2", "-1",
-                                                      "x"]))]
+        opts += [f"--lattice={lattice}", f"--pattern={draw(patterns)}",
+                 f"--config={config}", f"--seen-from={draw(seen_from)}"]
+    elif command != "nosuch":
+        opts += [f"--lattice={draw(lattices)}", f"--pattern={draw(patterns)}"]
+        if command == "exact":
+            opts.append(f"--site={draw(sites)}")
+        else:
+            opts += [f"--sweeps={draw(counts)}", "--force"]
+            if draw(st.booleans()):
+                opts.append(f"--seed={draw(ints)}")
+        if command == "mcmc":
+            opts.append(f"--site={draw(sites)}")
+        if command == "breakup-scan":
+            samples = draw(st.sampled_from(["0", "1", "2", "-1", "x"]))
+            opts.append(f"--samples={samples}")
+    if draw(st.booleans()):
+        del opts[draw(st.integers(0, len(opts) - 1))]
+    return [command, *opts]
 
 
 def test_cli_grammar_fuzz(systems):

@@ -1,9 +1,14 @@
 import random
 
+import numpy as np
 import pytest
 
 from spinlab import errors
 from spinlab import lattice as lm
+
+from helpers import (lattice_reference, ref_closed_boundary, ref_components,
+                     ref_connected_to_infinity, ref_is_regular, ref_n_t,
+                     ref_plus, ref_plus_r, ref_separating_components)
 
 
 def test_box_structure():
@@ -172,3 +177,63 @@ def test_random_odd_set_is_interior():
         u_set = lm.random_odd_set(lat, rng)
         assert u_set <= lat.interior
         assert lm.is_odd_set(lat, u_set)
+
+
+# ---------------------------------------------------------------------------
+# the neighbor table against the loops it replaced; site order feeds the
+# halo extension's random stream, configuration keys and every rng_id
+# contract
+
+@pytest.mark.parametrize("kind, dims", [
+    ("box", (5,)), ("box", (1,)), ("box", (3, 4)), ("box", (1, 3)),
+    ("box", (4, 1)), ("box", (1, 1)), ("box", (2, 3, 2)), ("box", (3, 1, 2)),
+    ("torus", (2,)), ("torus", (4,)), ("torus", (2, 2)), ("torus", (4, 6)),
+    ("torus", (2, 4)), ("torus", (2, 2, 4))])
+def test_lattice_tables_match_loop_builder(kind, dims):
+    lat = (lm.make_box if kind == "box" else lm.make_torus)(dims)
+    ref = lattice_reference(kind, dims)
+    assert lat.coords == ref["coords"]
+    assert lat.index == ref["index"]
+    assert lat.neighbors == ref["neighbors"]
+    assert lat.interior == ref["interior"] and lat.halo == ref["halo"]
+    assert [lat.parity(v) for v in range(lat.n)] == ref["parity"]
+    assert lat.nbr.shape == (lat.n, 2 * lat.d)
+    assert [tuple(w for w in row if w != lat.n) for row in lat.nbr.tolist()] \
+        == ref["neighbors"]
+
+
+@pytest.mark.parametrize("dims", [(6, 6), (5, 7), (4, 3, 3), (9,)])
+def test_mask_operations_match_site_sets(dims):
+    lat = lm.make_box(dims)
+    rng = random.Random(sum(dims))
+    for density in (0.1, 0.4, 0.8):
+        for _ in range(5):
+            U = frozenset(v for v in range(lat.n) if rng.random() < density)
+            V = frozenset(rng.sample(range(lat.n), 3))
+            assert lm.plus_(lat, U) == ref_plus(lat, U)
+            assert lm.plus_r(lat, U, 3) == ref_plus_r(lat, U, 3)
+            assert lm.closed_boundary(lat, U) == ref_closed_boundary(lat, U)
+            for t in range(2 * lat.d + 1):
+                assert lm.n_t(lat, U, t) == ref_n_t(lat, U, t)
+            for base in (0, 1):
+                core = frozenset(v for v in U if lat.parity(v) == base)
+                for W in (U, ref_plus(lat, core)):
+                    assert lm.is_regular(lat, W, base) \
+                        == ref_is_regular(lat, W, base)
+            assert lm.components(lat, U) == ref_components(lat, U)
+            assert lm.separating_components(lat, U, V) \
+                == ref_separating_components(lat, U, V)
+            for v in V:
+                assert lm.connected_to_infinity(lat, U, v) \
+                    == ref_connected_to_infinity(lat, U, v)
+
+
+def test_masks_keep_the_sentinel_slot_false():
+    lat = lm.make_box((4, 5))
+    m = lm.mask(lat, {0, 7, lat.n - 1})
+    for out in (lm.nbhd_m(lat, m), lm.plus_r_m(lat, m, 3),
+                lm.closed_boundary_m(lat, m), lm.n_t_m(lat, m, 0),
+                lm.not_m(m), lm.inner_m(lat, lm.not_m(m))):
+        assert out.shape == (lat.n + 1,) and not out[-1]
+    stack = np.stack([m, lm.not_m(m)])
+    assert (lm.plus_m(lat, stack)[1] == lm.plus_m(lat, stack[1])).all()

@@ -3,6 +3,7 @@ in src/ would otherwise break it without any test failing here."""
 
 import ast
 import importlib
+import json
 from pathlib import Path
 
 SPANS = Path(__file__).resolve().parents[1] / "perfbench" / "spans.py"
@@ -26,3 +27,35 @@ def test_every_traced_name_is_a_spinlab_callable():
                if not callable(getattr(importlib.import_module(
                    f"spinlab.{mod}"), name, None))]
     assert not missing
+
+
+def test_breakup_command_reaches_the_traced_breakup_layers(tmp_path,
+                                                           monkeypatch):
+    """The benchmark's per-layer breakup spans wrap these module attributes;
+    a call that bypasses them would leave the spans reading 0."""
+    from spinlab import breakup, catalog, cli
+    from spinlab import lattice as lm
+    from helpers import ordered_config
+
+    system = tmp_path / "af3.json"
+    system.write_text(catalog.build("af_potts", q=3).to_json())
+    lat = lm.make_box((12, 12))
+    f = ordered_config(lat)
+    f[lat.index[(6, 6)]] = 1
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({"values": {
+        ",".join(map(str, c)): str(f[v] + 1)
+        for v, c in enumerate(lat.coords)}}))
+    calls = {}
+    for name in ("construct_breakup", "verify_breakup", "compute_regions"):
+        def counting(*args, _fn=getattr(breakup, name), _name=name,
+                     **kwargs):
+            calls[_name] = calls.get(_name, 0) + 1
+            return _fn(*args, **kwargs)
+        monkeypatch.setattr(breakup, name, counting)
+    assert cli.main(["breakup", "--system", str(system),
+                     "--lattice", "box:12x12+halo", "--config", str(config),
+                     "--pattern", "A=1;B=2,3", "--seen-from", "6,6",
+                     "--out", str(tmp_path / "out.json")]) == 0
+    assert calls == {"construct_breakup": 1, "verify_breakup": 1,
+                     "compute_regions": 1}
