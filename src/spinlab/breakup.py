@@ -1,6 +1,6 @@
-"""Breakup extraction: partitioning a configuration on a box into ordered
-regions labelled by dominant patterns, separated by a localized defect set,
-plus the per-vertex diagnostics used to classify defects.
+"""Breakup extraction: partitioning a configuration on a box or slab into
+ordered regions labelled by dominant patterns, separated by a localized
+defect set, plus the per-vertex diagnostics used to classify defects.
 
 Conventions.  The reference pattern P0 = (A0, B0) has its first side on the
 even sublattice.  A dominant ordered pattern P is "aligned" when it is

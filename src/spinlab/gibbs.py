@@ -1,8 +1,10 @@
-"""Finite-volume Gibbs measures on boxes and tori.
+"""Finite-volume Gibbs measures on boxes, slabs and tori.
 
 Boundary conditions are pattern constraints: configurations live on the
-interior of a box, and each internal-boundary vertex is restricted to the
-even or odd side of a dominant pattern according to its parity.
+interior of a lattice, and each vertex of its internal boundary (the
+interior sites next to the halo, which lies across the open axes) is
+restricted to the even or odd side of a dominant pattern according to its
+parity.
 
 Three evaluators:
   * site_law / exact_measure / prob_not_in_pattern / z_pattern_box - exact
@@ -36,7 +38,7 @@ import numpy as np
 
 from . import errors, lattice as lat_mod, patterns
 from .patterns import Pattern
-from .system import SpinSystem
+from .system import SpinSystem, log_number
 
 MAX_FRONTIER = 2 * 10 ** 6
 MAX_COLUMNS = 5000
@@ -59,20 +61,24 @@ CHECKERBOARD_MIN_UPDATES = 200
 class PatternBoundary:
     pattern: Pattern
 
-    def on_boundary(self, lat, v) -> bool:
-        """Whether v is on the internal boundary of the box interior."""
-        return v in lat.interior and (
-            len(lat.neighbors[v]) < lat.degree
-            or any(u in lat.halo for u in lat.neighbors[v]))
+    def region_m(self, lat) -> np.ndarray:
+        """Site mask of the internal boundary of the interior."""
+        return lat_mod.inner_m(lat, lat_mod.mask(lat, lat.interior))
+
+    def masks(self, lat, system) -> np.ndarray:
+        """The allowed states of every stored site as a bitmask: its
+        parity's pattern side on the internal boundary, every state
+        elsewhere (Python ints, which hold up to 64 states)."""
+        choice = np.array([self.pattern.a, self.pattern.b,
+                           system.full_mask()], dtype=object)
+        return choice[np.where(self.region_m(lat)[:-1], lat.par, 2)]
 
     def region(self, lat) -> frozenset:
-        """Internal boundary of the box interior."""
-        return frozenset(v for v in lat.interior if self.on_boundary(lat, v))
+        """Internal boundary of the interior."""
+        return lat_mod.sites(self.region_m(lat))
 
     def allowed_mask(self, lat, system, v) -> int:
-        if self.on_boundary(lat, v):
-            return self.side_mask(lat, v)
-        return system.full_mask()
+        return self.masks(lat, system)[v]
 
     def side_mask(self, lat, v) -> int:
         """The pattern side a vertex of this parity belongs to."""
@@ -90,33 +96,29 @@ def interior_site(lat, site) -> int:
 def sample_halo_extension(system: SpinSystem, lat, pattern: Pattern,
                           rng) -> dict:
     """Random halo assignment: each halo site independently takes a value in
-    its parity's pattern side, with probability proportional to activity."""
-    a_states = system.mask_states(pattern.a)
-    b_states = system.mask_states(pattern.b)
-    if not a_states or not b_states:
+    its parity's pattern side, with probability proportional to activity.
+    One uniform u per halo site, in site order; the value is the first
+    state of the side whose cumulative activity reaches u times the side's
+    total."""
+    pools = [system.mask_states(pattern.a), system.mask_states(pattern.b)]
+    if not all(pools):
         raise errors.EmptySupport("pattern side has no states")
-    out = {}
-    for v in sorted(lat.halo):
-        pool = a_states if lat.parity(v) == 0 else b_states
-        weights = [float(system.activities[s]) for s in pool]
-        tot = sum(weights)
-        u = float(rng.random()) * tot
-        acc = 0.0
-        pick = pool[-1]
-        for s, w in zip(pool, weights):
-            acc += w
-            if u <= acc:
-                pick = s
-                break
-        out[v] = pick
-    return out
+    halo = np.arange(len(lat.interior), lat.n)
+    u = rng.random(len(halo))
+    out = np.empty(len(halo), dtype=np.intp)
+    for q, pool in enumerate(pools):
+        cum = np.cumsum([float(system.activities[s]) for s in pool])
+        on = lat.par[halo] == q
+        pick = np.searchsorted(cum, u[on] * cum[-1]).clip(max=len(pool) - 1)
+        out[on] = np.array(pool)[pick]
+    return dict(zip(halo.tolist(), out.tolist()))
 
 
 # ---------------------------------------------------------------------------
 # exact evaluation on a box (2D raster DP)
 
 def _check_box_2d(lat):
-    if lat.kind != "box" or lat.d != 2:
+    if lat.d != 2 or any(lat.periodic):
         raise errors.UnsupportedLattice(
             "exact evaluation implemented for 2D boxes")
 
@@ -137,9 +139,8 @@ def _box_sweep(system, lat, boundary: PatternBoundary, site=None) -> list:
         raise errors.StateSpaceTooLarge(f"{n}^{w} frontier states")
     sc = system.scaled()
     acts, inter = sc.acts, sc.inter
-    # the allowed mask of each raster position
-    masks = [boundary.allowed_mask(lat, system, lat.index[(r, c)])
-             for r in range(h) for c in range(w)]
+    # the allowed mask of each raster position (the interior's site order)
+    masks = boundary.masks(lat, system)[:h * w].tolist()
     top = n ** (w - 1)
     tables = {}
 
@@ -225,10 +226,7 @@ def site_law(system: SpinSystem, lat, boundary: PatternBoundary,
     total = sum(zs)
     if total == 0:
         raise errors.EmptySupport("boundary admits no configuration")
-    if system.mode == "rational":
-        marg = [z / total for z in zs]
-    else:
-        marg = [float(z) / float(total) for z in zs]
+    marg = [z / total for z in zs]  # Fractions, or floats in float mode
     side = boundary.side_mask(lat, site)
     inside = sum(marg[s] for s in system.mask_states(side))
     return SiteLaw({system.states[s]: marg[s] for s in range(system.n)},
@@ -256,9 +254,7 @@ def z_torus(system: SpinSystem, dims):
     shorter side (Z is the same with the axes swapped); small tori of any
     dimension fall back to direct enumeration."""
     dims = tuple(dims)
-    n_sites = 1
-    for x in dims:
-        n_sites *= x
+    n_sites = math.prod(dims)
     if len(dims) == 2 and all(x >= 3 for x in dims):
         # with a side of length < 3 the wrap edge coincides with a nearest-
         # neighbor edge, so the transfer decomposition would double-count it
@@ -272,10 +268,8 @@ def _z_enumerate_torus(system, dims):
     lat = lat_mod.make_torus(dims)
     zero = system.zero()
     total = zero
-    edges = set()
-    for v in range(lat.n):
-        for u in lat.neighbors[v]:
-            edges.add((min(u, v), max(u, v)))
+    edges = {(min(u, v), max(u, v)) for v in range(lat.n)
+             for u in lat.neighbors[v]}
     for f in itertools.product(range(system.n), repeat=lat.n):
         wgt = system.one()
         for v in range(lat.n):
@@ -375,25 +369,7 @@ def _trace_power(rows, e):
 
 
 def log_z_per_site_torus(system: SpinSystem, dims) -> float:
-    z = z_torus(system, dims)
-    n_sites = 1
-    for x in dims:
-        n_sites *= x
-    return _log_big(z) / n_sites
-
-
-def _log_big(x) -> float:
-    from fractions import Fraction
-    if isinstance(x, Fraction):
-        return _log_int(x.numerator) - _log_int(x.denominator)
-    return math.log(x)
-
-
-def _log_int(n: int) -> float:
-    if n.bit_length() <= 900:
-        return math.log(n)
-    shift = n.bit_length() - 900
-    return math.log(n >> shift) + shift * math.log(2)
+    return log_number(z_torus(system, dims)) / math.prod(dims)
 
 
 # ---------------------------------------------------------------------------
@@ -419,22 +395,6 @@ class MCMCResult:
         return self.configs[0]
 
 
-def conditional_weights(system: SpinSystem, allowed_mask: int,
-                        neighbor_values) -> list:
-    """Unnormalized heat-bath law at a site: activity times the product of
-    interactions with the given neighbor values, zeroed outside the mask."""
-    out = []
-    for s in range(system.n):
-        if not allowed_mask >> s & 1:
-            out.append(0.0)
-            continue
-        w = float(system.activities[s])
-        for t in neighbor_values:
-            w *= float(system.interactions[s][t])
-        out.append(w)
-    return out
-
-
 def _safe_state_exists(system) -> bool:
     for s in range(system.n):
         if all(system.interactions[s][t] > 0 for t in range(system.n)) \
@@ -451,10 +411,7 @@ def initial_pattern_config(system: SpinSystem, lat,
     b_states = system.mask_states(boundary.pattern.b)
     if not a_states or not b_states:
         raise errors.NoAdmissibleStart("pattern side empty")
-    out = [0] * lat.n
-    for v in range(lat.n):
-        out[v] = a_states[0] if lat.parity(v) == 0 else b_states[0]
-    return out
+    return np.where(lat.par == 0, a_states[0], b_states[0]).tolist()
 
 
 def _build_tables(system, d, class_masks):
@@ -482,47 +439,40 @@ def _build_tables(system, d, class_masks):
 
 
 class _Chains:
-    """The fixed inputs of heat-bath chains on a box interior: each interior
-    site's class (its allowed mask) and neighbor slots, the cumulative
-    tables and the pattern tiling every chain starts from.  A neighbor slot
-    holds an interior neighbor or `lat.n`, a free slot whose value is
-    always |S|."""
+    """The fixed inputs of heat-bath chains on a lattice interior (sites 0
+    to m - 1): each interior site's class (its allowed mask) and neighbor
+    slots, the cumulative tables and the pattern tiling every chain starts
+    from.  The slots are the rows of `lat.nbr`, with every neighbor outside
+    the interior replaced by `lat.n`, a free slot whose value is always
+    |S|."""
 
     def __init__(self, system, lat, boundary):
-        n = system.n
+        n, m = system.n, len(lat.interior)
         self.n, self.base = n, n + 1
-        self.order = sorted(lat.interior)
-        allowed = {v: boundary.allowed_mask(lat, system, v)
-                   for v in lat.interior}
-        class_masks = sorted(set(allowed.values()))
-        self.cls = [class_masks.index(allowed[v]) for v in self.order]
-        self.slots = []
-        for v in self.order:
-            nb = [u for u in lat.neighbors[v] if u in lat.interior]
-            self.slots.append(nb + [lat.n] * (lat.degree - len(nb)))
-        self.parity = [lat.parity(v) for v in self.order]
-        self.tables = _build_tables(system, lat.d, class_masks)
-        init = initial_pattern_config(system, lat, boundary)
-        self.init = [init[v] if v in lat.interior else n
-                     for v in range(lat.n)] + [n]
+        class_masks, self.cls = np.unique(boundary.masks(lat, system)[:m],
+                                          return_inverse=True)
+        self.slots = np.where(lat.nbr[:m] < m, lat.nbr[:m], lat.n)
+        self.parity = lat.par[:m]
+        self.tables = _build_tables(system, lat.d, class_masks.tolist())
+        self.init = np.append(initial_pattern_config(system, lat, boundary), n)
+        self.init[m:] = n  # the halo and the sentinel hold the free value
 
     def raster(self, rng, site, n_sweeps, chains):
         """Heat-bath updates in raster order, one chain after the other,
         each drawing one uniform per update from rng.  The state is the
         first s with cum[s] >= u * cum[-1].  Returns the recorded site's
         values [chain][sweep] and the final configurations."""
-        n, deg = self.n, len(self.slots[0])
+        (m, deg), n = self.slots.shape, self.n
         # per class, the rows nested slot by slot, first slot outermost
         nested = [t.reshape((self.base,) * deg + (n,)).tolist()
                   for t in self.tables]
-        plan = [(v, nested[c], tuple(nb))
-                for v, c, nb in zip(self.order, self.cls, self.slots)]
-        m = len(plan)
+        plan = [(v, nested[c], tuple(nb)) for v, (c, nb) in
+                enumerate(zip(self.cls.tolist(), self.slots.tolist()))]
         pick = bisect.bisect_left
         chunk = max(1, 4096 // m)  # sweeps per block of uniforms
         traces, configs = [], []
         for _ in range(chains):
-            cfg = list(self.init)
+            cfg = self.init.tolist()
             trace = []
             for lo in range(0, n_sweeps, chunk):
                 cur = min(chunk, n_sweeps - lo)
@@ -547,19 +497,14 @@ class _Chains:
         n, base = self.n, self.base
         n_keys = self.tables.shape[1]
         flat = self.tables.reshape(-1, n)
-        cfg = np.repeat(np.array(self.init, dtype=np.int64)[:, None],
-                        chains, axis=1)  # [site][chain]
-        halves = []
-        for p in (0, 1):
-            idx = [i for i, q in enumerate(self.parity) if q == p]
-            if not idx:
-                continue
-            sites = np.array([self.order[i] for i in idx])
-            slots = np.array([self.slots[i] for i in idx]).T
-            offset = np.array([self.cls[i] * n_keys for i in idx])[:, None]
-            halves.append((sites, slots, offset))
+        cfg = np.repeat(self.init.astype(np.int64)[:, None], chains,
+                        axis=1)  # [site][chain]
+        halves = [(sites, self.slots[sites].T,
+                   self.cls[sites, None] * n_keys)
+                  for sites in (np.flatnonzero(self.parity == p)
+                                for p in (0, 1)) if len(sites)]
         # the first slot is the most significant digit of the key
-        powers = [base ** j for j in range(len(self.slots[0]) - 1, -1, -1)]
+        powers = [base ** j for j in range(self.slots.shape[1] - 1, -1, -1)]
         trace = np.zeros((chains, n_sweeps), dtype=np.int64)
         for sweep in range(n_sweeps):
             for sites, slots, offset in halves:
@@ -577,9 +522,11 @@ def run_mcmc(system: SpinSystem, lat, boundary: PatternBoundary, site,
              n_sweeps: int = 10 ** 6, seed: int = 0,
              burn_in: int = None, n_batches: int = 40,
              force: bool = False, chains: int = 1) -> MCMCResult:
-    """Heat-bath dynamics on the interior of a box under a pattern boundary
-    constraint, from the pattern tiling, recording the value at one site
-    after every sweep of every chain.
+    """Heat-bath dynamics on the interior of a lattice with an open axis (a
+    box or a slab) under a pattern boundary constraint, from the pattern
+    tiling, recording the value at one site after every sweep of every
+    chain.  Periodic axes wrap; a lattice with no open axis has no
+    boundary to constrain and is refused.
 
     Stream contract.  The kernel is chosen by chains x |interior|.  Below
     CHECKERBOARD_MIN_UPDATES (200, the crossover measured on 2 vCPUs: one
@@ -596,8 +543,9 @@ def run_mcmc(system: SpinSystem, lat, boundary: PatternBoundary, site,
     With one chain the standard errors are batch means over n_batches
     batches of the kept sweeps; with several, the batches are the chains'
     own means."""
-    if lat.kind != "box":
-        raise errors.UnsupportedLattice("sampler runs on boxes")
+    if not lat.has_exterior:
+        raise errors.UnsupportedLattice(
+            "sampler runs on lattices with an open axis")
     if chains < 1:
         raise errors.SchemaError("chains must be at least 1")
     if n_sweeps < 0:

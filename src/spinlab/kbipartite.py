@@ -326,12 +326,12 @@ def expand_spec(system: SpinSystem, d: int, spec: PsiSpec, limit=10 ** 6):
 # ---------------------------------------------------------------------------
 # image-restricted power sums
 
-def lambda_restricted_power(system: SpinSystem, A_mask: int, n: int):
-    """Total activity weight of functions [n] -> A whose image is not inside
-    any maximal-pattern side strictly contained in A.  Inclusion-exclusion
-    over the inclusion-maximal such sides."""
+def exclusion_terms(system: SpinSystem, A_mask: int) -> list:
+    """(sign, mask) terms of the inclusion-exclusion sum behind
+    lambda_restricted_power, A itself first: the inclusion-maximal
+    maximal-pattern sides strictly inside A, and their intersections."""
     # the sides of the maximal patterns are the r_sets; in float mode the
-    # inclusion-exclusion sum below runs in this set's iteration order
+    # inclusion-exclusion sum runs in this set's iteration order
     sides = set(patterns.structure(system).r_sets)
     family = [b for b in sides if b != A_mask and b & ~A_mask == 0]
     # only inclusion-maximal members matter for the union of down-sets
@@ -339,15 +339,17 @@ def lambda_restricted_power(system: SpinSystem, A_mask: int, n: int):
               if not any(b != c and b & ~c == 0 for c in family)]
     if len(family) > 20:
         raise errors.GroundSetTooLarge(f"{len(family)} excluded sides")
-    total = system.lambda_mask(A_mask) ** n
-    for r in range(1, len(family) + 1):
-        sign = 1 if r % 2 == 1 else -1
-        for combo in itertools.combinations(family, r):
-            inter = A_mask
-            for b in combo:
-                inter &= b
-            total -= sign * system.lambda_mask(inter) ** n
-    return total
+    return [(1, A_mask)] + [
+        ((-1) ** r, functools.reduce(operator.and_, combo, A_mask))
+        for r in range(1, len(family) + 1)
+        for combo in itertools.combinations(family, r)]
+
+
+def lambda_restricted_power(system: SpinSystem, A_mask: int, n: int):
+    """Total activity weight of functions [n] -> A whose image is not inside
+    any maximal-pattern side strictly contained in A."""
+    return sum(sign * system.lambda_mask(m) ** n
+               for sign, m in exclusion_terms(system, A_mask))
 
 
 # ---------------------------------------------------------------------------

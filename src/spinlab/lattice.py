@@ -1,12 +1,14 @@
-"""Finite pieces of the hypercubic lattice Z^d and discrete tori, with the
+"""Finite pieces of Z^{d1} x T^{d2}: boxes, discrete tori and slabs that are
+periodic along some axes and open along the others, with the
 boundary/closure operations used by the breakup machinery.
 
-A box is stored as its interior sites plus a one-site halo (sites with
-exactly one coordinate out of range by one).  Vertices outside the stored
-region are treated as present in the ambient lattice: boundary and degree
-computations account for them, and a virtual "infinity" vertex adjacent to
-every halo site stands in for the unbounded exterior component.  Tori have
-no exterior; operations that mention infinity raise on them.
+A lattice is stored as its interior sites plus a one-site halo across the
+open axes (sites with exactly one coordinate out of range by one, on an
+open axis).  Vertices outside the stored region are treated as present in
+the ambient lattice: boundary and degree computations account for them,
+and a virtual "infinity" vertex adjacent to every halo site stands in for
+the unbounded exterior component.  An exterior exists iff some axis is
+open; operations that mention infinity raise on a lattice without one.
 
 Set operations work on site masks: boolean arrays of length n + 1 whose
 last slot, the sentinel that ``nbr`` holds for a missing ambient neighbor,
@@ -26,8 +28,8 @@ from . import errors
 
 @dataclass
 class Lattice:
-    kind: str                 # "box" or "torus"
     dims: tuple
+    periodic: tuple           # per axis: True where the axis wraps
     coords: list = field(default_factory=list)
     index: dict = field(default_factory=dict)
     neighbors: list = field(default_factory=list)
@@ -40,6 +42,17 @@ class Lattice:
     # sentinels for the sentinel itself; nbr is a view of it
     adj: np.ndarray = field(default=None, compare=False, repr=False)
     par: np.ndarray = field(default=None, compare=False, repr=False)
+
+    @property
+    def kind(self) -> str:
+        """"box" (no periodic axis), "slab" (some) or "torus" (all)."""
+        return ("box", "slab", "torus")[any(self.periodic)
+                                        + all(self.periodic)]
+
+    @property
+    def has_exterior(self) -> bool:
+        """Whether some axis is open."""
+        return not all(self.periodic)
 
     @property
     def d(self):
@@ -60,22 +73,27 @@ class Lattice:
         return frozenset(range(self.n))
 
     def dist(self, u, v) -> int:
-        a, b = self.coords[u], self.coords[v]
-        if self.kind == "torus":
-            return sum(min(abs(x - y), n - abs(x - y))
-                       for x, y, n in zip(a, b, self.dims))
-        return sum(abs(x - y) for x, y in zip(a, b))
+        return sum(min(abs(x - y), n - abs(x - y)) if p else abs(x - y)
+                   for x, y, n, p in zip(self.coords[u], self.coords[v],
+                                         self.dims, self.periodic))
 
 
-def make_box(dims) -> Lattice:
+def make_lattice(dims, periodic) -> Lattice:
     """Interior sites in lexicographic order, then each halo site in the
-    order of its interior neighbor, axis and step."""
-    dims = tuple(dims)
+    order of its interior neighbor, axis and step.  The halo lies across
+    the open axes; a periodic axis wraps, and its side must be even so that
+    parity 2-colors the graph."""
+    dims, periodic = tuple(dims), tuple(map(bool, periodic))
+    if len(periodic) != len(dims):
+        raise errors.SchemaError("one periodic flag per axis")
+    if any(p and (n < 2 or n % 2) for n, p in zip(dims, periodic)):
+        raise errors.ParamOutOfRange(
+            "periodic sides must be even (parity must 2-color the graph)")
     d = len(dims)
     inner = np.indices(dims).reshape(d, -1).T
     rank = np.arange(len(inner))
-    halo, keys = [], []
-    for axis in range(d):
+    halo, keys = [inner[:0]], [rank[:0]]
+    for axis in np.flatnonzero(~np.array(periodic, dtype=bool)):
         for k, (delta, edge) in enumerate(((-1, 0), (1, dims[axis] - 1))):
             sel = inner[:, axis] == edge
             h = inner[sel]
@@ -83,39 +101,36 @@ def make_box(dims) -> Lattice:
             halo.append(h)
             keys.append(rank[sel] * 2 * d + 2 * axis + k)
     halo = np.concatenate(halo)[np.argsort(np.concatenate(keys))]
-    lat = Lattice(kind="box", dims=dims,
+    lat = Lattice(dims=dims, periodic=periodic,
                   interior=frozenset(range(len(inner))),
                   halo=frozenset(range(len(inner), len(inner) + len(halo))))
     return _tables(lat, np.concatenate([inner, halo]))
 
 
+def make_box(dims) -> Lattice:
+    return make_lattice(dims, [False] * len(dims))
+
+
 def make_torus(dims) -> Lattice:
-    if any(n < 2 or n % 2 for n in dims):
-        raise errors.ParamOutOfRange(
-            "torus sides must be even (parity must 2-color the graph)")
-    dims = tuple(dims)
-    coords = np.indices(dims).reshape(len(dims), -1).T
-    lat = Lattice(kind="torus", dims=dims,
-                  interior=frozenset(range(len(coords))))
-    return _tables(lat, coords)
+    return make_lattice(dims, [True] * len(dims))
 
 
 def _tables(lat, coords):
     """Site order is the row order of coords.  Neighbors are looked up on a
-    grid of site indices, padded by two on a box so that every stored
-    site's steps stay on it."""
+    grid of site indices, padded by two along each open axis so that every
+    stored site's steps stay on it; steps along a periodic axis wrap."""
     n, d = coords.shape
     dims = np.array(lat.dims)
-    torus = lat.kind == "torus"
-    pos = coords if torus else coords + 2
-    grid = np.full(dims if torus else dims + 4, n, dtype=np.intp)
+    wrap = np.array(lat.periodic, dtype=bool)
+    pos = coords + 2 * ~wrap
+    grid = np.full(dims + 4 * ~wrap, n, dtype=np.intp)
     grid[tuple(pos.T)] = np.arange(n)
     lat.adj = np.full((2 * d, n + 1), n, dtype=np.intp)
     for axis in range(d):
         for k, delta in enumerate((-1, 1)):
             step = pos.copy()
             step[:, axis] += delta
-            if torus:
+            if wrap[axis]:
                 step[:, axis] %= dims[axis]
             lat.adj[2 * axis + k, :n] = grid[tuple(step.T)]
     lat.nbr = lat.adj[:, :n].T
@@ -129,27 +144,26 @@ def _tables(lat, coords):
 
 
 def parse_lattice(spec: str) -> Lattice:
-    """"box:4x4+halo" or "torus:4x4x4"."""
+    """"box:4x4+halo", "torus:4x4x4" or "box:12x12x4p+halo": a "p" after a
+    box side makes that axis periodic, and every torus axis is."""
     try:
         kind, rest = spec.split(":", 1)
     except ValueError:
         raise errors.SchemaError(f"bad lattice spec {spec!r}")
     halo = rest.endswith("+halo")
-    if halo:
-        rest = rest[:-len("+halo")]
+    sides = rest.removesuffix("+halo").split("x")
+    periodic = [kind == "torus" or x.endswith("p") for x in sides]
     try:
-        dims = tuple(int(x) for x in rest.split("x"))
+        dims = tuple(int(x[:-1] if x.endswith("p") else x) for x in sides)
     except ValueError:
         raise errors.SchemaError(f"bad lattice dims in {spec!r}")
-    if not dims or any(n < 1 for n in dims):
+    if any(n < 1 for n in dims):
         raise errors.SchemaError(f"bad lattice dims in {spec!r}")
-    if kind == "box":
-        return make_box(dims)
-    if kind == "torus":
-        if halo:
-            raise errors.SchemaError("torus has no halo")
-        return make_torus(dims)
-    raise errors.SchemaError(f"unknown lattice kind {kind!r}")
+    if kind not in ("box", "torus"):
+        raise errors.SchemaError(f"unknown lattice kind {kind!r}")
+    if halo and all(periodic):
+        raise errors.SchemaError("a lattice with no open axis has no halo")
+    return make_lattice(dims, periodic)
 
 
 # ---------------------------------------------------------------------------
@@ -272,13 +286,17 @@ def is_odd_set(lat: Lattice, U) -> bool:
 def odd_set_identity(lat: Lattice, U):
     """Returns (|edge boundary| / 2d, |Odd cap U| - |Even cap U|)."""
     U = frozenset(U)
-    if lat.kind == "torus" and any(_diameter(lat, comp) >= min(lat.dims)
-                                   for comp in components(lat, U)):
-        raise errors.WrappingSet("identity only checked for non-wrapping sets")
-    lhs = edge_boundary_size(lat, U) / lat.degree
-    rhs = sum(1 for v in U if lat.parity(v) == 1) \
-        - sum(1 for v in U if lat.parity(v) == 0)
-    return lhs, rhs
+    xyz = np.array(lat.coords)
+    for comp in components_m(lat, mask(lat, U)):
+        for axis in np.flatnonzero(lat.periodic):
+            # a loop around a periodic axis crosses the edge after every
+            # coordinate; a component that does so is taken to wrap
+            step = comp[:-1] & comp[lat.adj[2 * axis + 1, :-1]]
+            if np.unique(xyz[step, axis]).size == lat.dims[axis]:
+                raise errors.WrappingSet(
+                    "identity only checked for non-wrapping sets")
+    return (edge_boundary_size(lat, U) / lat.degree,
+            int((2 * lat.par[sorted(U)] - 1).sum()))
 
 
 # ---------------------------------------------------------------------------
@@ -322,9 +340,9 @@ def components(lat: Lattice, U, r: int = 1) -> list:
 
 
 def _require_infinity(lat):
-    if lat.kind == "torus":
+    if not lat.has_exterior:
         raise errors.NoInfinityOnTorus(
-            "operation needs an unbounded exterior")
+            "operation needs an unbounded exterior (an open axis)")
 
 
 def exterior_m(lat: Lattice, free) -> np.ndarray:
@@ -377,20 +395,16 @@ def separating_components(lat: Lattice, B, V) -> frozenset:
     return sites(separating_m(lat, mask(lat, B), mask(lat, V)))
 
 
-def _diameter(lat: Lattice, comp) -> int:
-    return max((lat.dist(a, b) for a in comp for b in comp), default=0)
-
-
 def diam_star(lat: Lattice, U) -> int:
     """Sum of component diameters plus twice the component count."""
-    return sum(2 + _diameter(lat, comp) for comp in components(lat, U))
+    return sum(2 + max(lat.dist(a, b) for a in comp for b in comp)
+               for comp in components(lat, U))
 
 
 def random_odd_set(lat: Lattice, rng, density=0.3) -> frozenset:
     """Expansion of a random even-parity subset of the deep interior; such a
     set is always odd and contained in the interior."""
-    deep = [v for v in lat.interior
-            if all(w in lat.interior for w in lat.neighbors[v])
-            and len(lat.neighbors[v]) == lat.degree]
-    seed = [v for v in deep if lat.parity(v) == 0 and rng.random() < density]
-    return plus_(lat, frozenset(seed))
+    inside = mask(lat, lat.interior)
+    deep = inside & inside[lat.adj].all(axis=0)
+    even = np.flatnonzero(deep[:-1] & (lat.par == 0)).tolist()
+    return plus_(lat, [v for v in even if rng.random() < density])

@@ -16,8 +16,12 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 from . import errors, patterns
+from .system import log_number
 
 INF = math.inf
+# bits of one power lambda^{2d} beyond which rho_bulk_star_of leaves exact
+# arithmetic for log space
+EXACT_BITS = 2 ** 20
 
 
 def neg_log(x):
@@ -125,27 +129,48 @@ def _alpha2(system, d, s, pen):
 
 
 def rho_bulk_star_of(system, d):
-    """Bulk ratio with image-restricted weight counts (homomorphism only)."""
+    """Bulk ratio with image-restricted weight counts (homomorphism only):
+    the 2d-th root of the sum, over the non-dominant maximal patterns p, of
+    lambda_restricted_power(A_p, 2d) lambda(B_p)^{2d}, over omega_dom.  The
+    sum is exact while its powers stay within EXACT_BITS bits (rational
+    mode) or the float range (float mode), and taken in log space beyond."""
     from . import kbipartite
     st = patterns.structure(system)
     if st.rho_int != 0:
         raise errors.Alt3OnWeightedSystem(
             "rho_bulk_star is defined for homomorphism systems only")
-    dom_set = set(st.dominant)
-    total = Fraction(0) if system.mode == "rational" else 0.0
-    for p in st.maximal:
-        if p in dom_set:
-            continue
-        total += (kbipartite.lambda_restricted_power(system, p.a, 2 * d)
-                  * system.lambda_mask(p.b) ** (2 * d))
-    if total == 0:
-        return 0.0
-    try:
-        root = float(total) ** (1.0 / (2 * d))
-    except OverflowError:  # a Fraction beyond the float range
-        root = math.exp((math.log(total.numerator)
-                         - math.log(total.denominator)) / (2 * d))
-    return root / float(st.omega_dom)
+    n = 2 * d
+    pats = [p for p in st.maximal if p not in set(st.dominant)]
+    if n * max((_bits(system, p.a) + _bits(system, p.b) for p in pats),
+               default=0) <= (EXACT_BITS if system.mode == "rational"
+                              else 1000):
+        total = sum(kbipartite.lambda_restricted_power(system, p.a, n)
+                    * system.lambda_mask(p.b) ** n for p in pats)
+        if total == 0:
+            return 0.0
+        try:
+            root = float(total) ** (1.0 / n)
+        except OverflowError:  # a Fraction beyond the float range
+            root = math.exp(log_number(total) / n)
+        return root / float(st.omega_dom)
+    # the same signed terms lambda_k^n lambda(B_p)^n, relative to the largest
+    terms = [(sign, log_number(lam) + log_number(lam_b))
+             for p in pats if (lam_b := system.lambda_mask(p.b))
+             for sign, m in kbipartite.exclusion_terms(system, p.a)
+             if (lam := system.lambda_mask(m))]
+    top = max((x for _, x in terms), default=0.0)
+    total = math.fsum(sign * math.exp(n * (x - top)) for sign, x in terms)
+    return math.exp(top + math.log(total) / n) / float(st.omega_dom) \
+        if total > 0 else 0.0
+
+
+def _bits(system, mask):
+    """Bits of lambda(mask) in exact form; in float mode |log2| of it, as
+    the powers must stay below 2^1000."""
+    x = system.lambda_mask(mask)
+    if system.mode == "rational":
+        return x.numerator.bit_length() + x.denominator.bit_length()
+    return abs(math.log2(x)) if x else 0.0
 
 
 def compute_parameters(system, d=None, s=None) -> ParameterReport:

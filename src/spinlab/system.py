@@ -67,6 +67,13 @@ def emit_number(x):
     return x
 
 
+def log_number(x) -> float:
+    """Natural log of a positive int, float or Fraction of any size."""
+    if isinstance(x, Fraction):
+        return math.log(x.numerator) - math.log(x.denominator)
+    return math.log(x)
+
+
 # ---------------------------------------------------------------------------
 # core types
 

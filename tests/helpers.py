@@ -228,23 +228,23 @@ def build_tables_reference(system, d, class_masks):
 # lattices and breakups, as the loops and frozenset operations built them
 # before the neighbor table and the site masks
 
-def lattice_reference(kind, dims):
-    """coords, index, neighbors, interior, halo and parities of a box (with
-    its halo) or a torus, from one loop over the sites each."""
+def lattice_reference(periodic, dims):
+    """coords, index, neighbors, interior, halo and parities of a lattice
+    that wraps along the axes flagged in periodic, with its halo across the
+    other axes, from one loop over the sites each."""
     interior = list(itertools.product(*[range(n) for n in dims]))
     halo = []
-    if kind == "box":
-        seen = set()
-        for c in interior:
-            for axis in range(len(dims)):
-                for delta in (-1, 1):
-                    h = list(c)
-                    h[axis] += delta
-                    h = tuple(h)
-                    if not all(0 <= x < n for x, n in zip(h, dims)) \
-                            and h not in seen:
-                        seen.add(h)
-                        halo.append(h)
+    seen = set()
+    for c in interior:
+        for axis in range(len(dims)):
+            for delta in (-1, 1):
+                h = list(c)
+                h[axis] += delta
+                h = tuple(h)
+                if not periodic[axis] and h not in seen \
+                        and not all(0 <= x < n for x, n in zip(h, dims)):
+                    seen.add(h)
+                    halo.append(h)
     coords = interior + halo
     index = {c: i for i, c in enumerate(coords)}
     neighbors = []
@@ -253,7 +253,7 @@ def lattice_reference(kind, dims):
         for axis in range(len(dims)):
             for delta in (-1, 1):
                 h = list(c)
-                if kind == "torus":
+                if periodic[axis]:
                     h[axis] = (h[axis] + delta) % dims[axis]
                 else:
                     h[axis] += delta

@@ -1,9 +1,11 @@
 import json
+import math
+import time
 from fractions import Fraction
 
 import pytest
 
-from spinlab import catalog, cli, gibbs, patterns
+from spinlab import breakup as breakup_mod, catalog, cli, gibbs, patterns
 from spinlab import lattice as lm
 from spinlab.system import load_system, make_system
 
@@ -184,6 +186,36 @@ def test_check_sweep_widom_rowlinson_large_d(tmp_path, sysfile, condition):
     rows = [line.split(",") for line in out.read_text().strip().splitlines()]
     assert [r[0] for r in rows[1:]] == ["10", "100", "1000", "10000", "100000"]
     assert rows[2][2] == WR2_D100[condition]
+
+
+# the rows of the d <= 10^5 points of d=100:1e12:geometric:13, as the
+# exact arithmetic computes them
+WR2_EXACT_ROWS = {
+    "simple": [(100, 0, 0.06269457284459981), (681, 0, 0.06007005509725029),
+               (4642, 0, 0.06592304282035158),
+               (31623, 0, 0.07833511646625152)],
+    "alt3": [(100, 0, 0.13036007086265247), (681, 0, 0.13780557099637436),
+             (4642, 0, 0.15987253604247473),
+             (31623, 0, 0.19697996588509603)]}
+
+
+@pytest.mark.parametrize("condition", sorted(WR2_EXACT_ROWS))
+def test_check_sweep_reaches_any_dimension(tmp_path, sysfile, condition):
+    path = sysfile("wr2.json", catalog.build("widom_rowlinson", lam=2))
+    out = tmp_path / "sweep.csv"
+    spec = "d=100:1e12:geometric:13"
+    t0 = time.monotonic()
+    assert cli.main(["check", "--system", path, "--condition", condition,
+                     "--sweep", spec, "--out", str(out)]) == 0
+    # about 0.02 s on 2 vCPUs; exact powers took over 60 s at d = 10^7
+    assert time.monotonic() - t0 < 5.0
+    rows = [line.split(",") for line in out.read_text().strip().splitlines()]
+    assert [int(r[0]) for r in rows[1:]] == cli._parse_sweep(spec)
+    assert len(rows) == 14 and rows[-1][:2] == [str(10 ** 12), "1"]
+    assert all(0 < float(r[2]) < math.inf for r in rows[1:])
+    for (d, passes, margin), row in zip(WR2_EXACT_ROWS[condition], rows[1:]):
+        assert (int(row[0]), int(row[1])) == (d, passes)
+        assert abs(float(row[2]) - margin) <= 1e-12 * margin
 
 
 def test_alt2_sweep_builds_structure_once(tmp_path, af3_soft_path,
@@ -424,6 +456,40 @@ def test_unsupported_lattice_is_a_validation_error(af3_soft_path, capsys,
                             "--pattern", "A=1;B=2,3"]) == 2
     assert json.loads(capsys.readouterr().err)["error"] \
         == "UnsupportedLattice"
+
+
+@pytest.mark.parametrize("lattice", [
+    "box:3px4+halo", "box:0px4+halo", "box:4x1p+halo", "torus:4x3"])
+def test_odd_or_zero_periodic_side_is_a_validation_error(af3_soft_path,
+                                                         capsys, lattice):
+    assert cli.main(["mcmc", "--system", af3_soft_path, "--lattice", lattice,
+                     "--pattern", "A=1;B=2,3", "--site", "1,1",
+                     "--sweeps", "10"]) == 2
+    assert set(json.loads(capsys.readouterr().err)) == {"error", "detail"}
+
+
+def test_breakup_scan_on_a_slab_verifies_every_atlas(tmp_path, af3_path,
+                                                     monkeypatch):
+    reports = []
+    construct = breakup_mod.construct_breakup
+
+    def construct_and_verify(system, lat, f, pat, V):
+        atlas = construct(system, lat, f, pat, V)
+        reports.append(breakup_mod.verify_breakup(system, lat, f, pat,
+                                                  atlas, V))
+        return atlas
+    monkeypatch.setattr(breakup_mod, "construct_breakup",
+                        construct_and_verify)
+    out = tmp_path / "scan.csv"
+    assert cli.main(["breakup-scan", "--system", af3_path,
+                     "--lattice", "box:12x12x4p+halo",
+                     "--pattern", "A=1;B=2,3", "--sweeps", "100",
+                     "--samples", "4", "--force", "--out", str(out)]) == 0
+    assert len(out.read_text().strip().splitlines()) == 5
+    assert len(reports) == 4
+    assert all(r["pass"] for r in reports), [
+        k for r in reports for k, v in r.items()
+        if isinstance(v, dict) and not v["holds"]]
 
 
 @pytest.mark.parametrize("side, rng_id", [

@@ -16,13 +16,18 @@ LABELS = ["1", "2", "3"]
 
 _int_text = st.sampled_from(["-1", "0", "1", "2", "3", "4", "5", "a", "",
                              "1.5", " 2"])
-_dims = st.lists(st.integers(0, 4), min_size=1, max_size=3)
+# sides 0-4, each periodic (a "p" suffix) or not: odd and zero periodic
+# sides, boxes periodic along every axis and "p" under "torus:" included
+_dims = st.lists(st.builds(lambda n, p: f"{n}p" if p else str(n),
+                           st.integers(0, 4), st.booleans()),
+                 min_size=1, max_size=3)
 lattices = st.one_of(
-    st.builds(lambda kind, dims, halo: f"{kind}:{'x'.join(map(str, dims))}"
+    st.builds(lambda kind, dims, halo: f"{kind}:{'x'.join(dims)}"
               + ("+halo" if halo else ""),
               st.sampled_from(["box", "torus", "ball"]), _dims, st.booleans()),
     st.sampled_from(["", "box", "box:", "box:4x", "box:axb", ":4x4",
-                     "box:4x4+halo+halo", "box:-2x3+halo"]))
+                     "box:4x4+halo+halo", "box:-2x3+halo", "box:4pp",
+                     "box:px4", "box:4px4p+halo", "torus:4px4p"]))
 _side = st.one_of(
     st.lists(st.sampled_from(LABELS), max_size=3).map(",".join),
     st.sampled_from(["all", "", "9", "1,,2", "x"]))

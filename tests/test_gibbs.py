@@ -8,7 +8,7 @@ import pytest
 from spinlab import catalog, errors, gibbs, patterns
 from spinlab import lattice as lm
 from spinlab.patterns import Pattern
-from spinlab.system import make_system
+from spinlab.system import log_number, make_system
 
 from helpers import (FRACTIONAL, build_tables_reference, graph_z,
                      torus_graph)
@@ -222,20 +222,11 @@ def test_log_z_per_site():
     z = gibbs.z_torus(HC, (4, 4))
     assert abs(val - math.log(z) / 16) < 1e-12
     # the big-integer log path agrees with math.log on moderate numbers
-    assert abs(gibbs._log_int(7 ** 500) - 500 * math.log(7)) < 1e-6
+    assert abs(log_number(7 ** 500) - 500 * math.log(7)) < 1e-6
 
 
 # ---------------------------------------------------------------------------
 # MCMC
-
-def test_conditional_weights():
-    w = gibbs.conditional_weights(HC, 0b11, [1])
-    assert w == [1.0, 0.0]
-    w = gibbs.conditional_weights(HC, 0b11, [0, 0])
-    assert w == [1.0, 1.0]
-    w = gibbs.conditional_weights(HC, 0b01, [0, 0])
-    assert w == [1.0, 0.0]
-
 
 def test_initial_pattern_config():
     lat = lm.make_box((4, 4))
@@ -333,6 +324,43 @@ def test_checkerboard_matches_exact_marginal():
     for cfg in res.configs:
         for v in lat.interior:
             assert bc.allowed_mask(lat, system, v) >> cfg[v] & 1
+
+
+@pytest.mark.parametrize("chains, rng_id", [
+    (1, gibbs.RNG_ID), (16, gibbs.CHECKERBOARD_RNG_ID)])
+def test_mcmc_on_a_cylinder_matches_enumeration(chains, rng_id):
+    """hard_core lam=1 on box:4px4+halo: axis 0 wraps, axis 1 is open, so
+    the internal boundary is columns 0 and 3, whose even sites are held
+    empty.  The oracle weighs all 2^16 interior configurations."""
+    lat = lm.parse_lattice("box:4px4+halo")
+    bc = gibbs.PatternBoundary(P0_HC)
+    assert bc.region(lat) == frozenset(4 * r + c for r in range(4)
+                                       for c in (0, 3))
+    grid = ((np.arange(2 ** 16)[:, None] >> np.arange(16)) & 1) \
+        .reshape(-1, 4, 4).astype(bool)  # [config, row, column]
+    ok = ~(grid & np.roll(grid, 1, axis=1)).any(axis=(1, 2))  # wraps
+    ok &= ~(grid[:, :, 1:] & grid[:, :, :-1]).any(axis=(1, 2))
+    r, c = np.indices((4, 4))
+    ok &= ~grid[:, ((r + c) % 2 == 0) & ((c == 0) | (c == 3))].any(axis=1)
+    exact = grid[ok].mean(axis=0)
+    # (0, 2) neighbors (3, 2) across the wrap: 0.099, or 0.140 without it;
+    # (1, 1) is off the boundary: 0.099, or 0.068 on the 4x4 box
+    for site in ((0, 2), (1, 1)):
+        res = gibbs.run_mcmc(HC, lat, bc, site, chains=chains, seed=11,
+                             n_sweeps=20000 if chains == 1 else 2000)
+        assert res.rng_id == rng_id
+        dev = abs(res.marginal["1"] - exact[site])
+        assert dev <= 4 * res.se["1"], (site, dev, res.se["1"])
+
+
+def test_slab_runs_the_sampler_but_not_the_box_dp():
+    lat = lm.parse_lattice("box:4x4px3+halo")
+    bc = gibbs.PatternBoundary(P0_AF3)
+    with pytest.raises(errors.UnsupportedLattice):
+        gibbs.z_pattern_box(AF3, lm.parse_lattice("box:4px4+halo"), bc)
+    res = gibbs.run_mcmc(AF3, lat, bc, (1, 1, 1), n_sweeps=20, force=True)
+    for v in bc.region(lat):
+        assert bc.side_mask(lat, v) >> res.config[v] & 1
 
 
 @pytest.mark.parametrize("chains", [1, 16])

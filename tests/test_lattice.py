@@ -38,6 +38,61 @@ def test_torus_structure():
         lm.make_torus((3, 4))  # odd side breaks the 2-coloring
 
 
+def test_slab_structure():
+    lat = lm.make_lattice((4, 3), (True, False))
+    assert lat.kind == "slab" and lat.has_exterior
+    assert lat.periodic == (True, False)
+    # the halo lies across the open axis only
+    assert sorted(lat.coords[v] for v in lat.halo) \
+        == sorted([(r, -1) for r in range(4)] + [(r, 3) for r in range(4)])
+    v = lat.index[(0, 1)]
+    assert sorted(lat.coords[u] for u in lat.neighbors[v]) \
+        == [(0, 0), (0, 2), (1, 1), (3, 1)]
+    assert lat.dist(lat.index[(0, 0)], lat.index[(3, 2)]) == 3  # 1 + 2
+    assert lm.make_box((3, 4)).has_exterior
+    assert not lm.make_torus((4, 4)).has_exterior
+    for sides in ((3, 4), (0, 4)):
+        with pytest.raises(errors.ParamOutOfRange):
+            lm.make_lattice(sides, (True, False))  # odd or empty period
+
+
+def test_parse_lattice_periodic_axes():
+    lat = lm.parse_lattice("box:12x12x4p+halo")
+    assert lat.dims == (12, 12, 4) and lat.periodic == (False, False, True)
+    assert lat.kind == "slab" and len(lat.halo) == 2 * 2 * 12 * 4
+    assert lm.parse_lattice("box:4px4p").kind == "torus"
+    assert lm.parse_lattice("torus:4px4").periodic == (True, True)
+    assert lm.parse_lattice("box:3x4").periodic == (False, False)
+    for bad in ("box:4px4p+halo", "box:4pp", "box:px4", "box:-2px4"):
+        with pytest.raises(errors.SchemaError):
+            lm.parse_lattice(bad)
+    with pytest.raises(errors.ParamOutOfRange):
+        lm.parse_lattice("box:3px4+halo")
+
+
+def test_slab_has_an_exterior_and_wraps_only_along_periodic_axes():
+    lat = lm.make_lattice((6, 6), (True, False))
+    # a column wraps along the periodic axis 0; a row only spans the open
+    # axis 1, and its identity is checked
+    column = frozenset(lat.index[(r, 2)] for r in range(6))
+    with pytest.raises(errors.WrappingSet):
+        lm.odd_set_identity(lat, column)
+    row = lm.plus_(lat, {lat.index[(2, c)] for c in (2, 4)})
+    assert lm.is_odd_set(lat, row)
+    lhs, rhs = lm.odd_set_identity(lat, row)
+    assert lhs == rhs
+    # the exterior lies on both sides of the open axis: one ring around the
+    # periodic axis cuts nothing off, two rings cut off the sites between
+    ring = frozenset(lat.index[(r, 3)] for r in range(6))
+    v = lat.index[(0, 1)]
+    assert lm.connected_to_infinity(lat, ring, v)
+    assert lm.separating_components(lat, ring, {v}) == frozenset()
+    assert not lm.connected_to_infinity(
+        lat, ring | {lat.index[(r, 0)] for r in range(6)}, v)
+    edge = frozenset(lat.index[(r, -1)] for r in range(3))
+    assert lm.separating_components(lat, ring | edge, {v}) == edge
+
+
 def test_parse_lattice():
     lat = lm.parse_lattice("box:3x4+halo")
     assert lat.kind == "box" and lat.dims == (3, 4)
@@ -188,10 +243,18 @@ def test_random_odd_set_is_interior():
     ("box", (5,)), ("box", (1,)), ("box", (3, 4)), ("box", (1, 3)),
     ("box", (4, 1)), ("box", (1, 1)), ("box", (2, 3, 2)), ("box", (3, 1, 2)),
     ("torus", (2,)), ("torus", (4,)), ("torus", (2, 2)), ("torus", (4, 6)),
-    ("torus", (2, 4)), ("torus", (2, 2, 4))])
+    ("torus", (2, 4)), ("torus", (2, 2, 4)),
+    # slabs, periodic along the flagged axes
+    ((True, False), (4, 3)), ((False, True), (3, 4)),
+    ((True, False, False), (2, 3, 2)), ((True, True, False), (4, 4, 3))])
 def test_lattice_tables_match_loop_builder(kind, dims):
-    lat = (lm.make_box if kind == "box" else lm.make_torus)(dims)
-    ref = lattice_reference(kind, dims)
+    if kind in ("box", "torus"):
+        lat = (lm.make_box if kind == "box" else lm.make_torus)(dims)
+        periodic = (kind == "torus",) * len(dims)
+    else:
+        lat, periodic, kind = lm.make_lattice(dims, kind), kind, "slab"
+    assert lat.kind == kind and lat.periodic == periodic
+    ref = lattice_reference(periodic, dims)
     assert lat.coords == ref["coords"]
     assert lat.index == ref["index"]
     assert lat.neighbors == ref["neighbors"]
@@ -204,8 +267,15 @@ def test_lattice_tables_match_loop_builder(kind, dims):
 
 @pytest.mark.parametrize("dims", [(6, 6), (5, 7), (4, 3, 3), (9,)])
 def test_mask_operations_match_site_sets(dims):
-    lat = lm.make_box(dims)
-    rng = random.Random(sum(dims))
+    _check_mask_operations(lm.make_box(dims), random.Random(sum(dims)))
+
+
+@pytest.mark.parametrize("spec", ["box:6px5", "box:4x4px3", "box:2px5"])
+def test_mask_operations_match_site_sets_on_slabs(spec):
+    _check_mask_operations(lm.parse_lattice(spec), random.Random(spec))
+
+
+def _check_mask_operations(lat, rng):
     for density in (0.1, 0.4, 0.8):
         for _ in range(5):
             U = frozenset(v for v in range(lat.n) if rng.random() < density)

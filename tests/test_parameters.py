@@ -73,6 +73,39 @@ def test_check_condition_guards():
         parameters.rho_bulk_star_of(soft, 2)
 
 
+HOMOMORPHISMS = {
+    "widom_rowlinson": catalog.build("widom_rowlinson", lam=2),
+    "widom_rowlinson_third": catalog.build("widom_rowlinson", lam="1/3"),
+    "af_potts4": catalog.build("af_potts", q=4),
+    "multi_beach": catalog.build("multi_beach", q=3, lam=2),
+    "multi_occupancy": catalog.build("multi_occupancy_hc_v2", q=3, lam="5/3"),
+}
+
+
+@pytest.mark.parametrize("system", HOMOMORPHISMS.values(),
+                         ids=list(HOMOMORPHISMS))
+def test_rho_bulk_star_log_space_matches_exact(system, monkeypatch):
+    exact = [parameters.rho_bulk_star_of(system, d) for d in (2, 10, 1000)]
+    monkeypatch.setattr(parameters, "EXACT_BITS", -1)  # log space throughout
+    for d, want in zip((2, 10, 1000), exact):
+        got = parameters.rho_bulk_star_of(system, d)
+        assert want > 0 and abs(got - want) <= 1e-13 * want, (d, got, want)
+
+
+def test_rho_bulk_star_float_mode_at_any_d():
+    """Float powers leave the float range near d = 200 here; past that the
+    float system takes log space and agrees with the rational one."""
+    from spinlab.system import make_system
+    wr = HOMOMORPHISMS["widom_rowlinson"]
+    flt = make_system(wr.states, [float(a) for a in wr.activities],
+                      [[float(x) for x in row] for row in wr.interactions],
+                      mode="float")
+    for d in (10, 100, 10 ** 4, 10 ** 12):
+        want = parameters.rho_bulk_star_of(wr, d)
+        got = parameters.rho_bulk_star_of(flt, d)
+        assert abs(got - want) <= 1e-12 * want, (d, got, want)
+
+
 def test_check_condition_alternatives():
     rep = parameters.check_condition(HC, 10 ** 12, "alt1")
     assert rep.passes
