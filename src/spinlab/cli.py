@@ -79,8 +79,7 @@ def _parse_psi(system, d, text) -> kbipartite.PsiSpec:
     """complete | class:J=<labels>:<cls>[:eps=x][:epsbar=y] |
     product:<labels>|<labels>|... (short products padded with S)."""
     if text == "complete":
-        return kbipartite.PsiSpec(kind="product",
-                                  coords=[system.full_mask()] * (2 * d))
+        return kbipartite.PsiSpec(coords=[system.full_mask()] * (2 * d))
     kind, _, rest = text.partition(":")
     if kind == "class":
         fields = rest.split(":")
@@ -97,13 +96,14 @@ def _parse_psi(system, d, text) -> kbipartite.PsiSpec:
                 opts[k] = float(v)
             except ValueError:
                 raise errors.SchemaError(f"malformed {k} {v!r}") from None
-        return kbipartite.class_spec(J, cls, opts["eps"], opts["epsbar"])
+        return kbipartite.PsiSpec(J=J, cls=cls, eps=opts["eps"],
+                                  eps_bar=opts["epsbar"])
     if kind == "product":
         coords = [_parse_states(system, grp) for grp in rest.split("|")]
         if len(coords) > 2 * d:
             raise errors.SchemaError("more coordinates than 2d")
         coords += [system.full_mask()] * (2 * d - len(coords))
-        return kbipartite.PsiSpec(kind="product", coords=coords)
+        return kbipartite.PsiSpec(coords=coords)
     raise errors.SchemaError(f"unknown psi spec kind {kind!r}")
 
 

@@ -249,11 +249,16 @@ def prob_not_in_pattern(system: SpinSystem, lat, boundary: PatternBoundary,
 # torus partition function
 
 def z_torus(system: SpinSystem, dims):
-    """Exact free-boundary partition function on a discrete torus.  2D tori
-    go through a sparse column transfer matrix whose columns run along the
-    shorter side (Z is the same with the axes swapped); small tori of any
-    dimension fall back to direct enumeration."""
+    """Exact free-boundary partition function on a discrete torus, as a
+    simple graph: every side must be at least 2, odd sides are allowed, and
+    along a side of 2 the two steps reach the same neighbour, which is one
+    edge (lattices count it twice; see spinlab.lattice).  2D tori with
+    sides of at least 3 go through a sparse column transfer matrix whose
+    columns run along the shorter side (Z is the same with the axes
+    swapped); other tori are enumerated directly."""
     dims = tuple(dims)
+    if not dims or min(dims) < 2:
+        raise errors.ParamOutOfRange("torus sides must be at least 2")
     n_sites = math.prod(dims)
     if len(dims) == 2 and all(x >= 3 for x in dims):
         # with a side of length < 3 the wrap edge coincides with a nearest-
@@ -265,15 +270,18 @@ def z_torus(system: SpinSystem, dims):
 
 
 def _z_enumerate_torus(system, dims):
-    lat = lat_mod.make_torus(dims)
+    """Z of the simple-graph torus by enumeration; sites in lexicographic
+    order, each edge once."""
+    grid = np.arange(math.prod(dims)).reshape(dims)
+    edges = sorted({(min(u, v), max(u, v)) for axis in range(len(dims))
+                    for u, v in zip(grid.ravel().tolist(),
+                                    np.roll(grid, -1, axis).ravel().tolist())})
     zero = system.zero()
     total = zero
-    edges = {(min(u, v), max(u, v)) for v in range(lat.n)
-             for u in lat.neighbors[v]}
-    for f in itertools.product(range(system.n), repeat=lat.n):
+    for f in itertools.product(range(system.n), repeat=grid.size):
         wgt = system.one()
-        for v in range(lat.n):
-            wgt *= system.activities[f[v]]
+        for v in f:
+            wgt *= system.activities[v]
         for (u, v) in edges:
             wgt *= system.interactions[f[u]][f[v]]
             if wgt == zero:

@@ -5,13 +5,13 @@ Z(Psi, I) sums, over left-side assignments psi in Psi and right-side values
 constrained to I,
     prod_j lam[psi(j)] * (sum_{i in I} lam_i prod_j lam[i, psi(j)])^{2d}.
 
-The fast evaluator groups assignments by their multiplicity vector xi over a
-small ground set; class membership (value-set equivalence, near-constant
-assignments) depends only on xi, and the number of assignments with content
-xi is a multinomial (for per-coordinate product constraints, a sum over
-groups of coordinates with equal masks of products of multinomials).  In
-rational mode the sum runs on SpinSystem.scaled() integer weights and is
-divided once by la^{4d} li^{4d^2}.
+The fast evaluator groups assignments by their multiplicity vector (content)
+xi over a small ground set.  Class membership (value-set equivalence,
+near-constant assignments) depends only on xi, and the number of
+assignments with content xi is, over the groups of coordinates with equal
+masks, a sum of products of multinomials (one group of 2d coordinates: the
+multinomial).  In rational mode the sum runs on SpinSystem.scaled() integer
+weights and is divided once by la^{4d} li^{4d^2}.
 """
 
 from __future__ import annotations
@@ -23,8 +23,6 @@ import operator
 import random
 from collections import Counter
 from dataclasses import dataclass
-from fractions import Fraction
-from typing import Optional
 
 from . import errors, patterns
 from .system import SpinSystem, make_system
@@ -40,33 +38,50 @@ RNG_ID = "python-random"
 # ---------------------------------------------------------------------------
 # specs
 
+# the thresholds each class reads
+_THRESHOLDS = {"full": (), "near_dominant": ("eps",),
+               "near_subset": ("eps_bar",), "balanced": ("eps", "eps_bar")}
+
+
 @dataclass
 class PsiSpec:
-    """Description of a set of left-side assignments [2d] -> S.
+    """A set of left-side assignments psi: [2d] -> S.
 
-    kinds:
-      explicit               - psis: list of tuples
-      product                - coords: per-coordinate allowed bitmasks
-      class                  - cls in {"full", "near_dominant", "near_subset",
-                               "balanced"} over ground side J
-      class_minus            - cls minus cls2 (same J)
-      class_intersect_product- class constraint and per-coordinate masks
+    Coordinate j takes a value in the bitmask coords[j] (coords None: any
+    value).  When J is set, the content of psi must also lie in the class
+    cls over the side J and, when cls2 is set, not in the class cls2.
     "full" is the value-set-equivalent-to-J class; "near_dominant" /
-    "near_subset" are its near-constant subclasses (thresholds eps, eps_bar);
-    "balanced" is full minus both.
+    "near_subset" are its near-constant subclasses (thresholds eps,
+    eps_bar); "balanced" is full minus both.
     """
-    kind: str
-    J: int = 0
+    coords: list = None
+    J: int = None
     cls: str = "full"
     cls2: str = None
     eps: float = None
     eps_bar: float = None
-    psis: list = None
-    coords: list = None
 
+    def __post_init__(self):
+        for c in filter(None, (self.cls, self.cls2)):
+            need = _THRESHOLDS.get(c)
+            if need is None:
+                raise errors.SchemaError(f"unknown class {c!r}")
+            if any(getattr(self, t) is None for t in need):
+                raise errors.SchemaError(
+                    f"class {c!r} needs {' and '.join(need)}")
+        for t in ("eps", "eps_bar"):
+            x = getattr(self, t)
+            if x is not None and not (math.isfinite(x) and x >= 0):
+                raise errors.ParamOutOfRange(f"{t} must be finite and >= 0")
 
-def class_spec(J, cls="full", eps=None, eps_bar=None):
-    return PsiSpec(kind="class", J=J, cls=cls, eps=eps, eps_bar=eps_bar)
+    @property
+    def kind(self) -> str:
+        """The spec's shape as a name ("product", "class" or
+        "class_intersect_product"); perfbench/spans.py counts a call's
+        compositions by it."""
+        if self.J is None:
+            return "product"
+        return "class" if self.coords is None else "class_intersect_product"
 
 
 # ---------------------------------------------------------------------------
@@ -76,10 +91,6 @@ def z_bruteforce(system: SpinSystem, d: int, psis, I_mask: int):
     """Direct evaluation over an explicit list of assignments."""
     if 2 * d > 6 or system.n > 5:
         raise errors.TooLarge(f"brute force guard: 2d={2*d}, |S|={system.n}")
-    return _z_explicit(system, d, psis, I_mask)
-
-
-def _z_explicit(system, d, psis, I_mask):
     total = system.zero()
     I_states = system.mask_states(I_mask)
     for psi in psis:
@@ -99,42 +110,26 @@ def _z_explicit(system, d, psis, I_mask):
 # ---------------------------------------------------------------------------
 # content-level class predicates
 
-# the thresholds each class reads
-_THRESHOLDS = {"full": (), "near_dominant": ("eps",),
-               "near_subset": ("eps_bar",), "balanced": ("eps", "eps_bar")}
-
-
 class _ClassContext:
-    """Precomputed data for content-level membership tests over a side J."""
+    """A spec's class over its side J, as a test on contents."""
 
-    def __init__(self, system, d, J, eps, eps_bar, cls="full", cls2=None):
+    def __init__(self, system, d, spec):
         self.system = system
         self.d = d
-        self.J = J
-        self.eps = eps
-        self.eps_bar = eps_bar
-        self.cls = cls
-        self.cls2 = cls2
-        for c in filter(None, (cls, cls2)):
-            need = _THRESHOLDS.get(c)
-            if need is None:
-                raise errors.SchemaError(f"unknown class {c!r}")
-            if any(getattr(self, t) is None for t in need):
-                raise errors.SchemaError(
-                    f"class {c!r} needs {' and '.join(need)}")
-        self.rJ = patterns.r_closure(system, J)
-        if bin(J).count("1") > MAX_SUBSET_SIDE:
-            raise errors.GroundSetTooLarge(f"side has {bin(J).count('1')} states")
+        self.spec = spec
+        self.rJ = patterns.r_closure(system, spec.J)
+        if bin(spec.J).count("1") > MAX_SUBSET_SIDE:
+            raise errors.GroundSetTooLarge(
+                f"side has {bin(spec.J).count('1')} states")
+        # a content value-set equivalent to J lies within R(R(J))
+        self.ground = patterns.r_closure(system, self.rJ)
         # strict subsets of J that are dominant sides
         self.dom_subsets = [a for a in patterns.structure(system).dominant_sides
-                            if a != J and a & ~J == 0]
+                            if a != spec.J and a & ~spec.J == 0]
         # proper subsets of J not value-set-equivalent to J
         self.inequiv_subsets = [
-            I for I in _submasks(J) if I != J
+            I for I in _submasks(spec.J) if I != spec.J
             and patterns.r_closure(system, I) != self.rJ]
-
-    def ground_mask(self):
-        return patterns.r_closure(self.system, self.rJ)
 
     def _count_in(self, xi, mask):
         return sum(c for s, c in xi.items() if mask >> s & 1)
@@ -146,11 +141,11 @@ class _ClassContext:
         return patterns.r_closure(self.system, supp) == self.rJ
 
     def in_near_dominant(self, xi):
-        thr = 2 * self.d - 4 * self.eps * self.d
+        thr = 2 * self.d - 4 * self.spec.eps * self.d
         return any(self._count_in(xi, I) > thr for I in self.dom_subsets)
 
     def in_near_subset(self, xi):
-        thr = 2 * self.d - 4 * self.eps_bar * self.d
+        thr = 2 * self.d - 4 * self.spec.eps_bar * self.d
         return any(self._count_in(xi, I) > thr for I in self.inequiv_subsets)
 
     def member(self, xi, cls):
@@ -162,14 +157,17 @@ class _ClassContext:
             return self.in_near_dominant(xi)
         if cls == "near_subset":
             return self.in_near_subset(xi)
-        if cls == "balanced":
-            return not (self.in_near_dominant(xi) or self.in_near_subset(xi))
-        raise errors.SchemaError(f"unknown class {cls!r}")
+        return not (self.in_near_dominant(xi) or self.in_near_subset(xi))
 
     def admits(self, xi):
         """xi is in the class cls and, when cls2 is set, not in cls2."""
-        return self.member(xi, self.cls) and not (
-            self.cls2 is not None and self.member(xi, self.cls2))
+        return self.member(xi, self.spec.cls) and not (
+            self.spec.cls2 is not None and self.member(xi, self.spec.cls2))
+
+
+def _spec_context(system, d, spec):
+    """The spec's class constraint, or None when it sets no class."""
+    return None if spec.J is None else _ClassContext(system, d, spec)
 
 
 def _submasks(mask):
@@ -185,24 +183,7 @@ def _submasks(mask):
 
 
 # ---------------------------------------------------------------------------
-# composition evaluator
-
-def _compositions(total, states):
-    """Yield dicts state -> positive count summing to total."""
-    if not states:
-        if total == 0:
-            yield {}
-        return
-    first, rest = states[0], states[1:]
-    for c in range(total + 1):
-        for tail in _compositions(total - c, rest):
-            if c:
-                d = {first: c}
-                d.update(tail)
-                yield d
-            else:
-                yield tail
-
+# contents
 
 def _multinomial(n, counts):
     out = math.factorial(n)
@@ -211,14 +192,19 @@ def _multinomial(n, counts):
     return out
 
 
-def _product_count(coords, xi):
-    """Number of assignments with content xi where coordinate j takes a value
-    allowed by the bitmask coords[j].  Coordinates with the same mask are
-    interchangeable, so each group of them takes a sub-content y of what is
-    left, in multinomial(size, y) ways; the last group takes the rest."""
-    if sum(xi.values()) != len(coords):
+def _groups(coords):
+    """(mask, number of coordinates with that mask), by mask."""
+    return sorted(Counter(coords).items())
+
+
+def _grouped_count(groups, xi):
+    """Number of assignments with content xi where each of the size
+    coordinates of a group (mask, size) takes a value allowed by mask.
+    Coordinates with the same mask are interchangeable, so each group takes
+    a sub-content y of what is left, in multinomial(size, y) ways; the last
+    group takes the rest."""
+    if sum(xi.values()) != sum(size for _, size in groups):
         return 0
-    groups = sorted(Counter(coords).items())
     states = sorted(xi)
     memo = {}
 
@@ -242,60 +228,59 @@ def _product_count(coords, xi):
 
 
 def _sub_contents(remaining, states, mask, size, i=0):
-    """Count vectors y <= remaining, zero outside mask, summing to size."""
+    """Count vectors y <= remaining, zero outside mask, summing to size: the
+    first state's count outermost, ascending, and the last state's count
+    what is left."""
     if i == len(states):
         if size == 0:
             yield ()
         return
     top = min(remaining[i], size) if mask >> states[i] & 1 else 0
+    if i == len(states) - 1:
+        if size <= top:
+            yield (size,)
+        return
     for u in range(top + 1):
         for tail in _sub_contents(remaining, states, mask, size - u, i + 1):
             yield (u,) + tail
 
 
-def _spec_context(system, d, spec):
-    """The spec's class constraint, or None for a plain product."""
-    if spec.kind == "product":
-        return None
-    if spec.kind not in ("class", "class_minus", "class_intersect_product"):
-        raise errors.SchemaError(f"unknown spec kind {spec.kind!r}")
-    return _ClassContext(system, d, spec.J, spec.eps, spec.eps_bar, spec.cls,
-                         spec.cls2 if spec.kind == "class_minus" else None)
-
-
-def _xi_count(d, spec, ctx, xi):
-    """Number of assignments in the spec with content xi."""
-    if ctx is not None and not ctx.admits(xi):
-        return 0
-    if spec.coords is not None:
-        return _product_count(spec.coords, xi)
-    return _multinomial(2 * d, xi.values())
+def _contents(system, d, coords, ctx):
+    """Yield (xi, count) for every content xi of an assignment [2d] -> S
+    whose coordinate j takes a value in coords[j] (coords None: any value)
+    and, when ctx is set, whose content is in ctx's class; count (> 0) is
+    the number of such assignments.  The ground set is the union of the
+    masks, within R(R(J)) when a class is set, and the contents come in
+    _sub_contents order over it."""
+    if coords is None:
+        coords = [system.full_mask()] * (2 * d)
+    ground = functools.reduce(operator.or_, coords, 0)
+    if ctx is not None:
+        ground &= ctx.ground
+    states = system.mask_states(ground)
+    if len(states) > MAX_GROUND:
+        raise errors.GroundSetTooLarge(str(len(states)))
+    groups = _groups(coords)
+    for y in _sub_contents((2 * d,) * len(states), states, ground, 2 * d):
+        xi = {s: c for s, c in zip(states, y) if c}
+        if ctx is None or ctx.admits(xi):
+            count = _grouped_count(groups, xi)
+            if count:
+                yield xi, count
 
 
 def z_compositions(system: SpinSystem, d: int, spec: PsiSpec, I_mask: int):
-    """Evaluate Z(Psi, I) by summing over multiplicity vectors."""
+    """Evaluate Z(Psi, I) by summing over the contents of the spec."""
     if d < 1:
         raise errors.ParamOutOfRange("d must be >= 1")
     if d > MAX_D:
         raise errors.TooLarge(f"d={d}")
-    if spec.psis is not None:
-        return _z_explicit(system, d, spec.psis, I_mask)
     ctx = _spec_context(system, d, spec)
-    if spec.coords is not None:
-        ground = functools.reduce(operator.or_, spec.coords, 0)
-    else:
-        ground = ctx.ground_mask()
-    g_states = system.mask_states(ground)
-    if len(g_states) > MAX_GROUND:
-        raise errors.GroundSetTooLarge(str(len(g_states)))
     I_states = system.mask_states(I_mask)
     sc = system.scaled()
     acts, inter = sc.acts, sc.inter
     total = 0
-    for xi in _compositions(2 * d, g_states):
-        cnt = _xi_count(d, spec, ctx, xi)
-        if cnt == 0:
-            continue
+    for xi, cnt in _contents(system, d, spec.coords, ctx):
         z0 = 1
         for s, c in xi.items():
             z0 *= acts[s] ** c
@@ -312,8 +297,6 @@ def z_compositions(system: SpinSystem, d: int, spec: PsiSpec, I_mask: int):
 
 def expand_spec(system: SpinSystem, d: int, spec: PsiSpec, limit=10 ** 6):
     """Explicit list of assignments described by a spec (test oracle use)."""
-    if spec.psis is not None:
-        return list(spec.psis)
     if system.n ** (2 * d) > limit:
         raise errors.TooLarge("explicit expansion too large")
     ctx = _spec_context(system, d, spec)
@@ -357,7 +340,7 @@ def lambda_restricted_power(system: SpinSystem, A_mask: int, n: int):
 
 def z_complete_bipartite(system: SpinSystem, d: int):
     """Z with both sides unconstrained: the partition function on K_{2d,2d}."""
-    spec = PsiSpec(kind="product", coords=[system.full_mask()] * (2 * d))
+    spec = PsiSpec(coords=[system.full_mask()] * (2 * d))
     return z_compositions(system, d, spec, system.full_mask())
 
 
@@ -380,38 +363,26 @@ def normalize_interactions(system: SpinSystem) -> SpinSystem:
     return make_system(system.states, system.activities, inter, mode=system.mode)
 
 
-def _realized_coordinate_sets(system, d, coords, ctx, cls):
-    """For each coordinate, the set of values actually taken by some member
-    of (product coords) intersected with the class."""
-    realized = []
-    for j, mask in enumerate(coords):
-        vals = 0
-        for v in system.mask_states(mask):
-            probe = list(coords)
+def k_of_product(system, d, spec):
+    """Number of coordinates of a product-and-class spec whose realized
+    value set (the values it takes in some member of the spec) is not value-
+    set equivalent to the side J.  Coordinates with equal masks are
+    interchangeable and membership depends only on the content, so each
+    distinct mask is probed once: v is realized at a coordinate with mask m
+    iff pinning one such coordinate to v leaves a member."""
+    ctx = _spec_context(system, d, spec)
+    coords = spec.coords
+    realized = {}
+    for m in set(coords):
+        probe = list(coords)
+        j = coords.index(m)
+        realized[m] = 0
+        for v in system.mask_states(m):
             probe[j] = 1 << v
-            found = False
-            ground = functools.reduce(operator.or_, probe, 0)
-            for xi in _compositions(2 * d, system.mask_states(ground)):
-                if not ctx.member(xi, cls):
-                    continue
-                if _product_count(probe, xi) > 0:
-                    found = True
-                    break
-            if found:
-                vals |= 1 << v
-        realized.append(vals)
-    return realized
-
-
-def k_of_product(system, d, coords, ctx, cls="balanced"):
-    """Number of coordinates whose realized value set is not value-set
-    equivalent to the ground side."""
-    realized = _realized_coordinate_sets(system, d, coords, ctx, cls)
-    k = 0
-    for vals in realized:
-        if patterns.r_closure(system, vals) != ctx.rJ:
-            k += 1
-    return k
+            if any(_contents(system, d, probe, ctx)):
+                realized[m] |= 1 << v
+    return sum(1 for m in coords
+               if patterns.r_closure(system, realized[m]) != ctx.rJ)
 
 
 def verify_main_condition(system: SpinSystem, d: int, alpha: float,
@@ -428,6 +399,8 @@ def verify_main_condition(system: SpinSystem, d: int, alpha: float,
     coordinates), plus `n_random` seeded random product forms.  Documented
     as a sound-but-incomplete check.
     """
+    if not (math.isfinite(alpha) and math.isfinite(gamma)):
+        raise errors.ParamOutOfRange("alpha and gamma must be finite")
     if system.max_interaction != 1:
         raise errors.NotNormalized(
             "interactions must be normalized to maximum 1")
@@ -454,7 +427,7 @@ def verify_main_condition(system: SpinSystem, d: int, alpha: float,
         })
 
     for J in sorted(st.dominant_sides):
-        ctx = _ClassContext(system, d, J, eps, eps_bar)
+        rJ = patterns.r_closure(system, J)
         strict = [a for a in st.r_sets if a != J and a & ~J == 0 and a != 0]
         # (1) product subsets of the balanced class
         families = []
@@ -471,25 +444,23 @@ def verify_main_condition(system: SpinSystem, d: int, alpha: float,
             if key in seen:
                 continue
             seen.add(key)
-            spec = PsiSpec(kind="class_intersect_product", J=J,
-                           cls="balanced", eps=eps, eps_bar=eps_bar,
-                           coords=coords)
+            spec = PsiSpec(coords=coords, J=J, cls="balanced", eps=eps,
+                           eps_bar=eps_bar)
             lhs = z_compositions(system, d, spec, system.full_mask())
-            k_psi = k_of_product(system, d, coords, ctx) if lhs > 0 else \
-                sum(1 for c in coords if patterns.r_closure(system, c) != ctx.rJ)
+            k_psi = k_of_product(system, d, spec) if lhs > 0 else \
+                sum(1 for c in coords if patterns.r_closure(system, c) != rJ)
             record("restricted_left", J, lhs,
                    2 * gamma * d - alpha * k_psi, k=k_psi)
         # (2) right-side restriction
-        bal = class_spec(J, "balanced", eps, eps_bar)
-        rJ = patterns.r_closure(system, J)
+        bal = PsiSpec(J=J, cls="balanced", eps=eps, eps_bar=eps_bar)
         for I in range(1 << system.n):
             rrI = patterns.r_closure(system, patterns.r_closure(system, I))
             if rJ & ~rrI:  # R(J) not within the double closure
                 lhs = z_compositions(system, d, bal, I)
                 record("restricted_right", J, lhs, 2 * gamma * d - alpha * d)
         # (3) near-constant assignments
-        spec = PsiSpec(kind="class_minus", J=J, cls="full", cls2="balanced",
-                       eps=eps, eps_bar=eps_bar)
+        spec = PsiSpec(J=J, cls="full", cls2="balanced", eps=eps,
+                       eps_bar=eps_bar)
         lhs = z_compositions(system, d, spec, system.full_mask())
         record("unbalanced", J, lhs, 2 * gamma * d - alpha * d)
         # (4) energetically costly right side
@@ -505,7 +476,7 @@ def verify_main_condition(system: SpinSystem, d: int, alpha: float,
             nd_sides.add(p.b)
     total = system.zero()
     for I in sorted(nd_sides):
-        total += z_compositions(system, d, class_spec(I), system.full_mask())
+        total += z_compositions(system, d, PsiSpec(J=I), system.full_mask())
     record("non_dominant", None, total, 2 * gamma * d - alpha * d)
 
     return {

@@ -10,6 +10,12 @@ and a virtual "infinity" vertex adjacent to every halo site stands in for
 the unbounded exterior component.  An exterior exists iff some axis is
 open; operations that mention infinity raise on a lattice without one.
 
+A lattice is a 2d-regular quotient of Z^d: every site has 2d neighbour
+slots.  Along a periodic side of 2 both steps reach the same site, which
+then fills both slots, so that edge counts twice; the heat-bath sampler
+and the breakup read the slots this way.  gibbs.z_torus instead counts a
+torus as a simple graph, with that pair as one edge.
+
 Set operations work on site masks: boolean arrays of length n + 1 whose
 last slot, the sentinel that ``nbr`` holds for a missing ambient neighbor,
 is always False.  The ``*_m`` functions take and return masks; the

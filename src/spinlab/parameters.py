@@ -262,38 +262,45 @@ def _ge(name, lhs, rhs, vacuous=False):
 
 def check_condition(system, d, which, C=1.0, c=1.0, s=None) -> ConditionReport:
     """Evaluate one of the quantitative long-range-order conditions literally
-    with the supplied constants."""
+    with the supplied constants.  Each condition computes only the terms it
+    reads: rho_bulk_star only for alt3."""
     if d < 2:
         raise errors.ParamOutOfRange("d must be >= 2")
-    rep = compute_parameters(system, d=d)
+    if not all(math.isfinite(x) and x > 0 for x in (C, c)):
+        raise errors.ParamOutOfRange("C and c must be finite and > 0")
+    if s is not None and s < 1:
+        raise errors.ParamOutOfRange("s must be >= 1")
+    st = patterns.structure(system)
+    alpha0 = alpha0_of(system)
     n = system.n
-    fq = rep.frak_q
-    rho_int = float(rep.rho_int)
-    rho_act = float(rep.rho_act)
+    fq = patterns.frak_q(system)
+    rho_int = float(st.rho_int)
+    rho_act = float(st.rho_act)
     logd = math.log(d)
     thr = C * (fq + logd) * math.sqrt(logd) / d ** 0.25
     ineqs = []
     s_used = None
 
     if which == "simple":
-        ineqs.append(_ge("alpha0", rep.alpha0,
+        ineqs.append(_ge("alpha0", alpha0,
                          C * n * logd ** 1.5 / d ** 0.25))
         rhs2 = n * math.log(d * rho_act) ** 2 / d ** 0.75
         ineqs.append(_ge("interaction", neg_log(rho_int), rhs2,
                          vacuous=(rho_int == 0)))
     elif which == "alt1":
-        ineqs.append(_ge("alpha1", rep.alpha1, thr))
+        alpha1 = alpha0 - _penalty(st, d)
+        ineqs.append(_ge("alpha1", alpha1, thr))
         if rho_int == 0:
             ineqs.append(_ge("interaction", INF, 0.0, vacuous=True))
         else:
             lhs = neg_log(rho_int) / (4.0 * math.log(d * rho_act))
-            if rep.alpha1 > 0:
-                term = n / (2.0 * d) + 5.0 * n * math.log(2 * d * rho_act) / (rep.alpha1 * d)
+            if alpha1 > 0:
+                term = n / (2.0 * d) + 5.0 * n * math.log(2 * d * rho_act) / (alpha1 * d)
             else:
                 term = INF
             ineqs.append(_ge("interaction", lhs, min(1.0, term)))
     elif which == "alt2":
-        rho_hat_act = float(rep.rho_hat_act)
+        rho_hat_act = float(st.rho_hat_act)
         if rho_int == 0:
             s_lo = 0.0
         else:
@@ -301,7 +308,7 @@ def check_condition(system, d, which, C=1.0, c=1.0, s=None) -> ConditionReport:
         s_cap = math.ceil(2 * d / n)
         candidates = [s] if s is not None else list(
             range(max(1, math.ceil(s_lo)), max(1, math.ceil(s_lo)) + min(s_cap, 10 ** 4)))
-        pen = _penalty(patterns.structure(system), d)
+        pen = _penalty(st, d)
         best = None
         for cand in candidates:
             if cand > s_cap and best is not None:
@@ -325,7 +332,9 @@ def check_condition(system, d, which, C=1.0, c=1.0, s=None) -> ConditionReport:
         if rho_int != 0:
             raise errors.Alt3OnWeightedSystem(
                 "alt3 applies to homomorphism systems only")
-        ineqs.append(_ge("alpha3", rep.alpha3, thr))
+        alpha3 = neg_log(max(rho_bulk_star_of(system, d),
+                             float(st.rho_pat_bdry)))
+        ineqs.append(_ge("alpha3", alpha3, thr))
     else:
         raise errors.ParamOutOfRange(f"unknown condition {which!r}")
 

@@ -141,20 +141,17 @@ def _random_spec(rng, system, d):
     eps_bar = rng.choice([0.125, 0.25])
     if kind == "product":
         coords = [rng.randrange(1, 1 << n) for _ in range(2 * d)]
-        return kb.PsiSpec(kind="product", coords=coords)
+        return kb.PsiSpec(coords=coords)
     J = rng.randrange(1, 1 << n)
     classes = ["full", "near_dominant", "near_subset", "balanced"]
     cls = rng.choice(classes)
     if kind == "class":
-        return kb.PsiSpec(kind="class", J=J, cls=cls, eps=eps,
-                          eps_bar=eps_bar)
+        return kb.PsiSpec(J=J, cls=cls, eps=eps, eps_bar=eps_bar)
     if kind == "class_minus":
         cls2 = rng.choice([c for c in classes if c != cls])
-        return kb.PsiSpec(kind="class_minus", J=J, cls=cls, cls2=cls2,
-                          eps=eps, eps_bar=eps_bar)
+        return kb.PsiSpec(J=J, cls=cls, cls2=cls2, eps=eps, eps_bar=eps_bar)
     coords = [rng.randrange(1, 1 << n) for _ in range(2 * d)]
-    return kb.PsiSpec(kind="class_intersect_product", J=J, cls=cls,
-                      eps=eps, eps_bar=eps_bar, coords=coords)
+    return kb.PsiSpec(coords=coords, J=J, cls=cls, eps=eps, eps_bar=eps_bar)
 
 
 def test_composition_evaluator_matches_brute_force():
@@ -172,7 +169,7 @@ def test_composition_evaluator_matches_brute_force():
 
     # hand-checked value: 2-state hard-core on K_{2,2}, both sides free
     hc = catalog.build("hard_core", lam=1)
-    spec = kb.PsiSpec(kind="product", coords=[0b11, 0b11])
+    spec = kb.PsiSpec(coords=[0b11, 0b11])
     assert kb.z_compositions(hc, 1, spec, 0b11) == 7
 
     # a dominant pattern contributes exactly its weight to the 2d-th power
@@ -182,7 +179,7 @@ def test_composition_evaluator_matches_brute_force():
         dom, omega, _ = patterns.dominant_patterns(system)
         for p in dom:
             for d in (1, 2):
-                spec = kb.PsiSpec(kind="product", coords=[p.a] * (2 * d))
+                spec = kb.PsiSpec(coords=[p.a] * (2 * d))
                 assert kb.z_compositions(system, d, spec, p.b) \
                     == omega ** (2 * d)
     assert time.monotonic() - t0 < 30.0

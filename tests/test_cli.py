@@ -5,7 +5,8 @@ from fractions import Fraction
 
 import pytest
 
-from spinlab import breakup as breakup_mod, catalog, cli, gibbs, patterns
+from spinlab import (breakup as breakup_mod, catalog, cli, gibbs, parameters,
+                     patterns)
 from spinlab import lattice as lm
 from spinlab.system import load_system, make_system
 
@@ -102,6 +103,51 @@ def test_unreadable_input_is_a_schema_error(tmp_path, af3_path, capsys,
 def test_dimension_below_one_is_out_of_range(af3_path, capsys, argv):
     assert cli.main([argv[0], "--system", af3_path, *argv[1:]]) == 2
     assert json.loads(capsys.readouterr().err)["error"] == "ParamOutOfRange"
+
+
+@pytest.mark.parametrize("argv", [
+    ["zfun", "--d", "2", "--psi", "class:J=1,2,3:near_dominant:eps=nan"],
+    ["zfun", "--d", "2", "--psi", "class:J=2,3:balanced:eps=0.1:epsbar=-1"],
+    ["zfun", "--d", "2", "--psi", "class:J=2,3:near_subset:epsbar=inf"],
+    ["verify-cond", "--d", "2", "--alpha", "0.2", "--eps", "-5",
+     "--epsbar", "0.125"],
+    ["verify-cond", "--d", "2", "--alpha", "nan", "--eps", "0.125",
+     "--epsbar", "0.125"],
+    ["verify-cond", "--d", "2", "--alpha", "0.2", "--gamma", "inf",
+     "--eps", "0.125", "--epsbar", "0.125"],
+    ["verify-cond", "--d", "2", "--alpha", "0.2", "--eps", "0.125",
+     "--epsbar", "nan"],
+    ["check", "--condition", "alt2", "--d", "4", "--s", "0"],
+    ["check", "--condition", "alt2", "--d", "4", "--s", "-3"],
+    ["check", "--d", "4", "--C", "nan"],
+    ["check", "--d", "4", "--c", "0"],
+    ["check", "--sweep", "d=10:100", "--C", "-1"],
+])
+def test_out_of_range_numbers_are_refused(af3_path, capsys, argv):
+    assert cli.main([argv[0], "--system", af3_path, *argv[1:]]) == 2
+    captured = capsys.readouterr()
+    assert json.loads(captured.err)["error"] == "ParamOutOfRange"
+    assert captured.out == ""
+
+
+def test_only_alt3_computes_rho_bulk_star(hc_path, capsys, monkeypatch):
+    def run():
+        out = {}
+        for cond in ("simple", "alt1", "alt2"):
+            for opts in (["--d", "1000"], ["--sweep", "d=10:1e6:geometric:4"]):
+                assert cli.main(["check", "--system", hc_path,
+                                 "--condition", cond, *opts]) == 0
+                text = capsys.readouterr().out
+                out[cond, opts[0]] = text if opts[0] == "--sweep" else {
+                    k: v for k, v in json.loads(text).items() if k != "meta"}
+        return out
+
+    before = run()
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("rho_bulk_star_of called")
+    monkeypatch.setattr(parameters, "rho_bulk_star_of", refuse)
+    assert run() == before
 
 
 @pytest.mark.parametrize("command, argv, rng", [

@@ -41,7 +41,9 @@ psis = st.one_of(
               st.sampled_from(["full", "balanced", "near_dominant",
                                "near_subset", "other", ""]),
               st.sampled_from(["", ":eps=0.1", ":epsbar=0.2:eps=0.3",
-                               ":eps=x", ":foo=1", ":eps"])),
+                               ":eps=x", ":foo=1", ":eps", ":eps=nan",
+                               ":eps=0.1:epsbar=-1", ":epsbar=inf",
+                               ":eps=-0.0:epsbar=0"])),
     st.builds(lambda groups: "product:" + "|".join(groups),
               st.lists(_side, max_size=5)),
     st.sampled_from(["", "class", "class:", "product", "explicit:1",
@@ -60,6 +62,10 @@ sites = st.one_of(
 seen_from = st.lists(sites, min_size=1, max_size=3).map(";".join)
 counts = st.sampled_from(["0", "1", "5", "100", "1e2", "1e1", "-5", "abc",
                           "2.5", "inf", "nan", "", "-0"])
+# values for options click parses as floats: thresholds, exponents and
+# constants, in range or not
+reals = st.sampled_from(["0", "0.125", "0.3", "1", "2.5", "-5", "-0.1", "nan",
+                         "inf", "-inf", "1e-3", "abc", ""])
 
 
 def _configs(dims):
@@ -117,13 +123,26 @@ def invocations(draw, system_paths, root):
     (or a bare flag); sometimes one option is dropped, which leaves a
     required option missing as often as not."""
     command = draw(st.sampled_from(["exact", "mcmc", "breakup-scan", "zfun",
-                                    "check", "breakup", "nosuch"]))
+                                    "check", "verify-cond", "breakup",
+                                    "nosuch"]))
     opts = [f"--system={draw(st.sampled_from(system_paths))}"]
     if command == "zfun":
         d = draw(st.one_of(st.integers(1, 3).map(str), ints))
         opts += [f"--d={d}", f"--psi={draw(psis)}"]
     elif command == "check":
-        opts.append(f"--sweep={draw(sweeps_spec)}")
+        cond = draw(st.sampled_from(["simple", "alt1", "alt2", "alt3", "x"]))
+        opts += [f"--sweep={draw(sweeps_spec)}", f"--condition={cond}"]
+        for name in ("--C", "--c"):
+            if draw(st.booleans()):
+                opts.append(f"{name}={draw(reals)}")
+        if draw(st.booleans()):
+            opts.append(f"--s={draw(ints)}")
+    elif command == "verify-cond":
+        d = draw(st.one_of(st.integers(1, 3).map(str), ints))
+        opts += [f"--d={d}", f"--alpha={draw(reals)}", f"--eps={draw(reals)}",
+                 f"--epsbar={draw(reals)}"]
+        if draw(st.booleans()):
+            opts.append(f"--gamma={draw(reals)}")
     elif command == "breakup":
         dims = (draw(st.integers(1, 4)), draw(st.integers(1, 4)))
         config = root / "config.json"

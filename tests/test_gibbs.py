@@ -207,9 +207,16 @@ def test_z_torus_column_guard_stops_early(monkeypatch):
 
 
 def test_z_torus_small_side_enumeration():
-    # a side of length 2 bypasses the transfer decomposition
+    # a side of length 2 bypasses the transfer decomposition, and is one
+    # edge; an odd side next to it is allowed, a side of 1 is not
     z = gibbs.z_torus(HC, (2, 4))
     assert z == graph_z(HC, torus_graph((2, 4)))
+    for system in (HC, AF3):
+        for dims in ((2, 3), (3, 2)):
+            assert gibbs.z_torus(system, dims) \
+                == graph_z(system, torus_graph(dims))
+    with pytest.raises(errors.ParamOutOfRange):
+        gibbs.z_torus(HC, (1, 4))
 
 
 def test_z_torus_guard():
@@ -351,6 +358,29 @@ def test_mcmc_on_a_cylinder_matches_enumeration(chains, rng_id):
         assert res.rng_id == rng_id
         dev = abs(res.marginal["1"] - exact[site])
         assert dev <= 4 * res.se["1"], (site, dev, res.se["1"])
+
+
+def test_periodic_side_of_two_is_a_double_edge_for_the_sampler():
+    """On box:2px3+halo the across neighbour of a site fills both slots of
+    the periodic axis, so its interaction enters the heat-bath law squared
+    (z_torus counts that pair as one edge instead)."""
+    system = catalog.build("af_potts", q=3, beta=1)
+    lat = lm.parse_lattice("box:2px3+halo")
+    v, across = lat.index[(0, 1)], lat.index[(1, 1)]
+    assert lat.nbr[v].tolist() == [across, across, lat.index[(0, 0)],
+                                   lat.index[(0, 2)]]
+    chains = gibbs._Chains(system, lat, gibbs.PatternBoundary(P0_AF3))
+    values = [1, 1, 0, 2]  # the slot values: across twice, then axis 1
+    key = sum(x * chains.base ** (3 - k) for k, x in enumerate(values))
+    row = chains.tables[chains.cls[v], key]
+    law = np.diff(row, prepend=0.0) / row[-1]
+    wgt = np.array([float(system.activities[s])
+                    * math.prod(float(system.interactions[s][x])
+                                for x in values) for s in range(system.n)])
+    assert np.allclose(law, wgt / wgt.sum(), rtol=1e-12, atol=0)
+    single = wgt / np.array([float(system.interactions[s][1])
+                             for s in range(system.n)])
+    assert not np.allclose(law, single / single.sum(), rtol=1e-3)
 
 
 def test_slab_runs_the_sampler_but_not_the_box_dp():

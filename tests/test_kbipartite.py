@@ -1,3 +1,4 @@
+import itertools
 import math
 from collections import Counter
 from fractions import Fraction
@@ -17,7 +18,7 @@ AF3 = catalog.build("af_potts", q=3)
 
 def test_resource_guards():
     with pytest.raises(errors.TooLarge):
-        kb.z_compositions(HC, 65, kb.class_spec(0b11), 0b11)
+        kb.z_compositions(HC, 65, kb.PsiSpec(J=0b11), 0b11)
     with pytest.raises(errors.TooLarge):
         kb.z_bruteforce(HC, 4, [(0,) * 8], 0b11)
     with pytest.raises(errors.TooLarge):
@@ -25,46 +26,36 @@ def test_resource_guards():
                         0b1)
     big = catalog.build("multi_beach", q=11, lam=1)  # 22-state side
     with pytest.raises(errors.GroundSetTooLarge):
-        kb.z_compositions(big, 2, kb.class_spec(big.full_mask()),
+        kb.z_compositions(big, 2, kb.PsiSpec(J=big.full_mask()),
                           big.full_mask())
     with pytest.raises(errors.TooLarge):
-        kb.expand_spec(AF3, 10, kb.class_spec(0b111))
-
-
-def test_explicit_spec_passthrough():
-    psis = [(0, 1), (1, 0)]
-    spec = kb.PsiSpec(kind="explicit", psis=psis)
-    assert kb.z_compositions(HC, 1, spec, 0b11) \
-        == kb.z_bruteforce(HC, 1, psis, 0b11)
-    assert kb.expand_spec(HC, 1, spec) == psis
+        kb.expand_spec(AF3, 10, kb.PsiSpec(J=0b111))
 
 
 def test_unknown_spec_kinds():
     with pytest.raises(errors.SchemaError):
-        kb.z_compositions(HC, 1, kb.PsiSpec(kind="mystery"), 0b11)
-    with pytest.raises(errors.SchemaError):
-        kb.z_compositions(HC, 1, kb.class_spec(0b11, "weird"), 0b11)
+        kb.z_compositions(HC, 1, kb.PsiSpec(J=0b11, cls="weird"), 0b11)
 
 
 def test_class_partition_counts():
     # the near-constant subclasses carve the full class into parts
     eps = eps_bar = 0.125
     j_mask = 0b110
-    full = len(kb.expand_spec(AF3, 2, kb.class_spec(j_mask, "full",
-                                                    eps, eps_bar)))
-    balanced = len(kb.expand_spec(AF3, 2, kb.class_spec(j_mask, "balanced",
-                                                        eps, eps_bar)))
+    full = len(kb.expand_spec(AF3, 2, kb.PsiSpec(J=j_mask, cls="full",
+                                                 eps=eps, eps_bar=eps_bar)))
+    balanced = len(kb.expand_spec(AF3, 2, kb.PsiSpec(
+        J=j_mask, cls="balanced", eps=eps, eps_bar=eps_bar)))
     rest = len(kb.expand_spec(
-        AF3, 2, kb.PsiSpec(kind="class_minus", J=j_mask, cls="full",
-                           cls2="balanced", eps=eps, eps_bar=eps_bar)))
+        AF3, 2, kb.PsiSpec(J=j_mask, cls="full", cls2="balanced", eps=eps,
+                           eps_bar=eps_bar)))
     assert full == balanced + rest
     # intersecting with the unconstrained product changes nothing
-    spec = kb.PsiSpec(kind="class_intersect_product", J=j_mask,
-                      cls="balanced", eps=eps, eps_bar=eps_bar,
-                      coords=[AF3.full_mask()] * 4)
+    spec = kb.PsiSpec(coords=[AF3.full_mask()] * 4, J=j_mask,
+                      cls="balanced", eps=eps, eps_bar=eps_bar)
     assert len(kb.expand_spec(AF3, 2, spec)) == balanced
     assert kb.z_compositions(AF3, 2, spec, 0b111) == kb.z_compositions(
-        AF3, 2, kb.class_spec(j_mask, "balanced", eps, eps_bar), 0b111)
+        AF3, 2, kb.PsiSpec(J=j_mask, cls="balanced", eps=eps,
+                           eps_bar=eps_bar), 0b111)
 
 
 def test_lambda_restricted_power_closed_forms():
@@ -97,8 +88,31 @@ def test_normalize_interactions():
 
 def test_k_of_product():
     j_mask = 0b110
-    ctx = kb._ClassContext(AF3, 2, j_mask, 0.125, 0.125)
-    assert kb.k_of_product(AF3, 2, [j_mask] * 4, ctx) == 0
+    spec = kb.PsiSpec(coords=[j_mask] * 4, J=j_mask, cls="balanced",
+                      eps=0.125, eps_bar=0.125)
+    assert kb.k_of_product(AF3, 2, spec) == 0
+
+
+@pytest.mark.parametrize("system", [AF3, catalog.build("beach", lam=1)],
+                         ids=["af_potts", "beach"])
+def test_k_of_product_matches_the_expanded_members(system):
+    """Each coordinate's realized set, read off the explicit members."""
+    st = kb.patterns.structure(system)
+    for J in sorted(st.dominant_sides):
+        rJ = kb.patterns.r_closure(system, J)
+        masks = [J] + [a for a in st.r_sets if a and a != J and a & ~J == 0]
+        for eps in (0.125, 0.3):
+            for coords in itertools.product(masks, repeat=4):
+                spec = kb.PsiSpec(coords=list(coords), J=J, cls="balanced",
+                                  eps=eps, eps_bar=eps)
+                members = kb.expand_spec(system, 2, spec)
+                if not members:
+                    continue
+                realized = [sum({1 << psi[j] for psi in members})
+                            for j in range(4)]
+                assert kb.k_of_product(system, 2, spec) == sum(
+                    kb.patterns.r_closure(system, r) != rJ
+                    for r in realized)
 
 
 def test_verify_main_condition():
@@ -137,8 +151,8 @@ def _masks_and_content(draw):
 @given(_masks_and_content())
 def test_grouped_product_count_matches_reference(case):
     coords, xi = case
-    assert kb._product_count(coords, xi) == product_count_reference(coords,
-                                                                    xi)
+    assert kb._grouped_count(kb._groups(coords), xi) \
+        == product_count_reference(coords, xi)
 
 
 @pytest.mark.parametrize("system", FRACTIONAL.values(),
@@ -146,11 +160,10 @@ def test_grouped_product_count_matches_reference(case):
 def test_compositions_with_fractional_weights(system):
     full = system.full_mask()
     for d in (1, 2):
-        complete = kb.PsiSpec(kind="product", coords=[full] * (2 * d))
+        complete = kb.PsiSpec(coords=[full] * (2 * d))
         specs = [complete,
-                 kb.PsiSpec(kind="product",
-                            coords=[full, 1] * d)]  # every other coord fixed
-        specs += [kb.class_spec(J, cls, 0.125, 0.125)
+                 kb.PsiSpec(coords=[full, 1] * d)]  # every other coord fixed
+        specs += [kb.PsiSpec(J=J, cls=cls, eps=0.125, eps_bar=0.125)
                   for J in sorted(kb.patterns.structure(system).dominant_sides)
                   for cls in ("full", "balanced")]
         for spec in specs:
