@@ -27,19 +27,13 @@ from .system import SpinSystem
 # context
 
 def _alignment(system: SpinSystem, p0: Pattern) -> dict:
-    """Dominant pattern -> is it direct-equivalent to p0; memoised on the
-    system, since a scan builds one context per sample."""
-    if p0 not in system._alignments:
-        aligned = {}
-        for p in patterns.structure(system).dominant:
-            aligned[p] = patterns.find_equivalence(
-                system, p0, p, direct=True) is not None
-            if not aligned[p] and patterns.find_equivalence(
-                    system, p0, p, direct=False) is None:
-                raise errors.DominantPatternsNotEquivalent(
-                    "a dominant pattern is not equivalent to the reference")
-        system._alignments[p0] = aligned
-    return system._alignments[p0]
+    """Dominant pattern -> is it direct-equivalent to p0."""
+    undirected, direct = patterns.dominant_classes(system)
+    if len(undirected) > 1:
+        raise errors.DominantPatternsNotEquivalent(
+            "a dominant pattern is not equivalent to the reference")
+    same = next(cls for cls in direct if p0 in cls)
+    return {p: p in same for p in undirected[0]}
 
 
 class BreakupContext:
@@ -293,24 +287,24 @@ def is_non_dominant(system: SpinSystem, mask) -> bool:
         patterns.structure(system).dominant_sides
 
 
-def _omega_matching(system, lat, f, omega, v):
-    """Configurations in omega whose neighborhood value set at v is
-    equivalent to that of f."""
-    target = patterns.r_closure(system, _nv_mask(system, lat, f, v))
-    out = []
-    for g in omega:
-        if patterns.r_closure(system, _nv_mask(system, lat, g, v)) == target:
-            out.append(g)
-    return out
+def _omega_matching(system, lat, omega, v, target):
+    """Configurations in omega whose neighborhood value set at v has the
+    closure target."""
+    return [g for g in omega
+            if patterns.r_closure(system, _nv_mask(system, lat, g, v))
+            == target]
 
 
 def _nv_mask(system, lat, f, v):
+    """The values f puts on the neighbors of v, as a state bitmask; every
+    ambient neighbor of v must be stored."""
+    nbrs = lat.nbr[v].tolist()
+    if lat.n in nbrs:
+        raise errors.SchemaError(
+            f"site {v} has a neighbor outside the stored region")
     out = 0
-    for u in lat.neighbors[v]:
+    for u in nbrs:
         out |= 1 << f[u]
-    if len(lat.neighbors[v]) < lat.degree:
-        raise errors.TooLarge(
-            "diagnostics need the full neighborhood stored")
     return out
 
 
@@ -321,7 +315,7 @@ def is_restricted(system: SpinSystem, lat, f, omega, v, u) -> bool:
     if is_non_dominant(system, mask):
         return True
     d_mask = patterns.r_closure(system, mask)
-    match = _omega_matching(system, lat, f, omega, v)
+    match = _omega_matching(system, lat, omega, v, d_mask)
     a_mask = 0
     b_mask = 0
     for g in match:
@@ -371,7 +365,7 @@ def is_highly_energetic(system: SpinSystem, lat, f, omega, v,
     if is_unbalanced(system, lat, f, v, eps, eps_bar):
         return False
     d_mask = patterns.r_closure(system, mask)
-    match = _omega_matching(system, lat, f, omega, v)
+    match = _omega_matching(system, lat, omega, v, d_mask)
     b_mask = 0
     for g in match:
         b_mask |= 1 << g[v]
@@ -420,77 +414,51 @@ def classify(system: SpinSystem, lat, f, omega, v, u=None,
 # ---------------------------------------------------------------------------
 # restriction scenarios
 
-def scenario_1(system, lat, f, omega, v, bdry_mask, int_mask) -> bool:
-    """Neighborhood of v not equivalent to the interior side of p, yet every
-    matching configuration keeps v on the boundary side."""
-    mask = _nv_mask(system, lat, f, v)
-    if patterns.r_closure(system, mask) == \
-            patterns.r_closure(system, int_mask):
-        return False
-    match = _omega_matching(system, lat, f, omega, v)
-    return bool(match) and all(bdry_mask >> g[v] & 1 for g in match)
-
-
-def scenario_2(system, lat, f, omega, v, p: Pattern, q: Pattern,
-               bdry_p, bdry_q) -> bool:
-    """Two distinct equivalent charts both claim v on their boundary side."""
-    if p == q:
-        return False
-    if patterns.find_equivalence(system, p, q, direct=True) is None:
-        return False
-    match = _omega_matching(system, lat, f, omega, v)
-    both = bdry_p & bdry_q
-    return bool(match) and all(both >> g[v] & 1 for g in match)
-
-
-def scenario_3(system, lat, f, omega, v, u, bdry_mask) -> bool:
-    """Neighborhood of v not equivalent to the boundary side, yet every
-    matching configuration keeps the neighbor u on it."""
-    mask = _nv_mask(system, lat, f, v)
-    if patterns.r_closure(system, mask) == \
-            patterns.r_closure(system, bdry_mask):
-        return False
-    match = _omega_matching(system, lat, f, omega, v)
-    return bool(match) and all(bdry_mask >> g[u] & 1 for g in match)
-
-
-def scenario_4(system, lat, f, omega, v, u, p: Pattern, q: Pattern,
-               int_p, int_q, t_int) -> bool:
-    """Neighborhood of v equivalent to an interior side, while two distinct
-    equivalent charts both claim the neighbor u on their interior side."""
-    if p == q:
-        return False
-    if patterns.find_equivalence(system, p, q, direct=True) is None:
-        return False
-    mask = _nv_mask(system, lat, f, v)
-    if patterns.r_closure(system, mask) != \
-            patterns.r_closure(system, t_int):
-        return False
-    match = _omega_matching(system, lat, f, omega, v)
-    both = int_p & int_q
-    return bool(match) and all(both >> g[u] & 1 for g in match)
-
-
 def scenario_checks(system: SpinSystem, lat, f, omega, v, u,
                     p0: Pattern) -> dict:
-    """Evaluate the four sufficient restriction conditions over all dominant
-    charts; any firing scenario is asserted to imply the restriction."""
+    """Evaluate the four sufficient conditions for the directed edge (v, u)
+    to be restricted, over all dominant charts p.  With D the closure of
+    the neighborhood values of v, and omega's matching configurations (those
+    whose closure at v is D too) nonempty and all:
+
+    1. keeping v on bdry(p), while D is not the closure of int(p);
+    2. keeping v on bdry(p) and bdry(q), for distinct direct-equivalent
+       p and q;
+    3. keeping u on bdry(p), while D is not the closure of bdry(p);
+    4. keeping u on int(p) and int(q), for distinct direct-equivalent p
+       and q, while D is the closure of some interior side.
+
+    A firing scenario that does not imply the restriction raises."""
     ctx = BreakupContext(system, lat, f, p0)
-    fired = {"scenario_1": False, "scenario_2": False,
-             "scenario_3": False, "scenario_4": False}
-    for p in ctx.pats:
-        if scenario_1(system, lat, f, omega, v, ctx.bdry[p], ctx.int_[p]):
-            fired["scenario_1"] = True
-        if scenario_3(system, lat, f, omega, v, u, ctx.bdry[p]):
-            fired["scenario_3"] = True
-    for p, q in itertools.permutations(ctx.pats, 2):
-        if scenario_2(system, lat, f, omega, v, p, q,
-                      ctx.bdry[p], ctx.bdry[q]):
-            fired["scenario_2"] = True
-        for t in ctx.pats:
-            if scenario_4(system, lat, f, omega, v, u, p, q,
-                          ctx.int_[p], ctx.int_[q], ctx.int_[t]):
-                fired["scenario_4"] = True
-    if any(fired.values()):
-        assert is_restricted(system, lat, f, omega, v, u)
+    d_mask = patterns.r_closure(system, _nv_mask(system, lat, f, v))
+    match = _omega_matching(system, lat, omega, v, d_mask)
+    at_v = at_u = 0
+    for g in match:
+        at_v |= 1 << g[v]
+        at_u |= 1 << g[u]
+    pairs = [pq for cls in patterns.dominant_classes(system)[1]
+             for pq in itertools.combinations(cls, 2)]
+    bdry, int_ = ctx.bdry, ctx.int_
+
+    def r(mask):
+        return patterns.r_closure(system, mask)
+
+    def kept(values, side):
+        """The matching configurations exist and keep their values on the
+        side."""
+        return bool(match) and values & ~side == 0
+
+    fired = {
+        "scenario_1": any(d_mask != r(int_[p]) and kept(at_v, bdry[p])
+                          for p in ctx.pats),
+        "scenario_2": any(kept(at_v, bdry[p] & bdry[q]) for p, q in pairs),
+        "scenario_3": any(d_mask != r(bdry[p]) and kept(at_u, bdry[p])
+                          for p in ctx.pats),
+        "scenario_4": any(d_mask == r(int_[t]) for t in ctx.pats)
+        and any(kept(at_u, int_[p] & int_[q]) for p, q in pairs),
+    }
+    if any(fired.values()) and not is_restricted(system, lat, f, omega, v, u):
+        raise AssertionError(
+            f"restriction scenarios {fired} fired on an unrestricted edge "
+            f"({v}, {u})")
     return fired

@@ -80,6 +80,10 @@ class PatternStructure:
     # float (lam(A), lam(B)) of the non-dominant maximal patterns with both
     # sides nonempty, in maximal-pattern order
     bulk_pairs: tuple
+    # the dominant patterns' (undirected, direct) equivalence classes, set
+    # on first use by dominant_classes(): only analyze and breakup read them
+    classes: Optional[tuple] = field(default=None, init=False, repr=False,
+                                     compare=False)
 
 
 def structure(system: SpinSystem) -> PatternStructure:
@@ -255,10 +259,11 @@ def _find_direct(system: SpinSystem, p: Pattern, q: Pattern) -> Optional[tuple]:
         return None
     result = tuple(phi)
     # re-verify all conditions before returning
-    assert all(acts[i] == acts[result[i]] for i in range(n))
-    assert all(inter[i][j] == inter[result[i]][result[j]]
-               for i in range(n) for j in range(n))
-    assert _image(result, p.a) == q.a and _image(result, p.b) == q.b
+    if not (all(acts[i] == acts[result[i]] for i in range(n))
+            and all(inter[i][j] == inter[result[i]][result[j]]
+                    for i in range(n) for j in range(n))
+            and _image(result, p.a) == q.a and _image(result, p.b) == q.b):
+        raise AssertionError(f"search returned a non-equivalence {result}")
     return result
 
 
@@ -273,15 +278,6 @@ def _image(phi, mask):
     return out
 
 
-def all_dominant_equivalent(system: SpinSystem) -> bool:
-    dom, _, _ = dominant_patterns(system)
-    if len(dom) <= 1:
-        return True
-    p0 = dom[0]
-    return all(find_equivalence(system, p0, q, direct=False) is not None
-               for q in dom[1:])
-
-
 def equivalence_classes(system: SpinSystem, patterns: list,
                         direct: bool = False) -> list:
     """Partition a pattern list into (direct-)equivalence classes."""
@@ -294,6 +290,21 @@ def equivalence_classes(system: SpinSystem, patterns: list,
         else:
             classes.append([p])
     return classes
+
+
+def dominant_classes(system: SpinSystem):
+    """The dominant patterns' undirected and direct equivalence classes, as
+    equivalence_classes orders them; searched once per system."""
+    st = structure(system)
+    if st.classes is None:
+        object.__setattr__(st, "classes", tuple(
+            tuple(map(tuple, equivalence_classes(system, st.dominant, direct)))
+            for direct in (False, True)))
+    return st.classes
+
+
+def all_dominant_equivalent(system: SpinSystem) -> bool:
+    return len(dominant_classes(system)[0]) == 1
 
 
 def frak_q(system: SpinSystem) -> float:
@@ -357,13 +368,14 @@ class PatternCatalog:
 def analyze(system: SpinSystem) -> PatternCatalog:
     maximal = maximal_patterns(system)
     dom, wmax, near_tie = dominant_patterns(system)
+    undirected, direct = dominant_classes(system)
     return PatternCatalog(
         maximal=maximal,
         dominant=dom,
         omega_dom=wmax,
-        equivalence_classes=equivalence_classes(system, dom),
-        direct_classes=equivalence_classes(system, dom, direct=True),
+        equivalence_classes=list(map(list, undirected)),
+        direct_classes=list(map(list, direct)),
         frak_q=frak_q(system),
-        all_dominant_equivalent=all_dominant_equivalent(system),
+        all_dominant_equivalent=len(undirected) == 1,
         near_tie=near_tie,
     )

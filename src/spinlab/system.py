@@ -89,9 +89,6 @@ class SpinSystem:
     # patterns.PatternStructure, built on first use by patterns.structure()
     _pattern_structure: Optional[object] = field(default=None, repr=False,
                                                  compare=False)
-    # breakup alignments by reference pattern, filled by breakup on first use
-    _alignments: dict = field(default_factory=dict, repr=False,
-                              compare=False)
 
     @property
     def n(self):

@@ -483,3 +483,76 @@ class RefBreakup:
             for comp in ref_components(lat, x5))
         out["pass"] = all(out.values())
         return out
+
+
+class RefScenarios:
+    """The four restriction scenarios of a system and reference pattern,
+    one chart, chart pair and interior side at a time, with a fresh search
+    of the neighborhood closure and of omega's matching configurations in
+    every predicate.  Direct equivalence is searched once per ordered pair
+    of patterns."""
+
+    def __init__(self, system, p0):
+        from spinlab import patterns
+        self.system, self.p0 = system, p0
+        self.pats = list(patterns.structure(system).dominant)
+        self.equiv = {(p, q): patterns.find_equivalence(
+            system, p, q, direct=True) is not None
+            for p in self.pats for q in self.pats}
+        aligned = {p: self.equiv[p0, p] for p in self.pats}
+        self.bdry = {p: (p.a if aligned[p] else p.b) for p in self.pats}
+        self.int_ = {p: (p.b if aligned[p] else p.a) for p in self.pats}
+
+    def r(self, mask):
+        from spinlab import patterns
+        return patterns.r_closure(self.system, mask)
+
+    def closure_at(self, lat, f, v):
+        return self.r(sum({1 << f[u] for u in lat.neighbors[v]}))
+
+    def match(self, lat, f, omega, v):
+        target = self.closure_at(lat, f, v)
+        return [g for g in omega if self.closure_at(lat, g, v) == target]
+
+    def scenario_1(self, lat, f, omega, v, bdry_mask, int_mask):
+        if self.closure_at(lat, f, v) == self.r(int_mask):
+            return False
+        match = self.match(lat, f, omega, v)
+        return bool(match) and all(bdry_mask >> g[v] & 1 for g in match)
+
+    def scenario_2(self, lat, f, omega, v, p, q):
+        if p == q or not self.equiv[p, q]:
+            return False
+        match = self.match(lat, f, omega, v)
+        both = self.bdry[p] & self.bdry[q]
+        return bool(match) and all(both >> g[v] & 1 for g in match)
+
+    def scenario_3(self, lat, f, omega, v, u, bdry_mask):
+        if self.closure_at(lat, f, v) == self.r(bdry_mask):
+            return False
+        match = self.match(lat, f, omega, v)
+        return bool(match) and all(bdry_mask >> g[u] & 1 for g in match)
+
+    def scenario_4(self, lat, f, omega, v, u, p, q, t_int):
+        if p == q or not self.equiv[p, q]:
+            return False
+        if self.closure_at(lat, f, v) != self.r(t_int):
+            return False
+        match = self.match(lat, f, omega, v)
+        both = self.int_[p] & self.int_[q]
+        return bool(match) and all(both >> g[u] & 1 for g in match)
+
+    def fired(self, lat, f, omega, v, u):
+        out = dict.fromkeys(("scenario_1", "scenario_2", "scenario_3",
+                             "scenario_4"), False)
+        for p in self.pats:
+            out["scenario_1"] |= self.scenario_1(
+                lat, f, omega, v, self.bdry[p], self.int_[p])
+            out["scenario_3"] |= self.scenario_3(
+                lat, f, omega, v, u, self.bdry[p])
+        for p, q in itertools.permutations(self.pats, 2):
+            out["scenario_2"] |= self.scenario_2(lat, f, omega, v, p, q)
+            for t in self.pats:
+                out["scenario_4"] |= self.scenario_4(
+                    lat, f, omega, v, u, p, q, self.int_[t])
+        return out

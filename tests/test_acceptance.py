@@ -335,7 +335,7 @@ def test_scenario_witnesses():
     fired = bk.scenario_checks(af4, lat, tuple(f), omega, v, nb[2], p0_af4)
     assert fired["scenario_4"]
 
-    # randomized sweep; the implication scenario => restricted is asserted
+    # randomized sweep; the implication scenario => restricted is checked
     # inside scenario_checks for every firing tuple
     rng = random.Random(0)
     for i in range(500):

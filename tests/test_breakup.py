@@ -7,11 +7,12 @@ from spinlab import catalog, errors, patterns
 from spinlab import lattice as lm
 from spinlab.patterns import Pattern
 
-from helpers import RefBreakup, ordered_config
+from helpers import RefBreakup, RefScenarios, ordered_config
 
 AF3 = catalog.build("af_potts", q=3)
 AF4 = catalog.build("af_potts", q=4)
 P0 = Pattern(0b001, 0b110)
+P0_AF4 = Pattern(0b0011, 0b1100)
 
 
 # ---------------------------------------------------------------------------
@@ -292,3 +293,105 @@ def test_classify_keys():
                         "unique_pattern"}
     out = bk.classify(AF3, lat, f, [f], v, u)
     assert "restricted" in out
+
+
+def test_diagnostics_refuse_a_halo_site_as_bad_input():
+    lat = lm.parse_lattice("box:4x4+halo")
+    f = [0] * lat.n
+    v = min(lat.halo)
+    u = lat.neighbors[v][0]
+    for call in (lambda: bk.classify(AF3, lat, f, [f], v),
+                 lambda: bk.is_unbalanced(AF3, lat, f, v, 0.125, 0.125),
+                 lambda: bk.scenario_checks(AF3, lat, f, [f], v, u, P0)):
+        with pytest.raises(errors.ValidationError) as info:
+            call()
+        assert not isinstance(info.value, errors.ResourceGuard)
+
+
+# ---------------------------------------------------------------------------
+# restriction scenarios
+
+def _scenario_cases(rng, system, lat, n):
+    """n random (f, omega, v, u) at interior sites v: f uniform, or one
+    dominant pattern's values with a few neighbors of v redrawn; omega is f
+    and up to two copies with v or its neighbors redrawn."""
+    dom = patterns.structure(system).dominant
+    sites = sorted(lat.interior)
+    for _ in range(n):
+        v = rng.choice(sites)
+        if rng.random() < 0.25:
+            f = [rng.randrange(system.n) for _ in range(lat.n)]
+        else:
+            p = rng.choice(dom)
+            sides = [system.mask_states(p.a), system.mask_states(p.b)]
+            f = [rng.choice(sides[lat.parity(w)]) for w in range(lat.n)]
+            for w in rng.sample(lat.neighbors[v], rng.randint(0, 3)):
+                f[w] = rng.randrange(system.n)
+        omega = {tuple(f)}
+        for _ in range(rng.randrange(3)):
+            g = list(f)
+            for w in rng.sample([v, *lat.neighbors[v]], rng.randint(1, 2)):
+                g[w] = rng.randrange(system.n)
+            omega.add(tuple(g))
+        yield tuple(f), sorted(omega), v, rng.choice(lat.neighbors[v])
+
+
+def test_scenarios_match_the_one_chart_at_a_time_reference():
+    rng = random.Random(1)
+    fired_count = dict.fromkeys(("scenario_1", "scenario_2", "scenario_3",
+                                 "scenario_4"), 0)
+    n_cases = 0
+    for system, p0 in ((AF3, P0), (AF4, P0_AF4)):
+        ref = RefScenarios(system, p0)
+        for lat in (lm.make_torus((4, 4)), lm.make_box((6, 6))):
+            for f, omega, v, u in _scenario_cases(rng, system, lat, 60):
+                fired = bk.scenario_checks(system, lat, f, omega, v, u, p0)
+                assert fired == ref.fired(lat, f, omega, v, u)
+                n_cases += 1
+                for k, hit in fired.items():
+                    fired_count[k] += hit
+    assert n_cases >= 200
+    # every scenario both fires and stays silent somewhere
+    assert all(0 < c < n_cases for c in fired_count.values()), fired_count
+
+
+def test_scenario_without_restriction_raises(monkeypatch):
+    lat = lm.make_torus((6, 6))
+    f = ordered_config(lat)
+    v = lat.index[(1, 1)]
+    u = sorted(lat.neighbors[v])[0]
+    assert bk.scenario_checks(AF3, lat, f, [f], v, u, P0)["scenario_3"]
+    monkeypatch.setattr(bk, "is_restricted", lambda *args: False)
+    with pytest.raises(AssertionError):
+        bk.scenario_checks(AF3, lat, f, [f], v, u, P0)
+
+
+def test_dominant_equivalence_is_searched_once_per_system(monkeypatch):
+    from spinlab import parameters
+
+    calls = [0]
+    find_direct = patterns._find_direct
+
+    def counting(*args):
+        calls[0] += 1
+        return find_direct(*args)
+
+    monkeypatch.setattr(patterns, "_find_direct", counting)
+    # the condition checkers never read the classes
+    system = catalog.build("af_potts", q=4)
+    for which in ("simple", "alt1", "alt2", "alt3"):
+        parameters.check_condition(system, 100, which)
+    assert calls == [0]
+
+    lat = lm.make_box((8, 8))
+    f = ordered_config(lat, even_state=0, odd_states=(2, 3))
+    patterns.analyze(system)
+    bk.construct_breakup(system, lat, f, P0_AF4)
+    assert calls[0] > 0
+    calls[0] = 0
+    patterns.analyze(system)
+    rng = random.Random(2)
+    for g, omega, v, u in _scenario_cases(rng, system, lat, 50):
+        bk.scenario_checks(system, lat, g, omega, v, u, P0_AF4)
+    bk.construct_breakup(system, lat, f, P0_AF4)
+    assert calls == [0]

@@ -1,12 +1,14 @@
 """The benchmark in perfbench/ patches spinlab functions by name; a rename
-in src/ would otherwise break it without any test failing here."""
+in src/ would otherwise break it without any test failing here.  The
+library's own safety checks must survive ``python -O``."""
 
 import ast
 import importlib
 import json
 from pathlib import Path
 
-SPANS = Path(__file__).resolve().parents[1] / "perfbench" / "spans.py"
+ROOT = Path(__file__).resolve().parents[1]
+SPANS = ROOT / "perfbench" / "spans.py"
 
 
 def _traced():
@@ -59,3 +61,13 @@ def test_breakup_command_reaches_the_traced_breakup_layers(tmp_path,
                      "--out", str(tmp_path / "out.json")]) == 0
     assert calls == {"construct_breakup": 1, "verify_breakup": 1,
                      "compute_regions": 1}
+
+
+def test_no_assert_statements_in_the_library():
+    """``python -O`` strips assert statements, so a check in src/ must be
+    an explicit raise."""
+    found = [f"{path.name}:{node.lineno}"
+             for path in sorted((ROOT / "src" / "spinlab").rglob("*.py"))
+             for node in ast.walk(ast.parse(path.read_text()))
+             if isinstance(node, ast.Assert)]
+    assert not found
