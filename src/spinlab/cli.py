@@ -4,6 +4,7 @@ serialized as "p/q" strings); sweeps and scans emit CSV.  Exit codes:
 
 from __future__ import annotations
 
+import bisect
 import hashlib
 import json
 import math
@@ -17,8 +18,8 @@ from . import (__version__, breakup as breakup_mod, catalog as catalog_mod,
                errors, gibbs, kbipartite, lattice as lat_mod, parameters,
                patterns)
 from .patterns import Pattern
-from .system import (bipartite_cover, config_weight, emit_number, load_system,
-                     product, project_from_doubled, reweight)
+from .system import (bipartite_cover, emit_number, load_system, product,
+                     project_from_doubled, reweight)
 
 
 def _meta(subcommand, system_path=None, seed=None, t0=None, rng=None):
@@ -126,12 +127,26 @@ def _parse_sweep(text):
         raise errors.SchemaError("sweep needs LO > 0")
     if hi < lo:
         raise errors.SchemaError("sweep needs HI >= LO")
-    if npts < 1:
-        raise errors.SchemaError("sweep needs NPOINTS >= 1")
+    if not 1 <= npts < 2 ** 63:
+        raise errors.SchemaError("sweep needs 1 <= NPOINTS < 2^63")
     if npts == 1:
         return [int(round(lo))]
-    return sorted({int(round(lo * (hi / lo) ** (i / (npts - 1))))
-                   for i in range(npts)})
+
+    def point(i):
+        return int(round(lo * (hi / lo) ** (i / (npts - 1))))
+
+    # the points never decrease with i: a run of equal points ends within
+    # a step doubled until it leaves the run, found there by bisection, so
+    # the work grows with the number of distinct d, not with NPOINTS
+    out, i = [], 0
+    while i < npts:
+        out.append(point(i))
+        step = 1
+        while i + step < npts and point(i + step) == out[-1]:
+            step *= 2
+        i = bisect.bisect_right(range(npts), out[-1], i + step // 2 + 1,
+                                min(i + step, npts), key=point)
+    return out
 
 
 def _parse_count(text, name):

@@ -12,8 +12,9 @@ Three evaluators:
     per-value partition functions of one site come from one sweep that
     shares the rows before the site and runs one suffix per value;
   * z_torus / log_z_per_site_torus - exact free-boundary partition function
-    of a torus via a sparse column transfer matrix, columns along the
-    shorter side;
+    of a torus as the trace of a power of a dense column transfer matrix,
+    columns along the shorter side: in float64, or modulo primes below
+    2^20 and rebuilt by the Chinese remainder theorem in rational mode;
   * run_mcmc - heat-bath Glauber dynamics on K chains from one seeded
     PCG64 stream, with two kernels over the same cumulative tables: a
     raster scan of one site at a time, and a numpy checkerboard kernel that
@@ -24,19 +25,22 @@ Three evaluators:
 
 The exact evaluators run on SpinSystem.scaled() weights: Python ints in
 rational mode, divided once at the end by la^|V| li^|E|, and the system's
-floats in float mode.
+floats in float mode.  The box DP and the sampler's tables read one
+local-weight function, _local_weights.
 """
 
 from __future__ import annotations
 
 import bisect
+import functools
 import itertools
 import math
+import operator
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import errors, lattice as lat_mod, patterns
+from . import errors, lattice as lat_mod
 from .patterns import Pattern
 from .system import SpinSystem, log_number
 
@@ -117,12 +121,6 @@ def sample_halo_extension(system: SpinSystem, lat, pattern: Pattern,
 # ---------------------------------------------------------------------------
 # exact evaluation on a box (2D raster DP)
 
-def _check_box_2d(lat):
-    if lat.d != 2 or any(lat.periodic):
-        raise errors.UnsupportedLattice(
-            "exact evaluation implemented for 2D boxes")
-
-
 def _box_sweep(system, lat, boundary: PatternBoundary, site=None) -> list:
     """Raster DP over the interior rows of a 2D box.  The frontier holds the
     last w values packed in base |S|, the oldest (the site above the next
@@ -132,31 +130,38 @@ def _box_sweep(system, lat, boundary: PatternBoundary, site=None) -> list:
     returns Z_s, the partition function with the site's value fixed to s,
     for every state s: the sites before it are summed once and one suffix
     runs per value."""
-    _check_box_2d(lat)
+    if lat.d != 2 or any(lat.periodic):
+        raise errors.UnsupportedLattice(
+            "exact evaluation implemented for 2D boxes")
     h, w = lat.dims
     n = system.n
     if n ** w > MAX_FRONTIER:
         raise errors.StateSpaceTooLarge(f"{n}^{w} frontier states")
     sc = system.scaled()
-    acts, inter = sc.acts, sc.inter
+    end = h * w
     # the allowed mask of each raster position (the interior's site order)
-    masks = boundary.masks(lat, system)[:h * w].tolist()
+    masks = boundary.masks(lat, system)[:end].tolist()
+    # one suffix from position p per mask: the site's mask restricted to
+    # each value, or the first position's own mask without a site
+    if site is None:
+        p, fixed = 0, [masks[0]]
+    else:
+        p, fixed = site, [masks[site] & 1 << s for s in range(n)]
+    dtype = object if sc.exact else float
+    acts, inter = np.array(sc.acts, dtype), np.array(sc.inter, dtype)
+    # per mask, [up][left] -> the (value, weight) pairs with nonzero weight
+    # (left is the first slot); a neighbour value n is a missing neighbour
+    distinct = sorted(set(masks).union(fixed))
+    tables = _local_weights(acts, inter, 2, distinct).reshape(
+        len(distinct), n + 1, n + 1, n).tolist()
+    rows = {mask: [[[(s, x) for s, x in enumerate(cell) if x]
+                    for cell in row] for row in table]
+            for mask, table in zip(distinct, tables)}
     top = n ** (w - 1)
-    tables = {}
-
-    def table(mask):
-        """[left][up] -> the (value, weight) pairs with nonzero weight; a
-        neighbour value n stands for a missing neighbour."""
-        if mask not in tables:
-            states = system.mask_states(mask)
-            tables[mask] = [[_choices(acts, inter, states, left, up, n)
-                             for up in range(n + 1)]
-                            for left in range(n + 1)]
-        return tables[mask]
 
     def step(frontier, p, mask):
         r, c = divmod(p, w)
-        tbl = table(mask)
+        tbl = rows[mask]
         new = {}
         get = new.get
         for key, wgt in frontier.items():
@@ -165,7 +170,7 @@ def _box_sweep(system, lat, boundary: PatternBoundary, site=None) -> list:
             else:
                 up, rest = n, key
             base = rest * n
-            for s, x in tbl[key % n if c else n][up]:
+            for s, x in tbl[up][key % n if c else n]:
                 k = base + s
                 new[k] = get(k, 0) + wgt * x
         return new
@@ -175,32 +180,11 @@ def _box_sweep(system, lat, boundary: PatternBoundary, site=None) -> list:
             frontier = step(frontier, p, masks[p])
         return frontier
 
-    end = h * w
-    if site is None:
-        zs = [sum(run({0: 1}, 0, end).values())]
-    else:
-        r, c = lat.coords[site]
-        p = r * w + c
-        prefix = run({0: 1}, 0, p)
-        zs = []
-        for s in range(n):
-            fixed = step(prefix, p, masks[p] & 1 << s)
-            zs.append(sum(run(fixed, p + 1, end).values()))
+    prefix = run({0: 1}, 0, p)
+    zs = [sum(run(step(prefix, p, mask), p + 1, end).values())
+          for mask in fixed]
     n_edges = h * (w - 1) + (h - 1) * w
     return [sc.unscale(z, end, n_edges) for z in zs]
-
-
-def _choices(acts, inter, states, left, up, n):
-    out = []
-    for s in states:
-        x = acts[s]
-        if left != n:
-            x = x * inter[s][left]
-        if up != n:
-            x = x * inter[s][up]
-        if x:
-            out.append((s, x))
-    return out
 
 
 def z_pattern_box(system: SpinSystem, lat, boundary: PatternBoundary):
@@ -316,64 +300,76 @@ def _torus_columns(acts, inter, n1):
 
 def _z_torus_transfer(system, n1, n2):
     """Columns of height n1 (vertical wrap); n2 columns with horizontal wrap.
-    Z = trace(M^{n2}) with M[i][j] = w(col_i) * t(col_i, col_j), on the
-    integer scale in rational mode."""
+    Z = trace(M^{n2}) with M[i][j] = w(col_i) * t(col_i, col_j), a dense
+    float64 matrix.  Float mode takes the trace in floats.  Rational mode
+    takes it on the integer scale modulo primes below 2^20, enough that
+    their product exceeds the bound N (N max w max t^{n1})^{n2} on it, and
+    rebuilds it by the Chinese remainder theorem."""
     sc = system.scaled()
-    inter = sc.inter
-    cols = list(itertools.islice(_torus_columns(sc.acts, inter, n1),
+    cols = list(itertools.islice(_torus_columns(sc.acts, sc.inter, n1),
                                  MAX_COLUMNS + 1))
     if len(cols) > MAX_COLUMNS:
         raise errors.StateSpaceTooLarge(
             f"more than {MAX_COLUMNS} transfer states")
-    index = {col: j for j, (col, _) in enumerate(cols)}
-    positive = [[t for t in range(system.n) if inter[s][t]]
-                for s in range(system.n)]
-    rows = []
-    for ci, wgt in cols:
-        row = {}
-        # only columns that are positive against ci in every row can follow
-        for cj in itertools.product(*(positive[s] for s in ci)):
-            j = index.get(cj)
-            if j is None:
-                continue
-            t = wgt
-            for k in range(n1):
-                t = t * inter[ci[k]][cj[k]]
-            if t:
-                row[j] = t
-        rows.append(row)
-    return sc.unscale(_trace_power(rows, n2), n1 * n2, 2 * n1 * n2)
+    values = np.array([c for c, _ in cols], np.intp).reshape(-1, n1).T
+    wgts = [x for _, x in cols]
+
+    def trace(wgts, inter, p=0):
+        """trace(M^{n2}): P = M^(n2//2) by repeated squaring, then the row
+        sums of P * Q^T with Q = P or P M.  With a modulus p, every product
+        and the row sums are reduced mod p: each float64 intermediate, a
+        sum of at most MAX_COLUMNS products of residues, is an exact
+        integer below 2^53."""
+        def red(a):
+            return np.fmod(a, p, out=a) if p else a
+
+        inter = np.array(inter, dtype=float)
+        m = np.array(wgts, dtype=float)[:, None]
+        for row in values:
+            m = red(m * inter[row[:, None], row])
+        pw, base, k = None, m, n2 // 2
+        while k:
+            if k & 1:
+                pw = base if pw is None else red(pw @ base)
+            k >>= 1
+            if k:
+                base = red(base @ base)
+        q = pw if n2 % 2 == 0 else red(pw @ m)
+        return red(np.einsum("ij,ji->i", pw, q)).sum()
+
+    if not sc.exact:
+        return sc.unscale(trace(wgts, sc.inter), n1 * n2, 2 * n1 * n2)
+    top = max(wgts, default=0) * max(map(max, sc.inter)) ** n1
+    bound = len(cols) * (len(cols) * top) ** n2
+    z, modulus = 0, 1
+    for p in _crt_primes(bound):
+        r = trace([x % p for x in wgts],
+                  [[x % p for x in row] for row in sc.inter], p)
+        z += modulus * ((int(r) - z) * pow(modulus, -1, p) % p)
+        modulus *= p
+    return sc.unscale(z, n1 * n2, 2 * n1 * n2)
 
 
-def _matmul(a, b):
-    out = []
-    for row in a:
-        acc = {}
-        get = acc.get
-        for k, av in row.items():
-            for j, bv in b[k].items():
-                acc[j] = get(j, 0) + av * bv
-        out.append(acc)
-    return out
+@functools.cache
+def _primes() -> np.ndarray:
+    """The primes below 2^20, largest first; sieved on first use."""
+    sieve = np.ones(1 << 20, dtype=bool)
+    sieve[:2] = False
+    for i in range(2, 1 << 10):
+        if sieve[i]:
+            sieve[i * i::i] = False
+    return np.flatnonzero(sieve)[::-1].astype(np.int32)
 
 
-def _trace_power(rows, e):
-    """trace(M^e), e >= 2, for M stored as one {column: entry} dict per row:
-    P = M^(e//2) by repeated squaring, then trace(P Q) with Q = P or P M,
-    summed without forming the last product."""
-    p, base, k = None, rows, e // 2
-    while k:
-        if k & 1:
-            p = base if p is None else _matmul(p, base)
-        k >>= 1
-        if k:
-            base = _matmul(base, base)
-    q = p if e % 2 == 0 else _matmul(p, rows)
-    total = 0
-    for i, row in enumerate(p):
-        for j, pv in row.items():
-            total += pv * q[j].get(i, 0)
-    return total
+def _crt_primes(bound) -> list:
+    """The fewest of the largest primes below 2^20 whose product exceeds
+    bound."""
+    for k, product in enumerate(itertools.accumulate(
+            map(int, _primes()), operator.mul, initial=1)):
+        if product > bound:
+            return _primes()[:k].tolist()
+    raise errors.StateSpaceTooLarge(
+        "Z exceeds the product of the primes below 2^20")
 
 
 def log_z_per_site_torus(system: SpinSystem, dims) -> float:
@@ -404,11 +400,8 @@ class MCMCResult:
 
 
 def _safe_state_exists(system) -> bool:
-    for s in range(system.n):
-        if all(system.interactions[s][t] > 0 for t in range(system.n)) \
-                and system.activities[s] > 0:
-            return True
-    return False
+    return any(system.activities[s] > 0 and min(system.interactions[s]) > 0
+               for s in range(system.n))
 
 
 def initial_pattern_config(system: SpinSystem, lat,
@@ -422,28 +415,37 @@ def initial_pattern_config(system: SpinSystem, lat,
     return np.where(lat.par == 0, a_states[0], b_states[0]).tolist()
 
 
-def _build_tables(system, d, class_masks):
-    """Cumulative conditional laws per site class, indexed by the packed
-    values of the 2d neighbor slots in base |S|+1; the extra value is a
-    free slot (missing neighbor).  The weight of s is activity times the
-    interactions with the slots, multiplied from the least significant
-    slot up, and zeroed outside the class mask."""
-    n = system.n
+def _local_weights(acts, inter, k, masks):
+    """Local Boltzmann weights given k neighbor slots, per allowed mask:
+    [mask][key][s] is the activity of s times its interactions with the
+    slots, multiplied from the least significant slot up, and 0 outside the
+    mask.  A key packs the slot values in base |S|+1; the extra value |S|
+    is a free slot (missing neighbor), with factor 1.  Computes in the
+    arithmetic of the arrays acts and inter: Python ints in object arrays,
+    or floats."""
+    n = len(acts)
     base = n + 1
-    n_keys = base ** (2 * d)
-    if n_keys * n * len(class_masks) > 2 * 10 ** 7:
-        raise errors.StateSpaceTooLarge(f"{n_keys} neighbor keys")
-    acts = np.array([float(a) for a in system.activities])
-    inter_t = np.ones((base, n))  # [slot value, s]; row n is a free slot
-    inter_t[:n] = [[float(x) for x in row] for row in system.interactions]
-    keys = np.arange(n_keys)
-    wgt = np.broadcast_to(acts, (n_keys, n))
-    for _ in range(2 * d):
+    inter_t = np.ones((base, n), dtype=inter.dtype)  # [slot value, s]
+    inter_t[:n] = inter
+    keys = np.arange(base ** k)
+    wgt = np.broadcast_to(acts, (len(keys), n))
+    for _ in range(k):
         wgt = wgt * inter_t[keys % base]
         keys = keys // base
-    sel = np.array([[mask >> s & 1 for s in range(n)] for mask in class_masks],
+    sel = np.array([[mask >> s & 1 for s in range(n)] for mask in masks],
                    dtype=bool)
-    return np.cumsum(np.where(sel[:, None, :], wgt, 0.0), axis=-1)
+    return np.where(sel[:, None, :], wgt, 0)
+
+
+def _build_tables(system, d, class_masks):
+    """Cumulative conditional laws per site class: the float local weights
+    of the 2d neighbor slots, summed over the states."""
+    n = system.n
+    if (n + 1) ** (2 * d) * n * len(class_masks) > 2 * 10 ** 7:
+        raise errors.StateSpaceTooLarge(f"{(n + 1) ** (2 * d)} neighbor keys")
+    acts = np.array([float(a) for a in system.activities])
+    inter = np.array([[float(x) for x in row] for row in system.interactions])
+    return np.cumsum(_local_weights(acts, inter, 2 * d, class_masks), axis=-1)
 
 
 class _Chains:
@@ -554,10 +556,10 @@ def run_mcmc(system: SpinSystem, lat, boundary: PatternBoundary, site,
     if not lat.has_exterior:
         raise errors.UnsupportedLattice(
             "sampler runs on lattices with an open axis")
-    if chains < 1:
-        raise errors.SchemaError("chains must be at least 1")
-    if n_sweeps < 0:
-        raise errors.SchemaError("n_sweeps must be at least 0")
+    for name, x, lo in (("chains", chains, 1), ("n_sweeps", n_sweeps, 0),
+                        ("seed", seed, 0)):
+        if x < lo:
+            raise errors.SchemaError(f"{name} must be at least {lo}")
     if not _safe_state_exists(system) and not force:
         raise errors.IrreducibilityUnknown(
             "hard constraints present and no universally compatible state; "
@@ -565,15 +567,12 @@ def run_mcmc(system: SpinSystem, lat, boundary: PatternBoundary, site,
     site = interior_site(lat, site)
     if burn_in is None:
         burn_in = max(1, n_sweeps // 10) if n_sweeps else 0
-    n = system.n
     sampler = _Chains(system, lat, boundary)
     rng = np.random.Generator(np.random.PCG64(seed))
-    if chains * len(lat.interior) >= CHECKERBOARD_MIN_UPDATES:
-        rng_id = CHECKERBOARD_RNG_ID
-        trace, configs = sampler.checkerboard(rng, site, n_sweeps, chains)
-    else:
-        rng_id = RNG_ID
-        trace, configs = sampler.raster(rng, site, n_sweeps, chains)
+    checker = chains * len(lat.interior) >= CHECKERBOARD_MIN_UPDATES
+    rng_id = CHECKERBOARD_RNG_ID if checker else RNG_ID
+    kernel = sampler.checkerboard if checker else sampler.raster
+    trace, configs = kernel(rng, site, n_sweeps, chains)
 
     marginal, se, counts = {}, {}, {}
     n_kept = n_sweeps - burn_in
@@ -582,7 +581,7 @@ def run_mcmc(system: SpinSystem, lat, boundary: PatternBoundary, site,
         kept = trace[:, burn_in:]
         batch = max(1, n_kept // n_batches) if chains == 1 else n_kept
         nb = chains * (n_kept // batch)
-        for s in range(n):
+        for s in range(system.n):
             label = system.states[s]
             ind = (kept == s).astype(np.float64)
             counts[label] = int(ind.sum())

@@ -269,12 +269,16 @@ def _contents(system, d, coords, ctx):
                 yield xi, count
 
 
-def z_compositions(system: SpinSystem, d: int, spec: PsiSpec, I_mask: int):
-    """Evaluate Z(Psi, I) by summing over the contents of the spec."""
+def _check_d(d):
     if d < 1:
         raise errors.ParamOutOfRange("d must be >= 1")
     if d > MAX_D:
         raise errors.TooLarge(f"d={d}")
+
+
+def z_compositions(system: SpinSystem, d: int, spec: PsiSpec, I_mask: int):
+    """Evaluate Z(Psi, I) by summing over the contents of the spec."""
+    _check_d(d)
     ctx = _spec_context(system, d, spec)
     I_states = system.mask_states(I_mask)
     sc = system.scaled()
@@ -404,6 +408,7 @@ def verify_main_condition(system: SpinSystem, d: int, alpha: float,
     if system.max_interaction != 1:
         raise errors.NotNormalized(
             "interactions must be normalized to maximum 1")
+    _check_d(d)  # before omega_dom^{2d}, which overflows far beyond MAX_D
     st = patterns.structure(system)
     omega_2d = float(st.omega_dom) ** (2 * d)
     rng = random.Random(seed)

@@ -12,11 +12,11 @@ with saturating comparisons.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 
 from . import errors, patterns
-from .system import log_number
+from .system import MAX_FLOAT_INT, log_number
 
 INF = math.inf
 # bits of one power lambda^{2d} beyond which rho_bulk_star_of leaves exact
@@ -107,9 +107,12 @@ def rho_hat_bulk_of(system, d, s):
     n = system.n
     best = 0.0
     for la, lb in st.bulk_pairs:
-        val = (la * lb / omega
-               * (1.0 + rho_int ** s * lam_s / la)
-               * (2 * d * lam_s / lb) ** ((s - 1) * n / (2 * d)))
+        try:
+            val = (la * lb / omega
+                   * (1.0 + rho_int ** s * lam_s / la)
+                   * (2 * d * lam_s / lb) ** ((s - 1) * n / (2 * d)))
+        except OverflowError:  # a window so long the ratio is unbounded
+            val = INF
         best = max(best, val)
     return best
 
@@ -266,6 +269,8 @@ def check_condition(system, d, which, C=1.0, c=1.0, s=None) -> ConditionReport:
     reads: rho_bulk_star only for alt3."""
     if d < 2:
         raise errors.ParamOutOfRange("d must be >= 2")
+    if max(d, s or 0) > MAX_FLOAT_INT:
+        raise errors.ParamOutOfRange("d and s must be at most 2^1000")
     if not all(math.isfinite(x) and x > 0 for x in (C, c)):
         raise errors.ParamOutOfRange("C and c must be finite and > 0")
     if s is not None and s < 1:

@@ -21,6 +21,9 @@ from typing import Optional, Sequence
 from . import errors
 
 MAX_STATES = 64
+# the largest dimension d (and alt2 window s) taken: inside the float range,
+# with room for the small multiples such as 2d and 4d that formulas take
+MAX_FLOAT_INT = 2 ** 1000
 
 
 # ---------------------------------------------------------------------------
@@ -315,6 +318,8 @@ def reweight(system: SpinSystem, multipliers, d: int) -> SpinSystem:
     """
     if len(multipliers) != system.n:
         raise errors.SchemaError("multiplier count mismatch")
+    if not 1 <= d <= MAX_FLOAT_INT:
+        raise errors.ParamOutOfRange("d must be between 1 and 2^1000")
     ms = [float(m) for m in multipliers]
     for m in ms:
         if not m > 0:

@@ -130,6 +130,45 @@ def test_out_of_range_numbers_are_refused(af3_path, capsys, argv):
     assert captured.out == ""
 
 
+BEYOND_FLOAT = str(10 ** 400)  # too large for float(); 2^1000 is taken
+HUGE_DIMENSIONS = [
+    *[(["verify-cond", "--d", d, "--alpha", "0.2", "--eps", "0.125",
+        "--epsbar", "0.125"], 3, "TooLarge")
+      for d in ("65", "1000", BEYOND_FLOAT)],
+    *[(["check", "--condition", condition, "--d", d], 2, "ParamOutOfRange")
+      for condition in ("simple", "alt1", "alt2", "alt3")
+      for d in (BEYOND_FLOAT, str(2 ** 1000 + 1))],
+    (["check", "--condition", "alt2", "--d", "4", "--s", BEYOND_FLOAT], 2,
+     "ParamOutOfRange"),
+    *[(["transform", "--op", "reweight", "--multipliers", "1,2,3", "--d", d],
+       2, "ParamOutOfRange") for d in ("0", "-1", BEYOND_FLOAT)]]
+
+
+@pytest.mark.parametrize("argv, code, error", HUGE_DIMENSIONS)
+def test_huge_dimensions_are_refused(af3_path, capsys, argv, code, error):
+    assert cli.main([argv[0], "--system", af3_path, *argv[1:]]) == code
+    captured = capsys.readouterr()
+    assert json.loads(captured.err)["error"] == error
+    assert captured.out == ""
+
+
+@pytest.mark.parametrize("condition", ["simple", "alt1", "alt2", "alt3"])
+def test_check_takes_dimensions_up_to_the_bound(af3_path, capsys, condition):
+    assert cli.main(["check", "--system", af3_path, "--condition", condition,
+                     "--d", str(2 ** 1000)]) == 0
+
+
+def test_alt2_window_beyond_the_float_powers_fails_alpha2(sysfile, capsys):
+    """rho_hat_bulk's window power overflows at s = 10^32; the ratio is then
+    unbounded and alpha2 is -inf."""
+    path = sysfile("wr2.json", catalog.build("widom_rowlinson", lam=2))
+    assert cli.main(["check", "--system", path, "--condition", "alt2",
+                     "--d", "4", "--s", str(10 ** 32)]) == 0
+    payload = json.loads(capsys.readouterr().out)
+    alpha2 = [iq for iq in payload["inequalities"] if iq["name"] == "alpha2"]
+    assert alpha2[0]["lhs"] == -math.inf and payload["pass"] is False
+
+
 def test_only_alt3_computes_rho_bulk_star(hc_path, capsys, monkeypatch):
     def run():
         out = {}
@@ -215,6 +254,32 @@ def test_check_sweep_spec(tmp_path, hc_path, capsys, spec, code, rows):
         assert [int(line.split(",")[0]) for line in lines[1:]] == rows
     else:
         assert json.loads(capsys.readouterr().err)["error"] == "SchemaError"
+
+
+@pytest.mark.parametrize("npoints", ["3000000", "3000000000"])
+def test_check_sweep_work_follows_the_distinct_dimensions(tmp_path, hc_path,
+                                                          npoints):
+    """Millions of points over two integers are two rows, found without a
+    pass over every point (1.4 s for 3e6 points when it made one)."""
+    out = tmp_path / "sweep.csv"
+    t0 = time.monotonic()
+    assert cli.main(["check", "--system", hc_path, "--sweep",
+                     f"d=2:3:geometric:{npoints}", "--out", str(out)]) == 0
+    assert time.monotonic() - t0 < 1.0
+    rows = out.read_text().strip().splitlines()[1:]
+    assert [int(row.split(",")[0]) for row in rows] == [2, 3]
+
+
+@pytest.mark.parametrize("lo, hi, npoints", [
+    (2, 3, 1000), (1, 1000, 5000), (10, 1e12, 13), (100, 1e6, 25),
+    (1.5, 40.5, 301), (7, 7.4, 9), (3, 1e4, 20000)])
+def test_check_sweep_rows_match_every_point(lo, hi, npoints):
+    """The distinct d, as rounding every one of the NPOINTS points gives
+    them."""
+    every = {int(round(lo * (hi / lo) ** (i / (npoints - 1))))
+             for i in range(npoints)}
+    assert cli._parse_sweep(f"d={lo}:{hi}:geometric:{npoints}") \
+        == sorted(every)
 
 
 # min_margin at d=100, below the d where rho_bulk_star_of leaves the float
@@ -398,6 +463,20 @@ def test_bad_count_is_a_schema_error(af3_soft_path, capsys, command, option,
         argv += ["--site", "1,1"]
     assert cli.main(argv) == 2
     assert json.loads(capsys.readouterr().err)["error"] == "SchemaError"
+
+
+@pytest.mark.parametrize("command, seed", [("mcmc", "-1"),
+                                           ("breakup-scan", "-3")])
+def test_negative_seed_is_a_schema_error(af3_soft_path, capsys, command,
+                                         seed):
+    argv = [command, "--system", af3_soft_path, "--lattice", "box:3x3+halo",
+            "--pattern", "A=1;B=2,3", "--sweeps", "10", "--seed", seed]
+    if command == "mcmc":
+        argv += ["--site", "1,1"]
+    assert cli.main(argv) == 2
+    err = json.loads(capsys.readouterr().err)
+    assert err == {"error": "SchemaError",
+                   "detail": "seed must be at least 0"}
 
 
 @pytest.mark.parametrize("argv, detail", [

@@ -171,6 +171,63 @@ def test_z_torus_fractional_matches_enumeration():
         == gibbs._z_enumerate_torus(system, (4, 4))
 
 
+def _record_primes(monkeypatch):
+    """Each rational transfer trace's (bound, primes)."""
+    seen = []
+    crt_primes = gibbs._crt_primes
+
+    def recorded(bound):
+        seen.append((bound, crt_primes(bound)))
+        return seen[-1][1]
+    monkeypatch.setattr(gibbs, "_crt_primes", recorded)
+    return seen
+
+
+@pytest.mark.parametrize("name, dims", [("hc-3/7", (3, 3)),
+                                        ("afi-2/3", (3, 4)),
+                                        ("mixed", (3, 3))])
+def test_z_torus_residues_rebuild_z_from_several_primes(monkeypatch, name,
+                                                         dims):
+    """The residue traces, rebuilt by the Chinese remainder theorem, give Z
+    exactly, and the scaled Z lies below the bound the primes exceed."""
+    system = FRACTIONAL[name]
+    seen = _record_primes(monkeypatch)
+    z = gibbs.z_torus(system, dims)
+    assert z == gibbs._z_enumerate_torus(system, dims)
+    (bound, primes), = seen
+    assert len(primes) >= 2 and math.prod(primes) > bound
+    sc = system.scaled()
+    sites = math.prod(dims)
+    assert z * sc.la ** sites * sc.li ** (2 * sites) <= bound
+
+
+@pytest.mark.parametrize("bound", [0, 1, 2 ** 20, 2 ** 40 - 1, 2 ** 40,
+                                   10 ** 50, 7 ** 1000])
+def test_crt_primes_are_the_fewest_whose_product_exceeds_the_bound(bound):
+    primes = gibbs._crt_primes(bound)
+    assert math.prod(primes) > bound
+    assert not primes or math.prod(primes[:-1]) <= bound
+    assert primes == sorted(set(primes), reverse=True)
+    assert all(p < 2 ** 20 and all(p % f for f in range(2, math.isqrt(p) + 1))
+               for p in primes)
+
+
+def test_z_torus_float_matches_exact_sums():
+    """Float mode takes the trace in float64; the oracle is the exact Z of
+    the same float weights read as rationals (a float enumeration sums too
+    many terms to be accurate to 1e-12)."""
+    system = catalog.build("af_potts", q=3, beta=1)
+    exact = make_system(system.states,
+                        [str(Fraction(a)) for a in system.activities],
+                        [[str(Fraction(x)) for x in row]
+                         for row in system.interactions])
+    for dims in ((3, 3), (4, 4), (3, 5), (5, 3)):
+        oracle = float(gibbs.z_torus(exact, dims))
+        z = gibbs.z_torus(system, dims)
+        assert isinstance(z, float)
+        assert abs(z - oracle) <= 1e-12 * oracle
+
+
 def _count_columns(monkeypatch):
     seen = []
     columns = gibbs._torus_columns

@@ -71,3 +71,19 @@ def test_no_assert_statements_in_the_library():
              for node in ast.walk(ast.parse(path.read_text()))
              if isinstance(node, ast.Assert)]
     assert not found
+
+
+def test_no_unused_imports_in_the_library():
+    """Every name a library module imports is read somewhere in it."""
+    found = []
+    for path in sorted((ROOT / "src" / "spinlab").rglob("*.py")):
+        tree = ast.parse(path.read_text())
+        read = {node.id for node in ast.walk(tree)
+                if isinstance(node, ast.Name)}
+        found += [f"{path.name}:{node.lineno} {alias.asname or alias.name}"
+                  for node in ast.walk(tree)
+                  if isinstance(node, (ast.Import, ast.ImportFrom))
+                  and getattr(node, "module", None) != "__future__"
+                  for alias in node.names
+                  if (alias.asname or alias.name).split(".")[0] not in read]
+    assert not found
