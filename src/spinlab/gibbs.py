@@ -8,9 +8,11 @@ parity.
 
 Three evaluators:
   * site_law / exact_measure / prob_not_in_pattern / z_pattern_box - exact
-    marginals and partition functions via a row-raster frontier DP; the
-    per-value partition functions of one site come from one sweep that
-    shares the rows before the site and runs one suffix per value;
+    marginals and partition functions via a row-raster frontier DP: a
+    sparse dict frontier in rational mode, a dense float64 array stepped by
+    one matrix product per site in float mode; the per-value partition
+    functions of one site come from one sweep that shares the rows before
+    the site and runs one suffix per value;
   * z_torus / log_z_per_site_torus - exact free-boundary partition function
     of a torus as the trace of a power of a dense column transfer matrix,
     columns along the shorter side: in float64, or modulo primes below
@@ -123,8 +125,11 @@ def sample_halo_extension(system: SpinSystem, lat, pattern: Pattern,
 
 def _box_sweep(system, lat, boundary: PatternBoundary, site=None) -> list:
     """Raster DP over the interior rows of a 2D box.  The frontier holds the
-    last w values packed in base |S|, the oldest (the site above the next
-    one) most significant.
+    weights of the last w values, the oldest (the site above the next one)
+    first.  Rational mode keeps the nonzero weights in a dict keyed by the
+    values packed in base |S|, the oldest most significant; float mode keeps
+    a dense float64 array of shape (|S|,)*w, the oldest on axis 0, and makes
+    one array step per site.
 
     Without a site, returns [Z].  With a site (an interior site's index),
     returns Z_s, the partition function with the site's value fixed to s,
@@ -147,42 +152,67 @@ def _box_sweep(system, lat, boundary: PatternBoundary, site=None) -> list:
         p, fixed = 0, [masks[0]]
     else:
         p, fixed = site, [masks[site] & 1 << s for s in range(n)]
-    dtype = object if sc.exact else float
-    acts, inter = np.array(sc.acts, dtype), np.array(sc.inter, dtype)
-    # per mask, [up][left] -> the (value, weight) pairs with nonzero weight
-    # (left is the first slot); a neighbour value n is a missing neighbour
     distinct = sorted(set(masks).union(fixed))
-    tables = _local_weights(acts, inter, 2, distinct).reshape(
-        len(distinct), n + 1, n + 1, n).tolist()
-    rows = {mask: [[[(s, x) for s, x in enumerate(cell) if x]
-                    for cell in row] for row in table]
-            for mask, table in zip(distinct, tables)}
-    top = n ** (w - 1)
+    if sc.exact:
+        acts, inter = np.array(sc.acts, object), np.array(sc.inter, object)
+        # per mask, [up][left] -> the (value, weight) pairs with nonzero
+        # weight (left is the first slot); a neighbour value n is a missing
+        # neighbour
+        tables = _local_weights(acts, inter, 2, distinct).reshape(
+            len(distinct), n + 1, n + 1, n).tolist()
+        rows = {mask: [[[(s, x) for s, x in enumerate(cell) if x]
+                        for cell in row] for row in table]
+                for mask, table in zip(distinct, tables)}
+        top = n ** (w - 1)
 
-    def step(frontier, p, mask):
-        r, c = divmod(p, w)
-        tbl = rows[mask]
-        new = {}
-        get = new.get
-        for key, wgt in frontier.items():
-            if r:
-                up, rest = divmod(key, top)
-            else:
-                up, rest = n, key
-            base = rest * n
-            for s, x in tbl[up][key % n if c else n]:
-                k = base + s
-                new[k] = get(k, 0) + wgt * x
-        return new
+        def step(frontier, p, mask):
+            r, c = divmod(p, w)
+            tbl = rows[mask]
+            new = {}
+            get = new.get
+            for key, wgt in frontier.items():
+                if r:
+                    up, rest = divmod(key, top)
+                else:
+                    up, rest = n, key
+                base = rest * n
+                for s, x in tbl[up][key % n if c else n]:
+                    k = base + s
+                    new[k] = get(k, 0) + wgt * x
+            return new
+
+        start, total = {0: 1}, lambda frontier: sum(frontier.values())
+    else:
+        inter = np.array(sc.inter, dtype=float)
+        # per mask, [up][s]: the weight of s given its up neighbour (row n:
+        # a missing one); the left neighbour's interaction multiplies it
+        ups = dict(zip(distinct, _local_weights(
+            np.array(sc.acts, dtype=float), inter, 1, distinct)))
+
+        def step(frontier, p, mask):
+            r, c = divmod(p, w)
+            up = ups[mask]
+            # sum out the up value (axis 0); row 0 grows the frontier
+            new = frontier.reshape(n, -1).T @ up[:n] if r else \
+                frontier.reshape(-1, 1) * up[n]
+            if c:  # the left value is the last axis
+                new = new.reshape(-1, n, n)
+                new *= inter
+            return new.reshape(frontier.shape[1 if r else 0:] + (n,))
+
+        start, total = np.ones(()), np.sum
 
     def run(frontier, lo, hi):
         for p in range(lo, hi):
             frontier = step(frontier, p, masks[p])
         return frontier
 
-    prefix = run({0: 1}, 0, p)
-    zs = [sum(run(step(prefix, p, mask), p + 1, end).values())
-          for mask in fixed]
+    with np.errstate(over="ignore", invalid="ignore"):  # refused below
+        prefix = run(start, 0, p)
+        zs = [total(run(step(prefix, p, mask), p + 1, end))
+              for mask in fixed]
+    if not sc.exact and not math.isfinite(sum(zs)):
+        raise errors.TooLarge("Z exceeds the float64 range")
     n_edges = h * (w - 1) + (h - 1) * w
     return [sc.unscale(z, end, n_edges) for z in zs]
 
@@ -237,7 +267,7 @@ def z_torus(system: SpinSystem, dims):
     simple graph: every side must be at least 2, odd sides are allowed, and
     along a side of 2 the two steps reach the same neighbour, which is one
     edge (lattices count it twice; see spinlab.lattice).  2D tori with
-    sides of at least 3 go through a sparse column transfer matrix whose
+    sides of at least 3 go through a dense column transfer matrix whose
     columns run along the shorter side (Z is the same with the axes
     swapped); other tori are enumerated directly."""
     dims = tuple(dims)

@@ -92,6 +92,9 @@ class SpinSystem:
     # patterns.PatternStructure, built on first use by patterns.structure()
     _pattern_structure: Optional[object] = field(default=None, repr=False,
                                                  compare=False)
+    # the ScaledWeights, built on first use by scaled()
+    _scaled: Optional["ScaledWeights"] = field(default=None, repr=False,
+                                               compare=False)
 
     @property
     def n(self):
@@ -152,17 +155,21 @@ class SpinSystem:
 
     def scaled(self) -> "ScaledWeights":
         """The weights on a common integer scale (rational mode), or as they
-        are (float mode); see ScaledWeights."""
+        are (float mode); see ScaledWeights.  Built once per system."""
+        if self._scaled is not None:
+            return self._scaled
         if self.mode != "rational":
-            return ScaledWeights(self.activities, self.interactions)
+            self._scaled = ScaledWeights(self.activities, self.interactions)
+            return self._scaled
         la = math.lcm(*(a.denominator for a in self.activities))
         li = math.lcm(*(v.denominator for row in self.interactions
                         for v in row))
-        return ScaledWeights(
+        self._scaled = ScaledWeights(
             tuple(int(a * la) for a in self.activities),
             tuple(tuple(int(v * li) for v in row)
                   for row in self.interactions),
             la, li, exact=True)
+        return self._scaled
 
     def to_dict(self):
         return {

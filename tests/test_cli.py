@@ -439,6 +439,16 @@ def test_exact_empty_support(tmp_path, sysfile, capsys):
     assert json.loads(capsys.readouterr().err)["error"] == "EmptySupport"
 
 
+def test_float_z_beyond_the_float_range_is_refused(af3_soft_path, capsys):
+    """Z of af_potts q=3 beta=1 on 300x6 exceeds the float64 range: a
+    TooLarge refusal, not a payload of Infinity and NaN."""
+    assert cli.main(["exact", "--system", af3_soft_path, "--lattice",
+                     "box:300x6+halo", "--pattern", "A=1;B=2,3",
+                     "--site", "150,3"]) == 3
+    out, err = capsys.readouterr()
+    assert out == "" and json.loads(err)["error"] == "TooLarge"
+
+
 @pytest.mark.parametrize("command", ["exact", "mcmc"])
 @pytest.mark.parametrize("site", ["9,9", "1", "a,b", "-1,0", "1,1,1", ""])
 def test_bad_site_is_a_schema_error(af3_soft_path, capsys, command, site):

@@ -1,5 +1,7 @@
 import itertools
 import math
+import random
+import time
 from fractions import Fraction
 
 import numpy as np
@@ -11,7 +13,7 @@ from spinlab.patterns import Pattern
 from spinlab.system import log_number, make_system
 
 from helpers import (FRACTIONAL, build_tables_reference, graph_z,
-                     torus_graph)
+                     random_rational_system, torus_graph)
 
 AF3 = catalog.build("af_potts", q=3)
 HC = catalog.build("hard_core", lam=1)
@@ -142,6 +144,78 @@ def test_box_kernel_with_fractional_weights(system):
         side = system.mask_states(bc.side_mask(lat, v))
         assert law.prob_not_in_pattern \
             == 1 - sum(marg[s] for s in side) / total
+
+
+def _float_twins(system):
+    """The float system of a system's weights, and the rational system of
+    those floats' exact values."""
+    acts = [float(a) for a in system.activities]
+    inter = [[float(x) for x in row] for row in system.interactions]
+    return (make_system(system.states, acts, inter, mode="float"),
+            make_system(system.states, map(Fraction, acts),
+                        [map(Fraction, row) for row in inter]))
+
+
+def _close(x, exact):
+    return abs(x - exact) <= 1e-12 * abs(exact)
+
+
+# random systems with zero interactions among them (hard constraints in
+# float mode), then the systems with fractional weights
+TWINS = [random_rational_system(random.Random(seed)) for seed in range(12)] \
+    + list(FRACTIONAL.values())
+
+
+@pytest.mark.parametrize("k", range(len(TWINS)))
+def test_float_box_frontier_matches_its_rational_twin(k):
+    """The dense float frontier against the dict frontier on the same
+    weights: Z and every Z_s within 1e-12 relative, on thin and square
+    boxes, at the first, an inner and the last raster position."""
+    system, exact = _float_twins(TWINS[k])
+    rng = random.Random(k)
+    bc = gibbs.PatternBoundary(Pattern(rng.randint(1, system.full_mask()),
+                                       rng.randint(1, system.full_mask())))
+    for dims in ((1, 4), (4, 1), (3, 4), (4, 3), (5, 5)):
+        lat = lm.make_box(dims)
+        z = gibbs.z_pattern_box(exact, lat, bc)
+        assert _close(gibbs.z_pattern_box(system, lat, bc), z)
+        for site in (0, len(lat.interior) // 2, len(lat.interior) - 1):
+            if z == 0:
+                with pytest.raises(errors.EmptySupport):
+                    gibbs.site_law(system, lat, bc, site)
+                continue
+            law, ref = (gibbs.site_law(s, lat, bc, site)
+                        for s in (system, exact))
+            assert _close(law.z, ref.z)
+            assert all(_close(law.marginal[s] * law.z,
+                              ref.marginal[s] * ref.z) for s in ref.marginal)
+
+
+def test_float_box_frontier_guards():
+    soft = catalog.build("af_potts", q=3, beta=1)
+    bc = gibbs.PatternBoundary(P0_AF3)
+    for lat in (lm.make_torus((4, 4)), lm.make_box((3, 3, 3))):
+        with pytest.raises(errors.UnsupportedLattice):
+            gibbs.z_pattern_box(soft, lat, bc)
+    with pytest.raises(errors.StateSpaceTooLarge):
+        gibbs.z_pattern_box(soft, lm.parse_lattice("box:1x14"), bc)
+    hard, _ = _float_twins(catalog.build("af_potts", q=2))
+    with pytest.raises(errors.EmptySupport):
+        gibbs.site_law(hard, lm.make_box((2, 2)),
+                       gibbs.PatternBoundary(Pattern(0b01, 0b01)), (0, 0))
+
+
+def test_float_box_takes_one_array_step_per_site():
+    """af_potts q=3 beta=1 on 10x10: Z and a centre site's law take about
+    45 ms together on 2 vCPUs (a dict frontier of the same 3^10 states took
+    over 2 s)."""
+    soft = catalog.build("af_potts", q=3, beta=1)
+    lat, bc = lm.make_box((10, 10)), gibbs.PatternBoundary(P0_AF3)
+    t0 = time.monotonic()
+    z = gibbs.z_pattern_box(soft, lat, bc)
+    law = gibbs.site_law(soft, lat, bc, (5, 5))
+    assert time.monotonic() - t0 < 1.0
+    assert _close(z, 9.837492414276652e+21) and _close(law.z, z)
 
 
 # ---------------------------------------------------------------------------

@@ -5,9 +5,10 @@ import pytest
 from hypothesis import given, strategies as st
 
 from spinlab import errors
-from spinlab.system import (SpinSystem, WeightedGraph, bipartite_cover,
-                            check_lift_permitting, config_weight, emit_number,
-                            load_system, make_system, parse_number, product,
+from spinlab.system import (ScaledWeights, SpinSystem, WeightedGraph,
+                            bipartite_cover, check_lift_permitting,
+                            config_weight, emit_number, load_system,
+                            make_system, parse_number, product,
                             project_from_doubled, reweight, validate_system)
 
 
@@ -74,6 +75,21 @@ def test_validate_system_ok():
     assert system.full_mask() == 0b11
     assert system.lambda_mask(0b11) == 3
     assert system.mask_states(0b10) == [1]
+
+
+def test_scaled_weights_are_built_once_per_system():
+    rational = make_system(["0", "1"], ["3/2", "1/3"],
+                           [["1", "1/4"], ["1/4", "0"]])
+    floats = make_system(["0", "1"], [1.5, 2.0], [[1.0, 0.25], [0.25, 0.0]],
+                         mode="float")
+    for system in (rational, floats):
+        sc = system.scaled()
+        assert system.scaled() is sc
+        fresh = SpinSystem(system.states, system.activities,
+                           system.interactions, system.mode).scaled()
+        assert fresh is not sc and fresh == sc
+    assert rational.scaled() == ScaledWeights((9, 2), ((4, 1), (1, 0)), 6, 4,
+                                              exact=True)
 
 
 def test_validate_system_errors():
