@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 from . import errors
-from .system import SpinSystem, make_system
+from .system import SpinSystem, make_system, state_count
 
 MODEL_NAMES = (
     "af_potts", "af_potts_field", "af_ising_field", "hard_core",
@@ -91,7 +91,7 @@ def _build_af_potts(q=None, beta=INF):
     if q < 2:
         raise errors.ParamOutOfRange("af_potts requires q >= 2")
     w, mode = _boltzmann(beta)
-    states = [str(i) for i in range(1, q + 1)]
+    states = [str(i) for i in range(1, state_count(q) + 1)]
     one = Fraction(1) if mode == "rational" else 1.0
     acts = [one] * q
     inter = [[one if i != j else w for j in range(q)] for i in range(q)]
@@ -104,7 +104,7 @@ def _build_af_potts_field(q=None, beta=INF, lam=None):
         raise errors.ParamOutOfRange("af_potts_field requires q >= 2")
     lam = _pos(lam, "lam")
     w, mode = _boltzmann(beta)
-    states = [str(i) for i in range(1, q + 1)]
+    states = [str(i) for i in range(1, state_count(q) + 1)]
     acts = [lam if i == 0 else Fraction(1) for i in range(q)]
     one = Fraction(1)
     inter = [[one if i != j else w for j in range(q)] for i in range(q)]
@@ -154,7 +154,7 @@ def _build_clock(q=None, m=None, beta=INF):
     def dist(i, j):
         return min((i - j) % q, (j - i) % q)
 
-    acts = [one] * q
+    acts = [one] * state_count(q)
     inter = [[one if dist(i, j) <= m else w for j in range(q)] for i in range(q)]
     return make_system([str(i) for i in range(q)], acts, inter, mode=mode)
 
@@ -172,7 +172,7 @@ def _build_multi_wr(q=None, lam=None):
     if q < 1:
         raise errors.ParamOutOfRange("multi_wr requires q >= 1")
     lam = _pos(lam, "lam")
-    labels = list(range(q + 1))
+    labels = list(range(state_count(q + 1)))
     acts = [Fraction(1) if i == 0 else lam for i in labels]
     inter = [[1 if (i * j == 0 or i == j) else 0 for j in labels] for i in labels]
     return make_system([str(i) for i in labels], acts, inter, mode="rational")
@@ -183,7 +183,7 @@ def _build_anti_wr(q=None, lam=None):
     if q < 2:
         raise errors.ParamOutOfRange("anti_wr requires q >= 2")
     lam = _pos(lam, "lam")
-    labels = list(range(q + 1))
+    labels = list(range(state_count(q + 1)))
     acts = [Fraction(1) if i == 0 else lam for i in labels]
     inter = [[1 if (i * j == 0 or i != j) else 0 for j in labels] for i in labels]
     return make_system([str(i) for i in labels], acts, inter, mode="rational")
@@ -194,6 +194,7 @@ def _build_multi_beach(q=None, lam=None):
     if q < 1:
         raise errors.ParamOutOfRange("multi_beach requires q >= 1")
     lam = _pos(lam, "lam")
+    state_count(2 * q)
     labels = [(s, i) for s in (0, 1) for i in range(1, q + 1)]
     acts = [lam if s else Fraction(1) for (s, _) in labels]
     inter = [[1 if ((s == 0 and t == 0) or i == j) else 0
@@ -207,7 +208,7 @@ def _build_multi_occupancy_hc_v1(q=None, lam=None):
     if q < 1:
         raise errors.ParamOutOfRange("multi_occupancy_hc requires q >= 1")
     lam = _pos(lam, "lam")
-    acts = [lam ** i / math.factorial(i) for i in range(q + 1)]
+    acts = [lam ** i / math.factorial(i) for i in range(state_count(q + 1))]
     inter = [[1 if i + j <= q else 0 for j in range(q + 1)] for i in range(q + 1)]
     return make_system([str(i) for i in range(q + 1)], acts, inter, mode="rational")
 
@@ -217,7 +218,7 @@ def _build_multi_occupancy_hc_v2(q=None, lam=None):
     if q < 1:
         raise errors.ParamOutOfRange("multi_occupancy_hc requires q >= 1")
     lam = _pos(lam, "lam")
-    acts = [lam ** i for i in range(q + 1)]
+    acts = [lam ** i for i in range(state_count(q + 1))]
     inter = [[1 if i + j <= q else 0 for j in range(q + 1)] for i in range(q + 1)]
     return make_system([str(i) for i in range(q + 1)], acts, inter, mode="rational")
 

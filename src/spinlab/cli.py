@@ -245,38 +245,63 @@ def cmd_catalog(name, q, lam, lam_e, lam_o, beta, m, out):
     _emit(payload, out)
 
 
-@cli.command("analyze")
-@click.option("--system", "system_path", required=True)
-@click.option("--out", default=None)
-def cmd_analyze(system_path, out):
+_SYSTEM = click.option("--system", "system_path", required=True)
+_OUT = click.option("--out", default=None)
+_LATTICE = click.option("--lattice", "lattice_spec", required=True)
+_PATTERN = click.option("--pattern", "pattern_text", required=True)
+_SITE = click.option("--site", required=True)
+_SEED = click.option("--seed", type=int, default=0)
+_FORCE = click.option("--force", is_flag=True, default=False)
+
+
+def _command(name, *options):
+    """Declare the subcommand `name` that reads a system: --system, then
+    its own options, then --out.  Its body takes the loaded system and its
+    own options and returns CSV text, written as it is, or a JSON payload,
+    written with the run's `meta`; the payload's own "meta", if any, gives
+    only the seed and rng."""
+    def declare(body):
+        def run(system_path, out, **kwargs):
+            t0 = time.time()
+            result = body(load_system(system_path), **kwargs)
+            if isinstance(result, str):
+                return _write(result, out)
+            result["meta"] = _meta(name, system_path, t0=t0,
+                                   **result.get("meta", {}))
+            _emit(result, out)
+        run.__doc__ = body.__doc__
+        for option in reversed((_SYSTEM, *options, _OUT)):
+            run = option(run)
+        return cli.command(name)(run)
+    return declare
+
+
+def _lattice_pattern(system, lattice_spec, pattern_text):
+    return (lat_mod.parse_lattice(lattice_spec),
+            _parse_pattern(system, pattern_text))
+
+
+@_command("analyze")
+def cmd_analyze(system):
     """Pattern catalog: maximal/dominant patterns, equivalences, exponents."""
-    t0 = time.time()
-    system = load_system(system_path)
     if system.mode == "float":
         vals = sorted({x for row in system.interactions for x in row},
                       reverse=True)
         if len(vals) > 1 and vals[0] - vals[1] <= 1e-9 * vals[0]:
             click.echo("warning: top two interaction values nearly tied; "
                        "pattern structure may be unstable", err=True)
-    cat = patterns.analyze(system)
-    payload = cat.to_dict(system)
-    payload["meta"] = _meta("analyze", system_path, t0=t0)
-    _emit(payload, out)
+    return patterns.analyze(system).to_dict(system)
 
 
-@cli.command("check")
-@click.option("--system", "system_path", required=True)
-@click.option("--d", type=int, default=None)
-@click.option("--condition", default="simple")
-@click.option("--C", "c_big", type=float, default=1.0)
-@click.option("--c", "c_small", type=float, default=1.0)
-@click.option("--s", type=int, default=None)
-@click.option("--sweep", default=None, help="d=LO:HI:geometric[:NPOINTS]")
-@click.option("--out", default=None)
-def cmd_check(system_path, d, condition, c_big, c_small, s, sweep, out):
+@_command("check", click.option("--d", type=int, default=None),
+          click.option("--condition", default="simple"),
+          click.option("--C", "c_big", type=float, default=1.0),
+          click.option("--c", "c_small", type=float, default=1.0),
+          click.option("--s", type=int, default=None),
+          click.option("--sweep", default=None,
+                       help="d=LO:HI:geometric[:NPOINTS]"))
+def cmd_check(system, d, condition, c_big, c_small, s, sweep):
     """Evaluate a long-range-order condition at dimension d, or sweep d."""
-    t0 = time.time()
-    system = load_system(system_path)
     if sweep:
         lines = ["d,pass,min_margin"]
         for dv in _parse_sweep(sweep):
@@ -285,134 +310,84 @@ def cmd_check(system_path, d, condition, c_big, c_small, s, sweep, out):
             margin = min((iq.margin for iq in rep.inequalities
                           if not iq.vacuous), default=math.inf)
             lines.append(f"{dv},{int(rep.passes)},{margin}")
-        _write("\n".join(lines) + "\n", out)
-        return
+        return "\n".join(lines) + "\n"
     if d is None:
         raise errors.SchemaError("--d required without --sweep")
-    rep = parameters.check_condition(system, d, condition, C=c_big,
-                                     c=c_small, s=s)
-    payload = rep.to_dict()
-    payload["meta"] = _meta("check", system_path, t0=t0)
-    _emit(payload, out)
+    return parameters.check_condition(system, d, condition, C=c_big,
+                                      c=c_small, s=s).to_dict()
 
 
-@cli.command("zfun")
-@click.option("--system", "system_path", required=True)
-@click.option("--d", type=int, required=True)
-@click.option("--psi", required=True)
-@click.option("--i", "--I", "i_spec", default="all")
-@click.option("--out", default=None)
-def cmd_zfun(system_path, d, psi, i_spec, out):
+@_command("zfun", click.option("--d", type=int, required=True),
+          click.option("--psi", required=True),
+          click.option("--i", "--I", "i_spec", default="all"))
+def cmd_zfun(system, d, psi, i_spec):
     """Restricted partition function on the complete bipartite graph."""
-    t0 = time.time()
-    system = load_system(system_path)
     spec = _parse_psi(system, d, psi)
     i_mask = _parse_states(system, i_spec)
     z = kbipartite.z_compositions(system, d, spec, i_mask)
-    payload = {"d": d, "psi": psi, "I": i_spec,
-               "Z": emit_number(z), "Z_float": float(z),
-               "meta": _meta("zfun", system_path, t0=t0)}
-    _emit(payload, out)
+    return {"d": d, "psi": psi, "I": i_spec, "Z": emit_number(z),
+            "Z_float": float(z)}
 
 
-@cli.command("verify-cond")
-@click.option("--system", "system_path", required=True)
-@click.option("--d", type=int, required=True)
-@click.option("--alpha", type=float, required=True)
-@click.option("--gamma", type=float, default=0.0)
-@click.option("--eps", type=float, required=True)
-@click.option("--epsbar", type=float, required=True)
-@click.option("--seed", type=int, default=0)
-@click.option("--out", default=None)
-def cmd_verify_cond(system_path, d, alpha, gamma, eps, epsbar, seed, out):
+@_command("verify-cond", click.option("--d", type=int, required=True),
+          click.option("--alpha", type=float, required=True),
+          click.option("--gamma", type=float, default=0.0),
+          click.option("--eps", type=float, required=True),
+          click.option("--epsbar", type=float, required=True), _SEED)
+def cmd_verify_cond(system, d, alpha, gamma, eps, epsbar, seed):
     """Numerically test the abstract condition inequalities."""
-    t0 = time.time()
-    system = load_system(system_path)
     system = kbipartite.normalize_interactions(system)
     rep = kbipartite.verify_main_condition(system, d, alpha, gamma, eps,
                                            epsbar, seed=seed)
-    rep["meta"] = _meta("verify-cond", system_path, seed=seed, t0=t0,
-                        rng=kbipartite.RNG_ID)
-    _emit(rep, out)
+    return {**rep, "meta": {"seed": seed, "rng": kbipartite.RNG_ID}}
 
 
-@cli.command("exact")
-@click.option("--system", "system_path", required=True)
-@click.option("--lattice", "lattice_spec", required=True)
-@click.option("--pattern", "pattern_text", required=True)
-@click.option("--site", required=True)
-@click.option("--out", default=None)
-def cmd_exact(system_path, lattice_spec, pattern_text, site, out):
+@_command("exact", _LATTICE, _PATTERN, _SITE)
+def cmd_exact(system, lattice_spec, pattern_text, site):
     """Exact single-site marginal under a pattern boundary condition."""
-    t0 = time.time()
-    system = load_system(system_path)
-    lat = lat_mod.parse_lattice(lattice_spec)
-    pat = _parse_pattern(system, pattern_text)
+    lat, pat = _lattice_pattern(system, lattice_spec, pattern_text)
     law = gibbs.site_law(system, lat, gibbs.PatternBoundary(pat),
                          _parse_site(lat, site))
-    payload = {
+    return {
         "site": site,
         "marginal": {k: emit_number(v) for k, v in law.marginal.items()},
         "prob_not_in_pattern": emit_number(law.prob_not_in_pattern),
         "Z": emit_number(law.z),
-        "meta": _meta("exact", system_path, t0=t0),
     }
-    _emit(payload, out)
 
 
-@cli.command("mcmc")
-@click.option("--system", "system_path", required=True)
-@click.option("--lattice", "lattice_spec", required=True)
-@click.option("--pattern", "pattern_text", required=True)
-@click.option("--site", required=True)
-@click.option("--sweeps", default="1e5")
-@click.option("--seed", type=int, default=0)
-@click.option("--force", is_flag=True, default=False)
-@click.option("--out", default=None)
-def cmd_mcmc(system_path, lattice_spec, pattern_text, site, sweeps, seed,
-             force, out):
+@_command("mcmc", _LATTICE, _PATTERN, _SITE,
+          click.option("--sweeps", default="1e5"), _SEED, _FORCE)
+def cmd_mcmc(system, lattice_spec, pattern_text, site, sweeps, seed, force):
     """Heat-bath sampling; reports the recorded site's marginal with
     batch-means standard errors."""
-    t0 = time.time()
-    system = load_system(system_path)
-    lat = lat_mod.parse_lattice(lattice_spec)
-    pat = _parse_pattern(system, pattern_text)
+    lat, pat = _lattice_pattern(system, lattice_spec, pattern_text)
     res = gibbs.run_mcmc(system, lat, gibbs.PatternBoundary(pat),
                          _parse_site(lat, site),
                          n_sweeps=_parse_count(sweeps, "--sweeps"), seed=seed,
                          force=force)
-    payload = {
+    return {
         "site": site, "n_sweeps": res.n_sweeps, "burn_in": res.burn_in,
         "marginal": res.marginal, "se": res.se, "n_batches": res.n_batches,
         "final_config": {",".join(map(str, lat.coords[v])):
                          system.states[res.config[v]]
                          for v in sorted(lat.interior)},
-        "meta": _meta("mcmc", system_path, seed=seed, t0=t0,
-                      rng=res.rng_id),
+        "meta": {"seed": seed, "rng": res.rng_id},
     }
-    _emit(payload, out)
 
 
-@cli.command("breakup")
-@click.option("--system", "system_path", required=True)
-@click.option("--lattice", "lattice_spec", required=True)
-@click.option("--config", "config_path", required=True)
-@click.option("--pattern", "pattern_text", required=True)
-@click.option("--seen-from", "seen_from", required=True)
-@click.option("--out", default=None)
-def cmd_breakup(system_path, lattice_spec, config_path, pattern_text,
-                seen_from, out):
+@_command("breakup", _LATTICE,
+          click.option("--config", "config_path", required=True), _PATTERN,
+          click.option("--seen-from", "seen_from", required=True))
+def cmd_breakup(system, lattice_spec, config_path, pattern_text, seen_from):
     """Construct and verify a breakup of a stored configuration."""
-    t0 = time.time()
-    system = load_system(system_path)
-    lat = lat_mod.parse_lattice(lattice_spec)
-    pat = _parse_pattern(system, pattern_text)
+    lat, pat = _lattice_pattern(system, lattice_spec, pattern_text)
     names = _site_names(lat)
     f = _load_config(lat, system, config_path, names)
     V = frozenset(_lattice_site(lat, part) for part in seen_from.split(";"))
     atlas = breakup_mod.construct_breakup(system, lat, f, pat, V)
     report = breakup_mod.verify_breakup(system, lat, f, pat, atlas, V)
-    payload = {
+    return {
         "charts": {
             f"A={system.labels(p.a)};B={system.labels(p.b)}": {
                 "X": _coords_of(names, atlas.x_p[p]),
@@ -423,27 +398,16 @@ def cmd_breakup(system_path, lattice_spec, config_path, pattern_text,
         "verify": {k: (v if not isinstance(v, dict)
                        else {"holds": v["holds"]})
                    for k, v in report.items()},
-        "meta": _meta("breakup", system_path, t0=t0),
     }
-    _emit(payload, out)
 
 
-@cli.command("breakup-scan")
-@click.option("--system", "system_path", required=True)
-@click.option("--lattice", "lattice_spec", required=True)
-@click.option("--pattern", "pattern_text", required=True)
-@click.option("--sweeps", default="1e4")
-@click.option("--samples", default="10")
-@click.option("--seed", type=int, default=0)
-@click.option("--force", is_flag=True, default=False)
-@click.option("--out", default=None)
-def cmd_breakup_scan(system_path, lattice_spec, pattern_text, sweeps,
-                     samples, seed, force, out):
+@_command("breakup-scan", _LATTICE, _PATTERN,
+          click.option("--sweeps", default="1e4"),
+          click.option("--samples", default="10"), _SEED, _FORCE)
+def cmd_breakup_scan(system, lattice_spec, pattern_text, sweeps, samples,
+                     seed, force):
     """Sample configurations by MCMC and stream breakup size statistics."""
-    t0 = time.time()
-    system = load_system(system_path)
-    lat = lat_mod.parse_lattice(lattice_spec)
-    pat = _parse_pattern(system, pattern_text)
+    lat, pat = _lattice_pattern(system, lattice_spec, pattern_text)
     n_sweeps = _parse_count(sweeps, "--sweeps")
     samples = _parse_count(samples, "--samples")
     center = frozenset({lat.index[tuple(x // 2 for x in lat.dims)]})
@@ -463,22 +427,21 @@ def cmd_breakup_scan(system_path, lattice_spec, pattern_text, sweeps,
         atlas = breakup_mod.construct_breakup(system, lat, f, pat, center)
         st = atlas.stats()
         lines.append(f"{k},{sk},{st['L']},{st['M']},{st['N']}")
-    _write("\n".join(lines) + "\n", out)
+    return "\n".join(lines) + "\n"
 
 
-@cli.command("transform")
-@click.option("--system", "system_path", required=True)
-@click.option("--op", required=True,
-              type=click.Choice(["reweight", "product", "project",
-                                 "bipartite-cover"]))
-@click.option("--multipliers", default=None, help="comma list for reweight")
-@click.option("--d", type=int, default=None, help="dimension for reweight")
-@click.option("--system2", default=None, help="second factor for product")
-@click.option("--out", default=None)
-def cmd_transform(system_path, op, multipliers, d, system2, out):
+@_command("transform",
+          click.option("--op", required=True,
+                       type=click.Choice(["reweight", "product", "project",
+                                          "bipartite-cover"])),
+          click.option("--multipliers", default=None,
+                       help="comma list for reweight"),
+          click.option("--d", type=int, default=None,
+                       help="dimension for reweight"),
+          click.option("--system2", default=None,
+                       help="second factor for product"))
+def cmd_transform(system, op, multipliers, d, system2):
     """Weight-preserving and structural transformations."""
-    t0 = time.time()
-    system = load_system(system_path)
     if op == "reweight":
         if multipliers is None or d is None:
             raise errors.SchemaError("reweight needs --multipliers and --d")
@@ -487,21 +450,17 @@ def cmd_transform(system_path, op, multipliers, d, system2, out):
         except ValueError:
             raise errors.SchemaError(
                 f"malformed --multipliers {multipliers!r}") from None
-        result = reweight(system, ms, d)
-    elif op == "product":
+        return reweight(system, ms, d).to_dict()
+    if op == "product":
         if system2 is None:
             raise errors.SchemaError("product needs --system2")
-        result = product(system, load_system(system2))
-    elif op == "project":
-        result = project_from_doubled(system)
-    else:
-        result, phi = bipartite_cover(system)
-    payload = result.to_dict()
-    if op == "bipartite-cover":
-        payload["phi"] = {result.states[i]: system.states[phi[i]]
-                          for i in range(result.n)}
-    payload["meta"] = _meta("transform", system_path, t0=t0)
-    _emit(payload, out)
+        return product(system, load_system(system2)).to_dict()
+    if op == "project":
+        return project_from_doubled(system).to_dict()
+    result, phi = bipartite_cover(system)
+    return {**result.to_dict(),
+            "phi": {result.states[i]: system.states[phi[i]]
+                    for i in range(result.n)}}
 
 
 def _refuse(name, detail):

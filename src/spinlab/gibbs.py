@@ -48,6 +48,9 @@ from .system import SpinSystem, log_number
 
 MAX_FRONTIER = 2 * 10 ** 6
 MAX_COLUMNS = 5000
+# chains x sweeps recorded by run_mcmc: the trace takes 8 bytes a value as
+# int64, and as much again while the raster kernel holds it as a list
+MAX_TRACE = 10 ** 7
 
 RNG_ID = "numpy-pcg64"
 CHECKERBOARD_RNG_ID = "numpy-pcg64-checkerboard"
@@ -189,7 +192,7 @@ def _box_sweep(system, lat, boundary: PatternBoundary, site=None) -> list:
         ups = dict(zip(distinct, _local_weights(
             np.array(sc.acts, dtype=float), inter, 1, distinct)))
 
-        def step(frontier, p, mask):
+        def step(frontier, p, mask, ups=ups, inter=inter):
             r, c = divmod(p, w)
             up = ups[mask]
             # sum out the up value (axis 0); row 0 grows the frontier
@@ -202,17 +205,26 @@ def _box_sweep(system, lat, boundary: PatternBoundary, site=None) -> list:
 
         start, total = np.ones(()), np.sum
 
-    def run(frontier, lo, hi):
-        for p in range(lo, hi):
-            frontier = step(frontier, p, masks[p])
-        return frontier
+    def sweep(step, start):
+        def run(frontier, lo, hi):
+            for p in range(lo, hi):
+                frontier = step(frontier, p, masks[p])
+            return frontier
+
+        prefix = run(start, 0, p)
+        return [total(run(step(prefix, p, mask), p + 1, end))
+                for mask in fixed]
 
     with np.errstate(over="ignore", invalid="ignore"):  # refused below
-        prefix = run(start, 0, p)
-        zs = [total(run(step(prefix, p, mask), p + 1, end))
-              for mask in fixed]
+        zs = sweep(step, start)
     if not sc.exact and not math.isfinite(sum(zs)):
         raise errors.TooLarge("Z exceeds the float64 range")
+    # a float Z of 0 is an empty support, or an underflow: the same sweep on
+    # booleans (is a weight positive) tells them apart
+    if not sc.exact and sum(zs) == 0 and sum(sweep(functools.partial(
+            step, ups={m: u > 0 for m, u in ups.items()}, inter=inter > 0),
+            np.ones((), bool))):
+        raise errors.TooLarge("Z underflows the float64 range")
     n_edges = h * (w - 1) + (h - 1) * w
     return [sc.unscale(z, end, n_edges) for z in zs]
 
@@ -242,9 +254,10 @@ def site_law(system: SpinSystem, lat, boundary: PatternBoundary,
         raise errors.EmptySupport("boundary admits no configuration")
     marg = [z / total for z in zs]  # Fractions, or floats in float mode
     side = boundary.side_mask(lat, site)
-    inside = sum(marg[s] for s in system.mask_states(side))
+    outside = sum((marg[s] for s in system.mask_states(~side)),
+                  system.zero())
     return SiteLaw({system.states[s]: marg[s] for s in range(system.n)},
-                   1 - inside, total)
+                   outside, total)
 
 
 def exact_measure(system: SpinSystem, lat, boundary: PatternBoundary,
@@ -582,7 +595,8 @@ def run_mcmc(system: SpinSystem, lat, boundary: PatternBoundary, site,
 
     With one chain the standard errors are batch means over n_batches
     batches of the kept sweeps; with several, the batches are the chains'
-    own means."""
+    own means.  More than MAX_TRACE chains x sweeps is refused (TooLarge)
+    before any kernel runs."""
     if not lat.has_exterior:
         raise errors.UnsupportedLattice(
             "sampler runs on lattices with an open axis")
@@ -598,6 +612,8 @@ def run_mcmc(system: SpinSystem, lat, boundary: PatternBoundary, site,
     if burn_in is None:
         burn_in = max(1, n_sweeps // 10) if n_sweeps else 0
     sampler = _Chains(system, lat, boundary)
+    if chains * n_sweeps > MAX_TRACE:
+        raise errors.TooLarge(f"chains x sweeps above {MAX_TRACE}")
     rng = np.random.Generator(np.random.PCG64(seed))
     checker = chains * len(lat.interior) >= CHECKERBOARD_MIN_UPDATES
     rng_id = CHECKERBOARD_RNG_ID if checker else RNG_ID

@@ -227,6 +227,14 @@ class WeightedGraph:
 # ---------------------------------------------------------------------------
 # validation / IO
 
+def state_count(n: int) -> int:
+    """A number of states, refused above MAX_STATES; the catalog checks
+    its q-dependent counts here before it builds any table."""
+    if n > MAX_STATES:
+        raise errors.SchemaError(f"too many states ({n} > {MAX_STATES})")
+    return n
+
+
 def validate_system(raw: dict) -> SpinSystem:
     """Validate a parsed spec dict and build a SpinSystem.
 
@@ -245,8 +253,7 @@ def validate_system(raw: dict) -> SpinSystem:
     n = len(states)
     if n == 0:
         raise errors.SchemaError("empty state list")
-    if n > MAX_STATES:
-        raise errors.SchemaError(f"too many states ({n} > {MAX_STATES})")
+    state_count(n)
     if len(set(states)) != n:
         raise errors.SchemaError("duplicate state labels")
     acts = [parse_number(a, mode) for a in raw["activities"]]
@@ -321,7 +328,9 @@ def reweight(system: SpinSystem, multipliers, d: int) -> SpinSystem:
     """Rescale activities by m_i and interactions by (m_i m_j)^(-1/2d).
 
     Describes the same Gibbs measure on any 2d-regular host graph.  Output is
-    float mode because of the fractional powers.
+    float mode because of the fractional powers.  A non-finite multiplier,
+    and a pair product or positive weight that leaves the float range (0
+    or inf), are refused.
     """
     if len(multipliers) != system.n:
         raise errors.SchemaError("multiplier count mismatch")
@@ -332,8 +341,17 @@ def reweight(system: SpinSystem, multipliers, d: int) -> SpinSystem:
         if not m > 0:
             raise errors.NonPositiveMultiplier(str(m))
     acts = [float(a) * m for a, m in zip(system.activities, ms)]
+    pairs = [a * b for a in ms for b in ms]
+    if not all(0 < x < math.inf for x in ms + pairs + acts):
+        raise errors.ParamOutOfRange(
+            "multipliers must be finite, with every pair product and "
+            "reweighted activity inside the float range")
     inter = [[(ms[i] * ms[j]) ** (-1.0 / (2 * d)) * float(system.interactions[i][j])
               for j in range(system.n)] for i in range(system.n)]
+    if any(v and not 0 < x < math.inf
+           for r, row in zip(inter, system.interactions) for x, v in zip(r, row)):
+        raise errors.ParamOutOfRange(
+            "a reweighted interaction leaves the float range")
     return make_system(system.states, acts, inter, mode="float")
 
 

@@ -39,6 +39,28 @@ def test_bad_catalog_parameter_is_out_of_range(capsys, argv):
     assert json.loads(capsys.readouterr().err)["error"] == "ParamOutOfRange"
 
 
+@pytest.mark.parametrize("name, params, n", [
+    ("af_potts", {"q": 65}, 65),
+    ("af_potts_field", {"q": 65, "lam": 2}, 65),
+    ("clock", {"q": 65, "m": 2}, 65),
+    ("multi_wr", {"q": 64, "lam": 1}, 65),
+    ("anti_wr", {"q": 64, "lam": 1}, 65),
+    ("multi_beach", {"q": 33, "lam": 1}, 66),
+    ("multi_occupancy_hc_v1", {"q": 64, "lam": 1}, 65),
+    ("multi_occupancy_hc_v2", {"q": 64, "lam": 1}, 65)])
+def test_state_count_is_checked_before_any_table(monkeypatch, name, params,
+                                                 n):
+    """A q-dependent state count above MAX_STATES is refused before the
+    q x q table is built: catalog af_potts --q 100000 would build 10^10
+    entries."""
+    def refuse(*args, **kwargs):
+        raise AssertionError("make_system reached")
+    monkeypatch.setattr(catalog, "make_system", refuse)
+    with pytest.raises(errors.SchemaError,
+                       match=rf"^too many states \({n} > 64\)$"):
+        catalog.build(name, **params)
+
+
 def test_zero_temperature_is_exact():
     system = catalog.build("af_potts", q=3)
     assert system.mode == "rational"

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import math
 import time
@@ -122,6 +123,10 @@ def test_dimension_below_one_is_out_of_range(af3_path, capsys, argv):
     ["check", "--d", "4", "--C", "nan"],
     ["check", "--d", "4", "--c", "0"],
     ["check", "--sweep", "d=10:100", "--C", "-1"],
+    # an infinite multiplier, and pair products that underflow to 0 before
+    # their -1/2d power or overflow (reading interaction (0,1) as 0)
+    *[["transform", "--op", "reweight", "--multipliers", ms, "--d", "2"]
+      for ms in ("1,inf,1", "1e-320,1,1", "1e300,1e300,1")],
 ])
 def test_out_of_range_numbers_are_refused(af3_path, capsys, argv):
     assert cli.main([argv[0], "--system", af3_path, *argv[1:]]) == 2
@@ -206,6 +211,61 @@ def test_meta_rng_names_the_generator_drawn_from(tmp_path, af3_path,
     argv = [a.format(af3=af3_path) for a in argv]
     assert cli.main([command, *argv, "--out", str(out)]) == 0
     assert _read(out)["meta"]["rng"] == rng
+
+
+# the subcommands that read a --system, with the --seed each takes (None:
+# it takes none); an argv without --out is run with one
+ENVELOPE = [
+    ("analyze", [], None),
+    ("check", ["--d", "4"], None),
+    ("zfun", ["--d", "2", "--psi", "complete"], None),
+    ("verify-cond", ["--d", "2", "--alpha", "0.2", "--eps", "0.125",
+                     "--epsbar", "0.125", "--seed", "5"], 5),
+    ("exact", ["--lattice", "box:3x3+halo", "--pattern", "A=1;B=2,3",
+               "--site", "1,1"], None),
+    ("mcmc", ["--lattice", "box:3x3+halo", "--pattern", "A=1;B=2,3",
+              "--site", "1,1", "--sweeps", "20", "--seed", "7"], 7),
+    ("breakup", ["--lattice", "box:4x4+halo", "--config", "{config}",
+                 "--pattern", "A=1;B=2,3", "--seen-from", "1,1"], None),
+    ("transform", ["--op", "project"], None),
+]
+
+
+@pytest.mark.parametrize("command, argv, seed", ENVELOPE,
+                         ids=[c for c, _, _ in ENVELOPE])
+def test_every_json_payload_carries_the_same_meta(tmp_path, af3_soft_path,
+                                                  command, argv, seed):
+    lat = lm.make_box((4, 4))
+    f = ordered_config(lat)
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({"values": {
+        ",".join(map(str, c)): str(f[v] + 1)
+        for v, c in enumerate(lat.coords)}}))
+    out = tmp_path / "out.json"
+    assert cli.main([command, "--system", af3_soft_path,
+                     *[a.format(config=config) for a in argv],
+                     "--out", str(out)]) == 0
+    meta = _read(out)["meta"]
+    assert set(meta) == {"tool", "version", "subcommand", "rng", "seed",
+                         "wall_time_s", "system_sha256"}
+    with open(af3_soft_path, "rb") as fh:
+        sha = hashlib.sha256(fh.read()).hexdigest()
+    assert (meta["tool"], meta["subcommand"], meta["seed"],
+            meta["system_sha256"]) == ("spinlab", command, seed, sha)
+    assert meta["wall_time_s"] >= 0
+
+
+@pytest.mark.parametrize("argv", [
+    ["check", "--sweep", "d=2:10:geometric:3"],
+    ["breakup-scan", "--lattice", "box:4x4+halo", "--pattern", "A=1;B=2,3",
+     "--sweeps", "10", "--samples", "1"]])
+def test_csv_outputs_carry_no_meta(tmp_path, af3_soft_path, argv):
+    out = tmp_path / "out.csv"
+    assert cli.main([argv[0], "--system", af3_soft_path, *argv[1:],
+                     "--out", str(out)]) == 0
+    text = out.read_text()
+    assert text.split("\n")[0] in ("d,pass,min_margin", "sample,seed,L,M,N")
+    assert "meta" not in text and "spinlab" not in text
 
 
 def test_check_single_dimension(tmp_path, hc_path):
@@ -447,6 +507,35 @@ def test_float_z_beyond_the_float_range_is_refused(af3_soft_path, capsys):
                      "--site", "150,3"]) == 3
     out, err = capsys.readouterr()
     assert out == "" and json.loads(err)["error"] == "TooLarge"
+
+
+def test_float_z_below_the_float_range_is_refused(sysfile, capsys):
+    """Z of a float system with activities 1e-3 on a 20x6 box underflows
+    float64: a TooLarge refusal, not an empty support."""
+    tiny = make_system(["1", "2", "3"], [1e-3] * 3,
+                       [[0.5 if i == j else 1.0 for j in range(3)]
+                        for i in range(3)], mode="float")
+    assert cli.main(["exact", "--system", sysfile("tiny.json", tiny),
+                     "--lattice", "box:20x6+halo", "--pattern", "A=1;B=2,3",
+                     "--site", "10,3"]) == 3
+    out, err = capsys.readouterr()
+    assert out == "" and json.loads(err)["error"] == "TooLarge"
+
+
+@pytest.mark.parametrize("command", ["mcmc", "breakup-scan"])
+def test_sweeps_beyond_the_trace_bound_are_refused(af3_soft_path, capsys,
+                                                   command):
+    """1e300 sweeps on a 16x16 box (the checkerboard kernel) are refused
+    before any kernel runs."""
+    argv = [command, "--system", af3_soft_path, "--lattice",
+            "box:16x16+halo", "--pattern", "A=1;B=2,3", "--sweeps", "1e300"]
+    if command == "mcmc":
+        argv += ["--site", "8,8"]
+    assert cli.main(argv) == 3
+    out, err = capsys.readouterr()
+    assert out == "" and json.loads(err) == {
+        "error": "TooLarge",
+        "detail": f"chains x sweeps above {gibbs.MAX_TRACE}"}
 
 
 @pytest.mark.parametrize("command", ["exact", "mcmc"])

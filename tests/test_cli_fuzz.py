@@ -62,6 +62,10 @@ sites = st.one_of(
 seen_from = st.lists(sites, min_size=1, max_size=3).map(";".join)
 counts = st.sampled_from(["0", "1", "5", "100", "1e2", "1e1", "-5", "abc",
                           "2.5", "inf", "nan", "", "-0"])
+# reweight multipliers: in range, non-finite, non-positive, or taking a pair
+# product or a weight out of the float range
+multipliers = st.sampled_from(["1", "2", "0.5", "inf", "-inf", "nan", "0",
+                               "-1", "1e300", "1e-300", "1e-320", "x", ""])
 # values for options click parses as floats: thresholds, exponents and
 # constants, in range or not
 reals = st.sampled_from(["0", "0.125", "0.3", "1", "2.5", "-5", "-0.1", "nan",
@@ -124,7 +128,7 @@ def invocations(draw, system_paths, root):
     required option missing as often as not."""
     command = draw(st.sampled_from(["exact", "mcmc", "breakup-scan", "zfun",
                                     "check", "verify-cond", "breakup",
-                                    "nosuch"]))
+                                    "transform", "nosuch"]))
     opts = [f"--system={draw(st.sampled_from(system_paths))}"]
     if command == "zfun":
         d = draw(st.one_of(st.integers(1, 3).map(str), ints))
@@ -151,6 +155,11 @@ def invocations(draw, system_paths, root):
             st.just(f"box:{dims[0]}x{dims[1]}+halo"), lattices))
         opts += [f"--lattice={lattice}", f"--pattern={draw(patterns)}",
                  f"--config={config}", f"--seen-from={draw(seen_from)}"]
+    elif command == "transform":
+        ms = draw(st.one_of(st.lists(multipliers, min_size=3, max_size=3),
+                            st.lists(multipliers, max_size=4)))
+        d = draw(st.one_of(st.integers(1, 3).map(str), ints))
+        opts += ["--op=reweight", f"--multipliers={','.join(ms)}", f"--d={d}"]
     elif command != "nosuch":
         opts += [f"--lattice={draw(lattices)}", f"--pattern={draw(patterns)}"]
         if command == "exact":

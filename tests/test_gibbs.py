@@ -205,6 +205,17 @@ def test_float_box_frontier_guards():
                        gibbs.PatternBoundary(Pattern(0b01, 0b01)), (0, 0))
 
 
+def test_float_site_confined_to_its_side_is_exactly_never_outside():
+    """prob_not_in_pattern sums the outside marginals from the system's
+    zero: raster site 0 of the float wr-5/3 twin on a 5x3 box can take no
+    value off its side and reads 0.0, where 1 - (inside mass) read one ulp,
+    1.1e-16."""
+    system, _ = _float_twins(FRACTIONAL["wr-5/3"])
+    law = gibbs.site_law(system, lm.make_box((5, 3)),
+                         gibbs.PatternBoundary(Pattern(0b011, 0b101)), 0)
+    assert law.prob_not_in_pattern == 0.0
+
+
 def test_float_box_takes_one_array_step_per_site():
     """af_potts q=3 beta=1 on 10x10: Z and a centre site's law take about
     45 ms together on 2 vCPUs (a dict frontier of the same 3^10 states took

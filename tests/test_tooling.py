@@ -87,3 +87,16 @@ def test_no_unused_imports_in_the_library():
                   for alias in node.names
                   if (alias.asname or alias.name).split(".")[0] not in read]
     assert not found
+
+
+def test_only_the_envelope_writes_payloads():
+    """Every subcommand that reads a --system gets its meta and its output
+    from cli._command; only cmd_catalog, which reads none, calls _meta and
+    _emit itself."""
+    tree = ast.parse((ROOT / "src" / "spinlab" / "cli.py").read_text())
+    callers = {fn.name for fn in tree.body
+               if isinstance(fn, ast.FunctionDef)
+               for node in ast.walk(fn)
+               if isinstance(node, ast.Call)
+               and getattr(node.func, "id", None) in ("_meta", "_emit")}
+    assert callers == {"_command", "cmd_catalog"}
