@@ -19,7 +19,7 @@ from . import (__version__, breakup as breakup_mod, catalog as catalog_mod,
                patterns)
 from .patterns import Pattern
 from .system import (bipartite_cover, emit_number, load_system, product,
-                     project_from_doubled, reweight)
+                     project_from_doubled, reweight, to_float)
 
 
 def _meta(subcommand, system_path=None, seed=None, t0=None, rng=None):
@@ -326,7 +326,7 @@ def cmd_zfun(system, d, psi, i_spec):
     i_mask = _parse_states(system, i_spec)
     z = kbipartite.z_compositions(system, d, spec, i_mask)
     return {"d": d, "psi": psi, "I": i_spec, "Z": emit_number(z),
-            "Z_float": float(z)}
+            "Z_float": to_float(z)}
 
 
 @_command("verify-cond", click.option("--d", type=int, required=True),

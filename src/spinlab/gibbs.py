@@ -44,7 +44,7 @@ import numpy as np
 
 from . import errors, lattice as lat_mod
 from .patterns import Pattern
-from .system import SpinSystem, log_number
+from .system import SpinSystem, log_number, to_float
 
 MAX_FRONTIER = 2 * 10 ** 6
 MAX_COLUMNS = 5000
@@ -116,7 +116,7 @@ def sample_halo_extension(system: SpinSystem, lat, pattern: Pattern,
     u = rng.random(len(halo))
     out = np.empty(len(halo), dtype=np.intp)
     for q, pool in enumerate(pools):
-        cum = np.cumsum([float(system.activities[s]) for s in pool])
+        cum = np.cumsum([to_float(system.activities[s]) for s in pool])
         on = lat.par[halo] == q
         pick = np.searchsorted(cum, u[on] * cum[-1]).clip(max=len(pool) - 1)
         out[on] = np.array(pool)[pick]
@@ -156,16 +156,8 @@ def _box_sweep(system, lat, boundary: PatternBoundary, site=None) -> list:
     else:
         p, fixed = site, [masks[site] & 1 << s for s in range(n)]
     distinct = sorted(set(masks).union(fixed))
+    rows = _box_rows(system, distinct)
     if sc.exact:
-        acts, inter = np.array(sc.acts, object), np.array(sc.inter, object)
-        # per mask, [up][left] -> the (value, weight) pairs with nonzero
-        # weight (left is the first slot); a neighbour value n is a missing
-        # neighbour
-        tables = _local_weights(acts, inter, 2, distinct).reshape(
-            len(distinct), n + 1, n + 1, n).tolist()
-        rows = {mask: [[[(s, x) for s, x in enumerate(cell) if x]
-                        for cell in row] for row in table]
-                for mask, table in zip(distinct, tables)}
         top = n ** (w - 1)
 
         def step(frontier, p, mask):
@@ -187,12 +179,8 @@ def _box_sweep(system, lat, boundary: PatternBoundary, site=None) -> list:
         start, total = {0: 1}, lambda frontier: sum(frontier.values())
     else:
         inter = np.array(sc.inter, dtype=float)
-        # per mask, [up][s]: the weight of s given its up neighbour (row n:
-        # a missing one); the left neighbour's interaction multiplies it
-        ups = dict(zip(distinct, _local_weights(
-            np.array(sc.acts, dtype=float), inter, 1, distinct)))
 
-        def step(frontier, p, mask, ups=ups, inter=inter):
+        def step(frontier, p, mask, ups=rows, inter=inter):
             r, c = divmod(p, w)
             up = ups[mask]
             # sum out the up value (axis 0); row 0 grows the frontier
@@ -222,11 +210,37 @@ def _box_sweep(system, lat, boundary: PatternBoundary, site=None) -> list:
     # a float Z of 0 is an empty support, or an underflow: the same sweep on
     # booleans (is a weight positive) tells them apart
     if not sc.exact and sum(zs) == 0 and sum(sweep(functools.partial(
-            step, ups={m: u > 0 for m, u in ups.items()}, inter=inter > 0),
+            step, ups={m: u > 0 for m, u in rows.items()}, inter=inter > 0),
             np.ones((), bool))):
         raise errors.TooLarge("Z underflows the float64 range")
     n_edges = h * (w - 1) + (h - 1) * w
     return [sc.unscale(z, end, n_edges) for z in zs]
+
+
+def _box_rows(system, masks) -> dict:
+    """The box DP's local-weight row of each allowed mask, on scaled()
+    weights, memoised on the system.  Rational mode: [up][left] -> the
+    (value, weight) pairs with nonzero weight (left is the first slot; a
+    neighbour value n is a missing neighbour).  Float mode: [up][s], the
+    weight of s given its up neighbour (row n: a missing one), which the
+    left neighbour's interaction multiplies."""
+    memo = system._box_rows
+    new = [m for m in masks if m not in memo]
+    if new:
+        sc = system.scaled()
+        n = system.n
+        if sc.exact:
+            tables = _local_weights(
+                np.array(sc.acts, object), np.array(sc.inter, object), 2,
+                new).reshape(len(new), n + 1, n + 1, n).tolist()
+            memo.update((mask, [[[(s, x) for s, x in enumerate(cell) if x]
+                                 for cell in row] for row in table])
+                        for mask, table in zip(new, tables))
+        else:
+            memo.update(zip(new, _local_weights(
+                np.array(sc.acts, dtype=float),
+                np.array(sc.inter, dtype=float), 1, new)))
+    return {m: memo[m] for m in masks}
 
 
 def z_pattern_box(system: SpinSystem, lat, boundary: PatternBoundary):
@@ -486,8 +500,9 @@ def _build_tables(system, d, class_masks):
     n = system.n
     if (n + 1) ** (2 * d) * n * len(class_masks) > 2 * 10 ** 7:
         raise errors.StateSpaceTooLarge(f"{(n + 1) ** (2 * d)} neighbor keys")
-    acts = np.array([float(a) for a in system.activities])
-    inter = np.array([[float(x) for x in row] for row in system.interactions])
+    acts = np.array([to_float(a) for a in system.activities])
+    inter = np.array([[to_float(x) for x in row]
+                      for row in system.interactions])
     return np.cumsum(_local_weights(acts, inter, 2 * d, class_masks), axis=-1)
 
 

@@ -12,6 +12,14 @@ assignments with content xi is, over the groups of coordinates with equal
 masks, a sum of products of multinomials (one group of 2d coordinates: the
 multinomial).  In rational mode the sum runs on SpinSystem.scaled() integer
 weights and is divided once by la^{4d} li^{4d^2}.
+
+A class's contents are enumerated over R(R(J)), and tested for membership,
+once per system and d: the system keeps them in a table, in _sub_contents
+order, with the weights of each row per I, built on first use.  A spec
+filters its class's table (a spec with no class, the table of every content
+over the union of its masks), keeping the rows that some assignment in the
+spec realizes, with their counts; verify_main_condition's many specs over
+a few classes share the tables.
 """
 
 from __future__ import annotations
@@ -22,12 +30,16 @@ import math
 import operator
 import random
 from collections import Counter
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 from . import errors, patterns
-from .system import SpinSystem, make_system
+from .system import SpinSystem, make_system, to_float
 
 MAX_GROUND = 20
+# the contents of one table (compositions of 2d into |ground| parts): a
+# row keeps its count vector and, per I, two weights with the system (a few
+# hundred bytes in rational mode); 10^6 rows are about 10 s of work
+MAX_CONTENTS = 10 ** 6
 MAX_D = 64
 MAX_SUBSET_SIDE = 16
 # verify_main_condition draws its random product forms from
@@ -197,34 +209,41 @@ def _groups(coords):
     return sorted(Counter(coords).items())
 
 
-def _grouped_count(groups, xi):
-    """Number of assignments with content xi where each of the size
-    coordinates of a group (mask, size) takes a value allowed by mask.
-    Coordinates with the same mask are interchangeable, so each group takes
-    a sub-content y of what is left, in multinomial(size, y) ways; the last
-    group takes the rest."""
-    if sum(xi.values()) != sum(size for _, size in groups):
-        return 0
-    states = sorted(xi)
+def _counter(groups, states):
+    """count(counts): the number of assignments with content counts (a
+    vector over states) where each of the size coordinates of a group
+    (mask, size) takes a value allowed by mask.  Coordinates with the same
+    mask are interchangeable, so each group takes a sub-content y of what is
+    left, in multinomial(size, y) ways; the last group takes the rest.  The
+    number of ways for the groups from k on to take a remainder is kept
+    across the calls of one counter."""
+    total = sum(size for _, size in groups)
+    *head, (last, rest) = groups or [(0, 0)]
+    # the rest must lie within the last group's mask
+    outside = [i for i, s in enumerate(states) if not last >> s & 1]
     memo = {}
 
     def rec(k, remaining):
-        mask, size = groups[k]
-        if k == len(groups) - 1:
-            if any(c and not mask >> s & 1 for s, c in zip(states, remaining)):
+        if k == len(head):
+            if any(remaining[i] for i in outside):
                 return 0
-            return _multinomial(size, remaining)
+            return _multinomial(rest, remaining)
         key = (k, remaining)
         if key not in memo:
+            mask, size = head[k]
             memo[key] = sum(
                 _multinomial(size, y)
                 * rec(k + 1, tuple(c - u for c, u in zip(remaining, y)))
                 for y in _sub_contents(remaining, states, mask, size))
         return memo[key]
 
-    if not groups:
-        return 1
-    return rec(0, tuple(xi[s] for s in states))
+    return lambda counts: rec(0, counts) if sum(counts) == total else 0
+
+
+def _grouped_count(groups, xi):
+    """The counter's count of the content xi, a dict state -> count."""
+    states = sorted(xi)
+    return _counter(groups, states)(tuple(xi[s] for s in states))
 
 
 def _sub_contents(remaining, states, mask, size, i=0):
@@ -245,28 +264,87 @@ def _sub_contents(remaining, states, mask, size, i=0):
             yield (u,) + tail
 
 
-def _contents(system, d, coords, ctx):
-    """Yield (xi, count) for every content xi of an assignment [2d] -> S
-    whose coordinate j takes a value in coords[j] (coords None: any value)
-    and, when ctx is set, whose content is in ctx's class; count (> 0) is
-    the number of such assignments.  The ground set is the union of the
-    masks, within R(R(J)) when a class is set, and the contents come in
-    _sub_contents order over it."""
-    if coords is None:
-        coords = [system.full_mask()] * (2 * d)
-    ground = functools.reduce(operator.or_, coords, 0)
+def _coords(system, d, spec):
+    """The spec's per-coordinate masks (None: every coordinate any value)."""
+    return spec.coords if spec.coords is not None \
+        else [system.full_mask()] * (2 * d)
+
+
+@dataclass
+class _Table:
+    """The contents of one class over its ground, each enumerated and tested
+    once: rows are count vectors over states (the ground's states,
+    ascending), in _sub_contents order."""
+    states: list
+    rows: list
+    # I mask -> (z0, z1p), built on first use by weights()
+    by_I: dict = field(default_factory=dict)
+
+    def weights(self, system, d, I_mask):
+        """The weights of the rows on scaled() weights, as lists over the
+        rows: z0 = prod_s acts[s]^c_s and z1p = (sum_{i in I} acts[i]
+        prod_s inter[i][s]^c_s)^{2d}."""
+        if I_mask not in self.by_I:
+            sc = system.scaled()
+            acts, inter = sc.acts, sc.inter
+            I_states = system.mask_states(I_mask)
+            z0s, z1ps = [], []
+            for y in self.rows:
+                xi = [(s, c) for s, c in zip(self.states, y) if c]
+                z0 = 1
+                for s, c in xi:
+                    z0 *= acts[s] ** c
+                z1 = 0
+                for i in I_states:
+                    t = acts[i]
+                    for s, c in xi:
+                        t *= inter[i][s] ** c
+                    z1 += t
+                z0s.append(z0)
+                z1ps.append(z1 ** (2 * d))
+            self.by_I[I_mask] = z0s, z1ps
+        return self.by_I[I_mask]
+
+
+def _table(system, d, spec):
+    """The spec's content table, memoised on the system: its class's
+    contents over R(R(J)) or, when it sets no class, every content over the
+    union of its masks."""
+    if spec.J is None:
+        ground = functools.reduce(operator.or_, _coords(system, d, spec), 0)
+        key = (d, ground)
+    else:
+        key = (d, spec.J, spec.cls, spec.cls2, spec.eps, spec.eps_bar)
+    if key in system._content_tables:
+        return system._content_tables[key]
+    ctx = _spec_context(system, d, spec)
     if ctx is not None:
-        ground &= ctx.ground
+        ground = ctx.ground
     states = system.mask_states(ground)
     if len(states) > MAX_GROUND:
         raise errors.GroundSetTooLarge(str(len(states)))
-    groups = _groups(coords)
-    for y in _sub_contents((2 * d,) * len(states), states, ground, 2 * d):
-        xi = {s: c for s, c in zip(states, y) if c}
-        if ctx is None or ctx.admits(xi):
-            count = _grouped_count(groups, xi)
-            if count:
-                yield xi, count
+    size = math.comb(2 * d + len(states) - 1, 2 * d)
+    if size > MAX_CONTENTS:
+        raise errors.TooLarge(f"{size} contents over {len(states)} states")
+    rows = [y for y in _sub_contents((2 * d,) * len(states), states, ground,
+                                     2 * d)
+            if ctx is None or ctx.admits(
+                {s: c for s, c in zip(states, y) if c})]
+    table = system._content_tables[key] = _Table(states, rows)
+    return table
+
+
+def _contents(table, coords):
+    """Yield (k, count) for every row k of the table that is the content of
+    an assignment [2d] -> S whose coordinate j takes a value in coords[j];
+    count (> 0) is the number of such assignments.  The rows keep the
+    table's order, so they come in _sub_contents order over the union of
+    the masks (within the table's ground)."""
+    count = _counter(_groups(coords), table.states)
+    for k, y in enumerate(table.rows):
+        cnt = count(y)
+        if cnt:
+            yield k, cnt
 
 
 def _check_d(d):
@@ -279,24 +357,13 @@ def _check_d(d):
 def z_compositions(system: SpinSystem, d: int, spec: PsiSpec, I_mask: int):
     """Evaluate Z(Psi, I) by summing over the contents of the spec."""
     _check_d(d)
-    ctx = _spec_context(system, d, spec)
-    I_states = system.mask_states(I_mask)
-    sc = system.scaled()
-    acts, inter = sc.acts, sc.inter
+    table = _table(system, d, spec)
+    z0, z1p = table.weights(system, d, I_mask)
     total = 0
-    for xi, cnt in _contents(system, d, spec.coords, ctx):
-        z0 = 1
-        for s, c in xi.items():
-            z0 *= acts[s] ** c
-        z1 = 0
-        for i in I_states:
-            t = acts[i]
-            for s, c in xi.items():
-                t *= inter[i][s] ** c
-            z1 += t
-        total += cnt * z0 * z1 ** (2 * d)
+    for k, cnt in _contents(table, _coords(system, d, spec)):
+        total += cnt * z0[k] * z1p[k]
     # K_{2d,2d} has 4d vertices and 4d^2 edges
-    return sc.unscale(total, 4 * d, 4 * d * d)
+    return system.scaled().unscale(total, 4 * d, 4 * d * d)
 
 
 def expand_spec(system: SpinSystem, d: int, spec: PsiSpec, limit=10 ** 6):
@@ -374,7 +441,7 @@ def k_of_product(system, d, spec):
     interchangeable and membership depends only on the content, so each
     distinct mask is probed once: v is realized at a coordinate with mask m
     iff pinning one such coordinate to v leaves a member."""
-    ctx = _spec_context(system, d, spec)
+    table = _table(system, d, spec)
     coords = spec.coords
     realized = {}
     for m in set(coords):
@@ -383,10 +450,11 @@ def k_of_product(system, d, spec):
         realized[m] = 0
         for v in system.mask_states(m):
             probe[j] = 1 << v
-            if any(_contents(system, d, probe, ctx)):
+            if any(_contents(table, probe)):
                 realized[m] |= 1 << v
+    rJ = patterns.r_closure(system, spec.J)
     return sum(1 for m in coords
-               if patterns.r_closure(system, realized[m]) != ctx.rJ)
+               if patterns.r_closure(system, realized[m]) != rJ)
 
 
 def verify_main_condition(system: SpinSystem, d: int, alpha: float,
@@ -400,8 +468,8 @@ def verify_main_condition(system: SpinSystem, d: int, alpha: float,
     balanced class; this is untestable exhaustively, so the policy here
     checks all product forms whose coordinate sets are the side J or one of
     its strict fixed-point subsets (at most `max_restricted` restricted
-    coordinates), plus `n_random` seeded random product forms.  Documented
-    as a sound-but-incomplete check.
+    coordinates, and at most 2d), plus `n_random` seeded random product
+    forms.  Documented as a sound-but-incomplete check.
     """
     if not (math.isfinite(alpha) and math.isfinite(gamma)):
         raise errors.ParamOutOfRange("alpha and gamma must be finite")
@@ -410,13 +478,24 @@ def verify_main_condition(system: SpinSystem, d: int, alpha: float,
             "interactions must be normalized to maximum 1")
     _check_d(d)  # before omega_dom^{2d}, which overflows far beyond MAX_D
     st = patterns.structure(system)
-    omega_2d = float(st.omega_dom) ** (2 * d)
+    # the inequalities are compared in floats; a side beyond the float64
+    # range is refused, and so is an omega_dom^{2d} that underflows to 0
+    try:
+        omega_2d = to_float(st.omega_dom) ** (2 * d)
+    except OverflowError:
+        omega_2d = math.inf
+    if not 0 < omega_2d < math.inf:
+        raise errors.TooLarge("omega_dom^{2d} leaves the float64 range")
     rng = random.Random(seed)
     results = []
 
     def record(name, J, lhs, log_rhs, k=None):
-        lhs_f = float(lhs)
-        rhs = omega_2d * math.exp(log_rhs)
+        lhs_f = to_float(lhs)
+        try:
+            rhs = omega_2d * math.exp(log_rhs)
+        except OverflowError:
+            raise errors.TooLarge(
+                f"the {name} bound exceeds the float64 range") from None
         alpha_tight = None
         if lhs_f > 0:
             # largest alpha-coefficient the inequality tolerates
@@ -436,7 +515,7 @@ def verify_main_condition(system: SpinSystem, d: int, alpha: float,
         strict = [a for a in st.r_sets if a != J and a & ~J == 0 and a != 0]
         # (1) product subsets of the balanced class
         families = []
-        for k in range(0, max_restricted + 1):
+        for k in range(min(max_restricted, 2 * d) + 1):
             for combo in itertools.combinations_with_replacement(strict, k):
                 coords = list(combo) + [J] * (2 * d - k)
                 families.append(coords)

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from . import errors, patterns
-from .system import MAX_FLOAT_INT, log_number
+from .system import MAX_FLOAT_INT, log_number, to_float
 
 INF = math.inf
 # bits of one power lambda^{2d} beyond which rho_bulk_star_of leaves exact
@@ -101,7 +101,7 @@ def alpha0_of(system):
 def rho_hat_bulk_of(system, d, s):
     """Bulk ratio adjusted for a soft-interaction window of length s."""
     st = patterns.structure(system)
-    omega = float(st.omega_dom)
+    omega = to_float(st.omega_dom)
     rho_int = float(st.rho_int)
     lam_s = float(st.lam_s)
     n = system.n
@@ -155,7 +155,7 @@ def rho_bulk_star_of(system, d):
             root = float(total) ** (1.0 / n)
         except OverflowError:  # a Fraction beyond the float range
             root = math.exp(log_number(total) / n)
-        return root / float(st.omega_dom)
+        return root / to_float(st.omega_dom)
     # the same signed terms lambda_k^n lambda(B_p)^n, relative to the largest
     terms = [(sign, log_number(lam) + log_number(lam_b))
              for p in pats if (lam_b := system.lambda_mask(p.b))
@@ -163,7 +163,7 @@ def rho_bulk_star_of(system, d):
              if (lam := system.lambda_mask(m))]
     top = max((x for _, x in terms), default=0.0)
     total = math.fsum(sign * math.exp(n * (x - top)) for sign, x in terms)
-    return math.exp(top + math.log(total) / n) / float(st.omega_dom) \
+    return math.exp(top + math.log(total) / n) / to_float(st.omega_dom) \
         if total > 0 else 0.0
 
 

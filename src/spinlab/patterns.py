@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 from typing import Optional
 
 from . import errors
-from .system import SpinSystem
+from .system import SpinSystem, to_float
 
 FRAK_Q_MAX_STATES = 24  # safety valve; the closure method needs far less
 # float mode: maximal patterns within this relative weight of the maximum
@@ -166,8 +166,8 @@ def _build_structure(system: SpinSystem) -> PatternStructure:
         rho_act=rho_act,
         rho_hat_act=lam_s * lam_s / omega,
         lam_s=lam_s,
-        bulk_pairs=tuple((float(system.lambda_mask(p.a)),
-                          float(system.lambda_mask(p.b)))
+        bulk_pairs=tuple((to_float(system.lambda_mask(p.a)),
+                          to_float(system.lambda_mask(p.b)))
                          for p in maximal
                          if p not in dom_set and p.a != 0 and p.b != 0),
     )

@@ -62,12 +62,25 @@ def parse_number(x, mode):
 
 
 def emit_number(x):
-    """Serialize a number for JSON output ('p/q' strings in rational mode)."""
+    """Serialize a number for JSON output ('p/q' strings in rational mode).
+    A rational with more digits than Python's int string limit (4,300 by
+    default) is refused."""
     if isinstance(x, Fraction):
-        if x.denominator == 1:
-            return int(x)
-        return f"{x.numerator}/{x.denominator}"
+        try:
+            text = f"{x.numerator}/{x.denominator}"
+        except ValueError:
+            raise errors.TooLarge(
+                "a number has more digits than can be printed") from None
+        return int(x) if x.denominator == 1 else text
     return x
+
+
+def to_float(x) -> float:
+    """A number as a float; one beyond the float64 range is refused."""
+    try:
+        return float(x)
+    except OverflowError:
+        raise errors.TooLarge("a value exceeds the float64 range") from None
 
 
 def log_number(x) -> float:
@@ -95,6 +108,13 @@ class SpinSystem:
     # the ScaledWeights, built on first use by scaled()
     _scaled: Optional["ScaledWeights"] = field(default=None, repr=False,
                                                compare=False)
+    # kbipartite's content tables by (d, class or ground), each built on
+    # first use by kbipartite._table
+    _content_tables: dict = field(default_factory=dict, repr=False,
+                                  compare=False)
+    # the box DP's local-weight rows by allowed mask, each built on first
+    # use by gibbs._box_rows
+    _box_rows: dict = field(default_factory=dict, repr=False, compare=False)
 
     @property
     def n(self):
@@ -340,13 +360,14 @@ def reweight(system: SpinSystem, multipliers, d: int) -> SpinSystem:
     for m in ms:
         if not m > 0:
             raise errors.NonPositiveMultiplier(str(m))
-    acts = [float(a) * m for a, m in zip(system.activities, ms)]
+    acts = [to_float(a) * m for a, m in zip(system.activities, ms)]
     pairs = [a * b for a in ms for b in ms]
     if not all(0 < x < math.inf for x in ms + pairs + acts):
         raise errors.ParamOutOfRange(
             "multipliers must be finite, with every pair product and "
             "reweighted activity inside the float range")
-    inter = [[(ms[i] * ms[j]) ** (-1.0 / (2 * d)) * float(system.interactions[i][j])
+    inter = [[(ms[i] * ms[j]) ** (-1.0 / (2 * d))
+              * to_float(system.interactions[i][j])
               for j in range(system.n)] for i in range(system.n)]
     if any(v and not 0 < x < math.inf
            for r, row in zip(inter, system.interactions) for x, v in zip(r, row)):

@@ -81,6 +81,16 @@ def random_rational_system(rng: random.Random, n_min=2, n_max=4,
             return make_system([str(i) for i in range(n)], acts, inter)
 
 
+def float_twins(system):
+    """The float system of a system's weights, and the rational system of
+    those floats' exact values."""
+    acts = [float(a) for a in system.activities]
+    inter = [[float(x) for x in row] for row in system.interactions]
+    return (make_system(system.states, acts, inter, mode="float"),
+            make_system(system.states, map(Fraction, acts),
+                        [map(Fraction, row) for row in inter]))
+
+
 def random_proper_coloring(lat, rng: random.Random, boundary_region):
     """Random proper 3-coloring of a box, halo and internal boundary pinned
     to the (even: {0}, odd: {1,2}) pattern sides; restarts on dead ends."""

@@ -157,6 +157,47 @@ def test_huge_dimensions_are_refused(af3_path, capsys, argv, code, error):
     assert captured.out == ""
 
 
+def _hard_core(activities):
+    return {"states": ["0", "1"], "activities": activities,
+            "interactions": [[1, 1], [1, 0]]}
+
+
+def _soft_potts(activities):
+    return {"states": ["1", "2", "3"], "activities": activities,
+            "interactions": [["1/2" if i == j else 1 for j in range(3)]
+                             for i in range(3)]}
+
+
+VERIFY = ["verify-cond", "--alpha", "0.2", "--eps", "0.125", "--epsbar",
+          "0.125"]
+BEYOND_THE_FLOAT_RANGE = [
+    # omega_dom^{2d}, and the float weights of the pattern structure
+    (_hard_core([1, "1e10"]), [*VERIFY, "--d", "64"]),
+    (_hard_core([1, "1e400"]), [*VERIFY, "--d", "3"]),
+    # omega_dom^{2d} underflowing to 0, where every bound would read 0
+    (_hard_core(["1e-200", "1e-200"]), [*VERIFY, "--d", "2"]),
+    # a Z_float beyond float64, and a Z of more than 4,300 digits
+    (_hard_core([1, "1e10"]), ["zfun", "--d", "64", "--psi", "complete"]),
+    (_hard_core([1, "1e-400"]), ["zfun", "--d", "64", "--psi", "complete"]),
+    # the float weights of the sampler and of a reweighted system
+    (_soft_potts([1, 1, "1e400"]),
+     ["mcmc", "--lattice", "box:4x4+halo", "--pattern", "A=1;B=2,3",
+      "--site", "1,1", "--sweeps", "10"]),
+    (_soft_potts([1, 1, "1e400"]),
+     ["transform", "--op", "reweight", "--multipliers", "1,1,1", "--d", "2"]),
+]
+
+
+@pytest.mark.parametrize("raw, argv", BEYOND_THE_FLOAT_RANGE)
+def test_values_beyond_the_float_range_are_refused(tmp_path, capsys, raw,
+                                                   argv):
+    path = tmp_path / "system.json"
+    path.write_text(json.dumps(raw))
+    assert cli.main([argv[0], "--system", str(path), *argv[1:]]) == 3
+    out, err = capsys.readouterr()
+    assert out == "" and json.loads(err)["error"] == "TooLarge"
+
+
 @pytest.mark.parametrize("condition", ["simple", "alt1", "alt2", "alt3"])
 def test_check_takes_dimensions_up_to_the_bound(af3_path, capsys, condition):
     assert cli.main(["check", "--system", af3_path, "--condition", condition,

@@ -12,8 +12,8 @@ from spinlab import lattice as lm
 from spinlab.patterns import Pattern
 from spinlab.system import log_number, make_system
 
-from helpers import (FRACTIONAL, build_tables_reference, graph_z,
-                     random_rational_system, torus_graph)
+from helpers import (FRACTIONAL, build_tables_reference, float_twins,
+                     graph_z, random_rational_system, torus_graph)
 
 AF3 = catalog.build("af_potts", q=3)
 HC = catalog.build("hard_core", lam=1)
@@ -146,16 +146,6 @@ def test_box_kernel_with_fractional_weights(system):
             == 1 - sum(marg[s] for s in side) / total
 
 
-def _float_twins(system):
-    """The float system of a system's weights, and the rational system of
-    those floats' exact values."""
-    acts = [float(a) for a in system.activities]
-    inter = [[float(x) for x in row] for row in system.interactions]
-    return (make_system(system.states, acts, inter, mode="float"),
-            make_system(system.states, map(Fraction, acts),
-                        [map(Fraction, row) for row in inter]))
-
-
 def _close(x, exact):
     return abs(x - exact) <= 1e-12 * abs(exact)
 
@@ -171,7 +161,7 @@ def test_float_box_frontier_matches_its_rational_twin(k):
     """The dense float frontier against the dict frontier on the same
     weights: Z and every Z_s within 1e-12 relative, on thin and square
     boxes, at the first, an inner and the last raster position."""
-    system, exact = _float_twins(TWINS[k])
+    system, exact = float_twins(TWINS[k])
     rng = random.Random(k)
     bc = gibbs.PatternBoundary(Pattern(rng.randint(1, system.full_mask()),
                                        rng.randint(1, system.full_mask())))
@@ -199,7 +189,7 @@ def test_float_box_frontier_guards():
             gibbs.z_pattern_box(soft, lat, bc)
     with pytest.raises(errors.StateSpaceTooLarge):
         gibbs.z_pattern_box(soft, lm.parse_lattice("box:1x14"), bc)
-    hard, _ = _float_twins(catalog.build("af_potts", q=2))
+    hard, _ = float_twins(catalog.build("af_potts", q=2))
     with pytest.raises(errors.EmptySupport):
         gibbs.site_law(hard, lm.make_box((2, 2)),
                        gibbs.PatternBoundary(Pattern(0b01, 0b01)), (0, 0))
@@ -210,7 +200,7 @@ def test_float_site_confined_to_its_side_is_exactly_never_outside():
     zero: raster site 0 of the float wr-5/3 twin on a 5x3 box can take no
     value off its side and reads 0.0, where 1 - (inside mass) read one ulp,
     1.1e-16."""
-    system, _ = _float_twins(FRACTIONAL["wr-5/3"])
+    system, _ = float_twins(FRACTIONAL["wr-5/3"])
     law = gibbs.site_law(system, lm.make_box((5, 3)),
                          gibbs.PatternBoundary(Pattern(0b011, 0b101)), 0)
     assert law.prob_not_in_pattern == 0.0
@@ -227,6 +217,32 @@ def test_float_box_takes_one_array_step_per_site():
     law = gibbs.site_law(soft, lat, bc, (5, 5))
     assert time.monotonic() - t0 < 1.0
     assert _close(z, 9.837492414276652e+21) and _close(law.z, z)
+
+
+def test_box_rows_are_built_once_per_system(monkeypatch):
+    """Repeated site_law calls on one system build each allowed mask's
+    local-weight row once, in rational and in float mode; a fresh system
+    builds its own and gets the same law."""
+    built = []
+    local_weights = gibbs._local_weights
+
+    def counting(acts, inter, k, masks):
+        built.extend(masks)
+        return local_weights(acts, inter, k, masks)
+
+    monkeypatch.setattr(gibbs, "_local_weights", counting)
+    lat, bc = lm.make_box((4, 4)), gibbs.PatternBoundary(P0_AF3)
+    for params in ({"q": 3}, {"q": 3, "beta": 1}):
+        system = catalog.build("af_potts", **params)
+        laws = [gibbs.site_law(system, lat, bc, site)
+                for site in ((1, 1), (2, 2), (1, 1))]
+        assert built and len(built) == len(set(built))
+        assert set(system._box_rows) == set(built)
+        built.clear()
+        fresh = catalog.build("af_potts", **params)
+        assert gibbs.site_law(fresh, lat, bc, (1, 1)) == laws[0] == laws[2]
+        assert built
+        built.clear()
 
 
 # ---------------------------------------------------------------------------

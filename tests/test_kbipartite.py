@@ -1,5 +1,6 @@
 import itertools
 import math
+import random
 from collections import Counter
 from fractions import Fraction
 
@@ -10,7 +11,8 @@ from spinlab import catalog, errors
 from spinlab import kbipartite as kb
 from spinlab import parameters
 
-from helpers import FRACTIONAL, product_count_reference
+from helpers import (FRACTIONAL, float_twins, product_count_reference,
+                     random_rational_system)
 
 HC = catalog.build("hard_core", lam=1)
 AF3 = catalog.build("af_potts", q=3)
@@ -30,6 +32,14 @@ def test_resource_guards():
                           big.full_mask())
     with pytest.raises(errors.TooLarge):
         kb.expand_spec(AF3, 10, kb.PsiSpec(J=0b111))
+
+
+def test_a_table_beyond_max_contents_is_refused_before_it_is_built():
+    """6 states at d=20 have C(45, 5) = 1,221,759 contents."""
+    system = catalog.build("af_potts", q=6)
+    with pytest.raises(errors.TooLarge):
+        kb.z_compositions(system, 20, kb.PsiSpec(), system.full_mask())
+    assert not system._content_tables
 
 
 def test_unknown_spec_kinds():
@@ -172,3 +182,93 @@ def test_compositions_with_fractional_weights(system):
                 slow = kb.z_bruteforce(system, d,
                                        kb.expand_spec(system, d, spec), i_mask)
                 assert fast == slow and type(fast) is Fraction
+
+
+def _evaluated_specs(monkeypatch, system, d):
+    """The (spec, I) of every z_compositions call and the spec of every
+    k_of_product call that verify_main_condition makes, with the values."""
+    sums, ks = [], []
+    z_compositions, k_of_product = kb.z_compositions, kb.k_of_product
+
+    def z_recorder(system, d, spec, I_mask):
+        z = z_compositions(system, d, spec, I_mask)
+        sums.append((spec, I_mask, z))
+        return z
+
+    def k_recorder(system, d, spec):
+        k = k_of_product(system, d, spec)
+        ks.append((spec, k))
+        return k
+
+    with monkeypatch.context() as m:
+        m.setattr(kb, "z_compositions", z_recorder)
+        m.setattr(kb, "k_of_product", k_recorder)
+        kb.verify_main_condition(system, d, 0.2, 0.0, 0.125, 0.125,
+                                 n_random=10)
+    return sums, ks
+
+
+VERIFIED = {
+    "af_potts_b1": catalog.build("af_potts", q=3, beta=1),
+    "af_potts_binf": AF3,
+    "hard_core": catalog.build("hard_core", lam=2),
+    "widom_rowlinson": catalog.build("widom_rowlinson", lam=2),
+    "beach": catalog.build("beach", lam=1),
+    **{f"random{seed}": kb.normalize_interactions(
+        random_rational_system(random.Random(seed)))
+       for seed in range(3)},
+}
+
+
+@pytest.mark.parametrize("name", VERIFIED)
+def test_verify_sums_match_the_expanded_members(monkeypatch, name):
+    """Every sum and k that verify_main_condition takes at d <= 3, against
+    the explicit members of its spec: equal in rational mode, within 1e-12
+    relative in float mode (the float twin of a rational system too)."""
+    system = VERIFIED[name]
+    twins = [system] if system.mode == "float" else \
+        [system, float_twins(system)[0]]
+    for twin in twins:
+        for d in (1, 2, 3):
+            sums, ks = _evaluated_specs(monkeypatch, twin, d)
+            assert sums
+            for spec, I_mask, z in sums:
+                slow = kb.z_bruteforce(twin, d, kb.expand_spec(twin, d, spec),
+                                       I_mask)
+                if twin.mode == "float":
+                    assert abs(z - slow) <= 1e-12 * abs(slow)
+                else:
+                    assert z == slow
+            for spec, k in ks:
+                members = kb.expand_spec(twin, d, spec)
+                realized = [sum({1 << psi[j] for psi in members})
+                            for j in range(2 * d)]
+                rJ = kb.patterns.r_closure(twin, spec.J)
+                assert k == sum(kb.patterns.r_closure(twin, r) != rJ
+                                for r in realized)
+
+
+def test_verify_enumerates_each_class_once(monkeypatch):
+    """Within one verify_main_condition call, each class's contents are
+    enumerated once and each content is tested for membership once."""
+    system = catalog.build("af_potts", q=3, beta=1)
+    built, tested = Counter(), Counter()
+    init, admits = kb._ClassContext.__init__, kb._ClassContext.admits
+
+    def key(ctx):
+        spec = ctx.spec
+        return ctx.d, spec.J, spec.cls, spec.cls2, spec.eps, spec.eps_bar
+
+    def counting_init(self, system, d, spec):
+        init(self, system, d, spec)
+        built[key(self)] += 1
+
+    def counting_admits(self, xi):
+        tested[key(self), frozenset(xi.items())] += 1
+        return admits(self, xi)
+
+    monkeypatch.setattr(kb._ClassContext, "__init__", counting_init)
+    monkeypatch.setattr(kb._ClassContext, "admits", counting_admits)
+    kb.verify_main_condition(system, 3, 0.2, 0.0, 0.125, 0.125)
+    assert built and set(built.values()) == {1}
+    assert tested and set(tested.values()) == {1}
