@@ -14,9 +14,9 @@ Three evaluators:
     functions of one site come from one sweep that shares the rows before
     the site and runs one suffix per value;
   * z_torus / log_z_per_site_torus - exact free-boundary partition function
-    of a torus as the trace of a power of a dense column transfer matrix,
-    columns along the shorter side: in float64, or modulo primes below
-    2^20 and rebuilt by the Chinese remainder theorem in rational mode;
+    of a torus of any dimension as the trace of a power of a dense transfer
+    matrix over its layers across the longest axis: in float64, or modulo
+    primes below 2^20 and rebuilt by the Chinese remainder theorem;
   * run_mcmc - heat-bath Glauber dynamics on K chains from one seeded
     PCG64 stream, with two kernels over the same cumulative tables: a
     raster scan of one site at a time, and a numpy checkerboard kernel that
@@ -44,7 +44,7 @@ import numpy as np
 
 from . import errors, lattice as lat_mod
 from .patterns import Pattern
-from .system import SpinSystem, log_number, to_float
+from .system import SpinSystem, check_float_z, log_number, to_float
 
 MAX_FRONTIER = 2 * 10 ** 6
 MAX_COLUMNS = 5000
@@ -205,14 +205,10 @@ def _box_sweep(system, lat, boundary: PatternBoundary, site=None) -> list:
 
     with np.errstate(over="ignore", invalid="ignore"):  # refused below
         zs = sweep(step, start)
-    if not sc.exact and not math.isfinite(sum(zs)):
-        raise errors.TooLarge("Z exceeds the float64 range")
-    # a float Z of 0 is an empty support, or an underflow: the same sweep on
-    # booleans (is a weight positive) tells them apart
-    if not sc.exact and sum(zs) == 0 and sum(sweep(functools.partial(
+    if not sc.exact:
+        check_float_z(sum(zs), lambda: sum(sweep(functools.partial(
             step, ups={m: u > 0 for m, u in rows.items()}, inter=inter > 0),
-            np.ones((), bool))):
-        raise errors.TooLarge("Z underflows the float64 range")
+            np.ones((), bool))))
     n_edges = h * (w - 1) + (h - 1) * w
     return [sc.unscale(z, end, n_edges) for z in zs]
 
@@ -290,100 +286,77 @@ def prob_not_in_pattern(system: SpinSystem, lat, boundary: PatternBoundary,
 # torus partition function
 
 def z_torus(system: SpinSystem, dims):
-    """Exact free-boundary partition function on a discrete torus, as a
-    simple graph: every side must be at least 2, odd sides are allowed, and
-    along a side of 2 the two steps reach the same neighbour, which is one
-    edge (lattices count it twice; see spinlab.lattice).  2D tori with
-    sides of at least 3 go through a dense column transfer matrix whose
-    columns run along the shorter side (Z is the same with the axes
-    swapped); other tori are enumerated directly."""
-    dims = tuple(dims)
-    if not dims or min(dims) < 2:
+    """Exact free-boundary partition function of a discrete torus of any
+    dimension as a simple graph, by a layer transfer along its longest axis
+    (Z is the same along any): sides must be at least 2, odd sides are
+    allowed, and along a side of 2 both steps reach one neighbour by one
+    edge (lattices count it twice; see spinlab.lattice)."""
+    dims = tuple(sorted(dims))
+    if not dims or dims[0] < 2:
         raise errors.ParamOutOfRange("torus sides must be at least 2")
-    n_sites = math.prod(dims)
-    if len(dims) == 2 and all(x >= 3 for x in dims):
-        # with a side of length < 3 the wrap edge coincides with a nearest-
-        # neighbor edge, so the transfer decomposition would double-count it
-        return _z_torus_transfer(system, min(dims), max(dims))
-    if system.n ** n_sites > 10 ** 7:
-        raise errors.StateSpaceTooLarge(f"{system.n}^{n_sites}")
-    return _z_enumerate_torus(system, dims)
+    return _z_torus_transfer(system, dims)
 
 
-def _z_enumerate_torus(system, dims):
-    """Z of the simple-graph torus by enumeration; sites in lexicographic
-    order, each edge once."""
-    grid = np.arange(math.prod(dims)).reshape(dims)
-    edges = sorted({(min(u, v), max(u, v)) for axis in range(len(dims))
-                    for u, v in zip(grid.ravel().tolist(),
-                                    np.roll(grid, -1, axis).ravel().tolist())})
-    zero = system.zero()
-    total = zero
-    for f in itertools.product(range(system.n), repeat=grid.size):
-        wgt = system.one()
-        for v in f:
-            wgt *= system.activities[v]
-        for (u, v) in edges:
-            wgt *= system.interactions[f[u]][f[v]]
-            if wgt == zero:
-                break
-        total += wgt
-    return total
-
-
-def _torus_columns(acts, inter, n1):
-    """(column, weight) for the columns of height n1 with nonzero weight
-    (activities times the n1 vertical interactions, wrap included), in
-    lexicographic order; a zero prefix is not extended."""
-    n = len(acts)
-    col = [0] * n1
+def _torus_columns(acts, inter, dims):
+    """(column, weight) for the nonzero configurations of a column, a layer
+    torus of sides dims (no sides: one site), in lexicographic order, no
+    zero prefix extended.  Each site multiplies in its interactions one step
+    back, its activity, then those across each wrap to 0 of a side >= 3."""
+    strides = [math.prod(dims[a + 1:]) for a in range(len(dims))]
+    plan = [([i - st for x, st in zip(c, strides) if x],
+             [i - x * st for x, st, side in zip(c, strides, dims)
+              if side >= 3 and x == side - 1])
+            for i, c in enumerate(itertools.product(*map(range, dims)))]
+    n, last, col = len(acts), len(plan) - 1, [0] * len(plan)
 
     def extend(i, wgt):
-        last = i == n1 - 1
+        steps, wraps = plan[i]
         for s in range(n):
-            x = wgt * inter[col[i - 1]][s] * acts[s] if i else acts[s]
-            if last:
-                x = x * inter[s][col[0]]
-            if not x:
-                continue
-            col[i] = s
-            if last:
-                yield tuple(col), x
-            else:
-                yield from extend(i + 1, x)
+            x = wgt
+            for j in steps:
+                x = x * inter[col[j]][s]
+            x = x * acts[s]
+            for j in wraps:
+                x = x * inter[s][col[j]]
+            if x:
+                col[i] = s
+                if i == last:
+                    yield tuple(col), x
+                else:
+                    yield from extend(i + 1, x)
 
     return extend(0, 1)
 
 
-def _z_torus_transfer(system, n1, n2):
-    """Columns of height n1 (vertical wrap); n2 columns with horizontal wrap.
-    Z = trace(M^{n2}) with M[i][j] = w(col_i) * t(col_i, col_j), a dense
-    float64 matrix.  Float mode takes the trace in floats.  Rational mode
-    takes it on the integer scale modulo primes below 2^20, enough that
-    their product exceeds the bound N (N max w max t^{n1})^{n2} on it, and
-    rebuilds it by the Chinese remainder theorem."""
-    sc = system.scaled()
-    cols = list(itertools.islice(_torus_columns(sc.acts, sc.inter, n1),
-                                 MAX_COLUMNS + 1))
-    if len(cols) > MAX_COLUMNS:
-        raise errors.StateSpaceTooLarge(
-            f"more than {MAX_COLUMNS} transfer states")
-    values = np.array([c for c, _ in cols], np.intp).reshape(-1, n1).T
-    wgts = [x for _, x in cols]
+def _z_torus_transfer(system, dims):
+    """Transfer along the last axis, of length n2, over the N nonzero
+    columns of sides dims[:-1] (L sites): Z = trace(M^{n2}) for the dense
+    M[a][b] = w(a) prod_i t(a_i, b_i), or sum_{a,b} M[a][b] w(b) if n2 = 2
+    (each edge once).  Float mode takes it in float64 (see check_float_z),
+    rational mode on the integer scale modulo primes below 2^20 whose
+    product exceeds N (N max w max t^L)^{n2}, rebuilt by the CRT."""
+    sc, n2, n_sites = system.scaled(), dims[-1], math.prod(dims)
+    n_edges = sum(n_sites if x >= 3 else n_sites // 2 for x in dims)
 
-    def trace(wgts, inter, p=0):
+    def columns(acts, inter):  # values [site][column], weights
+        cols = list(itertools.islice(_torus_columns(acts, inter, dims[:-1]),
+                                     MAX_COLUMNS + 1))
+        if len(cols) > MAX_COLUMNS:
+            raise errors.StateSpaceTooLarge(
+                f"more than {MAX_COLUMNS} transfer states")
+        return (np.array([c for c, _ in cols], np.intp)
+                .reshape(-1, n_sites // n2).T, [x for _, x in cols])
+
+    def trace(values, wgts, inter, red=lambda a: a):
         """trace(M^{n2}): P = M^(n2//2) by repeated squaring, then the row
-        sums of P * Q^T with Q = P or P M.  With a modulus p, every product
-        and the row sums are reduced mod p: each float64 intermediate, a
-        sum of at most MAX_COLUMNS products of residues, is an exact
-        integer below 2^53."""
-        def red(a):
-            return np.fmod(a, p, out=a) if p else a
-
-        inter = np.array(inter, dtype=float)
-        m = np.array(wgts, dtype=float)[:, None]
-        for row in values:
-            m = red(m * inter[row[:, None], row])
+        sums of P * Q^T, Q = P or P M, each product reduced by red (mod p,
+        every float64 intermediate, at most MAX_COLUMNS terms, is < 2^53)."""
+        wgts = np.array(wgts, dtype=inter.dtype)
+        m = wgts[:, None]
+        for row in values:  # t(a_i, b_i) by two takes, faster than one gather
+            m = red(m * inter.take(row, 0).take(row, 1))
+        if n2 == 2:
+            return red(m @ wgts).sum()
         pw, base, k = None, m, n2 // 2
         while k:
             if k & 1:
@@ -394,17 +367,24 @@ def _z_torus_transfer(system, n1, n2):
         q = pw if n2 % 2 == 0 else red(pw @ m)
         return red(np.einsum("ij,ji->i", pw, q)).sum()
 
+    values, wgts = columns(sc.acts, sc.inter)
     if not sc.exact:
-        return sc.unscale(trace(wgts, sc.inter), n1 * n2, 2 * n1 * n2)
-    top = max(wgts, default=0) * max(map(max, sc.inter)) ** n1
-    bound = len(cols) * (len(cols) * top) ** n2
+        inter = np.array(sc.inter, dtype=float)
+        with np.errstate(over="ignore", invalid="ignore"):  # refused below
+            z = trace(values, wgts, inter)
+        check_float_z(z, lambda: trace(*columns(
+            np.array(sc.acts) > 0, inter > 0), inter > 0))
+        return sc.unscale(z, n_sites, n_edges)
+    top = max(wgts, default=0) * max(map(max, sc.inter)) ** len(values)
+    bound = len(wgts) * (len(wgts) * top) ** n2
     z, modulus = 0, 1
     for p in _crt_primes(bound):
-        r = trace([x % p for x in wgts],
-                  [[x % p for x in row] for row in sc.inter], p)
+        r = trace(values, [x % p for x in wgts],
+                  np.array([[x % p for x in row] for row in sc.inter],
+                           dtype=float), lambda a: np.fmod(a, p, out=a))
         z += modulus * ((int(r) - z) * pow(modulus, -1, p) % p)
         modulus *= p
-    return sc.unscale(z, n1 * n2, 2 * n1 * n2)
+    return sc.unscale(z, n_sites, n_edges)
 
 
 @functools.cache

@@ -33,7 +33,7 @@ from collections import Counter
 from dataclasses import dataclass, field
 
 from . import errors, patterns
-from .system import SpinSystem, make_system, to_float
+from .system import SpinSystem, check_float_z, make_system, to_float
 
 MAX_GROUND = 20
 # the contents of one table (compositions of 2d into |ground| parts): a
@@ -240,12 +240,6 @@ def _counter(groups, states):
     return lambda counts: rec(0, counts) if sum(counts) == total else 0
 
 
-def _grouped_count(groups, xi):
-    """The counter's count of the content xi, a dict state -> count."""
-    states = sorted(xi)
-    return _counter(groups, states)(tuple(xi[s] for s in states))
-
-
 def _sub_contents(remaining, states, mask, size, i=0):
     """Count vectors y <= remaining, zero outside mask, summing to size: the
     first state's count outermost, ascending, and the last state's count
@@ -277,16 +271,21 @@ class _Table:
     ascending), in _sub_contents order."""
     states: list
     rows: list
-    # I mask -> (z0, z1p), built on first use by weights()
+    # (I mask, positive) -> (z0, z1p), built on first use by weights()
     by_I: dict = field(default_factory=dict)
 
-    def weights(self, system, d, I_mask):
-        """The weights of the rows on scaled() weights, as lists over the
-        rows: z0 = prod_s acts[s]^c_s and z1p = (sum_{i in I} acts[i]
-        prod_s inter[i][s]^c_s)^{2d}."""
-        if I_mask not in self.by_I:
+    def weights(self, system, d, I_mask, positive=False):
+        """The weights of the rows on scaled() weights (with positive, on
+        booleans: is each weight positive), as lists over the rows: z0 =
+        prod_s acts[s]^c_s and z1p = (sum_{i in I} acts[i] prod_s
+        inter[i][s]^c_s)^{2d}."""
+        key = I_mask, positive
+        if key not in self.by_I:
             sc = system.scaled()
             acts, inter = sc.acts, sc.inter
+            if positive:
+                acts = [a > 0 for a in acts]
+                inter = [[x > 0 for x in row] for row in inter]
             I_states = system.mask_states(I_mask)
             z0s, z1ps = [], []
             for y in self.rows:
@@ -302,8 +301,8 @@ class _Table:
                     z1 += t
                 z0s.append(z0)
                 z1ps.append(z1 ** (2 * d))
-            self.by_I[I_mask] = z0s, z1ps
-        return self.by_I[I_mask]
+            self.by_I[key] = z0s, z1ps
+        return self.by_I[key]
 
 
 def _table(system, d, spec):
@@ -358,12 +357,20 @@ def z_compositions(system: SpinSystem, d: int, spec: PsiSpec, I_mask: int):
     """Evaluate Z(Psi, I) by summing over the contents of the spec."""
     _check_d(d)
     table = _table(system, d, spec)
-    z0, z1p = table.weights(system, d, I_mask)
-    total = 0
-    for k, cnt in _contents(table, _coords(system, d, spec)):
-        total += cnt * z0[k] * z1p[k]
+    coords = _coords(system, d, spec)
+
+    def total(positive=False):
+        z0, z1p = table.weights(system, d, I_mask, positive)
+        return sum(cnt * z0[k] * z1p[k] for k, cnt in _contents(table, coords))
+
+    try:
+        z = total()
+    except OverflowError:  # a float power beyond float64
+        z = math.inf
+    if system.mode == "float":
+        check_float_z(z, lambda: total(positive=True))
     # K_{2d,2d} has 4d vertices and 4d^2 edges
-    return system.scaled().unscale(total, 4 * d, 4 * d * d)
+    return system.scaled().unscale(z, 4 * d, 4 * d * d)
 
 
 def expand_spec(system: SpinSystem, d: int, spec: PsiSpec, limit=10 ** 6):

@@ -119,9 +119,11 @@ def _build_structure(system: SpinSystem) -> PatternStructure:
 
     weights = [weight(system, p) for p in maximal]
     omega = max(weights)
+    if system.mode == "float" and not 0 < omega < math.inf:  # a divisor below
+        raise errors.TooLarge("omega_dom leaves the float64 range")
     dom = tuple(p for p, w in zip(maximal, weights)
-                if w == omega or (system.mode == "float" and omega > 0
-                                  and abs(w - omega) <= DOMINANT_REL_TOL * omega))
+                if w == omega or (system.mode == "float" and abs(w - omega)
+                                  <= DOMINANT_REL_TOL * omega))
     near_tie = len(dom) > sum(1 for w in weights if w == omega)
     dom_set = set(dom)
     dom_sides = frozenset(s for p in dom for s in (p.a, p.b))

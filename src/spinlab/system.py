@@ -83,6 +83,15 @@ def to_float(x) -> float:
         raise errors.TooLarge("a value exceeds the float64 range") from None
 
 
+def check_float_z(z, positive) -> None:
+    """Refuse a float Z beyond float64, and a Z of 0 where positive(), the
+    same sum on booleans (is each weight positive), is not: an underflow."""
+    if not z < math.inf:
+        raise errors.TooLarge("Z exceeds the float64 range")
+    if z == 0 and positive():
+        raise errors.TooLarge("Z underflows the float64 range")
+
+
 def log_number(x) -> float:
     """Natural log of a positive int, float or Fraction of any size."""
     if isinstance(x, Fraction):

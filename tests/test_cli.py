@@ -185,6 +185,13 @@ BEYOND_THE_FLOAT_RANGE = [
       "--site", "1,1", "--sweeps", "10"]),
     (_soft_potts([1, 1, "1e400"]),
      ["transform", "--op", "reweight", "--multipliers", "1,1,1", "--d", "2"]),
+    # float activities whose omega_dom, which the pattern structure divides
+    # by, is 0 or inf; and a float zfun sum that overflows, or underflows
+    # to 0 although every term is positive
+    *[({**_hard_core([x, x]), "mode": "float"}, argv)
+      for x in (1e-200, 1e200)
+      for argv in (["analyze"], ["check", "--d", "4"], [*VERIFY, "--d", "2"],
+                   ["zfun", "--d", "2", "--psi", "complete"])],
 ]
 
 

@@ -250,10 +250,8 @@ def test_box_rows_are_built_once_per_system(monkeypatch):
 
 def test_z_torus_transfer_matches_enumeration():
     for system in (HC, catalog.build("af_ising_field", lam=2)):
-        transfer = gibbs.z_torus(system, (4, 4))
-        brute = gibbs._z_enumerate_torus(system, (4, 4))
-        assert transfer == brute
-        assert graph_z(system, torus_graph((4, 4))) == brute
+        assert gibbs.z_torus(system, (4, 4)) \
+            == graph_z(system, torus_graph((4, 4)))
 
 
 @pytest.mark.parametrize("system", FRACTIONAL.values(),
@@ -269,7 +267,7 @@ def test_z_torus_with_fractional_weights(system):
 def test_z_torus_fractional_matches_enumeration():
     system = FRACTIONAL["hc-3/7"]
     assert gibbs.z_torus(system, (4, 4)) \
-        == gibbs._z_enumerate_torus(system, (4, 4))
+        == graph_z(system, torus_graph((4, 4)))
 
 
 def _record_primes(monkeypatch):
@@ -294,7 +292,7 @@ def test_z_torus_residues_rebuild_z_from_several_primes(monkeypatch, name,
     system = FRACTIONAL[name]
     seen = _record_primes(monkeypatch)
     z = gibbs.z_torus(system, dims)
-    assert z == gibbs._z_enumerate_torus(system, dims)
+    assert z == graph_z(system, torus_graph(dims))
     (bound, primes), = seen
     assert len(primes) >= 2 and math.prod(primes) > bound
     sc = system.scaled()
@@ -352,7 +350,7 @@ def test_z_torus_columns_run_along_the_shorter_side(monkeypatch):
     z = gibbs.z_torus(AF3, (6, 4))
     assert len(seen) == 18
     seen.clear()
-    assert gibbs._z_torus_transfer(AF3, 6, 4) == z == 98466
+    assert gibbs._z_torus_transfer(AF3, (6, 4)) == z == 98466
     assert len(seen) == 66
 
 
@@ -365,8 +363,8 @@ def test_z_torus_column_guard_stops_early(monkeypatch):
 
 
 def test_z_torus_small_side_enumeration():
-    # a side of length 2 bypasses the transfer decomposition, and is one
-    # edge; an odd side next to it is allowed, a side of 1 is not
+    # a side of length 2 is one edge, in a column or along the transfer;
+    # an odd side next to it is allowed, a side of 1 is not
     z = gibbs.z_torus(HC, (2, 4))
     assert z == graph_z(HC, torus_graph((2, 4)))
     for system in (HC, AF3):
@@ -378,8 +376,50 @@ def test_z_torus_small_side_enumeration():
 
 
 def test_z_torus_guard():
+    # af_potts q=3 beta=1 has 3^16 columns on 4x4
     with pytest.raises(errors.StateSpaceTooLarge):
-        gibbs.z_torus(AF3, (4, 4, 4))
+        gibbs.z_torus(catalog.build("af_potts", q=3, beta=1), (4, 4, 4))
+
+
+@pytest.mark.parametrize("system, dims", [
+    *[(s, dims) for s in (HC, AF3, catalog.build("af_potts", q=2),
+                          FRACTIONAL["mixed"])
+      for dims in ((2,), (3,), (5,), (2, 2, 2))],
+    *[(s, (2, 2, 3)) for s in (catalog.build("af_ising_field", lam=2),
+                               FRACTIONAL["hc-3/7"])]])
+def test_z_torus_cycles_and_3d_tori(system, dims):
+    """Cycles (a column of one site) and 3D tori with sides of 2 against
+    brute force, and each float twin within 1e-12 of its rational system."""
+    z = gibbs.z_torus(system, dims)
+    assert z == graph_z(system, torus_graph(dims))
+    twin, exact = float_twins(system)
+    oracle = gibbs.z_torus(exact, dims)
+    assert abs(gibbs.z_torus(twin, dims) - oracle) <= 1e-12 * oracle
+
+
+def test_z_torus_is_the_same_along_each_axis():
+    system = catalog.build("hard_core", lam=2)
+    zs = {gibbs._z_torus_transfer(system, dims)
+          for dims in ((4, 4, 3), (3, 4, 4), (4, 3, 4))}
+    assert len(zs) == 1 and zs == {gibbs.z_torus(system, (3, 4, 4))}
+
+
+@pytest.mark.parametrize("lam", [1e200, 1e-200])
+def test_float_z_torus_beyond_the_float_range_is_refused(lam):
+    """hard_core with both activities 1e200 (1e-200) on 4x4: a Z that
+    overflows (underflows) float64 is refused, not nan (0.0)."""
+    system = make_system(["0", "1"], [lam, lam], [[1.0, 1.0], [1.0, 0.0]],
+                         mode="float")
+    with pytest.raises(errors.TooLarge):
+        gibbs.z_torus(system, (4, 4))
+
+
+def test_float_z_torus_of_an_empty_support_is_zero():
+    """af_potts q=2 beta=inf on a 3x3 torus: no proper 2-colouring of an odd
+    cycle, an exact 0 in both modes."""
+    system, exact = float_twins(catalog.build("af_potts", q=2))
+    assert gibbs.z_torus(system, (3, 3)) == 0.0
+    assert gibbs.z_torus(exact, (3, 3)) == 0
 
 
 def test_log_z_per_site():

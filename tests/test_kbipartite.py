@@ -161,8 +161,9 @@ def _masks_and_content(draw):
 @given(_masks_and_content())
 def test_grouped_product_count_matches_reference(case):
     coords, xi = case
-    assert kb._grouped_count(kb._groups(coords), xi) \
-        == product_count_reference(coords, xi)
+    states = sorted(xi)
+    assert kb._counter(kb._groups(coords), states)(
+        tuple(xi[s] for s in states)) == product_count_reference(coords, xi)
 
 
 @pytest.mark.parametrize("system", FRACTIONAL.values(),
