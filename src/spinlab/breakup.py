@@ -1,6 +1,6 @@
 """Breakup extraction: partitioning a configuration on a box or slab into
 ordered regions labelled by dominant patterns, separated by a localized
-defect set, plus the per-vertex diagnostics used to classify defects.
+defect set.
 
 Conventions.  The reference pattern P0 = (A0, B0) has its first side on the
 even sublattice.  A dominant ordered pattern P is "aligned" when it is
@@ -13,7 +13,6 @@ when guaranteed.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 
 import numpy as np
@@ -273,192 +272,3 @@ def verify_breakup(system: SpinSystem, lat, f, p0: Pattern, atlas: Atlas,
     report["pass"] = all(r["holds"] for k, r in report.items()
                          if isinstance(r, dict))
     return report
-
-
-# ---------------------------------------------------------------------------
-# per-vertex diagnostics
-
-def is_non_dominant(system: SpinSystem, mask) -> bool:
-    """The neighborhood value set (a state bitmask) is not value-set-
-    equivalent to any side of a dominant pattern."""
-    # R maps each side of a maximal pattern to the other side, so the
-    # closures of the dominant sides are the dominant sides themselves
-    return patterns.r_closure(system, mask) not in \
-        patterns.structure(system).dominant_sides
-
-
-def _omega_matching(system, lat, omega, v, target):
-    """Configurations in omega whose neighborhood value set at v has the
-    closure target."""
-    return [g for g in omega
-            if patterns.r_closure(system, _nv_mask(system, lat, g, v))
-            == target]
-
-
-def _nv_mask(system, lat, f, v):
-    """The values f puts on the neighbors of v, as a state bitmask; every
-    ambient neighbor of v must be stored."""
-    nbrs = lat.nbr[v].tolist()
-    if lat.n in nbrs:
-        raise errors.SchemaError(
-            f"site {v} has a neighbor outside the stored region")
-    out = 0
-    for u in nbrs:
-        out |= 1 << f[u]
-    return out
-
-
-def is_restricted(system: SpinSystem, lat, f, omega, v, u) -> bool:
-    """Directed edge (v, u): the neighborhood of v pins down neither the
-    full compatible value set at u nor at v, across the ensemble omega."""
-    mask = _nv_mask(system, lat, f, v)
-    if is_non_dominant(system, mask):
-        return True
-    d_mask = patterns.r_closure(system, mask)
-    match = _omega_matching(system, lat, omega, v, d_mask)
-    a_mask = 0
-    b_mask = 0
-    for g in match:
-        a_mask |= 1 << g[u]
-        b_mask |= 1 << g[v]
-    b_mask &= d_mask
-    if d_mask != patterns.r_closure(system, a_mask):
-        return True
-    if patterns.r_closure(system, d_mask) != patterns.r_closure(system, b_mask):
-        return True
-    return False
-
-
-def is_unbalanced(system: SpinSystem, lat, f, v, eps, eps_bar) -> bool:
-    """Dominant neighborhood that is nearly constant on a strictly smaller
-    value set."""
-    mask = _nv_mask(system, lat, f, v)
-    if is_non_dominant(system, mask):
-        return False
-    d2 = lat.degree
-    r_mask = patterns.r_closure(system, mask)
-    dom_sides = patterns.structure(system).dominant_sides
-    counts = {}
-    for u in lat.neighbors[v]:
-        counts[f[u]] = counts.get(f[u], 0) + 1
-    sub = mask
-    while True:
-        cnt = sum(c for s, c in counts.items() if sub >> s & 1)
-        equiv = patterns.r_closure(system, sub) == r_mask
-        if not equiv and cnt > d2 - 2 * eps_bar * d2:
-            return True
-        if sub in dom_sides and not equiv and cnt > d2 - 2 * eps * d2:
-            return True
-        if sub == 0:
-            break
-        sub = (sub - 1) & mask
-    return False
-
-
-def is_highly_energetic(system: SpinSystem, lat, f, omega, v,
-                        eps, eps_bar) -> bool:
-    """Dominant, balanced, but no configuration in omega gives v a value in
-    the common-neighbor set of its neighborhood values."""
-    mask = _nv_mask(system, lat, f, v)
-    if is_non_dominant(system, mask):
-        return False
-    if is_unbalanced(system, lat, f, v, eps, eps_bar):
-        return False
-    d_mask = patterns.r_closure(system, mask)
-    match = _omega_matching(system, lat, omega, v, d_mask)
-    b_mask = 0
-    for g in match:
-        b_mask |= 1 << g[v]
-    return b_mask & d_mask == 0
-
-
-def unique_pattern(system: SpinSystem, lat, omega, v, eps, eps_bar) -> bool:
-    """Some value set explains every configuration at v: each g in omega
-    either matches it, is unbalanced at v, or has all its out-edges at v
-    restricted."""
-    for target in patterns.structure(system).r_sets:
-        ok = True
-        for g in omega:
-            if patterns.r_closure(
-                    system, _nv_mask(system, lat, g, v)) == target:
-                continue
-            if is_unbalanced(system, lat, g, v, eps, eps_bar):
-                continue
-            if all(is_restricted(system, lat, g, omega, v, u)
-                   for u in lat.neighbors[v]):
-                continue
-            ok = False
-            break
-        if ok:
-            return True
-    return False
-
-
-def classify(system: SpinSystem, lat, f, omega, v, u=None,
-             eps: float = 0.125, eps_bar: float = 0.125) -> dict:
-    """All per-vertex diagnostics at once; `restricted` requires a target
-    neighbor u."""
-    out = {
-        "non_dominant": is_non_dominant(
-            system, _nv_mask(system, lat, f, v)),
-        "unbalanced": is_unbalanced(system, lat, f, v, eps, eps_bar),
-        "highly_energetic": is_highly_energetic(
-            system, lat, f, omega, v, eps, eps_bar),
-        "unique_pattern": unique_pattern(system, lat, omega, v, eps, eps_bar),
-    }
-    if u is not None:
-        out["restricted"] = is_restricted(system, lat, f, omega, v, u)
-    return out
-
-
-# ---------------------------------------------------------------------------
-# restriction scenarios
-
-def scenario_checks(system: SpinSystem, lat, f, omega, v, u,
-                    p0: Pattern) -> dict:
-    """Evaluate the four sufficient conditions for the directed edge (v, u)
-    to be restricted, over all dominant charts p.  With D the closure of
-    the neighborhood values of v, and omega's matching configurations (those
-    whose closure at v is D too) nonempty and all:
-
-    1. keeping v on bdry(p), while D is not the closure of int(p);
-    2. keeping v on bdry(p) and bdry(q), for distinct direct-equivalent
-       p and q;
-    3. keeping u on bdry(p), while D is not the closure of bdry(p);
-    4. keeping u on int(p) and int(q), for distinct direct-equivalent p
-       and q, while D is the closure of some interior side.
-
-    A firing scenario that does not imply the restriction raises."""
-    ctx = BreakupContext(system, lat, f, p0)
-    d_mask = patterns.r_closure(system, _nv_mask(system, lat, f, v))
-    match = _omega_matching(system, lat, omega, v, d_mask)
-    at_v = at_u = 0
-    for g in match:
-        at_v |= 1 << g[v]
-        at_u |= 1 << g[u]
-    pairs = [pq for cls in patterns.dominant_classes(system)[1]
-             for pq in itertools.combinations(cls, 2)]
-    bdry, int_ = ctx.bdry, ctx.int_
-
-    def r(mask):
-        return patterns.r_closure(system, mask)
-
-    def kept(values, side):
-        """The matching configurations exist and keep their values on the
-        side."""
-        return bool(match) and values & ~side == 0
-
-    fired = {
-        "scenario_1": any(d_mask != r(int_[p]) and kept(at_v, bdry[p])
-                          for p in ctx.pats),
-        "scenario_2": any(kept(at_v, bdry[p] & bdry[q]) for p, q in pairs),
-        "scenario_3": any(d_mask != r(bdry[p]) and kept(at_u, bdry[p])
-                          for p in ctx.pats),
-        "scenario_4": any(d_mask == r(int_[t]) for t in ctx.pats)
-        and any(kept(at_u, int_[p] & int_[q]) for p, q in pairs),
-    }
-    if any(fired.values()) and not is_restricted(system, lat, f, omega, v, u):
-        raise AssertionError(
-            f"restriction scenarios {fired} fired on an unrestricted edge "
-            f"({v}, {u})")
-    return fired

@@ -1,18 +1,13 @@
-"""Named model constructors and their published closed-form parameter values.
+"""Named model constructors.
 
 Every builder returns a SpinSystem.  Zero temperature (beta=inf) is encoded
 as an exact interaction weight 0, keeping the system in rational mode; any
 finite beta forces float mode through exp(-beta).
-
-`expected_parameters` returns the closed forms for (omega_dom, 1/rho_bulk,
-1/rho_bdry) used as test oracles; regimes that split on a parameter raise
-NotTabulated at the boundary value, where the dominant patterns change.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
 from fractions import Fraction
 
 from . import errors
@@ -25,18 +20,6 @@ MODEL_NAMES = (
 )
 
 INF = math.inf
-
-
-@dataclass
-class CatalogEntry:
-    name: str
-    params: dict = field(default_factory=dict)
-
-    def build(self) -> SpinSystem:
-        return build(self.name, **self.params)
-
-    def expected(self) -> dict:
-        return expected_parameters(self.name, **self.params)
 
 
 def _boltzmann(beta, energy=1):
@@ -238,121 +221,3 @@ _BUILDERS = {
     "multi_occupancy_hc_v1": _build_multi_occupancy_hc_v1,
     "multi_occupancy_hc_v2": _build_multi_occupancy_hc_v2,
 }
-
-
-# ---------------------------------------------------------------------------
-# closed-form parameter values
-
-def gsum(lam, a):
-    """Sum of the first a powers of lam (exact; equals a at lam=1)."""
-    return sum((lam ** i for i in range(a)), Fraction(0))
-
-
-def _ratio(num, den):
-    """num/den with den=0 mapped to +inf (a vanishing rho parameter)."""
-    if den == 0:
-        return INF
-    return Fraction(num, den) if not isinstance(num, float) else num / den
-
-
-def expected_parameters(name, **params) -> dict:
-    """Closed forms for omega_dom, 1/rho_bulk, 1/rho_bdry (exact rationals;
-    math.inf marks a vanishing rho)."""
-    if name == "af_potts":
-        q = int(params["q"])
-        if q < 3:
-            raise errors.NotTabulated("af_potts tabulated for q >= 3")
-        lo, hi = q // 2, (q + 1) // 2
-        omega = Fraction(lo * hi)
-        if lo == 1:
-            inv_bulk = INF
-        else:
-            inv_bulk = (1 + Fraction(1, lo - 1)) * (1 - Fraction(1, hi + 1))
-        inv_bdry = 1 + Fraction(1, hi - 1)
-        return {"omega_dom": omega, "inv_rho_bulk": inv_bulk, "inv_rho_bdry": inv_bdry}
-
-    if name == "beach":
-        lam = _pos(params["lam"], "lam")
-        if lam == 1:
-            raise errors.NotTabulated("beach regimes split at lam=1")
-        if lam > 1:
-            omega = (1 + lam) ** 2
-            inv_bulk = min(Fraction((1 + lam) ** 2, 4),
-                           Fraction((1 + lam) ** 2, 2 + lam))
-            inv_bdry = 1 + lam
-        else:
-            omega = Fraction(4)
-            inv_bulk = min(Fraction(4, 2 + lam), Fraction(4, (1 + lam) ** 2))
-            inv_bdry = Fraction(2)
-        return {"omega_dom": omega, "inv_rho_bulk": inv_bulk, "inv_rho_bdry": inv_bdry}
-
-    if name == "clock":
-        q, m = int(params["q"]), int(params["m"])
-        if not (1 <= m and 4 * m < q):
-            raise errors.ParamOutOfRange("clock requires 1 <= m < q/4")
-        return {"omega_dom": Fraction((m + 1) ** 2),
-                "inv_rho_bulk": 1 + Fraction(1, m * (m + 2)),
-                "inv_rho_bdry": 1 + Fraction(1, m)}
-
-    if name == "hard_core":
-        lam = _pos(params["lam"], "lam")
-        return {"omega_dom": 1 + lam,
-                "inv_rho_bulk": INF,
-                "inv_rho_bdry": 1 + lam}
-
-    if name == "widom_rowlinson":
-        lam = _pos(params["lam"], "lam")
-        return {"omega_dom": (1 + lam) ** 2,
-                "inv_rho_bulk": 1 + Fraction(lam ** 2, 1 + 2 * lam),
-                "inv_rho_bdry": 1 + lam}
-
-    if name == "multi_occupancy_hc_v2":
-        q = int(params["q"])
-        lam = _pos(params["lam"], "lam")
-        lo, hi = q // 2, (q + 1) // 2
-        omega = gsum(lam, lo + 1) * gsum(lam, hi + 1)
-        inv_bulk = _ratio(gsum(lam, lo + 1) * gsum(lam, hi + 1),
-                          gsum(lam, lo) * gsum(lam, hi + 2))
-        inv_bdry = _ratio(gsum(lam, hi + 1), gsum(lam, hi))
-        return {"omega_dom": omega, "inv_rho_bulk": inv_bulk, "inv_rho_bdry": inv_bdry}
-
-    if name == "multi_wr":
-        q = int(params["q"])
-        lam = _pos(params["lam"], "lam")
-        if lam == q - 2:
-            raise errors.NotTabulated("multi_wr regimes split at lam=q-2")
-        if lam < q - 2:
-            omega = 1 + q * lam
-            return {"omega_dom": omega,
-                    "inv_rho_bulk": Fraction(omega, (1 + lam) ** 2),
-                    "inv_rho_bdry": Fraction(omega, 1 + lam)}
-        return {"omega_dom": (1 + lam) ** 2,
-                "inv_rho_bulk": Fraction((1 + lam) ** 2, 1 + q * lam),
-                "inv_rho_bdry": 1 + lam}
-
-    if name == "anti_wr":
-        q = int(params["q"])
-        lam = _pos(params["lam"], "lam")
-        lo, hi = q // 2, (q + 1) // 2
-        omega = (1 + lam * lo) * (1 + lam * hi)
-        return {"omega_dom": omega,
-                "inv_rho_bulk": Fraction(omega,
-                                         (1 + lam * (lo - 1)) * (1 + lam * (hi + 1))),
-                "inv_rho_bdry": Fraction(1 + lam * hi, 1 + lam * (hi - 1))}
-
-    if name == "multi_beach":
-        q = int(params["q"])
-        lam = _pos(params["lam"], "lam")
-        if lam == q - 1:
-            raise errors.NotTabulated("multi_beach regimes split at lam=q-1")
-        if lam > q - 1:
-            return {"omega_dom": (1 + lam) ** 2,
-                    "inv_rho_bulk": Fraction((1 + lam) ** 2,
-                                             max(Fraction(q * q), q + lam)),
-                    "inv_rho_bdry": 1 + lam}
-        return {"omega_dom": Fraction(q * q),
-                "inv_rho_bulk": Fraction(q * q,
-                                         max((1 + lam) ** 2, q + lam)),
-                "inv_rho_bdry": Fraction(q)}
-
-    raise errors.NotTabulated(name)

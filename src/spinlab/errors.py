@@ -34,10 +34,6 @@ class AllZeroInteractions(ValidationError):
     pass
 
 
-class DomainMismatch(ValidationError):
-    pass
-
-
 class NonPositiveMultiplier(ValidationError):
     pass
 
@@ -46,21 +42,9 @@ class EmptyProjectedSpace(ValidationError):
     pass
 
 
-class NotACover(ValidationError):
-    """The projection map is not a local bijection on some neighborhood."""
-
-
-class NotLiftPermitting(ValidationError):
-    """Some 4-walk in the cover violates the endpoint-distinctness rule."""
-
-
 # --- catalog ---
 
 class ParamOutOfRange(ValidationError):
-    pass
-
-
-class NotTabulated(ValidationError):
     pass
 
 
@@ -92,10 +76,6 @@ class NotNormalized(ValidationError):
 
 class UnsupportedLattice(ValidationError):
     """The evaluator does not run on this kind or dimension of lattice."""
-
-
-class WrappingSet(ValidationError):
-    pass
 
 
 class NoInfinityOnTorus(ValidationError):

@@ -13,10 +13,10 @@ Three evaluators:
     one matrix product per site in float mode; the per-value partition
     functions of one site come from one sweep that shares the rows before
     the site and runs one suffix per value;
-  * z_torus / log_z_per_site_torus - exact free-boundary partition function
-    of a torus of any dimension as the trace of a power of a dense transfer
-    matrix over its layers across the longest axis: in float64, or modulo
-    primes below 2^20 and rebuilt by the Chinese remainder theorem;
+  * z_torus - exact free-boundary partition function of a torus of any
+    dimension as the trace of a power of a dense transfer matrix over its
+    layers across the longest axis: in float64, or modulo primes below
+    2^20 and rebuilt by the Chinese remainder theorem;
   * run_mcmc - heat-bath Glauber dynamics on K chains from one seeded
     PCG64 stream, with two kernels over the same cumulative tables: a
     raster scan of one site at a time, and a numpy checkerboard kernel that
@@ -44,12 +44,13 @@ import numpy as np
 
 from . import errors, lattice as lat_mod
 from .patterns import Pattern
-from .system import SpinSystem, check_float_z, log_number, to_float
+from .system import SpinSystem, check_float_z, to_float
 
 MAX_FRONTIER = 2 * 10 ** 6
 MAX_COLUMNS = 5000
-# chains x sweeps recorded by run_mcmc: the trace takes 8 bytes a value as
-# int64, and as much again while the raster kernel holds it as a list
+# chains x sweeps recorded by run_mcmc, and chains x (stored sites + 1)
+# held by its kernels' configurations: 8 bytes a value as int64, and as
+# much again while the raster kernel holds them as lists
 MAX_TRACE = 10 ** 7
 
 RNG_ID = "numpy-pcg64"
@@ -81,13 +82,6 @@ class PatternBoundary:
         choice = np.array([self.pattern.a, self.pattern.b,
                            system.full_mask()], dtype=object)
         return choice[np.where(self.region_m(lat)[:-1], lat.par, 2)]
-
-    def region(self, lat) -> frozenset:
-        """Internal boundary of the interior."""
-        return lat_mod.sites(self.region_m(lat))
-
-    def allowed_mask(self, lat, system, v) -> int:
-        return self.masks(lat, system)[v]
 
     def side_mask(self, lat, v) -> int:
         """The pattern side a vertex of this parity belongs to."""
@@ -409,10 +403,6 @@ def _crt_primes(bound) -> list:
         "Z exceeds the product of the primes below 2^20")
 
 
-def log_z_per_site_torus(system: SpinSystem, dims) -> float:
-    return log_number(z_torus(system, dims)) / math.prod(dims)
-
-
 # ---------------------------------------------------------------------------
 # heat-bath MCMC
 
@@ -590,8 +580,8 @@ def run_mcmc(system: SpinSystem, lat, boundary: PatternBoundary, site,
 
     With one chain the standard errors are batch means over n_batches
     batches of the kept sweeps; with several, the batches are the chains'
-    own means.  More than MAX_TRACE chains x sweeps is refused (TooLarge)
-    before any kernel runs."""
+    own means.  More than MAX_TRACE chains x sweeps, or chains x (stored
+    sites + 1), is refused (TooLarge) before any kernel runs."""
     if not lat.has_exterior:
         raise errors.UnsupportedLattice(
             "sampler runs on lattices with an open axis")
@@ -609,6 +599,8 @@ def run_mcmc(system: SpinSystem, lat, boundary: PatternBoundary, site,
     sampler = _Chains(system, lat, boundary)
     if chains * n_sweeps > MAX_TRACE:
         raise errors.TooLarge(f"chains x sweeps above {MAX_TRACE}")
+    if chains * (lat.n + 1) > MAX_TRACE:
+        raise errors.TooLarge(f"chains x (stored sites + 1) above {MAX_TRACE}")
     rng = np.random.Generator(np.random.PCG64(seed))
     checker = chains * len(lat.interior) >= CHECKERBOARD_MIN_UPDATES
     rng_id = CHECKERBOARD_RNG_ID if checker else RNG_ID

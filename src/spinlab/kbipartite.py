@@ -97,29 +97,6 @@ class PsiSpec:
 
 
 # ---------------------------------------------------------------------------
-# brute force
-
-def z_bruteforce(system: SpinSystem, d: int, psis, I_mask: int):
-    """Direct evaluation over an explicit list of assignments."""
-    if 2 * d > 6 or system.n > 5:
-        raise errors.TooLarge(f"brute force guard: 2d={2*d}, |S|={system.n}")
-    total = system.zero()
-    I_states = system.mask_states(I_mask)
-    for psi in psis:
-        left = system.one()
-        for v in psi:
-            left *= system.activities[v]
-        inner = system.zero()
-        for i in I_states:
-            t = system.activities[i]
-            for v in psi:
-                t *= system.interactions[i][v]
-            inner += t
-        total += left * inner ** (2 * d)
-    return total
-
-
-# ---------------------------------------------------------------------------
 # content-level class predicates
 
 class _ClassContext:
@@ -373,17 +350,6 @@ def z_compositions(system: SpinSystem, d: int, spec: PsiSpec, I_mask: int):
     return system.scaled().unscale(z, 4 * d, 4 * d * d)
 
 
-def expand_spec(system: SpinSystem, d: int, spec: PsiSpec, limit=10 ** 6):
-    """Explicit list of assignments described by a spec (test oracle use)."""
-    if system.n ** (2 * d) > limit:
-        raise errors.TooLarge("explicit expansion too large")
-    ctx = _spec_context(system, d, spec)
-    return [psi for psi in itertools.product(range(system.n), repeat=2 * d)
-            if (spec.coords is None
-                or all(m >> v & 1 for m, v in zip(spec.coords, psi)))
-            and (ctx is None or ctx.admits(Counter(psi)))]
-
-
 # ---------------------------------------------------------------------------
 # image-restricted power sums
 
@@ -411,22 +377,6 @@ def lambda_restricted_power(system: SpinSystem, A_mask: int, n: int):
     any maximal-pattern side strictly contained in A."""
     return sum(sign * system.lambda_mask(m) ** n
                for sign, m in exclusion_terms(system, A_mask))
-
-
-# ---------------------------------------------------------------------------
-# global enumeration bound
-
-def z_complete_bipartite(system: SpinSystem, d: int):
-    """Z with both sides unconstrained: the partition function on K_{2d,2d}."""
-    spec = PsiSpec(coords=[system.full_mask()] * (2 * d))
-    return z_compositions(system, d, spec, system.full_mask())
-
-
-def shearer_global_bound(system: SpinSystem, d: int) -> float:
-    """(1/4d) log Z(K_{2d,2d}): per-vertex upper bound for the log-partition
-    function on 2d-regular bipartite host graphs."""
-    z = z_complete_bipartite(system, d)
-    return math.log(z) / (4 * d)
 
 
 # ---------------------------------------------------------------------------

@@ -18,9 +18,10 @@ torus as a simple graph, with that pair as one edge.
 
 Set operations work on site masks: boolean arrays of length n + 1 whose
 last slot, the sentinel that ``nbr`` holds for a missing ambient neighbor,
-is always False.  The ``*_m`` functions take and return masks; the
-functions of the same name without the suffix take any iterable of sites,
-return frozensets, and convert at the boundary.
+is always False.  The ``*_m`` functions take and return masks; plus_r,
+components, separating_components and connected_to_infinity take any
+iterable of sites, return frozensets (or a bool), and convert at the
+boundary.
 """
 
 from __future__ import annotations
@@ -38,7 +39,6 @@ class Lattice:
     periodic: tuple           # per axis: True where the axis wraps
     coords: list = field(default_factory=list)
     index: dict = field(default_factory=dict)
-    neighbors: list = field(default_factory=list)
     interior: frozenset = frozenset()
     halo: frozenset = frozenset()
     # (n, 2d) neighbor table, axis by axis, -1 step before +1; the sentinel
@@ -75,14 +75,6 @@ class Lattice:
     def parity(self, v) -> int:
         return int(self.par[v])
 
-    def all_sites(self):
-        return frozenset(range(self.n))
-
-    def dist(self, u, v) -> int:
-        return sum(min(abs(x - y), n - abs(x - y)) if p else abs(x - y)
-                   for x, y, n, p in zip(self.coords[u], self.coords[v],
-                                         self.dims, self.periodic))
-
 
 def make_lattice(dims, periodic) -> Lattice:
     """Interior sites in lexicographic order, then each halo site in the
@@ -113,14 +105,6 @@ def make_lattice(dims, periodic) -> Lattice:
     return _tables(lat, np.concatenate([inner, halo]))
 
 
-def make_box(dims) -> Lattice:
-    return make_lattice(dims, [False] * len(dims))
-
-
-def make_torus(dims) -> Lattice:
-    return make_lattice(dims, [True] * len(dims))
-
-
 def _tables(lat, coords):
     """Site order is the row order of coords.  Neighbors are looked up on a
     grid of site indices, padded by two along each open axis so that every
@@ -143,9 +127,6 @@ def _tables(lat, coords):
     lat.par = (coords.sum(axis=1) % 2).astype(np.int8)
     lat.coords = list(map(tuple, coords.tolist()))
     lat.index = dict(zip(lat.coords, range(n)))
-    full = (lat.nbr < n).all(axis=1).tolist()
-    lat.neighbors = [tuple(row) if ok else tuple(w for w in row if w != n)
-                     for row, ok in zip(lat.nbr.tolist(), full)]
     return lat
 
 
@@ -248,61 +229,8 @@ def is_regular_m(lat: Lattice, m, base_parity: int = 0) -> bool:
     return not lonely.any()
 
 
-def _on_sites(op):
-    """The frozenset-facing form of a mask operation: any iterable of sites
-    in, a frozenset out."""
-    def on_sites(lat: Lattice, U, *args) -> frozenset:
-        return sites(op(lat, mask(lat, U), *args))
-    on_sites.__doc__ = op.__doc__
-    return on_sites
-
-
-nbhd = _on_sites(nbhd_m)
-outer_boundary = _on_sites(outer_m)
-inner_boundary = _on_sites(inner_m)
-closed_boundary = _on_sites(closed_boundary_m)
-plus_ = _on_sites(plus_m)
-plus_r = _on_sites(plus_r_m)
-n_t = _on_sites(n_t_m)
-
-
-def is_regular(lat: Lattice, U, base_parity: int = 0) -> bool:
-    return is_regular_m(lat, mask(lat, U), base_parity)
-
-
-def edge_boundary_size(lat: Lattice, U) -> int:
-    """Number of ambient edges leaving U (halo deficits included)."""
-    m = mask(lat, U)
-    return int((~m[lat.adj[:, m]]).sum())
-
-
-def directed_edge_boundary(lat: Lattice, U):
-    """Stored pairs (u, v) with u in U, v adjacent and outside U, in the
-    order of u and then of the neighbor slot."""
-    m = mask(lat, U)
-    u, j = np.nonzero((m & ~m[lat.adj] & (lat.adj < lat.n)).T)
-    return list(zip(u.tolist(), lat.adj[j, u].tolist()))
-
-
-def is_odd_set(lat: Lattice, U) -> bool:
-    inner = inner_m(lat, mask(lat, U))[:-1]
-    return not (inner & (lat.par == 0)).any()
-
-
-def odd_set_identity(lat: Lattice, U):
-    """Returns (|edge boundary| / 2d, |Odd cap U| - |Even cap U|)."""
-    U = frozenset(U)
-    xyz = np.array(lat.coords)
-    for comp in components_m(lat, mask(lat, U)):
-        for axis in np.flatnonzero(lat.periodic):
-            # a loop around a periodic axis crosses the edge after every
-            # coordinate; a component that does so is taken to wrap
-            step = comp[:-1] & comp[lat.adj[2 * axis + 1, :-1]]
-            if np.unique(xyz[step, axis]).size == lat.dims[axis]:
-                raise errors.WrappingSet(
-                    "identity only checked for non-wrapping sets")
-    return (edge_boundary_size(lat, U) / lat.degree,
-            int((2 * lat.par[sorted(U)] - 1).sum()))
+def plus_r(lat: Lattice, U, r: int) -> frozenset:
+    return sites(plus_r_m(lat, mask(lat, U), r))
 
 
 # ---------------------------------------------------------------------------
@@ -368,19 +296,6 @@ def connected_to_infinity(lat: Lattice, blocked, v) -> bool:
     return bool(exterior_m(lat, not_m(mask(lat, blocked)))[v])
 
 
-def co_connected_closure(lat: Lattice, U, v) -> frozenset:
-    """Complement of the connected component of the complement of U that
-    contains v; all stored vertices if v is in U.  The exterior is one
-    vertex adjacent to every halo site."""
-    free = not_m(mask(lat, U))
-    if not free[v]:
-        return lat.all_sites()
-    lab = labels_m(lat, free)
-    outside = lab[free & halo_m(lat)]
-    return sites(not_m(np.isin(lab, outside if lab[v] in outside
-                               else lab[v])))
-
-
 def separating_m(lat: Lattice, B, V) -> np.ndarray:
     """Union of the components of B that either touch the exterior or cut
     some site of V off from it: one flood from the exterior around each
@@ -399,18 +314,3 @@ def separating_components(lat: Lattice, B, V) -> frozenset:
     """Union of the components of B that either touch the exterior or cut
     some vertex of V off from it."""
     return sites(separating_m(lat, mask(lat, B), mask(lat, V)))
-
-
-def diam_star(lat: Lattice, U) -> int:
-    """Sum of component diameters plus twice the component count."""
-    return sum(2 + max(lat.dist(a, b) for a in comp for b in comp)
-               for comp in components(lat, U))
-
-
-def random_odd_set(lat: Lattice, rng, density=0.3) -> frozenset:
-    """Expansion of a random even-parity subset of the deep interior; such a
-    set is always odd and contained in the interior."""
-    inside = mask(lat, lat.interior)
-    deep = inside & inside[lat.adj].all(axis=0)
-    even = np.flatnonzero(deep[:-1] & (lat.par == 0)).tolist()
-    return plus_(lat, [v for v in even if rng.random() < density])

@@ -1,5 +1,6 @@
-"""The four order/disorder ratios, the derived alpha exponents, and the
-quantitative condition checkers.
+"""The parameter report (the four order/disorder ratios of the pattern
+structure and the derived alpha exponents) and the quantitative condition
+checkers.
 
 All thresholds involve unspecified universal constants C, c; these are always
 caller-supplied inputs (default 1) and every checker reports per-inequality
@@ -32,20 +33,6 @@ def neg_log(x):
     if x == 0.0:
         return INF
     return -math.log(x)
-
-
-# ---------------------------------------------------------------------------
-# raw ratio computations (exact in rational mode)
-
-def interaction_ratio(system):
-    """Second largest over largest pair interaction (0 if all are equal)."""
-    return patterns.structure(system).rho_int
-
-
-def pattern_ratios(system):
-    """(omega_dom, rho_bulk, rho_bdry, rho_act), exact in rational mode."""
-    st = patterns.structure(system)
-    return st.omega_dom, st.rho_pat_bulk, st.rho_pat_bdry, st.rho_act
 
 
 # ---------------------------------------------------------------------------
@@ -210,12 +197,6 @@ def compute_parameters(system, d=None, s=None) -> ParameterReport:
     return rep
 
 
-def alpha2_of(system, d, s):
-    if d < 2:
-        raise errors.ParamOutOfRange("d must be >= 2")
-    return _alpha2(system, d, s, _penalty(patterns.structure(system), d))[1]
-
-
 # ---------------------------------------------------------------------------
 # condition checkers
 
@@ -346,98 +327,3 @@ def check_condition(system, d, which, C=1.0, c=1.0, s=None) -> ConditionReport:
     return ConditionReport(condition=which, d=d, C=C, c=c, s=s_used,
                            inequalities=ineqs,
                            passes=all(iq.holds for iq in ineqs))
-
-
-# ---------------------------------------------------------------------------
-# closed-form inequality report for the composition-function reduction
-
-def section_defaults(system, d):
-    """Default (alpha, gamma, eps, eps_bar, s) used by the closed-form
-    inequality check and the abstract-condition verifier.
-
-    For weighted systems both gamma variants are reported: `gamma` uses
-    rho_act and `gamma_hat` uses rho_hat_act; the two appear in different
-    places of the source derivation and the discrepancy is surfaced, not
-    resolved.
-    """
-    rep = compute_parameters(system, d=d)
-    rho_int = float(rep.rho_int)
-    logd = math.log(d)
-    if rho_int == 0:
-        alpha = rep.alpha3 if rep.alpha3 is not None else rep.alpha1
-        eps = min(alpha / (64.0 * logd), 0.125) if alpha > 0 else 1.0 / (4 * d)
-        eps = max(eps, 1.0 / (4 * d))
-        return {"alpha": alpha, "gamma": 0.0, "gamma_hat": 0.0,
-                "eps": eps, "eps_bar": 1.0 / (4 * d), "s": 1}
-    cond = check_condition(system, d, "alt2")
-    s = cond.s if cond.s is not None else 1
-    alpha = alpha2_of(system, d, s)
-    eps = min(alpha / (64.0 * logd), 0.125) if alpha > 0 else 1.0 / (4 * d)
-    eps = max(eps, 1.0 / (4 * d))
-    eps_bar = max(s / (4.0 * d),
-                  alpha * eps / neg_log(rho_int) if alpha > 0 else 0.0)
-    eps_bar = max(eps_bar, 1.0 / (4 * d))
-    gamma = float(rep.rho_act) * rho_int ** s
-    gamma_hat = float(rep.rho_hat_act) * rho_int ** s
-    return {"alpha": alpha, "gamma": gamma, "gamma_hat": gamma_hat,
-            "eps": eps, "eps_bar": eps_bar, "s": s}
-
-
-def check_closed_form_bounds(system, d, alpha=None, gamma=None, eps=None,
-                             eps_bar=None, c=1.0) -> dict:
-    """Arithmetic check of the closed-form inequalities that reduce the
-    explicit conditions to the abstract one: the alpha budget, the epsilon
-    chain, and the two boundary-entropy bounds."""
-    rep = compute_parameters(system, d=d)
-    defaults = section_defaults(system, d)
-    if alpha is None:
-        alpha = defaults["alpha"]
-    if gamma is None:
-        gamma = defaults["gamma"]
-    if eps is None:
-        eps = defaults["eps"]
-    if eps_bar is None:
-        eps_bar = defaults["eps_bar"]
-    fq = rep.frak_q
-    rho_int = float(rep.rho_int)
-    rho_bdry = float(rep.rho_pat_bdry)
-    logd = math.log(d)
-    hom = rho_int == 0
-
-    budget = ((fq + logd) * math.sqrt(logd) / d ** 0.25
-              + (fq + logd) * logd / (eps * eps * d)
-              + gamma * d
-              + math.sqrt(gamma * (fq + logd) * d ** 1.5 * logd))
-    ineqs = [
-        _ge("alpha_budget", c * alpha, budget),
-        _ge("eps_chain_low", eps_bar, 1.0 / (4 * d)),
-        _ge("eps_chain_mid", eps, eps_bar),
-        _ge("eps_chain_high", 0.125, eps),
-    ]
-
-    def powz(base, expo):
-        if base == 0.0:
-            return 0.0 if expo > 0 else 1.0
-        return base ** expo
-
-    lhs1 = 2.0 ** (fq + 1) * (math.e / (2 * eps)) ** (4 * eps * d) \
-        * powz(rho_bdry, 2 * d - 4 * eps * d)
-    ineqs.append(Inequality("bdry_entropy", lhs1, 0.25 * math.exp(-alpha * d),
-                            holds=lhs1 <= 0.25 * math.exp(-alpha * d)))
-    if hom:
-        ineqs.append(Inequality("bdry_entropy_weighted", 0.0, 0.0,
-                                holds=True, vacuous=True))
-    else:
-        n_max = rep.n_maximal
-        lhs2 = n_max * (math.e / (2 * eps_bar)) ** (4 * eps_bar * d) \
-            * powz(rho_bdry, 2 * d - 4 * eps_bar * d)
-        ineqs.append(Inequality("bdry_entropy_weighted", lhs2,
-                                0.25 * math.exp(-alpha * d),
-                                holds=lhs2 <= 0.25 * math.exp(-alpha * d)))
-    return {
-        "d": d, "alpha": alpha, "gamma": gamma,
-        "gamma_hat": defaults["gamma_hat"], "eps": eps, "eps_bar": eps_bar,
-        "c": c, "s": defaults["s"],
-        "inequalities": [iq.to_dict() for iq in ineqs],
-        "pass": all(iq.holds for iq in ineqs),
-    }

@@ -50,10 +50,6 @@ def r_closure(system: SpinSystem, mask: int) -> int:
     return result
 
 
-def is_pattern(system: SpinSystem, a: int, b: int) -> bool:
-    return b & ~r_closure(system, a) == 0
-
-
 # ---------------------------------------------------------------------------
 # the pattern structure of a system, computed once
 
@@ -326,12 +322,6 @@ def _frak_q(system: SpinSystem, dom) -> float:
                  for i in range(system.n)]
     return math.log2(len(_intersection_closure(
         frozenset(range(len(small))), singleton)))
-
-
-def small_large_side_counts(system: SpinSystem):
-    """Counts of dominant patterns with |A| <= |B| and with |A| >= |B|."""
-    st = structure(system)
-    return st.n_small_side, st.n_large_side
 
 
 @dataclass

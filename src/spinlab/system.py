@@ -16,7 +16,7 @@ import json
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Optional, Sequence
+from typing import Optional
 
 from . import errors
 
@@ -233,26 +233,6 @@ class ScaledWeights:
         return float(total)
 
 
-@dataclass
-class WeightedGraph:
-    """Simple undirected host graph; vertices are 0..n-1."""
-    n_vertices: int
-    edges: list  # list of (u, v) pairs
-    parity: Optional[list] = None  # optional proper 2-coloring, values 0/1
-
-    def __post_init__(self):
-        for (u, v) in self.edges:
-            if not (0 <= u < self.n_vertices and 0 <= v < self.n_vertices):
-                raise errors.SchemaError(f"edge {(u, v)} out of range")
-        if self.parity is not None:
-            if len(self.parity) != self.n_vertices:
-                raise errors.SchemaError("parity labeling has wrong length")
-            for (u, v) in self.edges:
-                if self.parity[u] == self.parity[v]:
-                    raise errors.SchemaError(
-                        f"parity labeling is not a proper 2-coloring at edge {(u, v)}")
-
-
 # ---------------------------------------------------------------------------
 # validation / IO
 
@@ -332,22 +312,6 @@ def make_system(states, activities, interactions, mode="rational") -> SpinSystem
         "interactions": [list(r) for r in interactions],
         "mode": mode,
     })
-
-
-# ---------------------------------------------------------------------------
-# configuration weight
-
-def config_weight(system: SpinSystem, graph: WeightedGraph, f: Sequence[int]):
-    """prod_v lam[f(v)] * prod_{uv} lam[f(u)][f(v)]; exact in rational mode."""
-    if len(f) != graph.n_vertices:
-        raise errors.DomainMismatch(
-            f"configuration has {len(f)} values for {graph.n_vertices} vertices")
-    w = system.one()
-    for v in range(graph.n_vertices):
-        w *= system.activities[f[v]]
-    for (u, v) in graph.edges:
-        w *= system.interactions[f[u]][f[v]]
-    return w
 
 
 # ---------------------------------------------------------------------------
@@ -434,46 +398,3 @@ def bipartite_cover(system: SpinSystem):
             inter[n + j][i] = w
     phi = list(range(n)) * 2
     return make_system(states, acts, inter, mode=system.mode), phi
-
-
-def check_lift_permitting(system: SpinSystem, cover_states, cover_edges, phi) -> bool:
-    """Check that an explicit finite cover graph permits lifting.
-
-    (a) phi must restrict to a bijection from each cover neighborhood onto the
-        neighborhood of the image (else NotACover);
-    (b) every 4-step walk v0..v4 in the cover with v0 != v4 must have
-        phi(v0) != phi(v4) (else NotLiftPermitting).
-
-    The base graph has an edge {i,j} (possibly a self-loop) whenever
-    lam[i][j] > 0.
-    """
-    m = len(cover_states)
-    if sorted(set(phi)) != list(range(system.n)):
-        raise errors.NotACover("phi is not onto the base states")
-    if len(phi) != m:
-        raise errors.NotACover("phi length mismatch")
-    cover_nbrs = [set() for _ in range(m)]
-    for (u, v) in cover_edges:
-        cover_nbrs[u].add(v)
-        cover_nbrs[v].add(u)
-    base_nbrs = [set() for _ in range(system.n)]
-    for i in range(system.n):
-        for j in range(system.n):
-            if system.interactions[i][j] > 0:
-                base_nbrs[i].add(j)
-    for v in range(m):
-        images = [phi[u] for u in cover_nbrs[v]]
-        if len(set(images)) != len(images) or set(images) != base_nbrs[phi[v]]:
-            raise errors.NotACover(
-                f"phi is not a bijection from N({cover_states[v]}) onto the "
-                f"base neighborhood")
-    for v0 in range(m):
-        for v1 in cover_nbrs[v0]:
-            for v2 in cover_nbrs[v1]:
-                for v3 in cover_nbrs[v2]:
-                    for v4 in cover_nbrs[v3]:
-                        if v4 != v0 and phi[v4] == phi[v0]:
-                            raise errors.NotLiftPermitting(
-                                f"4-walk {v0}->{v1}->{v2}->{v3}->{v4} has "
-                                f"distinct endpoints with equal images")
-    return True

@@ -1,19 +1,35 @@
-"""Shared oracles and generators for the test suite.
+"""Shared oracles, lemma checks and generators for the test suite.
 
-Everything here is deliberately independent of the library internals: the
-partition-function oracle enumerates configurations directly from the
+The partition-function oracle enumerates configurations directly from the
 definition, and the generators build host graphs and systems from scratch.
+The brute-force K_{2d,2d} sums, the closed-form parameter tables, the checks
+of the paper's lemmas (odd sets, the closed-form inequality report, the
+per-vertex diagnostics and the restriction scenarios) and the box and torus
+builders live here too: tests are their only callers, so the library keeps
+only what a subcommand runs.
 """
 
 import itertools
 import math
 import random
+from collections import Counter
+from dataclasses import dataclass, field
 from fractions import Fraction
+from typing import Optional, Sequence
 
 import numpy as np
 
-from spinlab import catalog
-from spinlab.system import WeightedGraph, config_weight, make_system
+from spinlab import catalog, errors, patterns
+from spinlab.breakup import BreakupContext
+from spinlab.catalog import INF, _pos
+from spinlab.kbipartite import PsiSpec, _spec_context
+from spinlab.lattice import (Lattice, components, components_m, halo_m,
+                             inner_m, labels_m, make_lattice, mask, not_m,
+                             plus_m, sites)
+from spinlab.parameters import (Inequality, _ge, check_condition,
+                                compute_parameters, neg_log)
+from spinlab.patterns import Pattern
+from spinlab.system import SpinSystem, make_system
 
 
 # systems whose weights are not all integers (activity or interaction
@@ -27,6 +43,111 @@ FRACTIONAL = {
                           ["2/3", "1", "1/3"]]),
 }
 
+
+# ---------------------------------------------------------------------------
+# errors that only the oracles and checks below raise
+
+class DomainMismatch(errors.ValidationError):
+    pass
+
+
+class NotACover(errors.ValidationError):
+    """The projection map is not a local bijection on some neighborhood."""
+
+
+class NotLiftPermitting(errors.ValidationError):
+    """Some 4-walk in the cover violates the endpoint-distinctness rule."""
+
+
+class NotTabulated(errors.ValidationError):
+    pass
+
+
+class WrappingSet(errors.ValidationError):
+    pass
+
+
+# ---------------------------------------------------------------------------
+# host graphs and configuration weights
+
+@dataclass
+class WeightedGraph:
+    """Simple undirected host graph; vertices are 0..n-1."""
+    n_vertices: int
+    edges: list  # list of (u, v) pairs
+    parity: Optional[list] = None  # optional proper 2-coloring, values 0/1
+
+    def __post_init__(self):
+        for (u, v) in self.edges:
+            if not (0 <= u < self.n_vertices and 0 <= v < self.n_vertices):
+                raise errors.SchemaError(f"edge {(u, v)} out of range")
+        if self.parity is not None:
+            if len(self.parity) != self.n_vertices:
+                raise errors.SchemaError("parity labeling has wrong length")
+            for (u, v) in self.edges:
+                if self.parity[u] == self.parity[v]:
+                    raise errors.SchemaError(
+                        f"parity labeling is not a proper 2-coloring at edge {(u, v)}")
+
+
+def config_weight(system: SpinSystem, graph: WeightedGraph, f: Sequence[int]):
+    """prod_v lam[f(v)] * prod_{uv} lam[f(u)][f(v)]; exact in rational mode."""
+    if len(f) != graph.n_vertices:
+        raise DomainMismatch(
+            f"configuration has {len(f)} values for {graph.n_vertices} vertices")
+    w = system.one()
+    for v in range(graph.n_vertices):
+        w *= system.activities[f[v]]
+    for (u, v) in graph.edges:
+        w *= system.interactions[f[u]][f[v]]
+    return w
+
+
+def check_lift_permitting(system: SpinSystem, cover_states, cover_edges, phi) -> bool:
+    """Check that an explicit finite cover graph permits lifting.
+
+    (a) phi must restrict to a bijection from each cover neighborhood onto the
+        neighborhood of the image (else NotACover);
+    (b) every 4-step walk v0..v4 in the cover with v0 != v4 must have
+        phi(v0) != phi(v4) (else NotLiftPermitting).
+
+    The base graph has an edge {i,j} (possibly a self-loop) whenever
+    lam[i][j] > 0.
+    """
+    m = len(cover_states)
+    if sorted(set(phi)) != list(range(system.n)):
+        raise NotACover("phi is not onto the base states")
+    if len(phi) != m:
+        raise NotACover("phi length mismatch")
+    cover_nbrs = [set() for _ in range(m)]
+    for (u, v) in cover_edges:
+        cover_nbrs[u].add(v)
+        cover_nbrs[v].add(u)
+    base_nbrs = [set() for _ in range(system.n)]
+    for i in range(system.n):
+        for j in range(system.n):
+            if system.interactions[i][j] > 0:
+                base_nbrs[i].add(j)
+    for v in range(m):
+        images = [phi[u] for u in cover_nbrs[v]]
+        if len(set(images)) != len(images) or set(images) != base_nbrs[phi[v]]:
+            raise NotACover(
+                f"phi is not a bijection from N({cover_states[v]}) onto the "
+                f"base neighborhood")
+    for v0 in range(m):
+        for v1 in cover_nbrs[v0]:
+            for v2 in cover_nbrs[v1]:
+                for v3 in cover_nbrs[v2]:
+                    for v4 in cover_nbrs[v3]:
+                        if v4 != v0 and phi[v4] == phi[v0]:
+                            raise NotLiftPermitting(
+                                f"4-walk {v0}->{v1}->{v2}->{v3}->{v4} has "
+                                f"distinct endpoints with equal images")
+    return True
+
+
+# ---------------------------------------------------------------------------
+# generators and references
 
 def graph_z(system, graph):
     """Brute-force partition function over all configurations of a graph."""
@@ -104,7 +225,7 @@ def random_proper_coloring(lat, rng: random.Random, boundary_region):
                 pool = [0] if lat.parity(v) == 0 else [1, 2]
             else:
                 pool = [0, 1, 2]
-            used = {f[u] for u in lat.neighbors[v] if f[u] is not None}
+            used = {f[u] for u in neighbor_lists(lat)[v] if f[u] is not None}
             pool = [s for s in pool if s not in used]
             if not pool:
                 ok = False
@@ -121,7 +242,8 @@ def random_independent_config(lat, rng: random.Random, boundary_region):
     for v in sorted(lat.halo):
         f[v] = 0 if lat.parity(v) == 0 else rng.choice([0, 1])
     for v in sorted(lat.interior):
-        blocked = any(f[u] == 1 for u in lat.neighbors[v] if f[u] is not None)
+        blocked = any(f[u] == 1 for u in neighbor_lists(lat)[v]
+                      if f[u] is not None)
         if blocked or (v in boundary_region and lat.parity(v) == 0):
             f[v] = 0
         else:
@@ -235,6 +357,356 @@ def build_tables_reference(system, d, class_masks):
 
 
 # ---------------------------------------------------------------------------
+# K_{2d,2d} sums by brute force
+
+def z_bruteforce(system: SpinSystem, d: int, psis, I_mask: int):
+    """Direct evaluation over an explicit list of assignments."""
+    if 2 * d > 6 or system.n > 5:
+        raise errors.TooLarge(f"brute force guard: 2d={2*d}, |S|={system.n}")
+    total = system.zero()
+    I_states = system.mask_states(I_mask)
+    for psi in psis:
+        left = system.one()
+        for v in psi:
+            left *= system.activities[v]
+        inner = system.zero()
+        for i in I_states:
+            t = system.activities[i]
+            for v in psi:
+                t *= system.interactions[i][v]
+            inner += t
+        total += left * inner ** (2 * d)
+    return total
+
+
+def expand_spec(system: SpinSystem, d: int, spec: PsiSpec, limit=10 ** 6):
+    """Explicit list of assignments described by a spec (test oracle use)."""
+    if system.n ** (2 * d) > limit:
+        raise errors.TooLarge("explicit expansion too large")
+    ctx = _spec_context(system, d, spec)
+    return [psi for psi in itertools.product(range(system.n), repeat=2 * d)
+            if (spec.coords is None
+                or all(m >> v & 1 for m, v in zip(spec.coords, psi)))
+            and (ctx is None or ctx.admits(Counter(psi)))]
+
+
+# ---------------------------------------------------------------------------
+# closed-form pattern parameters of the catalog models
+
+@dataclass
+class CatalogEntry:
+    name: str
+    params: dict = field(default_factory=dict)
+
+    def build(self) -> SpinSystem:
+        return catalog.build(self.name, **self.params)
+
+    def expected(self) -> dict:
+        return expected_parameters(self.name, **self.params)
+
+
+def gsum(lam, a):
+    """Sum of the first a powers of lam (exact; equals a at lam=1)."""
+    return sum((lam ** i for i in range(a)), Fraction(0))
+
+
+def _ratio(num, den):
+    """num/den with den=0 mapped to +inf (a vanishing rho parameter)."""
+    if den == 0:
+        return INF
+    return Fraction(num, den) if not isinstance(num, float) else num / den
+
+
+def expected_parameters(name, **params) -> dict:
+    """Closed forms for omega_dom, 1/rho_bulk, 1/rho_bdry (exact rationals;
+    math.inf marks a vanishing rho)."""
+    if name == "af_potts":
+        q = int(params["q"])
+        if q < 3:
+            raise NotTabulated("af_potts tabulated for q >= 3")
+        lo, hi = q // 2, (q + 1) // 2
+        omega = Fraction(lo * hi)
+        if lo == 1:
+            inv_bulk = INF
+        else:
+            inv_bulk = (1 + Fraction(1, lo - 1)) * (1 - Fraction(1, hi + 1))
+        inv_bdry = 1 + Fraction(1, hi - 1)
+        return {"omega_dom": omega, "inv_rho_bulk": inv_bulk, "inv_rho_bdry": inv_bdry}
+
+    if name == "beach":
+        lam = _pos(params["lam"], "lam")
+        if lam == 1:
+            raise NotTabulated("beach regimes split at lam=1")
+        if lam > 1:
+            omega = (1 + lam) ** 2
+            inv_bulk = min(Fraction((1 + lam) ** 2, 4),
+                           Fraction((1 + lam) ** 2, 2 + lam))
+            inv_bdry = 1 + lam
+        else:
+            omega = Fraction(4)
+            inv_bulk = min(Fraction(4, 2 + lam), Fraction(4, (1 + lam) ** 2))
+            inv_bdry = Fraction(2)
+        return {"omega_dom": omega, "inv_rho_bulk": inv_bulk, "inv_rho_bdry": inv_bdry}
+
+    if name == "clock":
+        q, m = int(params["q"]), int(params["m"])
+        if not (1 <= m and 4 * m < q):
+            raise errors.ParamOutOfRange("clock requires 1 <= m < q/4")
+        return {"omega_dom": Fraction((m + 1) ** 2),
+                "inv_rho_bulk": 1 + Fraction(1, m * (m + 2)),
+                "inv_rho_bdry": 1 + Fraction(1, m)}
+
+    if name == "hard_core":
+        lam = _pos(params["lam"], "lam")
+        return {"omega_dom": 1 + lam,
+                "inv_rho_bulk": INF,
+                "inv_rho_bdry": 1 + lam}
+
+    if name == "widom_rowlinson":
+        lam = _pos(params["lam"], "lam")
+        return {"omega_dom": (1 + lam) ** 2,
+                "inv_rho_bulk": 1 + Fraction(lam ** 2, 1 + 2 * lam),
+                "inv_rho_bdry": 1 + lam}
+
+    if name == "multi_occupancy_hc_v2":
+        q = int(params["q"])
+        lam = _pos(params["lam"], "lam")
+        lo, hi = q // 2, (q + 1) // 2
+        omega = gsum(lam, lo + 1) * gsum(lam, hi + 1)
+        inv_bulk = _ratio(gsum(lam, lo + 1) * gsum(lam, hi + 1),
+                          gsum(lam, lo) * gsum(lam, hi + 2))
+        inv_bdry = _ratio(gsum(lam, hi + 1), gsum(lam, hi))
+        return {"omega_dom": omega, "inv_rho_bulk": inv_bulk, "inv_rho_bdry": inv_bdry}
+
+    if name == "multi_wr":
+        q = int(params["q"])
+        lam = _pos(params["lam"], "lam")
+        if lam == q - 2:
+            raise NotTabulated("multi_wr regimes split at lam=q-2")
+        if lam < q - 2:
+            omega = 1 + q * lam
+            return {"omega_dom": omega,
+                    "inv_rho_bulk": Fraction(omega, (1 + lam) ** 2),
+                    "inv_rho_bdry": Fraction(omega, 1 + lam)}
+        return {"omega_dom": (1 + lam) ** 2,
+                "inv_rho_bulk": Fraction((1 + lam) ** 2, 1 + q * lam),
+                "inv_rho_bdry": 1 + lam}
+
+    if name == "anti_wr":
+        q = int(params["q"])
+        lam = _pos(params["lam"], "lam")
+        lo, hi = q // 2, (q + 1) // 2
+        omega = (1 + lam * lo) * (1 + lam * hi)
+        return {"omega_dom": omega,
+                "inv_rho_bulk": Fraction(omega,
+                                         (1 + lam * (lo - 1)) * (1 + lam * (hi + 1))),
+                "inv_rho_bdry": Fraction(1 + lam * hi, 1 + lam * (hi - 1))}
+
+    if name == "multi_beach":
+        q = int(params["q"])
+        lam = _pos(params["lam"], "lam")
+        if lam == q - 1:
+            raise NotTabulated("multi_beach regimes split at lam=q-1")
+        if lam > q - 1:
+            return {"omega_dom": (1 + lam) ** 2,
+                    "inv_rho_bulk": Fraction((1 + lam) ** 2,
+                                             max(Fraction(q * q), q + lam)),
+                    "inv_rho_bdry": 1 + lam}
+        return {"omega_dom": Fraction(q * q),
+                "inv_rho_bulk": Fraction(q * q,
+                                         max((1 + lam) ** 2, q + lam)),
+                "inv_rho_bdry": Fraction(q)}
+
+    raise NotTabulated(name)
+
+
+# ---------------------------------------------------------------------------
+# closed-form inequality report for the composition-function reduction
+
+def section_defaults(system, d):
+    """Default (alpha, gamma, eps, eps_bar, s) used by the closed-form
+    inequality check and the abstract-condition verifier.
+
+    For weighted systems both gamma variants are reported: `gamma` uses
+    rho_act and `gamma_hat` uses rho_hat_act; the two appear in different
+    places of the source derivation and the discrepancy is surfaced, not
+    resolved.
+    """
+    rep = compute_parameters(system, d=d)
+    rho_int = float(rep.rho_int)
+    logd = math.log(d)
+    if rho_int == 0:
+        alpha = rep.alpha3 if rep.alpha3 is not None else rep.alpha1
+        eps = min(alpha / (64.0 * logd), 0.125) if alpha > 0 else 1.0 / (4 * d)
+        eps = max(eps, 1.0 / (4 * d))
+        return {"alpha": alpha, "gamma": 0.0, "gamma_hat": 0.0,
+                "eps": eps, "eps_bar": 1.0 / (4 * d), "s": 1}
+    cond = check_condition(system, d, "alt2")
+    s = cond.s if cond.s is not None else 1
+    alpha = compute_parameters(system, d=d, s=s).alpha2
+    eps = min(alpha / (64.0 * logd), 0.125) if alpha > 0 else 1.0 / (4 * d)
+    eps = max(eps, 1.0 / (4 * d))
+    eps_bar = max(s / (4.0 * d),
+                  alpha * eps / neg_log(rho_int) if alpha > 0 else 0.0)
+    eps_bar = max(eps_bar, 1.0 / (4 * d))
+    gamma = float(rep.rho_act) * rho_int ** s
+    gamma_hat = float(rep.rho_hat_act) * rho_int ** s
+    return {"alpha": alpha, "gamma": gamma, "gamma_hat": gamma_hat,
+            "eps": eps, "eps_bar": eps_bar, "s": s}
+
+
+def check_closed_form_bounds(system, d, alpha=None, gamma=None, eps=None,
+                             eps_bar=None, c=1.0) -> dict:
+    """Arithmetic check of the closed-form inequalities that reduce the
+    explicit conditions to the abstract one: the alpha budget, the epsilon
+    chain, and the two boundary-entropy bounds."""
+    rep = compute_parameters(system, d=d)
+    defaults = section_defaults(system, d)
+    if alpha is None:
+        alpha = defaults["alpha"]
+    if gamma is None:
+        gamma = defaults["gamma"]
+    if eps is None:
+        eps = defaults["eps"]
+    if eps_bar is None:
+        eps_bar = defaults["eps_bar"]
+    fq = rep.frak_q
+    rho_int = float(rep.rho_int)
+    rho_bdry = float(rep.rho_pat_bdry)
+    logd = math.log(d)
+    hom = rho_int == 0
+
+    budget = ((fq + logd) * math.sqrt(logd) / d ** 0.25
+              + (fq + logd) * logd / (eps * eps * d)
+              + gamma * d
+              + math.sqrt(gamma * (fq + logd) * d ** 1.5 * logd))
+    ineqs = [
+        _ge("alpha_budget", c * alpha, budget),
+        _ge("eps_chain_low", eps_bar, 1.0 / (4 * d)),
+        _ge("eps_chain_mid", eps, eps_bar),
+        _ge("eps_chain_high", 0.125, eps),
+    ]
+
+    def powz(base, expo):
+        if base == 0.0:
+            return 0.0 if expo > 0 else 1.0
+        return base ** expo
+
+    lhs1 = 2.0 ** (fq + 1) * (math.e / (2 * eps)) ** (4 * eps * d) \
+        * powz(rho_bdry, 2 * d - 4 * eps * d)
+    ineqs.append(Inequality("bdry_entropy", lhs1, 0.25 * math.exp(-alpha * d),
+                            holds=lhs1 <= 0.25 * math.exp(-alpha * d)))
+    if hom:
+        ineqs.append(Inequality("bdry_entropy_weighted", 0.0, 0.0,
+                                holds=True, vacuous=True))
+    else:
+        n_max = rep.n_maximal
+        lhs2 = n_max * (math.e / (2 * eps_bar)) ** (4 * eps_bar * d) \
+            * powz(rho_bdry, 2 * d - 4 * eps_bar * d)
+        ineqs.append(Inequality("bdry_entropy_weighted", lhs2,
+                                0.25 * math.exp(-alpha * d),
+                                holds=lhs2 <= 0.25 * math.exp(-alpha * d)))
+    return {
+        "d": d, "alpha": alpha, "gamma": gamma,
+        "gamma_hat": defaults["gamma_hat"], "eps": eps, "eps_bar": eps_bar,
+        "c": c, "s": defaults["s"],
+        "inequalities": [iq.to_dict() for iq in ineqs],
+        "pass": all(iq.holds for iq in ineqs),
+    }
+
+
+# ---------------------------------------------------------------------------
+# lattices: builders, neighbor lists and the odd-set lemma checks
+
+def make_box(dims) -> Lattice:
+    return make_lattice(dims, [False] * len(dims))
+
+
+def make_torus(dims) -> Lattice:
+    return make_lattice(dims, [True] * len(dims))
+
+
+def neighbor_lists(lat):
+    """The stored neighbors of every site, in slot order (a periodic side
+    of 2 lists its one neighbor in both slots); built once per lattice."""
+    if not hasattr(lat, "_neighbor_lists"):
+        lat._neighbor_lists = [tuple(w for w in row if w != lat.n)
+                               for row in lat.nbr.tolist()]
+    return lat._neighbor_lists
+
+
+def lattice_dist(lat, u, v) -> int:
+    """Graph distance between two sites, wrapping along periodic axes."""
+    return sum(min(abs(x - y), n - abs(x - y)) if p else abs(x - y)
+               for x, y, n, p in zip(lat.coords[u], lat.coords[v],
+                                     lat.dims, lat.periodic))
+
+
+def edge_boundary_size(lat: Lattice, U) -> int:
+    """Number of ambient edges leaving U (halo deficits included)."""
+    m = mask(lat, U)
+    return int((~m[lat.adj[:, m]]).sum())
+
+
+def directed_edge_boundary(lat: Lattice, U):
+    """Stored pairs (u, v) with u in U, v adjacent and outside U, in the
+    order of u and then of the neighbor slot."""
+    m = mask(lat, U)
+    u, j = np.nonzero((m & ~m[lat.adj] & (lat.adj < lat.n)).T)
+    return list(zip(u.tolist(), lat.adj[j, u].tolist()))
+
+
+def is_odd_set(lat: Lattice, U) -> bool:
+    inner = inner_m(lat, mask(lat, U))[:-1]
+    return not (inner & (lat.par == 0)).any()
+
+
+def odd_set_identity(lat: Lattice, U):
+    """Returns (|edge boundary| / 2d, |Odd cap U| - |Even cap U|)."""
+    U = frozenset(U)
+    xyz = np.array(lat.coords)
+    for comp in components_m(lat, mask(lat, U)):
+        for axis in np.flatnonzero(lat.periodic):
+            # a loop around a periodic axis crosses the edge after every
+            # coordinate; a component that does so is taken to wrap
+            step = comp[:-1] & comp[lat.adj[2 * axis + 1, :-1]]
+            if np.unique(xyz[step, axis]).size == lat.dims[axis]:
+                raise WrappingSet(
+                    "identity only checked for non-wrapping sets")
+    return (edge_boundary_size(lat, U) / lat.degree,
+            int((2 * lat.par[sorted(U)] - 1).sum()))
+
+
+def co_connected_closure(lat: Lattice, U, v) -> frozenset:
+    """Complement of the connected component of the complement of U that
+    contains v; all stored vertices if v is in U.  The exterior is one
+    vertex adjacent to every halo site."""
+    free = not_m(mask(lat, U))
+    if not free[v]:
+        return frozenset(range(lat.n))
+    lab = labels_m(lat, free)
+    outside = lab[free & halo_m(lat)]
+    return sites(not_m(np.isin(lab, outside if lab[v] in outside
+                               else lab[v])))
+
+
+def diam_star(lat: Lattice, U) -> int:
+    """Sum of component diameters plus twice the component count."""
+    return sum(2 + max(lattice_dist(lat, a, b) for a in comp for b in comp)
+               for comp in components(lat, U))
+
+
+def random_odd_set(lat: Lattice, rng, density=0.3) -> frozenset:
+    """Expansion of a random even-parity subset of the deep interior; such a
+    set is always odd and contained in the interior."""
+    inside = mask(lat, lat.interior)
+    deep = inside & inside[lat.adj].all(axis=0)
+    even = np.flatnonzero(deep[:-1] & (lat.par == 0)).tolist()
+    return sites(plus_m(lat, mask(
+        lat, [v for v in even if rng.random() < density])))
+
+
+# ---------------------------------------------------------------------------
 # lattices and breakups, as the loops and frozenset operations built them
 # before the neighbor table and the site masks
 
@@ -280,7 +752,7 @@ def lattice_reference(periodic, dims):
 def ref_plus(lat, U):
     out = set(U)
     for v in U:
-        out.update(lat.neighbors[v])
+        out.update(neighbor_lists(lat)[v])
     return frozenset(out)
 
 
@@ -293,14 +765,14 @@ def ref_plus_r(lat, U, r):
 
 def ref_closed_boundary(lat, U):
     U = frozenset(U)
-    inner = {v for v in U if len(lat.neighbors[v]) < lat.degree
-             or any(w not in U for w in lat.neighbors[v])}
+    inner = {v for v in U if len(neighbor_lists(lat)[v]) < lat.degree
+             or any(w not in U for w in neighbor_lists(lat)[v])}
     return frozenset(inner) | (ref_plus(lat, U) - U)
 
 
 def ref_n_t(lat, U, t):
     return frozenset(v for v in range(lat.n)
-                     if sum(1 for w in lat.neighbors[v] if w in U) >= t)
+                     if sum(1 for w in neighbor_lists(lat)[v] if w in U) >= t)
 
 
 def ref_is_regular(lat, U, base_parity=0):
@@ -308,9 +780,9 @@ def ref_is_regular(lat, U, base_parity=0):
     core = frozenset(v for v in U if lat.parity(v) == base_parity)
     if U != ref_plus(lat, core):
         return False
-    comp = lat.all_sites() - U
+    comp = frozenset(range(lat.n)) - U
     for v in comp:
-        nb = lat.neighbors[v]
+        nb = neighbor_lists(lat)[v]
         if lat.parity(v) != base_parity or len(nb) < lat.degree:
             continue
         if not any(w in comp and lat.parity(w) != base_parity for w in nb):
@@ -326,7 +798,7 @@ def ref_components(lat, U):
         U.remove(start)
         comp, stack = {start}, [start]
         while stack:
-            for w in lat.neighbors[stack.pop()]:
+            for w in neighbor_lists(lat)[stack.pop()]:
                 if w in U:
                     U.remove(w)
                     comp.add(w)
@@ -343,7 +815,7 @@ def ref_connected_to_infinity(lat, blocked, v):
         u = stack.pop()
         if u in lat.halo:
             return True
-        for w in lat.neighbors[u]:
+        for w in neighbor_lists(lat)[u]:
             if w not in seen and w not in blocked:
                 seen.add(w)
                 stack.append(w)
@@ -364,7 +836,6 @@ class RefBreakup:
     the verification report, one site and one pattern at a time."""
 
     def __init__(self, system, lat, f, p0):
-        from spinlab import patterns
         self.system, self.lat, self.f, self.p0 = system, lat, f, p0
         self.pats = list(patterns.structure(system).dominant)
         self.aligned = {p: patterns.find_equivalence(
@@ -381,15 +852,15 @@ class RefBreakup:
 
     def neighborhood_in(self, v, mask):
         lat = self.lat
-        if any(not mask >> self.f[u] & 1 for u in lat.neighbors[v]):
+        if any(not mask >> self.f[u] & 1 for u in neighbor_lists(lat)[v]):
             return False
-        if len(lat.neighbors[v]) == lat.degree:
+        if len(neighbor_lists(lat)[v]) == lat.degree:
             return True
         virtual = self.p0.a if lat.parity(v) == 1 else self.p0.b
         return virtual & ~mask == 0
 
     def partition(self, charts, defects):
-        none = self.lat.all_sites().difference(*charts.values())
+        none = frozenset(range(self.lat.n)).difference(*charts.values())
         overlap = set()
         for x, y in itertools.combinations(charts.values(), 2):
             overlap |= x & y
@@ -402,7 +873,6 @@ class RefBreakup:
 
     def construct(self, V=None):
         """(x_p, xp_p, b); raises as construct_breakup does."""
-        from spinlab import errors
         lat = self.lat
         V = lat.interior if V is None else V
         s_p, t_p, z_p = {}, {}, {}
@@ -418,7 +888,7 @@ class RefBreakup:
         z_star = self.star(z_p, zp_p)
         b = ref_separating_components(lat, ref_plus_r(lat, z_star, 5), V)
         x_p = {p: set(z_p[p] & b) for p in self.pats}
-        for comp in ref_components(lat, lat.all_sites() - b):
+        for comp in ref_components(lat, frozenset(range(lat.n)) - b):
             ring = ref_plus_r(lat, comp, 5) - comp
             cands = [p for p in self.pats
                      if ring <= z_p[p] and not ring & z_star]
@@ -441,7 +911,7 @@ class RefBreakup:
         edges = set()
         for p in self.pats:
             for u in x_p[p]:
-                for v in self.lat.neighbors[u]:
+                for v in neighbor_lists(self.lat)[u]:
                     if v not in x_p[p]:
                         edges.add((min(u, v), max(u, v)))
         none, overlap, defect = self.partition(x_p, xp_p)
@@ -469,7 +939,7 @@ class RefBreakup:
                 else:
                     even_ok &= (v in xp_p[p]) == any(
                         u in x_p[p] and not self.in_p_pattern(p, u)
-                        for u in lat.neighbors[v])
+                        for u in neighbor_lists(lat)[v])
                     if v in x_p[p]:
                         bval &= bool(self.bdry[p] >> self.f[v] & 1)
         out.update(interior_side_membership=odd_ok,
@@ -481,7 +951,7 @@ class RefBreakup:
         out["chart_edge_boundary"] = not any(
             (self.p_even(p, u) and not self.bdry[p] >> self.f[u] & 1)
             or (not self.p_even(p, v) and nb_b[p][v])
-            for p in pats for u in x_p[p] for v in lat.neighbors[u]
+            for p in pats for u in x_p[p] for v in neighbor_lists(lat)[u]
             if v not in x_p[p])
         out["defect_core_values"] = not any(
             self.p_even(p, u) and (not self.bdry[p] >> self.f[u] & 1
@@ -503,7 +973,6 @@ class RefScenarios:
     of patterns."""
 
     def __init__(self, system, p0):
-        from spinlab import patterns
         self.system, self.p0 = system, p0
         self.pats = list(patterns.structure(system).dominant)
         self.equiv = {(p, q): patterns.find_equivalence(
@@ -514,11 +983,10 @@ class RefScenarios:
         self.int_ = {p: (p.b if aligned[p] else p.a) for p in self.pats}
 
     def r(self, mask):
-        from spinlab import patterns
         return patterns.r_closure(self.system, mask)
 
     def closure_at(self, lat, f, v):
-        return self.r(sum({1 << f[u] for u in lat.neighbors[v]}))
+        return self.r(sum({1 << f[u] for u in neighbor_lists(lat)[v]}))
 
     def match(self, lat, f, omega, v):
         target = self.closure_at(lat, f, v)
@@ -566,3 +1034,189 @@ class RefScenarios:
                 out["scenario_4"] |= self.scenario_4(
                     lat, f, omega, v, u, p, q, self.int_[t])
         return out
+
+
+# ---------------------------------------------------------------------------
+# per-vertex diagnostics and restriction scenarios
+
+def is_non_dominant(system: SpinSystem, mask) -> bool:
+    """The neighborhood value set (a state bitmask) is not value-set-
+    equivalent to any side of a dominant pattern."""
+    # R maps each side of a maximal pattern to the other side, so the
+    # closures of the dominant sides are the dominant sides themselves
+    return patterns.r_closure(system, mask) not in \
+        patterns.structure(system).dominant_sides
+
+
+def _omega_matching(system, lat, omega, v, target):
+    """Configurations in omega whose neighborhood value set at v has the
+    closure target."""
+    return [g for g in omega
+            if patterns.r_closure(system, _nv_mask(system, lat, g, v))
+            == target]
+
+
+def _nv_mask(system, lat, f, v):
+    """The values f puts on the neighbors of v, as a state bitmask; every
+    ambient neighbor of v must be stored."""
+    nbrs = lat.nbr[v].tolist()
+    if lat.n in nbrs:
+        raise errors.SchemaError(
+            f"site {v} has a neighbor outside the stored region")
+    out = 0
+    for u in nbrs:
+        out |= 1 << f[u]
+    return out
+
+
+def is_restricted(system: SpinSystem, lat, f, omega, v, u) -> bool:
+    """Directed edge (v, u): the neighborhood of v pins down neither the
+    full compatible value set at u nor at v, across the ensemble omega."""
+    mask = _nv_mask(system, lat, f, v)
+    if is_non_dominant(system, mask):
+        return True
+    d_mask = patterns.r_closure(system, mask)
+    match = _omega_matching(system, lat, omega, v, d_mask)
+    a_mask = 0
+    b_mask = 0
+    for g in match:
+        a_mask |= 1 << g[u]
+        b_mask |= 1 << g[v]
+    b_mask &= d_mask
+    if d_mask != patterns.r_closure(system, a_mask):
+        return True
+    if patterns.r_closure(system, d_mask) != patterns.r_closure(system, b_mask):
+        return True
+    return False
+
+
+def is_unbalanced(system: SpinSystem, lat, f, v, eps, eps_bar) -> bool:
+    """Dominant neighborhood that is nearly constant on a strictly smaller
+    value set."""
+    mask = _nv_mask(system, lat, f, v)
+    if is_non_dominant(system, mask):
+        return False
+    d2 = lat.degree
+    r_mask = patterns.r_closure(system, mask)
+    dom_sides = patterns.structure(system).dominant_sides
+    counts = {}
+    for u in neighbor_lists(lat)[v]:
+        counts[f[u]] = counts.get(f[u], 0) + 1
+    sub = mask
+    while True:
+        cnt = sum(c for s, c in counts.items() if sub >> s & 1)
+        equiv = patterns.r_closure(system, sub) == r_mask
+        if not equiv and cnt > d2 - 2 * eps_bar * d2:
+            return True
+        if sub in dom_sides and not equiv and cnt > d2 - 2 * eps * d2:
+            return True
+        if sub == 0:
+            break
+        sub = (sub - 1) & mask
+    return False
+
+
+def is_highly_energetic(system: SpinSystem, lat, f, omega, v,
+                        eps, eps_bar) -> bool:
+    """Dominant, balanced, but no configuration in omega gives v a value in
+    the common-neighbor set of its neighborhood values."""
+    mask = _nv_mask(system, lat, f, v)
+    if is_non_dominant(system, mask):
+        return False
+    if is_unbalanced(system, lat, f, v, eps, eps_bar):
+        return False
+    d_mask = patterns.r_closure(system, mask)
+    match = _omega_matching(system, lat, omega, v, d_mask)
+    b_mask = 0
+    for g in match:
+        b_mask |= 1 << g[v]
+    return b_mask & d_mask == 0
+
+
+def unique_pattern(system: SpinSystem, lat, omega, v, eps, eps_bar) -> bool:
+    """Some value set explains every configuration at v: each g in omega
+    either matches it, is unbalanced at v, or has all its out-edges at v
+    restricted."""
+    for target in patterns.structure(system).r_sets:
+        ok = True
+        for g in omega:
+            if patterns.r_closure(
+                    system, _nv_mask(system, lat, g, v)) == target:
+                continue
+            if is_unbalanced(system, lat, g, v, eps, eps_bar):
+                continue
+            if all(is_restricted(system, lat, g, omega, v, u)
+                   for u in neighbor_lists(lat)[v]):
+                continue
+            ok = False
+            break
+        if ok:
+            return True
+    return False
+
+
+def classify(system: SpinSystem, lat, f, omega, v, u=None,
+             eps: float = 0.125, eps_bar: float = 0.125) -> dict:
+    """All per-vertex diagnostics at once; `restricted` requires a target
+    neighbor u."""
+    out = {
+        "non_dominant": is_non_dominant(
+            system, _nv_mask(system, lat, f, v)),
+        "unbalanced": is_unbalanced(system, lat, f, v, eps, eps_bar),
+        "highly_energetic": is_highly_energetic(
+            system, lat, f, omega, v, eps, eps_bar),
+        "unique_pattern": unique_pattern(system, lat, omega, v, eps, eps_bar),
+    }
+    if u is not None:
+        out["restricted"] = is_restricted(system, lat, f, omega, v, u)
+    return out
+
+
+def scenario_checks(system: SpinSystem, lat, f, omega, v, u,
+                    p0: Pattern) -> dict:
+    """Evaluate the four sufficient conditions for the directed edge (v, u)
+    to be restricted, over all dominant charts p.  With D the closure of
+    the neighborhood values of v, and omega's matching configurations (those
+    whose closure at v is D too) nonempty and all:
+
+    1. keeping v on bdry(p), while D is not the closure of int(p);
+    2. keeping v on bdry(p) and bdry(q), for distinct direct-equivalent
+       p and q;
+    3. keeping u on bdry(p), while D is not the closure of bdry(p);
+    4. keeping u on int(p) and int(q), for distinct direct-equivalent p
+       and q, while D is the closure of some interior side.
+
+    A firing scenario that does not imply the restriction raises."""
+    ctx = BreakupContext(system, lat, f, p0)
+    d_mask = patterns.r_closure(system, _nv_mask(system, lat, f, v))
+    match = _omega_matching(system, lat, omega, v, d_mask)
+    at_v = at_u = 0
+    for g in match:
+        at_v |= 1 << g[v]
+        at_u |= 1 << g[u]
+    pairs = [pq for cls in patterns.dominant_classes(system)[1]
+             for pq in itertools.combinations(cls, 2)]
+    bdry, int_ = ctx.bdry, ctx.int_
+
+    def r(mask):
+        return patterns.r_closure(system, mask)
+
+    def kept(values, side):
+        """The matching configurations exist and keep their values on the
+        side."""
+        return bool(match) and values & ~side == 0
+
+    fired = {
+        "scenario_1": any(d_mask != r(int_[p]) and kept(at_v, bdry[p])
+                          for p in ctx.pats),
+        "scenario_2": any(kept(at_v, bdry[p] & bdry[q]) for p, q in pairs),
+        "scenario_3": any(d_mask != r(bdry[p]) and kept(at_u, bdry[p])
+                          for p in ctx.pats),
+        "scenario_4": any(d_mask == r(int_[t]) for t in ctx.pats)
+        and any(kept(at_u, int_[p] & int_[q]) for p, q in pairs),
+    }
+    if any(fired.values()) and not is_restricted(system, lat, f, omega, v, u):
+        raise AssertionError(
+            f"restriction scenarios {fired} fired on an unrestricted edge "
+            f"({v}, {u})")
+    return fired

@@ -11,17 +11,21 @@ from fractions import Fraction
 
 import pytest
 
-from helpers import (graph_z, ordered_config, prism, random_graph,
-                     random_independent_config, random_proper_coloring,
-                     random_rational_system, torus_graph)
+from helpers import (NotLiftPermitting, NotTabulated, check_lift_permitting,
+                     classify, config_weight, edge_boundary_size,
+                     expand_spec, expected_parameters, graph_z, is_odd_set,
+                     make_box, make_torus, neighbor_lists, odd_set_identity,
+                     ordered_config, prism, random_graph,
+                     random_independent_config, random_odd_set,
+                     random_proper_coloring, random_rational_system,
+                     scenario_checks, torus_graph, z_bruteforce)
 from spinlab import breakup as bk
-from spinlab import catalog, errors, gibbs
+from spinlab import catalog, gibbs
 from spinlab import kbipartite as kb
 from spinlab import lattice as lm
 from spinlab import parameters, patterns
 from spinlab.patterns import Pattern
-from spinlab.system import (bipartite_cover, check_lift_permitting,
-                            config_weight, product, project_from_doubled,
+from spinlab.system import (bipartite_cover, product, project_from_doubled,
                             reweight)
 
 INF = math.inf
@@ -68,11 +72,13 @@ def test_parameter_table_matches_closed_forms():
     n_checked = 0
     for name, params, row in _grid_combos():
         try:
-            exp = catalog.expected_parameters(name, **params)
-        except errors.NotTabulated:
+            exp = expected_parameters(name, **params)
+        except NotTabulated:
             continue
         system = catalog.build(name, **params)
-        omega, rho_bulk, rho_bdry, _ = parameters.pattern_ratios(system)
+        st = patterns.structure(system)
+        omega, rho_bulk, rho_bdry = (st.omega_dom, st.rho_pat_bulk,
+                                     st.rho_pat_bdry)
         assert omega == exp["omega_dom"], (name, params)
         for rho, inv in ((rho_bulk, exp["inv_rho_bulk"]),
                          (rho_bdry, exp["inv_rho_bdry"])):
@@ -163,8 +169,7 @@ def test_composition_evaluator_matches_brute_force():
         spec = _random_spec(rng, system, d)
         i_mask = rng.randrange(1, 1 << system.n)
         fast = kb.z_compositions(system, d, spec, i_mask)
-        slow = kb.z_bruteforce(system, d, kb.expand_spec(system, d, spec),
-                               i_mask)
+        slow = z_bruteforce(system, d, expand_spec(system, d, spec), i_mask)
         assert fast == slow
 
     # hand-checked value: 2-state hard-core on K_{2,2}, both sides free
@@ -211,11 +216,12 @@ def test_torus_partition_function_bounds():
         system = catalog.build(name, **params)
         assert system.mode == "rational" and system.n <= 4
         z = gibbs.z_torus(system, (4, 4))
-        zk = kb.z_complete_bipartite(system, 2)
+        full = system.full_mask()
+        zk = kb.z_compositions(system, 2, kb.PsiSpec(coords=[full] * 4), full)
         _, omega, _ = patterns.dominant_patterns(system)
         assert z <= zk * zk, name
         assert z >= omega ** 8, name
-        bound = kb.shearer_global_bound(system, 2)
+        bound = math.log(zk) / 8
         assert math.log(z) <= 16 * bound + 1e-9, name
     assert time.monotonic() - t0 < 120.0
 
@@ -227,15 +233,15 @@ def test_odd_set_boundary_identity():
     t0 = time.monotonic()
     rng = random.Random(0)
     for dims in ((10, 10), (5, 5, 5)):
-        lat = lm.make_box(dims)
+        lat = make_box(dims)
         deg = lat.degree
         for _ in range(100):
-            u_set = lm.random_odd_set(lat, rng)
-            assert lm.is_odd_set(lat, u_set)
-            lhs, rhs = lm.odd_set_identity(lat, u_set)
+            u_set = random_odd_set(lat, rng)
+            assert is_odd_set(lat, u_set)
+            lhs, rhs = odd_set_identity(lat, u_set)
             assert lhs == rhs
             if u_set:
-                assert lm.edge_boundary_size(lat, u_set) >= deg * (deg - 1)
+                assert edge_boundary_size(lat, u_set) >= deg * (deg - 1)
     assert time.monotonic() - t0 < 10.0
 
 
@@ -245,11 +251,11 @@ def test_odd_set_boundary_identity():
 def test_breakup_construction_sound_on_random_configs():
     t0 = time.monotonic()
     rng = random.Random(0)
-    lat = lm.make_box((6, 6))
+    lat = make_box((6, 6))
 
     af3 = catalog.build("af_potts", q=3)
     p0_af3 = Pattern(0b001, 0b110)
-    region = gibbs.PatternBoundary(p0_af3).region(lat)
+    region = lm.sites(gibbs.PatternBoundary(p0_af3).region_m(lat))
     for _ in range(50):
         f = random_proper_coloring(lat, rng, region)
         atlas = bk.construct_breakup(af3, lat, f, p0_af3)
@@ -259,7 +265,7 @@ def test_breakup_construction_sound_on_random_configs():
 
     hc = catalog.build("hard_core", lam=1)
     p0_hc = Pattern(0b01, 0b11)
-    region = gibbs.PatternBoundary(p0_hc).region(lat)
+    region = lm.sites(gibbs.PatternBoundary(p0_hc).region_m(lat))
     for _ in range(50):
         f = random_independent_config(lat, rng, region)
         atlas = bk.construct_breakup(hc, lat, f, p0_hc)
@@ -270,14 +276,14 @@ def test_breakup_construction_sound_on_random_configs():
 
 
 def test_breakup_trivial_on_ordered_config():
-    lat = lm.make_box((6, 6))
+    lat = make_box((6, 6))
     af3 = catalog.build("af_potts", q=3)
     p0 = Pattern(0b001, 0b110)
     f = ordered_config(lat)
     atlas = bk.construct_breakup(af3, lat, f, p0)
     assert bk.verify_breakup(af3, lat, f, p0, atlas)["pass"]
     assert atlas.stats() == {"L": 0, "M": 0, "N": 0}
-    assert atlas.x_p[p0] == lat.all_sites()
+    assert atlas.x_p[p0] == frozenset(range(lat.n))
     for p in atlas.ctx.pats:
         if p != p0:
             assert atlas.x_p[p] == frozenset()
@@ -296,7 +302,7 @@ def _af3_background(lat):
 
 def test_scenario_witnesses():
     t0 = time.monotonic()
-    lat = lm.make_torus((4, 4))
+    lat = make_torus((4, 4))
     v = lat.index[(0, 0)]
 
     af3 = catalog.build("af_potts", q=3)
@@ -304,35 +310,35 @@ def test_scenario_witnesses():
 
     # a vertex whose whole neighborhood is pinned to one value
     f = _af3_background(lat)
-    for u in lat.neighbors[v]:
+    for u in neighbor_lists(lat)[v]:
         f[u] = 1
     f[v] = 0
     omega = [tuple(f)]
-    u = lat.neighbors[v][0]
-    fired = bk.scenario_checks(af3, lat, tuple(f), omega, v, u, p0_af3)
+    u = neighbor_lists(lat)[v][0]
+    fired = scenario_checks(af3, lat, tuple(f), omega, v, u, p0_af3)
     assert fired == {"scenario_1": True, "scenario_2": False,
                      "scenario_3": False, "scenario_4": False}
 
     # a split neighborhood keeping one neighbor on a boundary side
     f = _af3_background(lat)
-    nb = lat.neighbors[v]
+    nb = neighbor_lists(lat)[v]
     f[nb[0]], f[nb[1]], f[nb[2]], f[nb[3]] = 1, 1, 2, 2
     f[v] = 0
     omega = [tuple(f)]
     u = nb[0]
-    fired = bk.scenario_checks(af3, lat, tuple(f), omega, v, u, p0_af3)
+    fired = scenario_checks(af3, lat, tuple(f), omega, v, u, p0_af3)
     assert fired["scenario_3"] and fired["scenario_4"]
 
     af4 = catalog.build("af_potts", q=4)
     p0_af4 = Pattern(0b0011, 0b1100)
     f = [0 if lat.parity(w) == 0 else 2 for w in range(lat.n)]
-    nb = lat.neighbors[v]
+    nb = neighbor_lists(lat)[v]
     f[nb[0]], f[nb[1]], f[nb[2]], f[nb[3]] = 2, 2, 3, 3
     f[v] = 0
     omega = [tuple(f)]
-    fired = bk.scenario_checks(af4, lat, tuple(f), omega, v, nb[0], p0_af4)
+    fired = scenario_checks(af4, lat, tuple(f), omega, v, nb[0], p0_af4)
     assert fired["scenario_2"]
-    fired = bk.scenario_checks(af4, lat, tuple(f), omega, v, nb[2], p0_af4)
+    fired = scenario_checks(af4, lat, tuple(f), omega, v, nb[2], p0_af4)
     assert fired["scenario_4"]
 
     # randomized sweep; the implication scenario => restricted is checked
@@ -348,15 +354,15 @@ def test_scenario_witnesses():
                 g[rng.randrange(lat.n)] = rng.randrange(system.n)
             omega.add(tuple(g))
         vv = rng.randrange(lat.n)
-        uu = rng.choice(lat.neighbors[vv])
-        bk.scenario_checks(system, lat, f, sorted(omega), vv, uu, p0)
+        uu = rng.choice(neighbor_lists(lat)[vv])
+        scenario_checks(system, lat, f, sorted(omega), vv, uu, p0)
 
     # unique explaining value set without any restriction
     hc = catalog.build("hard_core", lam=1)
     f = [0] * lat.n
     f[v] = 1
     omega = [tuple(f)]
-    cls = bk.classify(hc, lat, tuple(f), omega, v, u=lat.neighbors[v][0])
+    cls = classify(hc, lat, tuple(f), omega, v, u=neighbor_lists(lat)[v][0])
     assert cls["restricted"] is False
     assert cls["unique_pattern"] is True
     assert time.monotonic() - t0 < 30.0
@@ -368,7 +374,7 @@ def test_scenario_witnesses():
 def test_mcmc_matches_exact_marginal():
     t0 = time.monotonic()
     system = catalog.build("af_potts", q=3, beta=1)
-    lat = lm.make_box((6, 6))
+    lat = make_box((6, 6))
     boundary = gibbs.PatternBoundary(Pattern(0b001, 0b110))
     site = (3, 3)
     exact = gibbs.exact_measure(system, lat, boundary, site)
@@ -448,7 +454,7 @@ def test_lift_permitting_cycles():
                        for j in range(4)] for i in range(4)])
     c8 = [(i, (i + 1) % 8) for i in range(8)]
     phi8 = [i % 4 for i in range(8)]
-    with pytest.raises(errors.NotLiftPermitting):
+    with pytest.raises(NotLiftPermitting):
         check_lift_permitting(c4, [str(i) for i in range(8)], c8, phi8)
 
 

@@ -7,7 +7,11 @@ from spinlab import catalog, errors, patterns
 from spinlab import lattice as lm
 from spinlab.patterns import Pattern
 
-from helpers import RefBreakup, RefScenarios, ordered_config
+import helpers
+from helpers import (RefBreakup, RefScenarios, _nv_mask, classify,
+                     is_highly_energetic, is_non_dominant, is_restricted,
+                     is_unbalanced, make_box, make_torus, neighbor_lists,
+                     ordered_config, scenario_checks)
 
 AF3 = catalog.build("af_potts", q=3)
 AF4 = catalog.build("af_potts", q=4)
@@ -19,7 +23,7 @@ P0_AF4 = Pattern(0b0011, 0b1100)
 # context validation
 
 def test_context_rejects_bad_reference_patterns():
-    lat = lm.make_box((4, 4))
+    lat = make_box((4, 4))
     f = [0] * lat.n
     with pytest.raises(errors.BoundaryNotInPattern):
         bk.BreakupContext(AF3, lat, f, Pattern(0b111, 0b111))
@@ -33,7 +37,7 @@ def test_context_rejects_inequivalent_dominant_patterns():
     dom, _, _ = patterns.dominant_patterns(beach)
     p0 = next(p for p in dom
               if bin(p.a).count("1") <= bin(p.b).count("1"))
-    lat = lm.make_box((4, 4))
+    lat = make_box((4, 4))
     with pytest.raises(errors.DominantPatternsNotEquivalent):
         bk.BreakupContext(beach, lat, [0] * lat.n, p0)
 
@@ -42,18 +46,18 @@ def test_context_rejects_inequivalent_dominant_patterns():
 # atlas construction on explicit configurations
 
 def test_ordered_config_gives_trivial_atlas():
-    lat = lm.make_box((12, 12))
+    lat = make_box((12, 12))
     f = ordered_config(lat)
     atlas = bk.construct_breakup(AF3, lat, f, P0)
     assert atlas.stats() == {"L": 0, "M": 0, "N": 0}
-    assert atlas.x_p[P0] == lat.all_sites()
+    assert atlas.x_p[P0] == frozenset(range(lat.n))
     report = bk.verify_breakup(AF3, lat, f, P0, atlas)
     assert report["pass"], [k for k, v in report.items()
                             if isinstance(v, dict) and not v["holds"]]
 
 
 def test_single_flip_creates_local_defect():
-    lat = lm.make_box((12, 12))
+    lat = make_box((12, 12))
     f = ordered_config(lat)
     flip = lat.index[(6, 6)]  # even site, moved off its pattern side
     f[flip] = 1
@@ -69,7 +73,7 @@ def test_single_flip_creates_local_defect():
 
 
 def test_verify_detects_corrupted_atlas():
-    lat = lm.make_box((12, 12))
+    lat = make_box((12, 12))
     f = ordered_config(lat)
     atlas = bk.construct_breakup(AF3, lat, f, P0)
     h = next(iter(lat.halo))
@@ -83,7 +87,7 @@ def test_verify_detects_corrupted_atlas():
 
 
 def test_verify_reads_the_configuration_it_is_given():
-    lat = lm.make_box((12, 12))
+    lat = make_box((12, 12))
     f = ordered_config(lat)
     atlas = bk.construct_breakup(AF3, lat, f, P0)
     g = list(f)
@@ -94,7 +98,7 @@ def test_verify_reads_the_configuration_it_is_given():
 
 
 def test_defect_localization_depends_on_viewpoints():
-    lat = lm.make_box((28, 28))
+    lat = make_box((28, 28))
     f = ordered_config(lat)
     flip = lat.index[(14, 14)]
     f[flip] = 1
@@ -146,25 +150,25 @@ def _cases():
     rng = random.Random(7)
     out = []
     for side in (24, 48):
-        lat = lm.make_box((side, side))
+        lat = make_box((side, side))
         for _ in range(2):
             out.append((AF3, lat, _defect_config(lat, rng, 0.03, 8), P0,
                         {lat.index[(side // 2, side // 2)]}))
-    lat = lm.make_box((32, 32))
+    lat = make_box((32, 32))
     out.append((AF3, lat, _defect_config(lat, rng, 0.02, 13), P0,
                 {lat.index[(16, 16)]}))
-    lat = lm.make_box((28, 28))
+    lat = make_box((28, 28))
     flip = _flip(lat, ordered_config(lat), (14, 14))
     for V in (None, {lat.index[(14, 15)]}, {lat.index[(2, 2)]}):
         out.append((AF3, lat, flip, P0, V))
-    lat = lm.make_box((12, 12))
+    lat = make_box((12, 12))
     flip = _flip(lat, ordered_config(lat), (6, 6))
     for V in (None, {lat.index[(6, 6)]}, {lat.index[(0, 0)]}):
         out.append((AF3, lat, flip, P0, V))
     out.append((AF3, lat, _flip(lat, ordered_config(lat), (0, 0)), P0,
                 {lat.index[(0, 0)]}))
     out.append((AF3, lat, _defect_config(lat, rng, 0.3, 2), P0, None))
-    box3 = lm.make_box((6, 6, 6))
+    box3 = make_box((6, 6, 6))
     out.append((AF3, box3, _defect_config(box3, rng, 0.05, 2), P0,
                 {box3.index[(3, 3, 3)]}))
     out.append((AF4, lat, _defect_config(lat, rng, 0.1, 3, (0, 1), (2, 3),
@@ -215,7 +219,7 @@ def test_breakup_matches_site_by_site_reference(case):
 
 
 def test_verify_witnesses_come_in_site_order():
-    lat = lm.make_box((12, 12))
+    lat = make_box((12, 12))
     f = ordered_config(lat)
     atlas = bk.construct_breakup(AF3, lat, f, P0)
     dropped = sorted(lat.halo)[-7:]
@@ -232,66 +236,66 @@ def test_verify_witnesses_come_in_site_order():
 # per-vertex diagnostics
 
 def test_non_dominant_neighborhood_is_restricted():
-    lat = lm.make_torus((6, 6))
+    lat = make_torus((6, 6))
     f = ordered_config(lat)
     v = lat.index[(1, 1)]
-    nbs = sorted(lat.neighbors[v])
+    nbs = sorted(neighbor_lists(lat)[v])
     for u, s in zip(nbs, (0, 1, 2, 0)):
         f[u] = s
-    assert bk.is_non_dominant(AF3, bk._nv_mask(AF3, lat, f, v))
+    assert is_non_dominant(AF3, _nv_mask(AF3, lat, f, v))
     for u in nbs:
-        assert bk.is_restricted(AF3, lat, f, [], v, u)
+        assert is_restricted(AF3, lat, f, [], v, u)
 
 
 def test_is_unbalanced_thresholds():
-    lat = lm.make_torus((4, 4))
+    lat = make_torus((4, 4))
     f = ordered_config(lat, even_state=0, odd_states=(1, 1))
     v = lat.index[(1, 1)]
-    nbs = sorted(lat.neighbors[v])
+    nbs = sorted(neighbor_lists(lat)[v])
     for u, s in zip(nbs, (2, 2, 2, 3)):
         f[u] = s
-    assert bk.is_unbalanced(AF4, lat, f, v, eps=0.125, eps_bar=0.25)
-    assert not bk.is_unbalanced(AF4, lat, f, v, eps=0.125, eps_bar=0.125)
+    assert is_unbalanced(AF4, lat, f, v, eps=0.125, eps_bar=0.25)
+    assert not is_unbalanced(AF4, lat, f, v, eps=0.125, eps_bar=0.125)
 
 
 def test_is_highly_energetic():
-    lat = lm.make_torus((4, 4))
+    lat = make_torus((4, 4))
     f = ordered_config(lat)
     v = lat.index[(1, 1)]
-    nbs = sorted(lat.neighbors[v])
+    nbs = sorted(neighbor_lists(lat)[v])
     for u, s in zip(nbs, (1, 1, 2, 2)):
         f[u] = s
     f[v] = 1
-    assert bk.is_highly_energetic(AF3, lat, f, [f], v, 0.125, 0.125)
-    assert not bk.is_unbalanced(AF3, lat, f, v, 0.125, 0.125)
+    assert is_highly_energetic(AF3, lat, f, [f], v, 0.125, 0.125)
+    assert not is_unbalanced(AF3, lat, f, v, 0.125, 0.125)
 
 
 def test_scenarios_silent_on_ordered_config():
-    lat = lm.make_torus((6, 6))
+    lat = make_torus((6, 6))
     f = ordered_config(lat, odd_states=(1, 2))
     g = ordered_config(lat, odd_states=(2, 1))
     v = lat.index[(1, 1)]
-    u = sorted(lat.neighbors[v])[0]
+    u = sorted(neighbor_lists(lat)[v])[0]
     # with both orderings present, nothing pins v or u to one side
-    fired = bk.scenario_checks(AF3, lat, f, [f, g], v, u, P0)
+    fired = scenario_checks(AF3, lat, f, [f, g], v, u, P0)
     assert fired == {"scenario_1": False, "scenario_2": False,
                      "scenario_3": False, "scenario_4": False}
     # a singleton ensemble trivially pins the neighbor, and the firing
     # scenarios are internally checked to imply the restriction
-    fired = bk.scenario_checks(AF3, lat, f, [f], v, u, P0)
+    fired = scenario_checks(AF3, lat, f, [f], v, u, P0)
     assert fired["scenario_3"]
-    assert bk.is_restricted(AF3, lat, f, [f], v, u)
+    assert is_restricted(AF3, lat, f, [f], v, u)
 
 
 def test_classify_keys():
-    lat = lm.make_torus((4, 4))
+    lat = make_torus((4, 4))
     f = ordered_config(lat)
     v = lat.index[(1, 1)]
-    u = sorted(lat.neighbors[v])[0]
-    out = bk.classify(AF3, lat, f, [f], v)
+    u = sorted(neighbor_lists(lat)[v])[0]
+    out = classify(AF3, lat, f, [f], v)
     assert set(out) == {"non_dominant", "unbalanced", "highly_energetic",
                         "unique_pattern"}
-    out = bk.classify(AF3, lat, f, [f], v, u)
+    out = classify(AF3, lat, f, [f], v, u)
     assert "restricted" in out
 
 
@@ -299,10 +303,10 @@ def test_diagnostics_refuse_a_halo_site_as_bad_input():
     lat = lm.parse_lattice("box:4x4+halo")
     f = [0] * lat.n
     v = min(lat.halo)
-    u = lat.neighbors[v][0]
-    for call in (lambda: bk.classify(AF3, lat, f, [f], v),
-                 lambda: bk.is_unbalanced(AF3, lat, f, v, 0.125, 0.125),
-                 lambda: bk.scenario_checks(AF3, lat, f, [f], v, u, P0)):
+    u = neighbor_lists(lat)[v][0]
+    for call in (lambda: classify(AF3, lat, f, [f], v),
+                 lambda: is_unbalanced(AF3, lat, f, v, 0.125, 0.125),
+                 lambda: scenario_checks(AF3, lat, f, [f], v, u, P0)):
         with pytest.raises(errors.ValidationError) as info:
             call()
         assert not isinstance(info.value, errors.ResourceGuard)
@@ -325,15 +329,16 @@ def _scenario_cases(rng, system, lat, n):
             p = rng.choice(dom)
             sides = [system.mask_states(p.a), system.mask_states(p.b)]
             f = [rng.choice(sides[lat.parity(w)]) for w in range(lat.n)]
-            for w in rng.sample(lat.neighbors[v], rng.randint(0, 3)):
+            for w in rng.sample(neighbor_lists(lat)[v], rng.randint(0, 3)):
                 f[w] = rng.randrange(system.n)
         omega = {tuple(f)}
         for _ in range(rng.randrange(3)):
             g = list(f)
-            for w in rng.sample([v, *lat.neighbors[v]], rng.randint(1, 2)):
+            for w in rng.sample([v, *neighbor_lists(lat)[v]],
+                                rng.randint(1, 2)):
                 g[w] = rng.randrange(system.n)
             omega.add(tuple(g))
-        yield tuple(f), sorted(omega), v, rng.choice(lat.neighbors[v])
+        yield tuple(f), sorted(omega), v, rng.choice(neighbor_lists(lat)[v])
 
 
 def test_scenarios_match_the_one_chart_at_a_time_reference():
@@ -343,9 +348,9 @@ def test_scenarios_match_the_one_chart_at_a_time_reference():
     n_cases = 0
     for system, p0 in ((AF3, P0), (AF4, P0_AF4)):
         ref = RefScenarios(system, p0)
-        for lat in (lm.make_torus((4, 4)), lm.make_box((6, 6))):
+        for lat in (make_torus((4, 4)), make_box((6, 6))):
             for f, omega, v, u in _scenario_cases(rng, system, lat, 60):
-                fired = bk.scenario_checks(system, lat, f, omega, v, u, p0)
+                fired = scenario_checks(system, lat, f, omega, v, u, p0)
                 assert fired == ref.fired(lat, f, omega, v, u)
                 n_cases += 1
                 for k, hit in fired.items():
@@ -356,14 +361,14 @@ def test_scenarios_match_the_one_chart_at_a_time_reference():
 
 
 def test_scenario_without_restriction_raises(monkeypatch):
-    lat = lm.make_torus((6, 6))
+    lat = make_torus((6, 6))
     f = ordered_config(lat)
     v = lat.index[(1, 1)]
-    u = sorted(lat.neighbors[v])[0]
-    assert bk.scenario_checks(AF3, lat, f, [f], v, u, P0)["scenario_3"]
-    monkeypatch.setattr(bk, "is_restricted", lambda *args: False)
+    u = sorted(neighbor_lists(lat)[v])[0]
+    assert scenario_checks(AF3, lat, f, [f], v, u, P0)["scenario_3"]
+    monkeypatch.setattr(helpers, "is_restricted", lambda *args: False)
     with pytest.raises(AssertionError):
-        bk.scenario_checks(AF3, lat, f, [f], v, u, P0)
+        scenario_checks(AF3, lat, f, [f], v, u, P0)
 
 
 def test_dominant_equivalence_is_searched_once_per_system(monkeypatch):
@@ -383,7 +388,7 @@ def test_dominant_equivalence_is_searched_once_per_system(monkeypatch):
         parameters.check_condition(system, 100, which)
     assert calls == [0]
 
-    lat = lm.make_box((8, 8))
+    lat = make_box((8, 8))
     f = ordered_config(lat, even_state=0, odd_states=(2, 3))
     patterns.analyze(system)
     bk.construct_breakup(system, lat, f, P0_AF4)
@@ -392,6 +397,6 @@ def test_dominant_equivalence_is_searched_once_per_system(monkeypatch):
     patterns.analyze(system)
     rng = random.Random(2)
     for g, omega, v, u in _scenario_cases(rng, system, lat, 50):
-        bk.scenario_checks(system, lat, g, omega, v, u, P0_AF4)
+        scenario_checks(system, lat, g, omega, v, u, P0_AF4)
     bk.construct_breakup(system, lat, f, P0_AF4)
     assert calls == [0]

@@ -4,7 +4,9 @@ from fractions import Fraction
 
 import pytest
 
-from spinlab import catalog, cli, errors, parameters
+from spinlab import catalog, cli, errors, patterns
+
+from helpers import CatalogEntry, NotTabulated, expected_parameters, gsum
 
 INF = math.inf
 
@@ -108,34 +110,36 @@ def test_builder_structures():
 
 
 def test_expected_parameters_regime_boundaries():
-    with pytest.raises(errors.NotTabulated):
-        catalog.expected_parameters("af_potts", q=2)
-    with pytest.raises(errors.NotTabulated):
-        catalog.expected_parameters("beach", lam=1)
-    with pytest.raises(errors.NotTabulated):
-        catalog.expected_parameters("multi_wr", q=4, lam=2)
-    with pytest.raises(errors.NotTabulated):
-        catalog.expected_parameters("multi_beach", q=3, lam=2)
-    with pytest.raises(errors.NotTabulated):
-        catalog.expected_parameters("af_ising_field", lam=1)
+    with pytest.raises(NotTabulated):
+        expected_parameters("af_potts", q=2)
+    with pytest.raises(NotTabulated):
+        expected_parameters("beach", lam=1)
+    with pytest.raises(NotTabulated):
+        expected_parameters("multi_wr", q=4, lam=2)
+    with pytest.raises(NotTabulated):
+        expected_parameters("multi_beach", q=3, lam=2)
+    with pytest.raises(NotTabulated):
+        expected_parameters("af_ising_field", lam=1)
 
 
 def test_expected_parameters_spot_values():
-    exp = catalog.expected_parameters("af_potts", q=3)
+    exp = expected_parameters("af_potts", q=3)
     assert exp == {"omega_dom": 2, "inv_rho_bulk": INF, "inv_rho_bdry": 2}
-    exp = catalog.expected_parameters("hard_core", lam=Fraction(1, 2))
+    exp = expected_parameters("hard_core", lam=Fraction(1, 2))
     assert exp["omega_dom"] == Fraction(3, 2)
     assert exp["inv_rho_bulk"] == INF
-    exp = catalog.expected_parameters("clock", q=9, m=2)
+    exp = expected_parameters("clock", q=9, m=2)
     assert exp["omega_dom"] == 9
     assert exp["inv_rho_bulk"] == Fraction(9, 8)
     assert exp["inv_rho_bdry"] == Fraction(3, 2)
 
 
 def test_catalog_entry_round_trip():
-    entry = catalog.CatalogEntry("widom_rowlinson", {"lam": 2})
+    entry = CatalogEntry("widom_rowlinson", {"lam": 2})
     system = entry.build()
-    omega, rho_bulk, rho_bdry, _ = parameters.pattern_ratios(system)
+    st = patterns.structure(system)
+    omega, rho_bulk, rho_bdry = (st.omega_dom, st.rho_pat_bulk,
+                                 st.rho_pat_bdry)
     exp = entry.expected()
     assert omega == exp["omega_dom"]
     assert Fraction(1) / rho_bulk == exp["inv_rho_bulk"]
@@ -143,6 +147,6 @@ def test_catalog_entry_round_trip():
 
 
 def test_gsum():
-    assert catalog.gsum(Fraction(1), 4) == 4
-    assert catalog.gsum(Fraction(2), 3) == 7
-    assert catalog.gsum(Fraction(1, 2), 2) == Fraction(3, 2)
+    assert gsum(Fraction(1), 4) == 4
+    assert gsum(Fraction(2), 3) == 7
+    assert gsum(Fraction(1, 2), 2) == Fraction(3, 2)

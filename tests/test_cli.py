@@ -11,7 +11,7 @@ from spinlab import (breakup as breakup_mod, catalog, cli, gibbs, parameters,
 from spinlab import lattice as lm
 from spinlab.system import load_system, make_system
 
-from helpers import ordered_config
+from helpers import make_box, ordered_config
 
 
 @pytest.fixture
@@ -283,7 +283,7 @@ ENVELOPE = [
                          ids=[c for c, _, _ in ENVELOPE])
 def test_every_json_payload_carries_the_same_meta(tmp_path, af3_soft_path,
                                                   command, argv, seed):
-    lat = lm.make_box((4, 4))
+    lat = make_box((4, 4))
     f = ordered_config(lat)
     config = tmp_path / "config.json"
     config.write_text(json.dumps({"values": {
@@ -586,6 +586,18 @@ def test_sweeps_beyond_the_trace_bound_are_refused(af3_soft_path, capsys,
         "detail": f"chains x sweeps above {gibbs.MAX_TRACE}"}
 
 
+def test_samples_beyond_the_trace_bound_are_refused(af3_path, capsys):
+    """1e12 samples of a 6x6 box would hold 61 x 1e12 int64 values in the
+    checkerboard kernel: refused before any kernel runs."""
+    assert cli.main(["breakup-scan", "--system", af3_path, "--lattice",
+                     "box:6x6+halo", "--pattern", "A=1;B=2,3", "--sweeps",
+                     "0", "--samples", "1e12", "--force"]) == 3
+    out, err = capsys.readouterr()
+    assert out == "" and json.loads(err) == {
+        "error": "TooLarge",
+        "detail": f"chains x (stored sites + 1) above {gibbs.MAX_TRACE}"}
+
+
 @pytest.mark.parametrize("command", ["exact", "mcmc"])
 @pytest.mark.parametrize("site", ["9,9", "1", "a,b", "-1,0", "1,1,1", ""])
 def test_bad_site_is_a_schema_error(af3_soft_path, capsys, command, site):
@@ -664,7 +676,7 @@ def test_mcmc_smoke(tmp_path, af3_soft_path):
 
 
 def test_breakup_command(tmp_path, af3_path):
-    lat = lm.make_box((6, 6))
+    lat = make_box((6, 6))
     system = catalog.build("af_potts", q=3)
     f = ordered_config(lat)
     values = {",".join(str(x) for x in lat.coords[v]): system.states[f[v]]
@@ -704,7 +716,7 @@ def test_breakup_config_must_cover_all_sites(tmp_path, af3_path):
 def test_breakup_bad_input_is_a_schema_error(tmp_path, af3_path, capsys,
                                              seen_from, config):
     if config is None:
-        lat = lm.make_box((4, 4))
+        lat = make_box((4, 4))
         f = ordered_config(lat)
         config = {"values": {",".join(map(str, lat.coords[v])): str(f[v] + 1)
                              for v in range(lat.n)}}

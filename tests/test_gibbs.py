@@ -13,7 +13,8 @@ from spinlab.patterns import Pattern
 from spinlab.system import log_number, make_system
 
 from helpers import (FRACTIONAL, build_tables_reference, float_twins,
-                     graph_z, random_rational_system, torus_graph)
+                     graph_z, make_box, make_torus, neighbor_lists,
+                     random_rational_system, torus_graph)
 
 AF3 = catalog.build("af_potts", q=3)
 HC = catalog.build("hard_core", lam=1)
@@ -25,22 +26,22 @@ P0_HC = Pattern(0b01, 0b11)
 # boundary conditions
 
 def test_pattern_boundary_region():
-    lat = lm.make_box((6, 6))
+    lat = make_box((6, 6))
     bc = gibbs.PatternBoundary(P0_AF3)
-    region = bc.region(lat)
+    region = lm.sites(bc.region_m(lat))
     assert len(region) == 20  # the inner frame of a 6x6 box
     assert region == frozenset(
         v for v in lat.interior
         if any(lat.coords[v][i] in (0, 5) for i in range(2)))
     inner = lat.index[(2, 2)]
     edge = lat.index[(0, 2)]
-    assert bc.allowed_mask(lat, AF3, inner) == AF3.full_mask()
-    assert bc.allowed_mask(lat, AF3, edge) == P0_AF3.a  # even frame site
+    assert bc.masks(lat, AF3)[inner] == AF3.full_mask()
+    assert bc.masks(lat, AF3)[edge] == P0_AF3.a  # even frame site
     assert bc.side_mask(lat, lat.index[(0, 1)]) == P0_AF3.b
 
 
 def test_sample_halo_extension():
-    lat = lm.make_box((4, 4))
+    lat = make_box((4, 4))
     rng = np.random.Generator(np.random.PCG64(0))
     halo = gibbs.sample_halo_extension(HC, lat, P0_HC, rng)
     assert set(halo) == set(lat.halo)
@@ -59,7 +60,7 @@ def _enumerate_box(system, lat, boundary, site=None):
     """Direct enumeration oracle: interior configurations with region sites
     confined to their pattern side, weighted by activities and the grid
     interactions among interior sites."""
-    region = boundary.region(lat)
+    region = lm.sites(boundary.region_m(lat))
     sites = sorted(lat.interior)
     masks = []
     for v in sites:
@@ -71,7 +72,7 @@ def _enumerate_box(system, lat, boundary, site=None):
     choices = [system.mask_states(m) for m in masks]
     interior = set(lat.interior)
     edges = sorted({(min(u, v), max(u, v)) for v in sites
-                    for u in lat.neighbors[v] if u in interior})
+                    for u in neighbor_lists(lat)[v] if u in interior})
     pos = {v: i for i, v in enumerate(sites)}
     total = system.zero()
     marg = [system.zero()] * system.n
@@ -88,7 +89,7 @@ def _enumerate_box(system, lat, boundary, site=None):
 
 
 def test_exact_measure_against_enumeration():
-    lat = lm.make_box((3, 3))
+    lat = make_box((3, 3))
     bc = gibbs.PatternBoundary(P0_AF3)
     center = lat.index[(1, 1)]
     total, marg = _enumerate_box(AF3, lat, bc, center)
@@ -101,7 +102,7 @@ def test_exact_measure_against_enumeration():
 
 
 def test_exact_measure_hard_core():
-    lat = lm.make_box((3, 4))
+    lat = make_box((3, 4))
     bc = gibbs.PatternBoundary(P0_HC)
     total, marg = _enumerate_box(HC, lat, bc, lat.index[(1, 1)])
     assert gibbs.z_pattern_box(HC, lat, bc) == total
@@ -111,25 +112,25 @@ def test_exact_measure_hard_core():
 
 def test_exact_measure_empty_support():
     sys2 = catalog.build("af_potts", q=2)
-    lat = lm.make_box((2, 2))
+    lat = make_box((2, 2))
     bc = gibbs.PatternBoundary(Pattern(0b01, 0b01))  # forces equal neighbors
     with pytest.raises(errors.EmptySupport):
         gibbs.exact_measure(sys2, lat, bc, (0, 0))
 
 
 def test_dp_guards():
-    for lat in (lm.make_torus((4, 4)), lm.make_box((3, 3, 3))):
+    for lat in (make_torus((4, 4)), make_box((3, 3, 3))):
         with pytest.raises(errors.UnsupportedLattice):
             gibbs.z_pattern_box(AF3, lat, gibbs.PatternBoundary(P0_AF3))
     with pytest.raises(errors.StateSpaceTooLarge):
-        gibbs.z_pattern_box(AF3, lm.make_box((1, 14)),
+        gibbs.z_pattern_box(AF3, make_box((1, 14)),
                             gibbs.PatternBoundary(P0_AF3))
 
 
 @pytest.mark.parametrize("system", FRACTIONAL.values(),
                          ids=list(FRACTIONAL))
 def test_box_kernel_with_fractional_weights(system):
-    lat = lm.make_box((3, 4))
+    lat = make_box((3, 4))
     bc = gibbs.PatternBoundary(min(patterns.structure(system).dominant,
                                    key=lambda p: (p.a, p.b)))
     # first, last and an inner interior position of the raster
@@ -166,7 +167,7 @@ def test_float_box_frontier_matches_its_rational_twin(k):
     bc = gibbs.PatternBoundary(Pattern(rng.randint(1, system.full_mask()),
                                        rng.randint(1, system.full_mask())))
     for dims in ((1, 4), (4, 1), (3, 4), (4, 3), (5, 5)):
-        lat = lm.make_box(dims)
+        lat = make_box(dims)
         z = gibbs.z_pattern_box(exact, lat, bc)
         assert _close(gibbs.z_pattern_box(system, lat, bc), z)
         for site in (0, len(lat.interior) // 2, len(lat.interior) - 1):
@@ -184,14 +185,14 @@ def test_float_box_frontier_matches_its_rational_twin(k):
 def test_float_box_frontier_guards():
     soft = catalog.build("af_potts", q=3, beta=1)
     bc = gibbs.PatternBoundary(P0_AF3)
-    for lat in (lm.make_torus((4, 4)), lm.make_box((3, 3, 3))):
+    for lat in (make_torus((4, 4)), make_box((3, 3, 3))):
         with pytest.raises(errors.UnsupportedLattice):
             gibbs.z_pattern_box(soft, lat, bc)
     with pytest.raises(errors.StateSpaceTooLarge):
         gibbs.z_pattern_box(soft, lm.parse_lattice("box:1x14"), bc)
     hard, _ = float_twins(catalog.build("af_potts", q=2))
     with pytest.raises(errors.EmptySupport):
-        gibbs.site_law(hard, lm.make_box((2, 2)),
+        gibbs.site_law(hard, make_box((2, 2)),
                        gibbs.PatternBoundary(Pattern(0b01, 0b01)), (0, 0))
 
 
@@ -201,7 +202,7 @@ def test_float_site_confined_to_its_side_is_exactly_never_outside():
     value off its side and reads 0.0, where 1 - (inside mass) read one ulp,
     1.1e-16."""
     system, _ = float_twins(FRACTIONAL["wr-5/3"])
-    law = gibbs.site_law(system, lm.make_box((5, 3)),
+    law = gibbs.site_law(system, make_box((5, 3)),
                          gibbs.PatternBoundary(Pattern(0b011, 0b101)), 0)
     assert law.prob_not_in_pattern == 0.0
 
@@ -211,7 +212,7 @@ def test_float_box_takes_one_array_step_per_site():
     45 ms together on 2 vCPUs (a dict frontier of the same 3^10 states took
     over 2 s)."""
     soft = catalog.build("af_potts", q=3, beta=1)
-    lat, bc = lm.make_box((10, 10)), gibbs.PatternBoundary(P0_AF3)
+    lat, bc = make_box((10, 10)), gibbs.PatternBoundary(P0_AF3)
     t0 = time.monotonic()
     z = gibbs.z_pattern_box(soft, lat, bc)
     law = gibbs.site_law(soft, lat, bc, (5, 5))
@@ -231,7 +232,7 @@ def test_box_rows_are_built_once_per_system(monkeypatch):
         return local_weights(acts, inter, k, masks)
 
     monkeypatch.setattr(gibbs, "_local_weights", counting)
-    lat, bc = lm.make_box((4, 4)), gibbs.PatternBoundary(P0_AF3)
+    lat, bc = make_box((4, 4)), gibbs.PatternBoundary(P0_AF3)
     for params in ({"q": 3}, {"q": 3, "beta": 1}):
         system = catalog.build("af_potts", **params)
         laws = [gibbs.site_law(system, lat, bc, site)
@@ -423,7 +424,7 @@ def test_float_z_torus_of_an_empty_support_is_zero():
 
 
 def test_log_z_per_site():
-    val = gibbs.log_z_per_site_torus(HC, (4, 4))
+    val = log_number(gibbs.z_torus(HC, (4, 4))) / math.prod((4, 4))
     z = gibbs.z_torus(HC, (4, 4))
     assert abs(val - math.log(z) / 16) < 1e-12
     # the big-integer log path agrees with math.log on moderate numbers
@@ -434,7 +435,7 @@ def test_log_z_per_site():
 # MCMC
 
 def test_initial_pattern_config():
-    lat = lm.make_box((4, 4))
+    lat = make_box((4, 4))
     init = gibbs.initial_pattern_config(AF3, lat,
                                         gibbs.PatternBoundary(P0_AF3))
     for v in range(lat.n):
@@ -447,15 +448,15 @@ def test_initial_pattern_config():
 def test_mcmc_guards():
     bc = gibbs.PatternBoundary(P0_AF3)
     with pytest.raises(errors.UnsupportedLattice):
-        gibbs.run_mcmc(AF3, lm.make_torus((4, 4)), bc, 0, n_sweeps=10)
+        gibbs.run_mcmc(AF3, make_torus((4, 4)), bc, 0, n_sweeps=10)
     # hard constraints without a universally compatible state
     with pytest.raises(errors.IrreducibilityUnknown):
-        gibbs.run_mcmc(AF3, lm.make_box((4, 4)), bc, (1, 1), n_sweeps=10)
-    res = gibbs.run_mcmc(AF3, lm.make_box((4, 4)), bc, (1, 1), n_sweeps=10,
+        gibbs.run_mcmc(AF3, make_box((4, 4)), bc, (1, 1), n_sweeps=10)
+    res = gibbs.run_mcmc(AF3, make_box((4, 4)), bc, (1, 1), n_sweeps=10,
                          force=True)
     assert res.n_sweeps == 10
     with pytest.raises(errors.SchemaError):
-        gibbs.run_mcmc(AF3, lm.make_box((4, 4)), bc, (1, 1), n_sweeps=-1,
+        gibbs.run_mcmc(AF3, make_box((4, 4)), bc, (1, 1), n_sweeps=-1,
                        force=True)
     big = catalog.build("af_potts", q=30)
     with pytest.raises(errors.StateSpaceTooLarge):
@@ -464,7 +465,7 @@ def test_mcmc_guards():
 
 def test_mcmc_bookkeeping_and_determinism():
     system = catalog.build("af_potts", q=3, beta=1)
-    lat = lm.make_box((4, 4))
+    lat = make_box((4, 4))
     bc = gibbs.PatternBoundary(P0_AF3)
     res1 = gibbs.run_mcmc(system, lat, bc, (2, 2), n_sweeps=100, seed=7)
     assert res1.burn_in == 10 and res1.rng_id == "numpy-pcg64"
@@ -480,7 +481,7 @@ def test_mcmc_bookkeeping_and_determinism():
 def test_raster_golden_trace():
     """One raster chain's stream, pinned before the loop was rewritten."""
     system = catalog.build("af_potts", q=3, beta=1)
-    lat = lm.make_box((4, 4))
+    lat = make_box((4, 4))
     bc = gibbs.PatternBoundary(P0_AF3)
     res = gibbs.run_mcmc(system, lat, bc, (2, 2), n_sweeps=200, seed=5)
     assert res.rng_id == gibbs.RNG_ID
@@ -501,7 +502,7 @@ def test_build_tables_matches_reference(system, d):
 
 def test_kernel_choice_follows_chains_times_sites():
     system = catalog.build("af_potts", q=3, beta=1)
-    lat = lm.make_box((6, 6))
+    lat = make_box((6, 6))
     bc = gibbs.PatternBoundary(P0_AF3)
     below = (gibbs.CHECKERBOARD_MIN_UPDATES - 1) // len(lat.interior)
     for chains, rng_id in ((below, gibbs.RNG_ID),
@@ -517,7 +518,7 @@ def test_kernel_choice_follows_chains_times_sites():
 
 def test_checkerboard_matches_exact_marginal():
     system = catalog.build("af_potts", q=3, beta=1)
-    lat = lm.make_box((6, 6))
+    lat = make_box((6, 6))
     bc = gibbs.PatternBoundary(P0_AF3)
     res = gibbs.run_mcmc(system, lat, bc, (3, 3), n_sweeps=4000, seed=3,
                          chains=64)
@@ -526,9 +527,10 @@ def test_checkerboard_matches_exact_marginal():
     dev = abs(res.marginal["1"] - 0.5416622264791822)
     assert dev <= 4 * res.se["1"], (dev, res.se["1"])
     # every chain stays inside the boundary constraint
+    allowed = bc.masks(lat, system)
     for cfg in res.configs:
         for v in lat.interior:
-            assert bc.allowed_mask(lat, system, v) >> cfg[v] & 1
+            assert allowed[v] >> cfg[v] & 1
 
 
 @pytest.mark.parametrize("chains, rng_id", [
@@ -539,8 +541,8 @@ def test_mcmc_on_a_cylinder_matches_enumeration(chains, rng_id):
     empty.  The oracle weighs all 2^16 interior configurations."""
     lat = lm.parse_lattice("box:4px4+halo")
     bc = gibbs.PatternBoundary(P0_HC)
-    assert bc.region(lat) == frozenset(4 * r + c for r in range(4)
-                                       for c in (0, 3))
+    assert lm.sites(bc.region_m(lat)) \
+        == frozenset(4 * r + c for r in range(4) for c in (0, 3))
     grid = ((np.arange(2 ** 16)[:, None] >> np.arange(16)) & 1) \
         .reshape(-1, 4, 4).astype(bool)  # [config, row, column]
     ok = ~(grid & np.roll(grid, 1, axis=1)).any(axis=(1, 2))  # wraps
@@ -587,7 +589,7 @@ def test_slab_runs_the_sampler_but_not_the_box_dp():
     with pytest.raises(errors.UnsupportedLattice):
         gibbs.z_pattern_box(AF3, lm.parse_lattice("box:4px4+halo"), bc)
     res = gibbs.run_mcmc(AF3, lat, bc, (1, 1, 1), n_sweeps=20, force=True)
-    for v in bc.region(lat):
+    for v in lm.sites(bc.region_m(lat)):
         assert bc.side_mask(lat, v) >> res.config[v] & 1
 
 
@@ -596,7 +598,7 @@ def test_mcmc_runs_in_three_dimensions(chains):
     """A 3x3x3 box: one chain (27 sites) takes the raster kernel, 16 chains
     the checkerboard kernel."""
     system = catalog.build("af_potts", q=3, beta=1)
-    lat = lm.make_box((3, 3, 3))
+    lat = make_box((3, 3, 3))
     bc = gibbs.PatternBoundary(P0_AF3)
     res = gibbs.run_mcmc(system, lat, bc, (1, 1, 1), n_sweeps=50, seed=2,
                          chains=chains)
@@ -605,5 +607,5 @@ def test_mcmc_runs_in_three_dimensions(chains):
     assert abs(sum(res.marginal.values()) - 1.0) < 1e-12
     for cfg in res.configs:
         assert all(0 <= cfg[v] < 3 for v in lat.interior)
-        for v in bc.region(lat):
+        for v in lm.sites(bc.region_m(lat)):
             assert bc.side_mask(lat, v) >> cfg[v] & 1

@@ -9,10 +9,10 @@ from hypothesis import given, strategies as st
 
 from spinlab import catalog, errors
 from spinlab import kbipartite as kb
-from spinlab import parameters
 
-from helpers import (FRACTIONAL, float_twins, product_count_reference,
-                     random_rational_system)
+from helpers import (FRACTIONAL, expand_spec, float_twins,
+                     product_count_reference, random_rational_system,
+                     section_defaults, z_bruteforce)
 
 HC = catalog.build("hard_core", lam=1)
 AF3 = catalog.build("af_potts", q=3)
@@ -22,16 +22,16 @@ def test_resource_guards():
     with pytest.raises(errors.TooLarge):
         kb.z_compositions(HC, 65, kb.PsiSpec(J=0b11), 0b11)
     with pytest.raises(errors.TooLarge):
-        kb.z_bruteforce(HC, 4, [(0,) * 8], 0b11)
+        z_bruteforce(HC, 4, [(0,) * 8], 0b11)
     with pytest.raises(errors.TooLarge):
-        kb.z_bruteforce(catalog.build("multi_wr", q=6, lam=1), 1, [(0, 0)],
-                        0b1)
+        z_bruteforce(catalog.build("multi_wr", q=6, lam=1), 1, [(0, 0)],
+                     0b1)
     big = catalog.build("multi_beach", q=11, lam=1)  # 22-state side
     with pytest.raises(errors.GroundSetTooLarge):
         kb.z_compositions(big, 2, kb.PsiSpec(J=big.full_mask()),
                           big.full_mask())
     with pytest.raises(errors.TooLarge):
-        kb.expand_spec(AF3, 10, kb.PsiSpec(J=0b111))
+        expand_spec(AF3, 10, kb.PsiSpec(J=0b111))
 
 
 def test_a_table_beyond_max_contents_is_refused_before_it_is_built():
@@ -51,18 +51,18 @@ def test_class_partition_counts():
     # the near-constant subclasses carve the full class into parts
     eps = eps_bar = 0.125
     j_mask = 0b110
-    full = len(kb.expand_spec(AF3, 2, kb.PsiSpec(J=j_mask, cls="full",
-                                                 eps=eps, eps_bar=eps_bar)))
-    balanced = len(kb.expand_spec(AF3, 2, kb.PsiSpec(
+    full = len(expand_spec(AF3, 2, kb.PsiSpec(J=j_mask, cls="full",
+                                              eps=eps, eps_bar=eps_bar)))
+    balanced = len(expand_spec(AF3, 2, kb.PsiSpec(
         J=j_mask, cls="balanced", eps=eps, eps_bar=eps_bar)))
-    rest = len(kb.expand_spec(
+    rest = len(expand_spec(
         AF3, 2, kb.PsiSpec(J=j_mask, cls="full", cls2="balanced", eps=eps,
                            eps_bar=eps_bar)))
     assert full == balanced + rest
     # intersecting with the unconstrained product changes nothing
     spec = kb.PsiSpec(coords=[AF3.full_mask()] * 4, J=j_mask,
                       cls="balanced", eps=eps, eps_bar=eps_bar)
-    assert len(kb.expand_spec(AF3, 2, spec)) == balanced
+    assert len(expand_spec(AF3, 2, spec)) == balanced
     assert kb.z_compositions(AF3, 2, spec, 0b111) == kb.z_compositions(
         AF3, 2, kb.PsiSpec(J=j_mask, cls="balanced", eps=eps,
                            eps_bar=eps_bar), 0b111)
@@ -80,12 +80,17 @@ def test_lambda_restricted_power_closed_forms():
 
 
 def test_complete_bipartite_and_global_bound():
-    assert kb.z_complete_bipartite(HC, 1) == 7
-    brute = kb.z_bruteforce(
+    def z_complete(d):
+        full = HC.full_mask()
+        return kb.z_compositions(HC, d, kb.PsiSpec(coords=[full] * (2 * d)),
+                                 full)
+
+    assert z_complete(1) == 7
+    brute = z_bruteforce(
         HC, 2, [(a, b, c, d) for a in range(2) for b in range(2)
                 for c in range(2) for d in range(2)], 0b11)
-    assert kb.z_complete_bipartite(HC, 2) == brute
-    assert abs(kb.shearer_global_bound(HC, 1) - math.log(7) / 4) < 1e-15
+    assert z_complete(2) == brute
+    assert abs(math.log(z_complete(1)) / 4 - math.log(7) / 4) < 1e-15
 
 
 def test_normalize_interactions():
@@ -115,7 +120,7 @@ def test_k_of_product_matches_the_expanded_members(system):
             for coords in itertools.product(masks, repeat=4):
                 spec = kb.PsiSpec(coords=list(coords), J=J, cls="balanced",
                                   eps=eps, eps_bar=eps)
-                members = kb.expand_spec(system, 2, spec)
+                members = expand_spec(system, 2, spec)
                 if not members:
                     continue
                 realized = [sum({1 << psi[j] for psi in members})
@@ -131,7 +136,7 @@ def test_verify_main_condition():
     with pytest.raises(errors.NotNormalized):
         kb.verify_main_condition(scaled, 3, 0.1, 0.0, 0.1, 0.1)
 
-    defaults = parameters.section_defaults(HC, 3)
+    defaults = section_defaults(HC, 3)
     rep = kb.verify_main_condition(HC, 3, defaults["alpha"],
                                    defaults["gamma"], defaults["eps"],
                                    defaults["eps_bar"], n_random=20, seed=0)
@@ -180,8 +185,8 @@ def test_compositions_with_fractional_weights(system):
         for spec in specs:
             for i_mask in (full, full & ~1):
                 fast = kb.z_compositions(system, d, spec, i_mask)
-                slow = kb.z_bruteforce(system, d,
-                                       kb.expand_spec(system, d, spec), i_mask)
+                slow = z_bruteforce(system, d, expand_spec(system, d, spec),
+                                    i_mask)
                 assert fast == slow and type(fast) is Fraction
 
 
@@ -234,14 +239,14 @@ def test_verify_sums_match_the_expanded_members(monkeypatch, name):
             sums, ks = _evaluated_specs(monkeypatch, twin, d)
             assert sums
             for spec, I_mask, z in sums:
-                slow = kb.z_bruteforce(twin, d, kb.expand_spec(twin, d, spec),
-                                       I_mask)
+                slow = z_bruteforce(twin, d, expand_spec(twin, d, spec),
+                                    I_mask)
                 if twin.mode == "float":
                     assert abs(z - slow) <= 1e-12 * abs(slow)
                 else:
                     assert z == slow
             for spec, k in ks:
-                members = kb.expand_spec(twin, d, spec)
+                members = expand_spec(twin, d, spec)
                 realized = [sum({1 << psi[j] for psi in members})
                             for j in range(2 * d)]
                 rJ = kb.patterns.r_closure(twin, spec.J)

@@ -6,36 +6,41 @@ import pytest
 from spinlab import errors
 from spinlab import lattice as lm
 
-from helpers import (lattice_reference, ref_closed_boundary, ref_components,
+from helpers import (WrappingSet, co_connected_closure, diam_star,
+                     directed_edge_boundary, edge_boundary_size, is_odd_set,
+                     lattice_dist, lattice_reference, make_box, make_torus,
+                     neighbor_lists, odd_set_identity, random_odd_set,
+                     ref_closed_boundary, ref_components,
                      ref_connected_to_infinity, ref_is_regular, ref_n_t,
                      ref_plus, ref_plus_r, ref_separating_components)
 
 
 def test_box_structure():
-    lat = lm.make_box((3, 4))
+    lat = make_box((3, 4))
     assert lat.kind == "box" and lat.d == 2 and lat.degree == 4
     assert len(lat.interior) == 12
     assert len(lat.halo) == 2 * (3 + 4)
     assert lat.n == 26
     center = lat.index[(1, 1)]
-    assert len(lat.neighbors[center]) == 4
+    assert len(neighbor_lists(lat)[center]) == 4
     corner_halo = lat.index[(-1, 0)]
     # stored neighbors: (0,0) and the halo site (-1,1)
-    assert len(lat.neighbors[corner_halo]) == 2
+    assert len(neighbor_lists(lat)[corner_halo]) == 2
     assert lat.parity(lat.index[(0, 0)]) == 0
     assert lat.parity(lat.index[(0, 1)]) == 1
-    assert lat.dist(lat.index[(0, 0)], lat.index[(2, 3)]) == 5
+    assert lattice_dist(lat, lat.index[(0, 0)], lat.index[(2, 3)]) == 5
 
 
 def test_torus_structure():
-    lat = lm.make_torus((4, 6))
+    lat = make_torus((4, 6))
     assert lat.n == 24 and not lat.halo
     v = lat.index[(0, 0)]
-    assert sorted(lat.coords[u] for u in lat.neighbors[v]) \
+    assert sorted(lat.coords[u] for u in neighbor_lists(lat)[v]) \
         == [(0, 1), (0, 5), (1, 0), (3, 0)]
-    assert lat.dist(lat.index[(0, 0)], lat.index[(3, 5)]) == 2  # wraps
+    # wraps
+    assert lattice_dist(lat, lat.index[(0, 0)], lat.index[(3, 5)]) == 2
     with pytest.raises(errors.ParamOutOfRange):
-        lm.make_torus((3, 4))  # odd side breaks the 2-coloring
+        make_torus((3, 4))  # odd side breaks the 2-coloring
 
 
 def test_slab_structure():
@@ -46,11 +51,12 @@ def test_slab_structure():
     assert sorted(lat.coords[v] for v in lat.halo) \
         == sorted([(r, -1) for r in range(4)] + [(r, 3) for r in range(4)])
     v = lat.index[(0, 1)]
-    assert sorted(lat.coords[u] for u in lat.neighbors[v]) \
+    assert sorted(lat.coords[u] for u in neighbor_lists(lat)[v]) \
         == [(0, 0), (0, 2), (1, 1), (3, 1)]
-    assert lat.dist(lat.index[(0, 0)], lat.index[(3, 2)]) == 3  # 1 + 2
-    assert lm.make_box((3, 4)).has_exterior
-    assert not lm.make_torus((4, 4)).has_exterior
+    # 1 + 2
+    assert lattice_dist(lat, lat.index[(0, 0)], lat.index[(3, 2)]) == 3
+    assert make_box((3, 4)).has_exterior
+    assert not make_torus((4, 4)).has_exterior
     for sides in ((3, 4), (0, 4)):
         with pytest.raises(errors.ParamOutOfRange):
             lm.make_lattice(sides, (True, False))  # odd or empty period
@@ -75,11 +81,12 @@ def test_slab_has_an_exterior_and_wraps_only_along_periodic_axes():
     # a column wraps along the periodic axis 0; a row only spans the open
     # axis 1, and its identity is checked
     column = frozenset(lat.index[(r, 2)] for r in range(6))
-    with pytest.raises(errors.WrappingSet):
-        lm.odd_set_identity(lat, column)
-    row = lm.plus_(lat, {lat.index[(2, c)] for c in (2, 4)})
-    assert lm.is_odd_set(lat, row)
-    lhs, rhs = lm.odd_set_identity(lat, row)
+    with pytest.raises(WrappingSet):
+        odd_set_identity(lat, column)
+    row = lm.sites(lm.plus_m(lat, lm.mask(
+        lat, {lat.index[(2, c)] for c in (2, 4)})))
+    assert is_odd_set(lat, row)
+    lhs, rhs = odd_set_identity(lat, row)
     assert lhs == rhs
     # the exterior lies on both sides of the open axis: one ring around the
     # periodic axis cuts nothing off, two rings cut off the sites between
@@ -104,59 +111,63 @@ def test_parse_lattice():
 
 
 def test_boundary_operators():
-    lat = lm.make_box((4, 4))
+    lat = make_box((4, 4))
     v = lat.index[(1, 1)]
     u_set = {v}
     nb = {lat.index[c] for c in ((0, 1), (2, 1), (1, 0), (1, 2))}
-    assert lm.nbhd(lat, u_set) == nb
-    assert lm.outer_boundary(lat, u_set) == nb
-    assert lm.inner_boundary(lat, u_set) == frozenset(u_set)
-    assert lm.closed_boundary(lat, u_set) == nb | u_set
-    assert lm.plus_(lat, u_set) == nb | u_set
-    assert lm.plus_r(lat, u_set, 2) == lm.plus_(lat, lm.plus_(lat, u_set))
-    assert lm.edge_boundary_size(lat, u_set) == 4
-    assert len(lm.directed_edge_boundary(lat, u_set)) == 4
+    m = lm.mask(lat, u_set)
+    assert lm.sites(lm.nbhd_m(lat, m)) == nb
+    assert lm.sites(lm.outer_m(lat, m)) == nb
+    assert lm.sites(lm.inner_m(lat, m)) == frozenset(u_set)
+    assert lm.sites(lm.closed_boundary_m(lat, m)) == nb | u_set
+    assert lm.sites(lm.plus_m(lat, m)) == nb | u_set
+    assert lm.plus_r(lat, u_set, 2) \
+        == lm.sites(lm.plus_m(lat, lm.plus_m(lat, m)))
+    assert edge_boundary_size(lat, u_set) == 4
+    assert len(directed_edge_boundary(lat, u_set)) == 4
     # halo sites carry their unstored ambient edges
     h = lat.index[(-1, 0)]
-    assert lm.edge_boundary_size(lat, {h}) == 4
-    assert len(lm.directed_edge_boundary(lat, {h})) == 2
+    assert edge_boundary_size(lat, {h}) == 4
+    assert len(directed_edge_boundary(lat, {h})) == 2
 
 
 def test_plus_shape_is_tight_odd_set():
-    lat = lm.make_box((5, 5))
+    lat = make_box((5, 5))
     center = lat.index[(2, 2)]
-    u_set = lm.plus_(lat, {center})
-    assert lm.is_odd_set(lat, u_set)
-    assert lm.is_regular(lat, u_set)
-    assert lm.edge_boundary_size(lat, u_set) == 12  # equality case
-    lhs, rhs = lm.odd_set_identity(lat, u_set)
+    u_set = lm.sites(lm.plus_m(lat, lm.mask(lat, {center})))
+    assert is_odd_set(lat, u_set)
+    assert lm.is_regular_m(lat, lm.mask(lat, u_set))
+    assert edge_boundary_size(lat, u_set) == 12  # equality case
+    lhs, rhs = odd_set_identity(lat, u_set)
     assert lhs == rhs == 3
     # a single odd site is not the expansion of its even part
     odd_site = lat.index[(2, 1)]
-    assert not lm.is_regular(lat, {odd_site})
+    assert not lm.is_regular_m(lat, lm.mask(lat, {odd_site}))
 
 
 def test_n_t_degree_bound():
-    lat = lm.make_box((6, 6))
+    lat = make_box((6, 6))
     rng = random.Random(3)
     sites = sorted(lat.interior)
     for _ in range(25):
         u_set = frozenset(v for v in sites if rng.random() < 0.4)
         for t in range(1, 5):
-            assert len(lm.n_t(lat, u_set, t)) * t <= lat.degree * len(u_set)
-    assert lm.n_t(lat, lat.all_sites(), 5) == frozenset()
+            n_t = lm.sites(lm.n_t_m(lat, lm.mask(lat, u_set), t))
+            assert len(n_t) * t <= lat.degree * len(u_set)
+    assert lm.sites(lm.n_t_m(lat, lm.mask(lat, range(lat.n)), 5)) \
+        == frozenset()
 
 
 def test_wrapping_set_detection():
-    lat = lm.make_torus((6, 6))
+    lat = make_torus((6, 6))
     wrap = frozenset(lat.index[(0, c)] for c in range(6)) \
         | frozenset(lat.index[(r, 0)] for r in range(6))
-    with pytest.raises(errors.WrappingSet):
-        lm.odd_set_identity(lat, wrap)
+    with pytest.raises(WrappingSet):
+        odd_set_identity(lat, wrap)
 
 
 def test_components():
-    lat = lm.make_box((6, 6))
+    lat = make_box((6, 6))
     a = lat.index[(0, 0)]
     b = lat.index[(0, 1)]
     c = lat.index[(3, 3)]
@@ -165,12 +176,12 @@ def test_components():
     # radius-2 adjacency merges sites at distance 2
     d = lat.index[(0, 2)]
     assert len(lm.components(lat, {a, d}, r=2)) == 1
-    assert lm.diam_star(lat, {a, c}) == 4
-    assert lm.diam_star(lat, {a, b}) == 3
+    assert diam_star(lat, {a, c}) == 4
+    assert diam_star(lat, {a, b}) == 3
 
 
 def test_connectivity_to_exterior():
-    lat = lm.make_box((5, 5))
+    lat = make_box((5, 5))
     center = lat.index[(2, 2)]
     ring = frozenset(lat.index[c] for c in ((1, 2), (3, 2), (2, 1), (2, 3)))
     assert lm.connected_to_infinity(lat, frozenset(), center)
@@ -178,7 +189,7 @@ def test_connectivity_to_exterior():
     assert not lm.connected_to_infinity(lat, ring, next(iter(ring)))
     far = lat.index[(0, 0)]
     assert lm.connected_to_infinity(lat, ring, far)
-    torus = lm.make_torus((4, 4))
+    torus = make_torus((4, 4))
     with pytest.raises(errors.NoInfinityOnTorus):
         lm.connected_to_infinity(torus, frozenset(), 0)
     with pytest.raises(errors.NoInfinityOnTorus):
@@ -186,28 +197,28 @@ def test_connectivity_to_exterior():
 
 
 def test_co_connected_closure():
-    lat = lm.make_box((5, 5))
+    lat = make_box((5, 5))
     center = lat.index[(2, 2)]
     ring = frozenset(lat.index[c] for c in ((1, 2), (3, 2), (2, 1), (2, 3)))
     far = lat.index[(0, 0)]
-    assert lm.co_connected_closure(lat, ring, far) == ring | {center}
-    assert lm.co_connected_closure(lat, ring, center) \
-        == lat.all_sites() - {center}
-    assert lm.co_connected_closure(lat, ring, next(iter(ring))) \
-        == lat.all_sites()
+    assert co_connected_closure(lat, ring, far) == ring | {center}
+    assert co_connected_closure(lat, ring, center) \
+        == frozenset(range(lat.n)) - {center}
+    assert co_connected_closure(lat, ring, next(iter(ring))) \
+        == frozenset(range(lat.n))
     # a wall across the box: the two sides meet through the exterior
     wall = frozenset(v for v, c in enumerate(lat.coords) if c[1] == 2)
-    assert lm.co_connected_closure(lat, wall, far) == wall
+    assert co_connected_closure(lat, wall, far) == wall
     # a torus has no exterior, so two walls cut it in two
-    torus = lm.make_torus((4, 4))
+    torus = make_torus((4, 4))
     walls = frozenset(v for v, c in enumerate(torus.coords) if c[1] in (0, 2))
     strip = frozenset(v for v, c in enumerate(torus.coords) if c[1] == 1)
-    assert lm.co_connected_closure(torus, walls, torus.index[(3, 1)]) \
-        == torus.all_sites() - strip
+    assert co_connected_closure(torus, walls, torus.index[(3, 1)]) \
+        == frozenset(range(torus.n)) - strip
 
 
 def test_separating_components():
-    lat = lm.make_box((8, 8))
+    lat = make_box((8, 8))
     center = lat.index[(4, 4)]
     # connected square ring enclosing the center
     ring = frozenset(lat.index[(r, c)] for r in (3, 4, 5) for c in (3, 4, 5)
@@ -226,12 +237,12 @@ def test_separating_components():
 
 
 def test_random_odd_set_is_interior():
-    lat = lm.make_box((8, 8))
+    lat = make_box((8, 8))
     rng = random.Random(4)
     for _ in range(10):
-        u_set = lm.random_odd_set(lat, rng)
+        u_set = random_odd_set(lat, rng)
         assert u_set <= lat.interior
-        assert lm.is_odd_set(lat, u_set)
+        assert is_odd_set(lat, u_set)
 
 
 # ---------------------------------------------------------------------------
@@ -249,7 +260,7 @@ def test_random_odd_set_is_interior():
     ((True, False, False), (2, 3, 2)), ((True, True, False), (4, 4, 3))])
 def test_lattice_tables_match_loop_builder(kind, dims):
     if kind in ("box", "torus"):
-        lat = (lm.make_box if kind == "box" else lm.make_torus)(dims)
+        lat = (make_box if kind == "box" else make_torus)(dims)
         periodic = (kind == "torus",) * len(dims)
     else:
         lat, periodic, kind = lm.make_lattice(dims, kind), kind, "slab"
@@ -257,7 +268,7 @@ def test_lattice_tables_match_loop_builder(kind, dims):
     ref = lattice_reference(periodic, dims)
     assert lat.coords == ref["coords"]
     assert lat.index == ref["index"]
-    assert lat.neighbors == ref["neighbors"]
+    assert neighbor_lists(lat) == ref["neighbors"]
     assert lat.interior == ref["interior"] and lat.halo == ref["halo"]
     assert [lat.parity(v) for v in range(lat.n)] == ref["parity"]
     assert lat.nbr.shape == (lat.n, 2 * lat.d)
@@ -267,7 +278,7 @@ def test_lattice_tables_match_loop_builder(kind, dims):
 
 @pytest.mark.parametrize("dims", [(6, 6), (5, 7), (4, 3, 3), (9,)])
 def test_mask_operations_match_site_sets(dims):
-    _check_mask_operations(lm.make_box(dims), random.Random(sum(dims)))
+    _check_mask_operations(make_box(dims), random.Random(sum(dims)))
 
 
 @pytest.mark.parametrize("spec", ["box:6px5", "box:4x4px3", "box:2px5"])
@@ -280,15 +291,17 @@ def _check_mask_operations(lat, rng):
         for _ in range(5):
             U = frozenset(v for v in range(lat.n) if rng.random() < density)
             V = frozenset(rng.sample(range(lat.n), 3))
-            assert lm.plus_(lat, U) == ref_plus(lat, U)
+            m = lm.mask(lat, U)
+            assert lm.sites(lm.plus_m(lat, m)) == ref_plus(lat, U)
             assert lm.plus_r(lat, U, 3) == ref_plus_r(lat, U, 3)
-            assert lm.closed_boundary(lat, U) == ref_closed_boundary(lat, U)
+            assert lm.sites(lm.closed_boundary_m(lat, m)) \
+                == ref_closed_boundary(lat, U)
             for t in range(2 * lat.d + 1):
-                assert lm.n_t(lat, U, t) == ref_n_t(lat, U, t)
+                assert lm.sites(lm.n_t_m(lat, m, t)) == ref_n_t(lat, U, t)
             for base in (0, 1):
                 core = frozenset(v for v in U if lat.parity(v) == base)
                 for W in (U, ref_plus(lat, core)):
-                    assert lm.is_regular(lat, W, base) \
+                    assert lm.is_regular_m(lat, lm.mask(lat, W), base) \
                         == ref_is_regular(lat, W, base)
             assert lm.components(lat, U) == ref_components(lat, U)
             assert lm.separating_components(lat, U, V) \
@@ -299,7 +312,7 @@ def _check_mask_operations(lat, rng):
 
 
 def test_masks_keep_the_sentinel_slot_false():
-    lat = lm.make_box((4, 5))
+    lat = make_box((4, 5))
     m = lm.mask(lat, {0, 7, lat.n - 1})
     for out in (lm.nbhd_m(lat, m), lm.plus_r_m(lat, m, 3),
                 lm.closed_boundary_m(lat, m), lm.n_t_m(lat, m, 0),

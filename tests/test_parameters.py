@@ -3,9 +3,9 @@ from fractions import Fraction
 
 import pytest
 
-from spinlab import catalog, errors, parameters
+from spinlab import catalog, errors, parameters, patterns
 
-from helpers import alt2_reference
+from helpers import alt2_reference, check_closed_form_bounds, section_defaults
 
 AF3 = catalog.build("af_potts", q=3)
 HC = catalog.build("hard_core", lam=1)
@@ -22,21 +22,25 @@ def test_neg_log():
 
 
 def test_interaction_ratio():
-    assert parameters.interaction_ratio(AF3) == 0
+    assert patterns.structure(AF3).rho_int == 0
     soft = catalog.build("af_potts", q=3, beta=1)
-    assert abs(parameters.interaction_ratio(soft) - math.exp(-1)) < 1e-15
+    assert abs(patterns.structure(soft).rho_int - math.exp(-1)) < 1e-15
     from spinlab.system import make_system
     flat = make_system(["a", "b"], [1, 1], [[1, 1], [1, 1]])
-    assert parameters.interaction_ratio(flat) == 0  # all weights equal
+    assert patterns.structure(flat).rho_int == 0  # all weights equal
 
 
 def test_pattern_ratios_af3():
-    omega, rho_bulk, rho_bdry, rho_act = parameters.pattern_ratios(AF3)
+    st = patterns.structure(AF3)
+    omega, rho_bulk, rho_bdry, rho_act = (st.omega_dom, st.rho_pat_bulk,
+                                          st.rho_pat_bdry, st.rho_act)
     assert (omega, rho_bulk, rho_bdry, rho_act) == (2, 0, Fraction(1, 2), 3)
 
 
 def test_pattern_ratios_hard_core():
-    omega, rho_bulk, rho_bdry, rho_act = parameters.pattern_ratios(HC)
+    st = patterns.structure(HC)
+    omega, rho_bulk, rho_bdry, rho_act = (st.omega_dom, st.rho_pat_bulk,
+                                          st.rho_pat_bdry, st.rho_act)
     assert omega == 2 and rho_bulk == 0
     assert rho_bdry == Fraction(1, 2)  # activity of {0} over {0,1}
     assert rho_act == 2
@@ -134,13 +138,13 @@ def test_inequality_margins():
 
 
 def test_section_defaults_and_closed_form_bounds():
-    defaults = parameters.section_defaults(HC, 1000)
+    defaults = section_defaults(HC, 1000)
     assert set(defaults) == {"alpha", "gamma", "gamma_hat", "eps",
                              "eps_bar", "s"}
     assert defaults["gamma"] == 0.0
     assert defaults["eps"] >= defaults["eps_bar"] >= 1.0 / 4000
 
-    result = parameters.check_closed_form_bounds(HC, 10 ** 4)
+    result = check_closed_form_bounds(HC, 10 ** 4)
     assert isinstance(result["pass"], bool)
     names = [iq["name"] for iq in result["inequalities"]]
     assert names == ["alpha_budget", "eps_chain_low", "eps_chain_mid",
@@ -152,7 +156,7 @@ def test_section_defaults_and_closed_form_bounds():
     assert chain["eps_chain_high"]["holds"]
 
     soft = catalog.build("af_potts", q=3, beta=2)
-    result = parameters.check_closed_form_bounds(soft, 100)
+    result = check_closed_form_bounds(soft, 100)
     assert isinstance(result["pass"], bool)
     assert result["gamma"] > 0
 
@@ -170,5 +174,6 @@ def test_alt2_matches_per_candidate_reference(model, d):
     assert rep.to_dict() == ref.to_dict()
     assert rep.s == ref.s
     s = rep.s
-    assert parameters.alpha2_of(system, d, s) == \
+    pen = parameters._penalty(patterns.structure(system), d)
+    assert parameters._alpha2(system, d, s, pen)[1] == \
         parameters.compute_parameters(system, d=d, s=s).alpha2

@@ -40,9 +40,9 @@ def test_r_closure_antitone_and_triple(a, b):
 
 
 def test_is_pattern_and_weight():
-    assert patterns.is_pattern(AF3, 0b001, 0b110)
-    assert patterns.is_pattern(AF3, 0b001, 0b010)
-    assert not patterns.is_pattern(AF3, 0b001, 0b001)
+    assert 0b110 & ~patterns.r_closure(AF3, 0b001) == 0
+    assert 0b010 & ~patterns.r_closure(AF3, 0b001) == 0
+    assert not 0b001 & ~patterns.r_closure(AF3, 0b001) == 0
     assert patterns.weight(AF3, Pattern(0b001, 0b110)) == 2
     assert patterns.weight(HC, Pattern(0b01, 0b11)) == 2
 
@@ -61,7 +61,8 @@ def test_af3_structure():
     direct = patterns.equivalence_classes(AF3, dom, direct=True)
     assert sorted(len(c) for c in direct) == [3, 3]
     assert len(patterns.equivalence_classes(AF3, dom)) == 1
-    assert patterns.small_large_side_counts(AF3) == (3, 3)
+    st = patterns.structure(AF3)
+    assert (st.n_small_side, st.n_large_side) == (3, 3)
 
 
 def test_structure_is_memoised_and_immutable():

@@ -1,15 +1,16 @@
-import math
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, strategies as st
 
 from spinlab import errors
-from spinlab.system import (ScaledWeights, SpinSystem, WeightedGraph,
-                            bipartite_cover, check_lift_permitting,
-                            config_weight, emit_number, load_system,
-                            make_system, parse_number, product,
-                            project_from_doubled, reweight, validate_system)
+from spinlab.system import (ScaledWeights, SpinSystem, bipartite_cover,
+                            emit_number, load_system, make_system,
+                            parse_number, product, project_from_doubled,
+                            reweight, validate_system)
+
+from helpers import (DomainMismatch, NotACover, WeightedGraph,
+                     check_lift_permitting, config_weight)
 
 
 # ---------------------------------------------------------------------------
@@ -160,7 +161,7 @@ def test_config_weight():
     assert config_weight(system, path3, (0, 1, 0)) == 2
     assert config_weight(system, path3, (1, 0, 1)) == 4
     assert config_weight(system, path3, (1, 1, 0)) == 0
-    with pytest.raises(errors.DomainMismatch):
+    with pytest.raises(DomainMismatch):
         config_weight(system, path3, (0, 0))
 
 
@@ -227,14 +228,14 @@ def test_lift_permitting_validation():
     tri = make_system(["0", "1", "2"], [1, 1, 1],
                       [[0, 1, 1], [1, 0, 1], [1, 1, 0]])
     c6 = [(i, (i + 1) % 6) for i in range(6)]
-    with pytest.raises(errors.NotACover):
+    with pytest.raises(NotACover):
         # phi not onto the base states
         check_lift_permitting(tri, [str(i) for i in range(6)], c6,
                               [0, 1, 0, 1, 0, 1])
-    with pytest.raises(errors.NotACover):
+    with pytest.raises(NotACover):
         # wrong length
         check_lift_permitting(tri, [str(i) for i in range(6)], c6, [0, 1, 2])
-    with pytest.raises(errors.NotACover):
+    with pytest.raises(NotACover):
         # neighborhoods don't map bijectively (missing edges)
         check_lift_permitting(tri, [str(i) for i in range(6)],
                               [(0, 1), (2, 3), (4, 5)], [0, 1, 2, 0, 1, 2])

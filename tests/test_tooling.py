@@ -1,6 +1,7 @@
 """The benchmark in perfbench/ patches spinlab functions by name; a rename
 in src/ would otherwise break it without any test failing here.  The
-library's own safety checks must survive ``python -O``."""
+library's own safety checks must survive ``python -O``, and the library
+holds only what a subcommand (or the benchmark) runs."""
 
 import ast
 import importlib
@@ -8,6 +9,7 @@ import json
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
+SRC = ROOT / "src" / "spinlab"
 SPANS = ROOT / "perfbench" / "spans.py"
 
 
@@ -36,12 +38,11 @@ def test_breakup_command_reaches_the_traced_breakup_layers(tmp_path,
     """The benchmark's per-layer breakup spans wrap these module attributes;
     a call that bypasses them would leave the spans reading 0."""
     from spinlab import breakup, catalog, cli
-    from spinlab import lattice as lm
-    from helpers import ordered_config
+    from helpers import make_box, ordered_config
 
     system = tmp_path / "af3.json"
     system.write_text(catalog.build("af_potts", q=3).to_json())
-    lat = lm.make_box((12, 12))
+    lat = make_box((12, 12))
     f = ordered_config(lat)
     f[lat.index[(6, 6)]] = 1
     config = tmp_path / "config.json"
@@ -74,9 +75,11 @@ def test_no_assert_statements_in_the_library():
 
 
 def test_no_unused_imports_in_the_library():
-    """Every name a library module imports is read somewhere in it."""
+    """Every name a library or test module imports is read somewhere in
+    it."""
     found = []
-    for path in sorted((ROOT / "src" / "spinlab").rglob("*.py")):
+    for path in sorted(SRC.rglob("*.py")) \
+            + sorted((ROOT / "tests").glob("*.py")):
         tree = ast.parse(path.read_text())
         read = {node.id for node in ast.walk(tree)
                 if isinstance(node, ast.Name)}
@@ -100,3 +103,73 @@ def test_only_the_envelope_writes_payloads():
                if isinstance(node, ast.Call)
                and getattr(node.func, "id", None) in ("_meta", "_emit")}
     assert callers == {"_command", "cmd_catalog"}
+
+
+def _perfbench_names():
+    """(module, name) pairs the benchmark reaches: the TRACED functions,
+    and every spinlab.<module>.<name> chain in perfbench/*.py."""
+    names = {(mod, name) for mod, names in _traced().items()
+             for name in names}
+    for path in sorted((ROOT / "perfbench").glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Attribute) \
+                    and isinstance(node.value, ast.Attribute) \
+                    and getattr(node.value.value, "id", None) == "spinlab":
+                names.add((node.value.attr, node.attr))
+    return names
+
+
+def test_every_library_definition_is_reachable():
+    """Every top-level def, class and assignment in src/spinlab is reached,
+    by name, from a click subcommand, cli.main, a module-level statement or
+    a name the benchmark reaches.  A definition is reached when its name is
+    read (as a name or an attribute) in a reached definition of any module;
+    the match is by name only, so it errs towards reached.  Test oracles,
+    checks of the paper's lemmas and wrappers that only tests call belong
+    in tests/helpers.py.
+
+    The benchmark's names are roots because perfbench/ patches and calls
+    them, and a change that edits src/ cannot also edit the benchmark.  No
+    subcommand runs these, which only the benchmark keeps: the TRACED
+    gibbs.exact_measure, prob_not_in_pattern (a SiteLaw field of the same
+    name hides it from this name match) and z_pattern_box,
+    parameters.compute_parameters with its ParameterReport, and
+    lattice.plus_r, components, separating_components and
+    connected_to_infinity; gibbs.z_torus with its layer transfer, which
+    perfbench calls directly; and kbipartite.PsiSpec.kind, a member
+    perfbench/spans.py reads.  ROADMAP item 3 removes them together with
+    TRACED."""
+    defs, roots = {}, []
+    for path in sorted(SRC.glob("*.py")):
+        for node in ast.parse(path.read_text()).body:
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                defs[path.stem, node.name] = node
+                if path.stem == "cli" and node.decorator_list:
+                    roots.append(node)  # the click group and subcommands
+            elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+                targets = node.targets if isinstance(node, ast.Assign) \
+                    else [node.target]
+                for target in targets:
+                    for n in ast.walk(target):
+                        if isinstance(n, ast.Name):
+                            defs[path.stem, n.id] = node
+            elif not isinstance(node, (ast.Import, ast.ImportFrom)) \
+                    and not (isinstance(node, ast.Expr)
+                             and isinstance(node.value, ast.Constant)):
+                roots.append(node)
+    roots += [defs[key] for key in _perfbench_names() | {("cli", "main")}
+              if key in defs]
+    reached, seen = set(), set()
+    while roots:
+        node = roots.pop()
+        if id(node) in reached:
+            continue
+        reached.add(id(node))
+        new = {n.id if isinstance(n, ast.Name) else n.attr
+               for n in ast.walk(node)
+               if isinstance(n, (ast.Name, ast.Attribute))} - seen
+        seen |= new
+        roots += [d for (_, name), d in defs.items() if name in new]
+    unreached = sorted(f"{mod}.{name}" for (mod, name), node in defs.items()
+                       if id(node) not in reached)
+    assert not unreached, "unreached:\n" + "\n".join(unreached)
