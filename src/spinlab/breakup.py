@@ -47,7 +47,7 @@ class BreakupContext:
         if p0 not in dom:
             raise errors.BoundaryNotInPattern(
                 "reference pattern is not dominant")
-        if bin(p0.a).count("1") > bin(p0.b).count("1"):
+        if p0.a.bit_count() > p0.b.bit_count():
             raise errors.BoundaryNotInPattern(
                 "reference pattern must have its smaller side first")
         self.p0 = p0

@@ -366,11 +366,11 @@ def cmd_mcmc(system, lattice_spec, pattern_text, site, sweeps, seed, force):
                          _parse_site(lat, site),
                          n_sweeps=_parse_count(sweeps, "--sweeps"), seed=seed,
                          force=force)
+    names = _site_names(lat)
     return {
         "site": site, "n_sweeps": res.n_sweeps, "burn_in": res.burn_in,
         "marginal": res.marginal, "se": res.se, "n_batches": res.n_batches,
-        "final_config": {",".join(map(str, lat.coords[v])):
-                         system.states[res.config[v]]
+        "final_config": {names[v]: system.states[res.config[v]]
                          for v in sorted(lat.interior)},
         "meta": {"seed": seed, "rng": res.rng_id},
     }

@@ -52,6 +52,8 @@ MAX_COLUMNS = 5000
 # held by its kernels' configurations: 8 bytes a value as int64, and as
 # much again while the raster kernel holds them as lists
 MAX_TRACE = 10 ** 7
+# the batches of one chain's kept sweeps behind its standard errors
+N_BATCHES = 40
 
 RNG_ID = "numpy-pcg64"
 CHECKERBOARD_RNG_ID = "numpy-pcg64-checkerboard"
@@ -209,12 +211,13 @@ def _box_sweep(system, lat, boundary: PatternBoundary, site=None) -> list:
 
 def _box_rows(system, masks) -> dict:
     """The box DP's local-weight row of each allowed mask, on scaled()
-    weights, memoised on the system.  Rational mode: [up][left] -> the
+    weights.  The system's memo keeps them in one dict by mask, which each
+    call fills with the masks it lacks.  Rational mode: [up][left] -> the
     (value, weight) pairs with nonzero weight (left is the first slot; a
     neighbour value n is a missing neighbour).  Float mode: [up][s], the
     weight of s given its up neighbour (row n: a missing one), which the
     left neighbour's interaction multiplies."""
-    memo = system._box_rows
+    memo = system.derived(_box_rows, lambda _: {})
     new = [m for m in masks if m not in memo]
     if new:
         sc = system.scaled()
@@ -558,7 +561,6 @@ class _Chains:
 
 def run_mcmc(system: SpinSystem, lat, boundary: PatternBoundary, site,
              n_sweeps: int = 10 ** 6, seed: int = 0,
-             burn_in: int = None, n_batches: int = 40,
              force: bool = False, chains: int = 1) -> MCMCResult:
     """Heat-bath dynamics on the interior of a lattice with an open axis (a
     box or a slab) under a pattern boundary constraint, from the pattern
@@ -578,7 +580,9 @@ def run_mcmc(system: SpinSystem, lat, boundary: PatternBoundary, site,
     as the chains of one call; its CSV `seed` column still seeds each
     sample's halo.
 
-    With one chain the standard errors are batch means over n_batches
+    The first max(1, n_sweeps // 10) sweeps are burn-in (none without
+    sweeps).
+    With one chain the standard errors are batch means over N_BATCHES
     batches of the kept sweeps; with several, the batches are the chains'
     own means.  More than MAX_TRACE chains x sweeps, or chains x (stored
     sites + 1), is refused (TooLarge) before any kernel runs."""
@@ -594,8 +598,7 @@ def run_mcmc(system: SpinSystem, lat, boundary: PatternBoundary, site,
             "hard constraints present and no universally compatible state; "
             "pass force=True to sample anyway")
     site = interior_site(lat, site)
-    if burn_in is None:
-        burn_in = max(1, n_sweeps // 10) if n_sweeps else 0
+    burn_in = max(1, n_sweeps // 10) if n_sweeps else 0
     sampler = _Chains(system, lat, boundary)
     if chains * n_sweeps > MAX_TRACE:
         raise errors.TooLarge(f"chains x sweeps above {MAX_TRACE}")
@@ -612,7 +615,7 @@ def run_mcmc(system: SpinSystem, lat, boundary: PatternBoundary, site,
     nb = 0
     if n_kept > 0:
         kept = trace[:, burn_in:]
-        batch = max(1, n_kept // n_batches) if chains == 1 else n_kept
+        batch = max(1, n_kept // N_BATCHES) if chains == 1 else n_kept
         nb = chains * (n_kept // batch)
         for s in range(system.n):
             label = system.states[s]

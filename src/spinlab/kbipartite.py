@@ -14,12 +14,12 @@ multinomial).  In rational mode the sum runs on SpinSystem.scaled() integer
 weights and is divided once by la^{4d} li^{4d^2}.
 
 A class's contents are enumerated over R(R(J)), and tested for membership,
-once per system and d: the system keeps them in a table, in _sub_contents
-order, with the weights of each row per I, built on first use.  A spec
-filters its class's table (a spec with no class, the table of every content
-over the union of its masks), keeping the rows that some assignment in the
-spec realizes, with their counts; verify_main_condition's many specs over
-a few classes share the tables.
+once per system and d: the system's memo keeps them in a table, in
+_sub_contents order, with the weights of each row per I, built on first
+use.  A spec filters its class's table (a spec with no class, the table of
+every content over the union of its masks), keeping the rows that some
+assignment in the spec realizes, with their counts; verify_main_condition's
+many specs over a few classes share the tables.
 """
 
 from __future__ import annotations
@@ -107,9 +107,9 @@ class _ClassContext:
         self.d = d
         self.spec = spec
         self.rJ = patterns.r_closure(system, spec.J)
-        if bin(spec.J).count("1") > MAX_SUBSET_SIDE:
+        if spec.J.bit_count() > MAX_SUBSET_SIDE:
             raise errors.GroundSetTooLarge(
-                f"side has {bin(spec.J).count('1')} states")
+                f"side has {spec.J.bit_count()} states")
         # a content value-set equivalent to J lies within R(R(J))
         self.ground = patterns.r_closure(system, self.rJ)
         # strict subsets of J that are dominant sides
@@ -283,16 +283,19 @@ class _Table:
 
 
 def _table(system, d, spec):
-    """The spec's content table, memoised on the system: its class's
+    """The spec's content table, kept in the system's memo: its class's
     contents over R(R(J)) or, when it sets no class, every content over the
     union of its masks."""
     if spec.J is None:
         ground = functools.reduce(operator.or_, _coords(system, d, spec), 0)
-        key = (d, ground)
+        key = (_table, d, ground)
     else:
-        key = (d, spec.J, spec.cls, spec.cls2, spec.eps, spec.eps_bar)
-    if key in system._content_tables:
-        return system._content_tables[key]
+        ground = None
+        key = (_table, d, spec.J, spec.cls, spec.cls2, spec.eps, spec.eps_bar)
+    return system.derived(key, lambda _: _build_table(system, d, spec, ground))
+
+
+def _build_table(system, d, spec, ground):
     ctx = _spec_context(system, d, spec)
     if ctx is not None:
         ground = ctx.ground
@@ -306,8 +309,7 @@ def _table(system, d, spec):
                                      2 * d)
             if ctx is None or ctx.admits(
                 {s: c for s, c in zip(states, y) if c})]
-    table = system._content_tables[key] = _Table(states, rows)
-    return table
+    return _Table(states, rows)
 
 
 def _contents(table, coords):

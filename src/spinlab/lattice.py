@@ -26,11 +26,17 @@ boundary.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from . import errors
+
+# stored sites (interior and halo) of one lattice, the sampler's own bound
+# (gibbs.MAX_TRACE) for one chain; its tables, the index dict of coordinate
+# tuples foremost, take about 470 bytes a site on a 2D box
+MAX_SITES = 10 ** 7
 
 
 @dataclass
@@ -80,13 +86,18 @@ def make_lattice(dims, periodic) -> Lattice:
     """Interior sites in lexicographic order, then each halo site in the
     order of its interior neighbor, axis and step.  The halo lies across
     the open axes; a periodic axis wraps, and its side must be even so that
-    parity 2-colors the graph."""
+    parity 2-colors the graph.  More than MAX_SITES stored sites are
+    refused before any table is built."""
     dims, periodic = tuple(dims), tuple(map(bool, periodic))
     if len(periodic) != len(dims):
         raise errors.SchemaError("one periodic flag per axis")
     if any(p and (n < 2 or n % 2) for n, p in zip(dims, periodic)):
         raise errors.ParamOutOfRange(
             "periodic sides must be even (parity must 2-color the graph)")
+    halo_sites = sum(2 * math.prod(dims[:a] + dims[a + 1:])
+                     for a, p in enumerate(periodic) if not p)
+    if math.prod(dims) + halo_sites > MAX_SITES:
+        raise errors.TooLarge(f"more than {MAX_SITES} stored sites")
     d = len(dims)
     inner = np.indices(dims).reshape(d, -1).T
     rank = np.arange(len(inner))

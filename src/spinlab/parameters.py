@@ -16,8 +16,8 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from . import errors, patterns
-from .system import MAX_FLOAT_INT, log_number, to_float
+from . import errors, kbipartite, patterns
+from .system import MAX_FLOAT_INT, emit_number, log_number, to_float
 
 INF = math.inf
 # bits of one power lambda^{2d} beyond which rho_bulk_star_of leaves exact
@@ -62,8 +62,6 @@ class ParameterReport:
     alpha_tilde_simple: float = None
 
     def to_dict(self):
-        from .system import emit_number
-
         def num(x):
             if isinstance(x, Fraction):
                 return emit_number(x)
@@ -124,7 +122,6 @@ def rho_bulk_star_of(system, d):
     lambda_restricted_power(A_p, 2d) lambda(B_p)^{2d}, over omega_dom.  The
     sum is exact while its powers stay within EXACT_BITS bits (rational
     mode) or the float range (float mode), and taken in log space beyond."""
-    from . import kbipartite
     st = patterns.structure(system)
     if st.rho_int != 0:
         raise errors.Alt3OnWeightedSystem(

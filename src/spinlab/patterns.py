@@ -12,11 +12,11 @@ points of R o R.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional
 
 from . import errors
-from .system import SpinSystem, to_float
+from .system import SpinSystem, emit_number, to_float
 
 FRAK_Q_MAX_STATES = 24  # safety valve; the closure method needs far less
 # float mode: maximal patterns within this relative weight of the maximum
@@ -37,14 +37,23 @@ def weight(system: SpinSystem, p: Pattern):
     return system.lambda_mask(p.a) * system.lambda_mask(p.b)
 
 
+def _h_masks(system: SpinSystem) -> tuple:
+    """The H-neighbourhood of each state as a bitmask: the states it
+    interacts with at the maximal weight."""
+    top = system.max_interaction
+    return tuple(sum(1 << b for b, v in enumerate(row) if v == top)
+                 for row in system.interactions)
+
+
 def r_closure(system: SpinSystem, mask: int) -> int:
     """Common max-interaction neighbors of the states in mask; S for mask=0."""
     result = system.full_mask()
+    h = system.derived(_h_masks)
     i = 0
     m = mask
     while m:
         if m & 1:
-            result &= system.neighbor_mask(i)
+            result &= h[i]
         m >>= 1
         i += 1
     return result
@@ -57,7 +66,9 @@ def r_closure(system: SpinSystem, mask: int) -> int:
 class PatternStructure:
     """Everything derived from a system that depends only on its pattern
     structure, in immutable containers; the ratios are exact in rational
-    mode.  Built once per system by structure()."""
+    mode.  Built once per system by structure(), and kept with the
+    dominant patterns' equivalence classes (dominant_classes()) in the
+    system's memo."""
     r_sets: tuple              # fixed points of R o R, sorted
     maximal: tuple             # (A, R(A)) for A in r_sets
     dominant: tuple            # maximal patterns of maximal weight
@@ -76,21 +87,11 @@ class PatternStructure:
     # float (lam(A), lam(B)) of the non-dominant maximal patterns with both
     # sides nonempty, in maximal-pattern order
     bulk_pairs: tuple
-    # the dominant patterns' (undirected, direct) equivalence classes, set
-    # on first use by dominant_classes(): only analyze and breakup read them
-    classes: Optional[tuple] = field(default=None, init=False, repr=False,
-                                     compare=False)
 
 
 def structure(system: SpinSystem) -> PatternStructure:
     """The system's pattern structure, memoised on the system."""
-    if system._pattern_structure is None:
-        system._pattern_structure = _build_structure(system)
-    return system._pattern_structure
-
-
-def _popcount(mask):
-    return bin(mask).count("1")
+    return system.derived(_build_structure)
 
 
 def _intersection_closure(top, gens):
@@ -110,7 +111,7 @@ def _intersection_closure(top, gens):
 def _build_structure(system: SpinSystem) -> PatternStructure:
     full = system.full_mask()
     rs = tuple(sorted(_intersection_closure(
-        full, {system.neighbor_mask(i) for i in range(system.n)})))
+        full, set(system.derived(_h_masks)))))
     maximal = tuple(Pattern(a, r_closure(system, a)) for a in rs)
 
     weights = [weight(system, p) for p in maximal]
@@ -154,8 +155,8 @@ def _build_structure(system: SpinSystem) -> PatternStructure:
         omega_dom=omega,
         near_tie=near_tie,
         dominant_sides=dom_sides,
-        n_small_side=sum(1 for p in dom if _popcount(p.a) <= _popcount(p.b)),
-        n_large_side=sum(1 for p in dom if _popcount(p.a) >= _popcount(p.b)),
+        n_small_side=sum(1 for p in dom if p.a.bit_count() <= p.b.bit_count()),
+        n_large_side=sum(1 for p in dom if p.a.bit_count() >= p.b.bit_count()),
         frak_q=(_frak_q(system, dom) if system.n <= FRAK_Q_MAX_STATES
                 else None),
         rho_int=rho_int,
@@ -169,12 +170,6 @@ def _build_structure(system: SpinSystem) -> PatternStructure:
                          for p in maximal
                          if p not in dom_set and p.a != 0 and p.b != 0),
     )
-
-
-def r_sets(system: SpinSystem) -> list:
-    """All fixed points of R o R, as the intersection closure of the
-    neighborhoods together with the full set."""
-    return list(structure(system).r_sets)
 
 
 def maximal_patterns(system: SpinSystem) -> list:
@@ -207,9 +202,8 @@ def find_equivalence(system: SpinSystem, p: Pattern, q: Pattern,
 
 def _find_direct(system: SpinSystem, p: Pattern, q: Pattern) -> Optional[tuple]:
     n = system.n
-    if bin(p.a).count("1") != bin(q.a).count("1"):
-        return None
-    if bin(p.b).count("1") != bin(q.b).count("1"):
+    if p.a.bit_count() != q.a.bit_count() \
+            or p.b.bit_count() != q.b.bit_count():
         return None
     acts = system.activities
     inter = system.interactions
@@ -292,17 +286,15 @@ def equivalence_classes(system: SpinSystem, patterns: list,
 
 def dominant_classes(system: SpinSystem):
     """The dominant patterns' undirected and direct equivalence classes, as
-    equivalence_classes orders them; searched once per system."""
-    st = structure(system)
-    if st.classes is None:
-        object.__setattr__(st, "classes", tuple(
-            tuple(map(tuple, equivalence_classes(system, st.dominant, direct)))
-            for direct in (False, True)))
-    return st.classes
+    equivalence_classes orders them; searched once per system, on first
+    use: only analyze and breakup read them."""
+    return system.derived(_dominant_classes)
 
 
-def all_dominant_equivalent(system: SpinSystem) -> bool:
-    return len(dominant_classes(system)[0]) == 1
+def _dominant_classes(system: SpinSystem) -> tuple:
+    dom = structure(system).dominant
+    return tuple(tuple(map(tuple, equivalence_classes(system, dom, direct)))
+                 for direct in (False, True))
 
 
 def frak_q(system: SpinSystem) -> float:
@@ -317,7 +309,7 @@ def _frak_q(system: SpinSystem, dom) -> float:
     """The answer for I is the intersection of the answers for the
     singletons in I, so the distinct answers form the intersection closure
     of the singleton answers together with the answer for the empty set."""
-    small = [p for p in dom if _popcount(p.a) <= _popcount(p.b)]
+    small = [p for p in dom if p.a.bit_count() <= p.b.bit_count()]
     singleton = [frozenset(k for k, p in enumerate(small) if p.a >> i & 1)
                  for i in range(system.n)]
     return math.log2(len(_intersection_closure(
@@ -336,8 +328,6 @@ class PatternCatalog:
     near_tie: bool = False
 
     def to_dict(self, system: SpinSystem):
-        from .system import emit_number
-
         def fmt(p):
             return {"A": sorted(system.states[i] for i in system.mask_states(p.a)),
                     "B": sorted(system.states[i] for i in system.mask_states(p.b)),

@@ -8,6 +8,10 @@ prod_v lam[f(v)] * prod_{uv in E} lam[f(u)][f(v)].
 
 Arithmetic mode is uniform per system: "rational" (exact Fractions) or
 "float".  Rational numbers serialize as "p/q" strings in JSON.
+
+A SpinSystem is frozen, and what other modules derive from it (the pattern
+structure, the scaled weights, tables of local weights or contents) is
+kept in its one memo, each under its builder's key, by derived().
 """
 
 from __future__ import annotations
@@ -16,7 +20,6 @@ import json
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Optional
 
 from . import errors
 
@@ -102,28 +105,26 @@ def log_number(x) -> float:
 # ---------------------------------------------------------------------------
 # core types
 
-@dataclass
+@dataclass(frozen=True)
 class SpinSystem:
-    """Immutable-by-convention container for a spin system."""
+    """A spin system; frozen, since what is derived from it is kept."""
     states: tuple
     activities: tuple
     interactions: tuple  # tuple of tuples, symmetric
     mode: str  # "rational" | "float"
+    # what other code derives from the system, by key; see derived()
+    _memo: dict = field(default_factory=dict, init=False, repr=False,
+                        compare=False)
 
-    _neighbor_masks: Optional[tuple] = field(default=None, repr=False, compare=False)
-    # patterns.PatternStructure, built on first use by patterns.structure()
-    _pattern_structure: Optional[object] = field(default=None, repr=False,
-                                                 compare=False)
-    # the ScaledWeights, built on first use by scaled()
-    _scaled: Optional["ScaledWeights"] = field(default=None, repr=False,
-                                               compare=False)
-    # kbipartite's content tables by (d, class or ground), each built on
-    # first use by kbipartite._table
-    _content_tables: dict = field(default_factory=dict, repr=False,
-                                  compare=False)
-    # the box DP's local-weight rows by allowed mask, each built on first
-    # use by gibbs._box_rows
-    _box_rows: dict = field(default_factory=dict, repr=False, compare=False)
+    def derived(self, key, build=None):
+        """The value kept under key, built on first use as build(self), or
+        as key(self) when no build is given: a builder that reads only the
+        system is its own key, so a lookup allocates nothing."""
+        try:
+            return self._memo[key]
+        except KeyError:
+            value = self._memo[key] = (build or key)(self)
+            return value
 
     @property
     def n(self):
@@ -138,28 +139,6 @@ class SpinSystem:
     @property
     def max_interaction(self):
         return max(v for row in self.interactions for v in row)
-
-    def neighbor_mask(self, i):
-        """Bitmask of states j interacting with i at the maximal weight."""
-        if self._neighbor_masks is None:
-            m = self.max_interaction
-            masks = []
-            for a in range(self.n):
-                bm = 0
-                for b in range(self.n):
-                    if self.interactions[a][b] == m:
-                        bm |= 1 << b
-                masks.append(bm)
-            self._neighbor_masks = tuple(masks)
-        return self._neighbor_masks[i]
-
-    def positive_neighbor_mask(self, i):
-        """Bitmask of states j with lam[i][j] > 0."""
-        bm = 0
-        for b in range(self.n):
-            if self.interactions[i][b] > 0:
-                bm |= 1 << b
-        return bm
 
     def full_mask(self):
         return (1 << self.n) - 1
@@ -185,20 +164,7 @@ class SpinSystem:
     def scaled(self) -> "ScaledWeights":
         """The weights on a common integer scale (rational mode), or as they
         are (float mode); see ScaledWeights.  Built once per system."""
-        if self._scaled is not None:
-            return self._scaled
-        if self.mode != "rational":
-            self._scaled = ScaledWeights(self.activities, self.interactions)
-            return self._scaled
-        la = math.lcm(*(a.denominator for a in self.activities))
-        li = math.lcm(*(v.denominator for row in self.interactions
-                        for v in row))
-        self._scaled = ScaledWeights(
-            tuple(int(a * la) for a in self.activities),
-            tuple(tuple(int(v * li) for v in row)
-                  for row in self.interactions),
-            la, li, exact=True)
-        return self._scaled
+        return self.derived(_scale)
 
     def to_dict(self):
         return {
@@ -231,6 +197,18 @@ class ScaledWeights:
         if self.exact:
             return Fraction(total, self.la ** n_vertices * self.li ** n_edges)
         return float(total)
+
+
+def _scale(system: SpinSystem) -> ScaledWeights:
+    if system.mode != "rational":
+        return ScaledWeights(system.activities, system.interactions)
+    la = math.lcm(*(a.denominator for a in system.activities))
+    li = math.lcm(*(v.denominator for row in system.interactions
+                    for v in row))
+    return ScaledWeights(
+        tuple(int(a * la) for a in system.activities),
+        tuple(tuple(int(v * li) for v in row) for row in system.interactions),
+        la, li, exact=True)
 
 
 # ---------------------------------------------------------------------------

@@ -586,6 +586,19 @@ def test_sweeps_beyond_the_trace_bound_are_refused(af3_soft_path, capsys,
         "detail": f"chains x sweeps above {gibbs.MAX_TRACE}"}
 
 
+@pytest.mark.parametrize("command", ["exact", "mcmc"])
+def test_a_lattice_beyond_the_site_bound_is_refused(af3_soft_path, capsys,
+                                                    command):
+    """10^14 sites are refused before any table of the lattice is built."""
+    assert cli.main([command, "--system", af3_soft_path, "--lattice",
+                     "box:10000000x10000000+halo", "--pattern", "A=1;B=2,3",
+                     "--site", "1,1"]) == 3
+    out, err = capsys.readouterr()
+    assert out == "" and json.loads(err) == {
+        "error": "TooLarge",
+        "detail": f"more than {lm.MAX_SITES} stored sites"}
+
+
 def test_samples_beyond_the_trace_bound_are_refused(af3_path, capsys):
     """1e12 samples of a 6x6 box would hold 61 x 1e12 int64 values in the
     checkerboard kernel: refused before any kernel runs."""

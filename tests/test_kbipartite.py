@@ -39,7 +39,7 @@ def test_a_table_beyond_max_contents_is_refused_before_it_is_built():
     system = catalog.build("af_potts", q=6)
     with pytest.raises(errors.TooLarge):
         kb.z_compositions(system, 20, kb.PsiSpec(), system.full_mask())
-    assert not system._content_tables
+    assert not system._memo
 
 
 def test_unknown_spec_kinds():

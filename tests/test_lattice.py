@@ -110,6 +110,17 @@ def test_parse_lattice():
             lm.parse_lattice(bad)
 
 
+def test_stored_sites_beyond_the_bound_are_refused(monkeypatch):
+    """The interior and the halo across the open axes count: a 6x6 box
+    stores 36 + 24 sites, a 6x8 slab periodic along its first axis 48 + 12,
+    a 6x7 box 42 + 26."""
+    monkeypatch.setattr(lm, "MAX_SITES", 60)
+    assert lm.make_lattice((6, 6), (False, False)).n == 60
+    assert lm.make_lattice((6, 8), (True, False)).n == 60
+    with pytest.raises(errors.TooLarge):
+        lm.make_lattice((6, 7), (False, False))
+
+
 def test_boundary_operators():
     lat = make_box((4, 4))
     v = lat.index[(1, 1)]

@@ -51,13 +51,13 @@ def test_is_pattern_and_weight():
 # maximal / dominant structure
 
 def test_af3_structure():
-    assert len(patterns.r_sets(AF3)) == 8  # every subset is closed here
+    assert len(patterns.structure(AF3).r_sets) == 8  # every subset is closed
     maximal = patterns.maximal_patterns(AF3)
     assert len(maximal) == 8
     dom, omega, near_tie = patterns.dominant_patterns(AF3)
     assert omega == 2 and len(dom) == 6 and not near_tie
     assert Pattern(0b001, 0b110) in dom and Pattern(0b110, 0b001) in dom
-    assert patterns.all_dominant_equivalent(AF3)
+    assert len(patterns.dominant_classes(AF3)[0]) == 1
     direct = patterns.equivalence_classes(AF3, dom, direct=True)
     assert sorted(len(c) for c in direct) == [3, 3]
     assert len(patterns.equivalence_classes(AF3, dom)) == 1
@@ -78,10 +78,9 @@ def test_structure_is_memoised_and_immutable():
     # the public readers hand out copies
     patterns.maximal_patterns(system).clear()
     patterns.dominant_patterns(system)[0].clear()
-    patterns.r_sets(system).clear()
     assert len(st.maximal) == len(patterns.maximal_patterns(system)) == 8
     assert len(patterns.dominant_patterns(system)[0]) == 6
-    assert len(patterns.r_sets(system)) == 8
+    assert len(patterns.structure(system).r_sets) == 8
 
 
 def test_frak_q_values():
@@ -114,7 +113,7 @@ def test_activity_asymmetry_blocks_direct_equivalence():
     assert set(dom) == {Pattern(0b001, 0b110), Pattern(0b110, 0b001)}
     direct = patterns.equivalence_classes(system, dom, direct=True)
     assert sorted(len(c) for c in direct) == [1, 1]
-    assert patterns.all_dominant_equivalent(system)  # swap still works
+    assert len(patterns.dominant_classes(system)[0]) == 1  # swap works
 
 
 def _near_tie_path_system(mode, lam3):

@@ -1,9 +1,10 @@
+import dataclasses
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, strategies as st
 
-from spinlab import errors
+from spinlab import errors, patterns
 from spinlab.system import (ScaledWeights, SpinSystem, bipartite_cover,
                             emit_number, load_system, make_system,
                             parse_number, product, project_from_doubled,
@@ -70,9 +71,8 @@ def test_validate_system_ok():
     assert system.n == 2
     assert system.activities == (Fraction(1), Fraction(2))
     assert system.max_interaction == 1
-    assert system.neighbor_mask(0) == 0b11
-    assert system.neighbor_mask(1) == 0b01
-    assert system.positive_neighbor_mask(1) == 0b01
+    assert patterns.r_closure(system, 0b01) == 0b11
+    assert patterns.r_closure(system, 0b10) == 0b01
     assert system.full_mask() == 0b11
     assert system.lambda_mask(0b11) == 3
     assert system.mask_states(0b10) == [1]
@@ -91,6 +91,19 @@ def test_scaled_weights_are_built_once_per_system():
         assert fresh is not sc and fresh == sc
     assert rational.scaled() == ScaledWeights((9, 2), ((4, 1), (1, 0)), 6, 4,
                                               exact=True)
+
+
+def test_a_system_is_frozen():
+    """What is derived from a system is kept in its memo, so no field of a
+    system can be assigned."""
+    system = make_system(["0", "1"], [1, 2], [[1, 1], [1, 0]])
+    sc = system.scaled()
+    for name in ("states", "activities", "interactions", "mode", "_memo"):
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(system, name, getattr(system, name))
+    assert [f.name for f in dataclasses.fields(system)] == [
+        "states", "activities", "interactions", "mode", "_memo"]
+    assert system.scaled() is sc
 
 
 def test_validate_system_errors():

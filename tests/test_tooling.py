@@ -119,57 +119,90 @@ def _perfbench_names():
     return names
 
 
+def _imports(tree, modules):
+    """What a module's names stand for: local name -> (module, None) for a
+    module it imports with ``from . import``, and -> (module, name) for a
+    name it takes from another module, at any level of the module."""
+    out = {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.level == 1:
+            for alias in node.names:
+                if node.module is None and alias.name in modules:
+                    target = alias.name, None
+                else:
+                    target = node.module or "__init__", alias.name
+                out[alias.asname or alias.name] = target
+    return out
+
+
+def _reads(node, module, imports):
+    """The (module, name) definitions a node reads: each name it loads, as
+    its own module's or as an import, and each attribute it loads on a
+    module."""
+    for n in ast.walk(node):
+        if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load):
+            yield imports.get(n.id, (module, n.id))
+        elif isinstance(n, ast.Attribute) and isinstance(n.ctx, ast.Load) \
+                and isinstance(n.value, ast.Name):
+            target = imports.get(n.value.id)
+            if target and target[1] is None:
+                yield target[0], n.attr
+
+
 def test_every_library_definition_is_reachable():
-    """Every top-level def, class and assignment in src/spinlab is reached,
-    by name, from a click subcommand, cli.main, a module-level statement or
-    a name the benchmark reaches.  A definition is reached when its name is
-    read (as a name or an attribute) in a reached definition of any module;
-    the match is by name only, so it errs towards reached.  Test oracles,
-    checks of the paper's lemmas and wrappers that only tests call belong
-    in tests/helpers.py.
+    """Every top-level def, class and assignment in src/spinlab is reached
+    from a click subcommand, cli.main, a module-level statement or a name
+    the benchmark reaches.  A definition is reached when a reached
+    definition loads its name (in its own module, or where imported) or
+    loads it as an attribute of its module; a stored name, a dataclass
+    field or an attribute of any other object does not count.  Test
+    oracles, checks of the paper's lemmas and wrappers that only tests call
+    belong in tests/helpers.py.
 
     The benchmark's names are roots because perfbench/ patches and calls
     them, and a change that edits src/ cannot also edit the benchmark.  No
     subcommand runs these, which only the benchmark keeps: the TRACED
-    gibbs.exact_measure, prob_not_in_pattern (a SiteLaw field of the same
-    name hides it from this name match) and z_pattern_box,
+    gibbs.exact_measure, prob_not_in_pattern and z_pattern_box,
     parameters.compute_parameters with its ParameterReport, and
     lattice.plus_r, components, separating_components and
     connected_to_infinity; gibbs.z_torus with its layer transfer, which
     perfbench calls directly; and kbipartite.PsiSpec.kind, a member
     perfbench/spans.py reads.  ROADMAP item 3 removes them together with
     TRACED."""
-    defs, roots = {}, []
-    for path in sorted(SRC.glob("*.py")):
-        for node in ast.parse(path.read_text()).body:
+    paths = sorted(SRC.glob("*.py"))
+    modules = {path.stem for path in paths}
+    defs, roots, imports = {}, [], {}
+    for path in paths:
+        mod = path.stem
+        tree = ast.parse(path.read_text())
+        imports[mod] = _imports(tree, modules)
+        for node in tree.body:
             if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
-                defs[path.stem, node.name] = node
-                if path.stem == "cli" and node.decorator_list:
-                    roots.append(node)  # the click group and subcommands
+                defs[mod, node.name] = node
+                if mod == "cli" and node.decorator_list:
+                    roots.append((mod, node))  # the click group, subcommands
             elif isinstance(node, (ast.Assign, ast.AnnAssign)):
                 targets = node.targets if isinstance(node, ast.Assign) \
                     else [node.target]
                 for target in targets:
                     for n in ast.walk(target):
                         if isinstance(n, ast.Name):
-                            defs[path.stem, n.id] = node
+                            defs[mod, n.id] = node
             elif not isinstance(node, (ast.Import, ast.ImportFrom)) \
                     and not (isinstance(node, ast.Expr)
                              and isinstance(node.value, ast.Constant)):
-                roots.append(node)
-    roots += [defs[key] for key in _perfbench_names() | {("cli", "main")}
+                roots.append((mod, node))
+    roots += [(key[0], defs[key])
+              for key in _perfbench_names() | {("cli", "main")}
               if key in defs]
-    reached, seen = set(), set()
+    reached = set()
     while roots:
-        node = roots.pop()
+        mod, node = roots.pop()
         if id(node) in reached:
             continue
         reached.add(id(node))
-        new = {n.id if isinstance(n, ast.Name) else n.attr
-               for n in ast.walk(node)
-               if isinstance(n, (ast.Name, ast.Attribute))} - seen
-        seen |= new
-        roots += [d for (_, name), d in defs.items() if name in new]
+        roots += [(key[0], defs[key])
+                  for key in _reads(node, mod, imports[mod]) if key in defs]
     unreached = sorted(f"{mod}.{name}" for (mod, name), node in defs.items()
                        if id(node) not in reached)
     assert not unreached, "unreached:\n" + "\n".join(unreached)
