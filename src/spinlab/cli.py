@@ -345,7 +345,10 @@ def cmd_verify_cond(system, d, alpha, gamma, eps, epsbar, seed):
 @_command("exact", _LATTICE, _PATTERN, _SITE)
 def cmd_exact(system, lattice_spec, pattern_text, site):
     """Exact single-site marginal under a pattern boundary condition."""
-    lat, pat = _lattice_pattern(system, lattice_spec, pattern_text)
+    shape = lat_mod.parse_shape(lattice_spec)
+    pat = _parse_pattern(system, pattern_text)
+    gibbs.check_box(system, *shape)  # before the lattice is built
+    lat = lat_mod.make_lattice(*shape)
     law = gibbs.site_law(system, lat, gibbs.PatternBoundary(pat),
                          _parse_site(lat, site))
     return {

@@ -57,12 +57,14 @@ N_BATCHES = 40
 
 RNG_ID = "numpy-pcg64"
 CHECKERBOARD_RNG_ID = "numpy-pcg64-checkerboard"
-# chains x |interior| from which the checkerboard kernel runs: the measured
-# crossover (af_potts q=3 beta=1, 2 vCPUs, numpy 2.4).  Checkerboard over
-# raster speed: 0.3 at 36 updates per sweep (one 6x6 chain), 0.6-1.2 at
-# 100-196, 1.2-1.9 at 216-288.  The raster kernel does 2-3 M updates/s at
-# any size, the checkerboard kernel 8.5 M/s on 40 6x6 chains and 10.5 M/s
-# on one 64x64 chain.
+# chains x |interior| from which the checkerboard kernel runs.  Which kernel
+# runs is part of the stream contract, so this stays at the crossover first
+# measured (af_potts q=3 beta=1, 2 vCPUs, numpy 2.4), though the crossover
+# has since moved down.  Checkerboard over raster speed now: 0.4 at 36
+# updates per sweep (one 6x6 chain), 0.6 at 72, 0.9-1.0 at 100-108,
+# 1.2-1.5 at 144, 1.5-2.2 at 196-288.  The raster kernel does 2.4-3.5 M
+# updates/s at any size, the checkerboard kernel 22 M/s on 40 6x6 chains
+# and 26 M/s on one 64x64 chain.
 CHECKERBOARD_MIN_UPDATES = 200
 
 
@@ -134,13 +136,9 @@ def _box_sweep(system, lat, boundary: PatternBoundary, site=None) -> list:
     returns Z_s, the partition function with the site's value fixed to s,
     for every state s: the sites before it are summed once and one suffix
     runs per value."""
-    if lat.d != 2 or any(lat.periodic):
-        raise errors.UnsupportedLattice(
-            "exact evaluation implemented for 2D boxes")
+    check_box(system, lat.dims, lat.periodic)
     h, w = lat.dims
     n = system.n
-    if n ** w > MAX_FRONTIER:
-        raise errors.StateSpaceTooLarge(f"{n}^{w} frontier states")
     sc = system.scaled()
     end = h * w
     # the allowed mask of each raster position (the interior's site order)
@@ -207,6 +205,21 @@ def _box_sweep(system, lat, boundary: PatternBoundary, site=None) -> list:
             np.ones((), bool))))
     n_edges = h * (w - 1) + (h - 1) * w
     return [sc.unscale(z, end, n_edges) for z in zs]
+
+
+def check_box(system, dims, periodic) -> None:
+    """Refuse a lattice the box DP cannot evaluate, from its sides alone, so
+    that a caller can check before it builds the lattice: one that is not a
+    2D box (UnsupportedLattice), or one whose frontier of |S|^w states, w
+    its second side, exceeds MAX_FRONTIER (StateSpaceTooLarge)."""
+    if len(dims) != 2 or any(periodic):
+        raise errors.UnsupportedLattice(
+            "exact evaluation implemented for 2D boxes")
+    n, w = system.n, dims[1]
+    # any n >= 2 exceeds the bound by this power, so a wide box builds no
+    # huge integer
+    if n ** min(w, MAX_FRONTIER.bit_length()) > MAX_FRONTIER:
+        raise errors.StateSpaceTooLarge(f"{n}^{w} frontier states")
 
 
 def _box_rows(system, masks) -> dict:
@@ -468,15 +481,18 @@ def _local_weights(acts, inter, k, masks):
 
 
 def _build_tables(system, d, class_masks):
-    """Cumulative conditional laws per site class: the float local weights
-    of the 2d neighbor slots, summed over the states."""
+    """Cumulative conditional laws per site class, [class][key][s]: the
+    float local weights of the 2d neighbor slots, summed over the states.
+    In memory each state's column is one contiguous block ([s][class][key]),
+    the layout the checkerboard kernel reads."""
     n = system.n
     if (n + 1) ** (2 * d) * n * len(class_masks) > 2 * 10 ** 7:
         raise errors.StateSpaceTooLarge(f"{(n + 1) ** (2 * d)} neighbor keys")
     acts = np.array([to_float(a) for a in system.activities])
     inter = np.array([[to_float(x) for x in row]
                       for row in system.interactions])
-    return np.cumsum(_local_weights(acts, inter, 2 * d, class_masks), axis=-1)
+    wgt = np.moveaxis(_local_weights(acts, inter, 2 * d, class_masks), -1, 0)
+    return np.moveaxis(np.cumsum(wgt, axis=0, out=np.empty(wgt.shape)), 0, -1)
 
 
 class _Chains:
@@ -507,9 +523,9 @@ class _Chains:
         # per class, the rows nested slot by slot, first slot outermost
         nested = [t.reshape((self.base,) * deg + (n,)).tolist()
                   for t in self.tables]
-        plan = [(v, nested[c], tuple(nb)) for v, (c, nb) in
+        plan = [(v, nested[c], *nb) for v, (c, nb) in
                 enumerate(zip(self.cls.tolist(), self.slots.tolist()))]
-        pick = bisect.bisect_left
+        sweeps = _raster_sweeps(deg)
         chunk = max(1, 4096 // m)  # sweeps per block of uniforms
         traces, configs = [], []
         for _ in range(chains):
@@ -517,13 +533,8 @@ class _Chains:
             trace = []
             for lo in range(0, n_sweeps, chunk):
                 cur = min(chunk, n_sweeps - lo)
-                uniforms = iter(rng.random(cur * m).tolist())
-                for _ in range(cur):
-                    for (v, row, nb), u in zip(plan, uniforms):
-                        for x in nb:
-                            row = row[cfg[x]]
-                        cfg[v] = pick(row, u * row[-1])
-                    trace.append(cfg[site])
+                sweeps(cfg, plan, iter(rng.random(cur * m).tolist()), cur,
+                       site, trace)
             traces.append(trace)
             configs.append(cfg[:-1])
         return np.array(traces, dtype=np.int64).reshape(chains, n_sweeps), \
@@ -534,29 +545,60 @@ class _Chains:
         once, then all odd ones.  Given the other sublattice, the sites of
         one sublattice are conditionally independent, so this is a valid
         heat-bath sweep.  Each half-sweep draws rng.random((sites, chains))
-        and picks the state as the raster kernel does."""
-        n, base = self.n, self.base
+        and picks the state as the raster kernel does: the number of states
+        s < |S| - 1 with cum[s] < u * cum[-1] (the last state never counts,
+        since u < 1), read from each state's cumulative column, one
+        contiguous array indexed by class * keys + key."""
         n_keys = self.tables.shape[1]
-        flat = self.tables.reshape(-1, n)
-        cfg = np.repeat(self.init.astype(np.int64)[:, None], chains,
-                        axis=1)  # [site][chain]
-        halves = [(sites, self.slots[sites].T,
-                   self.cls[sites, None] * n_keys)
+        cols = np.moveaxis(self.tables, -1, 0).reshape(self.n, -1)  # a view
+        lower, last = cols[:-1], cols[-1]
+        cfg = np.repeat(self.init[:, None], chains, axis=1)  # [site][chain]
+        deg = self.slots.shape[1]
+        # per half: its sites, their slots (slot-major), class offsets and
+        # a buffer for its uniforms
+        halves = [(sites, self.slots[sites].T.ravel(),
+                   self.cls[sites, None] * n_keys,
+                   np.empty((len(sites), chains)))
                   for sites in (np.flatnonzero(self.parity == p)
                                 for p in (0, 1)) if len(sites)]
         # the first slot is the most significant digit of the key
-        powers = [base ** j for j in range(self.slots.shape[1] - 1, -1, -1)]
+        powers = self.base ** np.arange(deg - 1, -1, -1)
         trace = np.zeros((chains, n_sweeps), dtype=np.int64)
         for sweep in range(n_sweeps):
-            for sites, slots, offset in halves:
-                key = offset
-                for sl, w in zip(slots, powers):
-                    key = key + cfg[sl] * w
-                rows = flat[key]
-                u = rng.random(key.shape) * rows[..., -1]
-                cfg[sites] = (rows < u[..., None]).sum(-1)
+            for sites, slots, offset, u in halves:
+                key = (powers @ cfg.take(slots, 0).reshape(deg, -1)) \
+                    .reshape(u.shape)
+                key += offset
+                rng.random(out=u)
+                u *= last.take(key)
+                # at most MAX_STATES - 1 = 63 states count: the sum fits a byte
+                cfg[sites] = (lower.take(key, 1) < u).view(np.uint8).sum(
+                    0, dtype=np.uint8)
             trace[:, sweep] = cfg[site]
         return trace, [c[:-1] for c in cfg.T.tolist()]
+
+
+# The raster kernel's block of sweeps for 2d = deg neighbor slots x0 ..
+# x{deg-1}: an update reads its nested row by one chain of subscripts, which
+# runs faster than a loop over the slots.
+_RASTER_SWEEPS = """
+def sweeps(cfg, plan, uniforms, n_sweeps, site, trace, pick=pick):
+    for _ in range(n_sweeps):
+        for (v, row, {slots}), u in zip(plan, uniforms):
+            row = row{subscripts}
+            cfg[v] = pick(row, u * row[-1])
+        trace.append(cfg[site])
+"""
+
+
+@functools.cache
+def _raster_sweeps(deg):
+    slots = [f"x{j}" for j in range(deg)]
+    namespace = {"pick": bisect.bisect_left}
+    exec(_RASTER_SWEEPS.format(
+        slots=", ".join(slots),
+        subscripts="".join(f"[cfg[{x}]]" for x in slots)), namespace)
+    return namespace["sweeps"]
 
 
 def run_mcmc(system: SpinSystem, lat, boundary: PatternBoundary, site,
@@ -585,7 +627,7 @@ def run_mcmc(system: SpinSystem, lat, boundary: PatternBoundary, site,
     With one chain the standard errors are batch means over N_BATCHES
     batches of the kept sweeps; with several, the batches are the chains'
     own means.  More than MAX_TRACE chains x sweeps, or chains x (stored
-    sites + 1), is refused (TooLarge) before any kernel runs."""
+    sites + 1), is refused (TooLarge) before any table is built."""
     if not lat.has_exterior:
         raise errors.UnsupportedLattice(
             "sampler runs on lattices with an open axis")
@@ -598,12 +640,12 @@ def run_mcmc(system: SpinSystem, lat, boundary: PatternBoundary, site,
             "hard constraints present and no universally compatible state; "
             "pass force=True to sample anyway")
     site = interior_site(lat, site)
-    burn_in = max(1, n_sweeps // 10) if n_sweeps else 0
-    sampler = _Chains(system, lat, boundary)
     if chains * n_sweeps > MAX_TRACE:
         raise errors.TooLarge(f"chains x sweeps above {MAX_TRACE}")
     if chains * (lat.n + 1) > MAX_TRACE:
         raise errors.TooLarge(f"chains x (stored sites + 1) above {MAX_TRACE}")
+    burn_in = max(1, n_sweeps // 10) if n_sweeps else 0
+    sampler = _Chains(system, lat, boundary)
     rng = np.random.Generator(np.random.PCG64(seed))
     checker = chains * len(lat.interior) >= CHECKERBOARD_MIN_UPDATES
     rng_id = CHECKERBOARD_RNG_ID if checker else RNG_ID

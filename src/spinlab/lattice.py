@@ -88,16 +88,7 @@ def make_lattice(dims, periodic) -> Lattice:
     the open axes; a periodic axis wraps, and its side must be even so that
     parity 2-colors the graph.  More than MAX_SITES stored sites are
     refused before any table is built."""
-    dims, periodic = tuple(dims), tuple(map(bool, periodic))
-    if len(periodic) != len(dims):
-        raise errors.SchemaError("one periodic flag per axis")
-    if any(p and (n < 2 or n % 2) for n, p in zip(dims, periodic)):
-        raise errors.ParamOutOfRange(
-            "periodic sides must be even (parity must 2-color the graph)")
-    halo_sites = sum(2 * math.prod(dims[:a] + dims[a + 1:])
-                     for a, p in enumerate(periodic) if not p)
-    if math.prod(dims) + halo_sites > MAX_SITES:
-        raise errors.TooLarge(f"more than {MAX_SITES} stored sites")
+    dims, periodic = check_shape(dims, periodic)
     d = len(dims)
     inner = np.indices(dims).reshape(d, -1).T
     rank = np.arange(len(inner))
@@ -114,6 +105,23 @@ def make_lattice(dims, periodic) -> Lattice:
                   interior=frozenset(range(len(inner))),
                   halo=frozenset(range(len(inner), len(inner) + len(halo))))
     return _tables(lat, np.concatenate([inner, halo]))
+
+
+def check_shape(dims, periodic) -> tuple:
+    """The sides and periodic flags as tuples, refused as make_lattice
+    refuses them: an odd periodic side, or more than MAX_SITES stored
+    sites."""
+    dims, periodic = tuple(dims), tuple(map(bool, periodic))
+    if len(periodic) != len(dims):
+        raise errors.SchemaError("one periodic flag per axis")
+    if any(p and (n < 2 or n % 2) for n, p in zip(dims, periodic)):
+        raise errors.ParamOutOfRange(
+            "periodic sides must be even (parity must 2-color the graph)")
+    halo_sites = sum(2 * math.prod(dims[:a] + dims[a + 1:])
+                     for a, p in enumerate(periodic) if not p)
+    if math.prod(dims) + halo_sites > MAX_SITES:
+        raise errors.TooLarge(f"more than {MAX_SITES} stored sites")
+    return dims, periodic
 
 
 def _tables(lat, coords):
@@ -144,6 +152,12 @@ def _tables(lat, coords):
 def parse_lattice(spec: str) -> Lattice:
     """"box:4x4+halo", "torus:4x4x4" or "box:12x12x4p+halo": a "p" after a
     box side makes that axis periodic, and every torus axis is."""
+    return make_lattice(*parse_shape(spec))
+
+
+def parse_shape(spec: str) -> tuple:
+    """The sides and periodic flags of a lattice spec (see parse_lattice),
+    refused as parse_lattice refuses them, without building the lattice."""
     try:
         kind, rest = spec.split(":", 1)
     except ValueError:
@@ -161,7 +175,7 @@ def parse_lattice(spec: str) -> Lattice:
         raise errors.SchemaError(f"unknown lattice kind {kind!r}")
     if halo and all(periodic):
         raise errors.SchemaError("a lattice with no open axis has no halo")
-    return make_lattice(dims, periodic)
+    return check_shape(dims, periodic)
 
 
 # ---------------------------------------------------------------------------

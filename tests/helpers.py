@@ -2,13 +2,15 @@
 
 The partition-function oracle enumerates configurations directly from the
 definition, and the generators build host graphs and systems from scratch.
-The brute-force K_{2d,2d} sums, the closed-form parameter tables, the checks
-of the paper's lemmas (odd sets, the closed-form inequality report, the
-per-vertex diagnostics and the restriction scenarios) and the box and torus
-builders live here too: tests are their only callers, so the library keeps
-only what a subcommand runs.
+The heat-bath kernels' row-by-row references, the brute-force K_{2d,2d}
+sums, the closed-form parameter tables, the checks of the paper's lemmas
+(odd sets, the closed-form inequality report, the per-vertex diagnostics and
+the restriction scenarios) and the box and torus builders live here too:
+tests are their only callers, so the library keeps only what a subcommand
+runs.
 """
 
+import bisect
 import itertools
 import math
 import random
@@ -354,6 +356,66 @@ def build_tables_reference(system, d, class_masks):
                 k //= base
             tables[ci, key] = np.cumsum(wgt)
     return tables
+
+
+def raster_reference(sampler, rng, site, n_sweeps, chains):
+    """The raster heat-bath kernel of a gibbs._Chains, one neighbor slot at
+    a time: each update walks its class's nested row slot by slot and
+    bisects it at u times the row's total.  The library's kernel must
+    reproduce its traces and final configurations exactly."""
+    (m, deg), n = sampler.slots.shape, sampler.n
+    nested = [t.reshape((sampler.base,) * deg + (n,)).tolist()
+              for t in sampler.tables]
+    plan = [(v, nested[c], tuple(nb)) for v, (c, nb) in
+            enumerate(zip(sampler.cls.tolist(), sampler.slots.tolist()))]
+    pick = bisect.bisect_left
+    chunk = max(1, 4096 // m)  # sweeps per block of uniforms
+    traces, configs = [], []
+    for _ in range(chains):
+        cfg = sampler.init.tolist()
+        trace = []
+        for lo in range(0, n_sweeps, chunk):
+            cur = min(chunk, n_sweeps - lo)
+            uniforms = iter(rng.random(cur * m).tolist())
+            for _ in range(cur):
+                for (v, row, nb), u in zip(plan, uniforms):
+                    for x in nb:
+                        row = row[cfg[x]]
+                    cfg[v] = pick(row, u * row[-1])
+                trace.append(cfg[site])
+        traces.append(trace)
+        configs.append(cfg[:-1])
+    return np.array(traces, dtype=np.int64).reshape(chains, n_sweeps), \
+        configs
+
+
+def checkerboard_reference(sampler, rng, site, n_sweeps, chains):
+    """The checkerboard heat-bath kernel of a gibbs._Chains by whole table
+    rows: each half-sweep gathers the (sites, chains, |S|) rows of its keys
+    and counts the entries below u times each row's total.  The library's
+    kernel must reproduce its traces and final configurations exactly."""
+    n, base = sampler.n, sampler.base
+    n_keys = sampler.tables.shape[1]
+    flat = sampler.tables.reshape(-1, n)
+    cfg = np.repeat(sampler.init.astype(np.int64)[:, None], chains,
+                    axis=1)  # [site][chain]
+    halves = [(sites, sampler.slots[sites].T,
+               sampler.cls[sites, None] * n_keys)
+              for sites in (np.flatnonzero(sampler.parity == p)
+                            for p in (0, 1)) if len(sites)]
+    # the first slot is the most significant digit of the key
+    powers = [base ** j for j in range(sampler.slots.shape[1] - 1, -1, -1)]
+    trace = np.zeros((chains, n_sweeps), dtype=np.int64)
+    for sweep in range(n_sweeps):
+        for sites, slots, offset in halves:
+            key = offset
+            for sl, w in zip(slots, powers):
+                key = key + cfg[sl] * w
+            rows = flat[key]
+            u = rng.random(key.shape) * rows[..., -1]
+            cfg[sites] = (rows < u[..., None]).sum(-1)
+        trace[:, sweep] = cfg[site]
+    return trace, [c[:-1] for c in cfg.T.tolist()]
 
 
 # ---------------------------------------------------------------------------

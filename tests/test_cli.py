@@ -586,6 +586,43 @@ def test_sweeps_beyond_the_trace_bound_are_refused(af3_soft_path, capsys,
         "detail": f"chains x sweeps above {gibbs.MAX_TRACE}"}
 
 
+@pytest.mark.parametrize("lattice, width", [("box:500x500+halo", 500),
+                                            ("box:1x3000000+halo", 3000000)])
+def test_exact_refuses_a_wide_box_before_building_it(af3_soft_path, capsys,
+                                                     monkeypatch, lattice,
+                                                     width):
+    """3^w frontier states are refused from the spec's sides: no lattice of
+    250,000 or 3,000,000 sites is built first."""
+    built = []
+    monkeypatch.setattr(lm, "make_lattice", lambda *args: built.append(args))
+    assert cli.main(["exact", "--system", af3_soft_path, "--lattice",
+                     lattice, "--pattern", "A=1;B=2,3", "--site", "0,0"]) == 3
+    out, err = capsys.readouterr()
+    assert out == "" and json.loads(err) == {
+        "error": "StateSpaceTooLarge", "detail": f"3^{width} frontier states"}
+    assert built == []
+
+
+@pytest.mark.parametrize("lattice, sites, rng", [
+    ("box:20x20+halo", 400, gibbs.CHECKERBOARD_RNG_ID),
+    ("box:4x4+halo", 16, gibbs.RNG_ID)])
+def test_one_state_system_samples_on_both_kernels(tmp_path, lattice, sites,
+                                                  rng):
+    """A system of one state has no state to compare against in the
+    checkerboard kernel's column-wise pick: every site holds it."""
+    path = tmp_path / "one.json"
+    path.write_text(json.dumps({"states": ["a"], "activities": [1],
+                                "interactions": [[1]]}))
+    out = tmp_path / "mcmc.json"
+    assert cli.main(["mcmc", "--system", str(path), "--lattice", lattice,
+                     "--pattern", "A=a;B=a", "--site", "1,1", "--sweeps",
+                     "50", "--out", str(out)]) == 0
+    payload = _read(out)
+    assert payload["meta"]["rng"] == rng
+    assert payload["marginal"] == {"a": 1.0}
+    assert list(payload["final_config"].values()) == ["a"] * sites
+
+
 @pytest.mark.parametrize("command", ["exact", "mcmc"])
 def test_a_lattice_beyond_the_site_bound_is_refused(af3_soft_path, capsys,
                                                     command):

@@ -1,3 +1,4 @@
+import functools
 import itertools
 import math
 import random
@@ -12,9 +13,10 @@ from spinlab import lattice as lm
 from spinlab.patterns import Pattern
 from spinlab.system import log_number, make_system
 
-from helpers import (FRACTIONAL, build_tables_reference, float_twins,
-                     graph_z, make_box, make_torus, neighbor_lists,
-                     random_rational_system, torus_graph)
+from helpers import (FRACTIONAL, build_tables_reference,
+                     checkerboard_reference, float_twins, graph_z, make_box,
+                     make_torus, neighbor_lists, random_rational_system,
+                     raster_reference, torus_graph)
 
 AF3 = catalog.build("af_potts", q=3)
 HC = catalog.build("hard_core", lam=1)
@@ -488,6 +490,78 @@ def test_raster_golden_trace():
     assert res.trace_counts == {"1": 116, "2": 39, "3": 25}
     assert res.config == [0, 1, 0, 1, 1, 0, 2, 0, 0, 1, 0, 1, 2, 0, 1, 0] \
         + [3] * 16  # halo sites hold |S|
+
+
+def test_checkerboard_golden_trace():
+    """Thirteen checkerboard chains' stream, pinned before the kernel was
+    rewritten column by column."""
+    system = catalog.build("af_potts", q=3, beta=1)
+    lat = make_box((4, 4))
+    bc = gibbs.PatternBoundary(P0_AF3)
+    res = gibbs.run_mcmc(system, lat, bc, (2, 2), n_sweeps=200, seed=5,
+                         chains=13)
+    assert res.rng_id == gibbs.CHECKERBOARD_RNG_ID
+    assert res.trace_counts == {"1": 1595, "2": 391, "3": 354}
+    assert res.config == [0, 1, 0, 2, 1, 2, 1, 0, 0, 1, 0, 2, 2, 0, 2, 0] \
+        + [3] * 16
+    assert res.configs[-1] == [0, 2, 0, 1, 2, 0, 2, 0, 0, 2, 0, 1, 1, 0, 2,
+                               0] + [3] * 16
+
+
+AF3_SOFT = catalog.build("af_potts", q=3, beta=1)
+KERNEL_CASES = {  # system, lattice, pattern, sweeps
+    "af3-6x6": (AF3_SOFT, "box:6x6+halo", P0_AF3, 300),
+    "af3-64x64": (AF3_SOFT, "box:64x64+halo", P0_AF3, 3),
+    "hc2-cylinder": (catalog.build("hard_core", lam=2), "box:4px4+halo",
+                     Pattern(0b01, 0b11), 400),
+    "wr2-5x7": (catalog.build("widom_rowlinson", lam=2), "box:5x7+halo",
+                Pattern(0b011, 0b011), 200),
+    "af4-3x3x3": (catalog.build("af_potts", q=4), "box:3x3x3+halo",
+                  Pattern(0b0011, 0b1100), 200),
+    "af3-4d-slab": (AF3_SOFT, "box:4x4x2px2p+halo", P0_AF3, 100),
+    "af3-side-2": (AF3_SOFT, "box:2px3+halo", P0_AF3, 1000),
+    "clock9-8x8": (catalog.build("clock", q=9, m=2, beta=1), "box:8x8+halo",
+                   Pattern(0b111, 0b111), 100),
+    "hc1-1d": (HC, "box:17+halo", P0_HC, 400),
+}
+
+
+@pytest.mark.parametrize("chains", [1, 3])
+@pytest.mark.parametrize("kernel", ["raster", "checkerboard"])
+@pytest.mark.parametrize("case", KERNEL_CASES)
+def test_kernels_reproduce_the_reference_kernels(case, kernel, chains):
+    """Each kernel's traces and final configurations equal those of its
+    row-by-row reference in tests/helpers.py, bit for bit: on 1D, 2D, 3D
+    and 4D lattices, slabs and a periodic side of 2, soft and hard
+    constraints, and 2 to 9 states."""
+    system, spec, pattern, n_sweeps = KERNEL_CASES[case]
+    lat = lm.parse_lattice(spec)
+    sampler = gibbs._Chains(system, lat, gibbs.PatternBoundary(pattern))
+    site = len(lat.interior) // 2
+    reference = {"raster": raster_reference,
+                 "checkerboard": checkerboard_reference}[kernel]
+    runs = [run(np.random.Generator(np.random.PCG64(4)), site, n_sweeps,
+                chains)
+            for run in (getattr(sampler, kernel),
+                        functools.partial(reference, sampler))]
+    (trace, configs), (ref_trace, ref_configs) = runs
+    assert trace.dtype == ref_trace.dtype
+    assert np.array_equal(trace, ref_trace)
+    assert configs == ref_configs
+
+
+def test_mcmc_refuses_a_long_trace_before_building_tables(monkeypatch):
+    def build(*args):
+        raise AssertionError("tables built before the trace bound")
+
+    monkeypatch.setattr(gibbs, "_build_tables", build)
+    bc = gibbs.PatternBoundary(P0_AF3)
+    lat = make_box((4, 4))  # 32 stored sites
+    for chains, n_sweeps in ((1, gibbs.MAX_TRACE + 1),
+                             (gibbs.MAX_TRACE // 33 + 1, 1)):
+        with pytest.raises(errors.TooLarge):
+            gibbs.run_mcmc(AF3_SOFT, lat, bc, (1, 1), n_sweeps=n_sweeps,
+                           chains=chains)
 
 
 @pytest.mark.parametrize("system", [catalog.build("af_potts", q=3, beta=1),
