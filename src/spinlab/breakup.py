@@ -133,29 +133,25 @@ def compute_regions(system: SpinSystem, lat, f, p0: Pattern) -> Regions:
 
 @dataclass
 class Atlas:
+    """A breakup as site masks: the charts x and their defect sets xp,
+    stacked one row per pattern of ctx.pats, and the localized defect
+    region b."""
     ctx: BreakupContext
-    x_p: dict
-    xp_p: dict
-    b: frozenset       # localized defect region
+    x: np.ndarray
+    xp: np.ndarray
+    b: np.ndarray
 
-    def masks(self):
-        """The charts and the defect sets as stacked site masks."""
-        return tuple(np.array([lat_mod.mask(self.ctx.lat, sets[p])
-                               for p in self.ctx.pats])
-                     for sets in (self.x_p, self.xp_p))
-
-    def x_star(self):
-        return lat_mod.sites(_star(self.ctx.lat, *self.masks()))
+    def x_star(self) -> np.ndarray:
+        return _star(self.ctx.lat, self.x, self.xp)
 
     def stats(self) -> dict:
         """L = chart edge-boundary size, M = overlap/defect volume,
         N = uncharted volume; recomputed from the stored charts.  Each
         stored edge is counted once, as the +1 step from its lower end."""
-        lat = self.ctx.lat
-        x, xp = self.masks()
+        lat, x = self.ctx.lat, self.x
         up = lat.adj[1::2]
         cut = (x[:, None, :] != x[:, up]) & (up < lat.n)
-        none, overlap, defect = _partition(x, xp)
+        none, overlap, defect = _partition(x, self.xp)
         return {"L": int(cut.any(axis=0).sum()),
                 "M": int((overlap | defect).sum()), "N": int(none.sum())}
 
@@ -187,9 +183,7 @@ def construct_breakup(system: SpinSystem, lat, f, p0: Pattern,
                 f"component has {len(cands)} surrounding patterns")
     grown = lat_mod.plus_m(lat, reg.t_p & ~reg.s_p)
     xp = (grown | lat_mod.n_t_m(lat, grown, lat.degree)) & b
-    return Atlas(ctx=ctx, x_p=dict(zip(ctx.pats, map(lat_mod.sites, x))),
-                 xp_p=dict(zip(ctx.pats, map(lat_mod.sites, xp))),
-                 b=lat_mod.sites(b))
+    return Atlas(ctx=ctx, x=x, xp=xp, b=b)
 
 
 # ---------------------------------------------------------------------------
@@ -204,7 +198,7 @@ def verify_breakup(system: SpinSystem, lat, f, p0: Pattern, atlas: Atlas,
     first three components."""
     ctx = BreakupContext(system, lat, f, p0)
     pats = ctx.pats
-    x, xp = atlas.masks()
+    x, xp = atlas.x, atlas.xp
     V = lat_mod.mask(lat, lat.interior if V is None else V)
     report = {}
 

@@ -215,8 +215,9 @@ def _load_config(lat, system, path, names):
     return f
 
 
-def _coords_of(names, vset):
-    return sorted(names[v] for v in vset)
+def _coords_of(names, m):
+    """The sorted names of the sites of a site mask."""
+    return sorted(names[v] for v in np.flatnonzero(m).tolist())
 
 
 @click.group()
@@ -276,11 +277,6 @@ def _command(name, *options):
     return declare
 
 
-def _lattice_pattern(system, lattice_spec, pattern_text):
-    return (lat_mod.parse_lattice(lattice_spec),
-            _parse_pattern(system, pattern_text))
-
-
 @_command("analyze")
 def cmd_analyze(system):
     """Pattern catalog: maximal/dominant patterns, equivalences, exponents."""
@@ -296,17 +292,16 @@ def cmd_analyze(system):
 @_command("check", click.option("--d", type=int, default=None),
           click.option("--condition", default="simple"),
           click.option("--C", "c_big", type=float, default=1.0),
-          click.option("--c", "c_small", type=float, default=1.0),
           click.option("--s", type=int, default=None),
           click.option("--sweep", default=None,
                        help="d=LO:HI:geometric[:NPOINTS]"))
-def cmd_check(system, d, condition, c_big, c_small, s, sweep):
+def cmd_check(system, d, condition, c_big, s, sweep):
     """Evaluate a long-range-order condition at dimension d, or sweep d."""
     if sweep:
         lines = ["d,pass,min_margin"]
         for dv in _parse_sweep(sweep):
             rep = parameters.check_condition(system, dv, condition,
-                                             C=c_big, c=c_small, s=s)
+                                             C=c_big, s=s)
             margin = min((iq.margin for iq in rep.inequalities
                           if not iq.vacuous), default=math.inf)
             lines.append(f"{dv},{int(rep.passes)},{margin}")
@@ -314,7 +309,7 @@ def cmd_check(system, d, condition, c_big, c_small, s, sweep):
     if d is None:
         raise errors.SchemaError("--d required without --sweep")
     return parameters.check_condition(system, d, condition, C=c_big,
-                                      c=c_small, s=s).to_dict()
+                                      s=s).to_dict()
 
 
 @_command("zfun", click.option("--d", type=int, required=True),
@@ -349,8 +344,7 @@ def cmd_exact(system, lattice_spec, pattern_text, site):
     pat = _parse_pattern(system, pattern_text)
     gibbs.check_box(system, *shape)  # before the lattice is built
     lat = lat_mod.make_lattice(*shape)
-    law = gibbs.site_law(system, lat, gibbs.PatternBoundary(pat),
-                         _parse_site(lat, site))
+    law = gibbs.site_law(system, lat, pat, _parse_site(lat, site))
     return {
         "site": site,
         "marginal": {k: emit_number(v) for k, v in law.marginal.items()},
@@ -364,17 +358,20 @@ def cmd_exact(system, lattice_spec, pattern_text, site):
 def cmd_mcmc(system, lattice_spec, pattern_text, site, sweeps, seed, force):
     """Heat-bath sampling; reports the recorded site's marginal with
     batch-means standard errors."""
-    lat, pat = _lattice_pattern(system, lattice_spec, pattern_text)
-    res = gibbs.run_mcmc(system, lat, gibbs.PatternBoundary(pat),
-                         _parse_site(lat, site),
-                         n_sweeps=_parse_count(sweeps, "--sweeps"), seed=seed,
-                         force=force)
+    shape = lat_mod.parse_shape(lattice_spec)
+    pat = _parse_pattern(system, pattern_text)
+    n_sweeps = _parse_count(sweeps, "--sweeps")
+    # before the lattice is built
+    gibbs.check_trace(lat_mod.stored_sites(*shape), n_sweeps)
+    lat = lat_mod.make_lattice(*shape)
+    res = gibbs.run_mcmc(system, lat, pat, _parse_site(lat, site),
+                         n_sweeps=n_sweeps, seed=seed, force=force)
     names = _site_names(lat)
     return {
         "site": site, "n_sweeps": res.n_sweeps, "burn_in": res.burn_in,
         "marginal": res.marginal, "se": res.se, "n_batches": res.n_batches,
         "final_config": {names[v]: system.states[res.config[v]]
-                         for v in sorted(lat.interior)},
+                         for v in lat.interior},
         "meta": {"seed": seed, "rng": res.rng_id},
     }
 
@@ -384,7 +381,8 @@ def cmd_mcmc(system, lattice_spec, pattern_text, site, sweeps, seed, force):
           click.option("--seen-from", "seen_from", required=True))
 def cmd_breakup(system, lattice_spec, config_path, pattern_text, seen_from):
     """Construct and verify a breakup of a stored configuration."""
-    lat, pat = _lattice_pattern(system, lattice_spec, pattern_text)
+    lat = lat_mod.parse_lattice(lattice_spec)
+    pat = _parse_pattern(system, pattern_text)
     names = _site_names(lat)
     f = _load_config(lat, system, config_path, names)
     V = frozenset(_lattice_site(lat, part) for part in seen_from.split(";"))
@@ -393,9 +391,8 @@ def cmd_breakup(system, lattice_spec, config_path, pattern_text, seen_from):
     return {
         "charts": {
             f"A={system.labels(p.a)};B={system.labels(p.b)}": {
-                "X": _coords_of(names, atlas.x_p[p]),
-                "X_defect": _coords_of(names, atlas.xp_p[p]),
-            } for p in atlas.ctx.pats},
+                "X": _coords_of(names, x), "X_defect": _coords_of(names, xp),
+            } for p, x, xp in zip(atlas.ctx.pats, atlas.x, atlas.xp)},
         "X_star": _coords_of(names, atlas.x_star()),
         "stats": atlas.stats(),
         "verify": {k: (v if not isinstance(v, dict)
@@ -410,16 +407,19 @@ def cmd_breakup(system, lattice_spec, config_path, pattern_text, seen_from):
 def cmd_breakup_scan(system, lattice_spec, pattern_text, sweeps, samples,
                      seed, force):
     """Sample configurations by MCMC and stream breakup size statistics."""
-    lat, pat = _lattice_pattern(system, lattice_spec, pattern_text)
+    shape = lat_mod.parse_shape(lattice_spec)
+    pat = _parse_pattern(system, pattern_text)
     n_sweeps = _parse_count(sweeps, "--sweeps")
     samples = _parse_count(samples, "--samples")
+    # before the lattice is built
+    gibbs.check_trace(lat_mod.stored_sites(*shape), n_sweeps, samples)
+    lat = lat_mod.make_lattice(*shape)
     center = frozenset({lat.index[tuple(x // 2 for x in lat.dims)]})
     lines = ["sample,seed,L,M,N"]
     configs = []
     if samples > 0:
-        configs = gibbs.run_mcmc(system, lat, gibbs.PatternBoundary(pat),
-                                 min(lat.interior), n_sweeps=n_sweeps,
-                                 seed=seed, force=force,
+        configs = gibbs.run_mcmc(system, lat, pat, min(lat.interior),
+                                 n_sweeps=n_sweeps, seed=seed, force=force,
                                  chains=samples).configs
     for k, f in enumerate(configs):
         sk = seed + k

@@ -1,10 +1,10 @@
 """Finite-volume Gibbs measures on boxes, slabs and tori.
 
-Boundary conditions are pattern constraints: configurations live on the
-interior of a lattice, and each vertex of its internal boundary (the
-interior sites next to the halo, which lies across the open axes) is
-restricted to the even or odd side of a dominant pattern according to its
-parity.
+A boundary condition is a dominant Pattern, taken as it is: configurations
+live on the interior of a lattice, and each vertex of its internal
+boundary (the interior sites next to the halo, which lies across the open
+axes) is restricted to the even or odd side of the pattern according to
+its parity.  pattern_masks gives every stored site's allowed states.
 
 Three evaluators:
   * site_law / exact_measure / prob_not_in_pattern / z_pattern_box - exact
@@ -15,8 +15,9 @@ Three evaluators:
     the site and runs one suffix per value;
   * z_torus - exact free-boundary partition function of a torus of any
     dimension as the trace of a power of a dense transfer matrix over its
-    layers across the longest axis: in float64, or modulo primes below
-    2^20 and rebuilt by the Chinese remainder theorem;
+    layers across the longest axis: in float64 (a column weight that
+    underflows is refused), or modulo primes below 2^20 and rebuilt by the
+    Chinese remainder theorem;
   * run_mcmc - heat-bath Glauber dynamics on K chains from one seeded
     PCG64 stream, with two kernels over the same cumulative tables: a
     raster scan of one site at a time, and a numpy checkerboard kernel that
@@ -71,25 +72,13 @@ CHECKERBOARD_MIN_UPDATES = 200
 # ---------------------------------------------------------------------------
 # pattern boundary conditions
 
-@dataclass
-class PatternBoundary:
-    pattern: Pattern
-
-    def region_m(self, lat) -> np.ndarray:
-        """Site mask of the internal boundary of the interior."""
-        return lat_mod.inner_m(lat, lat_mod.mask(lat, lat.interior))
-
-    def masks(self, lat, system) -> np.ndarray:
-        """The allowed states of every stored site as a bitmask: its
-        parity's pattern side on the internal boundary, every state
-        elsewhere (Python ints, which hold up to 64 states)."""
-        choice = np.array([self.pattern.a, self.pattern.b,
-                           system.full_mask()], dtype=object)
-        return choice[np.where(self.region_m(lat)[:-1], lat.par, 2)]
-
-    def side_mask(self, lat, v) -> int:
-        """The pattern side a vertex of this parity belongs to."""
-        return self.pattern.a if lat.parity(v) == 0 else self.pattern.b
+def pattern_masks(system: SpinSystem, lat, pattern: Pattern) -> np.ndarray:
+    """The allowed states of every stored site as a bitmask: its parity's
+    pattern side on the internal boundary of the interior, every state
+    elsewhere (Python ints, which hold up to 64 states)."""
+    region = lat_mod.inner_m(lat, lat_mod.mask(lat, lat.interior))
+    choice = np.array([pattern.a, pattern.b, system.full_mask()], dtype=object)
+    return choice[np.where(region[:-1], lat.par, 2)]
 
 
 def interior_site(lat, site) -> int:
@@ -124,7 +113,7 @@ def sample_halo_extension(system: SpinSystem, lat, pattern: Pattern,
 # ---------------------------------------------------------------------------
 # exact evaluation on a box (2D raster DP)
 
-def _box_sweep(system, lat, boundary: PatternBoundary, site=None) -> list:
+def _box_sweep(system, lat, pattern: Pattern, site=None) -> list:
     """Raster DP over the interior rows of a 2D box.  The frontier holds the
     weights of the last w values, the oldest (the site above the next one)
     first.  Rational mode keeps the nonzero weights in a dict keyed by the
@@ -142,7 +131,7 @@ def _box_sweep(system, lat, boundary: PatternBoundary, site=None) -> list:
     sc = system.scaled()
     end = h * w
     # the allowed mask of each raster position (the interior's site order)
-    masks = boundary.masks(lat, system)[:end].tolist()
+    masks = pattern_masks(system, lat, pattern)[:end].tolist()
     # one suffix from position p per mask: the site's mask restricted to
     # each value, or the first position's own mask without a site
     if site is None:
@@ -249,10 +238,10 @@ def _box_rows(system, masks) -> dict:
     return {m: memo[m] for m in masks}
 
 
-def z_pattern_box(system: SpinSystem, lat, boundary: PatternBoundary):
+def z_pattern_box(system: SpinSystem, lat, pattern: Pattern):
     """Partition function over interior configurations obeying the pattern
     boundary constraint."""
-    return _box_sweep(system, lat, boundary)[0]
+    return _box_sweep(system, lat, pattern)[0]
 
 
 @dataclass
@@ -263,33 +252,30 @@ class SiteLaw:
     z: object                    # partition function, the sum of the Z_s
 
 
-def site_law(system: SpinSystem, lat, boundary: PatternBoundary,
-             site) -> SiteLaw:
+def site_law(system: SpinSystem, lat, pattern: Pattern, site) -> SiteLaw:
     """Marginal, off-pattern probability and partition function of one site,
     all from one shared-prefix sweep."""
     site = interior_site(lat, site)
-    zs = _box_sweep(system, lat, boundary, site)
+    zs = _box_sweep(system, lat, pattern, site)
     total = sum(zs)
     if total == 0:
         raise errors.EmptySupport("boundary admits no configuration")
     marg = [z / total for z in zs]  # Fractions, or floats in float mode
-    side = boundary.side_mask(lat, site)
+    side = pattern.a if lat.parity(site) == 0 else pattern.b
     outside = sum((marg[s] for s in system.mask_states(~side)),
                   system.zero())
     return SiteLaw({system.states[s]: marg[s] for s in range(system.n)},
                    outside, total)
 
 
-def exact_measure(system: SpinSystem, lat, boundary: PatternBoundary,
-                  site) -> dict:
+def exact_measure(system: SpinSystem, lat, pattern: Pattern, site) -> dict:
     """Exact single-site marginal.  Returns {state label: probability}."""
-    return site_law(system, lat, boundary, site).marginal
+    return site_law(system, lat, pattern, site).marginal
 
 
-def prob_not_in_pattern(system: SpinSystem, lat, boundary: PatternBoundary,
-                        site):
+def prob_not_in_pattern(system: SpinSystem, lat, pattern: Pattern, site):
     """Probability that a site's value falls outside its parity's side."""
-    return site_law(system, lat, boundary, site).prob_not_in_pattern
+    return site_law(system, lat, pattern, site).prob_not_in_pattern
 
 
 # ---------------------------------------------------------------------------
@@ -311,7 +297,9 @@ def _torus_columns(acts, inter, dims):
     """(column, weight) for the nonzero configurations of a column, a layer
     torus of sides dims (no sides: one site), in lexicographic order, no
     zero prefix extended.  Each site multiplies in its interactions one step
-    back, its activity, then those across each wrap to 0 of a side >= 3."""
+    back, its activity, then those across each wrap to 0 of a side >= 3.
+    A float product of positive factors that underflows to 0 is refused
+    (TooLarge), not pruned: later factors could bring it back into range."""
     strides = [math.prod(dims[a + 1:]) for a in range(len(dims))]
     plan = [([i - st for x, st in zip(c, strides) if x],
              [i - x * st for x, st, side in zip(c, strides, dims)
@@ -334,6 +322,11 @@ def _torus_columns(acts, inter, dims):
                     yield tuple(col), x
                 else:
                     yield from extend(i + 1, x)
+            elif isinstance(x, float) and acts[s] > 0 \
+                    and all(inter[col[j]][s] > 0 for j in steps) \
+                    and all(inter[s][col[j]] > 0 for j in wraps):
+                raise errors.TooLarge(
+                    "a column weight underflows the float64 range")
 
     return extend(0, 1)
 
@@ -447,12 +440,11 @@ def _safe_state_exists(system) -> bool:
                for s in range(system.n))
 
 
-def initial_pattern_config(system: SpinSystem, lat,
-                           boundary: PatternBoundary) -> list:
+def initial_pattern_config(system: SpinSystem, lat, pattern: Pattern) -> list:
     """Deterministic pattern tiling of the interior: each site takes the
     lowest-index state of its parity's side."""
-    a_states = system.mask_states(boundary.pattern.a)
-    b_states = system.mask_states(boundary.pattern.b)
+    a_states = system.mask_states(pattern.a)
+    b_states = system.mask_states(pattern.b)
     if not a_states or not b_states:
         raise errors.NoAdmissibleStart("pattern side empty")
     return np.where(lat.par == 0, a_states[0], b_states[0]).tolist()
@@ -503,15 +495,15 @@ class _Chains:
     the interior replaced by `lat.n`, a free slot whose value is always
     |S|."""
 
-    def __init__(self, system, lat, boundary):
+    def __init__(self, system, lat, pattern):
         n, m = system.n, len(lat.interior)
         self.n, self.base = n, n + 1
-        class_masks, self.cls = np.unique(boundary.masks(lat, system)[:m],
-                                          return_inverse=True)
+        masks = pattern_masks(system, lat, pattern)[:m]
+        class_masks, self.cls = np.unique(masks, return_inverse=True)
         self.slots = np.where(lat.nbr[:m] < m, lat.nbr[:m], lat.n)
         self.parity = lat.par[:m]
         self.tables = _build_tables(system, lat.d, class_masks.tolist())
-        self.init = np.append(initial_pattern_config(system, lat, boundary), n)
+        self.init = np.append(initial_pattern_config(system, lat, pattern), n)
         self.init[m:] = n  # the halo and the sentinel hold the free value
 
     def raster(self, rng, site, n_sweeps, chains):
@@ -601,7 +593,17 @@ def _raster_sweeps(deg):
     return namespace["sweeps"]
 
 
-def run_mcmc(system: SpinSystem, lat, boundary: PatternBoundary, site,
+def check_trace(n_stored, n_sweeps, chains=1) -> None:
+    """Refuse (TooLarge) more than MAX_TRACE chains x sweeps, or chains x
+    (stored sites + 1), from the counts alone, so that a caller can check
+    before it builds the lattice."""
+    if chains * n_sweeps > MAX_TRACE:
+        raise errors.TooLarge(f"chains x sweeps above {MAX_TRACE}")
+    if chains * (n_stored + 1) > MAX_TRACE:
+        raise errors.TooLarge(f"chains x (stored sites + 1) above {MAX_TRACE}")
+
+
+def run_mcmc(system: SpinSystem, lat, pattern: Pattern, site,
              n_sweeps: int = 10 ** 6, seed: int = 0,
              force: bool = False, chains: int = 1) -> MCMCResult:
     """Heat-bath dynamics on the interior of a lattice with an open axis (a
@@ -626,8 +628,7 @@ def run_mcmc(system: SpinSystem, lat, boundary: PatternBoundary, site,
     sweeps).
     With one chain the standard errors are batch means over N_BATCHES
     batches of the kept sweeps; with several, the batches are the chains'
-    own means.  More than MAX_TRACE chains x sweeps, or chains x (stored
-    sites + 1), is refused (TooLarge) before any table is built."""
+    own means.  check_trace refuses a long trace before any table is built."""
     if not lat.has_exterior:
         raise errors.UnsupportedLattice(
             "sampler runs on lattices with an open axis")
@@ -640,12 +641,9 @@ def run_mcmc(system: SpinSystem, lat, boundary: PatternBoundary, site,
             "hard constraints present and no universally compatible state; "
             "pass force=True to sample anyway")
     site = interior_site(lat, site)
-    if chains * n_sweeps > MAX_TRACE:
-        raise errors.TooLarge(f"chains x sweeps above {MAX_TRACE}")
-    if chains * (lat.n + 1) > MAX_TRACE:
-        raise errors.TooLarge(f"chains x (stored sites + 1) above {MAX_TRACE}")
+    check_trace(lat.n, n_sweeps, chains)
     burn_in = max(1, n_sweeps // 10) if n_sweeps else 0
-    sampler = _Chains(system, lat, boundary)
+    sampler = _Chains(system, lat, pattern)
     rng = np.random.Generator(np.random.PCG64(seed))
     checker = chains * len(lat.interior) >= CHECKERBOARD_MIN_UPDATES
     rng_id = CHECKERBOARD_RNG_ID if checker else RNG_ID

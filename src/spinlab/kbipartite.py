@@ -42,9 +42,12 @@ MAX_GROUND = 20
 MAX_CONTENTS = 10 ** 6
 MAX_D = 64
 MAX_SUBSET_SIDE = 16
-# verify_main_condition draws its random product forms from
-# random.Random(seed)
+# verify_main_condition draws N_RANDOM random product forms from
+# random.Random(seed), after those with at most MAX_RESTRICTED restricted
+# coordinates
 RNG_ID = "python-random"
+N_RANDOM = 100
+MAX_RESTRICTED = 3
 
 
 # ---------------------------------------------------------------------------
@@ -418,16 +421,15 @@ def k_of_product(system, d, spec):
 
 def verify_main_condition(system: SpinSystem, d: int, alpha: float,
                           gamma: float, eps: float, eps_bar: float,
-                          n_random: int = 100, seed: int = 0,
-                          max_restricted: int = 3) -> dict:
+                          seed: int = 0) -> dict:
     """Numerically check the abstract inequalities behind the explicit
     conditions, for every dominant side.
 
     The first family of inequalities quantifies over all subsets of the
     balanced class; this is untestable exhaustively, so the policy here
     checks all product forms whose coordinate sets are the side J or one of
-    its strict fixed-point subsets (at most `max_restricted` restricted
-    coordinates, and at most 2d), plus `n_random` seeded random product
+    its strict fixed-point subsets (at most MAX_RESTRICTED restricted
+    coordinates, and at most 2d), plus N_RANDOM seeded random product
     forms.  Documented as a sound-but-incomplete check.
     """
     if not (math.isfinite(alpha) and math.isfinite(gamma)):
@@ -474,11 +476,11 @@ def verify_main_condition(system: SpinSystem, d: int, alpha: float,
         strict = [a for a in st.r_sets if a != J and a & ~J == 0 and a != 0]
         # (1) product subsets of the balanced class
         families = []
-        for k in range(min(max_restricted, 2 * d) + 1):
+        for k in range(min(MAX_RESTRICTED, 2 * d) + 1):
             for combo in itertools.combinations_with_replacement(strict, k):
                 coords = list(combo) + [J] * (2 * d - k)
                 families.append(coords)
-        for _ in range(n_random):
+        for _ in range(N_RANDOM):
             coords = [rng.choice([J] + strict) for _ in range(2 * d)]
             families.append(coords)
         seen = set()

@@ -35,7 +35,8 @@ from . import errors
 
 # stored sites (interior and halo) of one lattice, the sampler's own bound
 # (gibbs.MAX_TRACE) for one chain; its tables, the index dict of coordinate
-# tuples foremost, take about 470 bytes a site on a 2D box
+# tuples foremost, take about 400 bytes a site on a 2D box (peak while
+# building 500x500 and 700x700 boxes)
 MAX_SITES = 10 ** 7
 
 
@@ -45,8 +46,8 @@ class Lattice:
     periodic: tuple           # per axis: True where the axis wraps
     coords: list = field(default_factory=list)
     index: dict = field(default_factory=dict)
-    interior: frozenset = frozenset()
-    halo: frozenset = frozenset()
+    interior: range = range(0)   # sites 0 .. m - 1
+    halo: range = range(0)       # sites m .. n - 1
     # (n, 2d) neighbor table, axis by axis, -1 step before +1; the sentinel
     # n marks an ambient neighbor that is not stored
     nbr: np.ndarray = field(default=None, compare=False, repr=False)
@@ -101,9 +102,8 @@ def make_lattice(dims, periodic) -> Lattice:
             halo.append(h)
             keys.append(rank[sel] * 2 * d + 2 * axis + k)
     halo = np.concatenate(halo)[np.argsort(np.concatenate(keys))]
-    lat = Lattice(dims=dims, periodic=periodic,
-                  interior=frozenset(range(len(inner))),
-                  halo=frozenset(range(len(inner), len(inner) + len(halo))))
+    lat = Lattice(dims=dims, periodic=periodic, interior=range(len(inner)),
+                  halo=range(len(inner), len(inner) + len(halo)))
     return _tables(lat, np.concatenate([inner, halo]))
 
 
@@ -117,11 +117,15 @@ def check_shape(dims, periodic) -> tuple:
     if any(p and (n < 2 or n % 2) for n, p in zip(dims, periodic)):
         raise errors.ParamOutOfRange(
             "periodic sides must be even (parity must 2-color the graph)")
-    halo_sites = sum(2 * math.prod(dims[:a] + dims[a + 1:])
-                     for a, p in enumerate(periodic) if not p)
-    if math.prod(dims) + halo_sites > MAX_SITES:
+    if stored_sites(dims, periodic) > MAX_SITES:
         raise errors.TooLarge(f"more than {MAX_SITES} stored sites")
     return dims, periodic
+
+
+def stored_sites(dims, periodic) -> int:
+    """The interior and halo sites of a lattice of this shape."""
+    return math.prod(dims) + sum(2 * math.prod(dims[:a] + dims[a + 1:])
+                                 for a, p in enumerate(periodic) if not p)
 
 
 def _tables(lat, coords):

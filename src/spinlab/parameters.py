@@ -2,9 +2,9 @@
 structure and the derived alpha exponents) and the quantitative condition
 checkers.
 
-All thresholds involve unspecified universal constants C, c; these are always
-caller-supplied inputs (default 1) and every checker reports per-inequality
-margins, so verdicts are relative to the supplied constants.
+The thresholds involve an unspecified universal constant C; it is a
+caller-supplied input (default 1) and every checker reports per-inequality
+margins, so verdicts are relative to the supplied constant.
 
 Conventions: a maximum over an empty candidate set is 0, and -log 0 is +inf
 with saturating comparisons.
@@ -224,14 +224,13 @@ class ConditionReport:
     condition: str
     d: int
     C: float
-    c: float
     s: int
     inequalities: list
     passes: bool
 
     def to_dict(self):
         return {"condition": self.condition, "d": self.d, "C": self.C,
-                "c": self.c, "s": self.s,
+                "s": self.s,
                 "inequalities": [iq.to_dict() for iq in self.inequalities],
                 "pass": self.passes}
 
@@ -241,7 +240,7 @@ def _ge(name, lhs, rhs, vacuous=False):
                       vacuous=vacuous)
 
 
-def check_condition(system, d, which, C=1.0, c=1.0, s=None) -> ConditionReport:
+def check_condition(system, d, which, C=1.0, s=None) -> ConditionReport:
     """Evaluate one of the quantitative long-range-order conditions literally
     with the supplied constants.  Each condition computes only the terms it
     reads: rho_bulk_star only for alt3."""
@@ -249,8 +248,8 @@ def check_condition(system, d, which, C=1.0, c=1.0, s=None) -> ConditionReport:
         raise errors.ParamOutOfRange("d must be >= 2")
     if max(d, s or 0) > MAX_FLOAT_INT:
         raise errors.ParamOutOfRange("d and s must be at most 2^1000")
-    if not all(math.isfinite(x) and x > 0 for x in (C, c)):
-        raise errors.ParamOutOfRange("C and c must be finite and > 0")
+    if not (math.isfinite(C) and C > 0):
+        raise errors.ParamOutOfRange("C must be finite and > 0")
     if s is not None and s < 1:
         raise errors.ParamOutOfRange("s must be >= 1")
     st = patterns.structure(system)
@@ -321,6 +320,6 @@ def check_condition(system, d, which, C=1.0, c=1.0, s=None) -> ConditionReport:
     else:
         raise errors.ParamOutOfRange(f"unknown condition {which!r}")
 
-    return ConditionReport(condition=which, d=d, C=C, c=c, s=s_used,
+    return ConditionReport(condition=which, d=d, C=C, s=s_used,
                            inequalities=ineqs,
                            passes=all(iq.holds for iq in ineqs))

@@ -11,6 +11,7 @@ runs.
 """
 
 import bisect
+import dataclasses
 import itertools
 import math
 import random
@@ -22,7 +23,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from spinlab import catalog, errors, patterns
-from spinlab.breakup import BreakupContext
+from spinlab.breakup import Atlas, BreakupContext
 from spinlab.catalog import INF, _pos
 from spinlab.kbipartite import PsiSpec, _spec_context
 from spinlab.lattice import (Lattice, components, components_m, halo_m,
@@ -266,7 +267,7 @@ def ordered_config(lat, even_state=0, odd_states=(1, 2)):
     return f
 
 
-def alt2_reference(system, d, C=1.0, c=1.0):
+def alt2_reference(system, d, C=1.0):
     """check_condition(system, d, "alt2") evaluated literally: one full
     compute_parameters(system, d, s) report per candidate window length s,
     with the same window rules."""
@@ -301,7 +302,7 @@ def alt2_reference(system, d, C=1.0, c=1.0):
         if best is None:
             best = (cand, window)
     s_used, ineqs = best
-    return pm.ConditionReport(condition="alt2", d=d, C=C, c=c, s=s_used,
+    return pm.ConditionReport(condition="alt2", d=d, C=C, s=s_used,
                               inequalities=ineqs,
                               passes=all(iq.holds for iq in ineqs))
 
@@ -758,6 +759,17 @@ def diam_star(lat: Lattice, U) -> int:
                for comp in components(lat, U))
 
 
+def internal_boundary(lat: Lattice) -> frozenset:
+    """The interior sites next to the halo, which a pattern boundary
+    condition confines to their parity's side."""
+    return sites(inner_m(lat, mask(lat, lat.interior)))
+
+
+def pattern_side(pattern: Pattern, lat: Lattice, v) -> int:
+    """The side of a pattern that a site of v's parity takes."""
+    return pattern.a if lat.parity(v) == 0 else pattern.b
+
+
 def random_odd_set(lat: Lattice, rng, density=0.3) -> frozenset:
     """Expansion of a random even-parity subset of the deep interior; such a
     set is always odd and contained in the interior."""
@@ -806,8 +818,8 @@ def lattice_reference(periodic, dims):
                     cur.append(j)
         neighbors.append(tuple(cur))
     return {"coords": coords, "index": index, "neighbors": neighbors,
-            "interior": frozenset(range(len(interior))),
-            "halo": frozenset(range(len(interior), len(coords))),
+            "interior": range(len(interior)),
+            "halo": range(len(interior), len(coords)),
             "parity": [sum(c) % 2 for c in coords]}
 
 
@@ -887,10 +899,26 @@ def ref_connected_to_infinity(lat, blocked, v):
 def ref_separating_components(lat, B, V):
     keep = set()
     for comp in ref_components(lat, B):
-        if comp & lat.halo or any(
+        if not comp.isdisjoint(lat.halo) or any(
                 not ref_connected_to_infinity(lat, comp, v) for v in V):
             keep |= comp
     return frozenset(keep)
+
+
+def charts(atlas: Atlas) -> tuple:
+    """An atlas's charts and defect sets as the dicts pattern -> frozenset
+    of sites that RefBreakup builds."""
+    return tuple({p: sites(m) for p, m in zip(atlas.ctx.pats, rows)}
+                 for rows in (atlas.x, atlas.xp))
+
+
+def with_charts(atlas: Atlas, x_p: dict, xp_p: dict) -> Atlas:
+    """The atlas with its charts and defect sets replaced by x_p and xp_p,
+    dicts pattern -> sites."""
+    lat, pats = atlas.ctx.lat, atlas.ctx.pats
+    return dataclasses.replace(
+        atlas, x=np.array([mask(lat, x_p[p]) for p in pats]),
+        xp=np.array([mask(lat, xp_p[p]) for p in pats]))
 
 
 class RefBreakup:
@@ -954,7 +982,7 @@ class RefBreakup:
             ring = ref_plus_r(lat, comp, 5) - comp
             cands = [p for p in self.pats
                      if ring <= z_p[p] and not ring & z_star]
-            if comp & lat.halo:
+            if not comp.isdisjoint(lat.halo):
                 if self.p0 not in cands:
                     raise errors.BoundaryNotInPattern("exterior")
                 x_p[self.p0] |= comp
@@ -983,7 +1011,8 @@ class RefBreakup:
         """Property -> holds, for every property verify_breakup checks."""
         lat, pats = self.lat, self.pats
         V = lat.interior if V is None else V
-        out = {"exterior_in_reference_chart": lat.halo <= x_p[self.p0],
+        out = {"exterior_in_reference_chart": x_p[self.p0].issuperset(
+                   lat.halo),
                "defect_inside_chart": all(xp_p[p] <= x_p[p] for p in pats),
                "charts_regular": all(
                    ref_is_regular(lat, s[p], 1 if self.aligned[p] else 0)
@@ -1020,7 +1049,7 @@ class RefBreakup:
                                    or self.neighborhood_in(u, self.int_[p]))
             for p in pats for u in xp_p[p])
         out["defect_seen_from_viewpoints"] = all(
-            comp & lat.halo or any(
+            not comp.isdisjoint(lat.halo) or any(
                 not ref_connected_to_infinity(lat, comp, v) for v in V)
             for comp in ref_components(lat, x5))
         out["pass"] = all(out.values())

@@ -11,10 +11,11 @@ from fractions import Fraction
 
 import pytest
 
-from helpers import (NotLiftPermitting, NotTabulated, check_lift_permitting,
-                     classify, config_weight, edge_boundary_size,
-                     expand_spec, expected_parameters, graph_z, is_odd_set,
-                     make_box, make_torus, neighbor_lists, odd_set_identity,
+from helpers import (NotLiftPermitting, NotTabulated, charts,
+                     check_lift_permitting, classify, config_weight,
+                     edge_boundary_size, expand_spec, expected_parameters,
+                     graph_z, internal_boundary, is_odd_set, make_box,
+                     make_torus, neighbor_lists, odd_set_identity,
                      ordered_config, prism, random_graph,
                      random_independent_config, random_odd_set,
                      random_proper_coloring, random_rational_system,
@@ -255,23 +256,25 @@ def test_breakup_construction_sound_on_random_configs():
 
     af3 = catalog.build("af_potts", q=3)
     p0_af3 = Pattern(0b001, 0b110)
-    region = lm.sites(gibbs.PatternBoundary(p0_af3).region_m(lat))
+    region = internal_boundary(lat)
     for _ in range(50):
         f = random_proper_coloring(lat, rng, region)
         atlas = bk.construct_breakup(af3, lat, f, p0_af3)
         report = bk.verify_breakup(af3, lat, f, p0_af3, atlas)
         assert report["pass"], report
-        assert lm.plus_r(lat, atlas.x_star(), 5) == atlas.b
+        assert lm.plus_r(lat, lm.sites(atlas.x_star()), 5) \
+            == lm.sites(atlas.b)
 
     hc = catalog.build("hard_core", lam=1)
     p0_hc = Pattern(0b01, 0b11)
-    region = lm.sites(gibbs.PatternBoundary(p0_hc).region_m(lat))
+    region = internal_boundary(lat)
     for _ in range(50):
         f = random_independent_config(lat, rng, region)
         atlas = bk.construct_breakup(hc, lat, f, p0_hc)
         report = bk.verify_breakup(hc, lat, f, p0_hc, atlas)
         assert report["pass"], report
-        assert lm.plus_r(lat, atlas.x_star(), 5) == atlas.b
+        assert lm.plus_r(lat, lm.sites(atlas.x_star()), 5) \
+            == lm.sites(atlas.b)
     assert time.monotonic() - t0 < 60.0
 
 
@@ -283,10 +286,11 @@ def test_breakup_trivial_on_ordered_config():
     atlas = bk.construct_breakup(af3, lat, f, p0)
     assert bk.verify_breakup(af3, lat, f, p0, atlas)["pass"]
     assert atlas.stats() == {"L": 0, "M": 0, "N": 0}
-    assert atlas.x_p[p0] == frozenset(range(lat.n))
+    x_p = charts(atlas)[0]
+    assert x_p[p0] == frozenset(range(lat.n))
     for p in atlas.ctx.pats:
         if p != p0:
-            assert atlas.x_p[p] == frozenset()
+            assert x_p[p] == frozenset()
 
 
 # ---------------------------------------------------------------------------
@@ -375,7 +379,7 @@ def test_mcmc_matches_exact_marginal():
     t0 = time.monotonic()
     system = catalog.build("af_potts", q=3, beta=1)
     lat = make_box((6, 6))
-    boundary = gibbs.PatternBoundary(Pattern(0b001, 0b110))
+    boundary = Pattern(0b001, 0b110)
     site = (3, 3)
     exact = gibbs.exact_measure(system, lat, boundary, site)
     assert abs(exact["1"] - 0.5416622264791822) < 1e-9

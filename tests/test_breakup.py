@@ -8,10 +8,10 @@ from spinlab import lattice as lm
 from spinlab.patterns import Pattern
 
 import helpers
-from helpers import (RefBreakup, RefScenarios, _nv_mask, classify,
+from helpers import (RefBreakup, RefScenarios, _nv_mask, charts, classify,
                      is_highly_energetic, is_non_dominant, is_restricted,
                      is_unbalanced, make_box, make_torus, neighbor_lists,
-                     ordered_config, scenario_checks)
+                     ordered_config, scenario_checks, with_charts)
 
 AF3 = catalog.build("af_potts", q=3)
 AF4 = catalog.build("af_potts", q=4)
@@ -50,7 +50,7 @@ def test_ordered_config_gives_trivial_atlas():
     f = ordered_config(lat)
     atlas = bk.construct_breakup(AF3, lat, f, P0)
     assert atlas.stats() == {"L": 0, "M": 0, "N": 0}
-    assert atlas.x_p[P0] == frozenset(range(lat.n))
+    assert charts(atlas)[0][P0] == frozenset(range(lat.n))
     report = bk.verify_breakup(AF3, lat, f, P0, atlas)
     assert report["pass"], [k for k, v in report.items()
                             if isinstance(v, dict) and not v["holds"]]
@@ -67,9 +67,9 @@ def test_single_flip_creates_local_defect():
                             if isinstance(v, dict) and not v["holds"]]
     stats = atlas.stats()
     assert stats["N"] >= 1
-    assert all(flip not in atlas.x_p[p] for p in atlas.ctx.pats)
-    assert flip in atlas.b
-    assert atlas.x_star() <= atlas.b
+    assert all(flip not in x for x in charts(atlas)[0].values())
+    assert atlas.b[flip]
+    assert lm.sites(atlas.x_star()) <= lm.sites(atlas.b)
 
 
 def test_verify_detects_corrupted_atlas():
@@ -77,10 +77,9 @@ def test_verify_detects_corrupted_atlas():
     f = ordered_config(lat)
     atlas = bk.construct_breakup(AF3, lat, f, P0)
     h = next(iter(lat.halo))
-    broken = bk.Atlas(ctx=atlas.ctx,
-                      x_p={p: (s - {h} if p == P0 else s)
-                           for p, s in atlas.x_p.items()},
-                      xp_p=atlas.xp_p, b=atlas.b)
+    x_p, xp_p = charts(atlas)
+    broken = with_charts(atlas, {p: (s - {h} if p == P0 else s)
+                                 for p, s in x_p.items()}, xp_p)
     report = bk.verify_breakup(AF3, lat, f, P0, broken)
     assert not report["pass"]
     assert not report["exterior_in_reference_chart"]["holds"]
@@ -105,15 +104,15 @@ def test_defect_localization_depends_on_viewpoints():
     # a far-away viewpoint is not cut off by the defect: it gets papered over
     far = frozenset({lat.index[(2, 2)]})
     atlas = bk.construct_breakup(AF3, lat, f, P0, V=far)
-    assert flip not in atlas.b
-    assert flip in atlas.x_p[P0]
+    assert not atlas.b[flip]
+    assert flip in charts(atlas)[0][P0]
     report = bk.verify_breakup(AF3, lat, f, P0, atlas, V=far)
     assert report["pass"], [k for k, v in report.items()
                             if isinstance(v, dict) and not v["holds"]]
     # a viewpoint next to the defect keeps it in the atlas
     near = frozenset({lat.index[(14, 15)]})
     atlas = bk.construct_breakup(AF3, lat, f, P0, V=near)
-    assert flip in atlas.b
+    assert atlas.b[flip]
     report = bk.verify_breakup(AF3, lat, f, P0, atlas, V=near)
     assert report["pass"]
 
@@ -182,7 +181,7 @@ def _corrupted(atlas, lat):
     """(x_p, xp_p) pairs, each with one fault: a halo site dropped from the
     reference chart, a defect site outside its chart, a chart site
     flipped."""
-    x_p, xp_p = atlas.x_p, atlas.xp_p
+    x_p, xp_p = charts(atlas)
     p0 = atlas.ctx.p0
     some = next(p for p in atlas.ctx.pats if x_p[p])
     v = min(x_p[some])
@@ -203,18 +202,18 @@ def test_breakup_matches_site_by_site_reference(case):
     ref = RefBreakup(system, lat, f, p0)
     x_p, xp_p, b = ref.construct(V)
     atlas = bk.construct_breakup(system, lat, f, p0, V)
-    assert atlas.b == b
-    assert atlas.x_p == x_p and atlas.xp_p == xp_p
-    assert atlas.x_star() == ref.star(x_p, xp_p)
+    assert lm.sites(atlas.b) == b
+    assert charts(atlas) == (x_p, xp_p)
+    assert lm.sites(atlas.x_star()) == ref.star(x_p, xp_p)
     assert atlas.stats() == ref.stats(x_p, xp_p)
     assert _holds(bk.verify_breakup(system, lat, f, p0, atlas, V)) \
         == ref.verify_holds(x_p, xp_p, V)
     for bad_x, bad_xp in _corrupted(atlas, lat):
-        broken = bk.Atlas(ctx=atlas.ctx, x_p=bad_x, xp_p=bad_xp, b=atlas.b)
+        broken = with_charts(atlas, bad_x, bad_xp)
         holds = _holds(bk.verify_breakup(system, lat, f, p0, broken, V))
         assert holds == ref.verify_holds(bad_x, bad_xp, V)
         assert not holds["pass"]
-        assert broken.x_star() == ref.star(bad_x, bad_xp)
+        assert lm.sites(broken.x_star()) == ref.star(bad_x, bad_xp)
         assert broken.stats() == ref.stats(bad_x, bad_xp)
 
 
@@ -223,9 +222,8 @@ def test_verify_witnesses_come_in_site_order():
     f = ordered_config(lat)
     atlas = bk.construct_breakup(AF3, lat, f, P0)
     dropped = sorted(lat.halo)[-7:]
-    broken = bk.Atlas(ctx=atlas.ctx,
-                      x_p={**atlas.x_p, P0: atlas.x_p[P0] - set(dropped)},
-                      xp_p=atlas.xp_p, b=atlas.b)
+    x_p, xp_p = charts(atlas)
+    broken = with_charts(atlas, {**x_p, P0: x_p[P0] - set(dropped)}, xp_p)
     report = bk.verify_breakup(AF3, lat, f, P0, broken)
     assert report["exterior_in_reference_chart"]["witness"] == dropped[:5]
     witness = report["chart_edge_boundary"]["witness"]

@@ -11,7 +11,7 @@ from spinlab import (breakup as breakup_mod, catalog, cli, gibbs, parameters,
 from spinlab import lattice as lm
 from spinlab.system import load_system, make_system
 
-from helpers import make_box, ordered_config
+from helpers import make_box, ordered_config, pattern_side
 
 
 @pytest.fixture
@@ -121,7 +121,7 @@ def test_dimension_below_one_is_out_of_range(af3_path, capsys, argv):
     ["check", "--condition", "alt2", "--d", "4", "--s", "0"],
     ["check", "--condition", "alt2", "--d", "4", "--s", "-3"],
     ["check", "--d", "4", "--C", "nan"],
-    ["check", "--d", "4", "--c", "0"],
+    ["check", "--d", "4", "--C", "0"],
     ["check", "--sweep", "d=10:100", "--C", "-1"],
     # an infinite multiplier, and pair products that underflow to 0 before
     # their -1/2d power or overflow (reading interaction (0,1) as 0)
@@ -524,10 +524,10 @@ def test_exact_payload_is_consistent(tmp_path, af3_path, af3_soft_path,
                      "--out", str(out)]) == 0
     payload = _read(out)
     lat = lm.parse_lattice(lattice)
-    bc = gibbs.PatternBoundary(cli._parse_pattern(system, pattern))
+    bc = cli._parse_pattern(system, pattern)
     v = lat.index[tuple(int(x) for x in site.split(","))]
     side = [system.states[s]
-            for s in system.mask_states(bc.side_mask(lat, v))]
+            for s in system.mask_states(pattern_side(bc, lat, v))]
     z_box = gibbs.z_pattern_box(system, lat, bc)
     if system.mode == "rational":
         num = lambda x: Fraction(str(x))
@@ -584,6 +584,25 @@ def test_sweeps_beyond_the_trace_bound_are_refused(af3_soft_path, capsys,
     assert out == "" and json.loads(err) == {
         "error": "TooLarge",
         "detail": f"chains x sweeps above {gibbs.MAX_TRACE}"}
+
+
+@pytest.mark.parametrize("command", ["mcmc", "breakup-scan"])
+def test_a_long_trace_is_refused_before_the_lattice_is_built(
+        af3_soft_path, capsys, monkeypatch, command):
+    """2e7 sweeps on a 1000x1000 box are refused from the spec's shape: no
+    lattice of a million sites is built first."""
+    built = []
+    monkeypatch.setattr(lm, "make_lattice", lambda *args: built.append(args))
+    argv = [command, "--system", af3_soft_path, "--lattice",
+            "box:1000x1000+halo", "--pattern", "A=1;B=2,3", "--sweeps", "2e7"]
+    if command == "mcmc":
+        argv += ["--site", "1,1"]
+    assert cli.main(argv) == 3
+    out, err = capsys.readouterr()
+    assert out == "" and json.loads(err) == {
+        "error": "TooLarge",
+        "detail": f"chains x sweeps above {gibbs.MAX_TRACE}"}
+    assert built == []
 
 
 @pytest.mark.parametrize("lattice, width", [("box:500x500+halo", 500),

@@ -136,9 +136,8 @@ def invocations(draw, system_paths, root):
     elif command == "check":
         cond = draw(st.sampled_from(["simple", "alt1", "alt2", "alt3", "x"]))
         opts += [f"--sweep={draw(sweeps_spec)}", f"--condition={cond}"]
-        for name in ("--C", "--c"):
-            if draw(st.booleans()):
-                opts.append(f"{name}={draw(reals)}")
+        if draw(st.booleans()):
+            opts.append(f"--C={draw(reals)}")
         if draw(st.booleans()):
             opts.append(f"--s={draw(ints)}")
     elif command == "verify-cond":

@@ -14,9 +14,10 @@ from spinlab.patterns import Pattern
 from spinlab.system import log_number, make_system
 
 from helpers import (FRACTIONAL, build_tables_reference,
-                     checkerboard_reference, float_twins, graph_z, make_box,
-                     make_torus, neighbor_lists, random_rational_system,
-                     raster_reference, torus_graph)
+                     checkerboard_reference, float_twins, graph_z,
+                     internal_boundary, make_box, make_torus, neighbor_lists,
+                     pattern_side, random_rational_system, raster_reference,
+                     torus_graph)
 
 AF3 = catalog.build("af_potts", q=3)
 HC = catalog.build("hard_core", lam=1)
@@ -29,17 +30,15 @@ P0_HC = Pattern(0b01, 0b11)
 
 def test_pattern_boundary_region():
     lat = make_box((6, 6))
-    bc = gibbs.PatternBoundary(P0_AF3)
-    region = lm.sites(bc.region_m(lat))
+    region = internal_boundary(lat)
     assert len(region) == 20  # the inner frame of a 6x6 box
     assert region == frozenset(
         v for v in lat.interior
         if any(lat.coords[v][i] in (0, 5) for i in range(2)))
-    inner = lat.index[(2, 2)]
-    edge = lat.index[(0, 2)]
-    assert bc.masks(lat, AF3)[inner] == AF3.full_mask()
-    assert bc.masks(lat, AF3)[edge] == P0_AF3.a  # even frame site
-    assert bc.side_mask(lat, lat.index[(0, 1)]) == P0_AF3.b
+    masks = gibbs.pattern_masks(AF3, lat, P0_AF3)
+    assert masks[lat.index[(2, 2)]] == AF3.full_mask()
+    assert masks[lat.index[(0, 2)]] == P0_AF3.a  # even frame site
+    assert masks[lat.index[(0, 1)]] == P0_AF3.b  # odd frame site
 
 
 def test_sample_halo_extension():
@@ -58,17 +57,16 @@ def test_sample_halo_extension():
 # ---------------------------------------------------------------------------
 # exact box evaluation against direct enumeration
 
-def _enumerate_box(system, lat, boundary, site=None):
+def _enumerate_box(system, lat, pattern, site=None):
     """Direct enumeration oracle: interior configurations with region sites
     confined to their pattern side, weighted by activities and the grid
     interactions among interior sites."""
-    region = lm.sites(boundary.region_m(lat))
+    region = internal_boundary(lat)
     sites = sorted(lat.interior)
     masks = []
     for v in sites:
         if v in region:
-            masks.append(boundary.pattern.a if lat.parity(v) == 0
-                         else boundary.pattern.b)
+            masks.append(pattern_side(pattern, lat, v))
         else:
             masks.append(system.full_mask())
     choices = [system.mask_states(m) for m in masks]
@@ -92,7 +90,7 @@ def _enumerate_box(system, lat, boundary, site=None):
 
 def test_exact_measure_against_enumeration():
     lat = make_box((3, 3))
-    bc = gibbs.PatternBoundary(P0_AF3)
+    bc = P0_AF3
     center = lat.index[(1, 1)]
     total, marg = _enumerate_box(AF3, lat, bc, center)
     assert gibbs.z_pattern_box(AF3, lat, bc) == total
@@ -105,7 +103,7 @@ def test_exact_measure_against_enumeration():
 
 def test_exact_measure_hard_core():
     lat = make_box((3, 4))
-    bc = gibbs.PatternBoundary(P0_HC)
+    bc = P0_HC
     total, marg = _enumerate_box(HC, lat, bc, lat.index[(1, 1)])
     assert gibbs.z_pattern_box(HC, lat, bc) == total
     exact = gibbs.exact_measure(HC, lat, bc, (1, 1))
@@ -115,7 +113,7 @@ def test_exact_measure_hard_core():
 def test_exact_measure_empty_support():
     sys2 = catalog.build("af_potts", q=2)
     lat = make_box((2, 2))
-    bc = gibbs.PatternBoundary(Pattern(0b01, 0b01))  # forces equal neighbors
+    bc = Pattern(0b01, 0b01)  # forces equal neighbors
     with pytest.raises(errors.EmptySupport):
         gibbs.exact_measure(sys2, lat, bc, (0, 0))
 
@@ -123,18 +121,18 @@ def test_exact_measure_empty_support():
 def test_dp_guards():
     for lat in (make_torus((4, 4)), make_box((3, 3, 3))):
         with pytest.raises(errors.UnsupportedLattice):
-            gibbs.z_pattern_box(AF3, lat, gibbs.PatternBoundary(P0_AF3))
+            gibbs.z_pattern_box(AF3, lat, P0_AF3)
     with pytest.raises(errors.StateSpaceTooLarge):
         gibbs.z_pattern_box(AF3, make_box((1, 14)),
-                            gibbs.PatternBoundary(P0_AF3))
+                            P0_AF3)
 
 
 @pytest.mark.parametrize("system", FRACTIONAL.values(),
                          ids=list(FRACTIONAL))
 def test_box_kernel_with_fractional_weights(system):
     lat = make_box((3, 4))
-    bc = gibbs.PatternBoundary(min(patterns.structure(system).dominant,
-                                   key=lambda p: (p.a, p.b)))
+    bc = min(patterns.structure(system).dominant,
+                                   key=lambda p: (p.a, p.b))
     # first, last and an inner interior position of the raster
     for site in ((0, 0), (2, 3), (1, 2)):
         v = lat.index[site]
@@ -144,7 +142,7 @@ def test_box_kernel_with_fractional_weights(system):
         assert law.z == total
         assert law.marginal == {system.states[s]: marg[s] / total
                                 for s in range(system.n)}
-        side = system.mask_states(bc.side_mask(lat, v))
+        side = system.mask_states(pattern_side(bc, lat, v))
         assert law.prob_not_in_pattern \
             == 1 - sum(marg[s] for s in side) / total
 
@@ -166,8 +164,8 @@ def test_float_box_frontier_matches_its_rational_twin(k):
     boxes, at the first, an inner and the last raster position."""
     system, exact = float_twins(TWINS[k])
     rng = random.Random(k)
-    bc = gibbs.PatternBoundary(Pattern(rng.randint(1, system.full_mask()),
-                                       rng.randint(1, system.full_mask())))
+    bc = Pattern(rng.randint(1, system.full_mask()),
+                                       rng.randint(1, system.full_mask()))
     for dims in ((1, 4), (4, 1), (3, 4), (4, 3), (5, 5)):
         lat = make_box(dims)
         z = gibbs.z_pattern_box(exact, lat, bc)
@@ -186,7 +184,7 @@ def test_float_box_frontier_matches_its_rational_twin(k):
 
 def test_float_box_frontier_guards():
     soft = catalog.build("af_potts", q=3, beta=1)
-    bc = gibbs.PatternBoundary(P0_AF3)
+    bc = P0_AF3
     for lat in (make_torus((4, 4)), make_box((3, 3, 3))):
         with pytest.raises(errors.UnsupportedLattice):
             gibbs.z_pattern_box(soft, lat, bc)
@@ -195,7 +193,7 @@ def test_float_box_frontier_guards():
     hard, _ = float_twins(catalog.build("af_potts", q=2))
     with pytest.raises(errors.EmptySupport):
         gibbs.site_law(hard, make_box((2, 2)),
-                       gibbs.PatternBoundary(Pattern(0b01, 0b01)), (0, 0))
+                       Pattern(0b01, 0b01), (0, 0))
 
 
 def test_float_site_confined_to_its_side_is_exactly_never_outside():
@@ -205,7 +203,7 @@ def test_float_site_confined_to_its_side_is_exactly_never_outside():
     1.1e-16."""
     system, _ = float_twins(FRACTIONAL["wr-5/3"])
     law = gibbs.site_law(system, make_box((5, 3)),
-                         gibbs.PatternBoundary(Pattern(0b011, 0b101)), 0)
+                         Pattern(0b011, 0b101), 0)
     assert law.prob_not_in_pattern == 0.0
 
 
@@ -214,7 +212,7 @@ def test_float_box_takes_one_array_step_per_site():
     45 ms together on 2 vCPUs (a dict frontier of the same 3^10 states took
     over 2 s)."""
     soft = catalog.build("af_potts", q=3, beta=1)
-    lat, bc = make_box((10, 10)), gibbs.PatternBoundary(P0_AF3)
+    lat, bc = make_box((10, 10)), P0_AF3
     t0 = time.monotonic()
     z = gibbs.z_pattern_box(soft, lat, bc)
     law = gibbs.site_law(soft, lat, bc, (5, 5))
@@ -234,7 +232,7 @@ def test_box_rows_are_built_once_per_system(monkeypatch):
         return local_weights(acts, inter, k, masks)
 
     monkeypatch.setattr(gibbs, "_local_weights", counting)
-    lat, bc = make_box((4, 4)), gibbs.PatternBoundary(P0_AF3)
+    lat, bc = make_box((4, 4)), P0_AF3
     for params in ({"q": 3}, {"q": 3, "beta": 1}):
         system = catalog.build("af_potts", **params)
         laws = [gibbs.site_law(system, lat, bc, site)
@@ -417,6 +415,21 @@ def test_float_z_torus_beyond_the_float_range_is_refused(lam):
         gibbs.z_torus(system, (4, 4))
 
 
+@pytest.mark.parametrize("dims", [(3, 3), (4, 4)])
+def test_float_torus_column_that_underflows_is_refused(dims):
+    """Activities [1, 1e-200] and interactions [[1, 1], [1, 1e100]]: a
+    column's product of positive factors underflows to 0.0 before the
+    later interactions would bring it back into range.  Pruning it dropped
+    terms (Z = 1.0 where the exact Z of the same weights is 2.0), so the
+    float evaluation is refused, and the rational twin answers."""
+    system = make_system(["0", "1"], [1.0, 1e-200],
+                         [[1.0, 1.0], [1.0, 1e100]], mode="float")
+    with pytest.raises(errors.TooLarge):
+        gibbs.z_torus(system, dims)
+    _, exact = float_twins(system)
+    assert float(gibbs.z_torus(exact, dims)) == pytest.approx(2.0)
+
+
 def test_float_z_torus_of_an_empty_support_is_zero():
     """af_potts q=2 beta=inf on a 3x3 torus: no proper 2-colouring of an odd
     cycle, an exact 0 in both modes."""
@@ -439,16 +452,16 @@ def test_log_z_per_site():
 def test_initial_pattern_config():
     lat = make_box((4, 4))
     init = gibbs.initial_pattern_config(AF3, lat,
-                                        gibbs.PatternBoundary(P0_AF3))
+                                        P0_AF3)
     for v in range(lat.n):
         assert init[v] == (0 if lat.parity(v) == 0 else 1)
     with pytest.raises(errors.NoAdmissibleStart):
         gibbs.initial_pattern_config(
-            AF3, lat, gibbs.PatternBoundary(Pattern(0, 0b110)))
+            AF3, lat, Pattern(0, 0b110))
 
 
 def test_mcmc_guards():
-    bc = gibbs.PatternBoundary(P0_AF3)
+    bc = P0_AF3
     with pytest.raises(errors.UnsupportedLattice):
         gibbs.run_mcmc(AF3, make_torus((4, 4)), bc, 0, n_sweeps=10)
     # hard constraints without a universally compatible state
@@ -468,7 +481,7 @@ def test_mcmc_guards():
 def test_mcmc_bookkeeping_and_determinism():
     system = catalog.build("af_potts", q=3, beta=1)
     lat = make_box((4, 4))
-    bc = gibbs.PatternBoundary(P0_AF3)
+    bc = P0_AF3
     res1 = gibbs.run_mcmc(system, lat, bc, (2, 2), n_sweeps=100, seed=7)
     assert res1.burn_in == 10 and res1.rng_id == "numpy-pcg64"
     assert sum(res1.trace_counts.values()) == 90
@@ -484,7 +497,7 @@ def test_raster_golden_trace():
     """One raster chain's stream, pinned before the loop was rewritten."""
     system = catalog.build("af_potts", q=3, beta=1)
     lat = make_box((4, 4))
-    bc = gibbs.PatternBoundary(P0_AF3)
+    bc = P0_AF3
     res = gibbs.run_mcmc(system, lat, bc, (2, 2), n_sweeps=200, seed=5)
     assert res.rng_id == gibbs.RNG_ID
     assert res.trace_counts == {"1": 116, "2": 39, "3": 25}
@@ -497,7 +510,7 @@ def test_checkerboard_golden_trace():
     rewritten column by column."""
     system = catalog.build("af_potts", q=3, beta=1)
     lat = make_box((4, 4))
-    bc = gibbs.PatternBoundary(P0_AF3)
+    bc = P0_AF3
     res = gibbs.run_mcmc(system, lat, bc, (2, 2), n_sweeps=200, seed=5,
                          chains=13)
     assert res.rng_id == gibbs.CHECKERBOARD_RNG_ID
@@ -536,7 +549,7 @@ def test_kernels_reproduce_the_reference_kernels(case, kernel, chains):
     constraints, and 2 to 9 states."""
     system, spec, pattern, n_sweeps = KERNEL_CASES[case]
     lat = lm.parse_lattice(spec)
-    sampler = gibbs._Chains(system, lat, gibbs.PatternBoundary(pattern))
+    sampler = gibbs._Chains(system, lat, pattern)
     site = len(lat.interior) // 2
     reference = {"raster": raster_reference,
                  "checkerboard": checkerboard_reference}[kernel]
@@ -555,7 +568,7 @@ def test_mcmc_refuses_a_long_trace_before_building_tables(monkeypatch):
         raise AssertionError("tables built before the trace bound")
 
     monkeypatch.setattr(gibbs, "_build_tables", build)
-    bc = gibbs.PatternBoundary(P0_AF3)
+    bc = P0_AF3
     lat = make_box((4, 4))  # 32 stored sites
     for chains, n_sweeps in ((1, gibbs.MAX_TRACE + 1),
                              (gibbs.MAX_TRACE // 33 + 1, 1)):
@@ -577,7 +590,7 @@ def test_build_tables_matches_reference(system, d):
 def test_kernel_choice_follows_chains_times_sites():
     system = catalog.build("af_potts", q=3, beta=1)
     lat = make_box((6, 6))
-    bc = gibbs.PatternBoundary(P0_AF3)
+    bc = P0_AF3
     below = (gibbs.CHECKERBOARD_MIN_UPDATES - 1) // len(lat.interior)
     for chains, rng_id in ((below, gibbs.RNG_ID),
                            (below + 1, gibbs.CHECKERBOARD_RNG_ID)):
@@ -593,7 +606,7 @@ def test_kernel_choice_follows_chains_times_sites():
 def test_checkerboard_matches_exact_marginal():
     system = catalog.build("af_potts", q=3, beta=1)
     lat = make_box((6, 6))
-    bc = gibbs.PatternBoundary(P0_AF3)
+    bc = P0_AF3
     res = gibbs.run_mcmc(system, lat, bc, (3, 3), n_sweeps=4000, seed=3,
                          chains=64)
     assert res.rng_id == gibbs.CHECKERBOARD_RNG_ID and res.n_batches == 64
@@ -601,7 +614,7 @@ def test_checkerboard_matches_exact_marginal():
     dev = abs(res.marginal["1"] - 0.5416622264791822)
     assert dev <= 4 * res.se["1"], (dev, res.se["1"])
     # every chain stays inside the boundary constraint
-    allowed = bc.masks(lat, system)
+    allowed = gibbs.pattern_masks(system, lat, bc)
     for cfg in res.configs:
         for v in lat.interior:
             assert allowed[v] >> cfg[v] & 1
@@ -614,8 +627,8 @@ def test_mcmc_on_a_cylinder_matches_enumeration(chains, rng_id):
     the internal boundary is columns 0 and 3, whose even sites are held
     empty.  The oracle weighs all 2^16 interior configurations."""
     lat = lm.parse_lattice("box:4px4+halo")
-    bc = gibbs.PatternBoundary(P0_HC)
-    assert lm.sites(bc.region_m(lat)) \
+    bc = P0_HC
+    assert internal_boundary(lat) \
         == frozenset(4 * r + c for r in range(4) for c in (0, 3))
     grid = ((np.arange(2 ** 16)[:, None] >> np.arange(16)) & 1) \
         .reshape(-1, 4, 4).astype(bool)  # [config, row, column]
@@ -643,7 +656,7 @@ def test_periodic_side_of_two_is_a_double_edge_for_the_sampler():
     v, across = lat.index[(0, 1)], lat.index[(1, 1)]
     assert lat.nbr[v].tolist() == [across, across, lat.index[(0, 0)],
                                    lat.index[(0, 2)]]
-    chains = gibbs._Chains(system, lat, gibbs.PatternBoundary(P0_AF3))
+    chains = gibbs._Chains(system, lat, P0_AF3)
     values = [1, 1, 0, 2]  # the slot values: across twice, then axis 1
     key = sum(x * chains.base ** (3 - k) for k, x in enumerate(values))
     row = chains.tables[chains.cls[v], key]
@@ -659,12 +672,12 @@ def test_periodic_side_of_two_is_a_double_edge_for_the_sampler():
 
 def test_slab_runs_the_sampler_but_not_the_box_dp():
     lat = lm.parse_lattice("box:4x4px3+halo")
-    bc = gibbs.PatternBoundary(P0_AF3)
+    bc = P0_AF3
     with pytest.raises(errors.UnsupportedLattice):
         gibbs.z_pattern_box(AF3, lm.parse_lattice("box:4px4+halo"), bc)
     res = gibbs.run_mcmc(AF3, lat, bc, (1, 1, 1), n_sweeps=20, force=True)
-    for v in lm.sites(bc.region_m(lat)):
-        assert bc.side_mask(lat, v) >> res.config[v] & 1
+    for v in internal_boundary(lat):
+        assert pattern_side(bc, lat, v) >> res.config[v] & 1
 
 
 @pytest.mark.parametrize("chains", [1, 16])
@@ -673,7 +686,7 @@ def test_mcmc_runs_in_three_dimensions(chains):
     the checkerboard kernel."""
     system = catalog.build("af_potts", q=3, beta=1)
     lat = make_box((3, 3, 3))
-    bc = gibbs.PatternBoundary(P0_AF3)
+    bc = P0_AF3
     res = gibbs.run_mcmc(system, lat, bc, (1, 1, 1), n_sweeps=50, seed=2,
                          chains=chains)
     assert res.rng_id == (gibbs.RNG_ID if chains == 1
@@ -681,5 +694,5 @@ def test_mcmc_runs_in_three_dimensions(chains):
     assert abs(sum(res.marginal.values()) - 1.0) < 1e-12
     for cfg in res.configs:
         assert all(0 <= cfg[v] < 3 for v in lat.interior)
-        for v in lm.sites(bc.region_m(lat)):
-            assert bc.side_mask(lat, v) >> cfg[v] & 1
+        for v in internal_boundary(lat):
+            assert pattern_side(bc, lat, v) >> cfg[v] & 1

@@ -130,16 +130,17 @@ def test_k_of_product_matches_the_expanded_members(system):
                     for r in realized)
 
 
-def test_verify_main_condition():
+def test_verify_main_condition(monkeypatch):
     from spinlab.system import make_system
     scaled = make_system(["0", "1"], [1, 1], [[2, 2], [2, 0]])
     with pytest.raises(errors.NotNormalized):
         kb.verify_main_condition(scaled, 3, 0.1, 0.0, 0.1, 0.1)
 
     defaults = section_defaults(HC, 3)
+    monkeypatch.setattr(kb, "N_RANDOM", 20)
     rep = kb.verify_main_condition(HC, 3, defaults["alpha"],
                                    defaults["gamma"], defaults["eps"],
-                                   defaults["eps_bar"], n_random=20, seed=0)
+                                   defaults["eps_bar"], seed=0)
     assert rep["pass"], [r for r in rep["inequalities"] if not r["holds"]]
     names = {r["name"] for r in rep["inequalities"]}
     assert names == {"restricted_left", "restricted_right", "unbalanced",
@@ -209,8 +210,8 @@ def _evaluated_specs(monkeypatch, system, d):
     with monkeypatch.context() as m:
         m.setattr(kb, "z_compositions", z_recorder)
         m.setattr(kb, "k_of_product", k_recorder)
-        kb.verify_main_condition(system, d, 0.2, 0.0, 0.125, 0.125,
-                                 n_random=10)
+        m.setattr(kb, "N_RANDOM", 10)
+        kb.verify_main_condition(system, d, 0.2, 0.0, 0.125, 0.125)
     return sums, ks
 
 

@@ -5,6 +5,7 @@ holds only what a subcommand (or the benchmark) runs."""
 
 import ast
 import importlib
+import inspect
 import json
 from pathlib import Path
 
@@ -31,6 +32,32 @@ def test_every_traced_name_is_a_spinlab_callable():
                if not callable(getattr(importlib.import_module(
                    f"spinlab.{mod}"), name, None))]
     assert not missing
+
+
+def test_work_counters_read_arguments_the_traced_functions_take():
+    """perfbench/spans.py's WORK functions read a traced call's arguments
+    by name (args["lat"], ...); each name must stay a parameter of the
+    function it counts."""
+    tree = ast.parse(SPANS.read_text())
+    defs = {node.name: node for node in tree.body
+            if isinstance(node, ast.FunctionDef)}
+    work = next(node.value for node in tree.body
+                if isinstance(node, ast.Assign)
+                and any(getattr(t, "id", None) == "WORK"
+                        for t in node.targets))
+    checked, missing = 0, []
+    for key, fn in zip(work.keys, work.values):
+        mod, name = ast.literal_eval(key).split(".")
+        params = inspect.signature(getattr(importlib.import_module(
+            f"spinlab.{mod}"), name)).parameters
+        for node in ast.walk(defs[fn.id]):
+            if isinstance(node, ast.Subscript) \
+                    and getattr(node.value, "id", None) == "args":
+                arg = ast.literal_eval(node.slice)
+                checked += 1
+                if arg not in params:
+                    missing.append(f"{mod}.{name}({arg})")
+    assert checked and not missing
 
 
 def test_breakup_command_reaches_the_traced_breakup_layers(tmp_path,
