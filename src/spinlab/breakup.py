@@ -163,7 +163,8 @@ def construct_breakup(system: SpinSystem, lat, f, p0: Pattern,
     component with the unique pattern surrounding it."""
     reg = compute_regions(system, lat, f, p0)
     ctx = reg.ctx
-    V = lat_mod.mask(lat, lat.interior if V is None else V)
+    V = lat_mod.not_m(lat_mod.halo_m(lat)) if V is None \
+        else lat_mod.mask(lat, V)
     b = lat_mod.separating_m(lat, lat_mod.plus_r_m(lat, reg.z_star, 5), V)
     x = reg.z_p & b
     for comp in lat_mod.components_m(lat, lat_mod.not_m(b)):
@@ -199,7 +200,8 @@ def verify_breakup(system: SpinSystem, lat, f, p0: Pattern, atlas: Atlas,
     ctx = BreakupContext(system, lat, f, p0)
     pats = ctx.pats
     x, xp = atlas.x, atlas.xp
-    V = lat_mod.mask(lat, lat.interior if V is None else V)
+    V = lat_mod.not_m(lat_mod.halo_m(lat)) if V is None \
+        else lat_mod.mask(lat, V)
     report = {}
 
     def put(name, ok, witness=None):

@@ -176,15 +176,15 @@ def _parse_site(lat, text):
 
 def _lattice_site(lat, text):
     """"x,y" -> index of a lattice site, halo included."""
-    coord = _parse_coord(text)
-    if coord not in lat.index:
+    v = lat.site(_parse_coord(text))
+    if v is None:
         raise errors.SchemaError(f"site {text} not on the lattice")
-    return lat.index[coord]
+    return v
 
 
 def _site_names(lat):
     """The "x,y" name of every site, in site order."""
-    return [",".join(map(str, c)) for c in lat.coords]
+    return [",".join(map(str, c)) for c in lat.coords.tolist()]
 
 
 def _load_config(lat, system, path, names):
@@ -414,7 +414,7 @@ def cmd_breakup_scan(system, lattice_spec, pattern_text, sweeps, samples,
     # before the lattice is built
     gibbs.check_trace(lat_mod.stored_sites(*shape), n_sweeps, samples)
     lat = lat_mod.make_lattice(*shape)
-    center = frozenset({lat.index[tuple(x // 2 for x in lat.dims)]})
+    center = frozenset({lat.site(tuple(x // 2 for x in lat.dims))})
     lines = ["sample,seed,L,M,N"]
     configs = []
     if samples > 0:

@@ -76,14 +76,14 @@ def pattern_masks(system: SpinSystem, lat, pattern: Pattern) -> np.ndarray:
     """The allowed states of every stored site as a bitmask: its parity's
     pattern side on the internal boundary of the interior, every state
     elsewhere (Python ints, which hold up to 64 states)."""
-    region = lat_mod.inner_m(lat, lat_mod.mask(lat, lat.interior))
+    region = lat_mod.inner_m(lat, lat_mod.not_m(lat_mod.halo_m(lat)))
     choice = np.array([pattern.a, pattern.b, system.full_mask()], dtype=object)
     return choice[np.where(region[:-1], lat.par, 2)]
 
 
 def interior_site(lat, site) -> int:
     """Index of an interior site given by its index or its coordinates."""
-    v = lat.index.get(site) if isinstance(site, tuple) else site
+    v = lat.site(site) if isinstance(site, tuple) else site
     if v not in lat.interior:
         raise errors.SchemaError(f"site {site} is not an interior site")
     return v
@@ -512,16 +512,22 @@ class _Chains:
         first s with cum[s] >= u * cum[-1].  Returns the recorded site's
         values [chain][sweep] and the final configurations."""
         (m, deg), n = self.slots.shape, self.n
-        # per class, the rows nested slot by slot, first slot outermost
-        nested = [t.reshape((self.base,) * deg + (n,)).tolist()
-                  for t in self.tables]
-        plan = [(v, nested[c], *nb) for v, (c, nb) in
-                enumerate(zip(self.cls.tolist(), self.slots.tolist()))]
+        free = self.slots == len(self.init) - 1  # slots on the sentinel
+        # per class and set of free slots, the rows nested slot by slot, first
+        # slot outermost, over the values a slot holds: 0 .. |S| - 1 where
+        # stored, |S| alone where free (at index 0, the sentinel's value here)
+        kinds = list(zip(self.cls.tolist(), map(tuple, free.tolist())))
+        nested = {(c, fr): self.tables[c].reshape((self.base,) * deg + (n,))[
+            tuple(slice(n, None) if f else slice(n) for f in fr)].tolist()
+            for c, fr in set(kinds)}
+        plan = [(v, nested[k], *nb) for v, (k, nb) in
+                enumerate(zip(kinds, self.slots.tolist()))]
         sweeps = _raster_sweeps(deg)
         chunk = max(1, 4096 // m)  # sweeps per block of uniforms
         traces, configs = [], []
         for _ in range(chains):
             cfg = self.init.tolist()
+            cfg[-1] = 0  # the sentinel: free slots read index 0
             trace = []
             for lo in range(0, n_sweeps, chunk):
                 cur = min(chunk, n_sweeps - lo)

@@ -2,13 +2,15 @@
 periodic along some axes and open along the others, with the
 boundary/closure operations used by the breakup machinery.
 
-A lattice is stored as its interior sites plus a one-site halo across the
-open axes (sites with exactly one coordinate out of range by one, on an
-open axis).  Vertices outside the stored region are treated as present in
-the ambient lattice: boundary and degree computations account for them,
-and a virtual "infinity" vertex adjacent to every halo site stands in for
-the unbounded exterior component.  An exterior exists iff some axis is
-open; operations that mention infinity raise on a lattice without one.
+A lattice stores its interior sites, then a one-site halo across the open
+axes (sites with exactly one coordinate out of range by one, on an open
+axis), as indices 0 .. n - 1: one (n, d) array holds their coordinates,
+and Lattice.site finds the site at a coordinate.  Vertices outside the
+stored region are treated as present in the ambient lattice: boundary and
+degree computations account for them, and a virtual "infinity" vertex
+adjacent to every halo site stands in for the unbounded exterior
+component.  An exterior exists iff some axis is open; operations that
+mention infinity raise on a lattice without one.
 
 A lattice is a 2d-regular quotient of Z^d: every site has 2d neighbour
 slots.  Along a periodic side of 2 both steps reach the same site, which
@@ -34,9 +36,8 @@ import numpy as np
 from . import errors
 
 # stored sites (interior and halo) of one lattice, the sampler's own bound
-# (gibbs.MAX_TRACE) for one chain; its tables, the index dict of coordinate
-# tuples foremost, take about 400 bytes a site on a 2D box (peak while
-# building 500x500 and 700x700 boxes)
+# (gibbs.MAX_TRACE) for one chain; building a 2D box peaks at about 140
+# bytes a site (500x500 to 1000x1000), and its arrays keep about 57
 MAX_SITES = 10 ** 7
 
 
@@ -44,8 +45,10 @@ MAX_SITES = 10 ** 7
 class Lattice:
     dims: tuple
     periodic: tuple           # per axis: True where the axis wraps
-    coords: list = field(default_factory=list)
-    index: dict = field(default_factory=dict)
+    # (n, d) coordinates by site, and sites by coordinate on a grid padded
+    # by two along each open axis (n where no site is; read it by site())
+    coords: np.ndarray = field(default=None, compare=False, repr=False)
+    grid: np.ndarray = field(default=None, compare=False, repr=False)
     interior: range = range(0)   # sites 0 .. m - 1
     halo: range = range(0)       # sites m .. n - 1
     # (n, 2d) neighbor table, axis by axis, -1 step before +1; the sentinel
@@ -82,19 +85,31 @@ class Lattice:
     def parity(self, v) -> int:
         return int(self.par[v])
 
+    def site(self, coord):
+        """The stored site at a coordinate tuple, or None.  Bounds come
+        first, since numpy would wrap a negative index."""
+        pos = tuple(x + 2 * (not p) for x, p in zip(coord, self.periodic))
+        if len(coord) != self.d or not all(
+                0 <= x < s for x, s in zip(pos, self.grid.shape)):
+            return None
+        v = int(self.grid[pos])
+        return v if v < self.n else None
+
 
 def make_lattice(dims, periodic) -> Lattice:
     """Interior sites in lexicographic order, then each halo site in the
     order of its interior neighbor, axis and step.  The halo lies across
     the open axes; a periodic axis wraps, and its side must be even so that
     parity 2-colors the graph.  More than MAX_SITES stored sites are
-    refused before any table is built."""
+    refused before any table is built.  Neighbors are looked up on the grid
+    of site indices, padded by two along each open axis so that every
+    stored site's steps stay on it; steps along a periodic axis wrap."""
     dims, periodic = check_shape(dims, periodic)
-    d = len(dims)
+    d, wrap = len(dims), np.array(periodic, dtype=bool)
     inner = np.indices(dims).reshape(d, -1).T
     rank = np.arange(len(inner))
     halo, keys = [inner[:0]], [rank[:0]]
-    for axis in np.flatnonzero(~np.array(periodic, dtype=bool)):
+    for axis in np.flatnonzero(~wrap):
         for k, (delta, edge) in enumerate(((-1, 0), (1, dims[axis] - 1))):
             sel = inner[:, axis] == edge
             h = inner[sel]
@@ -102,9 +117,22 @@ def make_lattice(dims, periodic) -> Lattice:
             halo.append(h)
             keys.append(rank[sel] * 2 * d + 2 * axis + k)
     halo = np.concatenate(halo)[np.argsort(np.concatenate(keys))]
-    lat = Lattice(dims=dims, periodic=periodic, interior=range(len(inner)),
-                  halo=range(len(inner), len(inner) + len(halo)))
-    return _tables(lat, np.concatenate([inner, halo]))
+    coords = np.concatenate([inner, halo])
+    n, m = len(coords), len(inner)
+    pos = coords + 2 * ~wrap
+    grid = np.full(np.array(dims) + 4 * ~wrap, n, dtype=np.intp)
+    grid[tuple(pos.T)] = np.arange(n)
+    adj = np.full((2 * d, n + 1), n, dtype=np.intp)
+    for axis in range(d):
+        for k, delta in enumerate((-1, 1)):
+            step = pos.copy()
+            step[:, axis] += delta
+            if wrap[axis]:
+                step[:, axis] %= dims[axis]
+            adj[2 * axis + k, :n] = grid[tuple(step.T)]
+    return Lattice(dims=dims, periodic=periodic, coords=coords, grid=grid,
+                   interior=range(m), halo=range(m, n), nbr=adj[:, :n].T,
+                   adj=adj, par=(coords.sum(axis=1) % 2).astype(np.int8))
 
 
 def check_shape(dims, periodic) -> tuple:
@@ -126,31 +154,6 @@ def stored_sites(dims, periodic) -> int:
     """The interior and halo sites of a lattice of this shape."""
     return math.prod(dims) + sum(2 * math.prod(dims[:a] + dims[a + 1:])
                                  for a, p in enumerate(periodic) if not p)
-
-
-def _tables(lat, coords):
-    """Site order is the row order of coords.  Neighbors are looked up on a
-    grid of site indices, padded by two along each open axis so that every
-    stored site's steps stay on it; steps along a periodic axis wrap."""
-    n, d = coords.shape
-    dims = np.array(lat.dims)
-    wrap = np.array(lat.periodic, dtype=bool)
-    pos = coords + 2 * ~wrap
-    grid = np.full(dims + 4 * ~wrap, n, dtype=np.intp)
-    grid[tuple(pos.T)] = np.arange(n)
-    lat.adj = np.full((2 * d, n + 1), n, dtype=np.intp)
-    for axis in range(d):
-        for k, delta in enumerate((-1, 1)):
-            step = pos.copy()
-            step[:, axis] += delta
-            if wrap[axis]:
-                step[:, axis] %= dims[axis]
-            lat.adj[2 * axis + k, :n] = grid[tuple(step.T)]
-    lat.nbr = lat.adj[:, :n].T
-    lat.par = (coords.sum(axis=1) % 2).astype(np.int8)
-    lat.coords = list(map(tuple, coords.tolist()))
-    lat.index = dict(zip(lat.coords, range(n)))
-    return lat
 
 
 def parse_lattice(spec: str) -> Lattice:

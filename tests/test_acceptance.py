@@ -307,7 +307,7 @@ def _af3_background(lat):
 def test_scenario_witnesses():
     t0 = time.monotonic()
     lat = make_torus((4, 4))
-    v = lat.index[(0, 0)]
+    v = lat.site((0, 0))
 
     af3 = catalog.build("af_potts", q=3)
     p0_af3 = Pattern(0b001, 0b110)

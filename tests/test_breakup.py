@@ -59,7 +59,7 @@ def test_ordered_config_gives_trivial_atlas():
 def test_single_flip_creates_local_defect():
     lat = make_box((12, 12))
     f = ordered_config(lat)
-    flip = lat.index[(6, 6)]  # even site, moved off its pattern side
+    flip = lat.site((6, 6))  # even site, moved off its pattern side
     f[flip] = 1
     atlas = bk.construct_breakup(AF3, lat, f, P0)
     report = bk.verify_breakup(AF3, lat, f, P0, atlas)
@@ -90,7 +90,7 @@ def test_verify_reads_the_configuration_it_is_given():
     f = ordered_config(lat)
     atlas = bk.construct_breakup(AF3, lat, f, P0)
     g = list(f)
-    g[lat.index[(6, 6)]] = 1
+    g[lat.site((6, 6))] = 1
     report = bk.verify_breakup(AF3, lat, g, P0, atlas)
     assert not report["pass"]
     assert bk.verify_breakup(AF3, lat, f, P0, atlas)["pass"]
@@ -99,10 +99,10 @@ def test_verify_reads_the_configuration_it_is_given():
 def test_defect_localization_depends_on_viewpoints():
     lat = make_box((28, 28))
     f = ordered_config(lat)
-    flip = lat.index[(14, 14)]
+    flip = lat.site((14, 14))
     f[flip] = 1
     # a far-away viewpoint is not cut off by the defect: it gets papered over
-    far = frozenset({lat.index[(2, 2)]})
+    far = frozenset({lat.site((2, 2))})
     atlas = bk.construct_breakup(AF3, lat, f, P0, V=far)
     assert not atlas.b[flip]
     assert flip in charts(atlas)[0][P0]
@@ -110,7 +110,7 @@ def test_defect_localization_depends_on_viewpoints():
     assert report["pass"], [k for k, v in report.items()
                             if isinstance(v, dict) and not v["holds"]]
     # a viewpoint next to the defect keeps it in the atlas
-    near = frozenset({lat.index[(14, 15)]})
+    near = frozenset({lat.site((14, 15))})
     atlas = bk.construct_breakup(AF3, lat, f, P0, V=near)
     assert atlas.b[flip]
     report = bk.verify_breakup(AF3, lat, f, P0, atlas, V=near)
@@ -141,7 +141,7 @@ def _defect_config(lat, rng, density, margin, even=(0,), odd=(1, 2),
 
 def _flip(lat, f, site, value=1):
     f = list(f)
-    f[lat.index[site]] = value
+    f[lat.site(site)] = value
     return f
 
 
@@ -152,28 +152,28 @@ def _cases():
         lat = make_box((side, side))
         for _ in range(2):
             out.append((AF3, lat, _defect_config(lat, rng, 0.03, 8), P0,
-                        {lat.index[(side // 2, side // 2)]}))
+                        {lat.site((side // 2, side // 2))}))
     lat = make_box((32, 32))
     out.append((AF3, lat, _defect_config(lat, rng, 0.02, 13), P0,
-                {lat.index[(16, 16)]}))
+                {lat.site((16, 16))}))
     lat = make_box((28, 28))
     flip = _flip(lat, ordered_config(lat), (14, 14))
-    for V in (None, {lat.index[(14, 15)]}, {lat.index[(2, 2)]}):
+    for V in (None, {lat.site((14, 15))}, {lat.site((2, 2))}):
         out.append((AF3, lat, flip, P0, V))
     lat = make_box((12, 12))
     flip = _flip(lat, ordered_config(lat), (6, 6))
-    for V in (None, {lat.index[(6, 6)]}, {lat.index[(0, 0)]}):
+    for V in (None, {lat.site((6, 6))}, {lat.site((0, 0))}):
         out.append((AF3, lat, flip, P0, V))
     out.append((AF3, lat, _flip(lat, ordered_config(lat), (0, 0)), P0,
-                {lat.index[(0, 0)]}))
+                {lat.site((0, 0))}))
     out.append((AF3, lat, _defect_config(lat, rng, 0.3, 2), P0, None))
     box3 = make_box((6, 6, 6))
     out.append((AF3, box3, _defect_config(box3, rng, 0.05, 2), P0,
-                {box3.index[(3, 3, 3)]}))
+                {box3.site((3, 3, 3))}))
     out.append((AF4, lat, _defect_config(lat, rng, 0.1, 3, (0, 1), (2, 3),
                                          4), Pattern(0b0011, 0b1100), None))
     out.append((HC, lat, _defect_config(lat, rng, 0.1, 2, (0,), (0, 1), 2),
-                Pattern(0b01, 0b11), {lat.index[(6, 6)]}))
+                Pattern(0b01, 0b11), {lat.site((6, 6))}))
     return out
 
 
@@ -236,7 +236,7 @@ def test_verify_witnesses_come_in_site_order():
 def test_non_dominant_neighborhood_is_restricted():
     lat = make_torus((6, 6))
     f = ordered_config(lat)
-    v = lat.index[(1, 1)]
+    v = lat.site((1, 1))
     nbs = sorted(neighbor_lists(lat)[v])
     for u, s in zip(nbs, (0, 1, 2, 0)):
         f[u] = s
@@ -248,7 +248,7 @@ def test_non_dominant_neighborhood_is_restricted():
 def test_is_unbalanced_thresholds():
     lat = make_torus((4, 4))
     f = ordered_config(lat, even_state=0, odd_states=(1, 1))
-    v = lat.index[(1, 1)]
+    v = lat.site((1, 1))
     nbs = sorted(neighbor_lists(lat)[v])
     for u, s in zip(nbs, (2, 2, 2, 3)):
         f[u] = s
@@ -259,7 +259,7 @@ def test_is_unbalanced_thresholds():
 def test_is_highly_energetic():
     lat = make_torus((4, 4))
     f = ordered_config(lat)
-    v = lat.index[(1, 1)]
+    v = lat.site((1, 1))
     nbs = sorted(neighbor_lists(lat)[v])
     for u, s in zip(nbs, (1, 1, 2, 2)):
         f[u] = s
@@ -272,7 +272,7 @@ def test_scenarios_silent_on_ordered_config():
     lat = make_torus((6, 6))
     f = ordered_config(lat, odd_states=(1, 2))
     g = ordered_config(lat, odd_states=(2, 1))
-    v = lat.index[(1, 1)]
+    v = lat.site((1, 1))
     u = sorted(neighbor_lists(lat)[v])[0]
     # with both orderings present, nothing pins v or u to one side
     fired = scenario_checks(AF3, lat, f, [f, g], v, u, P0)
@@ -288,7 +288,7 @@ def test_scenarios_silent_on_ordered_config():
 def test_classify_keys():
     lat = make_torus((4, 4))
     f = ordered_config(lat)
-    v = lat.index[(1, 1)]
+    v = lat.site((1, 1))
     u = sorted(neighbor_lists(lat)[v])[0]
     out = classify(AF3, lat, f, [f], v)
     assert set(out) == {"non_dominant", "unbalanced", "highly_energetic",
@@ -361,7 +361,7 @@ def test_scenarios_match_the_one_chart_at_a_time_reference():
 def test_scenario_without_restriction_raises(monkeypatch):
     lat = make_torus((6, 6))
     f = ordered_config(lat)
-    v = lat.index[(1, 1)]
+    v = lat.site((1, 1))
     u = sorted(neighbor_lists(lat)[v])[0]
     assert scenario_checks(AF3, lat, f, [f], v, u, P0)["scenario_3"]
     monkeypatch.setattr(helpers, "is_restricted", lambda *args: False)

@@ -525,7 +525,7 @@ def test_exact_payload_is_consistent(tmp_path, af3_path, af3_soft_path,
     payload = _read(out)
     lat = lm.parse_lattice(lattice)
     bc = cli._parse_pattern(system, pattern)
-    v = lat.index[tuple(int(x) for x in site.split(","))]
+    v = lat.site(tuple(int(x) for x in site.split(",")))
     side = [system.states[s]
             for s in system.mask_states(pattern_side(bc, lat, v))]
     z_box = gibbs.z_pattern_box(system, lat, bc)
@@ -675,6 +675,26 @@ def test_bad_site_is_a_schema_error(af3_soft_path, capsys, command, site):
     if command == "mcmc":
         argv += ["--sweeps", "10"]
     assert cli.main(argv) == 2
+    assert json.loads(capsys.readouterr().err)["error"] == "SchemaError"
+
+
+@pytest.mark.parametrize("command", ["mcmc", "breakup"])
+def test_a_site_past_a_periodic_side_is_a_schema_error(tmp_path,
+                                                       af3_soft_path, capsys,
+                                                       command):
+    """(-1, 0) is off box:4px4+halo, whose first axis wraps: a lookup that
+    let numpy wrap the index would read it as the interior site (3, 0)."""
+    lat = lm.parse_lattice("box:4px4+halo")
+    if command == "mcmc":
+        argv = ["--site", "-1,0", "--sweeps", "10"]
+    else:
+        cfg = tmp_path / "config.json"
+        cfg.write_text(json.dumps({"values": {
+            ",".join(map(str, c)): str(s + 1)
+            for c, s in zip(lat.coords.tolist(), ordered_config(lat))}}))
+        argv = ["--config", str(cfg), "--seen-from", "-1,0"]
+    assert cli.main([command, "--system", af3_soft_path, "--lattice",
+                     "box:4px4+halo", "--pattern", "A=1;B=2,3", *argv]) == 2
     assert json.loads(capsys.readouterr().err)["error"] == "SchemaError"
 
 

@@ -36,9 +36,9 @@ def test_pattern_boundary_region():
         v for v in lat.interior
         if any(lat.coords[v][i] in (0, 5) for i in range(2)))
     masks = gibbs.pattern_masks(AF3, lat, P0_AF3)
-    assert masks[lat.index[(2, 2)]] == AF3.full_mask()
-    assert masks[lat.index[(0, 2)]] == P0_AF3.a  # even frame site
-    assert masks[lat.index[(0, 1)]] == P0_AF3.b  # odd frame site
+    assert masks[lat.site((2, 2))] == AF3.full_mask()
+    assert masks[lat.site((0, 2))] == P0_AF3.a  # even frame site
+    assert masks[lat.site((0, 1))] == P0_AF3.b  # odd frame site
 
 
 def test_sample_halo_extension():
@@ -91,7 +91,7 @@ def _enumerate_box(system, lat, pattern, site=None):
 def test_exact_measure_against_enumeration():
     lat = make_box((3, 3))
     bc = P0_AF3
-    center = lat.index[(1, 1)]
+    center = lat.site((1, 1))
     total, marg = _enumerate_box(AF3, lat, bc, center)
     assert gibbs.z_pattern_box(AF3, lat, bc) == total
     exact = gibbs.exact_measure(AF3, lat, bc, (1, 1))
@@ -104,7 +104,7 @@ def test_exact_measure_against_enumeration():
 def test_exact_measure_hard_core():
     lat = make_box((3, 4))
     bc = P0_HC
-    total, marg = _enumerate_box(HC, lat, bc, lat.index[(1, 1)])
+    total, marg = _enumerate_box(HC, lat, bc, lat.site((1, 1)))
     assert gibbs.z_pattern_box(HC, lat, bc) == total
     exact = gibbs.exact_measure(HC, lat, bc, (1, 1))
     assert exact["1"] == marg[1] / total
@@ -135,7 +135,7 @@ def test_box_kernel_with_fractional_weights(system):
                                    key=lambda p: (p.a, p.b))
     # first, last and an inner interior position of the raster
     for site in ((0, 0), (2, 3), (1, 2)):
-        v = lat.index[site]
+        v = lat.site(site)
         total, marg = _enumerate_box(system, lat, bc, v)
         assert gibbs.z_pattern_box(system, lat, bc) == total
         law = gibbs.site_law(system, lat, bc, site)
@@ -653,9 +653,9 @@ def test_periodic_side_of_two_is_a_double_edge_for_the_sampler():
     (z_torus counts that pair as one edge instead)."""
     system = catalog.build("af_potts", q=3, beta=1)
     lat = lm.parse_lattice("box:2px3+halo")
-    v, across = lat.index[(0, 1)], lat.index[(1, 1)]
-    assert lat.nbr[v].tolist() == [across, across, lat.index[(0, 0)],
-                                   lat.index[(0, 2)]]
+    v, across = lat.site((0, 1)), lat.site((1, 1))
+    assert lat.nbr[v].tolist() == [across, across, lat.site((0, 0)),
+                                   lat.site((0, 2))]
     chains = gibbs._Chains(system, lat, P0_AF3)
     values = [1, 1, 0, 2]  # the slot values: across twice, then axis 1
     key = sum(x * chains.base ** (3 - k) for k, x in enumerate(values))
@@ -668,6 +668,19 @@ def test_periodic_side_of_two_is_a_double_edge_for_the_sampler():
     single = wgt / np.array([float(system.interactions[s][1])
                              for s in range(system.n)])
     assert not np.allclose(law, single / single.sum(), rtol=1e-3)
+
+
+def test_raster_kernel_on_a_five_dimensional_slab_is_quick():
+    """One raster chain on box:4x4x2px2px2p+halo (d = 5, 128 sites): 100
+    sweeps take about 1 s on 2 vCPUs, mostly the tables.  The kernel nests
+    only the rows a site can reach; nesting every class's whole table
+    (9.4 M floats) took over 4 s."""
+    lat = lm.parse_lattice("box:4x4x2px2px2p+halo")
+    t0 = time.monotonic()
+    res = gibbs.run_mcmc(AF3_SOFT, lat, P0_AF3, (1, 1, 0, 0, 0),
+                         n_sweeps=100)
+    assert time.monotonic() - t0 < 3.0
+    assert res.rng_id == gibbs.RNG_ID and res.n_sweeps == 100
 
 
 def test_slab_runs_the_sampler_but_not_the_box_dp():

@@ -1,4 +1,6 @@
+import itertools
 import random
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -21,24 +23,56 @@ def test_box_structure():
     assert len(lat.interior) == 12
     assert len(lat.halo) == 2 * (3 + 4)
     assert lat.n == 26
-    center = lat.index[(1, 1)]
+    center = lat.site((1, 1))
     assert len(neighbor_lists(lat)[center]) == 4
-    corner_halo = lat.index[(-1, 0)]
+    corner_halo = lat.site((-1, 0))
     # stored neighbors: (0,0) and the halo site (-1,1)
     assert len(neighbor_lists(lat)[corner_halo]) == 2
-    assert lat.parity(lat.index[(0, 0)]) == 0
-    assert lat.parity(lat.index[(0, 1)]) == 1
-    assert lattice_dist(lat, lat.index[(0, 0)], lat.index[(2, 3)]) == 5
+    assert lat.parity(lat.site((0, 0))) == 0
+    assert lat.parity(lat.site((0, 1))) == 1
+    assert lattice_dist(lat, lat.site((0, 0)), lat.site((2, 3))) == 5
+
+
+def test_site_looks_up_stored_coordinates_only():
+    lat = lm.parse_lattice("box:4px4+halo")  # axis 0 wraps, axis 1 is open
+    assert [lat.site(tuple(c)) for c in lat.coords.tolist()] \
+        == list(range(lat.n))
+    for c in ((0, -1), (3, 4)):  # halo across the open axis
+        assert lat.site(c) in lat.halo
+    for c in ((0,), (0, 0, 0), ()):  # wrong length
+        assert lat.site(c) is None
+    box = lm.parse_lattice("box:4x4+halo")
+    for c in ((-1, -1), (4, 4), (-2, 0), (0, 5)):  # padding and beyond
+        assert box.site(c) is None
+    # a periodic axis is not wrapped: numpy would read (-1, 0) as (3, 0)
+    for c in ((-1, 0), (4, 0), (-4, 1), (10 ** 20, 0)):
+        assert lat.site(c) is None
+
+
+def test_a_lattice_retains_under_100_bytes_a_site():
+    """Its arrays only: coordinates, site grid, neighbor slots and parity
+    take about 57 bytes a site on a 300x300 box (a list of coordinate
+    tuples and a dict of them took about 200)."""
+    lm.make_lattice((3, 3), (False, False))  # numpy's first-call imports
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        lat = lm.make_lattice((300, 300), (False, False))
+        kept = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert kept / lat.n < 100
 
 
 def test_torus_structure():
     lat = make_torus((4, 6))
     assert lat.n == 24 and not lat.halo
-    v = lat.index[(0, 0)]
-    assert sorted(lat.coords[u] for u in neighbor_lists(lat)[v]) \
+    v = lat.site((0, 0))
+    assert sorted(tuple(lat.coords[u].tolist())
+                  for u in neighbor_lists(lat)[v]) \
         == [(0, 1), (0, 5), (1, 0), (3, 0)]
     # wraps
-    assert lattice_dist(lat, lat.index[(0, 0)], lat.index[(3, 5)]) == 2
+    assert lattice_dist(lat, lat.site((0, 0)), lat.site((3, 5))) == 2
     with pytest.raises(errors.ParamOutOfRange):
         make_torus((3, 4))  # odd side breaks the 2-coloring
 
@@ -48,13 +82,14 @@ def test_slab_structure():
     assert lat.kind == "slab" and lat.has_exterior
     assert lat.periodic == (True, False)
     # the halo lies across the open axis only
-    assert sorted(lat.coords[v] for v in lat.halo) \
+    assert sorted(tuple(lat.coords[v].tolist()) for v in lat.halo) \
         == sorted([(r, -1) for r in range(4)] + [(r, 3) for r in range(4)])
-    v = lat.index[(0, 1)]
-    assert sorted(lat.coords[u] for u in neighbor_lists(lat)[v]) \
+    v = lat.site((0, 1))
+    assert sorted(tuple(lat.coords[u].tolist())
+                  for u in neighbor_lists(lat)[v]) \
         == [(0, 0), (0, 2), (1, 1), (3, 1)]
     # 1 + 2
-    assert lattice_dist(lat, lat.index[(0, 0)], lat.index[(3, 2)]) == 3
+    assert lattice_dist(lat, lat.site((0, 0)), lat.site((3, 2))) == 3
     assert make_box((3, 4)).has_exterior
     assert not make_torus((4, 4)).has_exterior
     for sides in ((3, 4), (0, 4)):
@@ -80,23 +115,23 @@ def test_slab_has_an_exterior_and_wraps_only_along_periodic_axes():
     lat = lm.make_lattice((6, 6), (True, False))
     # a column wraps along the periodic axis 0; a row only spans the open
     # axis 1, and its identity is checked
-    column = frozenset(lat.index[(r, 2)] for r in range(6))
+    column = frozenset(lat.site((r, 2)) for r in range(6))
     with pytest.raises(WrappingSet):
         odd_set_identity(lat, column)
     row = lm.sites(lm.plus_m(lat, lm.mask(
-        lat, {lat.index[(2, c)] for c in (2, 4)})))
+        lat, {lat.site((2, c)) for c in (2, 4)})))
     assert is_odd_set(lat, row)
     lhs, rhs = odd_set_identity(lat, row)
     assert lhs == rhs
     # the exterior lies on both sides of the open axis: one ring around the
     # periodic axis cuts nothing off, two rings cut off the sites between
-    ring = frozenset(lat.index[(r, 3)] for r in range(6))
-    v = lat.index[(0, 1)]
+    ring = frozenset(lat.site((r, 3)) for r in range(6))
+    v = lat.site((0, 1))
     assert lm.connected_to_infinity(lat, ring, v)
     assert lm.separating_components(lat, ring, {v}) == frozenset()
     assert not lm.connected_to_infinity(
-        lat, ring | {lat.index[(r, 0)] for r in range(6)}, v)
-    edge = frozenset(lat.index[(r, -1)] for r in range(3))
+        lat, ring | {lat.site((r, 0)) for r in range(6)}, v)
+    edge = frozenset(lat.site((r, -1)) for r in range(3))
     assert lm.separating_components(lat, ring | edge, {v}) == edge
 
 
@@ -123,9 +158,9 @@ def test_stored_sites_beyond_the_bound_are_refused(monkeypatch):
 
 def test_boundary_operators():
     lat = make_box((4, 4))
-    v = lat.index[(1, 1)]
+    v = lat.site((1, 1))
     u_set = {v}
-    nb = {lat.index[c] for c in ((0, 1), (2, 1), (1, 0), (1, 2))}
+    nb = {lat.site(c) for c in ((0, 1), (2, 1), (1, 0), (1, 2))}
     m = lm.mask(lat, u_set)
     assert lm.sites(lm.nbhd_m(lat, m)) == nb
     assert lm.sites(lm.outer_m(lat, m)) == nb
@@ -137,14 +172,14 @@ def test_boundary_operators():
     assert edge_boundary_size(lat, u_set) == 4
     assert len(directed_edge_boundary(lat, u_set)) == 4
     # halo sites carry their unstored ambient edges
-    h = lat.index[(-1, 0)]
+    h = lat.site((-1, 0))
     assert edge_boundary_size(lat, {h}) == 4
     assert len(directed_edge_boundary(lat, {h})) == 2
 
 
 def test_plus_shape_is_tight_odd_set():
     lat = make_box((5, 5))
-    center = lat.index[(2, 2)]
+    center = lat.site((2, 2))
     u_set = lm.sites(lm.plus_m(lat, lm.mask(lat, {center})))
     assert is_odd_set(lat, u_set)
     assert lm.is_regular_m(lat, lm.mask(lat, u_set))
@@ -152,7 +187,7 @@ def test_plus_shape_is_tight_odd_set():
     lhs, rhs = odd_set_identity(lat, u_set)
     assert lhs == rhs == 3
     # a single odd site is not the expansion of its even part
-    odd_site = lat.index[(2, 1)]
+    odd_site = lat.site((2, 1))
     assert not lm.is_regular_m(lat, lm.mask(lat, {odd_site}))
 
 
@@ -171,21 +206,21 @@ def test_n_t_degree_bound():
 
 def test_wrapping_set_detection():
     lat = make_torus((6, 6))
-    wrap = frozenset(lat.index[(0, c)] for c in range(6)) \
-        | frozenset(lat.index[(r, 0)] for r in range(6))
+    wrap = frozenset(lat.site((0, c)) for c in range(6)) \
+        | frozenset(lat.site((r, 0)) for r in range(6))
     with pytest.raises(WrappingSet):
         odd_set_identity(lat, wrap)
 
 
 def test_components():
     lat = make_box((6, 6))
-    a = lat.index[(0, 0)]
-    b = lat.index[(0, 1)]
-    c = lat.index[(3, 3)]
+    a = lat.site((0, 0))
+    b = lat.site((0, 1))
+    c = lat.site((3, 3))
     comps = lm.components(lat, {a, b, c})
     assert sorted(len(x) for x in comps) == [1, 2]
     # radius-2 adjacency merges sites at distance 2
-    d = lat.index[(0, 2)]
+    d = lat.site((0, 2))
     assert len(lm.components(lat, {a, d}, r=2)) == 1
     assert diam_star(lat, {a, c}) == 4
     assert diam_star(lat, {a, b}) == 3
@@ -193,12 +228,12 @@ def test_components():
 
 def test_connectivity_to_exterior():
     lat = make_box((5, 5))
-    center = lat.index[(2, 2)]
-    ring = frozenset(lat.index[c] for c in ((1, 2), (3, 2), (2, 1), (2, 3)))
+    center = lat.site((2, 2))
+    ring = frozenset(lat.site(c) for c in ((1, 2), (3, 2), (2, 1), (2, 3)))
     assert lm.connected_to_infinity(lat, frozenset(), center)
     assert not lm.connected_to_infinity(lat, ring, center)
     assert not lm.connected_to_infinity(lat, ring, next(iter(ring)))
-    far = lat.index[(0, 0)]
+    far = lat.site((0, 0))
     assert lm.connected_to_infinity(lat, ring, far)
     torus = make_torus((4, 4))
     with pytest.raises(errors.NoInfinityOnTorus):
@@ -209,9 +244,9 @@ def test_connectivity_to_exterior():
 
 def test_co_connected_closure():
     lat = make_box((5, 5))
-    center = lat.index[(2, 2)]
-    ring = frozenset(lat.index[c] for c in ((1, 2), (3, 2), (2, 1), (2, 3)))
-    far = lat.index[(0, 0)]
+    center = lat.site((2, 2))
+    ring = frozenset(lat.site(c) for c in ((1, 2), (3, 2), (2, 1), (2, 3)))
+    far = lat.site((0, 0))
     assert co_connected_closure(lat, ring, far) == ring | {center}
     assert co_connected_closure(lat, ring, center) \
         == frozenset(range(lat.n)) - {center}
@@ -224,25 +259,25 @@ def test_co_connected_closure():
     torus = make_torus((4, 4))
     walls = frozenset(v for v, c in enumerate(torus.coords) if c[1] in (0, 2))
     strip = frozenset(v for v, c in enumerate(torus.coords) if c[1] == 1)
-    assert co_connected_closure(torus, walls, torus.index[(3, 1)]) \
+    assert co_connected_closure(torus, walls, torus.site((3, 1))) \
         == frozenset(range(torus.n)) - strip
 
 
 def test_separating_components():
     lat = make_box((8, 8))
-    center = lat.index[(4, 4)]
+    center = lat.site((4, 4))
     # connected square ring enclosing the center
-    ring = frozenset(lat.index[(r, c)] for r in (3, 4, 5) for c in (3, 4, 5)
+    ring = frozenset(lat.site((r, c)) for r in (3, 4, 5) for c in (3, 4, 5)
                      if (r, c) != (4, 4))
-    blob = frozenset({lat.index[(0, 0)]})
+    blob = frozenset({lat.site((0, 0))})
     kept = lm.separating_components(lat, ring | blob, {center})
     assert kept == ring  # the far blob neither wraps the viewpoint nor
     # touches the exterior halo
-    halo_piece = frozenset({lat.index[(-1, 3)]})
+    halo_piece = frozenset({lat.site((-1, 3))})
     kept = lm.separating_components(lat, ring | halo_piece, {center})
     assert kept == ring | halo_piece
     # a disconnected diamond of four singletons cuts nothing by itself
-    diamond = frozenset(lat.index[c]
+    diamond = frozenset(lat.site(c)
                         for c in ((3, 4), (5, 4), (4, 3), (4, 5)))
     assert lm.separating_components(lat, diamond, {center}) == frozenset()
 
@@ -277,8 +312,10 @@ def test_lattice_tables_match_loop_builder(kind, dims):
         lat, periodic, kind = lm.make_lattice(dims, kind), kind, "slab"
     assert lat.kind == kind and lat.periodic == periodic
     ref = lattice_reference(periodic, dims)
-    assert lat.coords == ref["coords"]
-    assert lat.index == ref["index"]
+    assert list(map(tuple, lat.coords.tolist())) == ref["coords"]
+    # every stored coordinate is found, and nothing else within two steps
+    assert all(lat.site(c) == ref["index"].get(c) for c in
+               itertools.product(*[range(-2, n + 2) for n in dims]))
     assert neighbor_lists(lat) == ref["neighbors"]
     assert lat.interior == ref["interior"] and lat.halo == ref["halo"]
     assert [lat.parity(v) for v in range(lat.n)] == ref["parity"]

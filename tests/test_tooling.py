@@ -71,7 +71,7 @@ def test_breakup_command_reaches_the_traced_breakup_layers(tmp_path,
     system.write_text(catalog.build("af_potts", q=3).to_json())
     lat = make_box((12, 12))
     f = ordered_config(lat)
-    f[lat.index[(6, 6)]] = 1
+    f[lat.site((6, 6))] = 1
     config = tmp_path / "config.json"
     config.write_text(json.dumps({"values": {
         ",".join(map(str, c)): str(f[v] + 1)
