@@ -7,17 +7,12 @@ finite beta forces float mode through exp(-beta).
 
 from __future__ import annotations
 
+import inspect
 import math
 from fractions import Fraction
 
 from . import errors
-from .system import SpinSystem, make_system, state_count
-
-MODEL_NAMES = (
-    "af_potts", "af_potts_field", "af_ising_field", "hard_core",
-    "hard_core_unequal", "widom_rowlinson", "clock", "beach", "multi_wr",
-    "anti_wr", "multi_beach", "multi_occupancy_hc_v1", "multi_occupancy_hc_v2",
-)
+from .system import SpinSystem, make_system, parse_number, state_count
 
 INF = math.inf
 
@@ -48,25 +43,28 @@ def _int(x, name):
             f"{name} must be an integer, got {x!r}") from None
 
 
-def _as_rational(x, name):
-    try:
-        v = Fraction(x)
-    except (TypeError, ValueError) as e:
-        raise errors.ParamOutOfRange(f"{name} must be rational, got {x!r}") from e
-    return v
-
-
 def _pos(x, name):
-    v = _as_rational(x, name)
+    """A positive rational model parameter."""
+    try:
+        v = parse_number(x, "rational")
+    except errors.SchemaError:
+        raise errors.ParamOutOfRange(
+            f"{name} must be rational, got {x!r}") from None
     if not v > 0:
         raise errors.ParamOutOfRange(f"{name} must be positive")
     return v
 
 
 def build(name, **params) -> SpinSystem:
-    if name not in MODEL_NAMES:
+    """The named model; an unknown name or a parameter the model does not
+    take is refused (ParamOutOfRange)."""
+    builder = _BUILDERS.get(name)
+    if builder is None:
         raise errors.ParamOutOfRange(f"unknown model {name!r}")
-    return _BUILDERS[name](**params)
+    extra = sorted(params.keys() - inspect.signature(builder).parameters)
+    if extra:
+        raise errors.ParamOutOfRange(f"{name} takes no {', '.join(extra)}")
+    return builder(**params)
 
 
 def _build_af_potts(q=None, beta=INF):

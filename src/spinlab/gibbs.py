@@ -19,16 +19,16 @@ Three evaluators:
     underflows is refused), or modulo primes below 2^20 and rebuilt by the
     Chinese remainder theorem;
   * run_mcmc - heat-bath Glauber dynamics on K chains from one seeded
-    PCG64 stream, with two kernels over the same cumulative tables: a
-    raster scan of one site at a time, and a numpy checkerboard kernel that
-    updates the even and then the odd sublattice of all chains at once
-    (given one sublattice, the sites of the other are conditionally
-    independent).  chains x |interior| picks the kernel; error bars are
-    batch means, or the spread of the chain means for K > 1.
+    PCG64 stream, with two kernels over one table of cumulative rows per
+    site kind: a raster scan of one site at a time, and a numpy
+    checkerboard kernel that updates the even and then the odd sublattice
+    of all chains at once (given one sublattice, the sites of the other are
+    conditionally independent).  chains x |interior| picks the kernel;
+    error bars are batch means, or the spread of the chain means for K > 1.
 
 The exact evaluators run on SpinSystem.scaled() weights: Python ints in
 rational mode, divided once at the end by la^|V| li^|E|, and the system's
-floats in float mode.  The box DP and the sampler's tables read one
+floats in float mode.  The box DP and the sampler's rows read one
 local-weight function, _local_weights.
 """
 
@@ -51,8 +51,10 @@ MAX_FRONTIER = 2 * 10 ** 6
 MAX_COLUMNS = 5000
 # chains x sweeps recorded by run_mcmc, and chains x (stored sites + 1)
 # held by its kernels' configurations: 8 bytes a value as int64, and as
-# much again while the raster kernel holds them as lists
+# much again while the raster kernel holds them as lists.  MAX_ROWS bounds
+# the sampler's cumulative weights, |S| per neighbor key of each site kind
 MAX_TRACE = 10 ** 7
+MAX_ROWS = 2 * 10 ** 7
 # the batches of one chain's kept sweeps behind its standard errors
 N_BATCHES = 40
 
@@ -226,15 +228,16 @@ def _box_rows(system, masks) -> dict:
         n = system.n
         if sc.exact:
             tables = _local_weights(
-                np.array(sc.acts, object), np.array(sc.inter, object), 2,
-                new).reshape(len(new), n + 1, n + 1, n).tolist()
+                np.array(sc.acts, object), np.array(sc.inter, object),
+                [range(n + 1)] * 2, new).reshape(len(new), n + 1, n + 1,
+                                                 n).tolist()
             memo.update((mask, [[[(s, x) for s, x in enumerate(cell) if x]
                                  for cell in row] for row in table])
                         for mask, table in zip(new, tables))
         else:
             memo.update(zip(new, _local_weights(
                 np.array(sc.acts, dtype=float),
-                np.array(sc.inter, dtype=float), 1, new)))
+                np.array(sc.inter, dtype=float), [range(n + 1)], new)))
     return {m: memo[m] for m in masks}
 
 
@@ -450,84 +453,86 @@ def initial_pattern_config(system: SpinSystem, lat, pattern: Pattern) -> list:
     return np.where(lat.par == 0, a_states[0], b_states[0]).tolist()
 
 
-def _local_weights(acts, inter, k, masks):
-    """Local Boltzmann weights given k neighbor slots, per allowed mask:
+def _local_weights(acts, inter, slots, masks):
+    """Local Boltzmann weights given neighbor slots, per allowed mask:
     [mask][key][s] is the activity of s times its interactions with the
-    slots, multiplied from the least significant slot up, and 0 outside the
-    mask.  A key packs the slot values in base |S|+1; the extra value |S|
-    is a free slot (missing neighbor), with factor 1.  Computes in the
+    slots, multiplied from the last slot up, and 0 outside the mask.  slots
+    lists the values each slot can hold; a key enumerates their
+    combinations, the first slot most significant.  A slot value |S| is a
+    free slot (missing neighbor), with factor 1.  Computes in the
     arithmetic of the arrays acts and inter: Python ints in object arrays,
     or floats."""
     n = len(acts)
-    base = n + 1
-    inter_t = np.ones((base, n), dtype=inter.dtype)  # [slot value, s]
+    inter_t = np.ones((n + 1, n), dtype=inter.dtype)  # [slot value, s]
     inter_t[:n] = inter
-    keys = np.arange(base ** k)
-    wgt = np.broadcast_to(acts, (len(keys), n))
-    for _ in range(k):
-        wgt = wgt * inter_t[keys % base]
-        keys = keys // base
+    wgt = acts
+    for values in reversed(slots):  # each slot a new leading axis
+        wgt = wgt * inter_t[list(values)].reshape(
+            (-1,) + (1,) * (wgt.ndim - 1) + (n,))
     sel = np.array([[mask >> s & 1 for s in range(n)] for mask in masks],
                    dtype=bool)
-    return np.where(sel[:, None, :], wgt, 0)
+    return np.where(sel[:, None, :], wgt.reshape(-1, n), 0)
 
 
-def _build_tables(system, d, class_masks):
-    """Cumulative conditional laws per site class, [class][key][s]: the
-    float local weights of the 2d neighbor slots, summed over the states.
-    In memory each state's column is one contiguous block ([s][class][key]),
-    the layout the checkerboard kernel reads."""
+def _build_rows(system, deg, kinds):
+    """Cumulative conditional laws per site kind, an allowed mask and the
+    number f of free slots, which come first among the deg slots: the
+    float local weights summed over the states, indexed by the slot values
+    (0 on a free slot, 0 .. |S|-1 on a stored one) and the state.  Refuses
+    more than MAX_ROWS weights before it builds any."""
     n = system.n
-    if (n + 1) ** (2 * d) * n * len(class_masks) > 2 * 10 ** 7:
-        raise errors.StateSpaceTooLarge(f"{(n + 1) ** (2 * d)} neighbor keys")
+    keys = sum(n ** (deg - f) for _, f in kinds)
+    if keys * n > MAX_ROWS:
+        raise errors.StateSpaceTooLarge(f"{keys} neighbor keys")
     acts = np.array([to_float(a) for a in system.activities])
     inter = np.array([[to_float(x) for x in row]
                       for row in system.interactions])
-    wgt = np.moveaxis(_local_weights(acts, inter, 2 * d, class_masks), -1, 0)
-    return np.moveaxis(np.cumsum(wgt, axis=0, out=np.empty(wgt.shape)), 0, -1)
+    return [np.cumsum(_local_weights(
+        acts, inter, [[n]] * f + [range(n)] * (deg - f), [mask])[0], -1)
+        .reshape((1,) * f + (n,) * (deg - f) + (n,)) for mask, f in kinds]
 
 
 class _Chains:
     """The fixed inputs of heat-bath chains on a lattice interior (sites 0
-    to m - 1): each interior site's class (its allowed mask) and neighbor
-    slots, the cumulative tables and the pattern tiling every chain starts
-    from.  The slots are the rows of `lat.nbr`, with every neighbor outside
-    the interior replaced by `lat.n`, a free slot whose value is always
-    |S|."""
+    to m - 1): each interior site's neighbor slots and kind, each kind's
+    cumulative rows and the pattern tiling every chain starts from.  The
+    slots are the rows of `lat.nbr`, a neighbor outside the interior
+    replaced by the sentinel `lat.n` (a free slot), free slots first.  A
+    kind is an allowed mask and a number of free slots: a free slot's
+    factor is 1 and the stored slots keep their order, so that is all a
+    site's rows depend on.  Halo sites hold |S|, the sentinel 0."""
 
     def __init__(self, system, lat, pattern):
-        n, m = system.n, len(lat.interior)
-        self.n, self.base = n, n + 1
-        masks = pattern_masks(system, lat, pattern)[:m]
-        class_masks, self.cls = np.unique(masks, return_inverse=True)
-        self.slots = np.where(lat.nbr[:m] < m, lat.nbr[:m], lat.n)
+        n, m, deg = system.n, len(lat.interior), lat.nbr.shape[1]
+        self.n = n
+        slots = np.where(lat.nbr[:m] < m, lat.nbr[:m], lat.n)
+        free = slots == lat.n
+        self.slots = np.take_along_axis(
+            slots, np.argsort(~free, 1, kind="stable"), 1)
         self.parity = lat.par[:m]
-        self.tables = _build_tables(system, lat.d, class_masks.tolist())
-        self.init = np.append(initial_pattern_config(system, lat, pattern), n)
-        self.init[m:] = n  # the halo and the sentinel hold the free value
+        masks, cls = np.unique(pattern_masks(system, lat, pattern)[:m],
+                               return_inverse=True)
+        kinds, self.kind = np.unique(cls * (deg + 1) + free.sum(1),
+                                     return_inverse=True)
+        self.rows = _build_rows(system, deg, [
+            (masks[k // (deg + 1)], k % (deg + 1)) for k in kinds.tolist()])
+        self.init = np.append(initial_pattern_config(system, lat, pattern), 0)
+        self.init[m:-1] = n
 
     def raster(self, rng, site, n_sweeps, chains):
         """Heat-bath updates in raster order, one chain after the other,
         each drawing one uniform per update from rng.  The state is the
         first s with cum[s] >= u * cum[-1].  Returns the recorded site's
         values [chain][sweep] and the final configurations."""
-        (m, deg), n = self.slots.shape, self.n
-        free = self.slots == len(self.init) - 1  # slots on the sentinel
-        # per class and set of free slots, the rows nested slot by slot, first
-        # slot outermost, over the values a slot holds: 0 .. |S| - 1 where
-        # stored, |S| alone where free (at index 0, the sentinel's value here)
-        kinds = list(zip(self.cls.tolist(), map(tuple, free.tolist())))
-        nested = {(c, fr): self.tables[c].reshape((self.base,) * deg + (n,))[
-            tuple(slice(n, None) if f else slice(n) for f in fr)].tolist()
-            for c, fr in set(kinds)}
+        m, deg = self.slots.shape
+        nested = [rows.tolist() for rows in self.rows]
         plan = [(v, nested[k], *nb) for v, (k, nb) in
-                enumerate(zip(kinds, self.slots.tolist()))]
+                enumerate(zip(self.kind.tolist(), self.slots.tolist()))]
         sweeps = _raster_sweeps(deg)
         chunk = max(1, 4096 // m)  # sweeps per block of uniforms
         traces, configs = [], []
         for _ in range(chains):
             cfg = self.init.tolist()
-            cfg[-1] = 0  # the sentinel: free slots read index 0
             trace = []
             for lo in range(0, n_sweeps, chunk):
                 cur = min(chunk, n_sweeps - lo)
@@ -546,21 +551,24 @@ class _Chains:
         and picks the state as the raster kernel does: the number of states
         s < |S| - 1 with cum[s] < u * cum[-1] (the last state never counts,
         since u < 1), read from each state's cumulative column, one
-        contiguous array indexed by class * keys + key."""
-        n_keys = self.tables.shape[1]
-        cols = np.moveaxis(self.tables, -1, 0).reshape(self.n, -1)  # a view
+        contiguous array over every kind's rows."""
+        deg, n = self.slots.shape[1], self.n
+        cols = np.concatenate([rows.reshape(-1, n).T for rows in self.rows],
+                              1)
         lower, last = cols[:-1], cols[-1]
+        offsets = np.cumsum([0] + [rows.size // n for rows in self.rows])
         cfg = np.repeat(self.init[:, None], chains, axis=1)  # [site][chain]
-        deg = self.slots.shape[1]
-        # per half: its sites, their slots (slot-major), class offsets and
+        # per half: its sites, their slots (slot-major), kind offsets and
         # a buffer for its uniforms
         halves = [(sites, self.slots[sites].T.ravel(),
-                   self.cls[sites, None] * n_keys,
+                   offsets[self.kind[sites], None],
                    np.empty((len(sites), chains)))
                   for sites in (np.flatnonzero(self.parity == p)
                                 for p in (0, 1)) if len(sites)]
-        # the first slot is the most significant digit of the key
-        powers = self.base ** np.arange(deg - 1, -1, -1)
+        # the first slot is the most significant digit of the key; free
+        # slots come first and read the sentinel's 0, so a stored slot's
+        # power of |S| is its stride in its kind's rows
+        powers = n ** np.arange(deg - 1, -1, -1)
         trace = np.zeros((chains, n_sweeps), dtype=np.int64)
         for sweep in range(n_sweeps):
             for sites, slots, offset, u in halves:
@@ -634,7 +642,7 @@ def run_mcmc(system: SpinSystem, lat, pattern: Pattern, site,
     sweeps).
     With one chain the standard errors are batch means over N_BATCHES
     batches of the kept sweeps; with several, the batches are the chains'
-    own means.  check_trace refuses a long trace before any table is built."""
+    own means.  check_trace refuses a long trace before any row is built."""
     if not lat.has_exterior:
         raise errors.UnsupportedLattice(
             "sampler runs on lattices with an open axis")

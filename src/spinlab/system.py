@@ -34,6 +34,10 @@ MAX_FLOAT_INT = 2 ** 1000
 
 def parse_number(x, mode):
     """Parse a JSON-level number into the system's arithmetic mode."""
+    if isinstance(x, float) and math.isnan(x):
+        raise errors.SchemaError(f"not a number: {x!r}")
+    if isinstance(x, float) and math.isinf(x):  # such as a JSON 1e400
+        raise errors.TooLarge("a value exceeds the float64 range")
     if mode == "rational":
         if isinstance(x, bool):
             raise errors.SchemaError(f"not a number: {x!r}")
@@ -55,11 +59,11 @@ def parse_number(x, mode):
     elif mode == "float":
         if isinstance(x, str):
             try:
-                return float(Fraction(x))
+                x = Fraction(x)
             except (ValueError, ZeroDivisionError) as e:
                 raise errors.SchemaError(f"bad numeric literal {x!r}") from e
         if isinstance(x, (int, float, Fraction)) and not isinstance(x, bool):
-            return float(x)
+            return to_float(x)
         raise errors.SchemaError(f"not a number: {x!r}")
     raise errors.SchemaError(f"unknown mode {mode!r}")
 
@@ -233,6 +237,8 @@ def validate_system(raw: dict) -> SpinSystem:
     for key in ("states", "activities", "interactions"):
         if key not in raw:
             raise errors.SchemaError(f"missing key {key!r}")
+        if not isinstance(raw[key], list):
+            raise errors.SchemaError(f"{key!r} must be a list")
     mode = raw.get("mode", "rational")
     if mode not in ("rational", "float"):
         raise errors.SchemaError(f"mode must be 'rational' or 'float', got {mode!r}")
@@ -250,7 +256,8 @@ def validate_system(raw: dict) -> SpinSystem:
         if not a > 0:
             raise errors.NonPositiveActivity(f"activity of state {states[i]!r} is {a}")
     rows = raw["interactions"]
-    if len(rows) != n or any(len(r) != n for r in rows):
+    if len(rows) != n or any(not isinstance(r, list) or len(r) != n
+                             for r in rows):
         raise errors.SchemaError("interaction matrix must be n x n")
     inter = [[parse_number(v, mode) for v in row] for row in rows]
     for i in range(n):

@@ -12,6 +12,7 @@ runs.
 
 import bisect
 import dataclasses
+import functools
 import itertools
 import math
 import random
@@ -22,7 +23,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from spinlab import catalog, errors, patterns
+from spinlab import catalog, errors, gibbs, patterns
 from spinlab.breakup import Atlas, BreakupContext
 from spinlab.catalog import INF, _pos
 from spinlab.kbipartite import PsiSpec, _spec_context
@@ -359,21 +360,44 @@ def build_tables_reference(system, d, class_masks):
     return tables
 
 
-def raster_reference(sampler, rng, site, n_sweeps, chains):
-    """The raster heat-bath kernel of a gibbs._Chains, one neighbor slot at
-    a time: each update walks its class's nested row slot by slot and
-    bisects it at u times the row's total.  The library's kernel must
+# one whole table per system, d and classes: the d = 4 slab's takes about
+# 2 s to build one key at a time, and four kernel cases read it
+@functools.cache
+def _cached_tables(system, d, class_masks):
+    return build_tables_reference(system, d, list(class_masks))
+
+
+def _reference_chains(system, lat, pattern):
+    """The whole tables of the interior's classes (allowed masks), each
+    interior site's class and neighbor slots (a neighbor outside the
+    interior is the free value |S|, held by every site past the interior
+    and by the sentinel lat.n) and the pattern tiling."""
+    m = len(lat.interior)
+    class_masks, cls = np.unique(gibbs.pattern_masks(system, lat, pattern)[:m],
+                                 return_inverse=True)
+    tables = _cached_tables(system, lat.d, tuple(class_masks.tolist()))
+    slots = np.where(lat.nbr[:m] < m, lat.nbr[:m], lat.n)
+    init = np.append(gibbs.initial_pattern_config(system, lat, pattern),
+                     system.n)
+    init[m:] = system.n
+    return tables, cls, slots, init
+
+
+def raster_reference(system, lat, pattern, rng, site, n_sweeps, chains):
+    """The raster heat-bath kernel over whole tables, one neighbor slot at
+    a time: each update walks its class's nested table slot by slot and
+    bisects the row at u times the row's total.  The library's kernel must
     reproduce its traces and final configurations exactly."""
-    (m, deg), n = sampler.slots.shape, sampler.n
-    nested = [t.reshape((sampler.base,) * deg + (n,)).tolist()
-              for t in sampler.tables]
+    tables, cls, slots, init = _reference_chains(system, lat, pattern)
+    (m, deg), n = slots.shape, system.n
+    nested = [t.reshape((n + 1,) * deg + (n,)).tolist() for t in tables]
     plan = [(v, nested[c], tuple(nb)) for v, (c, nb) in
-            enumerate(zip(sampler.cls.tolist(), sampler.slots.tolist()))]
+            enumerate(zip(cls.tolist(), slots.tolist()))]
     pick = bisect.bisect_left
     chunk = max(1, 4096 // m)  # sweeps per block of uniforms
     traces, configs = [], []
     for _ in range(chains):
-        cfg = sampler.init.tolist()
+        cfg = init.tolist()
         trace = []
         for lo in range(0, n_sweeps, chunk):
             cur = min(chunk, n_sweeps - lo)
@@ -390,27 +414,29 @@ def raster_reference(sampler, rng, site, n_sweeps, chains):
         configs
 
 
-def checkerboard_reference(sampler, rng, site, n_sweeps, chains):
-    """The checkerboard heat-bath kernel of a gibbs._Chains by whole table
-    rows: each half-sweep gathers the (sites, chains, |S|) rows of its keys
-    and counts the entries below u times each row's total.  The library's
-    kernel must reproduce its traces and final configurations exactly."""
-    n, base = sampler.n, sampler.base
-    n_keys = sampler.tables.shape[1]
-    flat = sampler.tables.reshape(-1, n)
-    cfg = np.repeat(sampler.init.astype(np.int64)[:, None], chains,
+def checkerboard_reference(system, lat, pattern, rng, site, n_sweeps,
+                           chains):
+    """The checkerboard heat-bath kernel by whole table rows: each
+    half-sweep gathers the (sites, chains, |S|) rows of its keys and counts
+    the entries below u times each row's total.  The library's kernel must
+    reproduce its traces and final configurations exactly."""
+    tables, cls, slots, init = _reference_chains(system, lat, pattern)
+    n = system.n
+    base = n + 1
+    n_keys = tables.shape[1]
+    flat = tables.reshape(-1, n)
+    cfg = np.repeat(init.astype(np.int64)[:, None], chains,
                     axis=1)  # [site][chain]
-    halves = [(sites, sampler.slots[sites].T,
-               sampler.cls[sites, None] * n_keys)
-              for sites in (np.flatnonzero(sampler.parity == p)
+    halves = [(sites, slots[sites].T, cls[sites, None] * n_keys)
+              for sites in (np.flatnonzero(lat.par[:len(slots)] == p)
                             for p in (0, 1)) if len(sites)]
     # the first slot is the most significant digit of the key
-    powers = [base ** j for j in range(sampler.slots.shape[1] - 1, -1, -1)]
+    powers = [base ** j for j in range(slots.shape[1] - 1, -1, -1)]
     trace = np.zeros((chains, n_sweeps), dtype=np.int64)
     for sweep in range(n_sweeps):
-        for sites, slots, offset in halves:
+        for sites, slot_rows, offset in halves:
             key = offset
-            for sl, w in zip(slots, powers):
+            for sl, w in zip(slot_rows, powers):
                 key = key + cfg[sl] * w
             rows = flat[key]
             u = rng.random(key.shape) * rows[..., -1]

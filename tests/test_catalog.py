@@ -35,6 +35,10 @@ def test_model_name_validation():
     ["af_potts", "--q", "3", "--beta", "nan"],
     ["af_potts"],
     ["af_ising_field", "--lam", "2", "--beta", "-1"],
+    ["hard_core", "--q", "3", "--lam", "1"],  # parameters a model lacks
+    ["af_potts", "--q", "3", "--lam", "2"],
+    ["beach", "--lam", "2", "--beta", "1"],
+    ["hard_core", "--lam", "1/0"],
 ])
 def test_bad_catalog_parameter_is_out_of_range(capsys, argv):
     assert cli.main(["catalog", *argv]) == 2

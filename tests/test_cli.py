@@ -764,6 +764,30 @@ def test_mcmc_smoke(tmp_path, af3_soft_path):
     assert len(payload["final_config"]) == 16
 
 
+def test_mcmc_reaches_a_six_dimensional_slab(tmp_path, af3_soft_path,
+                                             capsys, monkeypatch):
+    """q = 3 samples box:8x8x2px2px2px2p+halo (d = 6); the d = 7 slab's
+    9.0 M neighbor keys exceed gibbs.MAX_ROWS and are refused before any
+    row is built."""
+    out = tmp_path / "mcmc.json"
+    argv = ["mcmc", "--system", af3_soft_path, "--pattern", "A=1;B=2,3",
+            "--sweeps", "20"]
+    assert cli.main([*argv, "--lattice", "box:8x8x2px2px2px2p+halo",
+                     "--site", "3,3,0,0,0,0", "--out", str(out)]) == 0
+    payload = _read(out)
+    assert payload["n_batches"] == 18 and payload["meta"]["rng"] \
+        == gibbs.CHECKERBOARD_RNG_ID
+
+    def build(*args):
+        raise AssertionError("rows built past MAX_ROWS")
+
+    monkeypatch.setattr(gibbs, "_local_weights", build)
+    assert cli.main([*argv, "--lattice", "box:8x8x2px2px2px2px2p+halo",
+                     "--site", "3,3,0,0,0,0,0"]) == 3
+    assert json.loads(capsys.readouterr().err) == {
+        "error": "StateSpaceTooLarge", "detail": "9034497 neighbor keys"}
+
+
 def test_breakup_command(tmp_path, af3_path):
     lat = make_box((6, 6))
     system = catalog.build("af_potts", q=3)

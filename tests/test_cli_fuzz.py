@@ -1,7 +1,7 @@
-"""Grammar fuzz of the CLI arguments: every input ends in exit 0, or in exit
-2 (validation) or 3 (resource guard) with a JSON error on stderr, never in
-a traceback.  Lattice sides stay at most 4 and sweeps at most 100, so each
-example runs in milliseconds."""
+"""Grammar fuzz of the CLI arguments and of system files: every input ends
+in exit 0, or in exit 2 (validation) or 3 (resource guard) with a JSON
+error on stderr, never in a traceback.  Lattice sides stay at most 4 and
+sweeps at most 100, so each example runs in milliseconds."""
 
 import contextlib
 import io
@@ -121,6 +121,36 @@ ints = st.one_of(st.integers(-2, 3).map(str),
                  st.sampled_from(["abc", "", "2.5", "1e1", " 2", "0x3"]))
 
 
+# catalog parameters: rationals and integers in range or not, a zero
+# denominator, non-finite and beyond float64
+catalog_values = st.sampled_from(["-1", "0", "1", "2", "3", "1/2", "1/0",
+                                  "1e400", "nan", "inf", "abc", ""])
+# JSON values of the wrong type for a system file's fields or entries
+wrong_json = st.sampled_from([None, 3, 1.5, True, "ab", "1e400", "1/0",
+                              float("inf"), float("nan"), [1, 1], [[1]],
+                              {"a": 1}, [None, None]])
+
+
+@st.composite
+def system_files(draw, system_paths, root):
+    """A valid system file, or one with a field or an entry replaced by a
+    value of the wrong JSON type."""
+    path = draw(st.sampled_from(system_paths))
+    if draw(st.booleans()):
+        return path
+    with open(path) as fh:
+        raw = json.load(fh)
+    key = draw(st.sampled_from(["states", "activities", "interactions",
+                                "mode"]))
+    if key != "mode" and draw(st.booleans()):
+        raw[key][draw(st.integers(0, 2))] = draw(wrong_json)
+    else:
+        raw[key] = draw(wrong_json)
+    bad = root / "bad_system.json"
+    bad.write_text(json.dumps(raw))
+    return str(bad)
+
+
 @st.composite
 def invocations(draw, system_paths, root):
     """A subcommand and its options, each option one "--name=value" token
@@ -128,8 +158,14 @@ def invocations(draw, system_paths, root):
     required option missing as often as not."""
     command = draw(st.sampled_from(["exact", "mcmc", "breakup-scan", "zfun",
                                     "check", "verify-cond", "breakup",
-                                    "transform", "nosuch"]))
-    opts = [f"--system={draw(st.sampled_from(system_paths))}"]
+                                    "transform", "catalog", "nosuch"]))
+    if command == "catalog":
+        opts = [draw(st.sampled_from([*catalog._BUILDERS, "nosuch"]))]
+        for name in draw(st.lists(st.sampled_from(
+                ["q", "lam", "lam-e", "lam-o", "beta", "m"]), unique=True)):
+            opts.append(f"--{name}={draw(catalog_values)}")
+    else:
+        opts = [f"--system={draw(system_files(system_paths, root))}"]
     if command == "zfun":
         d = draw(st.one_of(st.integers(1, 3).map(str), ints))
         opts += [f"--d={d}", f"--psi={draw(psis)}"]
@@ -159,7 +195,7 @@ def invocations(draw, system_paths, root):
                             st.lists(multipliers, max_size=4)))
         d = draw(st.one_of(st.integers(1, 3).map(str), ints))
         opts += ["--op=reweight", f"--multipliers={','.join(ms)}", f"--d={d}"]
-    elif command != "nosuch":
+    elif command not in ("catalog", "nosuch"):
         opts += [f"--lattice={draw(lattices)}", f"--pattern={draw(patterns)}"]
         if command == "exact":
             opts.append(f"--site={draw(sites)}")

@@ -3,6 +3,7 @@ import itertools
 import math
 import random
 import time
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -227,9 +228,9 @@ def test_box_rows_are_built_once_per_system(monkeypatch):
     built = []
     local_weights = gibbs._local_weights
 
-    def counting(acts, inter, k, masks):
+    def counting(acts, inter, slots, masks):
         built.extend(masks)
-        return local_weights(acts, inter, k, masks)
+        return local_weights(acts, inter, slots, masks)
 
     monkeypatch.setattr(gibbs, "_local_weights", counting)
     lat, bc = make_box((4, 4)), P0_AF3
@@ -475,7 +476,7 @@ def test_mcmc_guards():
                        force=True)
     big = catalog.build("af_potts", q=30)
     with pytest.raises(errors.StateSpaceTooLarge):
-        gibbs._build_tables(big, 2, [big.full_mask()])
+        gibbs._build_rows(big, 4, [(big.full_mask(), 0)])
 
 
 def test_mcmc_bookkeeping_and_determinism():
@@ -556,7 +557,7 @@ def test_kernels_reproduce_the_reference_kernels(case, kernel, chains):
     runs = [run(np.random.Generator(np.random.PCG64(4)), site, n_sweeps,
                 chains)
             for run in (getattr(sampler, kernel),
-                        functools.partial(reference, sampler))]
+                        functools.partial(reference, system, lat, pattern))]
     (trace, configs), (ref_trace, ref_configs) = runs
     assert trace.dtype == ref_trace.dtype
     assert np.array_equal(trace, ref_trace)
@@ -567,7 +568,7 @@ def test_mcmc_refuses_a_long_trace_before_building_tables(monkeypatch):
     def build(*args):
         raise AssertionError("tables built before the trace bound")
 
-    monkeypatch.setattr(gibbs, "_build_tables", build)
+    monkeypatch.setattr(gibbs, "_build_rows", build)
     bc = P0_AF3
     lat = make_box((4, 4))  # 32 stored sites
     for chains, n_sweeps in ((1, gibbs.MAX_TRACE + 1),
@@ -582,9 +583,19 @@ def test_mcmc_refuses_a_long_trace_before_building_tables(monkeypatch):
                          ids=["af_potts", "hard_core"])
 @pytest.mark.parametrize("d", [2, 3])
 def test_build_tables_matches_reference(system, d):
+    """Each kind's rows (an allowed mask and f free slots) are the reference
+    table restricted to the values its slots hold, |S| on f free slots and
+    0 .. |S|-1 on the others, wherever the free slots are."""
+    n, deg = system.n, 2 * d
     masks = sorted({system.full_mask(), 0b001, 0b010, system.full_mask() - 1})
-    assert np.array_equal(gibbs._build_tables(system, d, masks),
-                          build_tables_reference(system, d, masks))
+    kinds = [(mask, f) for mask in masks for f in range(deg + 1)]
+    tables = build_tables_reference(system, d, masks)
+    for (mask, f), rows in zip(kinds, gibbs._build_rows(system, deg, kinds)):
+        table = tables[masks.index(mask)].reshape((n + 1,) * deg + (n,))
+        for free in itertools.combinations(range(deg), f):
+            assert np.array_equal(rows, table[tuple(
+                slice(n, None) if j in free else slice(n)
+                for j in range(deg))].reshape(rows.shape))
 
 
 def test_kernel_choice_follows_chains_times_sites():
@@ -658,8 +669,8 @@ def test_periodic_side_of_two_is_a_double_edge_for_the_sampler():
                                    lat.site((0, 2))]
     chains = gibbs._Chains(system, lat, P0_AF3)
     values = [1, 1, 0, 2]  # the slot values: across twice, then axis 1
-    key = sum(x * chains.base ** (3 - k) for k, x in enumerate(values))
-    row = chains.tables[chains.cls[v], key]
+    assert chains.slots[v].tolist() == lat.nbr[v].tolist()  # none free
+    row = chains.rows[chains.kind[v]][tuple(values)]
     law = np.diff(row, prepend=0.0) / row[-1]
     wgt = np.array([float(system.activities[s])
                     * math.prod(float(system.interactions[s][x])
@@ -672,15 +683,29 @@ def test_periodic_side_of_two_is_a_double_edge_for_the_sampler():
 
 def test_raster_kernel_on_a_five_dimensional_slab_is_quick():
     """One raster chain on box:4x4x2px2px2p+halo (d = 5, 128 sites): 100
-    sweeps take about 1 s on 2 vCPUs, mostly the tables.  The kernel nests
-    only the rows a site can reach; nesting every class's whole table
-    (9.4 M floats) took over 4 s."""
+    sweeps take about 0.15 s on 2 vCPUs.  Only the rows a site can reach
+    are built and nested; nesting every class's whole table (9.4 M floats)
+    took over 4 s."""
     lat = lm.parse_lattice("box:4x4x2px2px2p+halo")
     t0 = time.monotonic()
     res = gibbs.run_mcmc(AF3_SOFT, lat, P0_AF3, (1, 1, 0, 0, 0),
                          n_sweeps=100)
     assert time.monotonic() - t0 < 3.0
     assert res.rng_id == gibbs.RNG_ID and res.n_sweeps == 100
+
+
+def test_chains_on_a_five_dimensional_slab_stay_small():
+    """_Chains on box:4x4x2px2px2p+halo builds only the rows its sites can
+    reach: about 5 MB under tracemalloc, where the whole tables of its
+    classes peaked at 144 MB."""
+    lat = lm.parse_lattice("box:4x4x2px2px2p+halo")
+    tracemalloc.start()
+    try:
+        gibbs._Chains(AF3_SOFT, lat, P0_AF3)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 30 * 2 ** 20, peak
 
 
 def test_slab_runs_the_sampler_but_not_the_box_dp():

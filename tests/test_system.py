@@ -1,10 +1,11 @@
 import dataclasses
+import json
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, strategies as st
 
-from spinlab import errors, patterns
+from spinlab import cli, errors, patterns
 from spinlab.system import (ScaledWeights, SpinSystem, bipartite_cover,
                             emit_number, load_system, make_system,
                             parse_number, product, project_from_doubled,
@@ -137,6 +138,43 @@ def test_validate_system_errors():
             "activities": [1] * 65,
             "interactions": [[1] * 65] * 65,
         })
+
+
+@pytest.mark.parametrize("overrides, error", [
+    ({"states": None}, "SchemaError"),
+    ({"states": 2}, "SchemaError"),
+    ({"states": "ab"}, "SchemaError"),  # not the states a and b
+    ({"activities": None}, "SchemaError"),
+    ({"activities": 1}, "SchemaError"),
+    ({"interactions": None}, "SchemaError"),
+    ({"interactions": 1.5}, "SchemaError"),
+    ({"interactions": [1, 1]}, "SchemaError"),
+    ({"mode": "float", "activities": ["1e400", 1]}, "TooLarge"),
+    ({"mode": "float", "interactions": [[1, "1e400"], ["1e400", 0]]},
+     "TooLarge"),
+    ({"mode": "float", "activities": [10 ** 400, 1]}, "TooLarge"),
+    ({"activities": [float("inf"), 1]}, "TooLarge"),  # JSON 1e400
+    ({"mode": "float", "interactions": [[1, 1], [1, -float("inf")]]},
+     "TooLarge"),
+    ({"activities": [float("nan"), 1]}, "SchemaError"),
+    ({"mode": "float", "activities": [1, float("nan")]}, "SchemaError"),
+])
+def test_system_file_of_the_wrong_shape_is_refused(tmp_path, capsys,
+                                                   overrides, error):
+    """A field of the wrong JSON type is a SchemaError (exit 2), and a
+    float-mode number beyond float64 is TooLarge (exit 3), for every
+    subcommand that reads a system file."""
+    raw = _hc_raw(**overrides)
+    with pytest.raises(getattr(errors, error)):
+        validate_system(raw)
+    path = tmp_path / "system.json"
+    path.write_text(json.dumps(raw))
+    code = 3 if error == "TooLarge" else 2
+    for argv in (["analyze"], ["check", "--sweep", "d=2:3"],
+                 ["exact", "--lattice", "box:2x2+halo", "--pattern",
+                  "A=0;B=1", "--site", "0,0"], ["zfun", "--d", "1", "--psi", "complete"]):
+        assert cli.main([argv[0], "--system", str(path), *argv[1:]]) == code
+        assert json.loads(capsys.readouterr().err)["error"] == error
 
 
 def test_to_dict_round_trip(tmp_path):
