@@ -19,8 +19,8 @@ Three evaluators:
     underflows is refused), or modulo primes below 2^20 and rebuilt by the
     Chinese remainder theorem;
   * run_mcmc - heat-bath Glauber dynamics on K chains from one seeded
-    PCG64 stream, with two kernels over one table of cumulative rows per
-    site kind: a raster scan of one site at a time, and a numpy
+    PCG64 stream, with two kernels that read one (|S|, keys) array of
+    cumulative rows: a raster scan of one site at a time, and a numpy
     checkerboard kernel that updates the even and then the odd sublattice
     of all chains at once (given one sublattice, the sites of the other are
     conditionally independent).  chains x |interior| picks the kernel;
@@ -52,7 +52,7 @@ MAX_COLUMNS = 5000
 # chains x sweeps recorded by run_mcmc, and chains x (stored sites + 1)
 # held by its kernels' configurations: 8 bytes a value as int64, and as
 # much again while the raster kernel holds them as lists.  MAX_ROWS bounds
-# the sampler's cumulative weights, |S| per neighbor key of each site kind
+# the sampler's one array of cumulative weights, |S| per neighbor key
 MAX_TRACE = 10 ** 7
 MAX_ROWS = 2 * 10 ** 7
 # the batches of one chain's kept sweeps behind its standard errors
@@ -475,36 +475,38 @@ def _local_weights(acts, inter, slots, masks):
 
 
 def _build_rows(system, deg, kinds):
-    """Cumulative conditional laws per site kind, an allowed mask and the
-    number f of free slots, which come first among the deg slots: the
-    float local weights summed over the states, indexed by the slot values
-    (0 on a free slot, 0 .. |S|-1 on a stored one) and the state.  Refuses
-    more than MAX_ROWS weights before it builds any."""
+    """The float local weights of every site kind's keys, cumulated over the
+    states, as one C-ordered (|S|, keys) array, and each kind's first key
+    (the total last).  A kind is an allowed mask and a number f of free
+    slots, first among the deg slots; its keys are the values 0 .. |S|-1 of
+    its other slots.  Refuses more than MAX_ROWS weights before any."""
     n = system.n
-    keys = sum(n ** (deg - f) for _, f in kinds)
-    if keys * n > MAX_ROWS:
-        raise errors.StateSpaceTooLarge(f"{keys} neighbor keys")
+    offsets = list(itertools.accumulate(
+        (n ** (deg - f) for _, f in kinds), initial=0))
+    if offsets[-1] * n > MAX_ROWS:
+        raise errors.StateSpaceTooLarge(f"{offsets[-1]} neighbor keys")
     acts = np.array([to_float(a) for a in system.activities])
     inter = np.array([[to_float(x) for x in row]
                       for row in system.interactions])
-    return [np.cumsum(_local_weights(
-        acts, inter, [[n]] * f + [range(n)] * (deg - f), [mask])[0], -1)
-        .reshape((1,) * f + (n,) * (deg - f) + (n,)) for mask, f in kinds]
+    cum = np.empty((n, offsets[-1]))
+    for (mask, f), lo, hi in zip(kinds, offsets, offsets[1:]):
+        np.cumsum(_local_weights(acts, inter, [range(n)] * (deg - f),
+                                 [mask])[0], -1, out=cum[:, lo:hi].T)
+    return cum, np.array(offsets)
 
 
 class _Chains:
     """The fixed inputs of heat-bath chains on a lattice interior (sites 0
-    to m - 1): each interior site's neighbor slots and kind, each kind's
-    cumulative rows and the pattern tiling every chain starts from.  The
-    slots are the rows of `lat.nbr`, a neighbor outside the interior
-    replaced by the sentinel `lat.n` (a free slot), free slots first.  A
-    kind is an allowed mask and a number of free slots: a free slot's
-    factor is 1 and the stored slots keep their order, so that is all a
-    site's rows depend on.  Halo sites hold |S|, the sentinel 0."""
+    to m - 1): each interior site's neighbor slots and kind, the rows cum
+    and kind offsets of _build_rows, and the pattern tiling every chain
+    starts from.  The slots are the rows of `lat.nbr`, a neighbor outside
+    the interior replaced by the sentinel `lat.n` (a free slot), free slots
+    first.  A kind is an allowed mask and a number of free slots: a free
+    slot's factor is 1 and the stored slots keep their order, so that is
+    all a site's rows depend on.  Halo sites hold |S|, the sentinel 0."""
 
     def __init__(self, system, lat, pattern):
         n, m, deg = system.n, len(lat.interior), lat.nbr.shape[1]
-        self.n = n
         slots = np.where(lat.nbr[:m] < m, lat.nbr[:m], lat.n)
         free = slots == lat.n
         self.slots = np.take_along_axis(
@@ -514,8 +516,9 @@ class _Chains:
                                return_inverse=True)
         kinds, self.kind = np.unique(cls * (deg + 1) + free.sum(1),
                                      return_inverse=True)
-        self.rows = _build_rows(system, deg, [
-            (masks[k // (deg + 1)], k % (deg + 1)) for k in kinds.tolist()])
+        self.free = (kinds % (deg + 1)).tolist()  # per kind
+        self.cum, self.offsets = _build_rows(
+            system, deg, list(zip(masks[kinds // (deg + 1)], self.free)))
         self.init = np.append(initial_pattern_config(system, lat, pattern), 0)
         self.init[m:-1] = n
 
@@ -524,8 +527,10 @@ class _Chains:
         each drawing one uniform per update from rng.  The state is the
         first s with cum[s] >= u * cum[-1].  Returns the recorded site's
         values [chain][sweep] and the final configurations."""
-        m, deg = self.slots.shape
-        nested = [rows.tolist() for rows in self.rows]
+        (m, deg), n = self.slots.shape, len(self.cum)
+        nested = [self.cum[:, lo:hi].T.reshape(
+            (1,) * f + (n,) * (deg - f + 1)).tolist()
+            for f, lo, hi in zip(self.free, self.offsets, self.offsets[1:])]
         plan = [(v, nested[k], *nb) for v, (k, nb) in
                 enumerate(zip(self.kind.tolist(), self.slots.tolist()))]
         sweeps = _raster_sweeps(deg)
@@ -550,24 +555,19 @@ class _Chains:
         heat-bath sweep.  Each half-sweep draws rng.random((sites, chains))
         and picks the state as the raster kernel does: the number of states
         s < |S| - 1 with cum[s] < u * cum[-1] (the last state never counts,
-        since u < 1), read from each state's cumulative column, one
-        contiguous array over every kind's rows."""
-        deg, n = self.slots.shape[1], self.n
-        cols = np.concatenate([rows.reshape(-1, n).T for rows in self.rows],
-                              1)
-        lower, last = cols[:-1], cols[-1]
-        offsets = np.cumsum([0] + [rows.size // n for rows in self.rows])
+        since u < 1), read from each state's row of cum as it is."""
+        deg, n = self.slots.shape[1], len(self.cum)
+        lower, last = self.cum[:-1], self.cum[-1]
         cfg = np.repeat(self.init[:, None], chains, axis=1)  # [site][chain]
         # per half: its sites, their slots (slot-major), kind offsets and
         # a buffer for its uniforms
         halves = [(sites, self.slots[sites].T.ravel(),
-                   offsets[self.kind[sites], None],
+                   self.offsets[self.kind[sites], None],
                    np.empty((len(sites), chains)))
                   for sites in (np.flatnonzero(self.parity == p)
                                 for p in (0, 1)) if len(sites)]
-        # the first slot is the most significant digit of the key; free
-        # slots come first and read the sentinel's 0, so a stored slot's
-        # power of |S| is its stride in its kind's rows
+        # the slots are the digits of a key in its kind's block, the first
+        # most significant; free slots come first and read the sentinel's 0
         powers = n ** np.arange(deg - 1, -1, -1)
         trace = np.zeros((chains, n_sweeps), dtype=np.int64)
         for sweep in range(n_sweeps):

@@ -476,7 +476,7 @@ def test_mcmc_guards():
                        force=True)
     big = catalog.build("af_potts", q=30)
     with pytest.raises(errors.StateSpaceTooLarge):
-        gibbs._build_rows(big, 4, [(big.full_mask(), 0)])
+        cum, offsets = gibbs._build_rows(big, 4, [(big.full_mask(), 0)])
 
 
 def test_mcmc_bookkeeping_and_determinism():
@@ -590,7 +590,9 @@ def test_build_tables_matches_reference(system, d):
     masks = sorted({system.full_mask(), 0b001, 0b010, system.full_mask() - 1})
     kinds = [(mask, f) for mask in masks for f in range(deg + 1)]
     tables = build_tables_reference(system, d, masks)
-    for (mask, f), rows in zip(kinds, gibbs._build_rows(system, deg, kinds)):
+    cum, offsets = gibbs._build_rows(system, deg, kinds)
+    for (mask, f), lo, hi in zip(kinds, offsets, offsets[1:]):
+        rows = cum[:, lo:hi].T
         table = tables[masks.index(mask)].reshape((n + 1,) * deg + (n,))
         for free in itertools.combinations(range(deg), f):
             assert np.array_equal(rows, table[tuple(
@@ -670,7 +672,8 @@ def test_periodic_side_of_two_is_a_double_edge_for_the_sampler():
     chains = gibbs._Chains(system, lat, P0_AF3)
     values = [1, 1, 0, 2]  # the slot values: across twice, then axis 1
     assert chains.slots[v].tolist() == lat.nbr[v].tolist()  # none free
-    row = chains.rows[chains.kind[v]][tuple(values)]
+    row = chains.cum[:, chains.offsets[chains.kind[v]]
+                     + np.ravel_multi_index(values, (system.n,) * 4)]
     law = np.diff(row, prepend=0.0) / row[-1]
     wgt = np.array([float(system.activities[s])
                     * math.prod(float(system.interactions[s][x])
@@ -706,6 +709,30 @@ def test_chains_on_a_five_dimensional_slab_stay_small():
     finally:
         tracemalloc.stop()
     assert peak < 30 * 2 ** 20, peak
+
+
+def test_checkerboard_on_a_six_dimensional_slab_reads_its_rows_in_place():
+    """box:8x8x2px2px2px2p+halo (d = 6, 3.0 M cumulative weights, 24 MB):
+    the checkerboard kernel reads the one array of rows without copying it,
+    so 20 sweeps allocate under 2 MB of their own, and a 20-sweep run_mcmc
+    peaks near 48 MB under tracemalloc.  A second, F-ordered copy of the
+    rows, which numpy copied again on every half-sweep, made these 38 MB
+    and 62 MB."""
+    lat = lm.parse_lattice("box:8x8x2px2px2px2p+halo")
+    sampler = gibbs._Chains(AF3_SOFT, lat, P0_AF3)
+    peaks = []
+    for run in (lambda: sampler.checkerboard(
+                    np.random.Generator(np.random.PCG64(0)), 3, 20, 1),
+                lambda: gibbs.run_mcmc(AF3_SOFT, lat, P0_AF3,
+                                       (3, 3, 0, 0, 0, 0), n_sweeps=20)):
+        tracemalloc.start()
+        try:
+            run()
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert peaks[0] < 2 * 2 ** 20, peaks
+    assert peaks[1] <= 50 * 2 ** 20, peaks
 
 
 def test_slab_runs_the_sampler_but_not_the_box_dp():

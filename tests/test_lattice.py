@@ -140,6 +140,7 @@ def test_parse_lattice():
     assert lat.kind == "box" and lat.dims == (3, 4)
     lat = lm.parse_lattice("torus:4x4")
     assert lat.kind == "torus"
+    assert lm.parse_shape("box:4x4") == lm.parse_shape("box:4x4+halo")
     for bad in ("torus:4x4+halo", "box:0x4", "box:axb", "prism:4x4", "junk"):
         with pytest.raises(errors.SchemaError):
             lm.parse_lattice(bad)
