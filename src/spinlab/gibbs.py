@@ -465,13 +465,13 @@ def _local_weights(acts, inter, slots, masks):
     n = len(acts)
     inter_t = np.ones((n + 1, n), dtype=inter.dtype)  # [slot value, s]
     inter_t[:n] = inter
-    wgt = acts
-    for values in reversed(slots):  # each slot a new leading axis
-        wgt = wgt * inter_t[list(values)].reshape(
-            (-1,) + (1,) * (wgt.ndim - 1) + (n,))
     sel = np.array([[mask >> s & 1 for s in range(n)] for mask in masks],
                    dtype=bool)
-    return np.where(sel[:, None, :], wgt.reshape(-1, n), 0)
+    wgt = np.where(sel, acts, 0)  # [mask, s]
+    for values in reversed(slots):  # each slot a new axis after the mask's
+        wgt = wgt[:, None] * inter_t[list(values)].reshape(
+            (-1,) + (1,) * (wgt.ndim - 2) + (n,))
+    return wgt.reshape(len(masks), -1, n)
 
 
 def _build_rows(system, deg, kinds):

@@ -16,6 +16,8 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
+import numpy as np
+
 from . import errors, kbipartite, patterns
 from .system import MAX_FLOAT_INT, emit_number, log_number, to_float
 
@@ -23,6 +25,10 @@ INF = math.inf
 # bits of one power lambda^{2d} beyond which rho_bulk_star_of leaves exact
 # arithmetic for log space
 EXACT_BITS = 2 ** 20
+# the alt2 screen raises each candidate's alpha2 by this much relative to
+# max(1, |alpha2|), far beyond the few ulps by which numpy's log and power
+# differ from libm's, so that it never drops a window the scalar test keeps
+SCREEN_TOL = 1e-9
 
 
 def neg_log(x):
@@ -240,10 +246,41 @@ def _ge(name, lhs, rhs, vacuous=False):
                       vacuous=vacuous)
 
 
+def _alt2_screen(system, d, cands, pen, thr):
+    """The window lengths of the range cands that may pass alt2's window
+    test: rho_hat_bulk_of, _alpha2 and the window bound of every candidate
+    in one float64 numpy pass, an overflow reading inf.  A candidate is
+    dropped only if it fails with its alpha2 raised by SCREEN_TOL; no number
+    computed here is reported.  cands must lie within [ceil(s_lo), s_cap],
+    so s_window_low holds and the cap is moot."""
+    st = patterns.structure(system)
+    n, two_d, lam_s = system.n, float(2 * d), float(st.lam_s)
+    la, lb = np.array(st.bulk_pairs, dtype=float).reshape(-1, 2).T[..., None]
+    s = float(cands.start) + np.arange(len(cands))
+    growth = 2 * d * float(st.rho_hat_act)
+    with np.errstate(all="ignore"):
+        rho_hat_bulk = np.fmax.reduce(
+            la * lb / to_float(st.omega_dom)
+            * (1.0 + float(st.rho_int) ** s * lam_s / la)
+            * (two_d * lam_s / lb) ** ((s - 1) * n / two_d),
+            axis=0, initial=0.0)
+        a2 = -np.log(np.maximum(rho_hat_bulk, _alpha_arg(
+            0.0, st.rho_pat_bdry, st.rho_int))) - pen
+        # an unbounded ratio's -inf turns nan here and is dropped: thr > 0
+        a2 += SCREEN_TOL * np.maximum(1.0, np.abs(a2))
+        window_hi = np.where(
+            a2 > 0, 1.0 + a2 * float(d) / (2.0 * n * math.log(growth)),
+            1.0) if growth > 1 else 1.0
+    return [cands[i] for i in np.flatnonzero((a2 >= thr) & (s <= window_hi))]
+
+
 def check_condition(system, d, which, C=1.0, s=None) -> ConditionReport:
     """Evaluate one of the quantitative long-range-order conditions literally
     with the supplied constants.  Each condition computes only the terms it
-    reads: rho_bulk_star only for alt3."""
+    reads: rho_bulk_star only for alt3.  alt2 reports the first candidate
+    window length s (or the given s) that passes its window test, else the
+    first: the first with the scalar formula, the others only where
+    _alt2_screen keeps them."""
     if d < 2:
         raise errors.ParamOutOfRange("d must be >= 2")
     if max(d, s or 0) > MAX_FLOAT_INT:
@@ -288,28 +325,28 @@ def check_condition(system, d, which, C=1.0, s=None) -> ConditionReport:
         else:
             s_lo = 2.0 * math.log(d * rho_hat_act) / neg_log(rho_int)
         s_cap = math.ceil(2 * d / n)
-        candidates = [s] if s is not None else list(
-            range(max(1, math.ceil(s_lo)), max(1, math.ceil(s_lo)) + min(s_cap, 10 ** 4)))
         pen = _penalty(st, d)
-        best = None
-        for cand in candidates:
-            if cand > s_cap and best is not None:
-                break
+
+        def window(cand):
             _, a2 = _alpha2(system, d, cand, pen)
             window_hi = min(s_cap,
                             1.0 + a2 * d / (2.0 * n * math.log(2 * d * rho_hat_act))
                             if a2 > 0 and 2 * d * rho_hat_act > 1 else 1.0)
-            window = [
+            return [
                 _ge("s_window_low", cand, s_lo),
                 Inequality("s_window_high", cand, window_hi, holds=cand <= window_hi),
                 _ge("alpha2", a2, thr),
             ]
-            if all(iq.holds for iq in window):
-                best = (cand, window)
-                break
-            if best is None:
-                best = (cand, window)
-        s_used, ineqs = best
+
+        s_used = s if s is not None else max(1, math.ceil(s_lo))
+        ineqs = window(s_used)
+        if s is None and not all(iq.holds for iq in ineqs):
+            rest = range(s_used + 1, min(s_used + min(s_cap, 10 ** 4), s_cap + 1))
+            for cand in _alt2_screen(system, d, rest, pen, thr):
+                cand_ineqs = window(cand)
+                if all(iq.holds for iq in cand_ineqs):
+                    s_used, ineqs = cand, cand_ineqs
+                    break
     elif which == "alt3":
         if rho_int != 0:
             raise errors.Alt3OnWeightedSystem(

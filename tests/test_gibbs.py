@@ -735,6 +735,21 @@ def test_checkerboard_on_a_six_dimensional_slab_reads_its_rows_in_place():
     assert peaks[1] <= 50 * 2 ** 20, peaks
 
 
+def test_rows_of_a_six_dimensional_slab_are_built_without_a_masked_copy():
+    """box:8x8x2px2px2px2p+halo: beside the 24 MB of rows, building them
+    holds one kind's products (12.75 MB for the kind with no free slot),
+    about 39.5 MB in all under tracemalloc.  Masking the products after
+    multiplying held a second copy of that block: 47.5 MB."""
+    lat = lm.parse_lattice("box:8x8x2px2px2px2p+halo")
+    tracemalloc.start()
+    try:
+        gibbs._Chains(AF3_SOFT, lat, P0_AF3)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 43 * 2 ** 20, peak
+
+
 def test_slab_runs_the_sampler_but_not_the_box_dp():
     lat = lm.parse_lattice("box:4x4px3+halo")
     bc = P0_AF3

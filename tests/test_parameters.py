@@ -1,11 +1,14 @@
+import dataclasses
 import math
+import random
 from fractions import Fraction
 
 import pytest
 
 from spinlab import catalog, errors, parameters, patterns
 
-from helpers import alt2_reference, check_closed_form_bounds, section_defaults
+from helpers import (alt2_reference, check_closed_form_bounds,
+                     random_rational_system, section_defaults)
 
 AF3 = catalog.build("af_potts", q=3)
 HC = catalog.build("hard_core", lam=1)
@@ -165,6 +168,8 @@ def test_section_defaults_and_closed_form_bounds():
     ("af_potts", {"q": 3, "beta": 1}),
     ("af_potts", {"q": 3}),
     ("hard_core", {"lam": 2}),
+    ("widom_rowlinson", {"lam": 2}),
+    ("clock", {"q": 9, "m": 2, "beta": 1}),
 ])
 @pytest.mark.parametrize("d", [10, 100, 1000])
 def test_alt2_matches_per_candidate_reference(model, d):
@@ -177,3 +182,81 @@ def test_alt2_matches_per_candidate_reference(model, d):
     pen = parameters._penalty(patterns.structure(system), d)
     assert parameters._alpha2(system, d, s, pen)[1] == \
         parameters.compute_parameters(system, d=d, s=s).alpha2
+
+
+def _spy_on_the_screen(monkeypatch):
+    """Record (candidates, kept) of every _alt2_screen call."""
+    calls = []
+    screen = parameters._alt2_screen
+
+    def spy(*args):
+        kept = screen(*args)
+        calls.append((args[2], kept))
+        return kept
+
+    monkeypatch.setattr(parameters, "_alt2_screen", spy)
+    return calls
+
+
+def test_alt2_screen_drops_only_windows_that_fail(monkeypatch):
+    """Every window length the numpy screen drops fails the scalar window
+    test (an explicit s), on catalog and random systems from d = 2 to 10^6
+    and 2^1000.  Where a point drops more than 256 windows, the first 128 and
+    about 128 spread over the rest are checked."""
+    rng = random.Random(11)
+    systems = [catalog.build("af_potts", q=3, beta=1),
+               catalog.build("af_potts", q=3),
+               catalog.build("af_potts", q=4, beta=2),
+               catalog.build("af_potts", q=5, beta=3),
+               catalog.build("hard_core", lam="1/2"),
+               catalog.build("widom_rowlinson", lam=2),
+               catalog.build("clock", q=9, m=2, beta=1)]
+    systems += [random_rational_system(rng) for _ in range(8)]
+    calls = _spy_on_the_screen(monkeypatch)
+    checked = 0
+    for system in systems:
+        for d in (2, 3, 7, 30, 300, 3000, 10 ** 6, 2 ** 1000):
+            for C in (0.01, 1.0, 7.5):
+                calls.clear()
+                parameters.check_condition(system, d, "alt2", C)
+                for cands, kept in calls:
+                    dropped = sorted(set(cands) - set(kept))
+                    if len(dropped) > 256:
+                        dropped = dropped[:128] + dropped[
+                            128::len(dropped) // 128]
+                    for s in dropped:
+                        assert not parameters.check_condition(
+                            system, d, "alt2", C, s=s).passes, (system, d, C, s)
+                    checked += len(dropped)
+    assert checked > 2 * 10 ** 4, checked
+
+
+def test_alt2_takes_a_later_window_as_the_reference_does(monkeypatch):
+    """No catalog or random system has been seen to fail alt2's first
+    window and pass a later one, so this case feeds the checker a pattern
+    structure made up for it: a tiny rho_int and a bulk pair whose ratio is
+    dominated by the rho_int^s term, so alpha2 grows with s at first."""
+    system = catalog.build("af_potts", q=3, beta=1)
+    made_up = dataclasses.replace(
+        patterns.structure(system), rho_int=Fraction(1, 10 ** 4),
+        rho_hat_act=Fraction(1), lam_s=Fraction(10 ** 6),
+        omega_dom=Fraction(1), bulk_pairs=((1e-12, 1.0),),
+        rho_pat_bdry=Fraction(0))
+    monkeypatch.setattr(patterns, "structure", lambda _: made_up)
+    # the largest C at which window 3 still passes: its alpha2 equals the
+    # threshold to within rounding, so only the screen's slack keeps it
+    edge = parameters._alpha2(system, 10, 3, parameters._penalty(made_up, 10))[1] \
+        / parameters.check_condition(system, 10, "alt2", 1.0, s=3).inequalities[2].rhs
+    while not parameters.check_condition(system, 10, "alt2", edge, s=3).passes:
+        edge = math.nextafter(edge, 0)
+    calls = _spy_on_the_screen(monkeypatch)
+    for C, s, passes in ((0.1, 2, True), (0.5, 3, True), (edge, 3, True),
+                         (2.0, 1, False)):
+        calls.clear()
+        rep = parameters.check_condition(system, 10, "alt2", C)
+        assert (rep.s, rep.passes) == (s, passes)
+        assert rep.to_dict() == alt2_reference(system, 10, C).to_dict()
+        (cands, kept), = calls
+        for s in set(cands) - set(kept):
+            assert not parameters.check_condition(system, 10, "alt2", C,
+                                                  s=s).passes
