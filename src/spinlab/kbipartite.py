@@ -13,13 +13,15 @@ masks, a sum of products of multinomials (one group of 2d coordinates: the
 multinomial).  In rational mode the sum runs on SpinSystem.scaled() integer
 weights and is divided once by la^{4d} li^{4d^2}.
 
-A class's contents are enumerated over R(R(J)), and tested for membership,
-once per system and d: the system's memo keeps them in a table, in
-_sub_contents order, with the weights of each row per I, built on first
-use.  A spec filters its class's table (a spec with no class, the table of
-every content over the union of its masks), keeping the rows that some
-assignment in the spec realizes, with their counts; verify_main_condition's
-many specs over a few classes share the tables.
+A class's contents are enumerated over R(R(J)) once per system and d, and
+tested for membership in one array pass over them (_in_class: the R-closure
+of each row's support, and one integer matrix product for the near-constant
+classes): the system's memo keeps the members in a table, in _sub_contents
+order, with the weights of each row per I, built on first use.  A spec
+filters its class's table (a spec with no class, the table of every content
+over the union of its masks), keeping the rows that some assignment in the
+spec realizes, with their counts; verify_main_condition's many specs over a
+few classes share the tables.
 """
 
 from __future__ import annotations
@@ -31,6 +33,8 @@ import operator
 import random
 from collections import Counter
 from dataclasses import dataclass, field
+
+import numpy as np
 
 from . import errors, patterns
 from .system import SpinSystem, check_float_z, make_system, to_float
@@ -100,78 +104,41 @@ class PsiSpec:
 
 
 # ---------------------------------------------------------------------------
-# content-level class predicates
+# class membership
 
-class _ClassContext:
-    """A spec's class over its side J, as a test on contents."""
+def _in_class(system, d, spec, states, counts):
+    """Which rows of counts (an integer matrix, a count vector over states
+    per row) lie in the spec's class cls over its side J and, when cls2 is
+    set, not in the class cls2, as a boolean mask over the rows."""
+    rJ = patterns.r_closure(system, spec.J)
+    # full: the R-closure of the row's support, the meet of its states'
+    # closures, is R(J)
+    closures = np.array([patterns.r_closure(system, 1 << s) for s in states],
+                        dtype=np.uint64)
+    full = np.bitwise_and.reduce(np.where(
+        counts > 0, closures, np.uint64(system.full_mask())), axis=1) == rJ
 
-    def __init__(self, system, d, spec):
-        self.system = system
-        self.d = d
-        self.spec = spec
-        self.rJ = patterns.r_closure(system, spec.J)
-        if spec.J.bit_count() > MAX_SUBSET_SIDE:
-            raise errors.GroundSetTooLarge(
-                f"side has {spec.J.bit_count()} states")
-        # a content value-set equivalent to J lies within R(R(J))
-        self.ground = patterns.r_closure(system, self.rJ)
-        # strict subsets of J that are dominant sides
-        self.dom_subsets = [a for a in patterns.structure(system).dominant_sides
-                            if a != spec.J and a & ~spec.J == 0]
-        # proper subsets of J not value-set-equivalent to J
-        self.inequiv_subsets = [
-            I for I in _submasks(spec.J) if I != spec.J
-            and patterns.r_closure(system, I) != self.rJ]
-
-    def _count_in(self, xi, mask):
-        return sum(c for s, c in xi.items() if mask >> s & 1)
-
-    def in_full(self, xi):
-        supp = 0
-        for s in xi:
-            supp |= 1 << s
-        return patterns.r_closure(self.system, supp) == self.rJ
-
-    def in_near_dominant(self, xi):
-        thr = 2 * self.d - 4 * self.spec.eps * self.d
-        return any(self._count_in(xi, I) > thr for I in self.dom_subsets)
-
-    def in_near_subset(self, xi):
-        thr = 2 * self.d - 4 * self.spec.eps_bar * self.d
-        return any(self._count_in(xi, I) > thr for I in self.inequiv_subsets)
-
-    def member(self, xi, cls):
-        if not self.in_full(xi):
-            return False
-        if cls == "full":
-            return True
-        if cls == "near_dominant":
-            return self.in_near_dominant(xi)
-        if cls == "near_subset":
-            return self.in_near_subset(xi)
-        return not (self.in_near_dominant(xi) or self.in_near_subset(xi))
-
-    def admits(self, xi):
-        """xi is in the class cls and, when cls2 is set, not in cls2."""
-        return self.member(xi, self.spec.cls) and not (
-            self.spec.cls2 is not None and self.member(xi, self.spec.cls2))
-
-
-def _spec_context(system, d, spec):
-    """The spec's class constraint, or None when it sets no class."""
-    return None if spec.J is None else _ClassContext(system, d, spec)
-
-
-def _submasks(mask):
-    """All submasks of mask, including 0 and mask itself."""
-    out = []
-    sub = mask
-    while True:
-        out.append(sub)
-        if sub == 0:
-            break
-        sub = (sub - 1) & mask
-    return out
+    # near_dominant: more than 2d - 4 eps d coordinates inside one strict
+    # dominant side of J; near_subset: more than 2d - 4 eps_bar d inside one
+    # subset of J not value-set equivalent to J (an unset threshold is the
+    # class's, which the spec does not read)
+    dom = [a for a in patterns.structure(system).dominant_sides
+           if a != spec.J and a & ~spec.J == 0]
+    singles = [1 << s for s in system.mask_states(spec.J)]
+    inequiv = [I for r in range(len(singles) + 1)
+               for I in map(sum, itertools.combinations(singles, r))
+               if patterns.r_closure(system, I) != rJ]
+    subsets = dom + inequiv
+    ind = np.array([[a >> s & 1 for a in subsets] for s in states],
+                   dtype=np.int64).reshape(len(states), len(subsets))
+    over = counts @ ind > np.array(
+        [2 * d - 4 * (spec.eps or 0) * d] * len(dom)
+        + [2 * d - 4 * (spec.eps_bar or 0) * d] * len(inequiv))
+    nd, ns = over[:, :len(dom)].any(axis=1), over[:, len(dom):].any(axis=1)
+    member = {"full": full, "near_dominant": full & nd,
+              "near_subset": full & ns, "balanced": full & ~nd & ~ns}
+    keep = member[spec.cls]
+    return keep & ~member[spec.cls2] if spec.cls2 is not None else keep
 
 
 # ---------------------------------------------------------------------------
@@ -299,19 +266,24 @@ def _table(system, d, spec):
 
 
 def _build_table(system, d, spec, ground):
-    ctx = _spec_context(system, d, spec)
-    if ctx is not None:
-        ground = ctx.ground
+    if spec.J is not None:
+        if spec.J.bit_count() > MAX_SUBSET_SIDE:
+            raise errors.GroundSetTooLarge(
+                f"side has {spec.J.bit_count()} states")
+        # a content value-set equivalent to J lies within R(R(J))
+        ground = patterns.r_closure(
+            system, patterns.r_closure(system, spec.J))
     states = system.mask_states(ground)
     if len(states) > MAX_GROUND:
         raise errors.GroundSetTooLarge(str(len(states)))
     size = math.comb(2 * d + len(states) - 1, 2 * d)
     if size > MAX_CONTENTS:
         raise errors.TooLarge(f"{size} contents over {len(states)} states")
-    rows = [y for y in _sub_contents((2 * d,) * len(states), states, ground,
-                                     2 * d)
-            if ctx is None or ctx.admits(
-                {s: c for s, c in zip(states, y) if c})]
+    rows = list(_sub_contents((2 * d,) * len(states), states, ground, 2 * d))
+    if spec.J is not None:
+        rows = list(itertools.compress(rows, _in_class(
+            system, d, spec, states,
+            np.array(rows, dtype=np.int64).reshape(len(rows), len(states)))))
     return _Table(states, rows)
 
 

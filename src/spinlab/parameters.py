@@ -26,8 +26,9 @@ INF = math.inf
 # arithmetic for log space
 EXACT_BITS = 2 ** 20
 # the alt2 screen raises each candidate's alpha2 by this much relative to
-# max(1, |alpha2|), far beyond the few ulps by which numpy's log and power
-# differ from libm's, so that it never drops a window the scalar test keeps
+# max(1, |alpha2|), far beyond the few ulps by which numpy's log and exp
+# (the window power as exp(e log base)) differ from libm's power, so that it
+# never drops a window the scalar test keeps
 SCREEN_TOL = 1e-9
 
 
@@ -39,6 +40,17 @@ def neg_log(x):
     if x == 0.0:
         return INF
     return -math.log(x)
+
+
+def _log_times(k, x):
+    """log(k x) for an integer k >= 1 and a ratio x > 0 (a float, or a
+    Fraction of any size): math.log(k * x) where that float product is
+    finite, log k + log x where it overflows."""
+    try:
+        p = k * float(x)
+    except OverflowError:
+        p = INF
+    return math.log(p) if p < INF else math.log(k) + log_number(x)
 
 
 # ---------------------------------------------------------------------------
@@ -93,15 +105,16 @@ def rho_hat_bulk_of(system, d, s):
     """Bulk ratio adjusted for a soft-interaction window of length s."""
     st = patterns.structure(system)
     omega = to_float(st.omega_dom)
-    rho_int = float(st.rho_int)
-    lam_s = float(st.lam_s)
-    n = system.n
+    rho_int = to_float(st.rho_int)
+    lam_s = to_float(st.lam_s)
+    e = (s - 1) * system.n / (2 * d)
     best = 0.0
     for la, lb in st.bulk_pairs:
         try:
-            val = (la * lb / omega
-                   * (1.0 + rho_int ** s * lam_s / la)
-                   * (2 * d * lam_s / lb) ** ((s - 1) * n / (2 * d)))
+            base = 2 * d * lam_s / lb
+            val = (la * lb / omega * (1.0 + rho_int ** s * lam_s / la)
+                   * (base ** e if base < INF else math.exp(
+                       e * (_log_times(2 * d, lam_s) - math.log(lb)))))
         except OverflowError:  # a window so long the ratio is unbounded
             val = INF
         best = max(best, val)
@@ -254,23 +267,28 @@ def _alt2_screen(system, d, cands, pen, thr):
     computed here is reported.  cands must lie within [ceil(s_lo), s_cap],
     so s_window_low holds and the cap is moot."""
     st = patterns.structure(system)
-    n, two_d, lam_s = system.n, float(2 * d), float(st.lam_s)
+    n, two_d, lam_s = system.n, float(2 * d), to_float(st.lam_s)
     la, lb = np.array(st.bulk_pairs, dtype=float).reshape(-1, 2).T[..., None]
     s = float(cands.start) + np.arange(len(cands))
-    growth = 2 * d * float(st.rho_hat_act)
+    log_growth = _log_times(2 * d, st.rho_hat_act)
     with np.errstate(all="ignore"):
+        # the window power in logs, and its base 2d lam(S) / lam(B) too
+        # where that leaves the float range
+        base = two_d * lam_s / lb
+        log_base = np.where(base < INF, np.log(base),
+                            _log_times(2 * d, lam_s) - np.log(lb))
         rho_hat_bulk = np.fmax.reduce(
             la * lb / to_float(st.omega_dom)
-            * (1.0 + float(st.rho_int) ** s * lam_s / la)
-            * (two_d * lam_s / lb) ** ((s - 1) * n / two_d),
+            * (1.0 + to_float(st.rho_int) ** s * lam_s / la)
+            * np.exp((s - 1) * n / two_d * log_base),
             axis=0, initial=0.0)
         a2 = -np.log(np.maximum(rho_hat_bulk, _alpha_arg(
             0.0, st.rho_pat_bdry, st.rho_int))) - pen
         # an unbounded ratio's -inf turns nan here and is dropped: thr > 0
         a2 += SCREEN_TOL * np.maximum(1.0, np.abs(a2))
         window_hi = np.where(
-            a2 > 0, 1.0 + a2 * float(d) / (2.0 * n * math.log(growth)),
-            1.0) if growth > 1 else 1.0
+            a2 > 0, 1.0 + a2 * float(d) / (2.0 * n * log_growth),
+            1.0) if log_growth > 0 else 1.0
     return [cands[i] for i in np.flatnonzero((a2 >= thr) & (s <= window_hi))]
 
 
@@ -293,8 +311,7 @@ def check_condition(system, d, which, C=1.0, s=None) -> ConditionReport:
     alpha0 = alpha0_of(system)
     n = system.n
     fq = patterns.frak_q(system)
-    rho_int = float(st.rho_int)
-    rho_act = float(st.rho_act)
+    rho_int = to_float(st.rho_int)
     logd = math.log(d)
     thr = C * (fq + logd) * math.sqrt(logd) / d ** 0.25
     ineqs = []
@@ -303,7 +320,7 @@ def check_condition(system, d, which, C=1.0, s=None) -> ConditionReport:
     if which == "simple":
         ineqs.append(_ge("alpha0", alpha0,
                          C * n * logd ** 1.5 / d ** 0.25))
-        rhs2 = n * math.log(d * rho_act) ** 2 / d ** 0.75
+        rhs2 = n * _log_times(d, st.rho_act) ** 2 / d ** 0.75
         ineqs.append(_ge("interaction", neg_log(rho_int), rhs2,
                          vacuous=(rho_int == 0)))
     elif which == "alt1":
@@ -312,26 +329,28 @@ def check_condition(system, d, which, C=1.0, s=None) -> ConditionReport:
         if rho_int == 0:
             ineqs.append(_ge("interaction", INF, 0.0, vacuous=True))
         else:
-            lhs = neg_log(rho_int) / (4.0 * math.log(d * rho_act))
+            lhs = neg_log(rho_int) / (4.0 * _log_times(d, st.rho_act))
             if alpha1 > 0:
-                term = n / (2.0 * d) + 5.0 * n * math.log(2 * d * rho_act) / (alpha1 * d)
+                term = n / (2.0 * d) + 5.0 * n * _log_times(
+                    2 * d, st.rho_act) / (alpha1 * d)
             else:
                 term = INF
             ineqs.append(_ge("interaction", lhs, min(1.0, term)))
     elif which == "alt2":
-        rho_hat_act = float(st.rho_hat_act)
         if rho_int == 0:
             s_lo = 0.0
         else:
-            s_lo = 2.0 * math.log(d * rho_hat_act) / neg_log(rho_int)
+            s_lo = 2.0 * _log_times(d, st.rho_hat_act) / neg_log(rho_int)
+            if s_lo == INF:  # a float rho_hat_act beyond the float64 range
+                raise errors.TooLarge("rho_hat_act exceeds the float64 range")
+        log_growth = _log_times(2 * d, st.rho_hat_act)
         s_cap = math.ceil(2 * d / n)
         pen = _penalty(st, d)
 
         def window(cand):
             _, a2 = _alpha2(system, d, cand, pen)
-            window_hi = min(s_cap,
-                            1.0 + a2 * d / (2.0 * n * math.log(2 * d * rho_hat_act))
-                            if a2 > 0 and 2 * d * rho_hat_act > 1 else 1.0)
+            window_hi = min(s_cap, 1.0 + a2 * d / (2.0 * n * log_growth)
+                            if a2 > 0 and log_growth > 0 else 1.0)
             return [
                 _ge("s_window_low", cand, s_lo),
                 Inequality("s_window_high", cand, window_hi, holds=cand <= window_hi),

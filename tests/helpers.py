@@ -16,7 +16,6 @@ import functools
 import itertools
 import math
 import random
-from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Optional, Sequence
@@ -26,7 +25,7 @@ import numpy as np
 from spinlab import catalog, errors, gibbs, patterns
 from spinlab.breakup import Atlas, BreakupContext
 from spinlab.catalog import INF, _pos
-from spinlab.kbipartite import PsiSpec, _spec_context
+from spinlab.kbipartite import PsiSpec
 from spinlab.lattice import (Lattice, components, components_m, halo_m,
                              inner_m, labels_m, make_lattice, mask, not_m,
                              plus_m, sites)
@@ -469,14 +468,42 @@ def z_bruteforce(system: SpinSystem, d: int, psis, I_mask: int):
 
 
 def expand_spec(system: SpinSystem, d: int, spec: PsiSpec, limit=10 ** 6):
-    """Explicit list of assignments described by a spec (test oracle use)."""
+    """Explicit list of assignments described by a spec (test oracle use),
+    each tested against the class definitions assignment by assignment."""
     if system.n ** (2 * d) > limit:
         raise errors.TooLarge("explicit expansion too large")
-    ctx = _spec_context(system, d, spec)
     return [psi for psi in itertools.product(range(system.n), repeat=2 * d)
             if (spec.coords is None
                 or all(m >> v & 1 for m, v in zip(spec.coords, psi)))
-            and (ctx is None or ctx.admits(Counter(psi)))]
+            and (spec.J is None or (
+                in_class(system, d, spec, spec.cls, psi)
+                and not (spec.cls2 is not None
+                         and in_class(system, d, spec, spec.cls2, psi))))]
+
+
+def in_class(system: SpinSystem, d: int, spec: PsiSpec, cls: str, psi):
+    """psi lies in the class cls over the side spec.J: full (the R-closure
+    of its value set is R(J)), near_dominant (full, and more than
+    2d - 4 eps d of its values lie in one dominant side strictly inside J),
+    near_subset (full, and more than 2d - 4 eps_bar d of its values lie in
+    one subset of J whose R-closure is not R(J)) or balanced (full and
+    neither)."""
+    rJ = patterns.r_closure(system, spec.J)
+    if patterns.r_closure(system, sum({1 << v for v in psi})) != rJ:
+        return False
+    subsets = [a for a in range(spec.J + 1) if a & ~spec.J == 0]
+    near_dominant = any(
+        sum(a >> v & 1 for v in psi) > 2 * d - 4 * spec.eps * d
+        for a in subsets if a != spec.J
+        and a in patterns.structure(system).dominant_sides) \
+        if spec.eps is not None else False
+    near_subset = any(
+        sum(a >> v & 1 for v in psi) > 2 * d - 4 * spec.eps_bar * d
+        for a in subsets if patterns.r_closure(system, a) != rJ) \
+        if spec.eps_bar is not None else False
+    return {"full": True, "near_dominant": near_dominant,
+            "near_subset": near_subset,
+            "balanced": not (near_dominant or near_subset)}[cls]
 
 
 # ---------------------------------------------------------------------------

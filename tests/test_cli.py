@@ -470,19 +470,48 @@ def test_alt2_sweep_runs_the_scalar_formula_at_most_twice_a_point(
 
 def test_alt2_to_large_dimensions_warns_nothing(tmp_path, sysfile):
     """The alt2 screen's overflows stay inside its numpy error state.  At
-    d = 2^1000 the field-weighted Potts model's 2 d lam(S) / lam(B) is
-    beyond the float range, so every window's ratio reads inf."""
+    d = 2^1000 a weak field's 2 d lam(S) / lam(B) = 2^1001 (2 + 10^-20) /
+    10^-20 overflows in the screen's numpy division; a strong field's
+    2 d lam(S) overflows in floats before it, and the window power's base is
+    then taken in logs."""
     wr2 = sysfile("wr2.json", catalog.build("widom_rowlinson", lam=2))
-    field = sysfile("field.json", catalog.build(
-        "af_potts_field", q=3, beta=1, lam=2 * 10 ** 7))
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         assert cli.main(["check", "--system", wr2, "--condition", "alt2",
                          "--sweep", "d=10:1e12:geometric:13",
                          "--out", str(tmp_path / "sweep.csv")]) == 0
-        assert cli.main(["check", "--system", field, "--condition", "alt2",
-                         "--d", str(2 ** 1000),
-                         "--out", str(tmp_path / "check.json")]) == 0
+        for lam in ("1e-20", 2 * 10 ** 7):
+            field = sysfile("field.json", catalog.build(
+                "af_potts_field", q=3, beta=1, lam=lam))
+            assert cli.main(["check", "--system", field, "--condition",
+                             "alt2", "--d", str(2 ** 1000),
+                             "--out", str(tmp_path / "check.json")]) == 0
+
+
+# check inputs whose pattern-structure ratios leave the float range: a
+# rational activity of 10^400 (rho_act, lam(S) and omega_dom), and a float
+# field of 10^200, whose rho_hat_act = lam(S)^2 / omega_dom reads inf
+RATIOS_BEYOND_THE_FLOAT_RANGE = [
+    *[(("hard_core", {"lam": 10 ** 400}), condition)
+      for condition in ("simple", "alt1", "alt2", "alt3")],
+    (("af_potts_field", {"q": 3, "beta": 1, "lam": "1e200"}), "alt2")]
+
+
+@pytest.mark.parametrize("model, condition", RATIOS_BEYOND_THE_FLOAT_RANGE)
+@pytest.mark.parametrize("d", ["4", "1000", str(2 ** 1000)],
+                         ids=["4", "1000", "2^1000"])
+def test_check_ratios_beyond_the_float_range(sysfile, capsys, model,
+                                             condition, d):
+    """Each ends in an answer or in a TooLarge refusal, never a traceback."""
+    path = sysfile("system.json", catalog.build(model[0], **model[1]))
+    code = cli.main(["check", "--system", path, "--condition", condition,
+                     "--d", d])
+    out, err = capsys.readouterr()
+    if code:
+        assert code == 3 and out == ""
+        assert json.loads(err)["error"] == "TooLarge"
+    else:
+        assert json.loads(out)["condition"] == condition
 
 
 def test_check_output_is_deterministic(tmp_path, hc_path):

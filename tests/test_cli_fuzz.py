@@ -97,10 +97,14 @@ def _configs(dims):
 def systems(tmp_path_factory):
     root = tmp_path_factory.mktemp("fuzz")
     out = []
-    for name, params in (("af3.json", {"q": 3}),
-                         ("af3b1.json", {"q": 3, "beta": 1})):
+    for name, model, params in (
+            ("af3.json", "af_potts", {"q": 3}),
+            ("af3b1.json", "af_potts", {"q": 3, "beta": 1}),
+            # no bulk pairs: a huge activity reaches the condition checkers
+            ("hc2.json", "hard_core", {"lam": 2}),
+            ("field.json", "af_potts_field", {"q": 3, "beta": 1, "lam": 2})):
         path = root / name
-        path.write_text(catalog.build("af_potts", **params).to_json())
+        path.write_text(catalog.build(model, **params).to_json())
         out.append(str(path))
     return root, out
 
@@ -119,6 +123,13 @@ def _run(argv):
 # values for options click parses as integers, well-typed or not
 ints = st.one_of(st.integers(-2, 3).map(str),
                  st.sampled_from(["abc", "", "2.5", "1e1", " 2", "0x3"]))
+
+
+# check's dimensions: small, up to 2^1000 and just beyond, or ill-typed
+dimensions = st.one_of(
+    ints, st.integers(2, 2 ** 1000 + 2).map(str),
+    st.sampled_from([str(2 ** 1000 - 1), str(2 ** 1000), str(2 ** 1000 + 1),
+                     "1e300"]))
 
 
 # catalog parameters: rationals and integers in range or not, a zero
@@ -143,7 +154,7 @@ def system_files(draw, system_paths, root):
     key = draw(st.sampled_from(["states", "activities", "interactions",
                                 "mode"]))
     if key != "mode" and draw(st.booleans()):
-        raw[key][draw(st.integers(0, 2))] = draw(wrong_json)
+        raw[key][draw(st.integers(0, len(raw[key]) - 1))] = draw(wrong_json)
     else:
         raw[key] = draw(wrong_json)
     bad = root / "bad_system.json"
@@ -171,7 +182,9 @@ def invocations(draw, system_paths, root):
         opts += [f"--d={d}", f"--psi={draw(psis)}"]
     elif command == "check":
         cond = draw(st.sampled_from(["simple", "alt1", "alt2", "alt3", "x"]))
-        opts += [f"--sweep={draw(sweeps_spec)}", f"--condition={cond}"]
+        opts += [draw(st.one_of(st.builds("--sweep={}".format, sweeps_spec),
+                                st.builds("--d={}".format, dimensions))),
+                 f"--condition={cond}"]
         if draw(st.booleans()):
             opts.append(f"--C={draw(reals)}")
         if draw(st.booleans()):

@@ -260,22 +260,16 @@ def test_verify_enumerates_each_class_once(monkeypatch):
     enumerated once and each content is tested for membership once."""
     system = catalog.build("af_potts", q=3, beta=1)
     built, tested = Counter(), Counter()
-    init, admits = kb._ClassContext.__init__, kb._ClassContext.admits
+    in_class = kb._in_class
 
-    def key(ctx):
-        spec = ctx.spec
-        return ctx.d, spec.J, spec.cls, spec.cls2, spec.eps, spec.eps_bar
+    def counting_in_class(system, d, spec, states, counts):
+        key = d, spec.J, spec.cls, spec.cls2, spec.eps, spec.eps_bar
+        built[key] += 1
+        for row in counts.tolist():
+            tested[key, tuple(zip(states, row))] += 1
+        return in_class(system, d, spec, states, counts)
 
-    def counting_init(self, system, d, spec):
-        init(self, system, d, spec)
-        built[key(self)] += 1
-
-    def counting_admits(self, xi):
-        tested[key(self), frozenset(xi.items())] += 1
-        return admits(self, xi)
-
-    monkeypatch.setattr(kb._ClassContext, "__init__", counting_init)
-    monkeypatch.setattr(kb._ClassContext, "admits", counting_admits)
+    monkeypatch.setattr(kb, "_in_class", counting_in_class)
     kb.verify_main_condition(system, 3, 0.2, 0.0, 0.125, 0.125)
     assert built and set(built.values()) == {1}
     assert tested and set(tested.values()) == {1}

@@ -184,6 +184,28 @@ def test_alt2_matches_per_candidate_reference(model, d):
         parameters.compute_parameters(system, d=d, s=s).alpha2
 
 
+@pytest.mark.parametrize("lam", [2 * 10 ** 7, 10 ** 8])
+def test_d_scaled_logs_beyond_the_float_range(lam):
+    """At d = 2^1000 a strong field takes d rho_act, 2 d rho_hat_act and the
+    window power's base 2 d lam(S) / lam(B) beyond the float range.  Their
+    logs are then log d + log x, so simple, alt1 and alt2 report finite
+    terms and pass, as they do at d = 2^990, where every product is
+    finite."""
+    system = catalog.build("af_potts_field", q=3, beta=1, lam=lam)
+    for d in (2 ** 990, 2 ** 1000):
+        for which in ("simple", "alt1", "alt2"):
+            rep = parameters.check_condition(system, d, which)
+            assert rep.passes, (d, which)
+            assert all(math.isfinite(iq.lhs) and math.isfinite(iq.rhs)
+                       for iq in rep.inequalities), (d, which)
+    rho_act = patterns.structure(system).rho_act
+    assert 2 ** 1000 * rho_act == INF
+    assert parameters._log_times(2 ** 1000, rho_act) == \
+        math.log(2 ** 1000) + math.log(rho_act)
+    assert parameters._log_times(2 ** 990, rho_act) == \
+        math.log(2 ** 990 * rho_act)
+
+
 def _spy_on_the_screen(monkeypatch):
     """Record (candidates, kept) of every _alt2_screen call."""
     calls = []
