@@ -14,8 +14,8 @@ multinomial).  In rational mode the sum runs on SpinSystem.scaled() integer
 weights and is divided once by la^{4d} li^{4d^2}.
 
 A class's contents are enumerated over R(R(J)) once per system and d, and
-tested for membership in one array pass over them (_in_class: the R-closure
-of each row's support, and one integer matrix product for the near-constant
+tested for membership a block of rows at a time (_in_class: the R-closure of
+each row's support, and one integer matrix product for the near-constant
 classes): the system's memo keeps the members in a table, in _sub_contents
 order, with the weights of each row per I, built on first use.  A spec
 filters its class's table (a spec with no class, the table of every content
@@ -115,30 +115,32 @@ def _in_class(system, d, spec, states, counts):
     # closures, is R(J)
     closures = np.array([patterns.r_closure(system, 1 << s) for s in states],
                         dtype=np.uint64)
-    full = np.bitwise_and.reduce(np.where(
+    keep = np.bitwise_and.reduce(np.where(
         counts > 0, closures, np.uint64(system.full_mask())), axis=1) == rJ
 
     # near_dominant: more than 2d - 4 eps d coordinates inside one strict
     # dominant side of J; near_subset: more than 2d - 4 eps_bar d inside one
-    # subset of J not value-set equivalent to J (an unset threshold is the
-    # class's, which the spec does not read)
+    # subset I of J not value-set equivalent to J.  Then some t outside R(J)
+    # lies in R(I), so I lies within J & R({t}), itself such a subset: counts
+    # are non-negative, so these sets stand for all of them.  A family is
+    # read only when a class of the spec reads it, and only on full rows.
+    reads = {spec.cls, spec.cls2}
     dom = [a for a in patterns.structure(system).dominant_sides
-           if a != spec.J and a & ~spec.J == 0]
-    singles = [1 << s for s in system.mask_states(spec.J)]
-    inequiv = [I for r in range(len(singles) + 1)
-               for I in map(sum, itertools.combinations(singles, r))
-               if patterns.r_closure(system, I) != rJ]
-    subsets = dom + inequiv
-    ind = np.array([[a >> s & 1 for a in subsets] for s in states],
-                   dtype=np.int64).reshape(len(states), len(subsets))
-    over = counts @ ind > np.array(
+           if a != spec.J and a & ~spec.J == 0] \
+        if reads & {"near_dominant", "balanced"} else []
+    inequiv = sorted({spec.J & patterns.r_closure(system, 1 << t)
+                      for t in system.mask_states(system.full_mask() & ~rJ)}) \
+        if reads & {"near_subset", "balanced"} else []
+    ind = np.array([[a >> s & 1 for a in dom + inequiv] for s in states],
+                   dtype=np.int64).reshape(len(states), -1)
+    over = counts[keep] @ ind > np.array(
         [2 * d - 4 * (spec.eps or 0) * d] * len(dom)
         + [2 * d - 4 * (spec.eps_bar or 0) * d] * len(inequiv))
     nd, ns = over[:, :len(dom)].any(axis=1), over[:, len(dom):].any(axis=1)
-    member = {"full": full, "near_dominant": full & nd,
-              "near_subset": full & ns, "balanced": full & ~nd & ~ns}
-    keep = member[spec.cls]
-    return keep & ~member[spec.cls2] if spec.cls2 is not None else keep
+    member = {"full": np.True_, "near_dominant": nd, "near_subset": ns,
+              "balanced": ~nd & ~ns}
+    keep[keep] = member[spec.cls] & ~member.get(spec.cls2, np.False_)
+    return keep
 
 
 # ---------------------------------------------------------------------------
@@ -279,12 +281,16 @@ def _build_table(system, d, spec, ground):
     size = math.comb(2 * d + len(states) - 1, 2 * d)
     if size > MAX_CONTENTS:
         raise errors.TooLarge(f"{size} contents over {len(states)} states")
-    rows = list(_sub_contents((2 * d,) * len(states), states, ground, 2 * d))
-    if spec.J is not None:
-        rows = list(itertools.compress(rows, _in_class(
-            system, d, spec, states,
-            np.array(rows, dtype=np.int64).reshape(len(rows), len(states)))))
-    return _Table(states, rows)
+    rows = _sub_contents((2 * d,) * len(states), states, ground, 2 * d)
+    if spec.J is None:
+        return _Table(states, list(rows))
+    # the class is tested a block of rows at a time, so that its arrays (about
+    # as many columns as states) keep near MAX_CONTENTS entries
+    members = []
+    while block := list(itertools.islice(rows, MAX_CONTENTS // system.n)):
+        members += itertools.compress(block, _in_class(
+            system, d, spec, states, np.array(block, dtype=np.int64)))
+    return _Table(states, members)
 
 
 def _contents(table, coords):

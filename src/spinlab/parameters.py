@@ -272,11 +272,8 @@ def _alt2_screen(system, d, cands, pen, thr):
     s = float(cands.start) + np.arange(len(cands))
     log_growth = _log_times(2 * d, st.rho_hat_act)
     with np.errstate(all="ignore"):
-        # the window power in logs, and its base 2d lam(S) / lam(B) too
-        # where that leaves the float range
-        base = two_d * lam_s / lb
-        log_base = np.where(base < INF, np.log(base),
-                            _log_times(2 * d, lam_s) - np.log(lb))
+        # the window power in logs, its base 2d lam(S) / lam(B) too
+        log_base = _log_times(2 * d, lam_s) - np.log(lb)
         rho_hat_bulk = np.fmax.reduce(
             la * lb / to_float(st.omega_dom)
             * (1.0 + to_float(st.rho_int) ** s * lam_s / la)
@@ -340,9 +337,12 @@ def check_condition(system, d, which, C=1.0, s=None) -> ConditionReport:
         if rho_int == 0:
             s_lo = 0.0
         else:
-            s_lo = 2.0 * _log_times(d, st.rho_hat_act) / neg_log(rho_int)
-            if s_lo == INF:  # a float rho_hat_act beyond the float64 range
-                raise errors.TooLarge("rho_hat_act exceeds the float64 range")
+            # unbounded for a float rho_hat_act of inf or a rho_int of 1.0
+            neg_log_int = neg_log(rho_int)
+            s_lo = 2.0 * _log_times(d, st.rho_hat_act) / neg_log_int \
+                if neg_log_int > 0 else INF
+            if s_lo == INF:
+                raise errors.TooLarge("s_lo exceeds the float64 range")
         log_growth = _log_times(2 * d, st.rho_hat_act)
         s_cap = math.ceil(2 * d / n)
         pen = _penalty(st, d)

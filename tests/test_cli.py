@@ -469,22 +469,23 @@ def test_alt2_sweep_runs_the_scalar_formula_at_most_twice_a_point(
 
 
 def test_alt2_to_large_dimensions_warns_nothing(tmp_path, sysfile):
-    """The alt2 screen's overflows stay inside its numpy error state.  At
-    d = 2^1000 a weak field's 2 d lam(S) / lam(B) = 2^1001 (2 + 10^-20) /
-    10^-20 overflows in the screen's numpy division; a strong field's
-    2 d lam(S) overflows in floats before it, and the window power's base is
-    then taken in logs."""
+    """The alt2 screen's overflows stay inside its numpy error state.  On a
+    field of 10^-305 at d = 1000, the window power exp(e log(2 d lam(S) /
+    lam(B))) of the longest windows (e near 1, a base near 4 10^308)
+    overflows in the screen's numpy exp.  At d = 2^1000, 2 d lam(S)
+    overflows in floats, and the window power's base is taken in logs."""
     wr2 = sysfile("wr2.json", catalog.build("widom_rowlinson", lam=2))
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         assert cli.main(["check", "--system", wr2, "--condition", "alt2",
                          "--sweep", "d=10:1e12:geometric:13",
                          "--out", str(tmp_path / "sweep.csv")]) == 0
-        for lam in ("1e-20", 2 * 10 ** 7):
+        for lam, d in (("1e-305", 1000), ("1e-20", 2 ** 1000),
+                       (2 * 10 ** 7, 2 ** 1000)):
             field = sysfile("field.json", catalog.build(
                 "af_potts_field", q=3, beta=1, lam=lam))
             assert cli.main(["check", "--system", field, "--condition",
-                             "alt2", "--d", str(2 ** 1000),
+                             "alt2", "--d", str(d),
                              "--out", str(tmp_path / "check.json")]) == 0
 
 

@@ -1,6 +1,7 @@
 import itertools
 import math
 import random
+import tracemalloc
 from collections import Counter
 from fractions import Fraction
 
@@ -273,3 +274,36 @@ def test_verify_enumerates_each_class_once(monkeypatch):
     kb.verify_main_condition(system, 3, 0.2, 0.0, 0.125, 0.125)
     assert built and set(built.values()) == {1}
     assert tested and set(tested.values()) == {1}
+
+
+def test_a_side_with_many_inequivalent_subsets_stays_small():
+    """A 12-state side J = {a} + B, with B 11 states, where every subset of
+    B is not value-set equivalent to J (they all keep t in their R-closure)
+    and every set holding a is.  Testing a content against each of the
+    2^11 subsets of B in one integer product peaked at 25 MB under
+    tracemalloc at d = 2; only the sets J & R({t}) for t outside R(J) are
+    needed, here B and the empty set."""
+    b = 11
+    a, B, t, u = 0, range(1, b + 1), b + 1, b + 2
+    edges = {(a, u)} | {(x, u) for x in B} | {(x, t) for x in B}
+    n = b + 3
+    system = kb.make_system(
+        [f"s{i}" for i in range(n)], [1] * n,
+        [[1 if (i, j) in edges or (j, i) in edges else Fraction(1, 2)
+          for j in range(n)] for i in range(n)])
+    J = (1 << (b + 1)) - 1
+    tracemalloc.start()
+    try:
+        kb.z_compositions(system, 2, kb.PsiSpec(
+            J=J, cls="balanced", eps=0.25, eps_bar=0.25), system.full_mask())
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 4 * 2 ** 20, peak
+    # near_subset: a in the content (full), and more than 2d - 4 eps_bar d
+    # = 2 of its 2d = 4 coordinates in B
+    table = kb._table(system, 2, kb.PsiSpec(J=J, cls="near_subset",
+                                            eps_bar=0.25))
+    assert table.rows == [
+        y for y in kb._sub_contents((4,) * (b + 1), list(range(b + 1)), J, 4)
+        if y[0] and sum(y[1:]) > 2]

@@ -6,6 +6,7 @@ from fractions import Fraction
 import pytest
 
 from spinlab import catalog, errors, parameters, patterns
+from spinlab.system import make_system
 
 from helpers import (alt2_reference, check_closed_form_bounds,
                      random_rational_system, section_defaults)
@@ -204,6 +205,21 @@ def test_d_scaled_logs_beyond_the_float_range(lam):
         math.log(2 ** 1000) + math.log(rho_act)
     assert parameters._log_times(2 ** 990, rho_act) == \
         math.log(2 ** 990 * rho_act)
+
+
+
+def test_an_interaction_ratio_that_reads_one_is_refused_by_alt2():
+    """A rational rho_int of 1 - 10^-20 reads 1.0 in floats, so alt2's
+    s_lo = 2 log(d rho_hat_act) / -log(rho_int) is unbounded: TooLarge, not
+    a division by zero.  simple and alt1 still answer."""
+    near_one = 1 - Fraction(1, 10 ** 20)
+    system = make_system(
+        ["a", "b"], [1, 2], [[1, near_one], [near_one, 1]])
+    assert float(patterns.structure(system).rho_int) == 1.0
+    with pytest.raises(errors.TooLarge):
+        parameters.check_condition(system, 10, "alt2")
+    for which in ("simple", "alt1"):
+        assert parameters.check_condition(system, 10, which).passes is False
 
 
 def _spy_on_the_screen(monkeypatch):
