@@ -45,7 +45,6 @@ MAX_GROUND = 20
 # hundred bytes in rational mode); 10^6 rows are about 10 s of work
 MAX_CONTENTS = 10 ** 6
 MAX_D = 64
-MAX_SUBSET_SIDE = 16
 # verify_main_condition draws N_RANDOM random product forms from
 # random.Random(seed), after those with at most MAX_RESTRICTED restricted
 # coordinates
@@ -269,9 +268,6 @@ def _table(system, d, spec):
 
 def _build_table(system, d, spec, ground):
     if spec.J is not None:
-        if spec.J.bit_count() > MAX_SUBSET_SIDE:
-            raise errors.GroundSetTooLarge(
-                f"side has {spec.J.bit_count()} states")
         # a content value-set equivalent to J lies within R(R(J))
         ground = patterns.r_closure(
             system, patterns.r_closure(system, spec.J))

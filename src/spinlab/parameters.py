@@ -12,11 +12,10 @@ with saturating comparisons.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-
-import numpy as np
 
 from . import errors, kbipartite, patterns
 from .system import MAX_FLOAT_INT, emit_number, log_number, to_float
@@ -25,11 +24,6 @@ INF = math.inf
 # bits of one power lambda^{2d} beyond which rho_bulk_star_of leaves exact
 # arithmetic for log space
 EXACT_BITS = 2 ** 20
-# the alt2 screen raises each candidate's alpha2 by this much relative to
-# max(1, |alpha2|), far beyond the few ulps by which numpy's log and exp
-# (the window power as exp(e log base)) differ from libm's power, so that it
-# never drops a window the scalar test keeps
-SCREEN_TOL = 1e-9
 
 
 def neg_log(x):
@@ -104,6 +98,8 @@ def alpha0_of(system):
 def rho_hat_bulk_of(system, d, s):
     """Bulk ratio adjusted for a soft-interaction window of length s."""
     st = patterns.structure(system)
+    if not st.bulk_pairs:  # no ratio to take, however large omega_dom is
+        return 0.0
     omega = to_float(st.omega_dom)
     rho_int = to_float(st.rho_int)
     lam_s = to_float(st.lam_s)
@@ -259,43 +255,15 @@ def _ge(name, lhs, rhs, vacuous=False):
                       vacuous=vacuous)
 
 
-def _alt2_screen(system, d, cands, pen, thr):
-    """The window lengths of the range cands that may pass alt2's window
-    test: rho_hat_bulk_of, _alpha2 and the window bound of every candidate
-    in one float64 numpy pass, an overflow reading inf.  A candidate is
-    dropped only if it fails with its alpha2 raised by SCREEN_TOL; no number
-    computed here is reported.  cands must lie within [ceil(s_lo), s_cap],
-    so s_window_low holds and the cap is moot."""
-    st = patterns.structure(system)
-    n, two_d, lam_s = system.n, float(2 * d), to_float(st.lam_s)
-    la, lb = np.array(st.bulk_pairs, dtype=float).reshape(-1, 2).T[..., None]
-    s = float(cands.start) + np.arange(len(cands))
-    log_growth = _log_times(2 * d, st.rho_hat_act)
-    with np.errstate(all="ignore"):
-        # the window power in logs, its base 2d lam(S) / lam(B) too
-        log_base = _log_times(2 * d, lam_s) - np.log(lb)
-        rho_hat_bulk = np.fmax.reduce(
-            la * lb / to_float(st.omega_dom)
-            * (1.0 + to_float(st.rho_int) ** s * lam_s / la)
-            * np.exp((s - 1) * n / two_d * log_base),
-            axis=0, initial=0.0)
-        a2 = -np.log(np.maximum(rho_hat_bulk, _alpha_arg(
-            0.0, st.rho_pat_bdry, st.rho_int))) - pen
-        # an unbounded ratio's -inf turns nan here and is dropped: thr > 0
-        a2 += SCREEN_TOL * np.maximum(1.0, np.abs(a2))
-        window_hi = np.where(
-            a2 > 0, 1.0 + a2 * float(d) / (2.0 * n * log_growth),
-            1.0) if log_growth > 0 else 1.0
-    return [cands[i] for i in np.flatnonzero((a2 >= thr) & (s <= window_hi))]
-
-
 def check_condition(system, d, which, C=1.0, s=None) -> ConditionReport:
     """Evaluate one of the quantitative long-range-order conditions literally
     with the supplied constants.  Each condition computes only the terms it
     reads: rho_bulk_star only for alt3.  alt2 reports the first candidate
     window length s (or the given s) that passes its window test, else the
-    first: the first with the scalar formula, the others only where
-    _alt2_screen keeps them."""
+    first.  alpha2 is concave in s (rho_hat_bulk is log-convex), so the
+    windows that pass form an interval: a failing first window whose
+    successor scores no higher ends the search, and otherwise two
+    bisections find the peak and the first window that passes."""
     if d < 2:
         raise errors.ParamOutOfRange("d must be >= 2")
     if max(d, s or 0) > MAX_FLOAT_INT:
@@ -346,26 +314,46 @@ def check_condition(system, d, which, C=1.0, s=None) -> ConditionReport:
         log_growth = _log_times(2 * d, st.rho_hat_act)
         s_cap = math.ceil(2 * d / n)
         pen = _penalty(st, d)
+        alpha2 = functools.cache(lambda cand: _alpha2(system, d, cand, pen)[1])
+
+        def bound(a2):
+            return 1.0 + a2 * d / (2.0 * n * log_growth) \
+                if log_growth > 0 else 1.0
 
         def window(cand):
-            _, a2 = _alpha2(system, d, cand, pen)
-            window_hi = min(s_cap, 1.0 + a2 * d / (2.0 * n * log_growth)
-                            if a2 > 0 and log_growth > 0 else 1.0)
+            a2 = alpha2(cand)
+            window_hi = min(s_cap, bound(a2) if a2 > 0 else 1.0)
             return [
                 _ge("s_window_low", cand, s_lo),
                 Inequality("s_window_high", cand, window_hi, holds=cand <= window_hi),
                 _ge("alpha2", a2, thr),
             ]
 
+        def passes(cand):
+            return all(iq.holds for iq in window(cand))
+
+        def score(cand):
+            # concave in cand, as alpha2 is, and >= 0 where a candidate passes
+            a2 = alpha2(cand)
+            return min(a2 - thr, bound(a2) - cand)
+
         s_used = s if s is not None else max(1, math.ceil(s_lo))
         ineqs = window(s_used)
-        if s is None and not all(iq.holds for iq in ineqs):
-            rest = range(s_used + 1, min(s_used + min(s_cap, 10 ** 4), s_cap + 1))
-            for cand in _alt2_screen(system, d, rest, pen, thr):
-                cand_ineqs = window(cand)
-                if all(iq.holds for iq in cand_ineqs):
-                    s_used, ineqs = cand, cand_ineqs
-                    break
+        last = min(s_used - 1 + min(s_cap, 10 ** 4), s_cap)
+        if s is None and not passes(s_used) and s_used < last \
+                and score(s_used + 1) > score(s_used):
+            # the windows that pass form an interval around the peak of
+            # score, if any do: find the peak, then the first before it
+            lo, hi = s_used, last
+            while hi - lo > 1:
+                mid = (lo + hi) // 2
+                lo, hi = (mid, hi) if score(mid + 1) > score(mid) else (lo, mid)
+            if passes(hi):
+                lo = s_used
+                while hi - lo > 1:
+                    mid = (lo + hi) // 2
+                    lo, hi = (lo, mid) if passes(mid) else (mid, hi)
+                s_used, ineqs = hi, window(hi)
     elif which == "alt3":
         if rho_int != 0:
             raise errors.Alt3OnWeightedSystem(

@@ -19,6 +19,9 @@ from . import errors
 from .system import SpinSystem, emit_number, to_float
 
 FRAK_Q_MAX_STATES = 24  # safety valve; the closure method needs far less
+# the fixed-point sets of R o R and frak_q's distinct answers are each an
+# intersection closure: af_potts q=14 has 2^14 fixed-point sets
+MAX_CLOSURE = 2 ** 14
 # float mode: maximal patterns within this relative weight of the maximum
 # count as dominant (and are reported as a near tie)
 DOMINANT_REL_TOL = 1e-12
@@ -95,7 +98,8 @@ def structure(system: SpinSystem) -> PatternStructure:
 
 
 def _intersection_closure(top, gens):
-    """The closure of {top} under intersection with each generator."""
+    """The closure of {top} under intersection with each generator, refused
+    beyond MAX_CLOSURE sets."""
     closed = {top}
     frontier = [top]
     while frontier:
@@ -105,13 +109,16 @@ def _intersection_closure(top, gens):
             if x not in closed:
                 closed.add(x)
                 frontier.append(x)
+                if len(closed) > MAX_CLOSURE:
+                    raise errors.SpinSpaceTooLarge(
+                        f"more than {MAX_CLOSURE} sets in an intersection closure")
     return closed
 
 
 def _build_structure(system: SpinSystem) -> PatternStructure:
     full = system.full_mask()
-    rs = tuple(sorted(_intersection_closure(
-        full, set(system.derived(_h_masks)))))
+    h_masks = system.derived(_h_masks)
+    rs = tuple(sorted(_intersection_closure(full, set(h_masks))))
     maximal = tuple(Pattern(a, r_closure(system, a)) for a in rs)
 
     weights = [weight(system, p) for p in maximal]
@@ -132,16 +139,18 @@ def _build_structure(system: SpinSystem) -> PatternStructure:
     rho_int = max(below) / top if below else zero
 
     rho_bulk = zero
-    for p in maximal:
+    for p, w in zip(maximal, weights):
         if p not in dom_set:
-            rho_bulk = max(rho_bulk, weight(system, p) / omega)
-    # the sides of the maximal patterns are the r_sets
+            rho_bulk = max(rho_bulk, w / omega)
+    # the largest sub-r-set of a dominant side: r-sets are intersections of
+    # H-neighbourhoods, so each strict one within a lies in a & h for an h
+    # not containing a, itself an r-set, and lambda grows with the set
     rho_bdry = zero
     for a in dom_sides:
         la = system.lambda_mask(a)
-        for ap in rs:
-            if ap != a and ap & ~a == 0:  # strict subset
-                rho_bdry = max(rho_bdry, system.lambda_mask(ap) / la)
+        for h in h_masks:
+            if a & ~h:
+                rho_bdry = max(rho_bdry, system.lambda_mask(a & h) / la)
     lam_s = system.lambda_mask(full)
     rho_act = system.one()
     for a in rs:

@@ -455,9 +455,10 @@ def test_alt2_sweep_builds_structure_once(tmp_path, af3_soft_path,
     (("hard_core", {"lam": 2}), "d=10:1e12:geometric:13")])
 def test_alt2_sweep_runs_the_scalar_formula_at_most_twice_a_point(
         tmp_path, sysfile, monkeypatch, model, spec):
-    """The scalar alpha2 runs on the first window and on the windows the
-    numpy screen keeps; trying every candidate in turn made 17,408 and
-    36,403 calls on these sweeps."""
+    """The scalar alpha2 runs on the first window and, where that fails, on
+    its successor, which scores no higher, so no later window can pass;
+    trying every candidate in turn made 17,408 and 36,403 calls on these
+    sweeps."""
     calls = []
     alpha2 = parameters._alpha2
     monkeypatch.setattr(parameters, "_alpha2",
@@ -469,11 +470,11 @@ def test_alt2_sweep_runs_the_scalar_formula_at_most_twice_a_point(
 
 
 def test_alt2_to_large_dimensions_warns_nothing(tmp_path, sysfile):
-    """The alt2 screen's overflows stay inside its numpy error state.  On a
-    field of 10^-305 at d = 1000, the window power exp(e log(2 d lam(S) /
-    lam(B))) of the longest windows (e near 1, a base near 4 10^308)
-    overflows in the screen's numpy exp.  At d = 2^1000, 2 d lam(S)
-    overflows in floats, and the window power's base is taken in logs."""
+    """alt2 warns nothing where its floats overflow.  On a field of 10^-305
+    at d = 1000, the window power's base 2 d lam(S) / lam(B) is near 4
+    10^308 and overflows, so the power is taken as exp(e log(base)).  At
+    d = 2^1000, 2 d lam(S) overflows in floats, and the window power's base
+    is taken in logs."""
     wr2 = sysfile("wr2.json", catalog.build("widom_rowlinson", lam=2))
     with warnings.catch_warnings():
         warnings.simplefilter("error")
@@ -513,6 +514,26 @@ def test_check_ratios_beyond_the_float_range(sysfile, capsys, model,
         assert json.loads(err)["error"] == "TooLarge"
     else:
         assert json.loads(out)["condition"] == condition
+
+
+def test_a_pattern_structure_beyond_the_closure_bound_is_refused(
+        tmp_path, sysfile, capsys):
+    """af_potts q=15 has 2^15 fixed-point sets of R o R, beyond
+    patterns.MAX_CLOSURE = 2^14: analyze and check refuse it with
+    SpinSpaceTooLarge (exit 3) while the closure grows, within a second.
+    q=14 has 2^14 and answers."""
+    path = sysfile("q15.json", catalog.build("af_potts", q=15, beta=1))
+    for cmd in (["analyze"], ["check", "--condition", "alt2", "--d", "10"]):
+        start = time.perf_counter()
+        assert cli.main(cmd + ["--system", path]) == 3
+        assert time.perf_counter() - start < 1.0
+        assert json.loads(capsys.readouterr().err)["error"] == \
+            "SpinSpaceTooLarge"
+    path = sysfile("q14.json", catalog.build("af_potts", q=14, beta=1))
+    out = tmp_path / "check.json"
+    assert cli.main(["check", "--system", path, "--condition", "alt2",
+                     "--d", "10", "--out", str(out)]) == 0
+    assert json.loads(out.read_text())["condition"] == "alt2"
 
 
 def test_check_output_is_deterministic(tmp_path, hc_path):

@@ -10,6 +10,7 @@ from hypothesis import given, strategies as st
 
 from spinlab import catalog, errors
 from spinlab import kbipartite as kb
+from spinlab.system import make_system
 
 from helpers import (FRACTIONAL, expand_spec, float_twins,
                      product_count_reference, random_rational_system,
@@ -33,6 +34,30 @@ def test_resource_guards():
                           big.full_mask())
     with pytest.raises(errors.TooLarge):
         expand_spec(AF3, 10, kb.PsiSpec(J=0b111))
+
+
+def test_an_18_state_side_is_answered():
+    """A side of 18 states at d = 2 has a table of C(21, 4) = 5,985
+    contents, which MAX_GROUND and MAX_CONTENTS admit.  z_bruteforce refuses
+    17 or more states, so the value is checked through its class: on an
+    18-state ferromagnetic Potts system R({t}) = {t}, so R(J) is empty for
+    J = S and exactly the non-constant contents are full, and Z is the
+    complete Z less the 18 constant products.  On af_potts q=18 R(I) is the
+    complement of I, and no content of 4 coordinates covers S: Z is 0."""
+    q = 18
+    ferro = make_system([str(i) for i in range(q)],
+                        [Fraction(i + 1, 3) for i in range(q)],
+                        [[2 if i == j else 1 for j in range(q)]
+                         for i in range(q)])
+    full = ferro.full_mask()
+    for I in (full, 0b101, 1 << 17):
+        const = sum(kb.z_compositions(ferro, 2, kb.PsiSpec(coords=[1 << t] * 4),
+                                      I) for t in range(q))
+        assert kb.z_compositions(ferro, 2, kb.PsiSpec(J=full), I) == \
+            kb.z_compositions(ferro, 2, kb.PsiSpec(coords=[full] * 4), I) - const
+    af = catalog.build("af_potts", q=q)
+    assert kb.z_compositions(af, 2, kb.PsiSpec(J=af.full_mask()),
+                             af.full_mask()) == 0
 
 
 def test_a_table_beyond_max_contents_is_refused_before_it_is_built():

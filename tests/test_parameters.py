@@ -8,8 +8,7 @@ import pytest
 from spinlab import catalog, errors, parameters, patterns
 from spinlab.system import make_system
 
-from helpers import (alt2_reference, check_closed_form_bounds,
-                     random_rational_system, section_defaults)
+from helpers import alt2_reference, check_closed_form_bounds, section_defaults
 
 AF3 = catalog.build("af_potts", q=3)
 HC = catalog.build("hard_core", lam=1)
@@ -222,51 +221,17 @@ def test_an_interaction_ratio_that_reads_one_is_refused_by_alt2():
         assert parameters.check_condition(system, 10, which).passes is False
 
 
-def _spy_on_the_screen(monkeypatch):
-    """Record (candidates, kept) of every _alt2_screen call."""
-    calls = []
-    screen = parameters._alt2_screen
-
-    def spy(*args):
-        kept = screen(*args)
-        calls.append((args[2], kept))
-        return kept
-
-    monkeypatch.setattr(parameters, "_alt2_screen", spy)
-    return calls
-
-
-def test_alt2_screen_drops_only_windows_that_fail(monkeypatch):
-    """Every window length the numpy screen drops fails the scalar window
-    test (an explicit s), on catalog and random systems from d = 2 to 10^6
-    and 2^1000.  Where a point drops more than 256 windows, the first 128 and
-    about 128 spread over the rest are checked."""
-    rng = random.Random(11)
-    systems = [catalog.build("af_potts", q=3, beta=1),
-               catalog.build("af_potts", q=3),
-               catalog.build("af_potts", q=4, beta=2),
-               catalog.build("af_potts", q=5, beta=3),
-               catalog.build("hard_core", lam="1/2"),
-               catalog.build("widom_rowlinson", lam=2),
-               catalog.build("clock", q=9, m=2, beta=1)]
-    systems += [random_rational_system(rng) for _ in range(8)]
-    calls = _spy_on_the_screen(monkeypatch)
-    checked = 0
-    for system in systems:
-        for d in (2, 3, 7, 30, 300, 3000, 10 ** 6, 2 ** 1000):
-            for C in (0.01, 1.0, 7.5):
-                calls.clear()
-                parameters.check_condition(system, d, "alt2", C)
-                for cands, kept in calls:
-                    dropped = sorted(set(cands) - set(kept))
-                    if len(dropped) > 256:
-                        dropped = dropped[:128] + dropped[
-                            128::len(dropped) // 128]
-                    for s in dropped:
-                        assert not parameters.check_condition(
-                            system, d, "alt2", C, s=s).passes, (system, d, C, s)
-                    checked += len(dropped)
-    assert checked > 2 * 10 ** 4, checked
+def test_alt2_without_bulk_pairs_needs_no_float_of_the_weights():
+    """Rational hard_core at lam = 10^400 has no bulk pair, so rho_hat_bulk
+    is 0 for every window, however far omega_dom and lam(S) lie beyond the
+    float range: alpha2 is inf, and alt2 passes at its first window."""
+    system = catalog.build("hard_core", lam=10 ** 400)
+    assert patterns.structure(system).bulk_pairs == ()
+    for d in (10, 10 ** 6, 2 ** 1000):
+        rep = parameters.check_condition(system, d, "alt2")
+        assert (rep.s, rep.passes) == (1, True)
+        assert rep.inequalities[2].lhs == INF
+        assert parameters.compute_parameters(system, d=d, s=1).alpha2 == INF
 
 
 def test_alt2_takes_a_later_window_as_the_reference_does(monkeypatch):
@@ -282,19 +247,48 @@ def test_alt2_takes_a_later_window_as_the_reference_does(monkeypatch):
         rho_pat_bdry=Fraction(0))
     monkeypatch.setattr(patterns, "structure", lambda _: made_up)
     # the largest C at which window 3 still passes: its alpha2 equals the
-    # threshold to within rounding, so only the screen's slack keeps it
+    # threshold to within rounding
     edge = parameters._alpha2(system, 10, 3, parameters._penalty(made_up, 10))[1] \
         / parameters.check_condition(system, 10, "alt2", 1.0, s=3).inequalities[2].rhs
     while not parameters.check_condition(system, 10, "alt2", edge, s=3).passes:
         edge = math.nextafter(edge, 0)
-    calls = _spy_on_the_screen(monkeypatch)
     for C, s, passes in ((0.1, 2, True), (0.5, 3, True), (edge, 3, True),
                          (2.0, 1, False)):
-        calls.clear()
         rep = parameters.check_condition(system, 10, "alt2", C)
         assert (rep.s, rep.passes) == (s, passes)
         assert rep.to_dict() == alt2_reference(system, 10, C).to_dict()
-        (cands, kept), = calls
-        for s in set(cands) - set(kept):
-            assert not parameters.check_condition(system, 10, "alt2", C,
-                                                  s=s).passes
+
+
+def test_alt2_search_matches_the_reference_on_made_up_structures(monkeypatch):
+    """alt2's search over windows reports what trying every candidate in
+    turn reports, on random made-up pattern structures at d <= 100 whose
+    large lam(S) and small rho_int make alpha2 grow with s at first.  Many
+    pass only at a later window, some only two or more windows after the
+    first, past the first window's successor."""
+    rng = random.Random(25)
+    bases = [catalog.build("hard_core", lam=2),
+             catalog.build("af_potts", q=3, beta=1),
+             catalog.build("clock", q=9, m=2, beta=1)]
+    later = beyond_next = 0
+    for _ in range(1500):
+        system = rng.choice(bases)
+        made_up = dataclasses.replace(
+            patterns.structure(system),
+            rho_int=Fraction(10 ** rng.uniform(-5, -1.3)),
+            rho_hat_act=Fraction(10 ** rng.uniform(-1, 0.5)),
+            lam_s=Fraction(10 ** rng.uniform(3, 8)),
+            omega_dom=Fraction(10 ** rng.uniform(-1, 1)),
+            bulk_pairs=tuple((10 ** rng.uniform(-14, -1),
+                              10 ** rng.uniform(-2, 1))
+                             for _ in range(rng.randint(1, 3))),
+            rho_pat_bdry=Fraction(rng.choice([0, 10 ** rng.uniform(-5, -1)])))
+        d = rng.choice([5, 7, 10, 20, 30, 50, 100])
+        C = rng.choice([0.01, 0.1, 0.3, 1.0])
+        with monkeypatch.context() as m:
+            m.setattr(patterns, "structure", lambda _: made_up)
+            rep = parameters.check_condition(system, d, "alt2", C)
+            assert rep.to_dict() == alt2_reference(system, d, C).to_dict()
+        first = max(1, math.ceil(rep.inequalities[0].rhs))
+        later += rep.passes and rep.s > first
+        beyond_next += rep.passes and rep.s > first + 1
+    assert later >= 20 and beyond_next >= 5, (later, beyond_next)
