@@ -7,11 +7,9 @@ constrained to I,
 
 The fast evaluator groups assignments by their multiplicity vector (content)
 xi over a small ground set.  Class membership (value-set equivalence,
-near-constant assignments) depends only on xi, and the number of
-assignments with content xi is, over the groups of coordinates with equal
-masks, a sum of products of multinomials (one group of 2d coordinates: the
-multinomial).  In rational mode the sum runs on SpinSystem.scaled() integer
-weights and is divided once by la^{4d} li^{4d^2}.
+near-constant assignments) depends only on xi.  In rational mode the sum
+runs on SpinSystem.scaled() integer weights and is divided once by
+la^{4d} li^{4d^2}.
 
 A class's contents are enumerated over R(R(J)) once per system and d, and
 tested for membership a block of rows at a time (_in_class: the R-closure of
@@ -19,13 +17,15 @@ each row's support, and one integer matrix product for the near-constant
 classes): the system's memo keeps the members in a table, in _sub_contents
 order, with the weights of each row per I, built on first use.  A spec
 filters its class's table (a spec with no class, the table of every content
-over the union of its masks), keeping the rows that some assignment in the
-spec realizes, with their counts; verify_main_condition's many specs over a
-few classes share the tables.
+over the union of its masks), keeping the rows that are contents of its
+assignments, with their counts: _counts builds them in one forward pass
+over the spec's groups of equal masks.  verify_main_condition's many specs
+share the tables and, for the call, the passes' prefixes of groups.
 """
 
 from __future__ import annotations
 
+import contextvars
 import functools
 import itertools
 import math
@@ -146,46 +146,12 @@ def _in_class(system, d, spec, states, counts):
 # contents
 
 def _multinomial(n, counts):
-    out = math.factorial(n)
+    """n! / prod_c c! for counts summing to n."""
+    out = 1
     for c in counts:
-        out //= math.factorial(c)
+        out *= math.comb(n, c)
+        n -= c
     return out
-
-
-def _groups(coords):
-    """(mask, number of coordinates with that mask), by mask."""
-    return sorted(Counter(coords).items())
-
-
-def _counter(groups, states):
-    """count(counts): the number of assignments with content counts (a
-    vector over states) where each of the size coordinates of a group
-    (mask, size) takes a value allowed by mask.  Coordinates with the same
-    mask are interchangeable, so each group takes a sub-content y of what is
-    left, in multinomial(size, y) ways; the last group takes the rest.  The
-    number of ways for the groups from k on to take a remainder is kept
-    across the calls of one counter."""
-    total = sum(size for _, size in groups)
-    *head, (last, rest) = groups or [(0, 0)]
-    # the rest must lie within the last group's mask
-    outside = [i for i, s in enumerate(states) if not last >> s & 1]
-    memo = {}
-
-    def rec(k, remaining):
-        if k == len(head):
-            if any(remaining[i] for i in outside):
-                return 0
-            return _multinomial(rest, remaining)
-        key = (k, remaining)
-        if key not in memo:
-            mask, size = head[k]
-            memo[key] = sum(
-                _multinomial(size, y)
-                * rec(k + 1, tuple(c - u for c, u in zip(remaining, y)))
-                for y in _sub_contents(remaining, states, mask, size))
-        return memo[key]
-
-    return lambda counts: rec(0, counts) if sum(counts) == total else 0
 
 
 def _sub_contents(remaining, states, mask, size, i=0):
@@ -204,12 +170,6 @@ def _sub_contents(remaining, states, mask, size, i=0):
     for u in range(top + 1):
         for tail in _sub_contents(remaining, states, mask, size - u, i + 1):
             yield (u,) + tail
-
-
-def _coords(system, d, spec):
-    """The spec's per-coordinate masks (None: every coordinate any value)."""
-    return spec.coords if spec.coords is not None \
-        else [system.full_mask()] * (2 * d)
 
 
 @dataclass
@@ -258,7 +218,8 @@ def _table(system, d, spec):
     contents over R(R(J)) or, when it sets no class, every content over the
     union of its masks."""
     if spec.J is None:
-        ground = functools.reduce(operator.or_, _coords(system, d, spec), 0)
+        ground = system.full_mask() if spec.coords is None \
+            else functools.reduce(operator.or_, spec.coords, 0)
         key = (_table, d, ground)
     else:
         ground = None
@@ -289,17 +250,52 @@ def _build_table(system, d, spec, ground):
     return _Table(states, members)
 
 
-def _contents(table, coords):
-    """Yield (k, count) for every row k of the table that is the content of
-    an assignment [2d] -> S whose coordinate j takes a value in coords[j];
-    count (> 0) is the number of such assignments.  The rows keep the
-    table's order, so they come in _sub_contents order over the union of
-    the masks (within the table's ground)."""
-    count = _counter(_groups(coords), table.states)
-    for k, y in enumerate(table.rows):
-        cnt = count(y)
-        if cnt:
-            yield k, cnt
+def _counts(states, coords):
+    """{content: count}: each content (a count vector over states) of the
+    assignments [2d] -> states whose coordinate j takes a value in
+    coords[j], with the number (> 0) of them.  Built one group of equal
+    masks at a time, by mask: the group's size coordinates add a sub-content
+    y in multinomial(size, y) ways.  Each group alone and each proper prefix
+    of groups are kept for the rest of a verify_main_condition call."""
+    states = tuple(states)
+    groups = tuple(sorted(Counter(coords).items()))
+    memo = _prefixes.get({})
+    counts = {(0,) * len(states): 1}
+    for k, (mask, size) in enumerate(groups):
+        if (states, groups[:k + 1]) in memo:
+            counts = memo[states, groups[:k + 1]]
+            continue
+        step = memo.get((states, groups[k:k + 1])) or {
+            y: _multinomial(size, y) for y in _sub_contents(
+                (size,) * len(states), states, mask, size)}
+        if k == 0:
+            counts = step
+        else:
+            out = {}
+            for x, c in counts.items():
+                for y, ways in step.items():
+                    z = tuple(map(operator.add, x, y))
+                    out[z] = out.get(z, 0) + c * ways
+            counts = out
+        memo[states, groups[k:k + 1]] = step
+        if k + 1 < len(groups):
+            memo[states, groups[:k + 1]] = counts
+    return counts
+
+
+# _counts' memo for the length of one verify_main_condition call
+_prefixes = contextvars.ContextVar("_prefixes")
+
+
+def _sharing_prefixes(fn):
+    @functools.wraps(fn)
+    def call(*args, **kwargs):
+        token = _prefixes.set({})
+        try:
+            return fn(*args, **kwargs)
+        finally:
+            _prefixes.reset(token)
+    return call
 
 
 def _check_d(d):
@@ -313,11 +309,14 @@ def z_compositions(system: SpinSystem, d: int, spec: PsiSpec, I_mask: int):
     """Evaluate Z(Psi, I) by summing over the contents of the spec."""
     _check_d(d)
     table = _table(system, d, spec)
-    coords = _coords(system, d, spec)
+    # with no coords, every row is a content, in multinomial(2d, y) ways
+    counts = _counts(table.states, spec.coords) if spec.coords is not None \
+        else {y: _multinomial(2 * d, y) for y in table.rows}
 
     def total(positive=False):
         z0, z1p = table.weights(system, d, I_mask, positive)
-        return sum(cnt * z0[k] * z1p[k] for k, cnt in _contents(table, coords))
+        return sum(cnt * z0[k] * z1p[k] for k, y in enumerate(table.rows)
+                   if (cnt := counts.get(y)))
 
     try:
         z = total()
@@ -351,10 +350,13 @@ def exclusion_terms(system: SpinSystem, A_mask: int) -> list:
         for combo in itertools.combinations(family, r)]
 
 
-def lambda_restricted_power(system: SpinSystem, A_mask: int, n: int):
+def lambda_restricted_power(system: SpinSystem, A_mask: int, n: int,
+                            power=None):
     """Total activity weight of functions [n] -> A whose image is not inside
-    any maximal-pattern side strictly contained in A."""
-    return sum(sign * system.lambda_mask(m) ** n
+    any maximal-pattern side strictly contained in A.  power(x), when given,
+    stands for x ** n (a caller's cache over the base)."""
+    power = power or (lambda x: x ** n)
+    return sum(sign * power(system.lambda_mask(m))
                for sign, m in exclusion_terms(system, A_mask))
 
 
@@ -375,24 +377,26 @@ def k_of_product(system, d, spec):
     value set (the values it takes in some member of the spec) is not value-
     set equivalent to the side J.  Coordinates with equal masks are
     interchangeable and membership depends only on the content, so each
-    distinct mask is probed once: v is realized at a coordinate with mask m
-    iff pinning one such coordinate to v leaves a member."""
+    distinct mask m is probed once, by one pass over the coordinates less
+    one with mask m: v is realized there iff some member row y has y_v >= 1
+    and y - e_v is a content of that pass."""
     table = _table(system, d, spec)
     coords = spec.coords
     realized = {}
     for m in set(coords):
-        probe = list(coords)
-        j = coords.index(m)
-        realized[m] = 0
-        for v in system.mask_states(m):
-            probe[j] = 1 << v
-            if any(_contents(table, probe)):
-                realized[m] |= 1 << v
+        rest = list(coords)
+        rest.remove(m)
+        counts = _counts(table.states, rest)
+        realized[m] = sum(1 << v for i, v in enumerate(table.states)
+                          if m >> v & 1 and any(
+                              y[i] and y[:i] + (y[i] - 1,) + y[i + 1:]
+                              in counts for y in table.rows))
     rJ = patterns.r_closure(system, spec.J)
     return sum(1 for m in coords
                if patterns.r_closure(system, realized[m]) != rJ)
 
 
+@_sharing_prefixes
 def verify_main_condition(system: SpinSystem, d: int, alpha: float,
                           gamma: float, eps: float, eps_bar: float,
                           seed: int = 0) -> dict:
@@ -449,20 +453,16 @@ def verify_main_condition(system: SpinSystem, d: int, alpha: float,
         rJ = patterns.r_closure(system, J)
         strict = [a for a in st.r_sets if a != J and a & ~J == 0 and a != 0]
         # (1) product subsets of the balanced class
-        families = []
-        for k in range(min(MAX_RESTRICTED, 2 * d) + 1):
-            for combo in itertools.combinations_with_replacement(strict, k):
-                coords = list(combo) + [J] * (2 * d - k)
-                families.append(coords)
-        for _ in range(N_RANDOM):
-            coords = [rng.choice([J] + strict) for _ in range(2 * d)]
-            families.append(coords)
-        seen = set()
-        for coords in families:
-            key = tuple(sorted(coords))
-            if key in seen:
-                continue
-            seen.add(key)
+        families = [
+            list(combo) + [J] * (2 * d - k)
+            for k in range(min(MAX_RESTRICTED, 2 * d) + 1)
+            for combo in itertools.combinations_with_replacement(strict, k)]
+        pool = [J] + strict
+        families += [[rng.choice(pool) for _ in range(2 * d)]
+                     for _ in range(N_RANDOM)]
+        # each multiset of masks once, where it first comes
+        for key in dict.fromkeys(tuple(sorted(c)) for c in families):
+            coords = list(key)
             spec = PsiSpec(coords=coords, J=J, cls="balanced", eps=eps,
                            eps_bar=eps_bar)
             lhs = z_compositions(system, d, spec, system.full_mask())

@@ -146,8 +146,10 @@ def rho_bulk_star_of(system, d):
     if n * max((_bits(system, p.a) + _bits(system, p.b) for p in pats),
                default=0) <= (EXACT_BITS if system.mode == "rational"
                               else 1000):
-        total = sum(kbipartite.lambda_restricted_power(system, p.a, n)
-                    * system.lambda_mask(p.b) ** n for p in pats)
+        # the patterns share few bases: each power is taken once
+        power = functools.cache(lambda x: x ** n)
+        total = sum(kbipartite.lambda_restricted_power(system, p.a, n, power)
+                    * power(system.lambda_mask(p.b)) for p in pats)
         if total == 0:
             return 0.0
         try:

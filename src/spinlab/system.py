@@ -148,7 +148,12 @@ class SpinSystem:
         return (1 << self.n) - 1
 
     def lambda_mask(self, mask):
-        """Sum of activities over a state bitmask."""
+        """Sum of activities over a state bitmask, kept in the memo."""
+        return self.derived((SpinSystem.lambda_mask, mask),
+                            lambda _: self._lambda_sum(mask))
+
+    def _lambda_sum(self, mask):
+        # left to right, so that a float sum is the same on every call
         total = self.zero()
         i = 0
         while mask:
