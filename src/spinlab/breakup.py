@@ -144,16 +144,20 @@ class Atlas:
     def x_star(self) -> np.ndarray:
         return _star(self.ctx.lat, self.x, self.xp)
 
-    def stats(self) -> dict:
-        """L = chart edge-boundary size, M = overlap/defect volume,
-        N = uncharted volume; recomputed from the stored charts.  Each
-        stored edge is counted once, as the +1 step from its lower end."""
+    def site_stats(self) -> dict:
+        """L = chart edge-boundary size (each stored edge counted as the +1
+        step from its lower end), M = overlap/defect volume and N =
+        uncharted volume, by site, recomputed from the stored charts."""
         lat, x = self.ctx.lat, self.x
         up = lat.adj[1::2]
         cut = (x[:, None, :] != x[:, up]) & (up < lat.n)
         none, overlap, defect = _partition(x, self.xp)
-        return {"L": int(cut.any(axis=0).sum()),
-                "M": int((overlap | defect).sum()), "N": int(none.sum())}
+        return {"L": cut.any(axis=0).sum(axis=0), "M": overlap | defect,
+                "N": none}
+
+    def stats(self) -> dict:
+        """The site_stats summed over the lattice."""
+        return {k: int(v.sum()) for k, v in self.site_stats().items()}
 
 
 def construct_breakup(system: SpinSystem, lat, f, p0: Pattern,
@@ -163,8 +167,7 @@ def construct_breakup(system: SpinSystem, lat, f, p0: Pattern,
     component with the unique pattern surrounding it."""
     reg = compute_regions(system, lat, f, p0)
     ctx = reg.ctx
-    V = lat_mod.not_m(lat_mod.halo_m(lat)) if V is None \
-        else lat_mod.mask(lat, V)
+    V = lat_mod.mask(lat, lat.interior if V is None else V)
     b = lat_mod.separating_m(lat, lat_mod.plus_r_m(lat, reg.z_star, 5), V)
     x = reg.z_p & b
     for comp in lat_mod.components_m(lat, lat_mod.not_m(b)):
@@ -182,8 +185,7 @@ def construct_breakup(system: SpinSystem, lat, f, p0: Pattern,
         else:
             raise errors.ValidationError(
                 f"component has {len(cands)} surrounding patterns")
-    grown = lat_mod.plus_m(lat, reg.t_p & ~reg.s_p)
-    xp = (grown | lat_mod.n_t_m(lat, grown, lat.degree)) & b
+    xp = (reg.zp_p | lat_mod.n_t_m(lat, reg.zp_p, lat.degree)) & b
     return Atlas(ctx=ctx, x=x, xp=xp, b=b)
 
 
@@ -200,8 +202,7 @@ def verify_breakup(system: SpinSystem, lat, f, p0: Pattern, atlas: Atlas,
     ctx = BreakupContext(system, lat, f, p0)
     pats = ctx.pats
     x, xp = atlas.x, atlas.xp
-    V = lat_mod.not_m(lat_mod.halo_m(lat)) if V is None \
-        else lat_mod.mask(lat, V)
+    V = lat_mod.mask(lat, lat.interior if V is None else V)
     report = {}
 
     def put(name, ok, witness=None):
@@ -265,6 +266,5 @@ def verify_breakup(system: SpinSystem, lat, f, p0: Pattern, atlas: Atlas,
            for c in lat_mod.components_m(lat, blind)[:3]]
     put("defect_seen_from_viewpoints", not bad, bad)
 
-    report["pass"] = all(r["holds"] for k, r in report.items()
-                         if isinstance(r, dict))
+    report["pass"] = all(r["holds"] for r in report.values())
     return report

@@ -21,6 +21,13 @@ from .patterns import Pattern
 from .system import (bipartite_cover, emit_number, load_system, product,
                      project_from_doubled, reweight, to_float)
 
+# stored sites of the lattice copies that breakup-scan joins into one
+# breakup: 68 copies of a 6x6 box, 12 of 16x16, 2 of 40x40.  The breakup
+# makes one pass over the whole union per component of its regions away
+# from the halo, so past this a block costs more than the per-call
+# overhead it saves
+SCAN_BLOCK_SITES = 4096
+
 
 def _meta(subcommand, system_path=None, seed=None, t0=None, rng=None):
     """Run metadata; rng names the generator the command drew from, None
@@ -414,22 +421,35 @@ def cmd_breakup_scan(system, lattice_spec, pattern_text, sweeps, samples,
     # before the lattice is built
     gibbs.check_trace(lat_mod.stored_sites(*shape), n_sweeps, samples)
     lat = lat_mod.make_lattice(*shape)
-    center = frozenset({lat.site(tuple(x // 2 for x in lat.dims))})
+    m = len(lat.interior)
+    center = lat.site(tuple(x // 2 for x in lat.dims))
     lines = ["sample,seed,L,M,N"]
     configs = []
     if samples > 0:
         configs = gibbs.run_mcmc(system, lat, pat, min(lat.interior),
                                  n_sweeps=n_sweeps, seed=seed, force=force,
                                  chains=samples).configs
-    for k, f in enumerate(configs):
-        sk = seed + k
-        rng = np.random.Generator(np.random.PCG64(10 ** 6 + sk))
-        halo = gibbs.sample_halo_extension(system, lat, pat, rng)
-        for v, s in halo.items():
-            f[v] = s
-        atlas = breakup_mod.construct_breakup(system, lat, f, pat, center)
-        st = atlas.stats()
-        lines.append(f"{k},{sk},{st['L']},{st['M']},{st['N']}")
+    # a block of samples is one breakup on the disjoint union of its copies
+    # of the lattice, each viewed from its centre; a block of one runs on
+    # the lattice itself
+    per = max(1, SCAN_BLOCK_SITES // lat.n)
+    for lo in range(0, len(configs), per):
+        block = np.array(configs[lo:lo + per], dtype=np.intp)
+        for k, f in enumerate(block, lo):
+            rng = np.random.Generator(np.random.PCG64(10 ** 6 + seed + k))
+            halo = gibbs.sample_halo_extension(system, lat, pat, rng)
+            f[list(halo)] = list(halo.values())
+        union, copy = (lat, np.zeros(lat.n, dtype=np.intp)) \
+            if len(block) == 1 else lat_mod.disjoint_union(lat, len(block))
+        atlas = breakup_mod.construct_breakup(
+            system, union,
+            np.concatenate((block[:, :m], block[:, m:]), axis=None), pat,
+            range(center, len(block) * m, m))
+        st = atlas.site_stats()
+        by_copy = [np.bincount(copy, st[key][:-1], len(block)).astype(int)
+                   for key in "LMN"]
+        lines += [f"{k},{seed + k},{L},{M},{N}"
+                  for k, L, M, N in zip(range(lo, lo + per), *by_copy)]
     return "\n".join(lines) + "\n"
 
 

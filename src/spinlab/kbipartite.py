@@ -179,7 +179,8 @@ class _Table:
     ascending), in _sub_contents order."""
     states: list
     rows: list
-    # (I mask, positive) -> (z0, z1p), built on first use by weights()
+    # positive -> z0 and (I mask, positive) -> z1p, built by weights()
+    z0: dict = field(default_factory=dict)
     by_I: dict = field(default_factory=dict)
 
     def weights(self, system, d, I_mask, positive=False):
@@ -195,22 +196,26 @@ class _Table:
                 acts = [a > 0 for a in acts]
                 inter = [[x > 0 for x in row] for row in inter]
             I_states = system.mask_states(I_mask)
-            z0s, z1ps = [], []
+            z0s = None if positive in self.z0 else []
+            z1ps = []
             for y in self.rows:
                 xi = [(s, c) for s, c in zip(self.states, y) if c]
-                z0 = 1
-                for s, c in xi:
-                    z0 *= acts[s] ** c
+                if z0s is not None:
+                    z0 = 1
+                    for s, c in xi:
+                        z0 *= acts[s] ** c
+                    z0s.append(z0)
                 z1 = 0
                 for i in I_states:
                     t = acts[i]
                     for s, c in xi:
                         t *= inter[i][s] ** c
                     z1 += t
-                z0s.append(z0)
                 z1ps.append(z1 ** (2 * d))
-            self.by_I[key] = z0s, z1ps
-        return self.by_I[key]
+            if z0s is not None:
+                self.z0[positive] = z0s
+            self.by_I[key] = z1ps
+        return self.z0[positive], self.by_I[key]
 
 
 def _table(system, d, spec):

@@ -24,6 +24,11 @@ is always False.  The ``*_m`` functions take and return masks; plus_r,
 components, separating_components and connected_to_infinity take any
 iterable of sites, return frozensets (or a bool), and convert at the
 boundary.
+
+disjoint_union lays k copies of a lattice out as one lattice whose copies
+share no edge, so that every mask operation (and the breakup) runs on k
+configurations at once; breakup-scan builds a block of samples' breakups
+this way.
 """
 
 from __future__ import annotations
@@ -133,6 +138,31 @@ def make_lattice(dims, periodic) -> Lattice:
     return Lattice(dims=dims, periodic=periodic, coords=coords, grid=grid,
                    interior=range(m), halo=range(m, n), nbr=adj[:, :n].T,
                    adj=adj, par=(coords.sum(axis=1) % 2).astype(np.int8))
+
+
+def disjoint_union(lat: Lattice, k: int) -> tuple:
+    """k copies of lat as one lattice, and the copy of each of its sites.
+    Every copy's interior comes first, then every copy's halo, so that the
+    halo stays one range; each copy keeps its sites' order, and the copies
+    share one sentinel.  The union keeps lat's dims and periodic flags (so
+    its d, degree and exterior are lat's) but has no grid: site() is
+    lat's alone."""
+    n, m = lat.n, len(lat.interior)
+    copy = np.concatenate([np.repeat(np.arange(k), m),
+                           np.repeat(np.arange(k), n - m), [0]])
+    orig = np.concatenate([np.tile(np.arange(m), k),
+                           np.tile(np.arange(m, n), k), [n]])
+    # each (copy, site)'s union site; every copy's sentinel is the union's
+    place = np.full((k, n + 1), k * n, dtype=np.intp)
+    place[copy[:-1], orig[:-1]] = np.arange(k * n)
+    # C-ordered, as make_lattice's: the mask operations reduce across the
+    # slots, which an F-ordered table made several times slower
+    adj = place[copy, lat.adj.take(orig, 1)]
+    union = Lattice(dims=lat.dims, periodic=lat.periodic,
+                    coords=lat.coords[orig[:-1]], interior=range(k * m),
+                    halo=range(k * m, k * n), nbr=adj[:, :-1].T, adj=adj,
+                    par=lat.par[orig[:-1]])
+    return union, copy[:-1]
 
 
 def check_shape(dims, periodic) -> tuple:

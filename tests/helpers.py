@@ -974,6 +974,21 @@ def with_charts(atlas: Atlas, x_p: dict, xp_p: dict) -> Atlas:
         xp=np.array([mask(lat, xp_p[p]) for p in pats]))
 
 
+def copy_atlases(atlas: Atlas, lat, copy, f) -> list:
+    """An atlas built on a disjoint union of copies of lat, with the copy
+    of each union site (see lattice.disjoint_union) and the union's
+    configuration f, as one (configuration, atlas on lat) per copy."""
+    union = atlas.ctx.lat
+    out = []
+    for j in range(max(copy) + 1):
+        where = np.append(np.flatnonzero(copy == j), union.n)
+        fj = np.asarray(f)[where[:-1]].tolist()
+        ctx = BreakupContext(atlas.ctx.system, lat, fj, atlas.ctx.p0)
+        out.append((fj, Atlas(ctx=ctx, x=atlas.x[:, where],
+                              xp=atlas.xp[:, where], b=atlas.b[where])))
+    return out
+
+
 class RefBreakup:
     """The breakup of a configuration: context, regions, atlas, L/M/N and
     the verification report, one site and one pattern at a time."""

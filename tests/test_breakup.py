@@ -1,5 +1,6 @@
 import random
 
+import numpy as np
 import pytest
 
 from spinlab import breakup as bk
@@ -9,9 +10,10 @@ from spinlab.patterns import Pattern
 
 import helpers
 from helpers import (RefBreakup, RefScenarios, _nv_mask, charts, classify,
-                     is_highly_energetic, is_non_dominant, is_restricted,
-                     is_unbalanced, make_box, make_torus, neighbor_lists,
-                     ordered_config, scenario_checks, with_charts)
+                     copy_atlases, is_highly_energetic, is_non_dominant,
+                     is_restricted, is_unbalanced, make_box, make_torus,
+                     neighbor_lists, ordered_config, scenario_checks,
+                     with_charts)
 
 AF3 = catalog.build("af_potts", q=3)
 AF4 = catalog.build("af_potts", q=4)
@@ -215,6 +217,47 @@ def test_breakup_matches_site_by_site_reference(case):
         assert not holds["pass"]
         assert lm.sites(broken.x_star()) == ref.star(bad_x, bad_xp)
         assert broken.stats() == ref.stats(bad_x, bad_xp)
+
+
+def _case_groups():
+    """The cases of _cases() that share a system, lattice and reference
+    pattern, as lists."""
+    groups = {}
+    for case in _cases():
+        system, lat, _, p0, _ = case
+        groups.setdefault((id(system), id(lat), p0), []).append(case)
+    return list(groups.values())
+
+
+@pytest.mark.parametrize("k", [1, 3])
+def test_breakup_on_a_disjoint_union_is_each_copys_own(k):
+    """One breakup of k copies of a lattice, each with its own
+    configuration and viewpoints (every window of k cases of a group, in
+    turn), equals each copy's own breakup, charts, defect region and
+    stats alike."""
+    for group in _case_groups():
+        system, lat, _, p0, _ = group[0]
+        union, copy = lm.disjoint_union(lat, k)
+        for start in range(len(group)):
+            cases = [group[(start + j) % len(group)] for j in range(k)]
+            f = np.zeros(union.n, dtype=np.intp)
+            V = []
+            for j, (_, _, fj, _, Vj) in enumerate(cases):
+                where = np.flatnonzero(copy == j)
+                f[where] = fj
+                V += where[list(lat.interior if Vj is None else Vj)].tolist()
+            atlas = bk.construct_breakup(system, union, f, p0, V)
+            stats = {key: np.bincount(copy, v[:-1], k).tolist()
+                     for key, v in atlas.site_stats().items()}
+            for j, ((_, _, fj, _, Vj), (gj, own)) in enumerate(
+                    zip(cases, copy_atlases(atlas, lat, copy, f))):
+                ref = bk.construct_breakup(system, lat, fj, p0, Vj)
+                assert gj == list(fj)
+                assert np.array_equal(own.x, ref.x)
+                assert np.array_equal(own.xp, ref.xp)
+                assert np.array_equal(own.b, ref.b)
+                assert {key: v[j] for key, v in stats.items()} \
+                    == ref.stats()
 
 
 def test_verify_witnesses_come_in_site_order():

@@ -4,15 +4,17 @@ import math
 import time
 import warnings
 from fractions import Fraction
+from types import SimpleNamespace
 
+import numpy as np
 import pytest
 
-from spinlab import (breakup as breakup_mod, catalog, cli, gibbs, parameters,
-                     patterns)
+from spinlab import (breakup as breakup_mod, catalog, cli, errors, gibbs,
+                     parameters, patterns)
 from spinlab import lattice as lm
 from spinlab.system import load_system, make_system
 
-from helpers import make_box, ordered_config, pattern_side
+from helpers import copy_atlases, make_box, ordered_config, pattern_side
 
 
 @pytest.fixture
@@ -954,26 +956,126 @@ def test_odd_or_zero_periodic_side_is_a_validation_error(af3_soft_path,
 
 def test_breakup_scan_on_a_slab_verifies_every_atlas(tmp_path, af3_path,
                                                      monkeypatch):
-    reports = []
-    construct = breakup_mod.construct_breakup
+    """The scan's one breakup of its four samples' disjoint union, split
+    into one atlas per sample on the slab itself, passes verify_breakup
+    there, and each CSV row gives its sample's stats."""
+    unions, built = {}, []
+    union_of, construct = lm.disjoint_union, breakup_mod.construct_breakup
 
-    def construct_and_verify(system, lat, f, pat, V):
+    def spy_union(lat, k):
+        union, copy = union_of(lat, k)
+        unions[id(union)] = lat, copy
+        return union, copy
+
+    def spy_construct(system, lat, f, pat, V):
         atlas = construct(system, lat, f, pat, V)
-        reports.append(breakup_mod.verify_breakup(system, lat, f, pat,
-                                                  atlas, V))
+        built.append((system, lat, f, pat, atlas))
         return atlas
-    monkeypatch.setattr(breakup_mod, "construct_breakup",
-                        construct_and_verify)
+    monkeypatch.setattr(lm, "disjoint_union", spy_union)
+    monkeypatch.setattr(breakup_mod, "construct_breakup", spy_construct)
     out = tmp_path / "scan.csv"
     assert cli.main(["breakup-scan", "--system", af3_path,
                      "--lattice", "box:12x12x4p+halo",
                      "--pattern", "A=1;B=2,3", "--sweeps", "100",
                      "--samples", "4", "--force", "--out", str(out)]) == 0
-    assert len(out.read_text().strip().splitlines()) == 5
-    assert len(reports) == 4
-    assert all(r["pass"] for r in reports), [
-        k for r in reports for k, v in r.items()
-        if isinstance(v, dict) and not v["holds"]]
+    rows = out.read_text().strip().splitlines()[1:]
+    [(system, union, f, pat, atlas)] = built
+    lat, copy = unions[id(union)]
+    center = {lat.site((6, 6, 2))}
+    samples = copy_atlases(atlas, lat, copy, f)
+    assert len(rows) == len(samples) == 4
+    for k, (row, (fk, own)) in enumerate(zip(rows, samples)):
+        report = breakup_mod.verify_breakup(system, lat, fk, pat, own, center)
+        assert report["pass"], [key for key, v in report.items()
+                                if isinstance(v, dict) and not v["holds"]]
+        st = own.stats()
+        assert row == f"{k},{k},{st['L']},{st['M']},{st['N']}"
+
+
+def _one_breakup_a_sample(system, lat, configs, seed):
+    """The scan's rows with one breakup per sample on the lattice itself."""
+    pat = cli._parse_pattern(system, "A=1;B=2,3")
+    center = {lat.site(tuple(x // 2 for x in lat.dims))}
+    rows = []
+    for k, f in enumerate(configs):
+        rng = np.random.Generator(np.random.PCG64(10 ** 6 + seed + k))
+        f = list(f)
+        for v, s in gibbs.sample_halo_extension(system, lat, pat, rng).items():
+            f[v] = s
+        st = breakup_mod.construct_breakup(system, lat, f, pat, center).stats()
+        rows.append(f"{k},{seed + k},{st['L']},{st['M']},{st['N']}")
+    return rows
+
+
+@pytest.mark.parametrize("lattice, samples", [
+    # one block; a full block and one more sample; blocks of two and one
+    ("box:6x6+halo", 5), ("box:4x4x2p+halo", cli.SCAN_BLOCK_SITES
+                          // lm.stored_sites((4, 4, 2), (0, 0, 1)) + 1),
+    ("box:40x40+halo", 3), ("box:3x3x3+halo", 2), ("box:6x6+halo", 1)])
+@pytest.mark.parametrize("beta", [{"beta": 1}, {}])
+def test_breakup_scan_rows_are_one_breakup_a_sample(tmp_path, sysfile,
+                                                    lattice, samples, beta):
+    system = catalog.build("af_potts", q=3, **beta)
+    out = tmp_path / "scan.csv"
+    assert cli.main(["breakup-scan", "--system", sysfile("af3.json", system),
+                     "--lattice", lattice, "--pattern", "A=1;B=2,3",
+                     "--sweeps", "30", "--samples", str(samples),
+                     "--seed", "11", "--force", "--out", str(out)]) == 0
+    lat = lm.parse_lattice(lattice)
+    configs = gibbs.run_mcmc(system, lat, cli._parse_pattern(system,
+                                                             "A=1;B=2,3"),
+                             0, n_sweeps=30, seed=11, force=True,
+                             chains=samples).configs
+    assert out.read_text().splitlines()[1:] \
+        == _one_breakup_a_sample(system, lat, configs, 11)
+
+
+def test_breakup_scan_views_each_sample_from_its_centre(tmp_path, af3_path,
+                                                        monkeypatch):
+    """Samples with one flipped site at the centre of a 28x28 box, mixed
+    with ordered samples, in a block of four and a block of one: the flip's
+    defect is far from the halo and charted only because the centre views
+    it, in every copy."""
+    system = load_system(af3_path)
+    lat = lm.parse_lattice("box:28x28+halo")
+    flip = ordered_config(lat)
+    flip[lat.site((14, 14))] = 1
+    configs = [ordered_config(lat), flip, flip, ordered_config(lat), flip]
+    monkeypatch.setattr(gibbs, "run_mcmc", lambda *args, **kwargs:
+                        SimpleNamespace(configs=[list(f) for f in configs]))
+    out = tmp_path / "scan.csv"
+    assert cli.main(["breakup-scan", "--system", af3_path,
+                     "--lattice", "box:28x28+halo", "--pattern", "A=1;B=2,3",
+                     "--sweeps", "0", "--samples", "5", "--seed", "3",
+                     "--out", str(out)]) == 0
+    rows = out.read_text().splitlines()[1:]
+    assert rows == _one_breakup_a_sample(system, lat, configs, 3)
+    assert [row.split(",")[2] != "0" for row in rows] \
+        == [f is flip for f in configs]
+
+
+@pytest.mark.parametrize("lattice", ["box:6x6+halo", "box:40x40+halo"])
+def test_breakup_scan_refuses_when_a_later_sample_is_refused(
+        af3_path, capsys, monkeypatch, lattice):
+    """A refusal while sample 1's halo is drawn, inside one block of
+    samples (6x6) or in the first of two (40x40, two samples a block),
+    ends the scan with exit 2 and no partial CSV."""
+    draws = []
+    draw = gibbs.sample_halo_extension
+
+    def off_the_pattern(system, lat, pat, rng):
+        draws.append(draw(system, lat, pat, rng))
+        if len(draws) == 2:
+            raise errors.BoundaryNotInPattern("halo off the pattern")
+        return draws[-1]
+    monkeypatch.setattr(gibbs, "sample_halo_extension", off_the_pattern)
+    assert cli.main(["breakup-scan", "--system", af3_path,
+                     "--lattice", lattice, "--pattern", "A=1;B=2,3",
+                     "--sweeps", "20", "--samples", "3", "--force"]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and json.loads(err) == {
+        "error": "BoundaryNotInPattern", "detail": "halo off the pattern"}
+    assert len(draws) == 2
 
 
 @pytest.mark.parametrize("side, rng_id", [

@@ -325,6 +325,33 @@ def test_lattice_tables_match_loop_builder(kind, dims):
         == ref["neighbors"]
 
 
+@pytest.mark.parametrize("spec", [
+    "box:5x4+halo", "box:4x4x2p+halo", "box:3x2x2+halo", "box:1x1+halo",
+    "torus:4x2"])
+@pytest.mark.parametrize("k", [1, 3])
+def test_disjoint_union_maps_each_copy_back_to_the_lattice(spec, k):
+    lat = lm.parse_lattice(spec)
+    n, m = lat.n, len(lat.interior)
+    union, copy = lm.disjoint_union(lat, k)
+    assert union.n == k * n and copy.shape == (k * n,)
+    assert union.interior == range(k * m) and union.halo == range(k * m, k * n)
+    assert (union.dims, union.periodic, union.d) == (lat.dims, lat.periodic,
+                                                     lat.d)
+    # every copy's interior, then every copy's halo
+    assert copy.tolist() == [j for j in range(k) for _ in range(m)] \
+        + [j for j in range(k) for _ in range(n - m)]
+    # the sentinel is shared, and nbr is the slot table by site
+    assert (union.adj[:, -1] == k * n).all() and union.adj.flags.c_contiguous
+    assert np.array_equal(union.nbr, union.adj[:, :-1].T)
+    assert np.array_equal(lm.halo_m(union)[:-1], np.arange(k * n) >= k * m)
+    for j in range(k):
+        # copy j's sites in union order are lat's sites 0 .. n - 1
+        where = np.append(np.flatnonzero(copy == j), k * n)
+        assert np.array_equal(union.adj[:, where], where[lat.adj])
+        assert np.array_equal(union.par[where[:-1]], lat.par)
+        assert np.array_equal(union.coords[where[:-1]], lat.coords)
+
+
 @pytest.mark.parametrize("dims", [(6, 6), (5, 7), (4, 3, 3), (9,)])
 def test_mask_operations_match_site_sets(dims):
     _check_mask_operations(make_box(dims), random.Random(sum(dims)))
