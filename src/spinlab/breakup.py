@@ -172,8 +172,7 @@ def construct_breakup(system: SpinSystem, lat, f, p0: Pattern,
     x = reg.z_p & b
     for comp in lat_mod.components_m(lat, lat_mod.not_m(b)):
         ring = lat_mod.plus_r_m(lat, comp, 5) & ~comp
-        cands = [] if (ring & reg.z_star).any() else \
-            np.flatnonzero(~(ring & ~reg.z_p).any(axis=1)).tolist()
+        cands = np.flatnonzero(~(ring & ~reg.z_p).any(axis=1)).tolist()
         if (comp & lat_mod.halo_m(lat)).any():
             if ctx.pats.index(ctx.p0) not in cands:
                 raise errors.BoundaryNotInPattern(

@@ -430,8 +430,7 @@ def cmd_breakup_scan(system, lattice_spec, pattern_text, sweeps, samples,
                                  n_sweeps=n_sweeps, seed=seed, force=force,
                                  chains=samples).configs
     # a block of samples is one breakup on the disjoint union of its copies
-    # of the lattice, each viewed from its centre; a block of one runs on
-    # the lattice itself
+    # of the lattice, each viewed from its centre
     per = max(1, SCAN_BLOCK_SITES // lat.n)
     for lo in range(0, len(configs), per):
         block = np.array(configs[lo:lo + per], dtype=np.intp)
@@ -439,8 +438,7 @@ def cmd_breakup_scan(system, lattice_spec, pattern_text, sweeps, samples,
             rng = np.random.Generator(np.random.PCG64(10 ** 6 + seed + k))
             halo = gibbs.sample_halo_extension(system, lat, pat, rng)
             f[list(halo)] = list(halo.values())
-        union, copy = (lat, np.zeros(lat.n, dtype=np.intp)) \
-            if len(block) == 1 else lat_mod.disjoint_union(lat, len(block))
+        union, copy = lat_mod.disjoint_union(lat, len(block))
         atlas = breakup_mod.construct_breakup(
             system, union,
             np.concatenate((block[:, :m], block[:, m:]), axis=None), pat,

@@ -20,12 +20,11 @@ filters its class's table (a spec with no class, the table of every content
 over the union of its masks), keeping the rows that are contents of its
 assignments, with their counts: _counts builds them in one forward pass
 over the spec's groups of equal masks.  verify_main_condition's many specs
-share the tables and, for the call, the passes' prefixes of groups.
+share the tables and each group's sub-contents, which the memo keeps too.
 """
 
 from __future__ import annotations
 
-import contextvars
 import functools
 import itertools
 import math
@@ -255,52 +254,28 @@ def _build_table(system, d, spec, ground):
     return _Table(states, members)
 
 
-def _counts(states, coords):
+def _counts(system, states, coords):
     """{content: count}: each content (a count vector over states) of the
     assignments [2d] -> states whose coordinate j takes a value in
-    coords[j], with the number (> 0) of them.  Built one group of equal
-    masks at a time, by mask: the group's size coordinates add a sub-content
-    y in multinomial(size, y) ways.  Each group alone and each proper prefix
-    of groups are kept for the rest of a verify_main_condition call."""
+    coords[j], with the number (> 0) of them.  Built from the zero content
+    one group of equal masks at a time, by mask: the group's size
+    coordinates add a sub-content y in multinomial(size, y) ways, kept in
+    the system's memo by (states, mask, size)."""
     states = tuple(states)
-    groups = tuple(sorted(Counter(coords).items()))
-    memo = _prefixes.get({})
+    memo = system.derived(_counts, lambda _: {})
     counts = {(0,) * len(states): 1}
-    for k, (mask, size) in enumerate(groups):
-        if (states, groups[:k + 1]) in memo:
-            counts = memo[states, groups[:k + 1]]
-            continue
-        step = memo.get((states, groups[k:k + 1])) or {
-            y: _multinomial(size, y) for y in _sub_contents(
+    for mask, size in sorted(Counter(coords).items()):
+        key = states, mask, size
+        if key not in memo:
+            memo[key] = {y: _multinomial(size, y) for y in _sub_contents(
                 (size,) * len(states), states, mask, size)}
-        if k == 0:
-            counts = step
-        else:
-            out = {}
-            for x, c in counts.items():
-                for y, ways in step.items():
-                    z = tuple(map(operator.add, x, y))
-                    out[z] = out.get(z, 0) + c * ways
-            counts = out
-        memo[states, groups[k:k + 1]] = step
-        if k + 1 < len(groups):
-            memo[states, groups[:k + 1]] = counts
+        out = {}
+        for x, c in counts.items():
+            for y, ways in memo[key].items():
+                z = tuple(map(operator.add, x, y))
+                out[z] = out.get(z, 0) + c * ways
+        counts = out
     return counts
-
-
-# _counts' memo for the length of one verify_main_condition call
-_prefixes = contextvars.ContextVar("_prefixes")
-
-
-def _sharing_prefixes(fn):
-    @functools.wraps(fn)
-    def call(*args, **kwargs):
-        token = _prefixes.set({})
-        try:
-            return fn(*args, **kwargs)
-        finally:
-            _prefixes.reset(token)
-    return call
 
 
 def _check_d(d):
@@ -315,8 +290,8 @@ def z_compositions(system: SpinSystem, d: int, spec: PsiSpec, I_mask: int):
     _check_d(d)
     table = _table(system, d, spec)
     # with no coords, every row is a content, in multinomial(2d, y) ways
-    counts = _counts(table.states, spec.coords) if spec.coords is not None \
-        else {y: _multinomial(2 * d, y) for y in table.rows}
+    counts = {y: _multinomial(2 * d, y) for y in table.rows} \
+        if spec.coords is None else _counts(system, table.states, spec.coords)
 
     def total(positive=False):
         z0, z1p = table.weights(system, d, I_mask, positive)
@@ -391,7 +366,7 @@ def k_of_product(system, d, spec):
     for m in set(coords):
         rest = list(coords)
         rest.remove(m)
-        counts = _counts(table.states, rest)
+        counts = _counts(system, table.states, rest)
         realized[m] = sum(1 << v for i, v in enumerate(table.states)
                           if m >> v & 1 and any(
                               y[i] and y[:i] + (y[i] - 1,) + y[i + 1:]
@@ -401,7 +376,6 @@ def k_of_product(system, d, spec):
                if patterns.r_closure(system, realized[m]) != rJ)
 
 
-@_sharing_prefixes
 def verify_main_condition(system: SpinSystem, d: int, alpha: float,
                           gamma: float, eps: float, eps_bar: float,
                           seed: int = 0) -> dict:

@@ -298,22 +298,18 @@ def plus_r(lat: Lattice, U, r: int) -> frozenset:
 # ---------------------------------------------------------------------------
 # connectivity
 
-def labels_m(lat: Lattice, m, r: int = 1) -> np.ndarray:
-    """Component labels of m, adjacency = graph distance at most r: each
-    site of m gets the smallest site of its component, every other slot
-    the sentinel n.  FastSV (Zhang, Azad and Hu, 2020): every parent is
-    hooked onto the smallest grandparent within r of one of its children,
-    every site onto the smallest grandparent within r of it, and paths
-    are halved, until the grandparents stop changing."""
+def labels_m(lat: Lattice, m) -> np.ndarray:
+    """Component labels of m: each site of m gets the smallest site of its
+    component, every other slot the sentinel n.  FastSV (Zhang, Azad and
+    Hu, 2020): every parent is hooked onto the smallest grandparent next to
+    one of its children, every site onto the smallest grandparent next to
+    it, and paths are halved, until the grandparents stop changing."""
     n = lat.n
     idx = np.flatnonzero(m)
     parent = np.where(m, np.arange(n + 1), n)
     grand = parent.copy()
     while True:
-        low = grand
-        for _ in range(r):
-            low = np.minimum(low, low[lat.adj].min(axis=0))
-        low = low[idx]
+        low = np.minimum(grand, grand[lat.adj].min(axis=0))[idx]
         np.minimum.at(parent, parent[idx], low)
         parent[idx] = np.minimum(parent[idx], low)
         parent = np.minimum(parent, grand)
@@ -323,16 +319,15 @@ def labels_m(lat: Lattice, m, r: int = 1) -> np.ndarray:
         grand = nxt
 
 
-def components_m(lat: Lattice, m, r: int = 1) -> list:
+def components_m(lat: Lattice, m) -> list:
     """Component masks of m, in the order of their smallest sites."""
-    lab = labels_m(lat, m, r)
+    lab = labels_m(lat, m)
     return [lab == c for c in np.unique(lab[m])]
 
 
-def components(lat: Lattice, U, r: int = 1) -> list:
-    """Connected components of U, adjacency = graph distance at most r, in
-    the order of their smallest sites."""
-    return [sites(c) for c in components_m(lat, mask(lat, U), r)]
+def components(lat: Lattice, U) -> list:
+    """Connected components of U, in the order of their smallest sites."""
+    return [sites(c) for c in components_m(lat, mask(lat, U))]
 
 
 def _require_infinity(lat):

@@ -21,6 +21,8 @@ from helpers import (FRACTIONAL, expand_spec, float_twins,
 
 HC = catalog.build("hard_core", lam=1)
 AF3 = catalog.build("af_potts", q=3)
+# a 4-state system whose memo the _counts examples share
+AF4 = catalog.build("af_potts", q=4)
 
 
 def test_resource_guards():
@@ -202,14 +204,12 @@ def test_verify_main_condition_matches_its_golden_report(name, model, params,
 
 def test_verify_main_condition_on_a_multi_type_model_is_quick():
     """multi_wr q=8 lam=2 at d=2 takes about 0.3 s with one pass per
-    distinct mask; one counter per probed (mask, value) took 7.7 s.  The
-    prefixes of groups the call keeps go with it."""
+    distinct mask; one counter per probed (mask, value) took 7.7 s."""
     system = kb.normalize_interactions(catalog.build("multi_wr", q=8, lam=2))
     start = time.perf_counter()
     rep = kb.verify_main_condition(system, 2, 0.2, 0.0, 0.125, 0.125)
     assert time.perf_counter() - start < 3.0
     assert rep["inequalities"]
-    assert kb._prefixes.get(None) is None
 
 
 @st.composite
@@ -231,8 +231,31 @@ def _masks_and_content(draw):
 def test_grouped_product_count_matches_reference(case):
     coords, xi = case
     states = sorted(xi)
-    assert kb._counts(states, coords).get(
+    assert kb._counts(AF4, states, coords).get(
         tuple(xi[s] for s in states), 0) == product_count_reference(coords, xi)
+
+
+def test_a_second_pass_over_the_same_masks_reads_the_memo(monkeypatch):
+    """Each group's sub-contents stay in the system's memo with its table:
+    a second z_compositions with the same masks, even to another I,
+    enumerates nothing again."""
+    calls = []
+    sub_contents = kb._sub_contents
+
+    def counting(*args):
+        calls.append(args)
+        return sub_contents(*args)
+
+    monkeypatch.setattr(kb, "_sub_contents", counting)
+    system = catalog.build("af_potts", q=3)
+    spec = kb.PsiSpec(coords=[0b111, 0b011, 0b011, 0b110], J=0b110,
+                      cls="balanced", eps=0.125, eps_bar=0.125)
+    first = kb.z_compositions(system, 2, spec, 0b111)
+    assert calls
+    calls.clear()
+    assert kb.z_compositions(system, 2, spec, 0b111) == first
+    kb.z_compositions(system, 2, spec, 0b101)
+    assert not calls
 
 
 @pytest.mark.parametrize("system", FRACTIONAL.values(),

@@ -220,9 +220,6 @@ def test_components():
     c = lat.site((3, 3))
     comps = lm.components(lat, {a, b, c})
     assert sorted(len(x) for x in comps) == [1, 2]
-    # radius-2 adjacency merges sites at distance 2
-    d = lat.site((0, 2))
-    assert len(lm.components(lat, {a, d}, r=2)) == 1
     assert diam_star(lat, {a, c}) == 4
     assert diam_star(lat, {a, b}) == 3
 

@@ -1,13 +1,18 @@
 """The benchmark in perfbench/ patches spinlab functions by name; a rename
 in src/ would otherwise break it without any test failing here.  The
 library's own safety checks must survive ``python -O``, and the library
-holds only what a subcommand (or the benchmark) runs."""
+holds only what a subcommand (or the benchmark) runs.  A system's one memo
+is keyed by the spinlab functions that build its entries, so two modules'
+keys cannot collide."""
 
 import ast
 import importlib
 import inspect
 import json
 from pathlib import Path
+
+from spinlab import catalog, gibbs, kbipartite, parameters, patterns
+from spinlab.lattice import make_lattice
 
 ROOT = Path(__file__).resolve().parents[1]
 SRC = ROOT / "src" / "spinlab"
@@ -233,3 +238,29 @@ def test_every_library_definition_is_reachable():
     unreached = sorted(f"{mod}.{name}" for (mod, name), node in defs.items()
                        if id(node) not in reached)
     assert not unreached, "unreached:\n" + "\n".join(unreached)
+
+
+def test_every_memo_key_is_led_by_a_spinlab_function():
+    """analyze, check, zfun, verify-cond, exact and mcmc on one system leave
+    only keys that are a spinlab function or a tuple led by one."""
+    system = catalog.build("af_potts", q=3, beta=1)
+    pat = patterns.analyze(system).dominant[0]
+    for which in ("simple", "alt1", "alt2"):
+        parameters.check_condition(system, 50, which)
+    kbipartite.z_compositions(system, 2, kbipartite.PsiSpec(
+        coords=[0b111, 0b011, 0b011, 0b110]), system.full_mask())
+    kbipartite.verify_main_condition(system, 2, 0.2, 0.0, 0.125, 0.125)
+    lat = make_lattice((4, 4), (False, False))
+    site = min(lat.interior)
+    gibbs.site_law(system, lat, pat, site)
+    gibbs.run_mcmc(system, lat, pat, site, n_sweeps=20)
+
+    def spinlab_function(key):
+        return inspect.isfunction(key) \
+            and key.__module__.startswith("spinlab.")
+
+    assert system._memo
+    strays = [key for key in system._memo
+              if not spinlab_function(key[0] if isinstance(key, tuple)
+                                      else key)]
+    assert not strays, strays
