@@ -62,12 +62,12 @@ RNG_ID = "numpy-pcg64"
 CHECKERBOARD_RNG_ID = "numpy-pcg64-checkerboard"
 # chains x |interior| from which the checkerboard kernel runs.  Which kernel
 # runs is part of the stream contract, so this stays at the crossover first
-# measured (af_potts q=3 beta=1, 2 vCPUs, numpy 2.4), though the crossover
-# has since moved down.  Checkerboard over raster speed now: 0.4 at 36
-# updates per sweep (one 6x6 chain), 0.6 at 72, 0.9-1.0 at 100-108,
-# 1.2-1.5 at 144, 1.5-2.2 at 196-288.  The raster kernel does 2.4-3.5 M
-# updates/s at any size, the checkerboard kernel 22 M/s on 40 6x6 chains
-# and 26 M/s on one 64x64 chain.
+# measured; it is not retuned to the crossover, which has moved since.
+# Checkerboard over raster speed (af_potts q=3 beta=1, 2 vCPUs, numpy 2.4):
+# 0.25 at 36 updates per sweep (one 6x6 chain), 0.5-0.9 at 100-108,
+# 0.6-0.9 at 144, 0.9-1.1 at 180, 1.0-1.25 at 196-216, 1.3-1.6 at 256-288.
+# The raster kernel does 7-8 M updates/s up to 288 sites, the checkerboard
+# kernel about 36-40 M/s on 40 6x6 chains and 44-48 M/s on one 64x64 chain.
 CHECKERBOARD_MIN_UPDATES = 200
 
 
@@ -528,24 +528,20 @@ class _Chains:
         first s with cum[s] >= u * cum[-1].  Returns the recorded site's
         values [chain][sweep] and the final configurations."""
         (m, deg), n = self.slots.shape, len(self.cum)
-        nested = [self.cum[:, lo:hi].T.reshape(
-            (1,) * f + (n,) * (deg - f + 1)).tolist()
-            for f, lo, hi in zip(self.free, self.offsets, self.offsets[1:])]
-        plan = [(v, nested[k], *nb) for v, (k, nb) in
-                enumerate(zip(self.kind.tolist(), self.slots.tolist()))]
-        sweeps = _raster_sweeps(deg)
+        rows = [self.cum[:, lo:hi].T.reshape((n,) * (deg - f + 1)).tolist()
+                for f, lo, hi in zip(self.free, self.offsets, self.offsets[1:])]
+        sweeps = _raster_sweeps(tuple(
+            (k, tuple(x for x in nb if x < m))
+            for k, nb in zip(self.kind.tolist(), self.slots.tolist())), site)
         chunk = max(1, 4096 // m)  # sweeps per block of uniforms
-        traces, configs = [], []
+        trace, configs = [], []  # the chains' traces, one after the other
         for _ in range(chains):
             cfg = self.init.tolist()
-            trace = []
             for lo in range(0, n_sweeps, chunk):
-                cur = min(chunk, n_sweeps - lo)
-                sweeps(cfg, plan, iter(rng.random(cur * m).tolist()), cur,
-                       site, trace)
-            traces.append(trace)
+                sweeps(cfg, rng.random((min(chunk, n_sweeps - lo), m))
+                       .tolist(), trace, *rows)
             configs.append(cfg[:-1])
-        return np.array(traces, dtype=np.int64).reshape(chains, n_sweeps), \
+        return np.array(trace, dtype=np.int64).reshape(chains, n_sweeps), \
             configs
 
     def checkerboard(self, rng, site, n_sweeps, chains):
@@ -584,26 +580,30 @@ class _Chains:
         return trace, [c[:-1] for c in cfg.T.tolist()]
 
 
-# The raster kernel's block of sweeps for 2d = deg neighbor slots x0 ..
-# x{deg-1}: an update reads its nested row by one chain of subscripts, which
-# runs faster than a loop over the slots.
 _RASTER_SWEEPS = """
-def sweeps(cfg, plan, uniforms, n_sweeps, site, trace, pick=pick):
-    for _ in range(n_sweeps):
-        for (v, row, {slots}), u in zip(plan, uniforms):
-            row = row{subscripts}
-            cfg[v] = pick(row, u * row[-1])
-        trace.append(cfg[site])
+def sweeps(cfg, blocks, trace, {rows}pick=pick):
+    {values}= cfg[:{m}]
+    for {uniforms}in blocks:
+{updates}
+        trace.append(c{site})
+    cfg[:{m}] = {values}
 """
 
 
-@functools.cache
-def _raster_sweeps(deg):
-    slots = [f"x{j}" for j in range(deg)]
+@functools.lru_cache(maxsize=32)
+def _raster_sweeps(plan, site):
+    """The raster kernel's block of sweeps for one plan (each interior
+    site's kind and stored slots, in site order) and recorded site: the
+    values and a sweep's uniforms are locals c0 .. and u0 .., the rows of
+    kind k are r{k}, and a site v of kind k and stored slots x, y updates
+    by one statement, c{v} = pick(r := r{k}[c{x}][c{y}], u{v} * r[-1])."""
+    m, names = len(plan), lambda x, k: "".join(f"{x}{j}, " for j in range(k))
     namespace = {"pick": bisect.bisect_left}
     exec(_RASTER_SWEEPS.format(
-        slots=", ".join(slots),
-        subscripts="".join(f"[cfg[{x}]]" for x in slots)), namespace)
+        rows=names("r", len({k for k, _ in plan})), values=names("c", m),
+        uniforms=names("u", m), m=m, site=site, updates="\n".join(
+            f"        c{v} = pick(r := r{k}{''.join(f'[c{x}]' for x in nb)},"
+            f" u{v} * r[-1])" for v, (k, nb) in enumerate(plan))), namespace)
     return namespace["sweeps"]
 
 
@@ -627,10 +627,10 @@ def run_mcmc(system: SpinSystem, lat, pattern: Pattern, site,
     boundary to constrain and is refused.
 
     Stream contract.  The kernel is chosen by chains x |interior|.  Below
-    CHECKERBOARD_MIN_UPDATES (200, the crossover measured on 2 vCPUs: one
-    6x6 chain stays on the raster kernel, 40 6x6 chains or one 16x16 chain
-    take the checkerboard kernel) the raster kernel runs, with rng_id
-    RNG_ID; at or above it the checkerboard kernel, with rng_id
+    CHECKERBOARD_MIN_UPDATES (200, fixed by this contract, not by the
+    kernels' speed: one 6x6 chain stays on the raster kernel, 40 6x6 chains
+    or one 16x16 chain take the checkerboard kernel) the raster kernel runs,
+    with rng_id RNG_ID; at or above it the checkerboard kernel, with rng_id
     CHECKERBOARD_RNG_ID.  Either way every chain draws from one
     PCG64(seed): the raster kernel runs the chains one after the other, the
     checkerboard kernel interleaves them.  A single raster chain consumes

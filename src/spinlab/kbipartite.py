@@ -257,21 +257,25 @@ def _build_table(system, d, spec, ground):
 def _counts(system, states, coords):
     """{content: count}: each content (a count vector over states) of the
     assignments [2d] -> states whose coordinate j takes a value in
-    coords[j], with the number (> 0) of them.  Built from the zero content
-    one group of equal masks at a time, by mask: the group's size
-    coordinates add a sub-content y in multinomial(size, y) ways, kept in
-    the system's memo by (states, mask, size)."""
+    coords[j], with the number (> 0) of them.  Folded one group of equal
+    masks at a time, by mask, from the first group's sub-contents: the
+    group's size coordinates add a sub-content y in multinomial(size, y)
+    ways, kept in the system's memo by (states, mask, size).  A one-group
+    spec gets the memo's own dict, which callers only read."""
     states = tuple(states)
     memo = system.derived(_counts, lambda _: {})
-    counts = {(0,) * len(states): 1}
+    groups = []
     for mask, size in sorted(Counter(coords).items()):
         key = states, mask, size
         if key not in memo:
             memo[key] = {y: _multinomial(size, y) for y in _sub_contents(
                 (size,) * len(states), states, mask, size)}
+        groups.append(memo[key])
+    counts = groups[0] if groups else {(0,) * len(states): 1}
+    for group in groups[1:]:
         out = {}
         for x, c in counts.items():
-            for y, ways in memo[key].items():
+            for y, ways in group.items():
                 z = tuple(map(operator.add, x, y))
                 out[z] = out.get(z, 0) + c * ways
         counts = out

@@ -523,7 +523,7 @@ def test_checkerboard_golden_trace():
 
 
 AF3_SOFT = catalog.build("af_potts", q=3, beta=1)
-KERNEL_CASES = {  # system, lattice, pattern, sweeps
+KERNEL_CASES = {  # system, lattice, pattern, sweeps[, recorded site]
     "af3-6x6": (AF3_SOFT, "box:6x6+halo", P0_AF3, 300),
     "af3-64x64": (AF3_SOFT, "box:64x64+halo", P0_AF3, 3),
     "hc2-cylinder": (catalog.build("hard_core", lam=2), "box:4px4+halo",
@@ -537,6 +537,10 @@ KERNEL_CASES = {  # system, lattice, pattern, sweeps
     "clock9-8x8": (catalog.build("clock", q=9, m=2, beta=1), "box:8x8+halo",
                    Pattern(0b111, 0b111), 100),
     "hc1-1d": (HC, "box:17+halo", P0_HC, 400),
+    # one site, every slot free: its row is read with no subscript
+    "af3-1x1": (AF3_SOFT, "box:1x1+halo", Pattern(0b110, 0b001), 300),
+    # 196 sites, near the raster kernel's 199, recording the last corner
+    "af3-14x14-corner": (AF3_SOFT, "box:14x14+halo", P0_AF3, 60, 195),
 }
 
 
@@ -547,11 +551,11 @@ def test_kernels_reproduce_the_reference_kernels(case, kernel, chains):
     """Each kernel's traces and final configurations equal those of its
     row-by-row reference in tests/helpers.py, bit for bit: on 1D, 2D, 3D
     and 4D lattices, slabs and a periodic side of 2, soft and hard
-    constraints, and 2 to 9 states."""
-    system, spec, pattern, n_sweeps = KERNEL_CASES[case]
+    constraints, 2 to 9 states, one site and 196 sites."""
+    system, spec, pattern, n_sweeps, *site = KERNEL_CASES[case]
     lat = lm.parse_lattice(spec)
     sampler = gibbs._Chains(system, lat, pattern)
-    site = len(lat.interior) // 2
+    site = site[0] if site else len(lat.interior) // 2
     reference = {"raster": raster_reference,
                  "checkerboard": checkerboard_reference}[kernel]
     runs = [run(np.random.Generator(np.random.PCG64(4)), site, n_sweeps,
@@ -562,6 +566,25 @@ def test_kernels_reproduce_the_reference_kernels(case, kernel, chains):
     assert trace.dtype == ref_trace.dtype
     assert np.array_equal(trace, ref_trace)
     assert configs == ref_configs
+
+
+def test_raster_sweeps_compile_once_per_plan():
+    """run_mcmc compiles the raster sweep of a site plan (each site's kind
+    and stored slots, and the recorded site) once.  Another recorded site,
+    or a pattern that changes the sites' kinds, builds a new sweep; a
+    pattern whose kinds fall in the same order reuses it with its own
+    rows."""
+    lat = make_box((5, 5))
+    gibbs._raster_sweeps.cache_clear()
+
+    def builds(pattern, site):
+        res = gibbs.run_mcmc(AF3_SOFT, lat, pattern, site, n_sweeps=3)
+        assert res.rng_id == gibbs.RNG_ID
+        return gibbs._raster_sweeps.cache_info().misses
+
+    assert [builds(P0_AF3, (2, 2)), builds(P0_AF3, (2, 2)),
+            builds(P0_AF3, (1, 2)), builds(Pattern(0b011, 0b011), (1, 2)),
+            builds(Pattern(0b010, 0b100), (1, 2))] == [1, 1, 2, 3, 3]
 
 
 def test_mcmc_refuses_a_long_trace_before_building_tables(monkeypatch):
