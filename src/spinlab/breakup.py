@@ -209,8 +209,10 @@ def verify_breakup(system: SpinSystem, lat, f, p0: Pattern, atlas: Atlas,
 
     def put_sites(name, bad, *labels):
         """bad: patterns by sites, then one axis per further label; each
-        witness is a site, its pattern and its further labels."""
-        hits = np.argwhere(np.swapaxes(bad, 0, 1))[:5].tolist()
+        witness is a site, its pattern and its further labels (no search
+        when none fails)."""
+        hits = np.argwhere(np.swapaxes(bad, 0, 1))[:5].tolist() \
+            if bad.any() else []
         put(name, not hits, [(h[0], *(lab[i] for lab, i in
                                       zip((pats, *labels), h[1:])))
                              for h in hits])
@@ -250,7 +252,8 @@ def verify_breakup(system: SpinSystem, lat, f, p0: Pattern, atlas: Atlas,
     leaves = x[:, None, :] & ~x[:, lat.adj] & (lat.adj < lat.n)
     bad = np.stack([leaves & (even & ~val_b)[:, None, :],
                     leaves & (odd & nb_b)[:, lat.adj]], axis=-1)
-    hits = np.argwhere(bad.transpose(2, 1, 0, 3))[:5].tolist()
+    hits = np.argwhere(bad.transpose(2, 1, 0, 3))[:5].tolist() \
+        if bad.any() else []
     put("chart_edge_boundary", not hits,
         [(u, int(lat.adj[j, u]), pats[k], ("side", "nbhd")[t])
          for u, j, k, t in hits])

@@ -34,7 +34,6 @@ local-weight function, _local_weights.
 
 from __future__ import annotations
 
-import bisect
 import functools
 import itertools
 import math
@@ -50,7 +49,7 @@ from .system import SpinSystem, check_float_z, to_float
 MAX_FRONTIER = 2 * 10 ** 6
 MAX_COLUMNS = 5000
 # chains x sweeps recorded by run_mcmc, and chains x (stored sites + 1)
-# held by its kernels' configurations: 8 bytes a value as int64, and as
+# held by its kernels' configurations: 8 bytes a value in an array, and as
 # much again while the raster kernel holds them as lists.  MAX_ROWS bounds
 # the sampler's one array of cumulative weights, |S| per neighbor key
 MAX_TRACE = 10 ** 7
@@ -62,12 +61,12 @@ RNG_ID = "numpy-pcg64"
 CHECKERBOARD_RNG_ID = "numpy-pcg64-checkerboard"
 # chains x |interior| from which the checkerboard kernel runs.  Which kernel
 # runs is part of the stream contract, so this stays at the crossover first
-# measured; it is not retuned to the crossover, which has moved since.
+# measured; it is not retuned as the crossover moves with the kernels.
 # Checkerboard over raster speed (af_potts q=3 beta=1, 2 vCPUs, numpy 2.4):
-# 0.25 at 36 updates per sweep (one 6x6 chain), 0.5-0.9 at 100-108,
-# 0.6-0.9 at 144, 0.9-1.1 at 180, 1.0-1.25 at 196-216, 1.3-1.6 at 256-288.
-# The raster kernel does 7-8 M updates/s up to 288 sites, the checkerboard
-# kernel about 36-40 M/s on 40 6x6 chains and 44-48 M/s on one 64x64 chain.
+# 0.2 at 36 updates per sweep (one 6x6 chain), 0.5 at 100-108, 0.7 at 144,
+# 0.8-0.9 at 180, 0.95-1.07 at 196-216, 1.2-1.3 at 256-288: break-even is
+# near 200.  The raster kernel does 10-13 M updates/s up to 288 sites, the
+# checkerboard kernel 46-53 M/s on 40 6x6 chains, 59-73 M/s on one 64x64.
 CHECKERBOARD_MIN_UPDATES = 200
 
 
@@ -531,8 +530,8 @@ class _Chains:
         rows = [self.cum[:, lo:hi].T.reshape((n,) * (deg - f + 1)).tolist()
                 for f, lo, hi in zip(self.free, self.offsets, self.offsets[1:])]
         sweeps = _raster_sweeps(tuple(
-            (k, tuple(x for x in nb if x < m))
-            for k, nb in zip(self.kind.tolist(), self.slots.tolist())), site)
+            (k, tuple(x for x in nb if x < m)) for k, nb in
+            zip(self.kind.tolist(), self.slots.tolist())), site, n)
         chunk = max(1, 4096 // m)  # sweeps per block of uniforms
         trace, configs = [], []  # the chains' traces, one after the other
         for _ in range(chains):
@@ -551,37 +550,45 @@ class _Chains:
         heat-bath sweep.  Each half-sweep draws rng.random((sites, chains))
         and picks the state as the raster kernel does: the number of states
         s < |S| - 1 with cum[s] < u * cum[-1] (the last state never counts,
-        since u < 1), read from each state's row of cum as it is."""
-        deg, n = self.slots.shape[1], len(self.cum)
+        since u < 1), read from each state's row of cum as it is.  Values
+        are float64 rows, even sites first, odd next, the sentinel last: a
+        half's keys are one BLAS product, exact as they stay below MAX_ROWS
+        < 2^53, and its new values one slice."""
+        (m, deg), n = self.slots.shape, len(self.cum)
         lower, last = self.cum[:-1], self.cum[-1]
-        cfg = np.repeat(self.init[:, None], chains, axis=1)  # [site][chain]
-        # per half: its sites, their slots (slot-major), kind offsets and
-        # a buffer for its uniforms
-        halves = [(sites, self.slots[sites].T.ravel(),
+        order = np.argsort(self.parity, kind="stable")  # even sites first
+        pos = np.full(len(self.init), m)  # each site's row, the sentinel's m
+        pos[order] = np.arange(m)
+        cfg = np.append(self.init[order], 0.0)[:, None].repeat(chains, 1)
+        # per half: its rows, their slots' rows (slot-major), kind offsets
+        # and a buffer for its uniforms
+        halves = [(slice(pos[sites[0]], pos[sites[-1]] + 1),
+                   pos[self.slots[sites]].T.ravel(),
                    self.offsets[self.kind[sites], None],
                    np.empty((len(sites), chains)))
                   for sites in (np.flatnonzero(self.parity == p)
                                 for p in (0, 1)) if len(sites)]
         # the slots are the digits of a key in its kind's block, the first
         # most significant; free slots come first and read the sentinel's 0
-        powers = n ** np.arange(deg - 1, -1, -1)
+        powers = float(n) ** np.arange(deg - 1, -1, -1)
         trace = np.zeros((chains, n_sweeps), dtype=np.int64)
         for sweep in range(n_sweeps):
-            for sites, slots, offset, u in halves:
-                key = (powers @ cfg.take(slots, 0).reshape(deg, -1)) \
-                    .reshape(u.shape)
-                key += offset
+            for rows, slots, offset, u in halves:
+                key = ((powers @ cfg.take(slots, 0).reshape(deg, -1))
+                       .reshape(u.shape) + offset).astype(np.intp)
                 rng.random(out=u)
                 u *= last.take(key)
                 # at most MAX_STATES - 1 = 63 states count: the sum fits a byte
-                cfg[sites] = (lower.take(key, 1) < u).view(np.uint8).sum(
+                cfg[rows] = (lower.take(key, 1) < u).view(np.uint8).sum(
                     0, dtype=np.uint8)
-            trace[:, sweep] = cfg[site]
-        return trace, [c[:-1] for c in cfg.T.tolist()]
+            trace[:, sweep] = cfg[pos[site]]
+        configs = np.repeat(self.init[:-1, None], chains, axis=1)
+        configs[order] = cfg[:m]
+        return trace, configs.T.tolist()
 
 
 _RASTER_SWEEPS = """
-def sweeps(cfg, blocks, trace, {rows}pick=pick):
+def sweeps(cfg, blocks, trace, {rows}):
     {values}= cfg[:{m}]
     for {uniforms}in blocks:
 {updates}
@@ -590,20 +597,28 @@ def sweeps(cfg, blocks, trace, {rows}pick=pick):
 """
 
 
+def _lower_bound(lo, hi):
+    """bisect_left(r, x) for a non-decreasing r with r[hi] >= x, over lo ..
+    hi, as a balanced tree of conditional expressions."""
+    mid = (lo + hi) // 2
+    return str(lo) if lo == hi else f"({_lower_bound(mid + 1, hi)} if " \
+        f"r[{mid}] < x else {_lower_bound(lo, mid)})"
+
+
 @functools.lru_cache(maxsize=32)
-def _raster_sweeps(plan, site):
+def _raster_sweeps(plan, site, n):
     """The raster kernel's block of sweeps for one plan (each interior
-    site's kind and stored slots, in site order) and recorded site: the
-    values and a sweep's uniforms are locals c0 .. and u0 .., the rows of
-    kind k are r{k}, and a site v of kind k and stored slots x, y updates
-    by one statement, c{v} = pick(r := r{k}[c{x}][c{y}], u{v} * r[-1])."""
+    site's kind and stored slots, in site order), recorded site and number
+    n of states: values and uniforms are locals c0 .. and u0 .., kind k's
+    rows r{k}, and a site v of kind k and stored slots y, z updates by x =
+    u{v} * (r := r{k}[c{y}][c{z}])[n - 1]; c{v} = _lower_bound(0, n - 1)."""
     m, names = len(plan), lambda x, k: "".join(f"{x}{j}, " for j in range(k))
-    namespace = {"pick": bisect.bisect_left}
     exec(_RASTER_SWEEPS.format(
         rows=names("r", len({k for k, _ in plan})), values=names("c", m),
         uniforms=names("u", m), m=m, site=site, updates="\n".join(
-            f"        c{v} = pick(r := r{k}{''.join(f'[c{x}]' for x in nb)},"
-            f" u{v} * r[-1])" for v, (k, nb) in enumerate(plan))), namespace)
+            f"        x = u{v} * (r := r{k}{''.join(f'[c{x}]' for x in nb)})"
+            f"[{n - 1}]\n        c{v} = {_lower_bound(0, n - 1)}"
+            for v, (k, nb) in enumerate(plan))), namespace := {})
     return namespace["sweeps"]
 
 
@@ -628,15 +643,15 @@ def run_mcmc(system: SpinSystem, lat, pattern: Pattern, site,
 
     Stream contract.  The kernel is chosen by chains x |interior|.  Below
     CHECKERBOARD_MIN_UPDATES (200, fixed by this contract, not by the
-    kernels' speed: one 6x6 chain stays on the raster kernel, 40 6x6 chains
-    or one 16x16 chain take the checkerboard kernel) the raster kernel runs,
-    with rng_id RNG_ID; at or above it the checkerboard kernel, with rng_id
-    CHECKERBOARD_RNG_ID.  Either way every chain draws from one
-    PCG64(seed): the raster kernel runs the chains one after the other, the
-    checkerboard kernel interleaves them.  A single raster chain consumes
-    the stream exactly as it always has.  breakup-scan runs all its samples
-    as the chains of one call; its CSV `seed` column still seeds each
-    sample's halo.
+    kernels' speed, though they break even near it: one 6x6 chain stays on
+    the raster kernel, 40 6x6 chains or one 16x16 chain take the
+    checkerboard kernel) the raster kernel runs, with rng_id RNG_ID; at or
+    above it the checkerboard kernel, with rng_id CHECKERBOARD_RNG_ID.
+    Every chain draws from one PCG64(seed): the raster kernel runs the
+    chains one after the other, the checkerboard kernel interleaves them.
+    A single raster chain consumes the stream exactly as it always has.
+    breakup-scan runs all its samples as the chains of one call; its CSV
+    `seed` column still seeds each sample's halo.
 
     The first max(1, n_sweeps // 10) sweeps are burn-in (none without
     sweeps).

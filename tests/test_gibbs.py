@@ -1,3 +1,4 @@
+import bisect
 import functools
 import itertools
 import math
@@ -8,11 +9,12 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from spinlab import catalog, errors, gibbs, patterns
 from spinlab import lattice as lm
 from spinlab.patterns import Pattern
-from spinlab.system import log_number, make_system
+from spinlab.system import MAX_STATES, log_number, make_system
 
 from helpers import (FRACTIONAL, build_tables_reference,
                      checkerboard_reference, float_twins, graph_z,
@@ -541,6 +543,9 @@ KERNEL_CASES = {  # system, lattice, pattern, sweeps[, recorded site]
     "af3-1x1": (AF3_SOFT, "box:1x1+halo", Pattern(0b110, 0b001), 300),
     # 196 sites, near the raster kernel's 199, recording the last corner
     "af3-14x14-corner": (AF3_SOFT, "box:14x14+halo", P0_AF3, 60, 195),
+    # 17 states: the raster kernel's pick is a tree 5 comparisons deep
+    "af17-1d": (catalog.build("af_potts", q=17, beta=1), "box:9+halo",
+                Pattern(0b1, (1 << 17) - 2), 200),
 }
 
 
@@ -551,7 +556,8 @@ def test_kernels_reproduce_the_reference_kernels(case, kernel, chains):
     """Each kernel's traces and final configurations equal those of its
     row-by-row reference in tests/helpers.py, bit for bit: on 1D, 2D, 3D
     and 4D lattices, slabs and a periodic side of 2, soft and hard
-    constraints, 2 to 9 states, one site and 196 sites."""
+    constraints, 2 to 17 states, one site and 196 sites.  The final values
+    are Python ints, as the reference's are."""
     system, spec, pattern, n_sweeps, *site = KERNEL_CASES[case]
     lat = lm.parse_lattice(spec)
     sampler = gibbs._Chains(system, lat, pattern)
@@ -566,25 +572,61 @@ def test_kernels_reproduce_the_reference_kernels(case, kernel, chains):
     assert trace.dtype == ref_trace.dtype
     assert np.array_equal(trace, ref_trace)
     assert configs == ref_configs
+    assert all(type(x) is int for c in configs for x in c)
 
 
 def test_raster_sweeps_compile_once_per_plan():
     """run_mcmc compiles the raster sweep of a site plan (each site's kind
-    and stored slots, and the recorded site) once.  Another recorded site,
-    or a pattern that changes the sites' kinds, builds a new sweep; a
-    pattern whose kinds fall in the same order reuses it with its own
-    rows."""
+    and stored slots, and the recorded site) and number of states once.
+    Another recorded site, or a pattern that changes the sites' kinds,
+    builds a new sweep; a pattern whose kinds fall in the same order reuses
+    it with its own rows.  A q = 4 system whose plan equals a q = 3 one's
+    builds its own sweep, with a deeper pick, which the reference kernel
+    reproduces."""
     lat = make_box((5, 5))
+    af4, p4 = catalog.build("af_potts", q=4, beta=1), Pattern(0b1, 0b1110)
     gibbs._raster_sweeps.cache_clear()
 
-    def builds(pattern, site):
-        res = gibbs.run_mcmc(AF3_SOFT, lat, pattern, site, n_sweeps=3)
+    def builds(pattern, site, system=AF3_SOFT):
+        res = gibbs.run_mcmc(system, lat, pattern, site, n_sweeps=3)
         assert res.rng_id == gibbs.RNG_ID
         return gibbs._raster_sweeps.cache_info().misses
 
     assert [builds(P0_AF3, (2, 2)), builds(P0_AF3, (2, 2)),
             builds(P0_AF3, (1, 2)), builds(Pattern(0b011, 0b011), (1, 2)),
-            builds(Pattern(0b010, 0b100), (1, 2))] == [1, 1, 2, 3, 3]
+            builds(Pattern(0b010, 0b100), (1, 2)),
+            builds(p4, (1, 2), af4)] == [1, 1, 2, 3, 3, 4]
+    q3, q4 = gibbs._Chains(AF3_SOFT, lat, P0_AF3), gibbs._Chains(af4, lat, p4)
+    assert np.array_equal(q3.kind, q4.kind)
+    assert np.array_equal(q3.slots, q4.slots)
+    (trace, configs), (ref_trace, ref_configs) = [
+        run(np.random.Generator(np.random.PCG64(4)), lat.site((1, 2)), 200, 1)
+        for run in (q4.raster,
+                    functools.partial(raster_reference, af4, lat, p4))]
+    assert np.array_equal(trace, ref_trace) and configs == ref_configs
+    assert gibbs._raster_sweeps.cache_info().misses == 4
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(st.lists(st.sampled_from([0.0, 0.5, 1.0]) | st.floats(0, 1e6),
+                min_size=MAX_STATES, max_size=MAX_STATES),
+       st.sampled_from([0.0, 1 - 2 ** -53]) | st.floats(0, 1,
+                                                         exclude_max=True))
+@example([0.0] * MAX_STATES, 0.5)
+def test_raster_pick_is_bisect_left(weights, u):
+    """The raster kernel's generated pick over a cumulative row of |S| = 1
+    to MAX_STATES states returns bisect_left(row, u * row[-1]): with zero
+    weights, ties and an all-zero row, at u = 0 and just below 1."""
+    for n in range(1, MAX_STATES + 1):
+        row = list(itertools.accumulate(weights[:n]))
+        x = u * row[-1]
+        assert eval(_picks(n), {"r": row, "x": x}) \
+            == bisect.bisect_left(row, x)
+
+
+@functools.cache
+def _picks(n):
+    return compile(gibbs._lower_bound(0, n - 1), "pick", "eval")
 
 
 def test_mcmc_refuses_a_long_trace_before_building_tables(monkeypatch):
