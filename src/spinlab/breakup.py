@@ -96,8 +96,6 @@ class BreakupContext:
 class Regions:
     """The raw regions, as stacked site masks in the order of ctx.pats."""
     ctx: BreakupContext
-    s_p: np.ndarray
-    t_p: np.ndarray
     z_p: np.ndarray
     zp_p: np.ndarray   # defect cores, expanded
     z_star: np.ndarray
@@ -120,12 +118,10 @@ def _star(lat, charts, defects):
 
 def compute_regions(system: SpinSystem, lat, f, p0: Pattern) -> Regions:
     ctx = BreakupContext(system, lat, f, p0)
-    s_p = ctx.pattern_m()
     t_p = ~ctx.even & ctx.nbhd_in_m(ctx.bdry)
     z_p = lat_mod.plus_m(lat, t_p)
-    zp_p = lat_mod.plus_m(lat, t_p & ~s_p)
-    return Regions(ctx=ctx, s_p=s_p, t_p=t_p, z_p=z_p, zp_p=zp_p,
-                   z_star=_star(lat, z_p, zp_p))
+    zp_p = lat_mod.plus_m(lat, t_p & ~ctx.pattern_m())
+    return Regions(ctx=ctx, z_p=z_p, zp_p=zp_p, z_star=_star(lat, z_p, zp_p))
 
 
 # ---------------------------------------------------------------------------
@@ -164,28 +160,24 @@ def construct_breakup(system: SpinSystem, lat, f, p0: Pattern,
                       V=None) -> Atlas:
     """Build an atlas from a configuration: take the raw regions, localize
     the defect set to the components relevant to V, and flood each clean
-    component with the unique pattern surrounding it."""
+    component with the unique pattern surrounding it.  No clean component
+    meets the halo: a halo site's unstored neighbor is the sentinel, False
+    in every mask, so the site is on its chart's inner boundary or in no
+    chart, in z_star either way, and so in b, which keeps every component
+    that touches the halo (copy by copy on a disjoint union)."""
     reg = compute_regions(system, lat, f, p0)
-    ctx = reg.ctx
     V = lat_mod.mask(lat, lat.interior if V is None else V)
     b = lat_mod.separating_m(lat, lat_mod.plus_r_m(lat, reg.z_star, 5), V)
     x = reg.z_p & b
     for comp in lat_mod.components_m(lat, lat_mod.not_m(b)):
         ring = lat_mod.plus_r_m(lat, comp, 5) & ~comp
         cands = np.flatnonzero(~(ring & ~reg.z_p).any(axis=1)).tolist()
-        if (comp & lat_mod.halo_m(lat)).any():
-            if ctx.pats.index(ctx.p0) not in cands:
-                raise errors.BoundaryNotInPattern(
-                    "exterior component not surrounded by the reference "
-                    "pattern")
-            x[ctx.pats.index(ctx.p0)] |= comp
-        elif len(cands) == 1:
-            x[cands[0]] |= comp
-        else:
+        if len(cands) != 1:
             raise errors.ValidationError(
                 f"component has {len(cands)} surrounding patterns")
+        x[cands[0]] |= comp
     xp = (reg.zp_p | lat_mod.n_t_m(lat, reg.zp_p, lat.degree)) & b
-    return Atlas(ctx=ctx, x=x, xp=xp, b=b)
+    return Atlas(ctx=reg.ctx, x=x, xp=xp, b=b)
 
 
 # ---------------------------------------------------------------------------
@@ -226,10 +218,10 @@ def verify_breakup(system: SpinSystem, lat, f, p0: Pattern, atlas: Atlas,
     put("defect_inside_chart", not (xp & ~x).any())
     # charts expand from their interior-side parity; their inner boundary
     # sits on the boundary-side parity
-    bad = [(name, p) for k, p in enumerate(pats)
-           for name, m in (("x", x[k]), ("x'", xp[k]))
-           if not lat_mod.is_regular_m(lat, m, 1 if ctx.aligned[p] else 0)]
-    put("charts_regular", not bad, bad[:5])
+    ok = lat_mod.is_regular_m(lat, np.stack([x, xp], axis=1),
+                              [[int(ctx.aligned[p])] for p in pats])
+    bad = [(("x", "x'")[j], pats[k]) for k, j in np.argwhere(~ok)[:5]]
+    put("charts_regular", not bad, bad)
 
     x5 = lat_mod.plus_r_m(lat, _star(lat, x, xp), 5)
     even, odd = ctx.even, lat_mod.not_m(ctx.even)

@@ -278,17 +278,16 @@ def n_t_m(lat: Lattice, m, t: int) -> np.ndarray:
     return out
 
 
-def is_regular_m(lat: Lattice, m, base_parity: int = 0) -> bool:
-    """m is the expansion of its base-parity part, and likewise for the
-    complement and its opposite-parity part (ambient exterior counts toward
-    the complement)."""
-    base = np.append(lat.par == base_parity, False)
-    if not np.array_equal(m, plus_m(lat, m & base)):
-        return False
+def is_regular_m(lat: Lattice, m, base_parity=0):
+    """Whether m is the expansion of its base-parity part, and likewise
+    for the complement and its opposite-parity part (ambient exterior
+    counts toward the complement): one bool per mask of a stack, with
+    base_parity an int or an array that broadcasts over its rows."""
+    base = np.append(lat.par, 2) == np.expand_dims(base_parity, -1)
     comp = not_m(m)
     full = (lat.adj < lat.n).all(axis=0)
     lonely = comp & base & full & ~nbhd_m(lat, comp & ~base)
-    return not lonely.any()
+    return (m == plus_m(lat, m & base)).all(axis=-1) & ~lonely.any(axis=-1)
 
 
 def plus_r(lat: Lattice, U, r: int) -> frozenset:

@@ -260,6 +260,60 @@ def test_breakup_on_a_disjoint_union_is_each_copys_own(k):
                     == ref.stats()
 
 
+def _lemma_cases():
+    """Every case of _cases(), then uniformly random halos around tiled,
+    partly random and random interiors on a 1x1 box, a 1D box, a slab and
+    a 3D box, each alone and as a disjoint union of three copies."""
+    out = list(_cases())
+    rng = random.Random(31)
+    for spec in ("box:1x1+halo", "box:17+halo", "box:8x6p+halo",
+                 "box:4x4x4+halo"):
+        for lat in (lm.parse_lattice(spec),
+                    lm.disjoint_union(lm.parse_lattice(spec), 3)[0]):
+            for system, p0 in ((AF3, P0), (HC, Pattern(0b01, 0b11))):
+                sides = [[s for s in range(system.n) if side >> s & 1]
+                         for side in (p0.a, p0.b)]
+                for density in (0, 0.2, 1):
+                    f = [rng.randrange(system.n)
+                         if v in lat.halo or rng.random() < density
+                         else rng.choice(sides[lat.parity(v)])
+                         for v in range(lat.n)]
+                    V = None if density == 1 else {rng.choice(lat.interior)}
+                    out.append((system, lat, f, p0, V))
+    return out
+
+
+def test_the_halo_lies_in_z_star_and_in_the_defect_region():
+    """A halo site's unstored neighbor is the sentinel, so the site is on
+    its chart's inner boundary or in no chart: it is in z_star, hence in
+    b, and no clean component meets the halo."""
+    for system, lat, f, p0, V in _lemma_cases():
+        halo = lm.halo_m(lat)
+        reg = bk.compute_regions(system, lat, f, p0)
+        assert not (halo & ~reg.z_star).any()
+        atlas = bk.construct_breakup(system, lat, f, p0, V)
+        assert not (halo & ~atlas.b).any()
+        assert not any((comp & halo).any() for comp in
+                       lm.components_m(lat, lm.not_m(atlas.b)))
+
+
+@pytest.mark.parametrize("spec", ["box:40x8p+halo", "box:40x4px4p+halo"])
+def test_a_component_between_two_phases_is_refused(spec):
+    """On a slab the exterior has two sides.  With the hard-core pattern
+    on the upper half and its shift on the lower half, the wall between
+    them cuts no viewpoint off, so one clean component spans the slab,
+    and its ring lies in one chart above and in another below."""
+    lat = lm.parse_lattice(spec)
+    f = [int(sum(c) % 2 == (c[0] < 20)) for c in lat.coords.tolist()]
+    V = {lat.site((2,) + (0,) * (lat.d - 1))}
+    p0 = Pattern(0b01, 0b11)
+    with pytest.raises(errors.ValidationError,
+                       match="^component has 0 surrounding patterns$"):
+        bk.construct_breakup(HC, lat, f, p0, V)
+    with pytest.raises(errors.ValidationError):
+        RefBreakup(HC, lat, f, p0).construct(V)
+
+
 def test_verify_witnesses_come_in_site_order():
     lat = make_box((12, 12))
     f = ordered_config(lat)

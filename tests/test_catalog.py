@@ -30,6 +30,22 @@ def test_model_name_validation():
         catalog.build("af_potts_field", q=3)  # lam required
 
 
+@pytest.mark.parametrize("name, params, detail", [
+    ("af_potts", {"q": 3, "beta": None}, "beta is required"),
+    ("af_potts_field", {"q": 1, "lam": 2}, "af_potts_field requires q >= 2"),
+    ("multi_wr", {"q": 0, "lam": 1}, "multi_wr requires q >= 1"),
+    ("anti_wr", {"q": 1, "lam": 1}, "anti_wr requires q >= 2"),
+    ("multi_beach", {"q": 0, "lam": 1}, "multi_beach requires q >= 1"),
+    ("multi_occupancy_hc_v1", {"q": 0, "lam": 1},
+     "multi_occupancy_hc requires q >= 1"),
+    ("multi_occupancy_hc_v2", {"q": -2, "lam": 1},
+     "multi_occupancy_hc requires q >= 1")])
+def test_parameter_below_the_model_minimum_is_out_of_range(name, params,
+                                                           detail):
+    with pytest.raises(errors.ParamOutOfRange, match=f"^{detail}$"):
+        catalog.build(name, **params)
+
+
 @pytest.mark.parametrize("argv", [
     ["af_potts", "--q", "3", "--beta", "abc"],
     ["af_potts", "--q", "3", "--beta", "nan"],

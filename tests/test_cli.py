@@ -1,4 +1,5 @@
 import hashlib
+import itertools
 import json
 import math
 import time
@@ -14,7 +15,8 @@ from spinlab import (breakup as breakup_mod, catalog, cli, errors, gibbs,
 from spinlab import lattice as lm
 from spinlab.system import load_system, make_system
 
-from helpers import copy_atlases, make_box, ordered_config, pattern_side
+from helpers import (copy_atlases, make_box, ordered_config, pattern_side,
+                     z_bruteforce)
 
 
 @pytest.fixture
@@ -182,6 +184,8 @@ BEYOND_THE_FLOAT_RANGE = [
     # a Z_float beyond float64, and a Z of more than 4,300 digits
     (_hard_core([1, "1e10"]), ["zfun", "--d", "64", "--psi", "complete"]),
     (_hard_core([1, "1e-400"]), ["zfun", "--d", "64", "--psi", "complete"]),
+    # a gamma whose restricted_left bound leaves float64
+    (_hard_core([1, 1]), [*VERIFY, "--d", "3", "--gamma", "1e4"]),
     # the float weights of the sampler and of a reweighted system
     (_soft_potts([1, 1, "1e400"]),
      ["mcmc", "--lattice", "box:4x4+halo", "--pattern", "A=1;B=2,3",
@@ -206,6 +210,34 @@ def test_values_beyond_the_float_range_are_refused(tmp_path, capsys, raw,
     assert cli.main([argv[0], "--system", str(path), *argv[1:]]) == 3
     out, err = capsys.readouterr()
     assert out == "" and json.loads(err)["error"] == "TooLarge"
+
+
+def test_a_reweighted_interaction_beyond_the_float_range_is_refused(
+        tmp_path, capsys):
+    """The multipliers, their pair products and the activities are in
+    range, but the interaction 1e300 times (1e-20 * 1e-20)^(-1/2) is
+    not."""
+    path = tmp_path / "system.json"
+    path.write_text(json.dumps({
+        "states": ["a", "b"], "activities": [1, 1],
+        "interactions": [[1e300, 1], [1, 1]], "mode": "float"}))
+    assert cli.main(["transform", "--system", str(path), "--op", "reweight",
+                     "--multipliers", "1e-20,1", "--d", "1"]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and json.loads(err) == {
+        "error": "ParamOutOfRange",
+        "detail": "a reweighted interaction leaves the float range"}
+
+
+@pytest.mark.parametrize("argv, detail", [
+    (["check"], "--d required without --sweep"),
+    (["transform", "--op", "product"], "product needs --system2")])
+def test_a_missing_companion_option_is_a_schema_error(af3_path, capsys, argv,
+                                                      detail):
+    assert cli.main([argv[0], "--system", af3_path, *argv[1:]]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and json.loads(err) == {"error": "SchemaError",
+                                             "detail": detail}
 
 
 @pytest.mark.parametrize("condition", ["simple", "alt1", "alt2", "alt3"])
@@ -565,11 +597,37 @@ def test_zfun_resource_guard(tmp_path, hc_path, capsys):
 
 @pytest.mark.parametrize("psi", [
     "class:J=1:balanced", "class:J=1:near_subset:eps=0.1",
-    "class:J=1:full:eps=x", "class:J=1:other", "class:J=1:full:foo=1"])
+    "class:J=1:full:eps=x", "class:J=1:other", "class:J=1:full:foo=1",
+    # more than 2d coordinates, an unknown kind, a class without J=
+    "product:1|2|3|1|2", "explicit:1", "class:balanced", "class:"])
 def test_bad_psi_is_a_schema_error(af3_path, capsys, psi):
     assert cli.main(["zfun", "--system", af3_path, "--d", "2",
                      "--psi", psi]) == 2
     assert json.loads(capsys.readouterr().err)["error"] == "SchemaError"
+
+
+@pytest.mark.parametrize("system, psi", [
+    ("af3", "product:1|2,3|1,2|3"), ("af3", "product:2|2|1,3|1,2,3"),
+    ("af3", "product:1,2,3|1,2,3|1,2,3|1,2,3"), ("hc", "product:0|1|0,1|1")])
+def test_zfun_product_matches_brute_force(af3_path, hc_path, capsys, system,
+                                          psi):
+    path = {"af3": af3_path, "hc": hc_path}[system]
+    assert cli.main(["zfun", "--system", path, "--d", "2", "--psi", psi]) == 0
+    z = Fraction(str(json.loads(capsys.readouterr().out)["Z"]))
+    loaded = load_system(path)
+    coords = [[loaded.states.index(x) for x in grp.split(",")]
+              for grp in psi.removeprefix("product:").split("|")]
+    assert z == z_bruteforce(loaded, 2, itertools.product(*coords),
+                             loaded.full_mask())
+
+
+def test_zfun_short_product_is_padded_with_every_state(af3_path, capsys):
+    def z(psi):
+        assert cli.main(["zfun", "--system", af3_path, "--d", "2",
+                         "--psi", psi]) == 0
+        return json.loads(capsys.readouterr().out)["Z"]
+    assert z("product:1|2,3") == z("product:1|2,3|1,2,3|1,2,3") \
+        != z("product:1|2,3|1|1")
 
 
 @pytest.mark.parametrize("pattern", ["A1;B2", "A=1", "A=1;B=9"])

@@ -95,6 +95,8 @@ def test_slab_structure():
     for sides in ((3, 4), (0, 4)):
         with pytest.raises(errors.ParamOutOfRange):
             lm.make_lattice(sides, (True, False))  # odd or empty period
+    with pytest.raises(errors.SchemaError, match="one periodic flag"):
+        lm.make_lattice((4, 4), (True,))
 
 
 def test_parse_lattice_periodic_axes():
@@ -371,11 +373,18 @@ def _check_mask_operations(lat, rng):
                 == ref_closed_boundary(lat, U)
             for t in range(2 * lat.d + 1):
                 assert lm.sites(lm.n_t_m(lat, m, t)) == ref_n_t(lat, U, t)
+            stack, want = [], []
             for base in (0, 1):
                 core = frozenset(v for v in U if lat.parity(v) == base)
                 for W in (U, ref_plus(lat, core)):
-                    assert lm.is_regular_m(lat, lm.mask(lat, W), base) \
-                        == ref_is_regular(lat, W, base)
+                    want.append(ref_is_regular(lat, W, base))
+                    stack.append(lm.mask(lat, W))
+                    assert lm.is_regular_m(lat, stack[-1], base) == want[-1]
+            # one call on the stack, a parity per row or per row of rows
+            stack = np.array(stack)
+            assert lm.is_regular_m(lat, stack, [0, 0, 1, 1]).tolist() == want
+            assert lm.is_regular_m(lat, stack.reshape(2, 2, -1),
+                                   [[0], [1]]).ravel().tolist() == want
             assert lm.components(lat, U) == ref_components(lat, U)
             assert lm.separating_components(lat, U, V) \
                 == ref_separating_components(lat, U, V)

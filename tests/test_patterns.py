@@ -1,5 +1,7 @@
 import dataclasses
+import itertools
 import math
+import random
 from fractions import Fraction
 
 import pytest
@@ -104,6 +106,57 @@ def test_find_equivalence():
     # swap is reachable only without directness
     assert patterns.find_equivalence(AF3, p, p.swapped(), direct=False) \
         is not None
+
+
+# the path 0-1-2-3-4-5 on states: interaction 2 along it, 1 elsewhere; its
+# only symmetries are the identity and the reversal
+PATH6 = make_system([str(i) for i in range(6)], [1] * 6,
+                    [[2 if abs(i - j) == 1 else 1 for j in range(6)]
+                     for i in range(6)])
+
+
+def _brute_equivalent(system, p, q, direct):
+    """Some permutation of the states keeps the activities and the
+    interactions and maps p onto q (or onto q swapped, if not direct)."""
+    n, acts, inter = system.n, system.activities, system.interactions
+    targets = [q] if direct else [q, q.swapped()]
+    for phi in itertools.permutations(range(n)):
+        if all(acts[i] == acts[phi[i]] for i in range(n)) \
+                and all(inter[i][j] == inter[phi[i]][phi[j]]
+                        for i in range(n) for j in range(n)) \
+                and any(patterns._image(phi, p.a) == t.a
+                        and patterns._image(phi, p.b) == t.b
+                        for t in targets):
+            return True
+    return False
+
+
+@pytest.mark.parametrize("system", [AF3, AF4, HC, BEACH, PATH6,
+                                    catalog.build("af_potts_field", q=3,
+                                                  lam=2)])
+def test_find_equivalence_matches_brute_force(system):
+    """The backtracking search against all n! permutations, on patterns
+    mapped by a random permutation or drawn at random."""
+    rng = random.Random(system.n)
+    n = system.n
+    for _ in range(60):
+        p = Pattern(rng.randrange(2 ** n), rng.randrange(2 ** n))
+        phi = rng.sample(range(n), n)
+        for q in (Pattern(patterns._image(phi, p.a),
+                          patterns._image(phi, p.b)),
+                  Pattern(rng.randrange(2 ** n), rng.randrange(2 ** n))):
+            for direct in (True, False):
+                assert (patterns.find_equivalence(system, p, q, direct)
+                        is not None) == _brute_equivalent(system, p, q,
+                                                          direct)
+
+
+def test_find_equivalence_undoes_a_choice():
+    """State 2 must go to 3, so the path is reversed; the search first
+    fixes the endpoints 0 and 5, finds no image for 1, and undoes them."""
+    phi = patterns.find_equivalence(PATH6, Pattern(0b000100, 0),
+                                    Pattern(0b001000, 0), direct=True)
+    assert phi == (5, 4, 3, 2, 1, 0)
 
 
 def test_activity_asymmetry_blocks_direct_equivalence():
