@@ -67,7 +67,7 @@ class BreakupContext:
     def values_m(self, side: dict) -> np.ndarray:
         """Sites whose value is on the given side of each pattern."""
         return np.array([[side[p] >> s & 1 for s in range(self.system.n + 1)]
-                         for p in self.pats], dtype=bool)[:, self.state]
+                         for p in self.pats], dtype=bool).take(self.state, -1)
 
     def pattern_m(self) -> np.ndarray:
         """Sites whose value is on their side of each pattern."""
@@ -84,9 +84,9 @@ class BreakupContext:
         ok[:, -1] = True
         virtual = np.array([[self.p0.b & ~side[p] == 0,
                              self.p0.a & ~side[p] == 0, False]
-                            for p in self.pats])[:, self.par]
+                            for p in self.pats]).take(self.par, axis=-1)
         full = (lat.adj < lat.n).all(axis=0)
-        return ok[:, lat.adj].all(axis=1) & (full | virtual)
+        return ok.take(lat.adj, axis=-1).all(axis=1) & (full | virtual)
 
 
 # ---------------------------------------------------------------------------
@@ -145,8 +145,8 @@ class Atlas:
         step from its lower end), M = overlap/defect volume and N =
         uncharted volume, by site, recomputed from the stored charts."""
         lat, x = self.ctx.lat, self.x
-        up = lat.adj[1::2]
-        cut = (x[:, None, :] != x[:, up]) & (up < lat.n)
+        cut = (x[:, None, :] != x.take(lat.adj[1::2], axis=-1)) \
+            & (lat.adj[1::2] < lat.n)
         none, overlap, defect = _partition(x, self.xp)
         return {"L": cut.any(axis=0).sum(axis=0), "M": overlap | defect,
                 "N": none}
@@ -241,9 +241,9 @@ def verify_breakup(system: SpinSystem, lat, f, p0: Pattern, atlas: Atlas,
               _partition(x, xp)[0] & odd & nb_b)
 
     # stored edges (u, v) leaving a chart, by pattern, slot and u
-    leaves = x[:, None, :] & ~x[:, lat.adj] & (lat.adj < lat.n)
+    leaves = x[:, None, :] & ~x.take(lat.adj, axis=-1) & (lat.adj < lat.n)
     bad = np.stack([leaves & (even & ~val_b)[:, None, :],
-                    leaves & (odd & nb_b)[:, lat.adj]], axis=-1)
+                    leaves & (odd & nb_b).take(lat.adj, axis=-1)], axis=-1)
     hits = np.argwhere(bad.transpose(2, 1, 0, 3))[:5].tolist() \
         if bad.any() else []
     put("chart_edge_boundary", not hits,

@@ -157,7 +157,7 @@ def disjoint_union(lat: Lattice, k: int) -> tuple:
     place[copy[:-1], orig[:-1]] = np.arange(k * n)
     # C-ordered, as make_lattice's: the mask operations reduce across the
     # slots, which an F-ordered table made several times slower
-    adj = place[copy, lat.adj.take(orig, 1)]
+    adj = place.take(copy * (n + 1) + lat.adj.take(orig, 1))
     union = Lattice(dims=lat.dims, periodic=lat.periodic,
                     coords=lat.coords[orig[:-1]], interior=range(k * m),
                     halo=range(k * m, k * n), nbr=adj[:, :-1].T, adj=adj,
@@ -245,7 +245,7 @@ def halo_m(lat: Lattice) -> np.ndarray:
 # sites count as outside every stored set)
 
 def nbhd_m(lat: Lattice, m) -> np.ndarray:
-    return m[..., lat.adj].any(axis=-2)
+    return m.take(lat.adj, axis=-1).any(axis=-2)
 
 
 def outer_m(lat: Lattice, m) -> np.ndarray:
@@ -254,7 +254,7 @@ def outer_m(lat: Lattice, m) -> np.ndarray:
 
 def inner_m(lat: Lattice, m) -> np.ndarray:
     """Sites of m with an ambient neighbor outside m."""
-    return m & ~m[..., lat.adj].all(axis=-2)
+    return m & ~m.take(lat.adj, axis=-1).all(axis=-2)
 
 
 def closed_boundary_m(lat: Lattice, m) -> np.ndarray:
@@ -273,7 +273,7 @@ def plus_r_m(lat: Lattice, m, r: int) -> np.ndarray:
 
 def n_t_m(lat: Lattice, m, t: int) -> np.ndarray:
     """Stored vertices with at least t neighbors in m."""
-    out = m[..., lat.adj].sum(axis=-2) >= t
+    out = m.take(lat.adj, axis=-1).sum(axis=-2) >= t
     out[..., -1] = False
     return out
 
@@ -308,7 +308,7 @@ def labels_m(lat: Lattice, m) -> np.ndarray:
     parent = np.where(m, np.arange(n + 1), n)
     grand = parent.copy()
     while True:
-        low = np.minimum(grand, grand[lat.adj].min(axis=0))[idx]
+        low = np.minimum(grand, grand.take(lat.adj).min(axis=0))[idx]
         np.minimum.at(parent, parent[idx], low)
         parent[idx] = np.minimum(parent[idx], low)
         parent = np.minimum(parent, grand)

@@ -908,7 +908,19 @@ def test_mcmc_smoke(tmp_path, af3_soft_path):
     payload = _read(out)
     assert payload["burn_in"] == 200
     assert abs(sum(payload["marginal"].values()) - 1.0) < 1e-12
-    assert len(payload["final_config"]) == 16
+    assert set(payload["final_config"]) == {f"{x},{y}" for x in range(4)
+                                            for y in range(4)}
+
+
+@pytest.mark.parametrize("spec, k", [
+    ("box:17+halo", 1), ("box:4x3x3+halo", 1), ("box:6px5+halo", 1),
+    ("box:3x4+halo", 3)])
+def test_site_names_join_each_coordinate_by_commas(spec, k):
+    """d = 1, negative halo coordinates, a periodic axis, and a disjoint
+    union's repeated coordinates."""
+    lat = lm.disjoint_union(lm.parse_lattice(spec), k)[0]
+    assert cli._site_names(lat) == [",".join(map(str, c))
+                                    for c in lat.coords.tolist()]
 
 
 def test_mcmc_reaches_a_six_dimensional_slab(tmp_path, af3_soft_path,

@@ -393,6 +393,29 @@ def _check_mask_operations(lat, rng):
                     == ref_connected_to_infinity(lat, U, v)
 
 
+@pytest.mark.parametrize("spec, k", [
+    ("box:7x5+halo", 1), ("box:9+halo", 1), ("box:4x3x3+halo", 1),
+    ("box:6px5+halo", 1), ("box:4x3+halo", 3)])
+def test_stacked_mask_operations_match_row_by_row(spec, k):
+    """Each *_m operation on a (P, n + 1) and a (P, 2, n + 1) stack of
+    masks is the same call on each row; k > 1 runs on a disjoint union of
+    k copies."""
+    lat = lm.disjoint_union(lm.parse_lattice(spec), k)[0]
+    rng = np.random.default_rng(sum(map(ord, spec)) + k)
+    flat = rng.random((6, lat.n + 1)) < np.linspace(0.05, 0.95, 6)[:, None]
+    flat[:, -1] = False
+    ops = [lm.nbhd_m, lm.inner_m, lm.outer_m, lm.closed_boundary_m,
+           lambda lat, m: lm.plus_r_m(lat, m, 3)]
+    ops += [lambda lat, m, t=t: lm.n_t_m(lat, m, t)
+            for t in range(2 * lat.d + 1)]
+    for stack in (flat, flat.reshape(3, 2, -1)):
+        for op in ops:
+            got = op(lat, stack)
+            assert got.shape == stack.shape
+            for row in np.ndindex(stack.shape[:-1]):
+                assert np.array_equal(got[row], op(lat, stack[row]))
+
+
 def test_masks_keep_the_sentinel_slot_false():
     lat = make_box((4, 5))
     m = lm.mask(lat, {0, 7, lat.n - 1})
