@@ -21,6 +21,9 @@ from . import errors, lattice as lat_mod, patterns
 from .patterns import Pattern
 from .system import SpinSystem
 
+_ALL = np.uint8(0xFF)   # a site mask times _ALL: every pattern's bit there
+_POPCOUNT = np.array([bin(i).count("1") for i in range(256)], np.uint8)
+
 
 # ---------------------------------------------------------------------------
 # context
@@ -37,8 +40,9 @@ def _alignment(system: SpinSystem, p0: Pattern) -> dict:
 
 class BreakupContext:
     """The reference pattern, the dominant patterns and their sides, and
-    whole-array views of the configuration.  Site masks (see lattice) that
-    depend on the pattern are stacked, one row per pattern of ``pats``."""
+    whole-array views of the configuration.  Site masks that depend on the
+    pattern are packed rows, bit k of row r for pattern 8r + k of ``pats``
+    (``~`` sets the unused bits: read a complement only through ``&``)."""
 
     def __init__(self, system: SpinSystem, lat, f, p0: Pattern):
         self.system = system
@@ -60,19 +64,31 @@ class BreakupContext:
         # parity 2, neither even nor odd
         self.state = np.append(np.asarray(f, dtype=np.intp), system.n)
         self.par = np.append(lat.par, 2)
+        self.bits = np.packbits(np.eye(len(self.pats), dtype=bool), axis=0,
+                                bitorder="little")   # each pattern's bit
         # sites that carry the boundary side of each pattern
-        self.even = self.par == np.array(
-            [[0 if self.aligned[p] else 1] for p in self.pats])
+        self.even = self.pack([[self.aligned[p], not self.aligned[p], False]
+                               for p in self.pats]).take(self.par, axis=-1)
+
+    def pack(self, rows) -> np.ndarray:
+        """One row of bools per pattern (say, site masks) as packed rows, by
+        a float32 product: exact, as each byte sums distinct powers of 2."""
+        return (self.bits @ np.asarray(rows, np.float32)).astype(np.uint8)
+
+    def unpack(self, rows) -> np.ndarray:
+        """Packed rows (the leading axis) as one row of bools per pattern."""
+        return np.unpackbits(rows, axis=0, count=len(self.pats),
+                             bitorder="little").view(bool)
 
     def values_m(self, side: dict) -> np.ndarray:
         """Sites whose value is on the given side of each pattern."""
-        return np.array([[side[p] >> s & 1 for s in range(self.system.n + 1)]
-                         for p in self.pats], dtype=bool).take(self.state, -1)
+        return self.pack([[side[p] >> s & 1 for s in range(self.system.n + 1)]
+                          for p in self.pats]).take(self.state, axis=-1)
 
     def pattern_m(self) -> np.ndarray:
         """Sites whose value is on their side of each pattern."""
-        return np.where(self.even, self.values_m(self.bdry),
-                        self.values_m(self.int_))
+        return self.even & self.values_m(self.bdry) \
+            | ~self.even & self.values_m(self.int_)
 
     def nbhd_in_m(self, side: dict) -> np.ndarray:
         """Sites all of whose ambient neighbors have values on the given
@@ -81,12 +97,13 @@ class BreakupContext:
         it is on that side."""
         lat = self.lat
         ok = self.values_m(side)
-        ok[:, -1] = True
-        virtual = np.array([[self.p0.b & ~side[p] == 0,
-                             self.p0.a & ~side[p] == 0, False]
-                            for p in self.pats]).take(self.par, axis=-1)
+        ok[:, -1] = _ALL
+        virtual = self.pack([[self.p0.b & ~side[p] == 0,
+                              self.p0.a & ~side[p] == 0, False]
+                             for p in self.pats]).take(self.par, axis=-1)
         full = (lat.adj < lat.n).all(axis=0)
-        return ok.take(lat.adj, axis=-1).all(axis=1) & (full | virtual)
+        return np.bitwise_and.reduce(ok.take(lat.adj, axis=-1), axis=1) \
+            & (full * _ALL | virtual)
 
 
 # ---------------------------------------------------------------------------
@@ -94,7 +111,7 @@ class BreakupContext:
 
 @dataclass
 class Regions:
-    """The raw regions, as stacked site masks in the order of ctx.pats."""
+    """The raw regions: packed rows (unused bits clear) and the mask z_star."""
     ctx: BreakupContext
     z_p: np.ndarray
     zp_p: np.ndarray   # defect cores, expanded
@@ -103,8 +120,8 @@ class Regions:
 
 def _partition(charts, defects):
     """(none, overlap, defect) masks: the sites in no chart, the sites in
-    two charts, and the union of the charts' defect sets."""
-    count = charts.sum(axis=0)
+    two charts, and the union of the charts' defect sets (bool or packed)."""
+    count = _POPCOUNT.take(charts).sum(axis=0)
     return lat_mod.not_m(count > 0), count > 1, defects.any(axis=0)
 
 
@@ -168,16 +185,17 @@ def construct_breakup(system: SpinSystem, lat, f, p0: Pattern,
     reg = compute_regions(system, lat, f, p0)
     V = lat_mod.mask(lat, lat.interior if V is None else V)
     b = lat_mod.separating_m(lat, lat_mod.plus_r_m(lat, reg.z_star, 5), V)
-    x = reg.z_p & b
+    x, ctx = reg.z_p & b * _ALL, reg.ctx
     for comp in lat_mod.components_m(lat, lat_mod.not_m(b)):
         ring = lat_mod.plus_r_m(lat, comp, 5) & ~comp
-        cands = np.flatnonzero(~(ring & ~reg.z_p).any(axis=1)).tolist()
+        cands = np.flatnonzero(ctx.unpack(reg.z_p[:, ring]).all(axis=1))
         if len(cands) != 1:
             raise errors.ValidationError(
                 f"component has {len(cands)} surrounding patterns")
-        x[cands[0]] |= comp
-    xp = (reg.zp_p | lat_mod.n_t_m(lat, reg.zp_p, lat.degree)) & b
-    return Atlas(ctx=reg.ctx, x=x, xp=xp, b=b)
+        x |= ctx.bits[:, cands[:1]] * comp
+    # with the sites whose every neighbor slot is in zp_p
+    xp = (reg.zp_p | ~lat_mod.nbhd_m(lat, ~reg.zp_p)) & b * _ALL
+    return Atlas(ctx=ctx, x=ctx.unpack(x), xp=ctx.unpack(xp), b=b)
 
 
 # ---------------------------------------------------------------------------
@@ -192,7 +210,7 @@ def verify_breakup(system: SpinSystem, lat, f, p0: Pattern, atlas: Atlas,
     first three components."""
     ctx = BreakupContext(system, lat, f, p0)
     pats = ctx.pats
-    x, xp = atlas.x, atlas.xp
+    x, xp = ctx.pack(atlas.x), ctx.pack(atlas.xp)
     V = lat_mod.mask(lat, lat.interior if V is None else V)
     report = {}
 
@@ -200,10 +218,10 @@ def verify_breakup(system: SpinSystem, lat, f, p0: Pattern, atlas: Atlas,
         report[name] = {"holds": ok, "witness": witness}
 
     def put_sites(name, bad, *labels):
-        """bad: patterns by sites, then one axis per further label; each
+        """bad: packed rows by sites, then one axis per further label; each
         witness is a site, its pattern and its further labels (no search
         when none fails)."""
-        hits = np.argwhere(np.swapaxes(bad, 0, 1))[:5].tolist() \
+        hits = np.argwhere(np.swapaxes(ctx.unpack(bad), 0, 1))[:5].tolist() \
             if bad.any() else []
         put(name, not hits, [(h[0], *(lab[i] for lab, i in
                                       zip((pats, *labels), h[1:])))
@@ -211,40 +229,41 @@ def verify_breakup(system: SpinSystem, lat, f, p0: Pattern, atlas: Atlas,
 
     # exterior belongs to the reference chart
     bad = np.flatnonzero(lat_mod.halo_m(lat)
-                         & ~x[pats.index(ctx.p0)])[:5].tolist()
+                         & ~atlas.x[pats.index(ctx.p0)])[:5].tolist()
     put("exterior_in_reference_chart", not bad, bad)
 
     # charts are nested and regular
     put("defect_inside_chart", not (xp & ~x).any())
     # charts expand from their interior-side parity; their inner boundary
     # sits on the boundary-side parity
-    ok = lat_mod.is_regular_m(lat, np.stack([x, xp], axis=1),
-                              [[int(ctx.aligned[p])] for p in pats])
+    ok = ctx.unpack(lat_mod.is_regular_m(lat, np.stack([x, xp], axis=1),
+                    ctx.pack([[ctx.aligned[p]] for p in pats])))
     bad = [(("x", "x'")[j], pats[k]) for k, j in np.argwhere(~ok)[:5]]
     put("charts_regular", not bad, bad)
 
     x5 = lat_mod.plus_r_m(lat, _star(lat, x, xp), 5)
+    near = x5 * _ALL
     even, odd = ctx.even, lat_mod.not_m(ctx.even)
     val_b = ctx.values_m(ctx.bdry)
     nb_b = ctx.nbhd_in_m(ctx.bdry)
 
     # membership near the defect set determined by the local configuration
-    put_sites("interior_side_membership", x5 & odd & (x != nb_b))
-    put_sites("boundary_side_membership", x5 & even & (
-        xp != lat_mod.nbhd_m(lat, x & ~ctx.pattern_m())))
+    put_sites("interior_side_membership", near & odd & (x ^ nb_b))
+    put_sites("boundary_side_membership", near & even & (
+        xp ^ lat_mod.nbhd_m(lat, x & ~ctx.pattern_m())))
 
     # derived consequences
-    put_sites("chart_boundary_values", x5 & even & x & ~val_b)
+    put_sites("chart_boundary_values", near & even & x & ~val_b)
     put_sites("chart_interior_values",
-              x5 & odd & x & ~xp & ~ctx.values_m(ctx.int_))
+              near & odd & x & ~xp & ~ctx.values_m(ctx.int_))
     put_sites("uncharted_not_locally_ordered",
-              _partition(x, xp)[0] & odd & nb_b)
+              _partition(x, xp)[0] * _ALL & odd & nb_b)
 
     # stored edges (u, v) leaving a chart, by pattern, slot and u
-    leaves = x[:, None, :] & ~x.take(lat.adj, axis=-1) & (lat.adj < lat.n)
+    leaves = x[:, None, :] & lat_mod.not_m(x).take(lat.adj, axis=-1)
     bad = np.stack([leaves & (even & ~val_b)[:, None, :],
                     leaves & (odd & nb_b).take(lat.adj, axis=-1)], axis=-1)
-    hits = np.argwhere(bad.transpose(2, 1, 0, 3))[:5].tolist() \
+    hits = np.argwhere(ctx.unpack(bad).transpose(2, 1, 0, 3))[:5].tolist() \
         if bad.any() else []
     put("chart_edge_boundary", not hits,
         [(u, int(lat.adj[j, u]), pats[k], ("side", "nbhd")[t])

@@ -53,9 +53,33 @@ def _write(text, out):
         sys.stdout.write(text)
 
 
+def _dumps(obj, depth=0):
+    """json.dumps(obj, indent=2, sort_keys=True, default=str) through the
+    C encoder (json.dumps itself falls back to Python with an indent): in
+    one call for a container of scalars, else item by item, with a dict's
+    keys encoded once beside nulls.  No encoded scalar holds a raw newline,
+    so the items split at their separator."""
+    nest, sep = (dict, list, tuple), ",\n" + "  " * (depth + 1)
+    enc = json.encoder.c_make_encoder(
+        None, str, json.encoder.encode_basestring_ascii, None, ": ", sep,
+        True, False, True)
+    if not isinstance(obj, nest) or not obj:
+        return "".join(enc(obj, 0))
+    values = obj.values() if isinstance(obj, dict) else obj
+    if not any(issubclass(t, nest) for t in set(map(type, values))):
+        body = "".join(enc(obj, 0))[1:-1]
+    elif isinstance(obj, dict):
+        keys = "".join(enc(dict.fromkeys(obj), 0))[1:-1].split(sep)
+        body = sep.join(k[:-4] + _dumps(v, depth + 1)
+                        for k, (_, v) in zip(keys, sorted(obj.items())))
+    else:
+        body = sep.join(_dumps(v, depth + 1) for v in obj)
+    brackets = "{}" if isinstance(obj, dict) else "[]"
+    return brackets[0] + sep[1:] + body + sep[1:-2] + brackets[1]
+
+
 def _emit(payload, out):
-    _write(json.dumps(payload, indent=2, sort_keys=True, default=str) + "\n",
-           out)
+    _write(_dumps(payload) + "\n", out)
 
 
 def _parse_states(system, text):

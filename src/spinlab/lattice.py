@@ -20,9 +20,11 @@ torus as a simple graph, with that pair as one edge.
 
 Set operations work on site masks: boolean arrays of length n + 1 whose
 last slot, the sentinel that ``nbr`` holds for a missing ambient neighbor,
-is always False.  The ``*_m`` functions take and return masks; plus_r,
-components, separating_components and connected_to_infinity take any
-iterable of sites, return frozensets (or a bool), and convert at the
+is always False.  The ``*_m`` functions take and return masks or stacks of
+them; the set operations and is_regular_m also take packed rows, uint8
+stacks of mask bits (whose callers mask the unused bits ``~`` sets).
+plus_r, components, separating_components and connected_to_infinity take
+any iterable of sites, return frozensets (or a bool), and convert at the
 boundary.
 
 disjoint_union lays k copies of a lattice out as one lattice whose copies
@@ -245,7 +247,7 @@ def halo_m(lat: Lattice) -> np.ndarray:
 # sites count as outside every stored set)
 
 def nbhd_m(lat: Lattice, m) -> np.ndarray:
-    return m.take(lat.adj, axis=-1).any(axis=-2)
+    return np.bitwise_or.reduce(m.take(lat.adj, axis=-1), axis=-2)
 
 
 def outer_m(lat: Lattice, m) -> np.ndarray:
@@ -254,7 +256,7 @@ def outer_m(lat: Lattice, m) -> np.ndarray:
 
 def inner_m(lat: Lattice, m) -> np.ndarray:
     """Sites of m with an ambient neighbor outside m."""
-    return m & ~m.take(lat.adj, axis=-1).all(axis=-2)
+    return m & ~np.bitwise_and.reduce(m.take(lat.adj, axis=-1), axis=-2)
 
 
 def closed_boundary_m(lat: Lattice, m) -> np.ndarray:
@@ -271,23 +273,17 @@ def plus_r_m(lat: Lattice, m, r: int) -> np.ndarray:
     return m
 
 
-def n_t_m(lat: Lattice, m, t: int) -> np.ndarray:
-    """Stored vertices with at least t neighbors in m."""
-    out = m.take(lat.adj, axis=-1).sum(axis=-2) >= t
-    out[..., -1] = False
-    return out
-
-
 def is_regular_m(lat: Lattice, m, base_parity=0):
     """Whether m is the expansion of its base-parity part, and likewise
     for the complement and its opposite-parity part (ambient exterior
-    counts toward the complement): one bool per mask of a stack, with
-    base_parity an int or an array that broadcasts over its rows."""
-    base = np.append(lat.par, 2) == np.expand_dims(base_parity, -1)
-    comp = not_m(m)
-    full = (lat.adj < lat.n).all(axis=0)
-    lonely = comp & base & full & ~nbhd_m(lat, comp & ~base)
-    return (m == plus_m(lat, m & base)).all(axis=-1) & ~lonely.any(axis=-1)
+    counts toward the complement): one bool per mask of a stack, or a bit
+    per mask of packed rows, with base_parity (bits) broadcast over rows."""
+    par = np.expand_dims(np.asarray(base_parity, dtype=m.dtype), -1)
+    base = np.where(np.append(lat.par, 2) == 1, par, ~par)
+    base[..., -1] = 0
+    lonely = base & ~m & ~nbhd_m(lat, ~(m | base))
+    return np.bitwise_and.reduce(~(m ^ plus_m(lat, m & base)), axis=-1) \
+        & ~np.bitwise_or.reduce(lonely, axis=-1)
 
 
 def plus_r(lat: Lattice, U, r: int) -> frozenset:

@@ -902,6 +902,14 @@ def ref_n_t(lat, U, t):
                      if sum(1 for w in neighbor_lists(lat)[v] if w in U) >= t)
 
 
+def n_t_m(lat, m, t: int) -> np.ndarray:
+    """Stored vertices with at least t neighbors in m, from a mask or a
+    stack of masks (the breakup takes t = degree as a bitwise pass)."""
+    out = m.take(lat.adj, axis=-1).sum(axis=-2) >= t
+    out[..., -1] = False
+    return out
+
+
 def ref_is_regular(lat, U, base_parity=0):
     U = frozenset(U)
     core = frozenset(v for v in U if lat.parity(v) == base_parity)
@@ -1122,6 +1130,76 @@ class RefBreakup:
             for comp in ref_components(lat, x5))
         out["pass"] = all(out.values())
         return out
+
+    def verify_witnesses(self, x_p, xp_p, V=None):
+        """Property -> witness, as verify_breakup reports it: the first five
+        failures in site order, then neighbor slot, pattern and kind (for
+        defect_seen_from_viewpoints the first three sites of the first
+        three blind components), found one site and pattern at a time."""
+        lat, pats, n = self.lat, self.pats, self.lat.n
+        V = lat.interior if V is None else V
+        x5 = ref_plus_r(lat, self.star(x_p, xp_p), 5)
+        none = self.partition(x_p, xp_p)[0]
+
+        def first(hits):
+            return list(itertools.islice(hits, 5))
+
+        def on(side, v):
+            return bool(side >> self.f[v] & 1)
+
+        def nb(p, v):
+            return self.neighborhood_in(v, self.bdry[p])
+
+        def odd_hits(keep):
+            return first((v, p) for v in range(n) for p in pats
+                         if not self.p_even(p, v) and keep(p, v))
+
+        def even_hits(keep):
+            return first((v, p) for v in range(n) for p in pats
+                         if self.p_even(p, v) and keep(p, v))
+
+        return {
+            "exterior_in_reference_chart": first(
+                v for v in lat.halo if v not in x_p[self.p0]),
+            "defect_inside_chart": None,
+            "charts_regular": first(
+                (kind, p) for p in pats
+                for kind, s in (("x", x_p), ("x'", xp_p))
+                if not ref_is_regular(lat, s[p], 1 if self.aligned[p] else 0)),
+            "interior_side_membership": odd_hits(
+                lambda p, v: v in x5 and (v in x_p[p]) != nb(p, v)),
+            "boundary_side_membership": even_hits(
+                lambda p, v: v in x5 and (v in xp_p[p]) != any(
+                    u in x_p[p] and not self.in_p_pattern(p, u)
+                    for u in neighbor_lists(lat)[v])),
+            "chart_boundary_values": even_hits(
+                lambda p, v: v in x5 and v in x_p[p]
+                and not on(self.bdry[p], v)),
+            "chart_interior_values": odd_hits(
+                lambda p, v: v in x5 and v in x_p[p] and v not in xp_p[p]
+                and not on(self.int_[p], v)),
+            "uncharted_not_locally_ordered": odd_hits(
+                lambda p, v: v in none and nb(p, v)),
+            "chart_edge_boundary": first(
+                (u, v, p, kind) for u in range(n)
+                for v in lat.nbr[u].tolist() if v != n
+                for p in pats if u in x_p[p] and v not in x_p[p]
+                for kind, bad in (
+                    ("side", self.p_even(p, u) and not on(self.bdry[p], u)),
+                    ("nbhd", not self.p_even(p, v) and nb(p, v)))
+                if bad),
+            "defect_core_values": first(
+                (u, p, kind) for u in range(n) for p in pats
+                if u in xp_p[p] and self.p_even(p, u)
+                for kind, bad in (
+                    ("value", not on(self.bdry[p], u)),
+                    ("nbhd", self.neighborhood_in(u, self.int_[p])))
+                if bad),
+            "defect_seen_from_viewpoints": [
+                sorted(c)[:3] for c in ref_components(lat, x5)
+                if c.isdisjoint(lat.halo)
+                and all(ref_connected_to_infinity(lat, c, v) for v in V)][:3],
+        }
 
 
 class RefScenarios:

@@ -17,8 +17,10 @@ from helpers import (RefBreakup, RefScenarios, _nv_mask, charts, classify,
 
 AF3 = catalog.build("af_potts", q=3)
 AF4 = catalog.build("af_potts", q=4)
+AF5 = catalog.build("af_potts", q=5)
 P0 = Pattern(0b001, 0b110)
 P0_AF4 = Pattern(0b0011, 0b1100)
+P0_AF5 = Pattern(0b00011, 0b11100)
 
 
 # ---------------------------------------------------------------------------
@@ -325,6 +327,35 @@ def test_verify_witnesses_come_in_site_order():
     assert report["exterior_in_reference_chart"]["witness"] == dropped[:5]
     witness = report["chart_edge_boundary"]["witness"]
     assert witness and [w[0] for w in witness] == sorted(w[0] for w in witness)
+
+
+def test_verify_witnesses_match_the_reference_past_eight_patterns():
+    """af_potts q = 5 has 20 dominant patterns, three bytes of packed
+    rows: an atlas of a planted configuration, corrupted at a few sites of
+    a few charts (most past the eighth pattern), gets the report, holds and
+    witnesses both, that the site-by-site reference finds."""
+    lat = make_box((12, 12))
+    rng = random.Random(5)
+    f = [rng.choice((0, 1) if lat.parity(v) == 0 else (2, 3, 4))
+         for v in range(lat.n)]
+    for v in rng.sample([lat.site((i, j)) for i in range(3, 9)
+                         for j in range(3, 9)], 4):
+        f[v] = rng.randrange(5)
+    atlas = bk.construct_breakup(AF5, lat, f, P0_AF5)
+    x_p, xp_p = charts(atlas)
+    pats = atlas.ctx.pats
+    for i, v in enumerate(rng.sample(range(lat.n), 8)):
+        p = pats[0] if i == 0 else rng.choice(pats[8:])
+        sets = (x_p, xp_p)[i % 2]
+        sets[p] = sets[p] ^ {v}
+    report = bk.verify_breakup(AF5, lat, f, P0_AF5,
+                               with_charts(atlas, x_p, xp_p))
+    ref = RefBreakup(AF5, lat, f, P0_AF5)
+    holds = ref.verify_holds(x_p, xp_p)
+    witnesses = ref.verify_witnesses(x_p, xp_p)
+    assert report == {**{name: {"holds": holds[name], "witness": w}
+                         for name, w in witnesses.items()}, "pass": False}
+    assert sum(bool(w) for w in witnesses.values()) >= 5
 
 
 # ---------------------------------------------------------------------------

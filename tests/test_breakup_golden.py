@@ -30,6 +30,11 @@ BREAKUPS = {
                      4, 0.05, 2, "3,3,3"),
     "af3_slab10x10x4p": ("af_potts", {"q": 3}, "A=1;B=2,3",
                          "box:10x10x4p+halo", 5, 0.05, 3, "5,5,0"),
+    # more than 8 dominant patterns: 20 for q = 5, 70 for q = 7
+    "af5_box12": ("af_potts", {"q": 5}, "A=1,2;B=3,4,5", "box:12x12+halo",
+                  6, 0.08, 3, "6,6"),
+    "af7_box10": ("af_potts", {"q": 7}, "A=1,2,3;B=4,5,6,7",
+                  "box:10x10+halo", 7, 0.08, 3, "5,5"),
 }
 
 # name -> breakup-scan arguments after --system

@@ -9,6 +9,7 @@ from types import SimpleNamespace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from spinlab import (breakup as breakup_mod, catalog, cli, errors, gibbs,
                      parameters, patterns)
@@ -921,6 +922,26 @@ def test_site_names_join_each_coordinate_by_commas(spec, k):
     lat = lm.disjoint_union(lm.parse_lattice(spec), k)[0]
     assert cli._site_names(lat) == [",".join(map(str, c))
                                     for c in lat.coords.tolist()]
+
+
+_SCALARS = (st.none() | st.booleans() | st.integers() | st.floats()
+            | st.text() | st.fractions() | st.sets(st.integers(), max_size=2))
+_PAYLOADS = st.recursive(_SCALARS, lambda kids: (
+    st.lists(kids, max_size=4) | st.tuples(kids, kids)
+    | st.dictionaries(st.text(max_size=6), kids, max_size=4)
+    | st.dictionaries(st.integers() | st.booleans(), kids, max_size=3)
+    | st.dictionaries(st.floats(allow_nan=False), kids, max_size=3)),
+    max_leaves=40)
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(_PAYLOADS)
+def test_emitted_json_is_json_dumps_byte_for_byte(obj):
+    """Nested and empty containers, keys that json turns into text,
+    NaN and infinities, newlines and commas inside strings, and objects
+    that default=str writes as strings (fractions, sets)."""
+    assert cli._dumps(obj) \
+        == json.dumps(obj, indent=2, sort_keys=True, default=str)
 
 
 def test_mcmc_reaches_a_six_dimensional_slab(tmp_path, af3_soft_path,

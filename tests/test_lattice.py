@@ -11,7 +11,7 @@ from spinlab import lattice as lm
 from helpers import (WrappingSet, co_connected_closure, diam_star,
                      directed_edge_boundary, edge_boundary_size, is_odd_set,
                      lattice_dist, lattice_reference, make_box, make_torus,
-                     neighbor_lists, odd_set_identity, random_odd_set,
+                     n_t_m, neighbor_lists, odd_set_identity, random_odd_set,
                      ref_closed_boundary, ref_components,
                      ref_connected_to_infinity, ref_is_regular, ref_n_t,
                      ref_plus, ref_plus_r, ref_separating_components)
@@ -201,9 +201,9 @@ def test_n_t_degree_bound():
     for _ in range(25):
         u_set = frozenset(v for v in sites if rng.random() < 0.4)
         for t in range(1, 5):
-            n_t = lm.sites(lm.n_t_m(lat, lm.mask(lat, u_set), t))
+            n_t = lm.sites(n_t_m(lat, lm.mask(lat, u_set), t))
             assert len(n_t) * t <= lat.degree * len(u_set)
-    assert lm.sites(lm.n_t_m(lat, lm.mask(lat, range(lat.n)), 5)) \
+    assert lm.sites(n_t_m(lat, lm.mask(lat, range(lat.n)), 5)) \
         == frozenset()
 
 
@@ -372,7 +372,7 @@ def _check_mask_operations(lat, rng):
             assert lm.sites(lm.closed_boundary_m(lat, m)) \
                 == ref_closed_boundary(lat, U)
             for t in range(2 * lat.d + 1):
-                assert lm.sites(lm.n_t_m(lat, m, t)) == ref_n_t(lat, U, t)
+                assert lm.sites(n_t_m(lat, m, t)) == ref_n_t(lat, U, t)
             stack, want = [], []
             for base in (0, 1):
                 core = frozenset(v for v in U if lat.parity(v) == base)
@@ -406,7 +406,7 @@ def test_stacked_mask_operations_match_row_by_row(spec, k):
     flat[:, -1] = False
     ops = [lm.nbhd_m, lm.inner_m, lm.outer_m, lm.closed_boundary_m,
            lambda lat, m: lm.plus_r_m(lat, m, 3)]
-    ops += [lambda lat, m, t=t: lm.n_t_m(lat, m, t)
+    ops += [lambda lat, m, t=t: n_t_m(lat, m, t)
             for t in range(2 * lat.d + 1)]
     for stack in (flat, flat.reshape(3, 2, -1)):
         for op in ops:
@@ -416,11 +416,54 @@ def test_stacked_mask_operations_match_row_by_row(spec, k):
                 assert np.array_equal(got[row], op(lat, stack[row]))
 
 
+@pytest.mark.parametrize("spec, k", [
+    ("box:7x5+halo", 1), ("box:9+halo", 1), ("box:4x3x3+halo", 1),
+    ("box:6px5+halo", 1), ("box:4x3+halo", 3)])
+def test_packed_rows_match_the_bool_call_on_each_mask(spec, k):
+    """P = 11 masks packed 8 to a byte (R = 2 uint8 rows, bit j of row r
+    for mask 8r + j), with the 5 unused bits clear or set as ``~`` sets
+    them: each set operation and is_regular_m, unpacked to P masks, is the
+    bool call on each mask, alone or in an (R, 2, n + 1) stack."""
+    lat = lm.disjoint_union(lm.parse_lattice(spec), k)[0]
+    rng = np.random.default_rng(sum(map(ord, spec)) + k)
+    P, base = 11, rng.integers(0, 2, 11)
+    flat = rng.random((P, lat.n + 1)) < np.linspace(0.05, 0.95, P)[:, None]
+    flat[:, -1] = False
+    flat[::2] = [lm.plus_m(lat, m & (np.append(lat.par, 2) == b))
+                 for m, b in zip(flat[::2], base[::2])]   # regular ones
+
+    def pack(rows):
+        return np.packbits(rows, axis=0, bitorder="little")
+
+    def unpack(rows):
+        return np.unpackbits(rows, axis=0, count=P,
+                             bitorder="little").view(bool)
+
+    unused = ~pack(np.ones((P, 1), dtype=bool))
+    ops = [lm.nbhd_m, lm.inner_m, lm.outer_m, lm.closed_boundary_m,
+           lambda lat, m: lm.plus_r_m(lat, m, 3)]
+    for packed in (pack(flat), pack(flat) | unused):
+        assert packed.shape == (2, lat.n + 1)
+        for op in ops:
+            got = unpack(op(lat, packed))
+            for p in range(P):
+                assert np.array_equal(got[p], op(lat, flat[p]))
+        want = [bool(lm.is_regular_m(lat, m, b)) for m, b in zip(flat, base)]
+        assert 0 < sum(want) < P
+        got = unpack(lm.is_regular_m(lat, packed, pack(base)))
+        assert got.tolist() == want
+        pair = np.stack([packed, lm.not_m(packed) & ~unused], axis=1)
+        got = unpack(lm.is_regular_m(lat, pair, pack(base[:, None])))
+        assert got.tolist() == [
+            [w, bool(lm.is_regular_m(lat, lm.not_m(m), b))]
+            for w, m, b in zip(want, flat, base)]
+
+
 def test_masks_keep_the_sentinel_slot_false():
     lat = make_box((4, 5))
     m = lm.mask(lat, {0, 7, lat.n - 1})
     for out in (lm.nbhd_m(lat, m), lm.plus_r_m(lat, m, 3),
-                lm.closed_boundary_m(lat, m), lm.n_t_m(lat, m, 0),
+                lm.closed_boundary_m(lat, m), n_t_m(lat, m, 0),
                 lm.not_m(m), lm.inner_m(lat, lm.not_m(m))):
         assert out.shape == (lat.n + 1,) and not out[-1]
     stack = np.stack([m, lm.not_m(m)])
