@@ -146,9 +146,9 @@ def compute_regions(system: SpinSystem, lat, f, p0: Pattern) -> Regions:
 
 @dataclass
 class Atlas:
-    """A breakup as site masks: the charts x and their defect sets xp,
-    stacked one row per pattern of ctx.pats, and the localized defect
-    region b."""
+    """A breakup: the charts x and their defect sets xp as packed rows of
+    ctx.pats (as BreakupContext's, with the unused bits clear), and the
+    localized defect region b, a site mask."""
     ctx: BreakupContext
     x: np.ndarray
     xp: np.ndarray
@@ -188,14 +188,14 @@ def construct_breakup(system: SpinSystem, lat, f, p0: Pattern,
     x, ctx = reg.z_p & b * _ALL, reg.ctx
     for comp in lat_mod.components_m(lat, lat_mod.not_m(b)):
         ring = lat_mod.plus_r_m(lat, comp, 5) & ~comp
-        cands = np.flatnonzero(ctx.unpack(reg.z_p[:, ring]).all(axis=1))
-        if len(cands) != 1:
+        cover = np.bitwise_and.reduce(reg.z_p[:, ring], axis=1)
+        if (count := int(_POPCOUNT.take(cover).sum())) != 1:
             raise errors.ValidationError(
-                f"component has {len(cands)} surrounding patterns")
-        x |= ctx.bits[:, cands[:1]] * comp
+                f"component has {count} surrounding patterns")
+        x |= cover[:, None] * comp
     # with the sites whose every neighbor slot is in zp_p
     xp = (reg.zp_p | ~lat_mod.nbhd_m(lat, ~reg.zp_p)) & b * _ALL
-    return Atlas(ctx=ctx, x=ctx.unpack(x), xp=ctx.unpack(xp), b=b)
+    return Atlas(ctx=ctx, x=x, xp=xp, b=b)
 
 
 # ---------------------------------------------------------------------------
@@ -204,13 +204,13 @@ def construct_breakup(system: SpinSystem, lat, f, p0: Pattern,
 def verify_breakup(system: SpinSystem, lat, f, p0: Pattern, atlas: Atlas,
                    V=None) -> dict:
     """Check the defining and derived properties of an atlas against the
-    configuration.  Returns a report with per-property status and failure
-    witnesses: the first five in site order (then neighbor slot, pattern
-    and kind), or for the last property the first three sites of the
-    first three components."""
+    configuration, reading its packed rows as they are.  Returns a report
+    with per-property status and failure witnesses: the first five in site
+    order (then neighbor slot, pattern and kind), or for the last property
+    the first three sites of the first three components."""
     ctx = BreakupContext(system, lat, f, p0)
     pats = ctx.pats
-    x, xp = ctx.pack(atlas.x), ctx.pack(atlas.xp)
+    x, xp = atlas.x, atlas.xp
     V = lat_mod.mask(lat, lat.interior if V is None else V)
     report = {}
 
@@ -228,8 +228,8 @@ def verify_breakup(system: SpinSystem, lat, f, p0: Pattern, atlas: Atlas,
                              for h in hits])
 
     # exterior belongs to the reference chart
-    bad = np.flatnonzero(lat_mod.halo_m(lat)
-                         & ~atlas.x[pats.index(ctx.p0)])[:5].tolist()
+    bad = np.flatnonzero(lat_mod.halo_m(lat) & ~(
+        x & ctx.bits[:, [pats.index(ctx.p0)]]).any(axis=0))[:5].tolist()
     put("exterior_in_reference_chart", not bad, bad)
 
     # charts are nested and regular

@@ -423,7 +423,8 @@ def cmd_breakup(system, lattice_spec, config_path, pattern_text, seen_from):
         "charts": {
             f"A={system.labels(p.a)};B={system.labels(p.b)}": {
                 "X": _coords_of(names, x), "X_defect": _coords_of(names, xp),
-            } for p, x, xp in zip(atlas.ctx.pats, atlas.x, atlas.xp)},
+            } for p, x, xp in zip(atlas.ctx.pats, atlas.ctx.unpack(atlas.x),
+                                  atlas.ctx.unpack(atlas.xp))},
         "X_star": _coords_of(names, atlas.x_star()),
         "stats": atlas.stats(),
         "verify": {k: (v if not isinstance(v, dict)
@@ -460,13 +461,11 @@ def cmd_breakup_scan(system, lattice_spec, pattern_text, sweeps, samples,
         block = np.array(configs[lo:lo + per], dtype=np.intp)
         for k, f in enumerate(block, lo):
             rng = np.random.Generator(np.random.PCG64(10 ** 6 + seed + k))
-            halo = gibbs.sample_halo_extension(system, lat, pat, rng)
-            f[list(halo)] = list(halo.values())
-        union, copy = lat_mod.disjoint_union(lat, len(block))
+            f[m:] = gibbs.sample_halo_extension(system, lat, pat, rng)
+        union, copy, orig = lat_mod.disjoint_union(lat, len(block))
         atlas = breakup_mod.construct_breakup(
-            system, union,
-            np.concatenate((block[:, :m], block[:, m:]), axis=None), pat,
-            range(center, len(block) * m, m))
+            system, union, block[copy, orig], pat,
+            np.flatnonzero(orig == center))
         st = atlas.site_stats()
         by_copy = [np.bincount(copy, st[key][:-1], len(block)).astype(int)
                    for key in "LMN"]

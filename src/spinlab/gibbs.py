@@ -91,12 +91,12 @@ def interior_site(lat, site) -> int:
 
 
 def sample_halo_extension(system: SpinSystem, lat, pattern: Pattern,
-                          rng) -> dict:
-    """Random halo assignment: each halo site independently takes a value in
-    its parity's pattern side, with probability proportional to activity.
-    One uniform u per halo site, in site order; the value is the first
-    state of the side whose cumulative activity reaches u times the side's
-    total."""
+                          rng) -> np.ndarray:
+    """Random halo assignment, the values of lat.halo in order: each halo
+    site independently takes a value in its parity's pattern side, with
+    probability proportional to activity.  One uniform u per halo site, in
+    site order; the value is the first state of the side whose cumulative
+    activity reaches u times the side's total."""
     pools = [system.mask_states(pattern.a), system.mask_states(pattern.b)]
     if not all(pools):
         raise errors.EmptySupport("pattern side has no states")
@@ -108,7 +108,7 @@ def sample_halo_extension(system: SpinSystem, lat, pattern: Pattern,
         on = lat.par[halo] == q
         pick = np.searchsorted(cum, u[on] * cum[-1]).clip(max=len(pool) - 1)
         out[on] = np.array(pool)[pick]
-    return dict(zip(halo.tolist(), out.tolist()))
+    return out
 
 
 # ---------------------------------------------------------------------------

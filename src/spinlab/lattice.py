@@ -29,8 +29,8 @@ boundary.
 
 disjoint_union lays k copies of a lattice out as one lattice whose copies
 share no edge, so that every mask operation (and the breakup) runs on k
-configurations at once; breakup-scan builds a block of samples' breakups
-this way.
+configurations at once, and returns each union site's copy and site of
+the lattice; breakup-scan builds a block of samples' breakups this way.
 """
 
 from __future__ import annotations
@@ -143,12 +143,13 @@ def make_lattice(dims, periodic) -> Lattice:
 
 
 def disjoint_union(lat: Lattice, k: int) -> tuple:
-    """k copies of lat as one lattice, and the copy of each of its sites.
-    Every copy's interior comes first, then every copy's halo, so that the
-    halo stays one range; each copy keeps its sites' order, and the copies
-    share one sentinel.  The union keeps lat's dims and periodic flags (so
-    its d, degree and exterior are lat's) but has no grid: site() is
-    lat's alone."""
+    """k copies of lat as one lattice, and each union site's copy and site
+    of lat (a (k, n) block of values, one row a copy, is block[copy, orig]
+    on the union).  Every copy's interior comes first, then every copy's
+    halo, so that the halo stays one range; each copy keeps its sites'
+    order, and the copies share one sentinel.  The union keeps lat's dims
+    and periodic flags (so its d, degree and exterior are lat's) but has no
+    grid: site() is lat's alone."""
     n, m = lat.n, len(lat.interior)
     copy = np.concatenate([np.repeat(np.arange(k), m),
                            np.repeat(np.arange(k), n - m), [0]])
@@ -164,7 +165,7 @@ def disjoint_union(lat: Lattice, k: int) -> tuple:
                     coords=lat.coords[orig[:-1]], interior=range(k * m),
                     halo=range(k * m, k * n), nbr=adj[:, :-1].T, adj=adj,
                     par=lat.par[orig[:-1]])
-    return union, copy[:-1]
+    return union, copy[:-1], orig[:-1]
 
 
 def check_shape(dims, periodic) -> tuple:

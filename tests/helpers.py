@@ -969,17 +969,18 @@ def ref_separating_components(lat, B, V):
 def charts(atlas: Atlas) -> tuple:
     """An atlas's charts and defect sets as the dicts pattern -> frozenset
     of sites that RefBreakup builds."""
-    return tuple({p: sites(m) for p, m in zip(atlas.ctx.pats, rows)}
+    return tuple({p: sites(m) for p, m in zip(atlas.ctx.pats,
+                                              atlas.ctx.unpack(rows))}
                  for rows in (atlas.x, atlas.xp))
 
 
 def with_charts(atlas: Atlas, x_p: dict, xp_p: dict) -> Atlas:
     """The atlas with its charts and defect sets replaced by x_p and xp_p,
     dicts pattern -> sites."""
-    lat, pats = atlas.ctx.lat, atlas.ctx.pats
+    ctx = atlas.ctx
     return dataclasses.replace(
-        atlas, x=np.array([mask(lat, x_p[p]) for p in pats]),
-        xp=np.array([mask(lat, xp_p[p]) for p in pats]))
+        atlas, x=ctx.pack([mask(ctx.lat, x_p[p]) for p in ctx.pats]),
+        xp=ctx.pack([mask(ctx.lat, xp_p[p]) for p in ctx.pats]))
 
 
 def copy_atlases(atlas: Atlas, lat, copy, f) -> list:

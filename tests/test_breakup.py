@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from spinlab import breakup as bk
-from spinlab import catalog, errors, patterns
+from spinlab import catalog, cli, errors, patterns
 from spinlab import lattice as lm
 from spinlab.patterns import Pattern
 
@@ -14,6 +14,7 @@ from helpers import (RefBreakup, RefScenarios, _nv_mask, charts, classify,
                      is_restricted, is_unbalanced, make_box, make_torus,
                      neighbor_lists, ordered_config, scenario_checks,
                      with_charts)
+from test_breakup_golden import BREAKUPS, _config as _golden_config
 
 AF3 = catalog.build("af_potts", q=3)
 AF4 = catalog.build("af_potts", q=4)
@@ -239,7 +240,7 @@ def test_breakup_on_a_disjoint_union_is_each_copys_own(k):
     stats alike."""
     for group in _case_groups():
         system, lat, _, p0, _ = group[0]
-        union, copy = lm.disjoint_union(lat, k)
+        union, copy, _ = lm.disjoint_union(lat, k)
         for start in range(len(group)):
             cases = [group[(start + j) % len(group)] for j in range(k)]
             f = np.zeros(union.n, dtype=np.intp)
@@ -260,6 +261,56 @@ def test_breakup_on_a_disjoint_union_is_each_copys_own(k):
                 assert np.array_equal(own.b, ref.b)
                 assert {key: v[j] for key, v in stats.items()} \
                     == ref.stats()
+
+
+def _packed_cases():
+    """Every case of _cases(), the q = 5 and q = 7 inputs of the golden
+    file (3 and 9 byte rows) and, for every group of _case_groups(), a
+    disjoint union of three copies holding its first three cases."""
+    out = list(_cases())
+    for name in ("af5_box12", "af7_box10"):
+        model, params, pattern, spec, seed, density, margin, seen = \
+            BREAKUPS[name]
+        system, lat = catalog.build(model, **params), lm.parse_lattice(spec)
+        values = _golden_config(system, pattern, lat, seed, density,
+                                margin)["values"]
+        f = [system.states.index(values[",".join(map(str, c))])
+             for c in lat.coords.tolist()]
+        out.append((system, lat, f, cli._parse_pattern(system, pattern),
+                    {cli._lattice_site(lat, s) for s in seen.split(";")}))
+    for group in _case_groups():
+        system, lat, _, p0, _ = group[0]
+        union, copy, orig = lm.disjoint_union(lat, 3)
+        block = np.array([group[j % len(group)][2] for j in range(3)])
+        out.append((system, union, block[copy, orig], p0, None))
+    return out
+
+
+def test_atlas_rows_are_packed_with_the_unused_bits_clear():
+    """construct_breakup's x and xp are packed rows whose bits past the
+    last pattern are clear (the popcount of x_star and site_stats counts
+    every set bit); unpacked they are the reference's charts, and x_star
+    and site_stats read them as the reference does."""
+    for system, lat, f, p0, V in _packed_cases():
+        atlas = bk.construct_breakup(system, lat, f, p0, V)
+        ctx = atlas.ctx
+        used = np.packbits(np.ones(len(ctx.pats), bool), bitorder="little")
+        for rows in (atlas.x, atlas.xp):
+            assert rows.dtype == np.uint8
+            assert rows.shape == (len(used), lat.n + 1)
+            assert not (rows & ~used[:, None]).any()
+        ref = RefBreakup(system, lat, f, p0)
+        x_p, xp_p, _ = ref.construct(V)
+        assert [tuple(map(lm.sites, ctx.unpack(rows)))
+                for rows in (atlas.x, atlas.xp)] \
+            == [tuple(x_p[p] for p in ctx.pats),
+                tuple(xp_p[p] for p in ctx.pats)]
+        assert lm.sites(atlas.x_star()) == ref.star(x_p, xp_p)
+        none, overlap, defect = ref.partition(x_p, xp_p)
+        st = atlas.site_stats()
+        assert (lm.sites(st["M"]), lm.sites(st["N"])) \
+            == (overlap | defect, none)
+        assert atlas.stats() == ref.stats(x_p, xp_p)
 
 
 def _lemma_cases():

@@ -45,6 +45,10 @@ SCANS = {
     "scan_af3b1_slab6x6x2p": ("af_potts", {"q": 3, "beta": 1}, [
         "--lattice", "box:6x6x2p+halo", "--pattern", "A=1;B=2,3",
         "--sweeps", "100", "--samples", "12", "--seed", "7", "--force"]),
+    # 20 dominant patterns: site_stats on 3 byte rows
+    "scan_af5b1_box6": ("af_potts", {"q": 5, "beta": 1}, [
+        "--lattice", "box:6x6+halo", "--pattern", "A=1,2;B=3,4,5",
+        "--sweeps", "200", "--samples", "40", "--seed", "3", "--force"]),
 }
 
 

@@ -1054,9 +1054,9 @@ def test_breakup_scan_on_a_slab_verifies_every_atlas(tmp_path, af3_path,
     union_of, construct = lm.disjoint_union, breakup_mod.construct_breakup
 
     def spy_union(lat, k):
-        union, copy = union_of(lat, k)
+        union, copy, orig = union_of(lat, k)
         unions[id(union)] = lat, copy
-        return union, copy
+        return union, copy, orig
 
     def spy_construct(system, lat, f, pat, V):
         atlas = construct(system, lat, f, pat, V)
@@ -1091,7 +1091,8 @@ def _one_breakup_a_sample(system, lat, configs, seed):
     for k, f in enumerate(configs):
         rng = np.random.Generator(np.random.PCG64(10 ** 6 + seed + k))
         f = list(f)
-        for v, s in gibbs.sample_halo_extension(system, lat, pat, rng).items():
+        for v, s in zip(lat.halo,
+                        gibbs.sample_halo_extension(system, lat, pat, rng)):
             f[v] = s
         st = breakup_mod.construct_breakup(system, lat, f, pat, center).stats()
         rows.append(f"{k},{seed + k},{st['L']},{st['M']},{st['N']}")

@@ -48,11 +48,11 @@ def test_sample_halo_extension():
     lat = make_box((4, 4))
     rng = np.random.Generator(np.random.PCG64(0))
     halo = gibbs.sample_halo_extension(HC, lat, P0_HC, rng)
-    assert set(halo) == set(lat.halo)
-    for v, s in halo.items():
+    assert halo.shape == (len(lat.halo),)
+    for v, s in zip(lat.halo, halo.tolist()):
         side = P0_HC.a if lat.parity(v) == 0 else P0_HC.b
         assert side >> s & 1
-    assert all(halo[v] == 0 for v in lat.halo if lat.parity(v) == 0)
+    assert all(s == 0 for v, s in zip(lat.halo, halo) if lat.parity(v) == 0)
     with pytest.raises(errors.EmptySupport):
         gibbs.sample_halo_extension(HC, lat, Pattern(0, 0b11), rng)
 

@@ -331,14 +331,19 @@ def test_lattice_tables_match_loop_builder(kind, dims):
 def test_disjoint_union_maps_each_copy_back_to_the_lattice(spec, k):
     lat = lm.parse_lattice(spec)
     n, m = lat.n, len(lat.interior)
-    union, copy = lm.disjoint_union(lat, k)
-    assert union.n == k * n and copy.shape == (k * n,)
+    union, copy, orig = lm.disjoint_union(lat, k)
+    assert union.n == k * n and copy.shape == orig.shape == (k * n,)
     assert union.interior == range(k * m) and union.halo == range(k * m, k * n)
     assert (union.dims, union.periodic, union.d) == (lat.dims, lat.periodic,
                                                      lat.d)
     # every copy's interior, then every copy's halo
     assert copy.tolist() == [j for j in range(k) for _ in range(m)] \
         + [j for j in range(k) for _ in range(n - m)]
+    assert orig.tolist() == [*range(m)] * k + [*range(m, n)] * k
+    # so one row of values a copy is block[copy, orig] on the union
+    block = np.arange(k * n).reshape(k, n)
+    assert np.array_equal(block[copy, orig], np.concatenate(
+        (block[:, :m], block[:, m:]), axis=None))
     # the sentinel is shared, and nbr is the slot table by site
     assert (union.adj[:, -1] == k * n).all() and union.adj.flags.c_contiguous
     assert np.array_equal(union.nbr, union.adj[:, :-1].T)
@@ -346,6 +351,7 @@ def test_disjoint_union_maps_each_copy_back_to_the_lattice(spec, k):
     for j in range(k):
         # copy j's sites in union order are lat's sites 0 .. n - 1
         where = np.append(np.flatnonzero(copy == j), k * n)
+        assert np.array_equal(orig[where[:-1]], np.arange(n))
         assert np.array_equal(union.adj[:, where], where[lat.adj])
         assert np.array_equal(union.par[where[:-1]], lat.par)
         assert np.array_equal(union.coords[where[:-1]], lat.coords)

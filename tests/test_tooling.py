@@ -120,6 +120,24 @@ def test_the_mask_layer_gathers_through_the_adjacency_table_by_take():
     assert not found
 
 
+def test_the_breakup_keeps_its_charts_in_packed_rows():
+    """An atlas is built, summed up and scanned in the packed rows it is
+    kept in: construct_breakup, Atlas.x_star, Atlas.site_stats and
+    cmd_breakup_scan call neither pack nor unpack (nor numpy's packbits
+    or unpackbits)."""
+    names = {"construct_breakup", "x_star", "site_stats", "cmd_breakup_scan"}
+    defs = [node for name in ("breakup.py", "cli.py")
+            for node in ast.walk(ast.parse((SRC / name).read_text()))
+            if isinstance(node, ast.FunctionDef) and node.name in names]
+    assert sorted(fn.name for fn in defs) == sorted(names)
+    found = [f"{fn.name}:{node.lineno}" for fn in defs
+             for node in ast.walk(fn) if isinstance(node, ast.Call)
+             and (getattr(node.func, "attr", None)
+                  or getattr(node.func, "id", None))
+             in ("pack", "unpack", "packbits", "unpackbits")]
+    assert not found
+
+
 def test_no_unused_imports_in_the_library():
     """Every name a library or test module imports is read somewhere in
     it."""
