@@ -397,12 +397,11 @@ def cmd_mcmc(system, lattice_spec, pattern_text, site, sweeps, seed, force):
     lat = lat_mod.make_lattice(*shape)
     res = gibbs.run_mcmc(system, lat, pat, _parse_site(lat, site),
                          n_sweeps=n_sweeps, seed=seed, force=force)
-    names = _site_names(lat)
     return {
         "site": site, "n_sweeps": res.n_sweeps, "burn_in": res.burn_in,
         "marginal": res.marginal, "se": res.se, "n_batches": res.n_batches,
-        "final_config": {names[v]: system.states[res.config[v]]
-                         for v in lat.interior},
+        "final_config": {name: system.states[s] for name, s in zip(
+            _site_names(lat), res.config[:len(lat.interior)].tolist())},
         "meta": {"seed": seed, "rng": res.rng_id},
     }
 
@@ -449,19 +448,20 @@ def cmd_breakup_scan(system, lattice_spec, pattern_text, sweeps, samples,
     m = len(lat.interior)
     center = lat.site(tuple(x // 2 for x in lat.dims))
     lines = ["sample,seed,L,M,N"]
-    configs = []
     if samples > 0:
         configs = gibbs.run_mcmc(system, lat, pat, min(lat.interior),
                                  n_sweeps=n_sweeps, seed=seed, force=force,
                                  chains=samples).configs
+        # one draw of every halo, row k from sample k's own generator
+        u = [np.random.Generator(np.random.PCG64(10 ** 6 + seed + k))
+             .random(lat.n - m) for k in range(samples)]
+        configs[:, m:] = gibbs.sample_halo_extension(system, lat, pat,
+                                                     np.array(u))
     # a block of samples is one breakup on the disjoint union of its copies
     # of the lattice, each viewed from its centre
     per = max(1, SCAN_BLOCK_SITES // lat.n)
-    for lo in range(0, len(configs), per):
-        block = np.array(configs[lo:lo + per], dtype=np.intp)
-        for k, f in enumerate(block, lo):
-            rng = np.random.Generator(np.random.PCG64(10 ** 6 + seed + k))
-            f[m:] = gibbs.sample_halo_extension(system, lat, pat, rng)
+    for lo in range(0, samples, per):
+        block = configs[lo:lo + per]
         union, copy, orig = lat_mod.disjoint_union(lat, len(block))
         atlas = breakup_mod.construct_breakup(
             system, union, block[copy, orig], pat,

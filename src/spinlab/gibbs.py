@@ -38,7 +38,7 @@ import functools
 import itertools
 import math
 import operator
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -91,23 +91,20 @@ def interior_site(lat, site) -> int:
 
 
 def sample_halo_extension(system: SpinSystem, lat, pattern: Pattern,
-                          rng) -> np.ndarray:
-    """Random halo assignment, the values of lat.halo in order: each halo
-    site independently takes a value in its parity's pattern side, with
-    probability proportional to activity.  One uniform u per halo site, in
-    site order; the value is the first state of the side whose cumulative
+                          u) -> np.ndarray:
+    """Random halo values, of the shape of the uniforms u (..., |halo|, in
+    lat.halo order; breakup-scan's row k comes from sample k's generator):
+    each halo site independently takes a value in its parity's side, with
+    probability proportional to activity, the first state whose cumulative
     activity reaches u times the side's total."""
     pools = [system.mask_states(pattern.a), system.mask_states(pattern.b)]
     if not all(pools):
         raise errors.EmptySupport("pattern side has no states")
-    halo = np.arange(len(lat.interior), lat.n)
-    u = rng.random(len(halo))
-    out = np.empty(len(halo), dtype=np.intp)
+    par, out = lat.par[len(lat.interior):], np.empty(u.shape, dtype=np.intp)
     for q, pool in enumerate(pools):
         cum = np.cumsum([to_float(system.activities[s]) for s in pool])
-        on = lat.par[halo] == q
-        pick = np.searchsorted(cum, u[on] * cum[-1]).clip(max=len(pool) - 1)
-        out[on] = np.array(pool)[pick]
+        pick = np.searchsorted(cum, u[..., par == q] * cum[-1])
+        out[..., par == q] = np.array(pool)[pick.clip(max=len(pool) - 1)]
     return out
 
 
@@ -429,10 +426,10 @@ class MCMCResult:
     n_batches: int
     trace_counts: dict      # state label -> total count after burn-in
     chains: int = 1
-    configs: list = field(default_factory=list)  # final values per chain
+    configs: np.ndarray = None  # final values, (chains, stored sites) int64
 
     @property
-    def config(self) -> list:
+    def config(self) -> np.ndarray:
         """The first chain's final values (halo sites hold |S|)."""
         return self.configs[0]
 
@@ -442,14 +439,15 @@ def _safe_state_exists(system) -> bool:
                for s in range(system.n))
 
 
-def initial_pattern_config(system: SpinSystem, lat, pattern: Pattern) -> list:
-    """Deterministic pattern tiling of the interior: each site takes the
-    lowest-index state of its parity's side."""
+def initial_pattern_config(system: SpinSystem, lat,
+                           pattern: Pattern) -> np.ndarray:
+    """Deterministic pattern tiling, an int array over the stored sites:
+    each site takes the lowest-index state of its parity's side."""
     a_states = system.mask_states(pattern.a)
     b_states = system.mask_states(pattern.b)
     if not a_states or not b_states:
         raise errors.NoAdmissibleStart("pattern side empty")
-    return np.where(lat.par == 0, a_states[0], b_states[0]).tolist()
+    return np.where(lat.par == 0, a_states[0], b_states[0])
 
 
 def _local_weights(acts, inter, slots, masks):
@@ -541,7 +539,7 @@ class _Chains:
                        .tolist(), trace, *rows)
             configs.append(cfg[:-1])
         return np.array(trace, dtype=np.int64).reshape(chains, n_sweeps), \
-            configs
+            np.array(configs, dtype=np.int64)
 
     def checkerboard(self, rng, site, n_sweeps, chains):
         """Heat-bath half-sweeps: all even interior sites of every chain at
@@ -582,9 +580,9 @@ class _Chains:
                 cfg[rows] = (lower.take(key, 1) < u).view(np.uint8).sum(
                     0, dtype=np.uint8)
             trace[:, sweep] = cfg[pos[site]]
-        configs = np.repeat(self.init[:-1, None], chains, axis=1)
-        configs[order] = cfg[:m]
-        return trace, configs.T.tolist()
+        configs = np.repeat(self.init[None, :-1], chains, axis=0)
+        configs[:, order] = cfg[:m].T
+        return trace, configs
 
 
 _RASTER_SWEEPS = """
@@ -638,8 +636,9 @@ def run_mcmc(system: SpinSystem, lat, pattern: Pattern, site,
     """Heat-bath dynamics on the interior of a lattice with an open axis (a
     box or a slab) under a pattern boundary constraint, from the pattern
     tiling, recording the value at one site after every sweep of every
-    chain.  Periodic axes wrap; a lattice with no open axis has no
-    boundary to constrain and is refused.
+    chain.  The chains' final values are one (chains, stored sites) int64
+    array, MCMCResult.configs.  Periodic axes wrap; a lattice with no open
+    axis has no boundary to constrain and is refused.
 
     Stream contract.  The kernel is chosen by chains x |interior|.  Below
     CHECKERBOARD_MIN_UPDATES (200, fixed by this contract, not by the

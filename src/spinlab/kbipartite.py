@@ -50,6 +50,11 @@ MAX_D = 64
 RNG_ID = "python-random"
 N_RANDOM = 100
 MAX_RESTRICTED = 3
+# product forms plus right-side sets I, summed over the dominant sides,
+# that verify_main_condition takes on; more are refused before any sum.  At
+# d = 2 on 2 vCPUs one costs 40-130 us: af_potts q=8 (72,520) takes 6 s,
+# multi_wr q=16 (263,485) 11 s and af_potts q=9 (927,360) 67 s
+MAX_CHECKS = 3 * 10 ** 5
 
 
 # ---------------------------------------------------------------------------
@@ -391,7 +396,9 @@ def verify_main_condition(system: SpinSystem, d: int, alpha: float,
     checks all product forms whose coordinate sets are the side J or one of
     its strict fixed-point subsets (at most MAX_RESTRICTED restricted
     coordinates, and at most 2d), plus N_RANDOM seeded random product
-    forms.  Documented as a sound-but-incomplete check.
+    forms.  Documented as a sound-but-incomplete check.  More than
+    MAX_CHECKS product forms and right-side sets are refused (TooLarge)
+    before any sum.
     """
     if not (math.isfinite(alpha) and math.isfinite(gamma)):
         raise errors.ParamOutOfRange("alpha and gamma must be finite")
@@ -408,6 +415,21 @@ def verify_main_condition(system: SpinSystem, d: int, alpha: float,
         omega_2d = math.inf
     if not 0 < omega_2d < math.inf:
         raise errors.TooLarge("omega_dom^{2d} leaves the float64 range")
+    # per side J: 2^|S| sets I, and the product forms: the C(s + k, k)
+    # multisets of at most k = min(MAX_RESTRICTED, 2d) of its s strict
+    # sides, and N_RANDOM more.  Listing the strict sides takes sides x
+    # |r_sets| <= sides x 2^|S| steps, so it waits until the sets I pass
+    checks = len(st.dominant_sides) << system.n
+    strict = {J: [a for a in st.r_sets if a != J and a & ~J == 0 and a != 0]
+              for J in st.dominant_sides} if checks <= MAX_CHECKS else {}
+    k_max = min(MAX_RESTRICTED, 2 * d)
+    checks += sum(math.comb(len(sub) + k_max, k_max) + N_RANDOM
+                  for sub in strict.values())
+    if checks > MAX_CHECKS:
+        raise errors.TooLarge(f"more than {MAX_CHECKS} product forms and "
+                              "right-side sets I")
+    rrI = [patterns.r_closure(system, patterns.r_closure(system, I))
+           for I in range(1 << system.n)]
     rng = random.Random(seed)
     results = []
 
@@ -434,13 +456,11 @@ def verify_main_condition(system: SpinSystem, d: int, alpha: float,
 
     for J in sorted(st.dominant_sides):
         rJ = patterns.r_closure(system, J)
-        strict = [a for a in st.r_sets if a != J and a & ~J == 0 and a != 0]
         # (1) product subsets of the balanced class
         families = [
-            list(combo) + [J] * (2 * d - k)
-            for k in range(min(MAX_RESTRICTED, 2 * d) + 1)
-            for combo in itertools.combinations_with_replacement(strict, k)]
-        pool = [J] + strict
+            list(combo) + [J] * (2 * d - k) for k in range(k_max + 1)
+            for combo in itertools.combinations_with_replacement(strict[J], k)]
+        pool = [J] + strict[J]
         families += [[rng.choice(pool) for _ in range(2 * d)]
                      for _ in range(N_RANDOM)]
         # each multiset of masks once, where it first comes
@@ -456,8 +476,7 @@ def verify_main_condition(system: SpinSystem, d: int, alpha: float,
         # (2) right-side restriction
         bal = PsiSpec(J=J, cls="balanced", eps=eps, eps_bar=eps_bar)
         for I in range(1 << system.n):
-            rrI = patterns.r_closure(system, patterns.r_closure(system, I))
-            if rJ & ~rrI:  # R(J) not within the double closure
+            if rJ & ~rrI[I]:  # R(J) not within the double closure
                 lhs = z_compositions(system, d, bal, I)
                 record("restricted_right", J, lhs, 2 * gamma * d - alpha * d)
         # (3) near-constant assignments

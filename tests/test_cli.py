@@ -12,7 +12,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from spinlab import (breakup as breakup_mod, catalog, cli, errors, gibbs,
-                     parameters, patterns)
+                     kbipartite, parameters, patterns)
 from spinlab import lattice as lm
 from spinlab.system import load_system, make_system
 
@@ -161,6 +161,27 @@ def test_huge_dimensions_are_refused(af3_path, capsys, argv, code, error):
     captured = capsys.readouterr()
     assert json.loads(captured.err)["error"] == error
     assert captured.out == ""
+
+
+def test_verify_cond_refuses_a_runaway_run_before_any_sum(sysfile, capsys,
+                                                           monkeypatch):
+    """af_potts q=10 at d=2 has 252 dominant sides, each with 5,556 product
+    forms and 2^10 right-side sets (more than a minute of sums): verify-cond
+    refuses it with TooLarge, exit 3, before the first sum, within a
+    second."""
+    def no_sum(*args):
+        raise AssertionError("z_compositions ran")
+    monkeypatch.setattr(kbipartite, "z_compositions", no_sum)
+    path = sysfile("af10.json", catalog.build("af_potts", q=10))
+    t0 = time.perf_counter()
+    assert cli.main(["verify-cond", "--system", path, "--d", "2",
+                     "--alpha", "1", "--gamma", "1", "--eps", "0.1",
+                     "--epsbar", "0.1"]) == 3
+    assert time.perf_counter() - t0 < 1
+    captured = capsys.readouterr()
+    assert captured.out == "" and json.loads(captured.err) == {
+        "error": "TooLarge", "detail": "more than 300000 product forms and "
+        "right-side sets I"}
 
 
 def _hard_core(activities):
@@ -1089,10 +1110,11 @@ def _one_breakup_a_sample(system, lat, configs, seed):
     center = {lat.site(tuple(x // 2 for x in lat.dims))}
     rows = []
     for k, f in enumerate(configs):
-        rng = np.random.Generator(np.random.PCG64(10 ** 6 + seed + k))
+        u = np.random.Generator(np.random.PCG64(10 ** 6 + seed + k)).random(
+            len(lat.halo))
         f = list(f)
         for v, s in zip(lat.halo,
-                        gibbs.sample_halo_extension(system, lat, pat, rng)):
+                        gibbs.sample_halo_extension(system, lat, pat, u)):
             f[v] = s
         st = breakup_mod.construct_breakup(system, lat, f, pat, center).stats()
         rows.append(f"{k},{seed + k},{st['L']},{st['M']},{st['N']}")
@@ -1134,7 +1156,7 @@ def test_breakup_scan_views_each_sample_from_its_centre(tmp_path, af3_path,
     flip[lat.site((14, 14))] = 1
     configs = [ordered_config(lat), flip, flip, ordered_config(lat), flip]
     monkeypatch.setattr(gibbs, "run_mcmc", lambda *args, **kwargs:
-                        SimpleNamespace(configs=[list(f) for f in configs]))
+                        SimpleNamespace(configs=np.array(configs)))
     out = tmp_path / "scan.csv"
     assert cli.main(["breakup-scan", "--system", af3_path,
                      "--lattice", "box:28x28+halo", "--pattern", "A=1;B=2,3",
@@ -1149,25 +1171,28 @@ def test_breakup_scan_views_each_sample_from_its_centre(tmp_path, af3_path,
 @pytest.mark.parametrize("lattice", ["box:6x6+halo", "box:40x40+halo"])
 def test_breakup_scan_refuses_when_a_later_sample_is_refused(
         af3_path, capsys, monkeypatch, lattice):
-    """A refusal while sample 1's halo is drawn, inside one block of
-    samples (6x6) or in the first of two (40x40, two samples a block),
-    ends the scan with exit 2 and no partial CSV."""
-    draws = []
-    draw = gibbs.sample_halo_extension
+    """A refusal from the breakup of the block that holds the last of three
+    samples, the only block (6x6) or the second of two (40x40, two samples
+    a block), ends the scan with exit 2 and no partial CSV."""
+    n, copies = lm.parse_lattice(lattice).n, []
+    construct = breakup_mod.construct_breakup
 
-    def off_the_pattern(system, lat, pat, rng):
-        draws.append(draw(system, lat, pat, rng))
-        if len(draws) == 2:
-            raise errors.BoundaryNotInPattern("halo off the pattern")
-        return draws[-1]
-    monkeypatch.setattr(gibbs, "sample_halo_extension", off_the_pattern)
+    def refused_at_the_last_sample(system, union, *args):
+        copies.append(union.n // n)
+        if sum(copies) == 3:
+            raise errors.ValidationError("component has 2 surrounding "
+                                         "patterns")
+        return construct(system, union, *args)
+    monkeypatch.setattr(breakup_mod, "construct_breakup",
+                        refused_at_the_last_sample)
     assert cli.main(["breakup-scan", "--system", af3_path,
                      "--lattice", lattice, "--pattern", "A=1;B=2,3",
                      "--sweeps", "20", "--samples", "3", "--force"]) == 2
     out, err = capsys.readouterr()
     assert out == "" and json.loads(err) == {
-        "error": "BoundaryNotInPattern", "detail": "halo off the pattern"}
-    assert len(draws) == 2
+        "error": "ValidationError",
+        "detail": "component has 2 surrounding patterns"}
+    assert copies == ([3] if lattice == "box:6x6+halo" else [2, 1])
 
 
 @pytest.mark.parametrize("side, rng_id", [

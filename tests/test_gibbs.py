@@ -46,15 +46,43 @@ def test_pattern_boundary_region():
 
 def test_sample_halo_extension():
     lat = make_box((4, 4))
-    rng = np.random.Generator(np.random.PCG64(0))
-    halo = gibbs.sample_halo_extension(HC, lat, P0_HC, rng)
+    u = np.random.Generator(np.random.PCG64(0)).random(len(lat.halo))
+    halo = gibbs.sample_halo_extension(HC, lat, P0_HC, u)
     assert halo.shape == (len(lat.halo),)
     for v, s in zip(lat.halo, halo.tolist()):
         side = P0_HC.a if lat.parity(v) == 0 else P0_HC.b
         assert side >> s & 1
     assert all(s == 0 for v, s in zip(lat.halo, halo) if lat.parity(v) == 0)
     with pytest.raises(errors.EmptySupport):
-        gibbs.sample_halo_extension(HC, lat, Pattern(0, 0b11), rng)
+        gibbs.sample_halo_extension(HC, lat, Pattern(0, 0b11), u)
+
+
+@pytest.mark.parametrize("system, pattern", [
+    (catalog.build("hard_core", lam=2), P0_HC),
+    (catalog.build("af_potts", q=3, beta=1), P0_AF3)])
+@pytest.mark.parametrize("lattice, copies", [
+    ("box:6x6+halo", 1), ("box:6x6x2p+halo", 1), ("box:6x6+halo", 3)])
+def test_a_block_of_halos_draws_each_row_as_its_own_sample(
+        system, pattern, lattice, copies):
+    """breakup-scan draws every sample's halo in one call, row k of the
+    uniforms from PCG64(10**6 + seed + k): each row of the block is the
+    one-row draw of its own generator, and each value the first state of
+    its side whose cumulative activity reaches u times the total."""
+    lat, *_ = lm.disjoint_union(lm.parse_lattice(lattice), copies)
+    seed, h = 5, len(lat.halo)
+    u = np.array([np.random.Generator(np.random.PCG64(10 ** 6 + seed + k))
+                  .random(h) for k in range(4)])
+    block = gibbs.sample_halo_extension(system, lat, pattern, u)
+    assert block.shape == (4, h)
+    acts = [float(a) for a in system.activities]
+    for k, row in enumerate(block.tolist()):
+        assert row == gibbs.sample_halo_extension(system, lat, pattern,
+                                                  u[k]).tolist()
+        for v, x, s in zip(lat.halo, u[k].tolist(), row):
+            pool = system.mask_states(pattern_side(pattern, lat, v))
+            cum = list(itertools.accumulate(acts[t] for t in pool))
+            assert s == pool[min(bisect.bisect_left(cum, x * cum[-1]),
+                                 len(pool) - 1)]
 
 
 # ---------------------------------------------------------------------------
@@ -491,9 +519,9 @@ def test_mcmc_bookkeeping_and_determinism():
     assert abs(sum(res1.marginal.values()) - 1.0) < 1e-12
     res2 = gibbs.run_mcmc(system, lat, bc, (2, 2), n_sweeps=100, seed=7)
     assert res1.marginal == res2.marginal
-    assert res1.config == res2.config
+    assert res1.config.tolist() == res2.config.tolist()
     res3 = gibbs.run_mcmc(system, lat, bc, (2, 2), n_sweeps=100, seed=8)
-    assert res3.config != res1.config
+    assert res3.config.tolist() != res1.config.tolist()
 
 
 def test_raster_golden_trace():
@@ -504,8 +532,8 @@ def test_raster_golden_trace():
     res = gibbs.run_mcmc(system, lat, bc, (2, 2), n_sweeps=200, seed=5)
     assert res.rng_id == gibbs.RNG_ID
     assert res.trace_counts == {"1": 116, "2": 39, "3": 25}
-    assert res.config == [0, 1, 0, 1, 1, 0, 2, 0, 0, 1, 0, 1, 2, 0, 1, 0] \
-        + [3] * 16  # halo sites hold |S|
+    assert res.config.tolist() == [0, 1, 0, 1, 1, 0, 2, 0, 0, 1, 0, 1, 2, 0,
+                                   1, 0] + [3] * 16  # halo sites hold |S|
 
 
 def test_checkerboard_golden_trace():
@@ -518,10 +546,26 @@ def test_checkerboard_golden_trace():
                          chains=13)
     assert res.rng_id == gibbs.CHECKERBOARD_RNG_ID
     assert res.trace_counts == {"1": 1595, "2": 391, "3": 354}
-    assert res.config == [0, 1, 0, 2, 1, 2, 1, 0, 0, 1, 0, 2, 2, 0, 2, 0] \
-        + [3] * 16
-    assert res.configs[-1] == [0, 2, 0, 1, 2, 0, 2, 0, 0, 2, 0, 1, 1, 0, 2,
-                               0] + [3] * 16
+    assert res.config.tolist() == [0, 1, 0, 2, 1, 2, 1, 0, 0, 1, 0, 2, 2, 0,
+                                   2, 0] + [3] * 16
+    assert res.configs[-1].tolist() == [0, 2, 0, 1, 2, 0, 2, 0, 0, 2, 0, 1,
+                                        1, 0, 2, 0] + [3] * 16
+
+
+@pytest.mark.parametrize("side, rng_id", [
+    (4, gibbs.RNG_ID), (16, gibbs.CHECKERBOARD_RNG_ID)])
+@pytest.mark.parametrize("chains", [1, 3])
+def test_mcmc_hands_on_its_chains_as_one_int_array(side, rng_id, chains):
+    """Both kernels return the chains' final values as one (chains, stored
+    sites) int array, halo sites holding |S|; config is its first row."""
+    lat = make_box((side, side))
+    res = gibbs.run_mcmc(AF3_SOFT, lat, P0_AF3, (1, 1), n_sweeps=5,
+                         chains=chains)
+    assert res.rng_id == rng_id
+    assert res.configs.dtype == np.int64
+    assert res.configs.shape == (chains, lat.n)
+    assert (res.configs[:, len(lat.interior):] == AF3_SOFT.n).all()
+    assert res.config.tolist() == res.configs[0].tolist()
 
 
 AF3_SOFT = catalog.build("af_potts", q=3, beta=1)
@@ -557,7 +601,7 @@ def test_kernels_reproduce_the_reference_kernels(case, kernel, chains):
     row-by-row reference in tests/helpers.py, bit for bit: on 1D, 2D, 3D
     and 4D lattices, slabs and a periodic side of 2, soft and hard
     constraints, 2 to 17 states, one site and 196 sites.  The final values
-    are Python ints, as the reference's are."""
+    are one int64 array, one row a chain."""
     system, spec, pattern, n_sweeps, *site = KERNEL_CASES[case]
     lat = lm.parse_lattice(spec)
     sampler = gibbs._Chains(system, lat, pattern)
@@ -571,8 +615,8 @@ def test_kernels_reproduce_the_reference_kernels(case, kernel, chains):
     (trace, configs), (ref_trace, ref_configs) = runs
     assert trace.dtype == ref_trace.dtype
     assert np.array_equal(trace, ref_trace)
-    assert configs == ref_configs
-    assert all(type(x) is int for c in configs for x in c)
+    assert configs.dtype == np.int64
+    assert configs.tolist() == ref_configs
 
 
 def test_raster_sweeps_compile_once_per_plan():
@@ -603,7 +647,8 @@ def test_raster_sweeps_compile_once_per_plan():
         run(np.random.Generator(np.random.PCG64(4)), lat.site((1, 2)), 200, 1)
         for run in (q4.raster,
                     functools.partial(raster_reference, af4, lat, p4))]
-    assert np.array_equal(trace, ref_trace) and configs == ref_configs
+    assert np.array_equal(trace, ref_trace) \
+        and configs.tolist() == ref_configs
     assert gibbs._raster_sweeps.cache_info().misses == 4
 
 

@@ -138,6 +138,30 @@ def test_the_breakup_keeps_its_charts_in_packed_rows():
     assert not found
 
 
+def test_the_scan_draws_every_halo_in_one_call():
+    """breakup-scan keeps its samples in the one int array run_mcmc hands
+    on: cmd_breakup_scan calls sample_halo_extension exactly once, outside
+    any loop or comprehension, and no np.array call rebuilds a block of
+    configurations from it."""
+    [fn] = [node for node in ast.walk(ast.parse((SRC / "cli.py").read_text()))
+            if isinstance(node, ast.FunctionDef)
+            and node.name == "cmd_breakup_scan"]
+    loops = (ast.For, ast.While, ast.ListComp, ast.SetComp, ast.DictComp,
+             ast.GeneratorExp)
+
+    def calls(root, name):
+        return [node for node in ast.walk(root) if isinstance(node, ast.Call)
+                and getattr(node.func, "attr", None) == name]
+    draws = calls(fn, "sample_halo_extension")
+    in_loops = [node for loop in ast.walk(fn) if isinstance(loop, loops)
+                for node in calls(loop, "sample_halo_extension")]
+    assert len(draws) == 1 and not in_loops
+    rebuilt = [node.lineno for node in calls(fn, "array")
+               if any(getattr(n, "id", None) == "configs"
+                      for n in ast.walk(node))]
+    assert not rebuilt
+
+
 def test_no_unused_imports_in_the_library():
     """Every name a library or test module imports is read somewhere in
     it."""
